@@ -18,7 +18,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::engines::{blueprint, build, Chip, Job, Outcome};
 use crate::trace::{median, Recorder};
-use crate::workloads::{cell_shards, Fleet, LocalCell, Phase, Plan, Quality, Setup, FLEET_WORKERS};
+use crate::workloads::{
+    cell_shards, Fleet, LocalCell, Phase, Plan, Quality, Setup, SetupTime, FLEET_WORKERS,
+};
 
 /// Fabrications timed per engine (the median is kept).
 const FAB_REPS: usize = 5;
@@ -59,12 +61,35 @@ fn metric(
     }
 }
 
+/// Replayed operations, and how many of them failed.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Tally {
+    /// Operations replayed.
+    pub attempted: usize,
+    /// Operations whose result disagreed with the measured run.
+    pub failed: usize,
+}
+
+impl Tally {
+    fn add(&mut self, ok: bool) {
+        self.attempted += 1;
+        self.failed += usize::from(!ok);
+    }
+
+    fn merge(&mut self, other: Tally) {
+        self.attempted += other.attempted;
+        self.failed += other.failed;
+    }
+}
+
 /// Inputs of the per-layer measurement.
 pub struct Ctx<'a> {
     /// The workload's jobs.
     pub plan: &'a Plan,
     /// Built engines (and the fleet).
     pub setup: &'a Setup,
+    /// The set-ups timed during the traced phase.
+    pub setups: &'a [SetupTime],
     /// The traced measured phase.
     pub phase: &'a Phase,
     /// Local solves of the fleet cells (empty for direct workloads).
@@ -77,16 +102,19 @@ pub struct Ctx<'a> {
     pub seed: u64,
 }
 
-/// Per-layer metrics plus the number of replayed operations whose
-/// results disagreed with the measured phase.
-pub fn per_layer(ctx: &Ctx) -> Result<(Vec<Metric>, usize), String> {
+/// Per-layer metrics, and the operations replayed to measure them.
+pub fn per_layer(ctx: &Ctx) -> Result<(Vec<Metric>, Tally), String> {
+    let build_means: Vec<f64> = std::iter::once(&ctx.setup.time)
+        .chain(ctx.setups)
+        .map(|t| t.build_mean * 1e3)
+        .collect();
     let mut out = vec![metric(
         "core.build_ms",
         "ms",
-        ctx.setup.build_ms,
-        "median of set-ups",
+        median(&build_means),
+        format!("mean per job, median of {} set-ups", build_means.len()),
     )];
-    let mut failed = 0;
+    let mut replays = Tally::default();
 
     // Solve samples: (job, outcome) of every timed solve.
     let solves: Vec<(usize, &Outcome)> = match ctx.phase {
@@ -247,22 +275,10 @@ pub fn per_layer(ctx: &Ctx) -> Result<(Vec<Metric>, usize), String> {
         q.accepted as f64 / iters,
         "accepted / iterations",
     ));
-    out.push(metric(
-        "core.success_rate",
-        "fraction",
-        q.successes as f64 / q.solves as f64,
-        format!("n={}", q.solves),
-    ));
-    out.push(metric(
-        "core.feasible_rate",
-        "fraction",
-        q.feasible as f64 / q.solves as f64,
-        format!("n={}", q.solves),
-    ));
 
-    let (service, service_failed) = service_layer(ctx)?;
+    let (service, tally) = service_layer(ctx)?;
     out.extend(service);
-    failed += service_failed;
+    replays.merge(tally);
 
     // Direct workloads have no fleet of their own; this one lives until
     // the function returns.
@@ -274,13 +290,13 @@ pub fn per_layer(ctx: &Ctx) -> Result<(Vec<Metric>, usize), String> {
             &temporary
         }
     };
-    let (net, net_failed) = net_layer(ctx, fleet)?;
+    let (net, tally) = net_layer(ctx, fleet)?;
     out.extend(net);
-    failed += net_failed;
-    let (coord, coord_failed) = coord_layer(ctx, fleet)?;
+    replays.merge(tally);
+    let (coord, tally) = coord_layer(ctx, fleet)?;
     out.extend(coord);
-    failed += coord_failed;
-    Ok((out, failed))
+    replays.merge(tally);
+    Ok((out, replays))
 }
 
 /// Times `kind` on the workload's QKP instances when the measured
@@ -311,17 +327,14 @@ fn replay_backend(ctx: &Ctx, kind: EngineKind) -> Result<Vec<f64>, String> {
     Ok(secs)
 }
 
-/// Fabricates the filters (or banks) this workload programs; when it
-/// programs none, the ones `kind` would program for the same instances.
+/// Fabricates the hardware of every job on `kind`.
 fn chips_of(ctx: &Ctx, kind: EngineKind) -> Result<Vec<Chip>, String> {
-    let own = ctx.plan.jobs.iter().any(|j| j.kind == kind);
-    let mut chips = Vec::new();
-    for job in ctx.plan.jobs.iter().filter(|j| !own || j.kind == kind) {
-        if let Ok(print) = blueprint(&job.problem, kind) {
-            chips.push(print.fabricate(job.settings.hardware_seed)?);
-        }
-    }
-    Ok(chips)
+    ctx.plan
+        .jobs
+        .iter()
+        .filter(|j| j.kind == kind)
+        .map(|j| blueprint(&j.problem, kind)?.fabricate(j.settings.hardware_seed))
+        .collect()
 }
 
 /// Mean ns per `classify_load` (single filter) and per
@@ -498,11 +511,11 @@ type Stamped = (Instant, Instant, Result<Vec<Outcome>, String>);
 /// Pushes the sample through a 2-worker `JobService` with
 /// `submit_with`, two jobs in flight: single solves for direct
 /// workloads, whole shard specs (decode, build, solve) for the fleet.
-fn service_layer(ctx: &Ctx) -> Result<(Vec<Metric>, usize), String> {
+fn service_layer(ctx: &Ctx) -> Result<(Vec<Metric>, Tally), String> {
     let service = JobService::start(ServiceConfig::new().with_workers(2).with_queue_capacity(64));
     let fleet = matches!(ctx.phase, Phase::Fleet { .. });
     let units = units(ctx, true);
-    let (mut waits, mut runs, mut failed) = (Vec::new(), Vec::new(), 0);
+    let (mut waits, mut runs, mut tally) = (Vec::new(), Vec::new(), Tally::default());
     for group in units.chunks(2) {
         let mut ids = Vec::new();
         for u in group {
@@ -535,10 +548,9 @@ fn service_layer(ctx: &Ctx) -> Result<(Vec<Metric>, usize), String> {
                 Ok((start, end, Ok(out))) => {
                     waits.push(start.duration_since(submitted).as_secs_f64());
                     runs.push(end.duration_since(start).as_secs_f64());
-                    let wires: Vec<&WireSolution> = out.iter().map(|o| &o.wire).collect();
-                    failed += usize::from(wires != u.expected.iter().collect::<Vec<_>>());
+                    tally.add(out.iter().map(|o| &o.wire).eq(&u.expected));
                 }
-                _ => failed += 1,
+                _ => tally.add(false),
             }
         }
     }
@@ -554,14 +566,14 @@ fn service_layer(ctx: &Ctx) -> Result<(Vec<Metric>, usize), String> {
             ),
             metric("service.run_ms", "ms", median(&runs) * 1e3, note),
         ],
-        failed,
+        tally,
     ))
 }
 
 /// Connect and `stats` round-trip latency against a loopback worker,
 /// and the frame codec on each unit's submit request and result
 /// response.
-fn net_layer(ctx: &Ctx, fleet: &Fleet) -> Result<(Vec<Metric>, usize), String> {
+fn net_layer(ctx: &Ctx, fleet: &Fleet) -> Result<(Vec<Metric>, Tally), String> {
     let addr = fleet.addrs()[0];
     let mut connects = Vec::new();
     for i in 0..CONNECTS {
@@ -582,7 +594,7 @@ fn net_layer(ctx: &Ctx, fleet: &Fleet) -> Result<(Vec<Metric>, usize), String> {
     }
     drop(client);
 
-    let (mut codec, mut bytes, mut failed) = (Vec::new(), Vec::new(), 0);
+    let (mut codec, mut bytes, mut tally) = (Vec::new(), Vec::new(), Tally::default());
     for (i, u) in units(ctx, false).iter().enumerate() {
         let request = Request::Submit(ctx.plan.jobs[u.job].spec(u.seeds.clone()));
         let response = Response::Solutions {
@@ -599,7 +611,7 @@ fn net_layer(ctx: &Ctx, fleet: &Fleet) -> Result<(Vec<Metric>, usize), String> {
                     && resp.and_then(|v| Response::from_value(&v).ok()).as_ref() == Some(&response);
                 (ok, req_bytes + resp_bytes)
             });
-            failed += usize::from(!ok);
+            tally.add(ok);
             size = n;
             times.push(t);
         }
@@ -633,7 +645,7 @@ fn net_layer(ctx: &Ctx, fleet: &Fleet) -> Result<(Vec<Metric>, usize), String> {
                 format!("n={}", bytes.len()),
             ),
         ],
-        failed,
+        tally,
     ))
 }
 
@@ -652,8 +664,8 @@ fn round_trip(value: &hycim_net::json::Value) -> (Option<hycim_net::json::Value>
 /// local serial solve time. The fleet workload reads it off its
 /// measured cells; direct workloads send round 0 of each job through a
 /// coordinator as one 2-shard cell, then solve each shard locally.
-fn coord_layer(ctx: &Ctx, fleet: &Fleet) -> Result<(Vec<Metric>, usize), String> {
-    let (mut overhead, mut failed) = (Vec::new(), 0);
+fn coord_layer(ctx: &Ctx, fleet: &Fleet) -> Result<(Vec<Metric>, Tally), String> {
+    let (mut overhead, mut tally) = (Vec::new(), Tally::default());
     let retries = match ctx.phase {
         Phase::Fleet { cells, retries, .. } => {
             for c in cells.iter().filter(|c| c.result.is_ok()) {
@@ -679,6 +691,7 @@ fn coord_layer(ctx: &Ctx, fleet: &Fleet) -> Result<(Vec<Metric>, usize), String>
                     });
                 // Each shard again on this host, alone, as its worker ran it.
                 let mut slowest: f64 = 0.0;
+                let mut ok = true;
                 for shard in &shards {
                     let (local, secs) =
                         ctx.rec
@@ -691,13 +704,14 @@ fn coord_layer(ctx: &Ctx, fleet: &Fleet) -> Result<(Vec<Metric>, usize), String>
                                 )
                             });
                     let expected = &u.expected[shard.shard.start..shard.shard.end];
-                    failed += usize::from(local.iter().map(|o| &o.wire).ne(expected));
+                    ok &= local.iter().map(|o| &o.wire).eq(expected);
                     slowest = slowest.max(secs);
                 }
                 match merged {
                     Ok(m) if m == u.expected => overhead.push(t - slowest),
-                    _ => failed += 1,
+                    _ => ok = false,
                 }
+                tally.add(ok);
             }
             coordinator
                 .obs()
@@ -721,6 +735,6 @@ fn coord_layer(ctx: &Ctx, fleet: &Fleet) -> Result<(Vec<Metric>, usize), String>
                 "coordinator registry",
             ),
         ],
-        failed,
+        tally,
     ))
 }

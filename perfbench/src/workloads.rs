@@ -1,6 +1,6 @@
-//! The three workloads: their instances (generated from the workload
-//! seed), set-up, closed-loop measured phase, result verification,
-//! and solution quality.
+//! The workloads: their instances (generated from the workload seed),
+//! set-up, closed-loop measured phase, result verification, and
+//! solution quality.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engines::{build, Job, Outcome, Runnable};
-use crate::trace::{median, Recorder};
+use crate::trace::Recorder;
 
 /// Items per paper-scale instance.
 const ITEMS: usize = 100;
@@ -27,12 +27,6 @@ const ITEMS: usize = 100;
 /// weight (Σw of 100 items with weights 1..=50) so that the veto share,
 /// and hence the cost of a solve, does not depend on the seed.
 const QKP_CAPACITY: u64 = 1250;
-/// QKP capacity on the D-QUBO path. One-hot slack encoding makes the
-/// D-QUBO dimension n + C = 350 with dense penalty couplings; a solve
-/// then takes about 0.1 s, so a run holds enough solves for a stable
-/// median. The filter-path instances' D-QUBO (dimension 1350, about
-/// 0.7 s per solve) is timed in the traced `ineq-filter` run.
-const DQUBO_QKP_CAPACITY: u64 = 250;
 /// QKP profit densities, in percent.
 const DENSITIES: [u32; 4] = [25, 50, 75, 100];
 /// MKP constraint counts (filters per bank).
@@ -53,8 +47,8 @@ const FLEET_SHARDS: usize = 2;
 /// Rounds (passes for the fleet) whose results define the quality
 /// figures and the deterministic trace counts.
 const QUALITY_ROUNDS: usize = 2;
-/// Repetitions of the whole set-up; `setup_s` is their median.
-pub const SETUP_REPS: usize = 15;
+/// Seeds of round 0 of every direct job that [`verify`] re-solves.
+pub const RESOLVES: usize = 2;
 
 const ROLE_INSTANCE: u64 = 1;
 const ROLE_SOLVE: u64 = 2;
@@ -65,27 +59,18 @@ const ROLE_HARDWARE: u64 = 3;
 pub enum Workload {
     /// Paper-scale QKP on `hycim` and MKP on `bank`, through `BatchRunner`.
     IneqFilter,
-    /// Paper-scale QKP on the D-QUBO baseline. Not listed in
-    /// `BENCHMARK.json`: on the shared reference host its run-to-run
-    /// spread exceeded the largest allowed bound (see the README).
-    DquboPenalty,
     /// The `gate` preset, cell by cell, through a 2-worker coordinator.
     FleetGate,
 }
 
 impl Workload {
     /// Every workload.
-    pub const ALL: [Workload; 3] = [
-        Workload::IneqFilter,
-        Workload::DquboPenalty,
-        Workload::FleetGate,
-    ];
+    pub const ALL: [Workload; 2] = [Workload::IneqFilter, Workload::FleetGate];
 
     /// The `--workload` name.
     pub fn name(self) -> &'static str {
         match self {
             Workload::IneqFilter => "ineq-filter",
-            Workload::DquboPenalty => "dqubo-penalty",
             Workload::FleetGate => "fleet-gate",
         }
     }
@@ -138,19 +123,6 @@ fn job(
         instance_seed: derive(seed, instance, ROLE_INSTANCE),
         root: derive(seed, &format!("{instance}/{kind}"), ROLE_SOLVE),
     }
-}
-
-fn paper_qkp(seed: u64, capacity: u64) -> Vec<(String, AnyProblem)> {
-    DENSITIES
-        .iter()
-        .map(|&d| {
-            let key = format!("qkp-d{d}-n{ITEMS}-c{capacity}");
-            let inst = QkpGenerator::new(ITEMS, f64::from(d) / 100.0)
-                .with_capacity_range(capacity, capacity)
-                .generate(derive(seed, &key, ROLE_INSTANCE));
-            (key, AnyProblem::from(inst))
-        })
-        .collect()
 }
 
 /// A seeded packable bin-packing instance (~80% fill; redrawn until
@@ -206,8 +178,19 @@ pub fn plan(workload: Workload, seed: u64, threads: usize) -> Plan {
     let mut jobs = Vec::new();
     let seeds_per_job = match workload {
         Workload::IneqFilter => {
-            for (key, p) in paper_qkp(seed, QKP_CAPACITY) {
-                jobs.push(job(seed, &key, p, EngineKind::HyCim, PAPER_SWEEPS, false));
+            for d in DENSITIES {
+                let key = format!("qkp-d{d}-n{ITEMS}-c{QKP_CAPACITY}");
+                let inst = QkpGenerator::new(ITEMS, f64::from(d) / 100.0)
+                    .with_capacity_range(QKP_CAPACITY, QKP_CAPACITY)
+                    .generate(derive(seed, &key, ROLE_INSTANCE));
+                jobs.push(job(
+                    seed,
+                    &key,
+                    inst.into(),
+                    EngineKind::HyCim,
+                    PAPER_SWEEPS,
+                    false,
+                ));
             }
             for m in MKP_DIMS {
                 let key = format!("mkp-m{m}-n{ITEMS}");
@@ -222,12 +205,6 @@ pub fn plan(workload: Workload, seed: u64, threads: usize) -> Plan {
                 ));
             }
             2 * threads
-        }
-        Workload::DquboPenalty => {
-            for (key, p) in paper_qkp(seed, DQUBO_QKP_CAPACITY) {
-                jobs.push(job(seed, &key, p, EngineKind::Dqubo, PAPER_SWEEPS, false));
-            }
-            threads
         }
         Workload::FleetGate => {
             for (key, p) in gate_instances(seed) {
@@ -290,55 +267,49 @@ impl Fleet {
     }
 }
 
-/// The built engines and what set-up cost.
+/// Wall time of one set-up.
+#[derive(Debug, Clone, Copy)]
+pub struct SetupTime {
+    /// The whole set-up, seconds.
+    pub total: f64,
+    /// Mean `EngineKind::build` time per job, seconds.
+    pub build_mean: f64,
+}
+
+/// The built engines (and the fleet) and what building them cost.
 pub struct Setup {
     /// One engine per job.
     pub engines: Vec<Arc<dyn Runnable>>,
     /// The fleet, for `fleet-gate`.
     pub fleet: Option<Fleet>,
-    /// Median wall time of one whole set-up, in seconds.
-    pub setup_s: f64,
-    /// Median over set-ups of the mean `EngineKind::build` time, ms.
-    pub build_ms: f64,
+    /// Wall time of this set-up.
+    pub time: SetupTime,
 }
 
-/// Builds every job's engine (and spawns the fleet) `SETUP_REPS`
-/// times, keeping the last set.
-pub fn setup(plan: &Plan, rec: &Recorder) -> Result<Setup, String> {
-    let mut totals = Vec::new();
-    let mut build_means = Vec::new();
-    let mut last = None;
-    for rep in 0..SETUP_REPS {
-        // The previous set-up (and its fleet) is torn down untimed.
-        drop(last.take());
-        let (built, total) = rec.span("setup", plan.workload.name(), 0, rep as u64, |id| {
-            let mut engines = Vec::new();
-            let mut build_secs = 0.0;
-            for (j, job) in plan.jobs.iter().enumerate() {
-                let (engine, secs) =
-                    rec.span("core.build", job.kind.tag(), id, j as u64, |_| build(job));
-                engines.push(engine?);
-                build_secs += secs;
-            }
-            let fleet = match plan.workload {
-                Workload::FleetGate => {
-                    Some(rec.span("fleet.spawn", "", id, 0, |_| Fleet::spawn()).0?)
-                }
-                _ => None,
-            };
-            Ok::<_, String>((engines, fleet, build_secs / plan.jobs.len() as f64))
-        });
-        let (engines, fleet, build_mean) = built?;
-        totals.push(total);
-        build_means.push(build_mean * 1e3);
-        last = Some((engines, fleet));
-    }
-    let (engines, fleet) = last.expect("at least one set-up");
+/// Builds every job's engine with `EngineKind::build`, and binds and
+/// spawns the fleet for `fleet-gate`. `rep` numbers the set-up in the
+/// trace.
+pub fn setup(plan: &Plan, rec: &Recorder, rep: u64) -> Result<Setup, String> {
+    let (built, total) = rec.span("setup", plan.workload.name(), 0, rep, |id| {
+        let mut engines = Vec::new();
+        let mut build_secs = 0.0;
+        for (j, job) in plan.jobs.iter().enumerate() {
+            let (engine, secs) =
+                rec.span("core.build", job.kind.tag(), id, j as u64, |_| build(job));
+            engines.push(engine?);
+            build_secs += secs;
+        }
+        let fleet = match plan.workload {
+            Workload::FleetGate => Some(rec.span("fleet.spawn", "", id, 0, |_| Fleet::spawn()).0?),
+            Workload::IneqFilter => None,
+        };
+        Ok::<_, String>((engines, fleet, build_secs / plan.jobs.len() as f64))
+    });
+    let (engines, fleet, build_mean) = built?;
     Ok(Setup {
         engines,
         fleet,
-        setup_s: median(&totals),
-        build_ms: median(&build_means),
+        time: SetupTime { total, build_mean },
     })
 }
 
@@ -368,7 +339,7 @@ pub struct CellRun {
 
 /// The measured phase: closed-loop rounds until the time is up.
 pub enum Phase {
-    /// `ineq-filter` and `dqubo-penalty`.
+    /// `ineq-filter`.
     Direct { batches: Vec<Batch>, wall: f64 },
     /// `fleet-gate`.
     Fleet {
@@ -391,14 +362,6 @@ impl Phase {
         match self {
             Phase::Direct { batches, .. } => batches.iter().map(|b| b.outcomes.len()).sum(),
             Phase::Fleet { cells, .. } => cells.len(),
-        }
-    }
-
-    /// Operations that returned an error.
-    pub fn errors(&self) -> usize {
-        match self {
-            Phase::Direct { .. } => 0,
-            Phase::Fleet { cells, .. } => cells.iter().filter(|c| c.result.is_err()).count(),
         }
     }
 
@@ -465,18 +428,31 @@ pub fn cell_shards(plan: &Plan, j: usize) -> (usize, Vec<ShardJob>) {
 }
 
 /// Runs rounds (fleet passes) until `seconds` have passed and at least
-/// `QUALITY_ROUNDS` rounds are complete.
-pub fn run_phase(plan: &Plan, setup: &Setup, seconds: f64, rec: &Recorder) -> Phase {
+/// `QUALITY_ROUNDS` rounds are complete. Before each round it times one
+/// more whole set-up and tears it down again, so that the set-up
+/// samples span the same stretch of time as the rounds.
+pub fn run_phase(
+    plan: &Plan,
+    setup: &Setup,
+    seconds: f64,
+    rec: &Recorder,
+) -> Result<(Phase, Vec<SetupTime>), String> {
     let runner = BatchRunner::new().with_threads(plan.threads);
     let start = Instant::now();
     let done = |round: usize| round >= QUALITY_ROUNDS && start.elapsed().as_secs_f64() >= seconds;
-    match (&setup.fleet, plan.workload) {
+    let mut setups = Vec::new();
+    let mut sample = |round: usize| -> Result<(), String> {
+        setups.push(self::setup(plan, rec, round as u64 + 1)?.time);
+        Ok(())
+    };
+    let phase = match (&setup.fleet, plan.workload) {
         (Some(fleet), Workload::FleetGate) => {
             let coordinator = fleet.coordinator();
             let shards: Vec<_> = (0..plan.jobs.len()).map(|j| cell_shards(plan, j)).collect();
             let mut cells = Vec::new();
             let mut pass = 0;
             while !done(pass) {
+                sample(pass)?;
                 for (j, (total, jobs)) in shards.iter().enumerate() {
                     let (result, secs) =
                         rec.span("coord.cell", plan.jobs[j].kind.tag(), 0, j as u64, |_| {
@@ -506,6 +482,7 @@ pub fn run_phase(plan: &Plan, setup: &Setup, seconds: f64, rec: &Recorder) -> Ph
             let mut batches = Vec::new();
             let mut round = 0;
             while !done(round) {
+                sample(round)?;
                 for (j, job) in plan.jobs.iter().enumerate() {
                     let seeds = job.seeds(round, plan.seeds_per_job);
                     let (outcomes, wall) =
@@ -526,7 +503,8 @@ pub fn run_phase(plan: &Plan, setup: &Setup, seconds: f64, rec: &Recorder) -> Ph
                 wall: start.elapsed().as_secs_f64(),
             }
         }
-    }
+    };
+    Ok((phase, setups))
 }
 
 /// The local result of one fleet cell, shard by shard.
@@ -561,36 +539,40 @@ pub fn local_cells(plan: &Plan, setup: &Setup, rec: &Recorder) -> Vec<LocalCell>
         .collect()
 }
 
-/// Checks a phase's results. Direct workloads re-solve the first
-/// `resolves` seeds of round 0 of every job with a serial `BatchRunner`;
-/// the fleet compares every merged cell with its local solve. Returns
-/// the failed operations (errors plus mismatches).
+/// Checks a phase's results, one flag per operation (solve, or fleet
+/// cell), set when the operation failed. Direct workloads re-solve the
+/// first `resolves` seeds of round 0 of every job with a serial
+/// `BatchRunner`; the fleet compares every merged cell with its local
+/// solve, and an error is a failure.
 pub fn verify(
     plan: &Plan,
     setup: &Setup,
     phase: &Phase,
     local: &[LocalCell],
     resolves: usize,
-) -> usize {
+) -> Vec<bool> {
     match phase {
         Phase::Direct { batches, .. } => {
-            let mut failed = 0;
-            for b in batches.iter().filter(|b| b.round == 0) {
-                let n = resolves.min(b.outcomes.len());
-                let seeds = plan.jobs[b.job].seeds(0, n);
-                let again =
-                    setup.engines[b.job].run(&BatchRunner::serial(), &seeds, &Recorder::off(), 0);
-                failed += again
-                    .iter()
-                    .zip(&b.outcomes)
-                    .filter(|(x, y)| !x.same_result(y))
-                    .count();
+            let mut failed = Vec::new();
+            for b in batches {
+                let again = if b.round == 0 && resolves > 0 {
+                    let seeds = plan.jobs[b.job].seeds(0, resolves.min(b.outcomes.len()));
+                    setup.engines[b.job].run(&BatchRunner::serial(), &seeds, &Recorder::off(), 0)
+                } else {
+                    Vec::new()
+                };
+                failed.extend(
+                    b.outcomes
+                        .iter()
+                        .enumerate()
+                        .map(|(k, o)| again.get(k).is_some_and(|a| !a.same_result(o))),
+                );
             }
             failed
         }
         Phase::Fleet { cells, .. } => cells
             .iter()
-            .filter(|c| match &c.result {
+            .map(|c| match &c.result {
                 Ok(merged) => {
                     let expected = &local[c.job].outcomes;
                     merged.len() != expected.len()
@@ -598,36 +580,36 @@ pub fn verify(
                 }
                 Err(_) => true,
             })
-            .count(),
+            .collect(),
     }
 }
 
-/// Counts mismatches between two phases run on the same seeds: the
-/// operations both completed must agree bitwise.
-pub fn compare_phases(a: &Phase, b: &Phase) -> (usize, usize) {
+/// Compares phase `b` with phase `a`, run on the same seeds: one flag
+/// per operation of `b`, set when the same operation of `a` completed
+/// with a different result. Also returns how many operations both ran.
+pub fn compare_phases(a: &Phase, b: &Phase) -> (Vec<bool>, usize) {
+    let mut differ = Vec::new();
+    let mut compared = 0;
     match (a, b) {
         (Phase::Direct { batches: x, .. }, Phase::Direct { batches: y, .. }) => {
-            let mut compared = 0;
-            let mut failed = 0;
-            for (p, q) in x.iter().zip(y) {
-                for (o, r) in p.outcomes.iter().zip(&q.outcomes) {
-                    compared += 1;
-                    failed += usize::from(!o.same_result(r));
+            for (k, q) in y.iter().enumerate() {
+                for (i, r) in q.outcomes.iter().enumerate() {
+                    let o = x.get(k).and_then(|p| p.outcomes.get(i));
+                    compared += usize::from(o.is_some());
+                    differ.push(o.is_some_and(|o| !o.same_result(r)));
                 }
             }
-            (compared, failed)
         }
         (Phase::Fleet { cells: x, .. }, Phase::Fleet { cells: y, .. }) => {
-            let mut compared = 0;
-            let mut failed = 0;
-            for (p, q) in x.iter().zip(y) {
-                compared += 1;
-                failed += usize::from(p.result != q.result);
+            for (k, q) in y.iter().enumerate() {
+                let p = x.get(k);
+                compared += usize::from(p.is_some());
+                differ.push(p.is_some_and(|p| p.result != q.result));
             }
-            (compared, failed)
         }
-        _ => (0, 0),
+        _ => differ.resize(b.attempted(), false),
     }
+    (differ, compared)
 }
 
 /// The solves whose results define quality and the trace counts: the

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload ineq-filter --seed 1 --seconds 15 --trace 0
+//!     --workload ineq-filter --seed 1 --seconds 30 --trace 0
 //! ```
 //!
 //! With `--trace 0` the run measures the end-to-end metrics with
@@ -10,11 +10,13 @@
 //! then again with spans recorded at every layer boundary (each for
 //! half of `--seconds`), checks that
 //! both phases produced bit-identical results, and reports the
-//! per-layer metrics and the tracing overhead. The last line of
+//! per-layer metrics and the tracing overhead. End-to-end timings are
+//! stated at the reference host's speed (see `host`). The last line of
 //! standard output is one JSON object; the lines before it are the
 //! human-readable report. See `perfbench/README.md`.
 
 mod engines;
+mod host;
 mod layers;
 mod trace;
 mod workloads;
@@ -171,10 +173,9 @@ fn run(args: &Args) -> Result<(), String> {
     let setup = setup(&plan, &rec, 0)?;
 
     let (phase, setups) = run_phase(&plan, &setup, seconds, &off)?;
-    let setup_totals: Vec<f64> = std::iter::once(setup.time)
-        .chain(setups)
-        .map(|t| t.total)
-        .collect();
+    let setup_times: Vec<_> = std::iter::once(setup.time).chain(setups).collect();
+    let setup_scaled: Vec<f64> = setup_times.iter().map(|t| t.total / t.slowness).collect();
+    let setup_wall: Vec<f64> = setup_times.iter().map(|t| t.total).collect();
     let local = if fleet {
         local_cells(&plan, &setup, &off)
     } else {
@@ -201,25 +202,29 @@ fn run(args: &Args) -> Result<(), String> {
             unit: "solves/s",
             value: solves_per_s(&phase),
             note: format!(
-                "median of {} rounds; {} solves in {:.3} s overall",
+                "median of {} rounds at reference speed; {} solves in {:.3} s \
+                 wall clock overall; host slowness {:.3}",
                 phase.round_rates().len(),
                 phase.solves(),
-                phase.wall()
+                phase.wall(),
+                median(&phase.slowness())
             ),
         },
         Metric {
             name: "latency_ms_p50".into(),
             unit: "ms",
             value: nearest_rank(&latencies, 50.0) * 1e3,
-            note: format!("n={} {op}; p90 {p90}", latencies.len()),
+            note: format!("n={} {op} at reference speed; p90 {p90}", latencies.len()),
         },
         Metric {
             name: "setup_s".into(),
             unit: "s",
-            value: median(&setup_totals),
+            value: median(&setup_scaled),
             note: format!(
-                "median of {} set-ups, one before each round",
-                setup_totals.len()
+                "median of {} set-ups at reference speed, one before each round; \
+                 wall clock {:.6} s",
+                setup_scaled.len(),
+                median(&setup_wall)
             ),
         },
         Metric {

@@ -19,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engines::{build, Job, Outcome, Runnable};
+use crate::host;
 use crate::trace::Recorder;
 
 /// Items per paper-scale instance.
@@ -274,6 +275,8 @@ pub struct SetupTime {
     pub total: f64,
     /// Mean `EngineKind::build` time per job, seconds.
     pub build_mean: f64,
+    /// Host slowness measured just before the set-up.
+    pub slowness: f64,
 }
 
 /// The built engines (and the fleet) and what building them cost.
@@ -290,6 +293,7 @@ pub struct Setup {
 /// spawns the fleet for `fleet-gate`. `rep` numbers the set-up in the
 /// trace.
 pub fn setup(plan: &Plan, rec: &Recorder, rep: u64) -> Result<Setup, String> {
+    let slowness = host::slowness(1);
     let (built, total) = rec.span("setup", plan.workload.name(), 0, rep, |id| {
         let mut engines = Vec::new();
         let mut build_secs = 0.0;
@@ -309,7 +313,11 @@ pub fn setup(plan: &Plan, rec: &Recorder, rep: u64) -> Result<Setup, String> {
     Ok(Setup {
         engines,
         fleet,
-        time: SetupTime { total, build_mean },
+        time: SetupTime {
+            total,
+            build_mean,
+            slowness,
+        },
     })
 }
 
@@ -323,6 +331,8 @@ pub struct Batch {
     pub outcomes: Vec<Outcome>,
     /// Wall time of the call.
     pub wall: f64,
+    /// Host slowness measured before the round.
+    pub slowness: f64,
 }
 
 /// One `Coordinator::run` call of the fleet workload.
@@ -335,6 +345,8 @@ pub struct CellRun {
     pub result: Result<Vec<WireSolution>, String>,
     /// From `Coordinator::run` entry to the merged result.
     pub secs: f64,
+    /// Host slowness measured before the pass.
+    pub slowness: f64,
 }
 
 /// The measured phase: closed-loop rounds until the time is up.
@@ -377,8 +389,9 @@ impl Phase {
         }
     }
 
-    /// Throughput of each complete round (fleet pass), solves/s: the
-    /// round's solves over its wall time.
+    /// Throughput of each complete round (fleet pass) at the reference
+    /// host's speed, solves/s: the round's solves over its wall time
+    /// divided by the host slowness measured before the round.
     pub fn round_rates(&self) -> Vec<f64> {
         let mut rounds: Vec<(usize, f64)> = Vec::new();
         let mut add = |round: usize, solves: usize, wall: f64| {
@@ -391,26 +404,39 @@ impl Phase {
         match self {
             Phase::Direct { batches, .. } => {
                 for b in batches {
-                    add(b.round, b.outcomes.len(), b.wall);
+                    add(b.round, b.outcomes.len(), b.wall / b.slowness);
                 }
             }
             Phase::Fleet { cells, .. } => {
                 for c in cells {
-                    add(c.pass, c.result.as_ref().map_or(0, Vec::len), c.secs);
+                    add(
+                        c.pass,
+                        c.result.as_ref().map_or(0, Vec::len),
+                        c.secs / c.slowness,
+                    );
                 }
             }
         }
         rounds.iter().map(|&(n, wall)| n as f64 / wall).collect()
     }
 
-    /// Per-operation latencies in seconds: solves, or cells.
+    /// Per-operation latencies at the reference host's speed, seconds:
+    /// solves, or cells.
     pub fn latencies(&self) -> Vec<f64> {
         match self {
             Phase::Direct { batches, .. } => batches
                 .iter()
-                .flat_map(|b| b.outcomes.iter().map(|o| o.secs))
+                .flat_map(|b| b.outcomes.iter().map(move |o| o.secs / b.slowness))
                 .collect(),
-            Phase::Fleet { cells, .. } => cells.iter().map(|c| c.secs).collect(),
+            Phase::Fleet { cells, .. } => cells.iter().map(|c| c.secs / c.slowness).collect(),
+        }
+    }
+
+    /// The host slowness of every batch, or of every fleet cell.
+    pub fn slowness(&self) -> Vec<f64> {
+        match self {
+            Phase::Direct { batches, .. } => batches.iter().map(|b| b.slowness).collect(),
+            Phase::Fleet { cells, .. } => cells.iter().map(|c| c.slowness).collect(),
         }
     }
 }
@@ -430,7 +456,8 @@ pub fn cell_shards(plan: &Plan, j: usize) -> (usize, Vec<ShardJob>) {
 /// Runs rounds (fleet passes) until `seconds` have passed and at least
 /// `QUALITY_ROUNDS` rounds are complete. Before each round it times one
 /// more whole set-up and tears it down again, so that the set-up
-/// samples span the same stretch of time as the rounds.
+/// samples span the same stretch of time as the rounds, and then
+/// measures the host slowness the round is scaled by.
 pub fn run_phase(
     plan: &Plan,
     setup: &Setup,
@@ -453,6 +480,7 @@ pub fn run_phase(
             let mut pass = 0;
             while !done(pass) {
                 sample(pass)?;
+                let slowness = host::slowness(FLEET_WORKERS);
                 for (j, (total, jobs)) in shards.iter().enumerate() {
                     let (result, secs) =
                         rec.span("coord.cell", plan.jobs[j].kind.tag(), 0, j as u64, |_| {
@@ -463,6 +491,7 @@ pub fn run_phase(
                         pass,
                         result,
                         secs,
+                        slowness,
                     });
                 }
                 pass += 1;
@@ -483,6 +512,7 @@ pub fn run_phase(
             let mut round = 0;
             while !done(round) {
                 sample(round)?;
+                let slowness = host::slowness(plan.threads);
                 for (j, job) in plan.jobs.iter().enumerate() {
                     let seeds = job.seeds(round, plan.seeds_per_job);
                     let (outcomes, wall) =
@@ -494,6 +524,7 @@ pub fn run_phase(
                         round,
                         outcomes,
                         wall,
+                        slowness,
                     });
                 }
                 round += 1;

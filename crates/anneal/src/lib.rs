@@ -19,9 +19,6 @@
 //!   ([`GeometricSchedule`], [`LinearSchedule`], [`ConstantSchedule`]).
 //! * [`Annealer`] — the Metropolis loop, producing an [`AnnealTrace`]
 //!   (the energy-evolution curves of paper Fig. 7(f)).
-//! * [`ensemble`] — multi-start ensembles over independent seeds (the
-//!   paper's Monte-Carlo protocol draws 1000 initial states per
-//!   instance, Sec 4.3).
 //! * [`packed`] — bit-parallel 64-replica annealing over `u64` spin
 //!   bitplanes ([`PackedSoftwareState`]): one CSR sweep advances all
 //!   64 lanes, bit-identically to 64 scalar sweep-reference runs
@@ -64,7 +61,6 @@
 #![warn(missing_docs)]
 
 mod annealer;
-pub mod ensemble;
 pub mod packed;
 mod schedule;
 mod state;

@@ -28,7 +28,7 @@ use hycim_cim::energy::EnergyModel;
 use hycim_cop::binpack::BinPacking;
 use hycim_cop::mkp::MkpGenerator;
 use hycim_cop::CopProblem;
-use hycim_core::{BankEngine, BatchRunner, HyCimConfig, HyCimEngine, Solution};
+use hycim_core::{BatchRunner, HyCimConfig, HyCimEngine, Solution};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,7 +83,7 @@ fn main() {
         let hw_seed = seed + idx as u64;
 
         let aggregate = HyCimEngine::new(&bp, &config, hw_seed).expect("mappable");
-        let bank = BankEngine::new(&bp, &config, hw_seed).expect("mappable");
+        let bank = HyCimEngine::bank(&bp, &config, hw_seed).expect("mappable");
         let agg_row = runner.run(&aggregate, replicas, seed);
         let bank_row = runner.run(&bank, replicas, seed);
 
@@ -172,7 +172,7 @@ fn main() {
         let reference = mkp.reference_objective(seed).expect("always some");
 
         let aggregate = HyCimEngine::new(&mkp, &config, hw_seed).expect("mappable");
-        let bank = BankEngine::new(&mkp, &config, hw_seed).expect("mappable");
+        let bank = HyCimEngine::bank(&mkp, &config, hw_seed).expect("mappable");
         let agg_row = runner.run(&aggregate, replicas, seed);
         let bank_row = runner.run(&bank, replicas, seed);
 

@@ -192,6 +192,25 @@ impl FilterBank {
                 .collect(),
         }
     }
+
+    /// The aggregate verdict of [`classify_loads`](Self::classify_loads)
+    /// without materializing the per-filter decisions: the SA hot
+    /// loop's allocation-free fast path. Every filter is classified —
+    /// no short-circuit on the first veto — so the RNG stream advances
+    /// exactly as `classify_loads` advances it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loads.len() != self.len()`.
+    pub fn admits<R: Rng + ?Sized>(&self, loads: &[u64], rng: &mut R) -> bool {
+        assert_eq!(loads.len(), self.len(), "one load per constraint");
+        self.filters
+            .iter()
+            .zip(loads)
+            .fold(true, |admitted, (f, &load)| {
+                f.classify_load(load, rng).is_feasible() & admitted
+            })
+    }
 }
 
 impl fmt::Display for FilterBank {
@@ -259,6 +278,28 @@ mod tests {
             let exact = cs.iter().all(|c| c.is_satisfied(&x));
             assert_eq!(full, exact, "full path wrong for {x}");
             assert_eq!(fast, exact, "fast path wrong for {x}");
+            assert_eq!(bank.admits(&loads, &mut rng), exact, "admits wrong for {x}");
+        }
+
+        // Noisy filters: `admits` returns the `classify_loads` verdict
+        // and leaves the RNG stream exactly where `classify_loads` does,
+        // including on loads that only one filter vetoes.
+        let noisy = FilterBank::build(&cs, &FilterConfig::default(), &mut rng).unwrap();
+        let mut verdicts = StdRng::seed_from_u64(5);
+        let mut decisions = StdRng::seed_from_u64(5);
+        for bits in 0u32..16 {
+            let x = Assignment::from_bits((0..4).map(|i| bits >> i & 1 == 1));
+            let loads: Vec<u64> = cs.iter().map(|c| c.load(&x)).collect();
+            assert_eq!(
+                noisy.admits(&loads, &mut verdicts),
+                noisy.classify_loads(&loads, &mut decisions).is_feasible(),
+                "verdicts differ for {x}"
+            );
+            assert_eq!(
+                verdicts.random::<u64>(),
+                decisions.random::<u64>(),
+                "RNG streams diverged after {x}"
+            );
         }
     }
 

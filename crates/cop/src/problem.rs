@@ -682,7 +682,7 @@ impl CopProblem for BinPacking {
         // per-bin bank in `bin_constraints`); per-bin balance is
         // steered by a quadratic load term in the objective. The exact
         // per-bin form is `to_multi_inequality_qubo`, driven by the
-        // filter-bank pipeline (`BankEngine` in `hycim-core`).
+        // filter-bank pipeline (`HyCimEngine::bank` in `hycim-core`).
         let q = self.packing_objective();
         let mut weights = vec![0u64; BinPacking::dim(self)];
         for i in 0..self.num_items() {

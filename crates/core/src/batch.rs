@@ -2,9 +2,9 @@
 //! Monte-Carlo protocol (Sec 4.3 runs 1000 initial states per
 //! instance) fanned out over OS threads.
 //!
-//! [`BatchRunner`] replaces the serial ensemble loop for multi-start
-//! evaluation. Its determinism guarantee: every (problem, replica)
-//! cell derives its own seed from the root seed with
+//! [`BatchRunner`] is the one multi-start evaluation loop. Its
+//! determinism guarantee: every (problem, replica) cell derives its
+//! own seed from the root seed with
 //! [`replica_seed`], and every [`Engine::solve`] call is a pure
 //! function of that seed — so results are **bit-identical regardless
 //! of thread count or scheduling**, and a single cell can be re-run in
@@ -111,10 +111,12 @@ impl BatchRunner {
     }
 
     /// Publishes [`run_telemetry`](Self::run_telemetry) observations
-    /// into `obs` (under `batch.*` names, wall-clock under
-    /// `timing.batch.*`) instead of discarding them. Observations are
-    /// recorded after the fan-out joins, in replica order, so every
-    /// non-`timing.` metric is bit-identical across thread counts.
+    /// into `obs` (under `batch.*` names, each solve's anneal counts
+    /// under `core.anneal.*` plus one `AnnealPhase` event labeled with
+    /// the engine's backend tag, wall-clock under `timing.batch.*`)
+    /// instead of discarding them. Observations are recorded after the
+    /// fan-out joins, in replica order, so every non-`timing.` metric
+    /// is bit-identical across thread counts.
     pub fn with_obs(mut self, obs: Arc<ObsRegistry>) -> Self {
         self.obs = Some(obs);
         self
@@ -205,11 +207,28 @@ impl BatchRunner {
             let iterations = obs.counter("batch.iterations");
             let per_cell = obs.histogram("batch.cell_iterations");
             let wall = obs.histogram("timing.batch.cell_seconds");
-            for (_, telemetry) in &cells {
+            // Whole-solve anneal counts come off each finished trace,
+            // so publishing them draws nothing from any solve stream.
+            let solves = obs.counter("core.anneal.solves");
+            let anneal_iterations = obs.counter("core.anneal.iterations");
+            let accepted = obs.counter("core.anneal.accepted");
+            let rejected_metropolis = obs.counter("core.anneal.rejected_metropolis");
+            let rejected_infeasible = obs.counter("core.anneal.rejected_infeasible");
+            for (solution, telemetry) in &cells {
                 cell_count.inc();
                 iterations.add(telemetry.iterations as u64);
                 per_cell.record(telemetry.iterations as f64);
                 wall.record(telemetry.wall_seconds);
+                let trace = &solution.trace;
+                solves.inc();
+                anneal_iterations.add(trace.iterations() as u64);
+                accepted.add(trace.accepted() as u64);
+                rejected_metropolis.add(trace.rejected_metropolis() as u64);
+                rejected_infeasible.add(trace.rejected_infeasible() as u64);
+                obs.tracer().record(hycim_obs::Event::AnnealPhase {
+                    label: engine.backend(),
+                    iterations: trace.iterations() as u64,
+                });
             }
         }
         cells

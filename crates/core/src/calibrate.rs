@@ -4,35 +4,6 @@ use rand::Rng;
 
 use crate::AnnealSettings;
 
-/// Publishes one finished solve's counters into the process-global
-/// obs registry, if one is [`hycim_obs::install`]ed.
-///
-/// This is the *only* instrumentation hook on the solve path, and it
-/// is deliberately whole-solve: the annealer already counts
-/// accept/reject outcomes in its trace, so flushing here consumes
-/// **zero RNG draws** and adds **zero branches inside the Metropolis
-/// loop** — which is what keeps every bit-identity guarantee intact
-/// with metrics enabled (pinned by the `obs_determinism` test).
-/// When nothing is installed the cost is one `RwLock` read per solve.
-pub(crate) fn flush_anneal_counts(label: &'static str, trace: &AnnealTrace) {
-    let Some(obs) = hycim_obs::installed() else {
-        return;
-    };
-    obs.counter("core.anneal.solves").inc();
-    obs.counter("core.anneal.iterations")
-        .add(trace.iterations() as u64);
-    obs.counter("core.anneal.accepted")
-        .add(trace.accepted() as u64);
-    obs.counter("core.anneal.rejected_metropolis")
-        .add(trace.rejected_metropolis() as u64);
-    obs.counter("core.anneal.rejected_infeasible")
-        .add(trace.rejected_infeasible() as u64);
-    obs.tracer().record(hycim_obs::Event::AnnealPhase {
-        label,
-        iterations: trace.iterations() as u64,
-    });
-}
-
 /// Calibrates the initial annealing temperature from the problem's
 /// actual energy landscape: samples random flip deltas at the initial
 /// state and returns `fraction × mean|Δ|` (at least 1).
@@ -131,9 +102,7 @@ pub fn run_annealing<S: AnnealState>(
     if !settings.record_trace {
         annealer = annealer.without_trace();
     }
-    let trace = annealer.run(state, rng);
-    flush_anneal_counts("scalar", &trace);
-    trace
+    annealer.run(state, rng)
 }
 
 #[cfg(test)]

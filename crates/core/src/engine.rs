@@ -5,6 +5,8 @@
 //!
 //! * [`HyCimEngine`] — the paper's pipeline (Fig. 3): inequality-QUBO
 //!   encoding, FeFET inequality filter, FeFET CiM crossbar, SA logic.
+//!   [`HyCimEngine::bank`] programs one filter per constraint of the
+//!   exact multi-inequality form instead.
 //! * [`DquboEngine`] — the D-QUBO baseline (Fig. 1(b)): penalty
 //!   auxiliaries on one large crossbar, no filter.
 //! * [`SoftwareEngine`] — noise-free software evaluation of the same
@@ -39,8 +41,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{
-    run_annealing, BankHardwareState, DquboConfig, DquboHardwareState, HyCimConfig,
-    HyCimHardwareState, HycimError, Solution,
+    run_annealing, BankHardwareState, DquboConfig, DquboHardwareState, HyCimConfig, HycimError,
+    Solution,
 };
 
 /// A solver backend over a [`CopProblem`]: construction validates the
@@ -75,8 +77,8 @@ pub trait Engine<P: CopProblem>: Send + Sync {
     /// The problem being solved.
     fn problem(&self) -> &P;
 
-    /// Short backend tag (`"hycim"`, `"dqubo"`, `"software"`) for
-    /// reports and the problem × engine matrix.
+    /// Short backend tag (`"hycim"`, `"bank"`, `"dqubo"`, `"software"`,
+    /// `"packed"`) for reports and the problem × engine matrix.
     fn backend(&self) -> &'static str;
 
     /// Runs one annealing from a seed-derived initial configuration.
@@ -104,12 +106,35 @@ impl<P: CopProblem, E: Engine<P> + ?Sized> Engine<P> for Box<E> {
 }
 
 /// The HyCiM engine: inequality-QUBO transformation + FeFET inequality
-/// filter + FeFET CiM crossbar + SA logic (paper Fig. 3), generic over
-/// the problem being encoded.
+/// filter bank + FeFET CiM crossbar + SA logic (paper Fig. 3), generic
+/// over the problem being encoded.
+///
+/// Both filtered backends are this one type over the
+/// [`BankHardwareState`], differing only in the encoding they program:
+///
+/// * [`HyCimEngine::new`] (`"hycim"`) — the paper's single-constraint
+///   inequality-QUBO form on a one-filter bank. Multi-constraint COPs
+///   (bin packing) run through their aggregate-capacity relaxation.
+/// * [`HyCimEngine::bank`] (`"bank"`) — the problem's exact
+///   multi-inequality form (`CopProblem::to_multi_inequality_qubo`),
+///   one filter per constraint: a proposed configuration reaches the
+///   crossbar only when **all** filters admit it, so bin packing is
+///   bin-exact in hardware and the multi-dimensional knapsack runs
+///   natively. On a single-constraint problem both constructors build
+///   the same chip and return bit-identical solutions.
+///
+/// Determinism: `hardware_seed` fabricates the bank's filters in
+/// constraint order from one RNG stream (then the crossbar), so the
+/// same seed builds the same "chip instance"; `solve(seed)` is then a
+/// pure function of the seed, which is what keeps
+/// [`BatchRunner`](crate::BatchRunner) grids and `hycim-service` jobs
+/// bit-identical at any thread count.
 #[derive(Debug, Clone)]
 pub struct HyCimEngine<P: CopProblem> {
     problem: P,
-    encoded: InequalityQubo,
+    encoded: MultiInequalityQubo,
+    /// Backend tag: `"hycim"` or `"bank"`, by constructor.
+    backend: &'static str,
     config: HyCimConfig,
     /// Seed used to fabricate hardware instances (device variability
     /// is sampled per-engine, like a real chip).
@@ -121,8 +146,9 @@ pub struct HyCimEngine<P: CopProblem> {
 pub type HyCimSolver = HyCimEngine<QkpInstance>;
 
 impl<P: CopProblem> HyCimEngine<P> {
-    /// Builds an engine for a problem. `hardware_seed` fixes the
-    /// fabricated device variability (a "chip instance").
+    /// Builds the paper's single-filter engine for a problem.
+    /// `hardware_seed` fixes the fabricated device variability (a
+    /// "chip instance").
     ///
     /// # Errors
     ///
@@ -130,120 +156,32 @@ impl<P: CopProblem> HyCimEngine<P> {
     /// mapped onto the hardware (e.g. constraint weights exceeding the
     /// filter's 64-unit columns).
     pub fn new(problem: &P, config: &HyCimConfig, hardware_seed: u64) -> Result<Self, HycimError> {
-        let encoded = problem.to_inequality_qubo()?;
-        // Validate hardware mapping eagerly so configuration errors
-        // surface at build time, not first solve.
-        let mut rng = StdRng::seed_from_u64(hardware_seed);
-        let _ = HyCimHardwareState::build(
-            &encoded,
-            &config.filter,
-            &config.crossbar,
-            Assignment::zeros(encoded.dim()),
-            &mut rng,
-        )?;
-        Ok(Self {
-            problem: problem.clone(),
-            encoded,
-            config: config.clone(),
-            hardware_seed,
-        })
+        let encoded = MultiInequalityQubo::from(problem.to_inequality_qubo()?);
+        Self::program(problem, encoded, "hycim", config, hardware_seed)
     }
 
-    /// The problem in inequality-QUBO form.
-    pub fn encoded(&self) -> &InequalityQubo {
-        &self.encoded
-    }
-
-    /// The instance being solved.
-    pub fn instance(&self) -> &P {
-        &self.problem
-    }
-
-    /// Runs one annealing from an explicit initial configuration
-    /// (which must satisfy the encoded constraint — the paper's
-    /// initial states are Monte-Carlo sampled feasible
-    /// configurations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` violates the constraint or has the wrong
-    /// length.
-    pub fn solve_from(&self, initial: &Assignment, seed: u64) -> Solution<P> {
-        let mut hw_rng = StdRng::seed_from_u64(self.hardware_seed);
-        let mut state = HyCimHardwareState::build(
-            &self.encoded,
-            &self.config.filter,
-            &self.config.crossbar,
-            initial.clone(),
-            &mut hw_rng,
-        )
-        .expect("mapping validated at construction");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
-        let assignment = trace.best_assignment().clone();
-        Solution::score(&self.problem, assignment, trace)
-    }
-}
-
-impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
-    fn problem(&self) -> &P {
-        &self.problem
-    }
-
-    fn backend(&self) -> &'static str {
-        "hycim"
-    }
-
-    fn solve(&self, seed: u64) -> Solution<P> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let initial = self.problem.initial(&mut rng);
-        self.solve_from(&initial, seed)
-    }
-}
-
-/// The multi-constraint HyCiM engine: the problem's exact
-/// multi-inequality form (`CopProblem::to_multi_inequality_qubo`) on
-/// a [`FilterBank`](hycim_cim::filter::FilterBank) — one FeFET filter
-/// per constraint — plus the CiM crossbar and the same SA driver as
-/// every other engine.
-///
-/// Where [`HyCimEngine`] runs multi-constraint COPs through an
-/// aggregate-capacity relaxation (bin packing) or cannot express them
-/// at all, `BankEngine` gates each constraint independently: a
-/// proposed configuration reaches the crossbar only when **all**
-/// filters admit it, so bin packing is bin-exact in hardware and
-/// general multi-inequality COPs (the multi-dimensional knapsack)
-/// run natively. Single-constraint problems work too — their bank has
-/// one filter and behaves like the single-filter pipeline.
-///
-/// Determinism: `hardware_seed` fabricates the bank's filters in
-/// constraint order from one RNG stream (then the crossbar), so the
-/// same seed builds the same "chip instance"; `solve(seed)` is then a
-/// pure function of the seed, which is what keeps
-/// [`BatchRunner`](crate::BatchRunner) grids and `hycim-service` jobs
-/// bit-identical at any thread count.
-#[derive(Debug, Clone)]
-pub struct BankEngine<P: CopProblem> {
-    problem: P,
-    encoded: MultiInequalityQubo,
-    config: HyCimConfig,
-    /// Seed used to fabricate hardware instances (device variability
-    /// is sampled per-engine, like a real chip).
-    hardware_seed: u64,
-}
-
-impl<P: CopProblem> BankEngine<P> {
-    /// Builds a bank engine for a problem. `hardware_seed` fixes the
-    /// fabricated device variability of every filter in the bank and
-    /// the crossbar.
+    /// Builds the filter-bank engine for a problem: one filter per
+    /// constraint of its exact multi-inequality form. `hardware_seed`
+    /// fixes the fabricated device variability of every filter in the
+    /// bank and the crossbar.
     ///
     /// # Errors
     ///
     /// Returns [`HycimError`] if the problem cannot be encoded into
     /// the multi-inequality form or mapped onto the hardware (e.g.
     /// constraint weights exceeding the filter's 64-unit columns).
-    pub fn new(problem: &P, config: &HyCimConfig, hardware_seed: u64) -> Result<Self, HycimError> {
+    pub fn bank(problem: &P, config: &HyCimConfig, hardware_seed: u64) -> Result<Self, HycimError> {
         let encoded = problem.to_multi_inequality_qubo()?;
+        Self::program(problem, encoded, "bank", config, hardware_seed)
+    }
+
+    fn program(
+        problem: &P,
+        encoded: MultiInequalityQubo,
+        backend: &'static str,
+        config: &HyCimConfig,
+        hardware_seed: u64,
+    ) -> Result<Self, HycimError> {
         // Validate hardware mapping eagerly so configuration errors
         // surface at build time, not first solve.
         let mut rng = StdRng::seed_from_u64(hardware_seed);
@@ -257,12 +195,14 @@ impl<P: CopProblem> BankEngine<P> {
         Ok(Self {
             problem: problem.clone(),
             encoded,
+            backend,
             config: config.clone(),
             hardware_seed,
         })
     }
 
-    /// The problem in multi-inequality-QUBO form.
+    /// The problem in the (multi-)inequality-QUBO form the filter bank
+    /// is programmed with.
     pub fn encoded(&self) -> &MultiInequalityQubo {
         &self.encoded
     }
@@ -273,7 +213,9 @@ impl<P: CopProblem> BankEngine<P> {
     }
 
     /// Runs one annealing from an explicit initial configuration
-    /// (which must satisfy every encoded constraint).
+    /// (which must satisfy every encoded constraint — the paper's
+    /// initial states are Monte-Carlo sampled feasible
+    /// configurations).
     ///
     /// # Panics
     ///
@@ -296,13 +238,13 @@ impl<P: CopProblem> BankEngine<P> {
     }
 }
 
-impl<P: CopProblem> Engine<P> for BankEngine<P> {
+impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
     fn problem(&self) -> &P {
         &self.problem
     }
 
     fn backend(&self) -> &'static str {
-        "bank"
+        self.backend
     }
 
     fn solve(&self, seed: u64) -> Solution<P> {
@@ -638,7 +580,7 @@ mod tests {
             "dqubo"
         );
         assert_eq!(
-            BankEngine::new(&inst, &config, 1).unwrap().backend(),
+            HyCimEngine::bank(&inst, &config, 1).unwrap().backend(),
             "bank"
         );
     }
@@ -647,7 +589,8 @@ mod tests {
     fn bank_engine_solves_fig7e_via_single_constraint_bank() {
         // A single-constraint problem runs on a 1-filter bank and
         // reaches the same optimum as the single-filter pipeline.
-        let engine = BankEngine::new(&fig7e(), &HyCimConfig::default().with_sweeps(50), 1).unwrap();
+        let engine =
+            HyCimEngine::bank(&fig7e(), &HyCimConfig::default().with_sweeps(50), 1).unwrap();
         assert_eq!(engine.encoded().num_constraints(), 1);
         let solution = engine.solve(2);
         assert!(solution.feasible);
@@ -657,7 +600,7 @@ mod tests {
     #[test]
     fn bank_engine_results_are_seed_deterministic() {
         let bp = hycim_cop::binpack::BinPacking::new(vec![4, 5, 3, 6], 9, 2).unwrap();
-        let engine = BankEngine::new(&bp, &HyCimConfig::default().with_sweeps(30), 7).unwrap();
+        let engine = HyCimEngine::bank(&bp, &HyCimConfig::default().with_sweeps(30), 7).unwrap();
         let a = engine.solve(11);
         let b = engine.solve(11);
         assert_eq!(a.assignment, b.assignment);
@@ -666,7 +609,7 @@ mod tests {
 
     #[test]
     fn bank_engine_rejects_unmappable_constraints() {
-        use hycim_qubo::{LinearConstraint, MultiInequalityQubo, QuboMatrix};
+        use hycim_qubo::{LinearConstraint, QuboMatrix};
         // Weight 100 > the filter's 64-unit column limit: the raw
         // multi-form problem cannot be programmed.
         let mq = MultiInequalityQubo::new(

@@ -11,211 +11,31 @@
 
 use hycim_anneal::{AnnealState, FlipOutcome};
 use hycim_cim::crossbar::{Crossbar, CrossbarConfig};
-use hycim_cim::filter::{FilterBank, FilterConfig, InequalityFilter};
+use hycim_cim::filter::{FilterBank, FilterConfig};
 use hycim_cim::CimError;
 use hycim_qubo::dqubo::DquboForm;
 use hycim_qubo::quant::QuantizedMatrix;
-use hycim_qubo::{Assignment, DeltaEngine, InequalityQubo, MultiInequalityQubo, QuboMatrix};
+use hycim_qubo::{Assignment, DeltaEngine, MultiInequalityQubo, QuboMatrix};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// The HyCiM pipeline state: inequality filter + CiM crossbar + SA
-/// bookkeeping.
-#[derive(Debug, Clone)]
-pub struct HyCimHardwareState {
-    /// The matrix the crossbar actually stores (quantized).
-    matrix: QuboMatrix,
-    filter: InequalityFilter,
-    weights: Vec<u64>,
-    x: Assignment,
-    load: u64,
-    /// Energy as reported by the hardware (accumulated noisy deltas) —
-    /// what the SA logic sees.
-    energy: f64,
-    /// Per-readout energy noise sigma.
-    readout_sigma: f64,
-    /// Flip-delta backend over the stored matrix (local fields by
-    /// default).
-    deltas: DeltaEngine,
-}
-
-impl HyCimHardwareState {
-    /// Builds the hardware state for an inequality-QUBO problem:
-    /// programs the filter with the constraint and the crossbar with
-    /// the objective, then initializes at `initial` (must be feasible).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CimError`] from filter or crossbar construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` violates the constraint.
-    pub fn build(
-        problem: &InequalityQubo,
-        filter_config: &FilterConfig,
-        crossbar_config: &CrossbarConfig,
-        initial: Assignment,
-        rng: &mut StdRng,
-    ) -> Result<Self, CimError> {
-        assert!(
-            problem.is_feasible(&initial),
-            "initial configuration must be feasible"
-        );
-        let constraint = problem.constraint();
-        let filter = InequalityFilter::build(
-            constraint.weights(),
-            constraint.capacity(),
-            filter_config,
-            rng,
-        )?;
-        let crossbar = Crossbar::program(problem.objective(), crossbar_config, rng)?;
-        let matrix = crossbar.stored_matrix().clone();
-        // Typical readout activates about half the programmed cells.
-        let typical_active = crossbar.mapping().programmed_cells() / 2;
-        let readout_sigma = crossbar.readout_sigma(typical_active);
-        let load = constraint.load(&initial);
-        let energy = matrix.energy(&initial);
-        let deltas = DeltaEngine::local(&matrix, &initial);
-        Ok(Self {
-            matrix,
-            filter,
-            weights: constraint.weights().to_vec(),
-            x: initial,
-            load,
-            energy,
-            readout_sigma,
-            deltas,
-        })
-    }
-
-    /// Switches to dense O(n) row-scan deltas over the stored matrix
-    /// (benchmark/equivalence use only — the default local-field
-    /// backend reports the same deltas in O(1)).
-    pub fn with_dense_deltas(mut self) -> Self {
-        self.deltas = DeltaEngine::dense();
-        self
-    }
-
-    /// Current constraint load.
-    pub fn load(&self) -> u64 {
-        self.load
-    }
-
-    /// The filter instance in use.
-    pub fn filter(&self) -> &InequalityFilter {
-        &self.filter
-    }
-
-    /// The stored (quantized) objective matrix.
-    pub fn stored_matrix(&self) -> &QuboMatrix {
-        &self.matrix
-    }
-
-    /// Per-readout energy noise sigma.
-    pub fn readout_sigma(&self) -> f64 {
-        self.readout_sigma
-    }
-
-    fn new_load(&self, i: usize) -> u64 {
-        if self.x.get(i) {
-            self.load - self.weights[i]
-        } else {
-            self.load + self.weights[i]
-        }
-    }
-}
-
-impl AnnealState for HyCimHardwareState {
-    fn dim(&self) -> usize {
-        self.matrix.dim()
-    }
-
-    fn assignment(&self) -> &Assignment {
-        &self.x
-    }
-
-    fn energy(&self) -> f64 {
-        self.energy
-    }
-
-    fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
-        let new_load = self.new_load(i);
-        // The inequality filter evaluates the proposed configuration
-        // (fast path: analog matchline + comparator noise included).
-        let decision = self.filter.classify_load(new_load, rng);
-        if !decision.is_feasible() {
-            return FlipOutcome::Infeasible;
-        }
-        // Feasible: the crossbar computes the QUBO energy; modeled as
-        // the stored matrix's exact delta plus readout noise.
-        let delta =
-            self.deltas.flip_delta(&self.matrix, &self.x, i) + gaussian(rng) * self.readout_sigma;
-        FlipOutcome::Feasible { delta }
-    }
-
-    fn commit_flip(&mut self, i: usize, delta: f64) {
-        if self.x.flip(i) {
-            self.load += self.weights[i];
-        } else {
-            self.load -= self.weights[i];
-        }
-        self.deltas.commit_flip(&self.x, i);
-        self.energy += delta;
-    }
-
-    fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
-        assert_ne!(i, j, "pair flip needs two distinct bits");
-        let signed = |on: bool, w: u64| if on { -(w as i64) } else { w as i64 };
-        let new_load = self.load as i64
-            + signed(self.x.get(i), self.weights[i])
-            + signed(self.x.get(j), self.weights[j]);
-        let decision = self.filter.classify_load(new_load.max(0) as u64, rng);
-        if !decision.is_feasible() {
-            return FlipOutcome::Infeasible;
-        }
-        let delta = self.deltas.pair_delta(&self.matrix, &self.x, i, j)
-            + gaussian(rng) * self.readout_sigma;
-        FlipOutcome::Feasible { delta }
-    }
-
-    fn commit_pair(&mut self, i: usize, j: usize, delta: f64) {
-        for bit in [i, j] {
-            if self.x.flip(bit) {
-                self.load += self.weights[bit];
-            } else {
-                self.load -= self.weights[bit];
-            }
-        }
-        self.deltas.commit_pair(&self.x, i, j);
-        self.energy += delta;
-    }
-
-    fn verify_best(&mut self, rng: &mut StdRng) -> bool {
-        // Paper Fig. 6(b): before the accepted configuration replaces
-        // the reserved best x_o it passes the inequality evaluation
-        // again. Two extra filter reads make a rare noisy
-        // false-feasible admission vanishingly unlikely to persist.
-        (0..2).all(|_| self.filter.classify_load(self.load, rng).is_feasible())
-    }
-}
-
-/// The multi-constraint HyCiM pipeline state: a [`FilterBank`] (one
-/// inequality filter per constraint) + CiM crossbar + SA bookkeeping.
+/// The HyCiM pipeline state: a [`FilterBank`] (one inequality filter
+/// per constraint) + CiM crossbar + SA bookkeeping.
 ///
-/// The single-filter [`HyCimHardwareState`] can only gate one
-/// inequality, which forces multi-constraint COPs (bin packing, the
-/// multi-dimensional knapsack) onto aggregate-capacity relaxations.
-/// This state programs the *exact* per-constraint form: every
-/// proposed flip is classified by all `k` filters concurrently (in
-/// hardware the bank shares one 4-phase matchline read, so the
-/// latency is that of a single filter) and reaches the crossbar only
-/// when every filter admits it.
+/// This is the one filtered-hardware state. A single-constraint
+/// problem (the paper's QKP) programs a one-filter bank, which
+/// fabricates its filter from the same RNG stream and spends the same
+/// classify draws as a lone filter would. Multi-constraint COPs (bin
+/// packing, the multi-dimensional knapsack) program their *exact*
+/// per-constraint form: every proposed flip is classified by all `k`
+/// filters concurrently (in hardware the bank shares one 4-phase
+/// matchline read, so the latency is that of a single filter) and
+/// reaches the crossbar only when every filter admits it.
 ///
-/// Like the single-filter state, the SA hot loop tracks each
-/// constraint's load `Σw⁽ᵏ⁾ᵢxᵢ` incrementally — O(k) per flip — and
-/// uses the bank's fast path (matchline + comparator noise included)
-/// rather than re-simulating every cell.
+/// The SA hot loop tracks each constraint's load `Σw⁽ᵏ⁾ᵢxᵢ`
+/// incrementally — O(k) per flip — and uses the bank's allocation-free
+/// fast path (matchline + comparator noise included) rather than
+/// re-simulating every cell.
 #[derive(Debug, Clone)]
 pub struct BankHardwareState {
     /// The matrix the crossbar actually stores (quantized).
@@ -229,7 +49,10 @@ pub struct BankHardwareState {
     /// Proposed-loads buffer reused across probes (no per-iteration
     /// allocation in the hot loop).
     proposed: Vec<u64>,
+    /// Energy as reported by the hardware (accumulated noisy deltas) —
+    /// what the SA logic sees.
     energy: f64,
+    /// Per-readout energy noise sigma.
     readout_sigma: f64,
     /// Flip-delta backend over the stored matrix (local fields by
     /// default).
@@ -270,6 +93,7 @@ impl BankHardwareState {
         let bank = FilterBank::build(problem.constraints(), filter_config, rng)?;
         let crossbar = Crossbar::program(problem.objective(), crossbar_config, rng)?;
         let matrix = crossbar.stored_matrix().clone();
+        // Typical readout activates about half the programmed cells.
         let typical_active = crossbar.mapping().programmed_cells() / 2;
         let readout_sigma = crossbar.readout_sigma(typical_active);
         let weights: Vec<Vec<u64>> = problem
@@ -367,8 +191,7 @@ impl AnnealState for BankHardwareState {
         self.propose(&[i]);
         // All k filters evaluate the proposal concurrently (fast
         // path: analog matchline + comparator noise per filter).
-        let decision = self.bank.classify_loads(&self.proposed, rng);
-        if !decision.is_feasible() {
+        if !self.bank.admits(&self.proposed, rng) {
             return FlipOutcome::Infeasible;
         }
         let delta =
@@ -385,8 +208,7 @@ impl AnnealState for BankHardwareState {
     fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
         assert_ne!(i, j, "pair flip needs two distinct bits");
         self.propose(&[i, j]);
-        let decision = self.bank.classify_loads(&self.proposed, rng);
-        if !decision.is_feasible() {
+        if !self.bank.admits(&self.proposed, rng) {
             return FlipOutcome::Infeasible;
         }
         let delta = self.deltas.pair_delta(&self.matrix, &self.x, i, j)
@@ -401,10 +223,12 @@ impl AnnealState for BankHardwareState {
     }
 
     fn verify_best(&mut self, rng: &mut StdRng) -> bool {
-        // Same Fig. 6(b) protocol as the single filter: the candidate
-        // best re-passes the whole bank twice, so a rare noisy
-        // false-feasible admission on any filter cannot persist.
-        (0..2).all(|_| self.bank.classify_loads(&self.loads, rng).is_feasible())
+        // Paper Fig. 6(b): before the accepted configuration replaces
+        // the reserved best x_o it passes the inequality evaluation
+        // again. Two extra reads of the whole bank make a rare noisy
+        // false-feasible admission on any filter vanishingly unlikely
+        // to persist.
+        (0..2).all(|_| self.bank.admits(&self.loads, rng))
     }
 }
 
@@ -554,20 +378,27 @@ mod tests {
             .with_comparator(hycim_cim::filter::ComparatorConfig::ideal())
     }
 
+    /// A benchmark-style QKP in the single-constraint form the `hycim`
+    /// engine programs: a one-filter bank.
+    fn qkp_form(n: usize, density: f64, seed: u64) -> MultiInequalityQubo {
+        let inst = QkpGenerator::new(n, density).generate(seed);
+        MultiInequalityQubo::from(inst.to_inequality_qubo().unwrap())
+    }
+
     #[test]
     fn hycim_state_matches_software_when_noise_free() {
-        let inst = QkpGenerator::new(25, 0.5).generate(1);
-        let iq = inst.to_inequality_qubo().unwrap();
+        let mq = qkp_form(25, 0.5, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let cb_cfg = CrossbarConfig::paper().with_variation(VariationModel::none());
-        let mut hw = HyCimHardwareState::build(
-            &iq,
+        let mut hw = BankHardwareState::build(
+            &mq,
             &noiseless_filter_config(),
             &cb_cfg,
             Assignment::zeros(25),
             &mut rng,
         )
         .unwrap();
+        assert_eq!(hw.bank().len(), 1);
         // Random walk: energies must track the exact objective (7-bit
         // quantization of ≤100 profits is lossless).
         for step in 0..300 {
@@ -575,19 +406,20 @@ mod tests {
             match hw.probe_flip(i, &mut rng) {
                 FlipOutcome::Feasible { delta } => {
                     hw.commit_flip(i, delta);
-                    let expected = iq.objective_energy(hw.assignment());
+                    let expected = mq.objective_energy(hw.assignment());
                     assert!(
                         (hw.energy() - expected).abs() < 1e-6,
                         "hardware energy diverged at step {step}"
                     );
-                    assert!(iq.is_feasible(hw.assignment()));
+                    assert!(mq.is_feasible(hw.assignment()));
+                    assert_eq!(hw.loads(), mq.loads(hw.assignment()).as_slice());
                 }
                 FlipOutcome::Infeasible => {
                     // Verify the veto was correct.
                     let mut probe = hw.assignment().clone();
                     probe.flip(i);
                     assert!(
-                        !iq.is_feasible(&probe),
+                        !mq.is_feasible(&probe),
                         "ideal filter vetoed a feasible flip"
                     );
                 }
@@ -597,31 +429,28 @@ mod tests {
 
     #[test]
     fn hycim_state_rejects_infeasible_start() {
-        let inst = QkpGenerator::new(10, 0.5).generate(3);
-        let iq = inst.to_inequality_qubo().unwrap();
+        let mq = qkp_form(10, 0.5, 3);
         let mut rng = StdRng::seed_from_u64(4);
         let heavy = Assignment::ones_vec(10);
-        if !iq.is_feasible(&heavy) {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                HyCimHardwareState::build(
-                    &iq,
-                    &noiseless_filter_config(),
-                    &CrossbarConfig::paper(),
-                    heavy,
-                    &mut rng,
-                )
-            }));
-            assert!(result.is_err());
-        }
+        assert!(!mq.is_feasible(&heavy), "all ten items overload C");
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            BankHardwareState::build(
+                &mq,
+                &noiseless_filter_config(),
+                &CrossbarConfig::paper(),
+                heavy,
+                &mut rng,
+            )
+        }));
+        assert!(result.is_err());
     }
 
     #[test]
     fn noisy_probes_have_spread() {
-        let inst = QkpGenerator::new(30, 1.0).generate(5);
-        let iq = inst.to_inequality_qubo().unwrap();
+        let mq = qkp_form(30, 1.0, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let mut hw = HyCimHardwareState::build(
-            &iq,
+        let mut hw = BankHardwareState::build(
+            &mq,
             &FilterConfig::default(),
             &CrossbarConfig::paper(),
             Assignment::zeros(30),
@@ -775,19 +604,18 @@ mod tests {
     }
 
     /// Dense and local-field backends are bit-identical on the noisy
-    /// single-filter hardware state: the 7-bit quantization of integer
+    /// one-filter hardware state: the 7-bit quantization of integer
     /// QKP profits is lossless, so both backends report the exact same
     /// deltas, consume the same RNG stream, and take the same accept
     /// decisions — the whole trajectory matches.
     #[test]
     fn hycim_state_dense_and_local_runs_are_bit_identical() {
         use hycim_anneal::{Annealer, GeometricSchedule};
-        let inst = QkpGenerator::new(30, 0.5).generate(31);
-        let iq = inst.to_inequality_qubo().unwrap();
+        let mq = qkp_form(30, 0.5, 31);
         let annealer = Annealer::new(GeometricSchedule::new(40.0, 0.995), 800);
         let build = |rng: &mut StdRng| {
-            HyCimHardwareState::build(
-                &iq,
+            BankHardwareState::build(
+                &mq,
                 &FilterConfig::default(),
                 &CrossbarConfig::paper(),
                 Assignment::zeros(30),
@@ -806,7 +634,7 @@ mod tests {
         assert_eq!(trace_local, trace_dense);
         assert_eq!(local.assignment(), dense.assignment());
         assert_eq!(local.energy(), dense.energy());
-        assert_eq!(local.load(), dense.load());
+        assert_eq!(local.loads(), dense.loads());
     }
 
     /// Same bit-identity law on the filter-bank state (MKP, 3

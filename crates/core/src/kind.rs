@@ -14,8 +14,8 @@ use std::fmt;
 use hycim_cop::CopProblem;
 
 use crate::{
-    BankEngine, DquboConfig, DquboEngine, Engine, HyCimConfig, HyCimEngine, HycimError,
-    PackedConfig, PackedEngine, SoftwareEngine,
+    DquboConfig, DquboEngine, Engine, HyCimConfig, HyCimEngine, HycimError, PackedConfig,
+    PackedEngine, SoftwareEngine,
 };
 
 /// Engine backends a study column or wire job can select.
@@ -23,9 +23,9 @@ use crate::{
 pub enum EngineKind {
     /// Noise-free software reference (`SoftwareEngine`).
     Software,
-    /// Filter + crossbar pipeline (`HyCimEngine`).
+    /// Filter + crossbar pipeline (`HyCimEngine::new`).
     HyCim,
-    /// Multi-constraint filter bank (`BankEngine`).
+    /// Multi-constraint filter bank (`HyCimEngine::bank`).
     Bank,
     /// Penalty-encoding D-QUBO baseline (`DquboEngine`).
     Dqubo,
@@ -108,7 +108,7 @@ impl EngineKind {
                 Box::new(HyCimEngine::new(problem, &config, settings.hardware_seed)?)
             }
             EngineKind::Bank => {
-                Box::new(BankEngine::new(problem, &config, settings.hardware_seed)?)
+                Box::new(HyCimEngine::bank(problem, &config, settings.hardware_seed)?)
             }
             EngineKind::Dqubo => {
                 let mut dq = DquboConfig::default().with_sweeps(settings.sweeps);

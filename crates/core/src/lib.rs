@@ -17,10 +17,12 @@
 //!
 //! The engine layer is generic over the problem:
 //!
-//! * [`HyCimEngine`] — the filter + crossbar pipeline above.
-//! * [`BankEngine`] — the multi-constraint pipeline: a filter *bank*
-//!   (one filter per inequality) gating the crossbar, making bin
-//!   packing bin-exact and multi-dimensional knapsacks native.
+//! * [`HyCimEngine`] — the filter + crossbar pipeline above, on the
+//!   one filtered-hardware state ([`BankHardwareState`]).
+//!   [`HyCimEngine::new`] programs the single-constraint form;
+//!   [`HyCimEngine::bank`] programs a filter *bank* (one filter per
+//!   inequality) gating the crossbar, making bin packing bin-exact and
+//!   multi-dimensional knapsacks native.
 //! * [`DquboEngine`] — the baseline **D-QUBO** pipeline (Fig. 1(b)):
 //!   penalty encoding on a much larger crossbar, no filter.
 //! * [`SoftwareEngine`] — a noise-free software reference.
@@ -75,11 +77,10 @@ pub use batch::{default_threads, replica_seed, BatchRunner, CellTelemetry};
 pub use calibrate::{calibrate_t0, run_annealing};
 pub use config::{AnnealSettings, DquboConfig, HyCimConfig};
 pub use engine::{
-    BankEngine, DquboEngine, DquboSolver, Engine, HyCimEngine, HyCimSolver, SoftwareEngine,
-    SoftwareSolver,
+    DquboEngine, DquboSolver, Engine, HyCimEngine, HyCimSolver, SoftwareEngine, SoftwareSolver,
 };
 pub use error::HycimError;
-pub use hardware::{BankHardwareState, DquboHardwareState, HyCimHardwareState};
+pub use hardware::{BankHardwareState, DquboHardwareState};
 pub use kind::{EngineKind, EngineSettings};
 pub use packed_engine::{PackedConfig, PackedEngine, PackedMode};
 pub use shard::{merge_shards, Shard, ShardError, ShardPlan};

@@ -239,7 +239,6 @@ impl<P: CopProblem> PackedEngine<P> {
             result.rejected as usize,
             result.infeasible as usize,
         );
-        crate::calibrate::flush_anneal_counts("packed-tempering", &trace);
         Solution::score(&self.problem, result.best_assignment, trace)
     }
 }
@@ -265,7 +264,6 @@ impl<P: CopProblem> Engine<P> for PackedEngine<P> {
                     outcome.rejected as usize,
                     outcome.infeasible as usize,
                 );
-                crate::calibrate::flush_anneal_counts("packed", &trace);
                 Solution::score(&self.problem, outcome.best_assignments[k].clone(), trace)
             }
             PackedMode::Tempering => self.solve_tempering(seed),

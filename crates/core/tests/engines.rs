@@ -13,8 +13,8 @@ use hycim_cop::spinglass::SpinGlass;
 use hycim_cop::tsp::Tsp;
 use hycim_cop::{CopProblem, QkpInstance};
 use hycim_core::{
-    BankEngine, BatchRunner, DquboConfig, DquboEngine, Engine, HyCimConfig, HyCimEngine,
-    SoftwareEngine, Solution,
+    BatchRunner, DquboConfig, DquboEngine, Engine, EngineKind, EngineSettings, HyCimConfig,
+    HyCimEngine, SoftwareEngine, Solution,
 };
 
 /// Runs one problem through all three engine backends and returns the
@@ -150,12 +150,12 @@ fn bin_packing_solves_on_both_engines() {
 }
 
 /// Runs a multi-constraint problem through the bank engine, checking
-/// the invariants every (problem, BankEngine) cell must satisfy: the
+/// the invariants every (problem, bank engine) cell must satisfy: the
 /// returned best configuration passes every encoded constraint, and
 /// the typed solution scores consistently.
 fn solve_on_bank<P: CopProblem>(problem: &P, sweeps: usize, seed: u64) -> Solution<P> {
     let config = HyCimConfig::default().with_sweeps(sweeps);
-    let bank = BankEngine::new(problem, &config, 1)
+    let bank = HyCimEngine::bank(problem, &config, 1)
         .unwrap_or_else(|e| panic!("{} does not map onto the bank: {e}", problem.kind()));
     let solution = bank.solve(seed);
     assert_eq!(
@@ -244,7 +244,7 @@ fn bank_engine_is_bit_identical_across_thread_counts() {
     // The second acceptance criterion: BatchRunner grids over the
     // bank engine reproduce bit-identically at any thread count.
     let bp = BinPacking::new(vec![4, 5, 3, 6], 9, 2).unwrap();
-    let engine = BankEngine::new(&bp, &HyCimConfig::default().with_sweeps(60), 3).unwrap();
+    let engine = HyCimEngine::bank(&bp, &HyCimConfig::default().with_sweeps(60), 3).unwrap();
     let serial = BatchRunner::serial().run(&engine, 6, 42);
     for threads in [2, 4] {
         let parallel = BatchRunner::new().with_threads(threads).run(&engine, 6, 42);
@@ -254,6 +254,42 @@ fn bank_engine_is_bit_identical_across_thread_counts() {
             assert_eq!(s.reported_energy, p.reported_energy);
         }
     }
+}
+
+/// The one-pipeline law: on a single-constraint problem the `hycim`
+/// and `bank` backends program the same one-filter chip from the same
+/// hardware seed, so every solve agrees bit for bit — assignment,
+/// reported energy, and the whole anneal trace.
+fn check_hycim_equals_bank<P: CopProblem + 'static>(problem: &P) {
+    let settings = EngineSettings::new(60, 5);
+    let hycim = EngineKind::HyCim
+        .build(problem, &settings)
+        .expect("encodable");
+    let bank = EngineKind::Bank
+        .build(problem, &settings)
+        .expect("encodable");
+    let mq = problem.to_multi_inequality_qubo().expect("encodable");
+    assert_eq!(mq.num_constraints(), 1, "{}", problem.kind());
+    for seed in 0..3 {
+        let (a, b) = (hycim.solve(seed), bank.solve(seed));
+        assert_eq!(a.assignment, b.assignment, "{} seed {seed}", problem.kind());
+        assert_eq!(
+            a.reported_energy.to_bits(),
+            b.reported_energy.to_bits(),
+            "{} seed {seed}",
+            problem.kind()
+        );
+        assert_eq!(a.trace, b.trace, "{} seed {seed}", problem.kind());
+    }
+}
+
+#[test]
+fn hycim_and_bank_agree_on_single_constraint_problems() {
+    use hycim_cop::generator::QkpGenerator;
+    check_hycim_equals_bank(&QkpGenerator::new(30, 0.5).generate(4));
+    check_hycim_equals_bank(&Knapsack::new(vec![60, 100, 120], vec![10, 20, 30], 50).unwrap());
+    check_hycim_equals_bank(&MaxCut::random(14, 0.4, 6));
+    check_hycim_equals_bank(&SpinGlass::random_binary(12, 8).unwrap());
 }
 
 #[test]

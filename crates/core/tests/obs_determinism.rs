@@ -1,21 +1,19 @@
 //! The observability determinism law: instrumentation consumes zero
 //! RNG draws, so every engine returns **bit-identical** `Solution`s
-//! whether or not a metrics registry is installed, and a metrics
-//! snapshot minus the `timing.` section is byte-identical across two
-//! runs of the same seed.
+//! whether or not a `BatchRunner` publishes into a metrics registry,
+//! and a metrics snapshot minus the `timing.` section is
+//! byte-identical across two runs of the same seed. No test here
+//! touches process-global state: each run owns its registry.
 
 use std::sync::Arc;
 
 use hycim_cop::generator::QkpGenerator;
 use hycim_core::{BatchRunner, EngineKind, EngineSettings, HyCimConfig, SoftwareEngine};
-use hycim_obs::ObsRegistry;
+use hycim_obs::{Event, ObsRegistry};
 
-/// Every engine kind, with and without the global registry: the
-/// solves must not differ by a single bit, and the instrumented run
-/// must actually have published counters.
-///
-/// All global install/uninstall traffic lives in this one test (the
-/// slot is process-wide, and tests in one binary run concurrently).
+/// Every engine kind, with and without `with_obs`: the solves must not
+/// differ by a single bit, and the instrumented run must actually have
+/// published its anneal counters and phase events.
 #[test]
 fn solutions_are_bit_identical_with_and_without_a_registry() {
     let inst = QkpGenerator::new(20, 0.5).generate(11);
@@ -25,41 +23,63 @@ fn solutions_are_bit_identical_with_and_without_a_registry() {
         let engine = kind
             .build(&inst, &settings)
             .expect("QKP encodes everywhere");
-        let bare: Vec<_> = (0..3).map(|seed| engine.solve(seed)).collect();
+        let bare = BatchRunner::serial().run_telemetry(&engine, 3, 7);
 
         let obs = Arc::new(ObsRegistry::new());
-        let previous = hycim_obs::install(Arc::clone(&obs));
-        let instrumented: Vec<_> = (0..3).map(|seed| engine.solve(seed)).collect();
-        match previous {
-            Some(previous) => {
-                hycim_obs::install(previous);
-            }
-            None => {
-                hycim_obs::uninstall();
-            }
-        }
+        let instrumented = BatchRunner::serial()
+            .with_threads(2)
+            .with_obs(Arc::clone(&obs))
+            .run_telemetry(&engine, 3, 7);
 
-        for (seed, (a, b)) in bare.iter().zip(&instrumented).enumerate() {
-            assert_eq!(a.assignment, b.assignment, "{kind} diverged at seed {seed}");
-            assert_eq!(a.objective, b.objective, "{kind} objective at seed {seed}");
+        for (replica, ((a, _), (b, _))) in bare.iter().zip(&instrumented).enumerate() {
+            assert_eq!(
+                a.assignment, b.assignment,
+                "{kind} diverged at replica {replica}"
+            );
+            assert_eq!(
+                a.objective, b.objective,
+                "{kind} objective at replica {replica}"
+            );
             assert_eq!(
                 a.reported_energy, b.reported_energy,
-                "{kind} energy at seed {seed}"
+                "{kind} energy at replica {replica}"
             );
-            assert_eq!(a.feasible, b.feasible, "{kind} feasibility at seed {seed}");
+            assert_eq!(
+                a.feasible, b.feasible,
+                "{kind} feasibility at replica {replica}"
+            );
+            assert_eq!(a.trace, b.trace, "{kind} trace at replica {replica}");
         }
 
-        // The instrumented run really went through the flush hook.
+        // The instrumented run published one solve per replica, with
+        // the counts read off the traces.
         let snapshot = obs.snapshot();
         assert_eq!(
             snapshot.counter("core.anneal.solves"),
             Some(3),
             "{kind} published no solve counters"
         );
-        assert!(
-            snapshot.counter("core.anneal.iterations").unwrap() > 0,
-            "{kind} published no iterations"
+        let iterations: usize = instrumented.iter().map(|(s, _)| s.trace.iterations()).sum();
+        assert_eq!(
+            snapshot.counter("core.anneal.iterations"),
+            Some(iterations as u64),
+            "{kind} published the wrong iteration count"
         );
+        let accepted: usize = instrumented.iter().map(|(s, _)| s.trace.accepted()).sum();
+        assert_eq!(
+            snapshot.counter("core.anneal.accepted"),
+            Some(accepted as u64)
+        );
+        let phases: Vec<_> = obs
+            .tracer()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::AnnealPhase { label, .. } => Some(label),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(phases, vec![kind.tag(); 3], "{kind} phase events");
     }
 }
 

@@ -27,16 +27,13 @@
 //! — byte-identical across runs, thread counts, and machines.
 //!
 //! Instrumentation rule for the solver tiers: recording **consumes no
-//! RNG draws and never branches inside an annealing loop** — engines
-//! flush whole-solve counts from their traces, which is what keeps
-//! every bit-identity guarantee intact with metrics enabled (pinned
-//! by `hycim-core`'s determinism law test).
-//!
-//! A process-global registry slot ([`install`] / [`installed`] /
-//! [`uninstall`]) lets the engine tier publish counters without
-//! threading a handle through every constructor; the cost when
-//! nothing is installed is one `RwLock` read per *solve*, not per
-//! iteration.
+//! RNG draws and never branches inside an annealing loop**. There is
+//! no process-global registry: each tier publishes into the registry
+//! it was handed (`BatchRunner::with_obs` in `hycim-core` reads
+//! whole-solve counts off each finished solve's trace after the
+//! fan-out joins), which is what keeps every bit-identity guarantee
+//! intact with metrics enabled (pinned by `hycim-core`'s determinism
+//! law test).
 //!
 //! # Example
 //!
@@ -65,5 +62,5 @@ mod trace;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS, HISTOGRAM_SLOTS,
 };
-pub use registry::{install, installed, uninstall, ObsRegistry, Snapshot};
+pub use registry::{ObsRegistry, Snapshot};
 pub use trace::{Event, EventTracer, DEFAULT_TRACE_CAPACITY};

@@ -1,9 +1,8 @@
-//! The named-metric registry, its deterministic snapshot form, and
-//! the process-global install slot.
+//! The named-metric registry and its deterministic snapshot form.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 use crate::trace::EventTracer;
@@ -290,30 +289,6 @@ fn mangle(name: &str) -> String {
     out
 }
 
-/// The process-global registry slot read by the engine tier.
-static GLOBAL: RwLock<Option<Arc<ObsRegistry>>> = RwLock::new(None);
-
-/// Installs `obs` as the process-global registry and returns the
-/// previous occupant, if any. The engine tier ([`installed`] callers)
-/// starts publishing into it immediately.
-pub fn install(obs: Arc<ObsRegistry>) -> Option<Arc<ObsRegistry>> {
-    let mut slot = GLOBAL.write().expect("obs global slot poisoned");
-    slot.replace(obs)
-}
-
-/// The currently installed global registry, if any. One `RwLock`
-/// read; callers on a solve path check this once per solve, never
-/// per iteration.
-pub fn installed() -> Option<Arc<ObsRegistry>> {
-    GLOBAL.read().expect("obs global slot poisoned").clone()
-}
-
-/// Clears the global slot, returning what was installed.
-pub fn uninstall() -> Option<Arc<ObsRegistry>> {
-    let mut slot = GLOBAL.write().expect("obs global slot poisoned");
-    slot.take()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,25 +360,5 @@ mod tests {
         assert!(text.contains("hycim_sizes_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("hycim_sizes_count 2"));
         assert!(!text.contains("_sum"), "no f64 sum series by design");
-    }
-
-    #[test]
-    fn global_slot_installs_and_clears() {
-        // Single test exercising the global slot end-to-end to avoid
-        // cross-test interference on the shared static.
-        let obs = Arc::new(ObsRegistry::new());
-        let prev = install(Arc::clone(&obs));
-        if let Some(installed) = installed() {
-            installed.counter("global.touch").inc();
-        }
-        assert_eq!(obs.snapshot().counter("global.touch"), Some(1));
-        match prev {
-            Some(prev) => {
-                install(prev);
-            }
-            None => {
-                uninstall();
-            }
-        }
     }
 }

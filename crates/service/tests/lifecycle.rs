@@ -11,8 +11,8 @@ use hycim_cop::maxcut::MaxCut;
 use hycim_cop::tsp::Tsp;
 use hycim_cop::QkpInstance;
 use hycim_core::{
-    replica_seed, BankEngine, BatchRunner, DquboConfig, DquboEngine, Engine, HyCimConfig,
-    HyCimEngine, SoftwareEngine,
+    replica_seed, BatchRunner, DquboConfig, DquboEngine, Engine, HyCimConfig, HyCimEngine,
+    SoftwareEngine,
 };
 use hycim_service::{FetchError, JobService, JobStatus, ServiceConfig, SubmitError};
 
@@ -137,7 +137,7 @@ fn batch_job_is_bit_identical_to_batch_runner() {
 fn bank_engine_jobs_are_bit_identical_and_bin_exact() {
     let bp = BinPacking::new(vec![4, 5, 3, 6], 9, 2).unwrap();
     let engine = Arc::new(
-        BankEngine::new(&bp, &HyCimConfig::default().with_sweeps(60), 7)
+        HyCimEngine::bank(&bp, &HyCimConfig::default().with_sweeps(60), 7)
             .expect("bin packing maps onto the bank"),
     );
     let service = JobService::start(ServiceConfig::new().with_workers(3));

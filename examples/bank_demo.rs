@@ -1,5 +1,5 @@
 //! The filter-bank pipeline end-to-end: a multi-dimensional knapsack
-//! solved on the `BankEngine` (one FeFET inequality filter per
+//! solved on `HyCimEngine::bank` (one FeFET inequality filter per
 //! resource dimension) next to the `SoftwareEngine` running the
 //! aggregate single-constraint relaxation.
 //!
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("bank encoding: {multi}");
 
     let config = HyCimConfig::default().with_sweeps(300);
-    let bank = BankEngine::new(&mkp, &config, 1)?;
+    let bank = HyCimEngine::bank(&mkp, &config, 1)?;
     let software = SoftwareEngine::new(&mkp, &config)?;
 
     println!(

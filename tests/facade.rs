@@ -116,7 +116,7 @@ fn obs_surface_records_and_scrapes() {
 
 /// The filter-bank pipeline surface is reachable through the prelude:
 /// encode a multi-constraint problem, build its bank, classify a
-/// configuration, and solve it on the `BankEngine`.
+/// configuration, and solve it on `HyCimEngine::bank`.
 #[test]
 fn bank_pipeline_surface_is_usable() {
     use rand::{rngs::StdRng, SeedableRng};
@@ -132,7 +132,7 @@ fn bank_pipeline_surface_is_usable() {
     assert!(decision.is_feasible());
     assert_eq!(decision.first_violation(), None);
 
-    let engine = BankEngine::new(&mkp, &HyCimConfig::default().with_sweeps(30), 1)
+    let engine = HyCimEngine::bank(&mkp, &HyCimConfig::default().with_sweeps(30), 1)
         .expect("generated instances map onto the bank");
     let solution: Solution<MultiKnapsack> = engine.solve(5);
     assert!(multi.is_feasible(&solution.assignment));

@@ -1,5 +1,6 @@
 use std::fmt;
 
+use hycim_fefet::gaussian;
 use rand::Rng;
 
 /// Column ADC of the CiM crossbar (paper Fig. 6(a)): digitizes a
@@ -116,16 +117,6 @@ impl fmt::Display for Adc {
             "Adc({} bits, {} counts full scale, {:.2} LSB noise)",
             self.config.bits, self.config.max_count, self.config.noise_lsb
         )
-    }
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.random::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use hycim_fefet::VariationModel;
+use hycim_fefet::{gaussian, VariationModel};
 use hycim_qubo::{Assignment, QuboMatrix};
 use rand::Rng;
 
@@ -277,16 +277,6 @@ impl fmt::Display for Crossbar {
             self.bits(),
             self.adc
         )
-    }
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.random::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
     }
 }
 

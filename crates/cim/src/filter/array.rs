@@ -1,6 +1,6 @@
 use std::fmt;
 
-use hycim_fefet::{MultiLevelSpec, StaircasePulse, VariationModel};
+use hycim_fefet::{gaussian, MultiLevelSpec, StaircasePulse, VariationModel};
 use hycim_qubo::Assignment;
 use rand::Rng;
 
@@ -206,15 +206,9 @@ impl FilterArray {
     /// Fast-path evaluation from a precomputed load (used by the SA
     /// loop, where the load is tracked incrementally in O(1)).
     pub fn evaluate_fast<R: Rng + ?Sized>(&self, load_units: u64, rng: &mut R) -> f64 {
-        let mut ml = Matchline::precharged(&self.ml_config);
-        // Aggregate drop at the effective (series-blended) cell current…
-        ml.discharge_units(load_units as f64 * self.effective_unit_fraction);
-        // …plus per-read noise: each of the `load` conducting
-        // cell-phases carries temporal current noise, so the summed
-        // charge noise scales with √load.
-        let sigma_rel = self.variation.current_sigma_rel() * Self::TEMPORAL_NOISE_FRACTION;
-        if sigma_rel > 0.0 && load_units > 0 {
-            let sigma_units = sigma_rel * (load_units as f64).sqrt();
+        let mut ml = self.discharged(load_units);
+        let sigma_units = self.read_noise_units(load_units);
+        if sigma_units > 0.0 {
             let noise_units = gaussian(rng) * sigma_units;
             if noise_units > 0.0 {
                 ml.discharge_units(noise_units);
@@ -226,6 +220,28 @@ impl FilterArray {
             return v.min(self.ml_config.vdd);
         }
         ml.voltage()
+    }
+
+    /// The noise-free part of a fast-path read: the matchline after
+    /// the aggregate drop of `load_units` at the effective
+    /// (series-blended) cell current.
+    pub(crate) fn discharged(&self, load_units: u64) -> Matchline {
+        let mut ml = Matchline::precharged(&self.ml_config);
+        ml.discharge_units(load_units as f64 * self.effective_unit_fraction);
+        ml
+    }
+
+    /// σ, in weight units, of a fast-path read's noise: each of the
+    /// `load` conducting cell-phases carries temporal current noise,
+    /// so the summed charge noise scales with √load. Zero exactly when
+    /// the read draws no noise sample.
+    pub(crate) fn read_noise_units(&self, load_units: u64) -> f64 {
+        let sigma_rel = self.variation.current_sigma_rel() * Self::TEMPORAL_NOISE_FRACTION;
+        if sigma_rel > 0.0 && load_units > 0 {
+            sigma_rel * (load_units as f64).sqrt()
+        } else {
+            0.0
+        }
     }
 
     /// The staircase pulse used for evaluation.
@@ -294,16 +310,6 @@ pub fn decompose_weight(w: u64, rows: usize, max_level: u8) -> Vec<u8> {
     }
     debug_assert_eq!(remaining, 0, "weight {w} does not fit {rows} rows");
     out
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.random::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
-    }
 }
 
 #[cfg(test)]

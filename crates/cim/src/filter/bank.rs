@@ -195,9 +195,10 @@ impl FilterBank {
 
     /// The aggregate verdict of [`classify_loads`](Self::classify_loads)
     /// without materializing the per-filter decisions: the SA hot
-    /// loop's allocation-free fast path. Every filter is classified —
-    /// no short-circuit on the first veto — so the RNG stream advances
-    /// exactly as `classify_loads` advances it.
+    /// loop's allocation-free fast path. Every filter is read through
+    /// [`InequalityFilter::admits_load`] — no short-circuit on the first
+    /// veto — so the RNG stream advances exactly as `classify_loads`
+    /// advances it.
     ///
     /// # Panics
     ///
@@ -208,7 +209,7 @@ impl FilterBank {
             .iter()
             .zip(loads)
             .fold(true, |admitted, (f, &load)| {
-                f.classify_load(load, rng).is_feasible() & admitted
+                f.admits_load(load, rng) & admitted
             })
     }
 }
@@ -228,7 +229,7 @@ impl fmt::Display for FilterBank {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn constraints() -> Vec<LinearConstraint> {
         vec![
@@ -280,26 +281,121 @@ mod tests {
             assert_eq!(fast, exact, "fast path wrong for {x}");
             assert_eq!(bank.admits(&loads, &mut rng), exact, "admits wrong for {x}");
         }
+    }
 
-        // Noisy filters: `admits` returns the `classify_loads` verdict
-        // and leaves the RNG stream exactly where `classify_loads` does,
-        // including on loads that only one filter vetoes.
-        let noisy = FilterBank::build(&cs, &FilterConfig::default(), &mut rng).unwrap();
-        let mut verdicts = StdRng::seed_from_u64(5);
-        let mut decisions = StdRng::seed_from_u64(5);
-        for bits in 0u32..16 {
-            let x = Assignment::from_bits((0..4).map(|i| bits >> i & 1 == 1));
-            let loads: Vec<u64> = cs.iter().map(|c| c.load(&x)).collect();
+    /// A 200-item bank whose filters span the load range: a heavy
+    /// constraint whose working matchline rails at ground well before
+    /// `Σw`, a paper-scale one, and a light sparse one.
+    fn law_constraints() -> Vec<LinearConstraint> {
+        let n = 200;
+        vec![
+            LinearConstraint::new(vec![64; n], 10_050).unwrap(),
+            LinearConstraint::new((0..n as u64).map(|i| i % 50 + 1).collect(), 1300).unwrap(),
+            LinearConstraint::new((0..n as u64).map(|i| i % 4).collect(), 40).unwrap(),
+        ]
+    }
+
+    /// A stream on which every Box–Muller draw is extreme: `u1` is the
+    /// smallest accepted value 2⁻⁵³ and `u2` is 0 or ½, so each sample
+    /// is `±√(106·ln 2)` with a seeded random sign — the draws that
+    /// test the verdict bound hardest.
+    #[derive(Clone)]
+    struct ExtremeDraws {
+        signs: StdRng,
+        next_is_u2: bool,
+    }
+
+    impl RngCore for ExtremeDraws {
+        fn next_u64(&mut self) -> u64 {
+            self.next_is_u2 = !self.next_is_u2;
+            match (self.next_is_u2, self.signs.random::<bool>()) {
+                (true, _) => 1 << 11,
+                (false, true) => 0,
+                (false, false) => 1 << 63,
+            }
+        }
+    }
+
+    /// `admits` returns the `classify_loads` verdict and leaves the RNG
+    /// stream where `classify_loads` leaves it: over every load in
+    /// `0..=Σw` of each filter, and at every load within ±8 units of
+    /// each capacity (with the other filters empty, at capacity, or
+    /// full). The two streams run in lockstep over the whole sweep, so
+    /// a single skipped or extra draw shows up at the next comparison.
+    /// Checked on a seeded stream and on [`ExtremeDraws`].
+    fn check_admits_law(config: &FilterConfig, seed: u64) {
+        let stream = StdRng::seed_from_u64(seed ^ 0x5eed);
+        check_admits_law_on(config, seed, stream.clone());
+        let extreme = ExtremeDraws {
+            signs: stream,
+            next_is_u2: false,
+        };
+        check_admits_law_on(config, seed, extreme);
+    }
+
+    fn check_admits_law_on<R: RngCore + Clone>(config: &FilterConfig, seed: u64, stream: R) {
+        let cs = law_constraints();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bank = FilterBank::build(&cs, config, &mut rng).unwrap();
+        let totals: Vec<u64> = cs.iter().map(|c| c.weights().iter().sum()).collect();
+        let mut cases: Vec<Vec<u64>> = (0..=*totals.iter().max().unwrap())
+            .map(|l| totals.iter().map(|&t| l.min(t)).collect())
+            .collect();
+        for (f, c) in cs.iter().enumerate() {
+            let near = c.capacity().saturating_sub(8)..=(c.capacity() + 8).min(totals[f]);
+            for load in near {
+                for others in [0, 1, 2] {
+                    let mut loads: Vec<u64> = cs
+                        .iter()
+                        .zip(&totals)
+                        .map(|(c, &t)| [0, c.capacity(), t][others])
+                        .collect();
+                    loads[f] = load;
+                    cases.push(loads);
+                }
+            }
+        }
+        let mut verdicts = stream.clone();
+        let mut decisions = stream;
+        for loads in &cases {
             assert_eq!(
-                noisy.admits(&loads, &mut verdicts),
-                noisy.classify_loads(&loads, &mut decisions).is_feasible(),
-                "verdicts differ for {x}"
+                bank.admits(loads, &mut verdicts),
+                bank.classify_loads(loads, &mut decisions).is_feasible(),
+                "verdicts differ at loads {loads:?}"
             );
             assert_eq!(
-                verdicts.random::<u64>(),
-                decisions.random::<u64>(),
-                "RNG streams diverged after {x}"
+                verdicts.next_u64(),
+                decisions.next_u64(),
+                "RNG streams diverged after loads {loads:?}"
             );
+        }
+    }
+
+    #[test]
+    fn admits_equals_classify_loads_under_paper_noise() {
+        for seed in 0..3 {
+            check_admits_law(&FilterConfig::paper(), seed);
+        }
+    }
+
+    #[test]
+    fn admits_equals_classify_loads_on_ideal_hardware() {
+        let config = FilterConfig::paper()
+            .with_variation(hycim_fefet::VariationModel::none())
+            .with_comparator(crate::filter::ComparatorConfig::ideal());
+        check_admits_law(&config, 0);
+    }
+
+    #[test]
+    fn admits_equals_classify_loads_under_heavy_noise() {
+        let config = FilterConfig::paper()
+            .with_variation(hycim_fefet::VariationModel::paper().scaled(20.0))
+            .with_comparator(crate::filter::ComparatorConfig {
+                offset_sigma: 0.05e-3,
+                noise_sigma: 1e-3,
+            });
+        for seed in 0..3 {
+            check_admits_law(&config, seed);
         }
     }
 

@@ -1,5 +1,6 @@
 use std::fmt;
 
+use hycim_fefet::gaussian;
 use rand::Rng;
 
 /// The 2-stage voltage comparator of the inequality filter (paper
@@ -85,6 +86,12 @@ impl VoltageComparator {
         self.offset
     }
 
+    /// The per-decision noise sigma (V); a decision draws a noise
+    /// sample exactly when it is positive.
+    pub fn noise_sigma(&self) -> f64 {
+        self.noise_sigma
+    }
+
     /// Decides whether `v_a ≥ v_b`, subject to offset and noise.
     pub fn at_least<R: Rng + ?Sized>(&self, v_a: f64, v_b: f64, rng: &mut R) -> bool {
         let noise = if self.noise_sigma > 0.0 {
@@ -104,16 +111,6 @@ impl fmt::Display for VoltageComparator {
             self.offset * 1e3,
             self.noise_sigma * 1e3
         )
-    }
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.random::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
     }
 }
 

@@ -16,7 +16,7 @@ mod comparator;
 
 use std::fmt;
 
-use hycim_fefet::{MultiLevelSpec, VariationModel};
+use hycim_fefet::{skip_gaussian, MultiLevelSpec, VariationModel, GAUSSIAN_MAX};
 use hycim_qubo::Assignment;
 use rand::Rng;
 
@@ -250,6 +250,48 @@ impl InequalityFilter {
             replica_ml,
         }
     }
+
+    /// The verdict of [`classify_load`](Self::classify_load), leaving
+    /// `rng` exactly where `classify_load` leaves it — the SA hot
+    /// loop's read.
+    ///
+    /// A read draws up to three Gaussians: working-ML noise, replica-ML
+    /// noise and comparator noise, each bounded by [`GAUSSIAN_MAX`]
+    /// standard deviations. When the noise-free decision distance
+    /// exceeds the largest shift those draws could jointly cause, no
+    /// draw can flip the verdict: the draws are skipped (the stream is
+    /// advanced without the math) and the noise-free verdict returned.
+    /// Loads inside that band fall through to `classify_load`.
+    pub fn admits_load<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> bool {
+        let ml = self.working.discharged(load).voltage();
+        let replica_ml = self.replica.discharged(self.capacity).voltage();
+        let distance = (ml + self.decision_margin) - (replica_ml + self.comparator.offset());
+        let sigma_w = self.working.read_noise_units(load);
+        let sigma_r = self.replica.read_noise_units(self.capacity);
+        let sigma_cmp = self.comparator.noise_sigma();
+        // A draw of `z` σ moves a matchline by at most `|z|·σ·ΔV_unit`
+        // (the rail clamps only pull it back toward the noise-free
+        // voltage) and the comparator input by `|z|·σ_cmp`.
+        let bound = GAUSSIAN_MAX
+            * (sigma_w * self.working.matchline_config().unit_drop()
+                + sigma_r * self.replica.matchline_config().unit_drop()
+                + sigma_cmp)
+            + Self::VERDICT_SLACK;
+        if distance.abs() <= bound {
+            return self.classify_load(load, rng).is_feasible();
+        }
+        for sigma in [sigma_w, sigma_r, sigma_cmp] {
+            if sigma > 0.0 {
+                skip_gaussian(rng);
+            }
+        }
+        distance > 0.0
+    }
+
+    /// Margin (V) added to the bound of [`admits_load`](Self::admits_load)
+    /// for floating-point rounding: the noisy comparison sums a few
+    /// voltages of at most VDD, whose rounding errors are ~1e-15 V.
+    const VERDICT_SLACK: f64 = 1e-9;
 }
 
 impl fmt::Display for InequalityFilter {

@@ -13,11 +13,11 @@ use hycim_anneal::{AnnealState, FlipOutcome};
 use hycim_cim::crossbar::{Crossbar, CrossbarConfig};
 use hycim_cim::filter::{FilterBank, FilterConfig};
 use hycim_cim::CimError;
+use hycim_fefet::gaussian;
 use hycim_qubo::dqubo::DquboForm;
 use hycim_qubo::quant::QuantizedMatrix;
 use hycim_qubo::{Assignment, DeltaEngine, MultiInequalityQubo, QuboMatrix};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// The HyCiM pipeline state: a [`FilterBank`] (one inequality filter
 /// per constraint) + CiM crossbar + SA bookkeeping.
@@ -35,7 +35,10 @@ use rand::Rng;
 /// The SA hot loop tracks each constraint's load `Σw⁽ᵏ⁾ᵢxᵢ`
 /// incrementally — O(k) per flip — and uses the bank's allocation-free
 /// fast path (matchline + comparator noise included) rather than
-/// re-simulating every cell.
+/// re-simulating every cell. Reads whose verdict no noise draw can flip
+/// skip the noise math but not the draws
+/// ([`InequalityFilter::admits_load`](hycim_cim::filter::InequalityFilter::admits_load)),
+/// so every solve is bit-identical to one that evaluates every draw.
 #[derive(Debug, Clone)]
 pub struct BankHardwareState {
     /// The matrix the crossbar actually stores (quantized).
@@ -351,16 +354,6 @@ impl AnnealState for DquboHardwareState {
         self.x.flip(j);
         self.deltas.commit_pair(&self.x, i, j);
         self.energy += delta;
-    }
-}
-
-fn gaussian(rng: &mut StdRng) -> f64 {
-    loop {
-        let u1: f64 = rng.random::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
     }
 }
 

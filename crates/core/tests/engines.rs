@@ -292,6 +292,47 @@ fn hycim_and_bank_agree_on_single_constraint_problems() {
     check_hycim_equals_bank(&SpinGlass::random_binary(12, 8).unwrap());
 }
 
+/// FNV-1a over a solve's assignment bits, reported-energy bits and
+/// anneal-trace counts.
+fn solve_digest<P: CopProblem>(s: &Solution<P>) -> u64 {
+    let t = &s.trace;
+    s.assignment
+        .iter()
+        .map(u64::from)
+        .chain([s.reported_energy.to_bits()])
+        .chain(
+            [
+                t.accepted(),
+                t.rejected_metropolis(),
+                t.rejected_infeasible(),
+                t.iterations(),
+            ]
+            .map(|c| c as u64),
+        )
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn paper_scale_solves_are_pinned() {
+    // Paper-scale instances (n = 100, weights up to 50), where most
+    // proposals sit far from a filter's capacity. The study presets
+    // use small instances, so these pins guard the regime in which the
+    // filter's verdict is settled without its noise draws. The digests
+    // were computed by the implementation that evaluated every noise
+    // draw on every read.
+    use hycim_cop::generator::QkpGenerator;
+    let qkp = QkpGenerator::new(100, 0.5).generate(7);
+    let hycim = HyCimEngine::new(&qkp, &HyCimConfig::default().with_sweeps(1000), 11).unwrap();
+    assert_eq!(solve_digest(&hycim.solve(3)), 0xf1aa_088f_32f3_2011);
+
+    let mkp = MkpGenerator::new(100, 5).generate(7);
+    let bank = HyCimEngine::bank(&mkp, &HyCimConfig::default().with_sweeps(300), 11).unwrap();
+    assert_eq!(solve_digest(&bank.solve(3)), 0x71bd_50f1_e6d4_7c0c);
+}
+
 #[test]
 fn batch_runner_covers_the_matrix_deterministically() {
     // One problem family per constraint class, both thread counts.

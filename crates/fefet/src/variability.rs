@@ -125,9 +125,10 @@ impl Default for VariationModel {
     }
 }
 
-/// Standard normal sample via Box–Muller (keeps the crate free of
-/// distribution dependencies).
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// Standard normal sample via Box–Muller (keeps the workspace free of
+/// distribution dependencies). Every noise source of the device and
+/// circuit models draws through this one function.
+pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.random::<f64>();
         if u1 > f64::MIN_POSITIVE {
@@ -137,11 +138,29 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
+/// Advances `rng` exactly as one [`gaussian`] call does — the same
+/// redraws of `u1`, then `u2` — without the transcendental math. For
+/// callers that can prove the sample cannot matter (see
+/// [`GAUSSIAN_MAX`]) but must keep the stream where it would be.
+pub fn skip_gaussian<R: Rng + ?Sized>(rng: &mut R) {
+    while rng.random::<f64>() <= f64::MIN_POSITIVE {}
+    rng.random::<f64>();
+}
+
+/// An upper bound on `|gaussian(rng)|` for every possible stream.
+///
+/// `u1` is a 53-bit uniform `k·2⁻⁵³`, and the redraw loop rejects
+/// `k = 0`, so `u1 ≥ 2⁻⁵³`. Hence `−2·ln u1 ≤ 106·ln 2` and the
+/// magnitude is at most `√(106·ln 2) · |cos| ≤ 8.5716`. The constant is
+/// rounded up to 8.6 so the few ulps of `ln`/`sqrt`/`cos` rounding
+/// cannot reach it.
+pub const GAUSSIAN_MAX: f64 = 8.6;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn none_is_deterministic() {
@@ -160,6 +179,44 @@ mod tests {
         let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / samples.len() as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "variance {var}");
+    }
+
+    /// Yields a fixed list of raw 64-bit words.
+    struct Words(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("stream exhausted")
+        }
+    }
+
+    #[test]
+    fn largest_gaussian_magnitude_is_below_the_bound() {
+        // u1 = 2⁻⁵³ (the smallest accepted draw) and u2 = 0 (cos = 1).
+        let mut rng = Words(vec![1 << 11, 0].into_iter());
+        let z = gaussian(&mut rng);
+        assert!(z > 8.57, "extreme sample {z}");
+        assert!(z < GAUSSIAN_MAX, "extreme sample {z}");
+        assert!((z - (106.0 * std::f64::consts::LN_2).sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn skip_gaussian_advances_like_gaussian() {
+        // Two rejected u1 draws (0 and 0 again) before the accepted one.
+        let words = vec![0, 0, 5 << 11, 7 << 40, 99];
+        let mut drawn = Words(words.clone().into_iter());
+        let mut skipped = Words(words.into_iter());
+        gaussian(&mut drawn);
+        skip_gaussian(&mut skipped);
+        assert_eq!(drawn.next_u64(), 99);
+        assert_eq!(skipped.next_u64(), 99);
+        for seed in 0..50 {
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            gaussian(&mut a);
+            skip_gaussian(&mut b);
+            assert_eq!(a.random::<u64>(), b.random::<u64>());
+        }
     }
 
     #[test]

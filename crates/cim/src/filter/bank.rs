@@ -281,6 +281,27 @@ mod tests {
             assert_eq!(fast, exact, "fast path wrong for {x}");
             assert_eq!(bank.admits(&loads, &mut rng), exact, "admits wrong for {x}");
         }
+
+        // Noisy filters: `admits` returns the `classify_loads` verdict
+        // and leaves the RNG stream exactly where `classify_loads` does,
+        // including on loads that only one filter vetoes.
+        let noisy = FilterBank::build(&cs, &FilterConfig::default(), &mut rng).unwrap();
+        let mut verdicts = StdRng::seed_from_u64(5);
+        let mut decisions = StdRng::seed_from_u64(5);
+        for bits in 0u32..16 {
+            let x = Assignment::from_bits((0..4).map(|i| bits >> i & 1 == 1));
+            let loads: Vec<u64> = cs.iter().map(|c| c.load(&x)).collect();
+            assert_eq!(
+                noisy.admits(&loads, &mut verdicts),
+                noisy.classify_loads(&loads, &mut decisions).is_feasible(),
+                "verdicts differ for {x}"
+            );
+            assert_eq!(
+                verdicts.random::<u64>(),
+                decisions.random::<u64>(),
+                "RNG streams diverged after {x}"
+            );
+        }
     }
 
     /// A 200-item bank whose filters span the load range: a heavy

@@ -159,6 +159,13 @@ impl<S: Schedule> Annealer<S> {
 
     /// Runs the annealing loop to completion, mutating `state` in
     /// place and returning the trace. Deterministic in `rng`.
+    ///
+    /// The schedule is read on demand: only an admissible uphill move
+    /// (`Δ > 0`) asks for the temperature, since
+    /// [`metropolis_accept`] accepts `Δ ≤ 0` before it looks at `T`.
+    /// Vetoed and downhill proposals never evaluate the schedule, and
+    /// every decision and RNG draw is the same as with a per-iteration
+    /// read.
     pub fn run<T: AnnealState>(&self, state: &mut T, rng: &mut StdRng) -> AnnealTrace {
         let n = state.dim();
         let mut trace = AnnealTrace::with_capacity(
@@ -168,7 +175,6 @@ impl<S: Schedule> Annealer<S> {
             self.iterations,
         );
         for iter in 0..self.iterations {
-            let temperature = self.schedule.temperature(iter, self.iterations);
             let pair = if self.swap_probability > 0.0 && rng.random::<f64>() < self.swap_probability
             {
                 propose_exchange(state.assignment(), rng)
@@ -189,7 +195,13 @@ impl<S: Schedule> Annealer<S> {
                     trace.count_infeasible();
                 }
                 FlipOutcome::Feasible { delta } => {
-                    if metropolis_accept(delta, temperature, rng) {
+                    if delta <= 0.0
+                        || metropolis_accept(
+                            delta,
+                            self.schedule.temperature(iter, self.iterations),
+                            rng,
+                        )
+                    {
                         match bits {
                             (i, Some(j)) => state.commit_pair(i, j, delta),
                             (i, None) => state.commit_flip(i, delta),
@@ -258,6 +270,67 @@ mod tests {
         q.set(0, 2, -14.0);
         q.set(1, 2, -4.0);
         InequalityQubo::new(q, LinearConstraint::new(vec![4, 7, 2], 9).unwrap()).unwrap()
+    }
+
+    /// A schedule that counts its reads.
+    struct Counting<S> {
+        inner: S,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl<S: Schedule> Schedule for Counting<S> {
+        fn temperature(&self, iter: usize, total: usize) -> f64 {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.temperature(iter, total)
+        }
+    }
+
+    fn counting_run(iq: &InequalityQubo, iterations: usize, seed: u64) -> (AnnealTrace, usize) {
+        let schedule = Counting {
+            inner: GeometricSchedule::for_energy_scale(20.0, iterations),
+            calls: std::cell::Cell::new(0),
+        };
+        let annealer = Annealer::new(schedule, iterations).without_trace();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut state = SoftwareState::new(iq, Assignment::zeros(iq.dim()));
+        let trace = annealer.run(&mut state, &mut rng);
+        (trace, annealer.schedule().calls.get())
+    }
+
+    #[test]
+    fn temperature_is_read_only_for_uphill_tests() {
+        let inst = QkpGenerator::new(30, 0.5).generate(21);
+        let (trace, calls) = counting_run(&inst.to_inequality_qubo().unwrap(), 5000, 3);
+        assert!(trace.rejected_metropolis() > 0 && trace.rejected_infeasible() > 0);
+        assert!(calls >= trace.rejected_metropolis(), "{calls} reads");
+        assert!(
+            calls <= trace.accepted() + trace.rejected_metropolis(),
+            "{calls} reads"
+        );
+        assert!(calls < trace.iterations());
+    }
+
+    #[test]
+    fn vetoed_and_flat_runs_never_read_the_schedule() {
+        // Every flip from all-zeros breaks a capacity of 1.
+        let vetoed = InequalityQubo::new(
+            fig7e().objective().clone(),
+            LinearConstraint::new(vec![4, 7, 2], 1).unwrap(),
+        )
+        .unwrap();
+        let (trace, calls) = counting_run(&vetoed, 500, 4);
+        assert_eq!(trace.rejected_infeasible(), 500);
+        assert_eq!(calls, 0);
+        // A zero objective makes every admissible move flat (Δ = 0).
+        let flat = InequalityQubo::new(
+            QuboMatrix::zeros(3),
+            LinearConstraint::new(vec![4, 7, 2], 9).unwrap(),
+        )
+        .unwrap();
+        let (trace, calls) = counting_run(&flat, 500, 5);
+        assert!(trace.accepted() > 0);
+        assert_eq!(trace.rejected_metropolis(), 0);
+        assert_eq!(calls, 0);
     }
 
     #[test]

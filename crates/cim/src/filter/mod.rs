@@ -148,6 +148,15 @@ pub struct InequalityFilter {
     /// resolves feasible; the decision threshold then sits midway
     /// between loads `C` and `C+1`.
     decision_margin: f64,
+    // Per-filter constants of `admits_load`, fixed at build.
+    /// Noise-free replica ML at `C` plus the comparator offset (V).
+    replica_threshold: f64,
+    /// Working-array ML drop per weight unit (V).
+    working_unit_drop: f64,
+    /// σ, in weight units, of the replica read at `C`.
+    replica_sigma: f64,
+    /// `replica_sigma` times the replica ML drop per weight unit (V).
+    replica_spread: f64,
 }
 
 impl InequalityFilter {
@@ -186,12 +195,20 @@ impl InequalityFilter {
         let replica = FilterArray::program(&replica_weights, config, rng)?;
         let comparator = VoltageComparator::sample(&config.comparator, rng);
         let decision_margin = 0.5 * config.matchline.unit_drop();
+        let replica_threshold = replica.discharged(capacity).voltage() + comparator.offset();
+        let working_unit_drop = working.matchline_config().unit_drop();
+        let replica_sigma = replica.read_noise_units(capacity);
+        let replica_spread = replica_sigma * replica.matchline_config().unit_drop();
         Ok(Self {
             working,
             replica,
             comparator,
             capacity,
             decision_margin,
+            replica_threshold,
+            working_unit_drop,
+            replica_sigma,
+            replica_spread,
         })
     }
 
@@ -261,26 +278,24 @@ impl InequalityFilter {
     /// exceeds the largest shift those draws could jointly cause, no
     /// draw can flip the verdict: the draws are skipped (the stream is
     /// advanced without the math) and the noise-free verdict returned.
-    /// Loads inside that band fall through to `classify_load`.
+    /// Loads inside that band fall through to `classify_load`. The
+    /// replica and comparator terms are constant per filter and are
+    /// computed once at build.
     pub fn admits_load<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> bool {
         let ml = self.working.discharged(load).voltage();
-        let replica_ml = self.replica.discharged(self.capacity).voltage();
-        let distance = (ml + self.decision_margin) - (replica_ml + self.comparator.offset());
+        let distance = (ml + self.decision_margin) - self.replica_threshold;
         let sigma_w = self.working.read_noise_units(load);
-        let sigma_r = self.replica.read_noise_units(self.capacity);
         let sigma_cmp = self.comparator.noise_sigma();
         // A draw of `z` σ moves a matchline by at most `|z|·σ·ΔV_unit`
         // (the rail clamps only pull it back toward the noise-free
         // voltage) and the comparator input by `|z|·σ_cmp`.
         let bound = GAUSSIAN_MAX
-            * (sigma_w * self.working.matchline_config().unit_drop()
-                + sigma_r * self.replica.matchline_config().unit_drop()
-                + sigma_cmp)
+            * (sigma_w * self.working_unit_drop + self.replica_spread + sigma_cmp)
             + Self::VERDICT_SLACK;
         if distance.abs() <= bound {
             return self.classify_load(load, rng).is_feasible();
         }
-        for sigma in [sigma_w, sigma_r, sigma_cmp] {
+        for sigma in [sigma_w, self.replica_sigma, sigma_cmp] {
             if sigma > 0.0 {
                 skip_gaussian(rng);
             }

@@ -229,14 +229,21 @@ impl AnyProblem {
             "spinglass" => {
                 let mut cur = Cursor::new(text);
                 let n = cur.single("spin count")? as usize;
-                let couplings = cur.f64_row(n * n.saturating_sub(1) / 2, "coupling")?;
+                let pairs = n
+                    .checked_mul(n.saturating_sub(1))
+                    .ok_or_else(|| oversized(n, "spin"))?
+                    / 2;
+                let couplings = cur.f64_row(pairs, "coupling")?;
                 cur.finish()?;
                 AnyProblem::SpinGlass(SpinGlass::from_couplings(n, couplings)?)
             }
             "tsp" => {
                 let mut cur = Cursor::new(text);
                 let n = cur.single("city count")? as usize;
-                let mut dist = Vec::with_capacity(n * n);
+                n.checked_mul(n).ok_or_else(|| oversized(n, "city"))?;
+                // Grows with the rows the payload supplies, never with
+                // the header's count alone.
+                let mut dist = Vec::new();
                 for _ in 0..n {
                     dist.extend(cur.f64_row(n, "distance")?);
                 }
@@ -276,6 +283,15 @@ impl AnyProblem {
             });
         }
         Ok(parsed)
+    }
+}
+
+/// The error for a header count whose derived size overflows `usize`
+/// (the header is always payload line 1).
+fn oversized(n: usize, what: &str) -> CopError {
+    CopError::ParseFailure {
+        line: 1,
+        reason: format!("{what} count {n} is too large"),
     }
 }
 
@@ -550,6 +566,24 @@ mod tests {
                 AnyProblem::from_wire(p.family_tag(), cut).is_err(),
                 "{}: truncated payload accepted",
                 p.family_tag()
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_header_counts_are_parse_failures() {
+        for (tag, text) in [
+            ("tsp", "4000000000\n"),
+            ("tsp", "18446744073709551615\n"),
+            ("spinglass", "6074001001\n"),
+            ("spinglass", "18446744073709551615\n"),
+        ] {
+            assert!(
+                matches!(
+                    AnyProblem::from_wire(tag, text),
+                    Err(CopError::ParseFailure { .. })
+                ),
+                "{tag} {text:?}"
             );
         }
     }

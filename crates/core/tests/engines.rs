@@ -334,6 +334,37 @@ fn paper_scale_solves_are_pinned() {
 }
 
 #[test]
+fn dqubo_solves_are_pinned() {
+    // The D-QUBO readout path: every probe reads the crossbar with a
+    // noise draw, and most uphill moves are rejected whatever it is.
+    // A paper-style QKP (the baseline ends infeasible, objective 0)
+    // and a max-cut (feasible, nonzero objective). The digests and
+    // objective bits were computed by the implementation that
+    // evaluated every readout draw.
+    use hycim_cop::generator::QkpGenerator;
+    fn check<P: CopProblem>(problem: &P, pins: [(u64, u64, f64); 2]) {
+        let dqubo = DquboEngine::new(problem, &DquboConfig::default().with_sweeps(200)).unwrap();
+        for (seed, digest, objective) in pins {
+            let s = dqubo.solve(seed);
+            assert_eq!(
+                (solve_digest(&s), s.objective.to_bits()),
+                (digest, objective.to_bits()),
+                "{} seed {seed}",
+                problem.kind()
+            );
+        }
+    }
+    check(
+        &QkpGenerator::new(30, 0.5).generate(5),
+        [(1, 0xb868_c025_6b6b_672b, 0.0), (2, 0x575b_1935_605c_bcf2, 0.0)],
+    );
+    check(
+        &MaxCut::random(20, 0.3, 4),
+        [(1, 0x771d_9f8b_5943_a44c, -35.0), (2, 0x4e6b_f684_ed73_9732, -39.0)],
+    );
+}
+
+#[test]
 fn batch_runner_covers_the_matrix_deterministically() {
     // One problem family per constraint class, both thread counts.
     let g = MaxCut::random(10, 0.5, 9);

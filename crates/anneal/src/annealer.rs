@@ -43,34 +43,45 @@ const EXP_DOMINATED: f64 = -37.0;
 /// rounding.
 pub(crate) const DRAW_DOMINATED: f64 = 37.5;
 
-/// The shared Metropolis acceptance test: accept downhill moves
-/// unconditionally, uphill moves with probability `exp(−Δ/T)` — drawn
-/// against one uniform sample consumed *only* for uphill moves at
-/// positive temperature. The production loops in this crate (the
-/// [`Annealer`] and scalar parallel tempering) funnel through this
-/// function; the sweep-synchronous loops share
-/// [`metropolis_accept_sweep`] instead. Within each pair the accept
-/// decisions — and the RNG stream consumption — stay comparable
-/// move-for-move.
+/// Relative margin on `exp` in the deferred uphill test of
+/// [`Annealer::run`]: `1 + 2⁻⁴⁰`, far above `exp`'s error of at most
+/// one ulp.
+const EXP_MARGIN: f64 = 1.0 + 1.0 / (1u64 << 40) as f64;
+
+/// The Metropolis rule on a drawn uniform `u`: accept downhill moves,
+/// reject uphill moves at non-positive temperature, and otherwise
+/// accept iff `u < exp(−Δ/T)`.
 ///
-/// The result is *exactly* `u < exp(−Δ/T)` for the drawn `u`: the
-/// `EXP_DOMINATED` shortcut only skips `exp` where the comparison is
-/// provably false (see the constant), and a `u == 0.0` draw accepts
-/// iff `exp` has not underflowed to zero.
+/// The result is *exactly* `u < exp(−Δ/T)` for uphill moves at
+/// positive temperature: the `EXP_DOMINATED` shortcut only skips `exp`
+/// where the comparison is provably false (see the constant), and
+/// `u == 0.0` accepts iff `exp` has not underflowed to zero.
 #[inline]
-pub fn metropolis_accept(delta: f64, temperature: f64, rng: &mut StdRng) -> bool {
+pub fn metropolis_decide(delta: f64, temperature: f64, u: f64) -> bool {
     if delta <= 0.0 {
         return true;
     }
     if temperature <= 0.0 {
         return false;
     }
-    let u = rng.random::<f64>();
     let arg = -delta / temperature;
     if u == 0.0 {
         return arg.exp() > 0.0;
     }
     arg > EXP_DOMINATED && u < arg.exp()
+}
+
+/// The shared Metropolis acceptance test: [`metropolis_decide`] on one
+/// uniform sample consumed *only* for uphill moves at positive
+/// temperature. The production [`Annealer`] funnels through this
+/// function (and through [`metropolis_decide`] on the same draw for
+/// deferred uphill probes); the sweep-synchronous loops share
+/// [`metropolis_accept_sweep`] instead. Within each pair the accept
+/// decisions — and the RNG stream consumption — stay comparable
+/// move-for-move.
+#[inline]
+pub fn metropolis_accept(delta: f64, temperature: f64, rng: &mut StdRng) -> bool {
+    delta <= 0.0 || (temperature > 0.0 && metropolis_decide(delta, temperature, rng.random()))
 }
 
 /// The *sweep-reference* Metropolis test: the same acceptance rule as
@@ -97,12 +108,7 @@ pub fn metropolis_accept_sweep(delta: f64, temperature: f64, rng: &mut StdRng) -
     if temperature <= 0.0 || delta >= DRAW_DOMINATED * temperature {
         return false;
     }
-    let u = rng.random::<f64>();
-    let arg = -delta / temperature;
-    if u == 0.0 {
-        return arg.exp() > 0.0;
-    }
-    arg > EXP_DOMINATED && u < arg.exp()
+    metropolis_decide(delta, temperature, rng.random())
 }
 
 impl<S: Schedule> Annealer<S> {
@@ -166,6 +172,15 @@ impl<S: Schedule> Annealer<S> {
     /// Vetoed and downhill proposals never evaluate the schedule, and
     /// every decision and RNG draw is the same as with a per-iteration
     /// read.
+    ///
+    /// A probe that defers its energy change as
+    /// [`FlipOutcome::Uphill`] gets the same test on the same draw `u`,
+    /// settled only when its `floor` cannot decide it: with `u > 0`, a
+    /// `floor ≥ 37.5·T` or a `u ≥ exp(−floor/T)·(1 + 2⁻⁴⁰)` rejects
+    /// whatever the settled `Δ ≥ floor` is (division by `T > 0` is
+    /// monotone and the margin covers `exp`'s rounding). Otherwise —
+    /// including `u == 0.0` — the probe is settled and
+    /// [`metropolis_decide`] decides on the same `u`.
     pub fn run<T: AnnealState>(&self, state: &mut T, rng: &mut StdRng) -> AnnealTrace {
         let n = state.dim();
         let mut trace = AnnealTrace::with_capacity(
@@ -188,40 +203,61 @@ impl<S: Schedule> Annealer<S> {
                     (state.probe_flip(i, rng), (i, None))
                 }
             };
-            match outcome {
+            let temperature = || self.schedule.temperature(iter, self.iterations);
+            let accepted = match outcome {
                 FlipOutcome::Infeasible => {
                     // Paper Fig. 3: infeasible configurations are sent
                     // back to the SA logic; no QUBO computation happens.
                     trace.count_infeasible();
+                    trace.record_iteration(state.energy(), self.record_trace);
+                    continue;
                 }
                 FlipOutcome::Feasible { delta } => {
-                    if delta <= 0.0
-                        || metropolis_accept(
-                            delta,
-                            self.schedule.temperature(iter, self.iterations),
-                            rng,
-                        )
-                    {
-                        match bits {
-                            (i, Some(j)) => state.commit_pair(i, j, delta),
-                            (i, None) => state.commit_flip(i, delta),
-                        }
-                        trace.count_accept();
-                        // Only record as the reserved best after the
-                        // problem re-verifies the configuration
-                        // (hardware re-runs the inequality filter).
-                        if state.energy() < trace.best_energy() && state.verify_best(rng) {
-                            trace.update_best(state.energy(), state.assignment());
-                        }
-                    } else {
-                        trace.count_reject();
-                    }
+                    (delta <= 0.0 || metropolis_accept(delta, temperature(), rng)).then_some(delta)
                 }
+                FlipOutcome::Uphill { floor } => decide_uphill(state, floor, temperature(), rng),
+            };
+            if let Some(delta) = accepted {
+                match bits {
+                    (i, Some(j)) => state.commit_pair(i, j, delta),
+                    (i, None) => state.commit_flip(i, delta),
+                }
+                trace.count_accept();
+                // Only record as the reserved best after the problem
+                // re-verifies the configuration (hardware re-runs the
+                // inequality filter).
+                if state.energy() < trace.best_energy() && state.verify_best(rng) {
+                    trace.update_best(state.energy(), state.assignment());
+                }
+            } else {
+                trace.count_reject();
             }
             trace.record_iteration(state.energy(), self.record_trace);
         }
         trace
     }
+}
+
+/// The Metropolis verdict on a deferred uphill probe (see
+/// [`Annealer::run`]): `Some(Δ)` to accept. Consumes one uniform draw at
+/// positive temperature, exactly as [`metropolis_accept`] does.
+fn decide_uphill<T: AnnealState>(
+    state: &mut T,
+    floor: f64,
+    temperature: f64,
+    rng: &mut StdRng,
+) -> Option<f64> {
+    if temperature <= 0.0 {
+        return None;
+    }
+    let u = rng.random::<f64>();
+    if u > 0.0
+        && (floor >= DRAW_DOMINATED * temperature || u >= (-floor / temperature).exp() * EXP_MARGIN)
+    {
+        return None;
+    }
+    let delta = state.settle();
+    metropolis_decide(delta, temperature, u).then_some(delta)
 }
 
 /// Picks one selected and one unselected bit for an exchange move;
@@ -331,6 +367,55 @@ mod tests {
         assert!(trace.accepted() > 0);
         assert_eq!(trace.rejected_metropolis(), 0);
         assert_eq!(calls, 0);
+    }
+
+    #[test]
+    fn metropolis_decide_corner_cases() {
+        const U_MIN: f64 = 1.0 / (1u64 << 53) as f64;
+        // Downhill and flat moves accept, whatever T and u.
+        for t in [-1.0, 0.0, 2.0] {
+            assert!(metropolis_decide(-3.0, t, 0.99));
+            assert!(metropolis_decide(0.0, t, 0.99));
+        }
+        // Uphill at T ≤ 0 rejects, even on u = 0.
+        for t in [0.0, -0.0, -2.0] {
+            assert!(!metropolis_decide(1.0, t, 0.0));
+            assert!(!metropolis_decide(1.0, t, U_MIN));
+        }
+        // u = 0 accepts unless exp underflows to zero: exp(−740) is
+        // subnormal but positive, exp(−746) is zero.
+        assert!(metropolis_decide(1.0, 1.0, 0.0));
+        assert!(metropolis_decide(740.0, 1.0, 0.0));
+        assert!(!metropolis_decide(746.0, 1.0, 0.0));
+        // u = 2⁻⁵³, the smallest positive draw: exp(−36.7) ≈ 1.15e-16
+        // beats it, exp(−36.8) ≈ 1.04e-16 does not.
+        assert!(metropolis_decide(36.7, 1.0, U_MIN));
+        assert!(!metropolis_decide(36.8, 1.0, U_MIN));
+        // From Δ = DRAW_DOMINATED·T on, every positive draw rejects —
+        // what lets a deferred probe reject on its floor alone.
+        for t in [1e-3, 0.7, 1.0, 41.3, 1e6] {
+            let edge = DRAW_DOMINATED * t;
+            for delta in [edge, edge * (1.0 + f64::EPSILON), 2.0 * edge] {
+                assert!(!metropolis_decide(delta, t, U_MIN), "Δ {delta} at T {t}");
+            }
+            assert!(metropolis_decide(edge, t, 0.0), "u = 0 at T {t}");
+        }
+    }
+
+    #[test]
+    fn metropolis_accept_decides_on_one_draw() {
+        for seed in 0..20 {
+            let mut accept = StdRng::seed_from_u64(seed);
+            let mut decide = StdRng::seed_from_u64(seed);
+            for k in 0..200 {
+                let delta = (k % 13) as f64 - 3.0;
+                let t = (k % 7) as f64 * 0.5;
+                let expected = delta <= 0.0
+                    || (t > 0.0 && metropolis_decide(delta, t, decide.random::<f64>()));
+                assert_eq!(metropolis_accept(delta, t, &mut accept), expected);
+            }
+            assert_eq!(accept.random::<u64>(), decide.random::<u64>());
+        }
     }
 
     #[test]

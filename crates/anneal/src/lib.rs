@@ -23,14 +23,15 @@
 //!   bitplanes ([`PackedSoftwareState`]): one CSR sweep advances all
 //!   64 lanes, bit-identically to 64 scalar sweep-reference runs
 //!   ([`run_replica_scalar`]) on per-lane RNG streams.
-//! * [`tempering`] — parallel tempering / replica exchange: the
-//!   generic scalar [`tempering::run_tempering`] plus the packed-lane
-//!   [`tempering::run_packed_tempering`] (temperature ladder across
+//! * [`tempering`] — parallel tempering / replica exchange over the
+//!   packed lanes ([`run_packed_tempering`]: temperature ladder across
 //!   the 64 lanes, deterministic even/odd swap sweeps).
 //!
-//! Every accept decision in the crate goes through a shared
-//! Metropolis test: production loops use [`metropolis_accept`], and
-//! both sides of the packed-vs-scalar bit-identity laws use
+//! Every accept decision in the crate goes through one Metropolis rule,
+//! [`metropolis_decide`]: the [`Annealer`] draws for it through
+//! [`metropolis_accept`] (and on the same draw for probes that defer
+//! an uphill energy change, [`FlipOutcome::Uphill`]), and both sides of
+//! the packed-vs-scalar bit-identity laws use
 //! [`metropolis_accept_sweep`], which additionally skips the uniform
 //! draw for uphill moves that every draw would reject — so packed
 //! and scalar sweeps keep the same RNG cadence by construction.
@@ -68,7 +69,8 @@ pub mod tempering;
 mod trace;
 
 pub use annealer::{
-    metropolis_accept, metropolis_accept_sweep, Annealer, DEFAULT_SWAP_PROBABILITY,
+    metropolis_accept, metropolis_accept_sweep, metropolis_decide, Annealer,
+    DEFAULT_SWAP_PROBABILITY,
 };
 pub use packed::{
     run_packed_sweeps, run_replica_scalar, PackedRunOutcome, PackedSoftwareState, ReplicaOutcome,

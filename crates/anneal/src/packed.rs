@@ -37,7 +37,7 @@ use hycim_qubo::{Assignment, InequalityQubo, PackedReplicaState, LANES};
 use rand::rngs::StdRng;
 
 use crate::annealer::metropolis_accept_sweep;
-use crate::{AnnealState, FlipOutcome, SoftwareState};
+use crate::{AnnealState, SoftwareState};
 
 /// A per-*sweep* geometric cooling schedule: `T(s) = t0 · αˢ`.
 ///
@@ -464,7 +464,7 @@ pub struct ReplicaOutcome {
 /// The scalar twin of one packed lane: a sequential-sweep annealing
 /// loop over a [`SoftwareState`] (maintained local fields), proposing
 /// `i = 0..n` per sweep with the per-sweep temperature and the shared
-/// [`metropolis_accept`](crate::metropolis_accept). This is the
+/// [`metropolis_accept_sweep`]. This is the
 /// reference side of the packed bit-identity law — *not* the
 /// production [`Annealer`](crate::Annealer), which proposes randomly
 /// and mixes in exchange moves.
@@ -487,9 +487,9 @@ pub fn run_replica_scalar(
     for sweep in 0..sweeps {
         let t = schedule.temperature(sweep);
         for i in 0..n {
-            match state.probe_flip(i, rng) {
-                FlipOutcome::Infeasible => infeasible += 1,
-                FlipOutcome::Feasible { delta } => {
+            match state.probe_flip(i, rng).settled(&mut state) {
+                None => infeasible += 1,
+                Some(delta) => {
                     if metropolis_accept_sweep(delta, t, rng) {
                         state.commit_flip(i, delta);
                         accepted += 1;

@@ -15,6 +15,28 @@ pub enum FlipOutcome {
         /// Energy change `E(x·flip) − E(x)`.
         delta: f64,
     },
+    /// The flip is admissible and certainly uphill: its noise draw is
+    /// taken, but the reported energy change — at least `floor` — is
+    /// computed only by [`AnnealState::settle`], which a Metropolis
+    /// test calls when `floor` cannot decide it.
+    Uphill {
+        /// A lower bound, above zero, on the energy change the probe
+        /// reports once settled.
+        floor: f64,
+    },
+}
+
+impl FlipOutcome {
+    /// The energy change of an admissible probe, settling an
+    /// [`Uphill`](Self::Uphill) one through `state` (the state that
+    /// produced it); `None` for an infeasible probe.
+    pub fn settled<S: AnnealState + ?Sized>(self, state: &mut S) -> Option<f64> {
+        match self {
+            Self::Infeasible => None,
+            Self::Feasible { delta } => Some(delta),
+            Self::Uphill { .. } => Some(state.settle()),
+        }
+    }
 }
 
 /// The problem-side contract of the SA loop: a current configuration
@@ -41,12 +63,26 @@ pub trait AnnealState {
     fn energy(&self) -> f64;
 
     /// Probes flipping bit `i` without committing. The RNG feeds any
-    /// hardware noise models.
+    /// hardware noise models; a probe takes all of its draws, even when
+    /// it defers its energy change as [`FlipOutcome::Uphill`].
     fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome;
+
+    /// The energy change of the most recent probe, which returned
+    /// [`FlipOutcome::Uphill`]: exactly the `delta` it would otherwise
+    /// have reported as [`FlipOutcome::Feasible`].
+    ///
+    /// # Panics
+    ///
+    /// The default panics: states whose probes never return `Uphill`
+    /// need not implement it.
+    fn settle(&mut self) -> f64 {
+        panic!("settle() needs a probe that returned FlipOutcome::Uphill")
+    }
 
     /// Commits the most recently probed flip of bit `i`, updating the
     /// internal caches. `delta` must be the value returned by the
-    /// matching [`probe_flip`](Self::probe_flip).
+    /// matching [`probe_flip`](Self::probe_flip) (or its
+    /// [`settle`](Self::settle)).
     fn commit_flip(&mut self, i: usize, delta: f64);
 
     /// Probes flipping bits `i` and `j` together (one SA move — the
@@ -319,12 +355,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(state.energy(), 0.0);
         // Flip item 0 in.
-        match state.probe_flip(0, &mut rng) {
-            FlipOutcome::Feasible { delta } => {
+        match state.probe_flip(0, &mut rng).settled(&mut state) {
+            Some(delta) => {
                 assert_eq!(delta, -10.0);
                 state.commit_flip(0, delta);
             }
-            FlipOutcome::Infeasible => panic!("item 0 alone is feasible"),
+            None => panic!("item 0 alone is feasible"),
         }
         assert_eq!(state.load(), 4);
         assert_eq!(state.energy(), -10.0);
@@ -363,7 +399,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..500 {
             let i = rng.random_range(0..3);
-            if let FlipOutcome::Feasible { delta } = state.probe_flip(i, &mut rng) {
+            if let Some(delta) = state.probe_flip(i, &mut rng).settled(&mut state) {
                 state.commit_flip(i, delta);
                 let expected = iq.objective_energy(state.assignment());
                 assert!(
@@ -390,9 +426,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         // Walk into an infeasible region freely: flip all three items in.
         for i in 0..3 {
-            match state.probe_flip(i, &mut rng) {
-                FlipOutcome::Feasible { delta } => state.commit_flip(i, delta),
-                FlipOutcome::Infeasible => panic!("penalty state never vetoes"),
+            match state.probe_flip(i, &mut rng).settled(&mut state) {
+                Some(delta) => state.commit_flip(i, delta),
+                None => panic!("penalty state never vetoes"),
             }
         }
         let x = state.item_assignment();

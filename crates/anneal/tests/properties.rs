@@ -1,8 +1,8 @@
 //! Property-based tests of the annealing engine.
 
 use hycim_anneal::{
-    AnnealState, Annealer, ConstantSchedule, FlipOutcome, GeometricSchedule, LinearSchedule,
-    PenaltyState, Schedule, SoftwareState,
+    AnnealState, Annealer, ConstantSchedule, GeometricSchedule, LinearSchedule, PenaltyState,
+    Schedule, SoftwareState,
 };
 use hycim_cop::generator::QkpGenerator;
 use hycim_qubo::dqubo::{AuxEncoding, PenaltyWeights};
@@ -68,7 +68,7 @@ proptest! {
         let mut state = SoftwareState::new(&iq, Assignment::zeros(n));
         let mut rng = StdRng::seed_from_u64(seed);
         let (i, j) = (0, n - 1);
-        if let FlipOutcome::Feasible { delta } = state.probe_pair(i, j, &mut rng) {
+        if let Some(delta) = state.probe_pair(i, j, &mut rng).settled(&mut state) {
             let before = state.energy();
             state.commit_pair(i, j, delta);
             let expected = iq.objective_energy(state.assignment());
@@ -91,9 +91,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for s in 0..steps {
             let i = s % form.dim();
-            match state.probe_flip(i, &mut rng) {
-                FlipOutcome::Feasible { delta } => state.commit_flip(i, delta),
-                FlipOutcome::Infeasible => prop_assert!(false, "penalty state vetoed"),
+            match state.probe_flip(i, &mut rng).settled(&mut state) {
+                Some(delta) => state.commit_flip(i, delta),
+                None => prop_assert!(false, "penalty state vetoed"),
             }
         }
         prop_assert!((state.energy() - form.energy(state.assignment())).abs() < 1e-6);

@@ -173,7 +173,15 @@ impl FilterArray {
     pub fn evaluate<R: Rng + ?Sized>(&self, x: &Assignment, rng: &mut R) -> f64 {
         match self.fidelity {
             Fidelity::DeviceAccurate => self.evaluate_device(x, rng),
-            Fidelity::Fast => self.evaluate_fast(self.selected_units(x), rng),
+            Fidelity::Fast => {
+                let load = self.selected_units(x);
+                let z = if self.draws_noise(load) {
+                    gaussian(rng)
+                } else {
+                    0.0
+                };
+                self.evaluate_fast(load, z)
+            }
         }
     }
 
@@ -204,12 +212,15 @@ impl FilterArray {
     pub const TEMPORAL_NOISE_FRACTION: f64 = 0.1;
 
     /// Fast-path evaluation from a precomputed load (used by the SA
-    /// loop, where the load is tracked incrementally in O(1)).
-    pub fn evaluate_fast<R: Rng + ?Sized>(&self, load_units: u64, rng: &mut R) -> f64 {
+    /// loop, where the load is tracked incrementally in O(1)). `z` is
+    /// the read's standard-normal noise sample, drawn by the caller
+    /// exactly when the load is positive and the array has current
+    /// variability (it has no effect otherwise).
+    pub fn evaluate_fast(&self, load_units: u64, z: f64) -> f64 {
         let mut ml = self.discharged(load_units);
         let sigma_units = self.read_noise_units(load_units);
         if sigma_units > 0.0 {
-            let noise_units = gaussian(rng) * sigma_units;
+            let noise_units = z * sigma_units;
             if noise_units > 0.0 {
                 ml.discharge_units(noise_units);
                 return ml.voltage();
@@ -231,17 +242,27 @@ impl FilterArray {
         ml
     }
 
+    /// Whether a fast-path read at `load_units` carries noise, and so
+    /// takes one standard-normal sample.
+    pub(crate) fn draws_noise(&self, load_units: u64) -> bool {
+        self.temporal_sigma() > 0.0 && load_units > 0
+    }
+
     /// σ, in weight units, of a fast-path read's noise: each of the
     /// `load` conducting cell-phases carries temporal current noise,
     /// so the summed charge noise scales with √load. Zero exactly when
     /// the read draws no noise sample.
     pub(crate) fn read_noise_units(&self, load_units: u64) -> f64 {
-        let sigma_rel = self.variation.current_sigma_rel() * Self::TEMPORAL_NOISE_FRACTION;
-        if sigma_rel > 0.0 && load_units > 0 {
-            sigma_rel * (load_units as f64).sqrt()
+        if self.draws_noise(load_units) {
+            self.temporal_sigma() * (load_units as f64).sqrt()
         } else {
             0.0
         }
+    }
+
+    /// Relative per-read current noise of one cell-phase.
+    fn temporal_sigma(&self) -> f64 {
+        self.variation.current_sigma_rel() * Self::TEMPORAL_NOISE_FRACTION
     }
 
     /// The staircase pulse used for evaluation.

@@ -3,7 +3,7 @@ use std::fmt;
 use hycim_qubo::{Assignment, LinearConstraint};
 use rand::Rng;
 
-use crate::filter::{FilterConfig, FilterDecision, InequalityFilter};
+use crate::filter::{FilterConfig, FilterDecision, InequalityFilter, Read};
 use crate::CimError;
 
 /// A bank of inequality filters evaluating several constraints in
@@ -195,23 +195,45 @@ impl FilterBank {
 
     /// The aggregate verdict of [`classify_loads`](Self::classify_loads)
     /// without materializing the per-filter decisions: the SA hot
-    /// loop's allocation-free fast path. Every filter is read through
-    /// [`InequalityFilter::admits_load`] — no short-circuit on the first
-    /// veto — so the RNG stream advances exactly as `classify_loads`
-    /// advances it.
+    /// loop's allocation-free fast path, leaving `rng` exactly where
+    /// `classify_loads` leaves it.
+    ///
+    /// Every filter draws its samples, in filter order, as
+    /// [`InequalityFilter::admits_load`] would. A read those draws
+    /// cannot settle is settled only after every later filter has drawn
+    /// and none of the bank's reads is a veto, certain or settled: a
+    /// bank with any certain veto returns `false` without computing a
+    /// single noise sample.
     ///
     /// # Panics
     ///
     /// Panics if `loads.len() != self.len()`.
     pub fn admits<R: Rng + ?Sized>(&self, loads: &[u64], rng: &mut R) -> bool {
         assert_eq!(loads.len(), self.len(), "one load per constraint");
-        self.filters
-            .iter()
-            .zip(loads)
-            .fold(true, |admitted, (f, &load)| {
-                f.admits_load(load, rng) & admitted
-            })
+        admits_from(&self.filters, loads, false, rng)
     }
+}
+
+/// Reads `filters` in order and returns the bank verdict, `vetoed`
+/// covering the reads before them. A read its draws cannot settle waits
+/// in its own frame while the rest of the bank draws (recursively), and
+/// is settled only if no read vetoes.
+fn admits_from<R: Rng + ?Sized>(
+    filters: &[InequalityFilter],
+    loads: &[u64],
+    mut vetoed: bool,
+    rng: &mut R,
+) -> bool {
+    for (k, (filter, &load)) in filters.iter().zip(loads).enumerate() {
+        match filter.read(load, rng) {
+            Read::Certain(admitted) => vetoed |= !admitted,
+            Read::Band(draws) => {
+                return admits_from(&filters[k + 1..], &loads[k + 1..], vetoed, rng)
+                    && filter.settle(load, draws).is_feasible();
+            }
+        }
+    }
+    !vetoed
 }
 
 impl fmt::Display for FilterBank {
@@ -343,8 +365,13 @@ mod tests {
     /// each capacity (with the other filters empty, at capacity, or
     /// full). The two streams run in lockstep over the whole sweep, so
     /// a single skipped or extra draw shows up at the next comparison.
-    /// Checked on a seeded stream and on [`ExtremeDraws`].
+    /// Each filter's `admits_load` is held to `classify_load` the same
+    /// way at load 0 and on both sides of its two load thresholds, and
+    /// the thresholds are checked against the conditions they stand
+    /// for at every load. Checked on a seeded stream and on
+    /// [`ExtremeDraws`].
     fn check_admits_law(config: &FilterConfig, seed: u64) {
+        check_thresholds(config, seed);
         let stream = StdRng::seed_from_u64(seed ^ 0x5eed);
         check_admits_law_on(config, seed, stream.clone());
         let extreme = ExtremeDraws {
@@ -352,6 +379,43 @@ mod tests {
             next_is_u2: false,
         };
         check_admits_law_on(config, seed, extreme);
+    }
+
+    /// The certain-admit loads are exactly those whose noise-free
+    /// distance beats the largest shift at that load, and the
+    /// certain-veto loads exactly those whose distance falls below
+    /// minus the largest shift at the full load.
+    fn check_thresholds(config: &FilterConfig, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bank = FilterBank::build(&law_constraints(), config, &mut rng).unwrap();
+        for f in bank.filters() {
+            let extreme = [hycim_fefet::GAUSSIAN_MAX; 3];
+            let widest = f.shift(f.max_load, extreme);
+            for load in 0..=f.max_load {
+                let d = f.distance(load);
+                assert_eq!(
+                    load < f.admit_upto,
+                    d > f.shift(load, extreme),
+                    "{f} at {load}"
+                );
+                assert_eq!(load >= f.veto_from, -d > widest, "{f} at {load}");
+            }
+        }
+    }
+
+    /// The loads at which a filter's read path changes: load 0 (no
+    /// working draw) and both sides of each threshold, within `0..=Σw`.
+    fn threshold_loads(f: &InequalityFilter) -> Vec<u64> {
+        [
+            0,
+            f.admit_upto,
+            f.admit_upto + 1,
+            f.veto_from.saturating_sub(1),
+            f.veto_from,
+        ]
+        .into_iter()
+        .filter(|&l| l <= f.max_load)
+        .collect()
     }
 
     fn check_admits_law_on<R: RngCore + Clone>(config: &FilterConfig, seed: u64, stream: R) {
@@ -389,6 +453,71 @@ mod tests {
                 decisions.next_u64(),
                 "RNG streams diverged after loads {loads:?}"
             );
+        }
+        for f in bank.filters() {
+            for load in threshold_loads(f) {
+                assert_eq!(
+                    f.admits_load(load, &mut verdicts),
+                    f.classify_load(load, &mut decisions).is_feasible(),
+                    "{f}: verdicts differ at load {load}"
+                );
+                assert_eq!(
+                    verdicts.next_u64(),
+                    decisions.next_u64(),
+                    "{f}: RNG streams diverged after load {load}"
+                );
+            }
+        }
+    }
+
+    /// A bank read with one filter certainly vetoing and another in its
+    /// band (drawing, possibly settling) returns the `classify_loads`
+    /// verdict and leaves the stream where `classify_loads` does, with
+    /// the veto before or after the band read.
+    fn check_veto_short_circuit<R: RngCore + Clone>(config: &FilterConfig, stream: R) {
+        let cs = law_constraints();
+        let bank = FilterBank::build(&cs, config, &mut StdRng::seed_from_u64(9)).unwrap();
+        let mut verdicts = stream.clone();
+        let mut decisions = stream;
+        let mut cases = 0;
+        for (v, vetoing) in bank.filters().iter().enumerate() {
+            if vetoing.veto_from > vetoing.max_load {
+                continue;
+            }
+            for (b, banded) in bank.filters().iter().enumerate() {
+                if b == v {
+                    continue;
+                }
+                for load in banded.admit_upto..banded.veto_from.min(banded.max_load + 1) {
+                    let mut loads = vec![0; cs.len()];
+                    loads[v] = vetoing.max_load;
+                    loads[b] = load;
+                    assert!(!bank.admits(&loads, &mut verdicts), "loads {loads:?}");
+                    assert!(!bank.classify_loads(&loads, &mut decisions).is_feasible());
+                    assert_eq!(verdicts.next_u64(), decisions.next_u64(), "loads {loads:?}");
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases > 0, "no filter pair has a certain veto and a band");
+    }
+
+    #[test]
+    fn certain_veto_short_circuits_the_bank() {
+        let heavy = FilterConfig::paper()
+            .with_variation(hycim_fefet::VariationModel::paper().scaled(20.0))
+            .with_comparator(crate::filter::ComparatorConfig {
+                offset_sigma: 0.05e-3,
+                noise_sigma: 1e-3,
+            });
+        for config in [FilterConfig::paper(), heavy] {
+            let stream = StdRng::seed_from_u64(0x7e70);
+            check_veto_short_circuit(&config, stream.clone());
+            let extreme = ExtremeDraws {
+                signs: stream,
+                next_is_u2: false,
+            };
+            check_veto_short_circuit(&config, extreme);
         }
     }
 

@@ -21,8 +21,8 @@ use rand::Rng;
 ///
 /// let mut rng = StdRng::seed_from_u64(7);
 /// let cmp = VoltageComparator::sample(&ComparatorConfig::ideal(), &mut rng);
-/// assert!(cmp.at_least(1.5, 1.0, &mut rng));
-/// assert!(!cmp.at_least(0.5, 1.0, &mut rng));
+/// assert!(cmp.at_least(1.5, 1.0, 0.0));
+/// assert!(!cmp.at_least(0.5, 1.0, 0.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct VoltageComparator {
@@ -92,14 +92,12 @@ impl VoltageComparator {
         self.noise_sigma
     }
 
-    /// Decides whether `v_a ≥ v_b`, subject to offset and noise.
-    pub fn at_least<R: Rng + ?Sized>(&self, v_a: f64, v_b: f64, rng: &mut R) -> bool {
-        let noise = if self.noise_sigma > 0.0 {
-            gaussian(rng) * self.noise_sigma
-        } else {
-            0.0
-        };
-        v_a + noise >= v_b + self.offset
+    /// Decides whether `v_a ≥ v_b`, subject to offset and noise; `z` is
+    /// the decision's standard-normal noise sample, drawn by the caller
+    /// exactly when [`noise_sigma`](Self::noise_sigma) is positive (it
+    /// has no effect otherwise).
+    pub fn at_least(&self, v_a: f64, v_b: f64, z: f64) -> bool {
+        v_a + z * self.noise_sigma >= v_b + self.offset
     }
 }
 
@@ -125,9 +123,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let cmp = VoltageComparator::sample(&ComparatorConfig::ideal(), &mut rng);
         assert_eq!(cmp.offset(), 0.0);
-        assert!(cmp.at_least(1.0, 1.0, &mut rng)); // ties resolve feasible
-        assert!(cmp.at_least(1.0 + 1e-12, 1.0, &mut rng));
-        assert!(!cmp.at_least(1.0 - 1e-9, 1.0, &mut rng));
+        assert!(cmp.at_least(1.0, 1.0, 0.0)); // ties resolve feasible
+        assert!(cmp.at_least(1.0 + 1e-12, 1.0, 0.0));
+        assert!(!cmp.at_least(1.0 - 1e-9, 1.0, 0.0));
     }
 
     #[test]
@@ -136,8 +134,8 @@ mod tests {
         let cmp = VoltageComparator::sample(&ComparatorConfig::paper(), &mut rng);
         // 10 weight units (2 mV) of margin: decisions must be stable.
         for _ in 0..1000 {
-            assert!(cmp.at_least(1.002, 1.000, &mut rng));
-            assert!(!cmp.at_least(0.998, 1.000, &mut rng));
+            assert!(cmp.at_least(1.002, 1.000, gaussian(&mut rng)));
+            assert!(!cmp.at_least(0.998, 1.000, gaussian(&mut rng)));
         }
     }
 
@@ -150,7 +148,7 @@ mod tests {
         };
         let cmp = VoltageComparator::sample(&cfg, &mut rng);
         let yes = (0..2000)
-            .filter(|_| cmp.at_least(1.0, 1.0, &mut rng))
+            .filter(|_| cmp.at_least(1.0, 1.0, gaussian(&mut rng)))
             .count();
         // Exactly at the boundary with symmetric noise → ~50/50.
         assert!((800..1200).contains(&yes), "saw {yes}/2000 feasible");

@@ -16,7 +16,9 @@ mod comparator;
 
 use std::fmt;
 
-use hycim_fefet::{skip_gaussian, MultiLevelSpec, VariationModel, GAUSSIAN_MAX};
+use hycim_fefet::{
+    gaussian, skip_gaussian, GaussianDraw, MultiLevelSpec, VariationModel, GAUSSIAN_MAX,
+};
 use hycim_qubo::Assignment;
 use rand::Rng;
 
@@ -157,6 +159,25 @@ pub struct InequalityFilter {
     replica_sigma: f64,
     /// `replica_sigma` times the replica ML drop per weight unit (V).
     replica_spread: f64,
+    /// Loads below this are admitted whatever the noise draws.
+    admit_upto: u64,
+    /// Loads from this up to `max_load` are vetoed whatever the noise
+    /// draws.
+    veto_from: u64,
+    /// The working array's full load `Σwᵢ`.
+    max_load: u64,
+}
+
+/// The noise samples of one fast-path read, in draw order — working
+/// ML, replica ML, comparator — with `None` where the read draws none.
+type ReadDraws = [Option<GaussianDraw>; 3];
+
+/// What the draws of one fast-path read settle.
+enum Read {
+    /// No sample can flip the verdict: the noise-free one stands.
+    Certain(bool),
+    /// The verdict needs the samples' values.
+    Band(ReadDraws),
 }
 
 impl InequalityFilter {
@@ -199,7 +220,8 @@ impl InequalityFilter {
         let working_unit_drop = working.matchline_config().unit_drop();
         let replica_sigma = replica.read_noise_units(capacity);
         let replica_spread = replica_sigma * replica.matchline_config().unit_drop();
-        Ok(Self {
+        let max_load = weights.iter().sum();
+        let mut filter = Self {
             working,
             replica,
             comparator,
@@ -209,7 +231,24 @@ impl InequalityFilter {
             working_unit_drop,
             replica_sigma,
             replica_spread,
-        })
+            admit_upto: 0,
+            veto_from: max_load + 1,
+            max_load,
+        };
+        // `distance` does not increase with the load (the working ML
+        // only discharges further) and the largest shift any draws can
+        // cause does not decrease (σ_w grows as √load), in exact and in
+        // rounded arithmetic alike, since every step is monotone. So
+        // the loads whose distance beats that shift form a prefix; the
+        // loads whose distance falls below minus the shift at the full
+        // load form a suffix of `0..=Σw`.
+        let extreme = [GAUSSIAN_MAX; 3];
+        let widest = filter.shift(max_load, extreme);
+        filter.admit_upto = first_failing(max_load + 1, |l| {
+            filter.distance(l) > filter.shift(l, extreme)
+        });
+        filter.veto_from = first_failing(max_load + 1, |l| -filter.distance(l) <= widest);
+        Ok(filter)
     }
 
     /// The encoded capacity `C`.
@@ -243,9 +282,14 @@ impl InequalityFilter {
         let replica_ml = self
             .replica
             .evaluate(&Assignment::ones_vec(self.replica.num_columns()), rng);
+        let z = if self.comparator.noise_sigma() > 0.0 {
+            gaussian(rng)
+        } else {
+            0.0
+        };
         let feasible = self
             .comparator
-            .at_least(ml + self.decision_margin, replica_ml, rng);
+            .at_least(ml + self.decision_margin, replica_ml, z);
         FilterDecision {
             feasible,
             ml,
@@ -256,11 +300,77 @@ impl InequalityFilter {
     /// Fast-path classification from a precomputed load (the SA loop
     /// tracks `Σwᵢxᵢ` incrementally in O(1) per flip).
     pub fn classify_load<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> FilterDecision {
-        let ml = self.working.evaluate_fast(load, rng);
-        let replica_ml = self.replica.evaluate_fast(self.capacity, rng);
+        let draws = self.draw(load, rng);
+        self.settle(load, draws)
+    }
+
+    /// The verdict of [`classify_load`](Self::classify_load), leaving
+    /// `rng` exactly where `classify_load` leaves it — the SA hot
+    /// loop's read. The noise math runs only when a draw could flip the
+    /// verdict:
+    ///
+    /// 1. Loads below a build-time threshold, and loads from a second
+    ///    one up to `Σwᵢ`, keep their noise-free verdict under any
+    ///    draws (each sample is at most [`GAUSSIAN_MAX`] in
+    ///    magnitude): the draws are skipped, advancing the stream
+    ///    without the math.
+    /// 2. Otherwise the samples are drawn, and the noise-free verdict
+    ///    stands when the decision distance exceeds the largest shift
+    ///    these particular draws can cause, from
+    ///    [`GaussianDraw::bound`].
+    /// 3. Only otherwise is the read settled through the arithmetic of
+    ///    `classify_load`.
+    pub fn admits_load<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> bool {
+        match self.read(load, rng) {
+            Read::Certain(admitted) => admitted,
+            Read::Band(draws) => self.settle(load, draws).is_feasible(),
+        }
+    }
+
+    /// Draws the samples of a read at `load` and settles what they can
+    /// settle without their values (steps 1 and 2 of
+    /// [`admits_load`](Self::admits_load)).
+    fn read<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> Read {
+        if load < self.admit_upto || (self.veto_from..=self.max_load).contains(&load) {
+            for noisy in self.noisy(load) {
+                if noisy {
+                    skip_gaussian(rng);
+                }
+            }
+            return Read::Certain(load < self.admit_upto);
+        }
+        let draws = self.draw(load, rng);
+        let distance = self.distance(load);
+        if distance.abs() > self.shift(load, draws.map(|d| d.map_or(0.0, GaussianDraw::bound))) {
+            Read::Certain(distance > 0.0)
+        } else {
+            Read::Band(draws)
+        }
+    }
+
+    /// Which of a read's three noise sources draw a sample at `load`.
+    fn noisy(&self, load: u64) -> [bool; 3] {
+        [
+            self.working.draws_noise(load),
+            self.replica_sigma > 0.0,
+            self.comparator.noise_sigma() > 0.0,
+        ]
+    }
+
+    /// The samples `classify_load` draws at `load`, in its order.
+    fn draw<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> ReadDraws {
+        self.noisy(load)
+            .map(|noisy| noisy.then(|| GaussianDraw::draw(rng)))
+    }
+
+    /// The noisy read at `load` under `draws`.
+    fn settle(&self, load: u64, draws: ReadDraws) -> FilterDecision {
+        let [w, r, c] = draws.map(|d| d.map_or(0.0, GaussianDraw::value));
+        let ml = self.working.evaluate_fast(load, w);
+        let replica_ml = self.replica.evaluate_fast(self.capacity, r);
         let feasible = self
             .comparator
-            .at_least(ml + self.decision_margin, replica_ml, rng);
+            .at_least(ml + self.decision_margin, replica_ml, c);
         FilterDecision {
             feasible,
             ml,
@@ -268,45 +378,45 @@ impl InequalityFilter {
         }
     }
 
-    /// The verdict of [`classify_load`](Self::classify_load), leaving
-    /// `rng` exactly where `classify_load` leaves it — the SA hot
-    /// loop's read.
-    ///
-    /// A read draws up to three Gaussians: working-ML noise, replica-ML
-    /// noise and comparator noise, each bounded by [`GAUSSIAN_MAX`]
-    /// standard deviations. When the noise-free decision distance
-    /// exceeds the largest shift those draws could jointly cause, no
-    /// draw can flip the verdict: the draws are skipped (the stream is
-    /// advanced without the math) and the noise-free verdict returned.
-    /// Loads inside that band fall through to `classify_load`. The
-    /// replica and comparator terms are constant per filter and are
-    /// computed once at build.
-    pub fn admits_load<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> bool {
+    /// The noise-free decision distance (V) at `load`: positive when
+    /// the noise-free comparator admits.
+    fn distance(&self, load: u64) -> f64 {
         let ml = self.working.discharged(load).voltage();
-        let distance = (ml + self.decision_margin) - self.replica_threshold;
-        let sigma_w = self.working.read_noise_units(load);
-        let sigma_cmp = self.comparator.noise_sigma();
-        // A draw of `z` σ moves a matchline by at most `|z|·σ·ΔV_unit`
-        // (the rail clamps only pull it back toward the noise-free
-        // voltage) and the comparator input by `|z|·σ_cmp`.
-        let bound = GAUSSIAN_MAX
-            * (sigma_w * self.working_unit_drop + self.replica_spread + sigma_cmp)
-            + Self::VERDICT_SLACK;
-        if distance.abs() <= bound {
-            return self.classify_load(load, rng).is_feasible();
-        }
-        for sigma in [sigma_w, self.replica_sigma, sigma_cmp] {
-            if sigma > 0.0 {
-                skip_gaussian(rng);
-            }
-        }
-        distance > 0.0
+        (ml + self.decision_margin) - self.replica_threshold
     }
 
-    /// Margin (V) added to the bound of [`admits_load`](Self::admits_load)
+    /// The largest shift (V) of the decision distance at `load` that
+    /// samples of magnitude at most `bounds` (working ML, replica ML,
+    /// comparator) can cause, rounding slack included. A sample `z`
+    /// moves a matchline by at most `|z|·σ·ΔV_unit` (the rail clamps
+    /// only pull it back toward the noise-free voltage) and the
+    /// comparator input by `|z|·σ_cmp`.
+    fn shift(&self, load: u64, [w, r, c]: [f64; 3]) -> f64 {
+        w * self.working.read_noise_units(load) * self.working_unit_drop
+            + r * self.replica_spread
+            + c * self.comparator.noise_sigma()
+            + Self::VERDICT_SLACK
+    }
+
+    /// Margin (V) added to the shifts of [`admits_load`](Self::admits_load)
     /// for floating-point rounding: the noisy comparison sums a few
     /// voltages of at most VDD, whose rounding errors are ~1e-15 V.
     const VERDICT_SLACK: f64 = 1e-9;
+}
+
+/// The first `l` in `0..end` for which `holds(l)` is false (`end` if
+/// none is), where `holds` is true on a prefix of `0..end`.
+fn first_failing(end: u64, holds: impl Fn(u64) -> bool) -> u64 {
+    let (mut lo, mut hi) = (0, end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 impl fmt::Display for InequalityFilter {

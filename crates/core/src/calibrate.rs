@@ -1,4 +1,4 @@
-use hycim_anneal::{AnnealState, AnnealTrace, Annealer, FlipOutcome, GeometricSchedule};
+use hycim_anneal::{AnnealState, AnnealTrace, Annealer, GeometricSchedule};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -47,7 +47,7 @@ pub fn calibrate_t0<S: AnnealState>(
     let mut count = 0usize;
     for _ in 0..samples {
         let i = rng.random_range(0..n);
-        if let FlipOutcome::Feasible { delta } = state.probe_flip(i, rng) {
+        if let Some(delta) = state.probe_flip(i, rng).settled(&mut *state) {
             sum += delta.abs();
             count += 1;
         }

@@ -13,11 +13,61 @@ use hycim_anneal::{AnnealState, FlipOutcome};
 use hycim_cim::crossbar::{Crossbar, CrossbarConfig};
 use hycim_cim::filter::{FilterBank, FilterConfig};
 use hycim_cim::CimError;
-use hycim_fefet::gaussian;
+use hycim_fefet::GaussianDraw;
 use hycim_qubo::dqubo::DquboForm;
 use hycim_qubo::quant::QuantizedMatrix;
 use hycim_qubo::{Assignment, DeltaEngine, MultiInequalityQubo, QuboMatrix};
 use rand::rngs::StdRng;
+
+/// A crossbar readout `exact + z·σ` (the stored-matrix delta plus
+/// readout noise) that takes its noise draw at probe time but computes
+/// the sample only when a decision needs it.
+///
+/// A probe whose readout is certainly uphill — `exact − bound(z)·σ > 0`,
+/// from [`GaussianDraw::bound`] — returns [`FlipOutcome::Uphill`] with
+/// that floor and keeps `(exact, draw)` pending for
+/// [`settle`](Self::settle). The floor is at most the settled delta in
+/// rounded arithmetic too, since `bound ≥ |z|` and every rounding is
+/// monotone. Either way the delta, once computed, has the bits of
+/// `exact + gaussian(rng)·σ`.
+#[derive(Debug, Clone)]
+struct Readout {
+    /// Per-readout energy noise sigma.
+    sigma: f64,
+    /// The exact delta and noise draw of the last deferred probe.
+    pending: Option<(f64, GaussianDraw)>,
+}
+
+impl Readout {
+    fn new(sigma: f64) -> Self {
+        Self {
+            sigma,
+            pending: None,
+        }
+    }
+
+    /// Reads a move whose noise-free delta is `exact`.
+    fn probe(&mut self, exact: f64, rng: &mut StdRng) -> FlipOutcome {
+        let draw = GaussianDraw::draw(rng);
+        let floor = exact - draw.bound() * self.sigma;
+        if floor > 0.0 {
+            self.pending = Some((exact, draw));
+            return FlipOutcome::Uphill { floor };
+        }
+        FlipOutcome::Feasible {
+            delta: exact + draw.value() * self.sigma,
+        }
+    }
+
+    /// The delta of the last probe that returned `Uphill`.
+    fn settle(&mut self) -> f64 {
+        let (exact, draw) = self
+            .pending
+            .take()
+            .expect("settle() needs a probe that returned FlipOutcome::Uphill");
+        exact + draw.value() * self.sigma
+    }
+}
 
 /// The HyCiM pipeline state: a [`FilterBank`] (one inequality filter
 /// per constraint) + CiM crossbar + SA bookkeeping.
@@ -35,10 +85,12 @@ use rand::rngs::StdRng;
 /// The SA hot loop tracks each constraint's load `Σw⁽ᵏ⁾ᵢxᵢ`
 /// incrementally — O(k) per flip — and uses the bank's allocation-free
 /// fast path (matchline + comparator noise included) rather than
-/// re-simulating every cell. Reads whose verdict no noise draw can flip
-/// skip the noise math but not the draws
-/// ([`InequalityFilter::admits_load`](hycim_cim::filter::InequalityFilter::admits_load)),
-/// so every solve is bit-identical to one that evaluates every draw.
+/// re-simulating every cell. Filter reads whose verdict no noise draw
+/// can flip, and crossbar readouts that are certainly uphill, take their
+/// draws but skip the noise math until a decision needs it
+/// ([`InequalityFilter::admits_load`](hycim_cim::filter::InequalityFilter::admits_load),
+/// [`FlipOutcome::Uphill`]), so every solve is bit-identical to one that
+/// evaluates every draw.
 #[derive(Debug, Clone)]
 pub struct BankHardwareState {
     /// The matrix the crossbar actually stores (quantized).
@@ -55,8 +107,7 @@ pub struct BankHardwareState {
     /// Energy as reported by the hardware (accumulated noisy deltas) —
     /// what the SA logic sees.
     energy: f64,
-    /// Per-readout energy noise sigma.
-    readout_sigma: f64,
+    readout: Readout,
     /// Flip-delta backend over the stored matrix (local fields by
     /// default).
     deltas: DeltaEngine,
@@ -116,7 +167,7 @@ impl BankHardwareState {
             loads,
             proposed,
             energy,
-            readout_sigma,
+            readout: Readout::new(readout_sigma),
             deltas,
         })
     }
@@ -145,7 +196,7 @@ impl BankHardwareState {
 
     /// Per-readout energy noise sigma.
     pub fn readout_sigma(&self) -> f64 {
-        self.readout_sigma
+        self.readout.sigma
     }
 
     /// Fills `self.proposed` with the loads after flipping `bits`
@@ -197,9 +248,12 @@ impl AnnealState for BankHardwareState {
         if !self.bank.admits(&self.proposed, rng) {
             return FlipOutcome::Infeasible;
         }
-        let delta =
-            self.deltas.flip_delta(&self.matrix, &self.x, i) + gaussian(rng) * self.readout_sigma;
-        FlipOutcome::Feasible { delta }
+        let exact = self.deltas.flip_delta(&self.matrix, &self.x, i);
+        self.readout.probe(exact, rng)
+    }
+
+    fn settle(&mut self) -> f64 {
+        self.readout.settle()
     }
 
     fn commit_flip(&mut self, i: usize, delta: f64) {
@@ -214,9 +268,8 @@ impl AnnealState for BankHardwareState {
         if !self.bank.admits(&self.proposed, rng) {
             return FlipOutcome::Infeasible;
         }
-        let delta = self.deltas.pair_delta(&self.matrix, &self.x, i, j)
-            + gaussian(rng) * self.readout_sigma;
-        FlipOutcome::Feasible { delta }
+        let exact = self.deltas.pair_delta(&self.matrix, &self.x, i, j);
+        self.readout.probe(exact, rng)
     }
 
     fn commit_pair(&mut self, i: usize, j: usize, delta: f64) {
@@ -250,7 +303,7 @@ pub struct DquboHardwareState {
     offset: f64,
     x: Assignment,
     energy: f64,
-    readout_sigma: f64,
+    readout: Readout,
     num_items: usize,
     /// Flip-delta backend over the stored matrix (local fields by
     /// default).
@@ -282,7 +335,7 @@ impl DquboHardwareState {
             offset: form.offset(),
             x: initial,
             energy,
-            readout_sigma,
+            readout: Readout::new(readout_sigma),
             num_items: form.num_items(),
             deltas,
         }
@@ -302,7 +355,7 @@ impl DquboHardwareState {
 
     /// Per-readout energy noise sigma.
     pub fn readout_sigma(&self) -> f64 {
-        self.readout_sigma
+        self.readout.sigma
     }
 
     /// The stored (quantized) penalty matrix.
@@ -330,10 +383,12 @@ impl AnnealState for DquboHardwareState {
     }
 
     fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
-        FlipOutcome::Feasible {
-            delta: self.deltas.flip_delta(&self.matrix, &self.x, i)
-                + gaussian(rng) * self.readout_sigma,
-        }
+        let exact = self.deltas.flip_delta(&self.matrix, &self.x, i);
+        self.readout.probe(exact, rng)
+    }
+
+    fn settle(&mut self) -> f64 {
+        self.readout.settle()
     }
 
     fn commit_flip(&mut self, i: usize, delta: f64) {
@@ -344,9 +399,8 @@ impl AnnealState for DquboHardwareState {
 
     fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
         assert_ne!(i, j, "pair flip needs two distinct bits");
-        let delta = self.deltas.pair_delta(&self.matrix, &self.x, i, j)
-            + gaussian(rng) * self.readout_sigma;
-        FlipOutcome::Feasible { delta }
+        let exact = self.deltas.pair_delta(&self.matrix, &self.x, i, j);
+        self.readout.probe(exact, rng)
     }
 
     fn commit_pair(&mut self, i: usize, j: usize, delta: f64) {
@@ -363,7 +417,7 @@ mod tests {
     use hycim_cop::generator::QkpGenerator;
     use hycim_fefet::VariationModel;
     use hycim_qubo::dqubo::{AuxEncoding, PenaltyWeights};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn noiseless_filter_config() -> FilterConfig {
         FilterConfig::default()
@@ -396,8 +450,8 @@ mod tests {
         // quantization of ≤100 profits is lossless).
         for step in 0..300 {
             let i = step % 25;
-            match hw.probe_flip(i, &mut rng) {
-                FlipOutcome::Feasible { delta } => {
+            match hw.probe_flip(i, &mut rng).settled(&mut hw) {
+                Some(delta) => {
                     hw.commit_flip(i, delta);
                     let expected = mq.objective_energy(hw.assignment());
                     assert!(
@@ -407,7 +461,7 @@ mod tests {
                     assert!(mq.is_feasible(hw.assignment()));
                     assert_eq!(hw.loads(), mq.loads(hw.assignment()).as_slice());
                 }
-                FlipOutcome::Infeasible => {
+                None => {
                     // Verify the veto was correct.
                     let mut probe = hw.assignment().clone();
                     probe.flip(i);
@@ -452,10 +506,7 @@ mod tests {
         .unwrap();
         assert!(hw.readout_sigma() > 0.0);
         let deltas: Vec<f64> = (0..50)
-            .filter_map(|_| match hw.probe_flip(0, &mut rng) {
-                FlipOutcome::Feasible { delta } => Some(delta),
-                FlipOutcome::Infeasible => None,
-            })
+            .filter_map(|_| hw.probe_flip(0, &mut rng).settled(&mut hw))
             .collect();
         assert!(deltas.len() > 10);
         assert!(deltas.iter().any(|&d| (d - deltas[0]).abs() > 1e-12));
@@ -487,8 +538,8 @@ mod tests {
         // trajectory must stay inside every bin's capacity.
         for step in 0..400 {
             let i = step % mq.dim();
-            match hw.probe_flip(i, &mut rng) {
-                FlipOutcome::Feasible { delta } => {
+            match hw.probe_flip(i, &mut rng).settled(&mut hw) {
+                Some(delta) => {
                     hw.commit_flip(i, delta);
                     let expected = mq.objective_energy(hw.assignment());
                     assert!(
@@ -502,7 +553,7 @@ mod tests {
                     }
                     assert!(hw.verify_best(&mut rng));
                 }
-                FlipOutcome::Infeasible => {
+                None => {
                     let mut probe = hw.assignment().clone();
                     probe.flip(i);
                     assert!(
@@ -529,7 +580,7 @@ mod tests {
         .unwrap();
         // A pair flip landing inside both bins is admitted with the
         // exact cross-term delta.
-        if let FlipOutcome::Feasible { delta } = hw.probe_pair(0, 3, &mut rng) {
+        if let Some(delta) = hw.probe_pair(0, 3, &mut rng).settled(&mut hw) {
             hw.commit_pair(0, 3, delta);
             let expected = mq.objective_energy(hw.assignment());
             assert!((hw.energy() - expected).abs() < 1e-6);
@@ -541,12 +592,11 @@ mod tests {
         // into bin 0 on top of item 0 → 4 + 5 + 3 = 12 > 9.
         // Current x has vars 0 (item0→bin0) and 3 (item1→bin1) set.
         let before = hw.assignment().clone();
-        match hw.probe_pair(2, 4, &mut rng) {
-            FlipOutcome::Infeasible => {}
-            FlipOutcome::Feasible { .. } => {
-                panic!("overloading bin 0 must be vetoed")
-            }
-        }
+        assert_eq!(
+            hw.probe_pair(2, 4, &mut rng),
+            FlipOutcome::Infeasible,
+            "overloading bin 0 must be vetoed"
+        );
         assert_eq!(hw.assignment(), &before, "probe must not mutate");
     }
 
@@ -589,7 +639,7 @@ mod tests {
         assert_eq!(hw.bank().len(), 3);
         for step in 0..300 {
             let i = step % 12;
-            if let FlipOutcome::Feasible { delta } = hw.probe_flip(i, &mut rng) {
+            if let Some(delta) = hw.probe_flip(i, &mut rng).settled(&mut hw) {
                 hw.commit_flip(i, delta);
                 assert!(mkp.is_feasible(hw.assignment()), "step {step} violated");
             }
@@ -684,6 +734,143 @@ mod tests {
         assert_eq!(local.assignment(), dense.assignment());
     }
 
+    /// Passes probes through to `inner`, counting deferred readouts and
+    /// settles; with `eager`, settles every `Uphill` inside the probe
+    /// and reports it as `Feasible` — a readout that evaluates every
+    /// draw.
+    struct Deferral<S> {
+        inner: S,
+        eager: bool,
+        uphill: usize,
+        settled: usize,
+    }
+
+    impl<S: AnnealState> Deferral<S> {
+        fn new(inner: S, eager: bool) -> Self {
+            Self {
+                inner,
+                eager,
+                uphill: 0,
+                settled: 0,
+            }
+        }
+
+        fn pass(&mut self, outcome: FlipOutcome) -> FlipOutcome {
+            if let FlipOutcome::Uphill { .. } = outcome {
+                self.uphill += 1;
+                if self.eager {
+                    return FlipOutcome::Feasible {
+                        delta: self.settle(),
+                    };
+                }
+            }
+            outcome
+        }
+    }
+
+    impl<S: AnnealState> AnnealState for Deferral<S> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+
+        fn assignment(&self) -> &Assignment {
+            self.inner.assignment()
+        }
+
+        fn energy(&self) -> f64 {
+            self.inner.energy()
+        }
+
+        fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
+            let outcome = self.inner.probe_flip(i, rng);
+            self.pass(outcome)
+        }
+
+        fn settle(&mut self) -> f64 {
+            self.settled += 1;
+            self.inner.settle()
+        }
+
+        fn commit_flip(&mut self, i: usize, delta: f64) {
+            self.inner.commit_flip(i, delta);
+        }
+
+        fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
+            let outcome = self.inner.probe_pair(i, j, rng);
+            self.pass(outcome)
+        }
+
+        fn commit_pair(&mut self, i: usize, j: usize, delta: f64) {
+            self.inner.commit_pair(i, j, delta);
+        }
+
+        fn verify_best(&mut self, rng: &mut StdRng) -> bool {
+            self.inner.verify_best(rng)
+        }
+    }
+
+    /// A solve whose uphill readouts are deferred (settled only when
+    /// Metropolis needs the value) equals one that settles each inside
+    /// its probe: same trace, energy bits, assignment and next draw.
+    /// T₀ calibration, whose probes are all settled, is included.
+    fn check_deferred_equals_eager<S: AnnealState + Clone>(state: S, sweeps: usize, seed: u64) {
+        let settings = crate::HyCimConfig::default()
+            .with_sweeps(sweeps)
+            .anneal_settings();
+        let mut eager = Deferral::new(state.clone(), true);
+        let mut deferred = Deferral::new(state, false);
+        let mut rng_eager = StdRng::seed_from_u64(seed);
+        let mut rng_deferred = StdRng::seed_from_u64(seed);
+        let trace_eager = crate::run_annealing(&mut eager, &settings, &mut rng_eager);
+        let trace_deferred = crate::run_annealing(&mut deferred, &settings, &mut rng_deferred);
+        assert_eq!(trace_eager, trace_deferred);
+        assert_eq!(eager.energy().to_bits(), deferred.energy().to_bits());
+        assert_eq!(eager.assignment(), deferred.assignment());
+        assert_eq!(rng_eager.random::<u64>(), rng_deferred.random::<u64>());
+        assert_eq!(eager.uphill, deferred.uphill);
+        assert_eq!(eager.settled, eager.uphill);
+        assert!(
+            deferred.settled < deferred.uphill / 2,
+            "{} of {} uphill readouts settled",
+            deferred.settled,
+            deferred.uphill
+        );
+    }
+
+    #[test]
+    fn deferred_readouts_equal_eager_ones_on_the_bank_state() {
+        use hycim_cop::CopProblem;
+        let qkp = qkp_form(40, 0.5, 12);
+        let mkp = hycim_cop::mkp::MkpGenerator::new(30, 3)
+            .generate(4)
+            .to_multi_inequality_qubo()
+            .unwrap();
+        for (mq, seed) in [(qkp, 1), (mkp, 2)] {
+            let mut hw_rng = StdRng::seed_from_u64(seed);
+            let state = BankHardwareState::build(
+                &mq,
+                &FilterConfig::default(),
+                &CrossbarConfig::paper(),
+                Assignment::zeros(mq.dim()),
+                &mut hw_rng,
+            )
+            .unwrap();
+            check_deferred_equals_eager(state, 200, seed + 10);
+        }
+    }
+
+    #[test]
+    fn deferred_readouts_equal_eager_ones_on_the_dqubo_state() {
+        let inst = QkpGenerator::new(12, 0.5)
+            .with_capacity_range(10, 40)
+            .generate(13);
+        let form = inst
+            .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
+            .unwrap();
+        let state = DquboHardwareState::build(&form, None, 0.02, Assignment::zeros(form.dim()));
+        check_deferred_equals_eager(state, 200, 5);
+    }
+
     #[test]
     fn dqubo_state_energy_tracks_form() {
         let inst = QkpGenerator::new(8, 0.75)
@@ -696,7 +883,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         for step in 0..200 {
             let i = step % form.dim();
-            if let FlipOutcome::Feasible { delta } = state.probe_flip(i, &mut rng) {
+            if let Some(delta) = state.probe_flip(i, &mut rng).settled(&mut state) {
                 state.commit_flip(i, delta);
             }
         }
@@ -722,7 +909,7 @@ mod tests {
         let mut state = DquboHardwareState::build(&form, None, 0.0, Assignment::zeros(form.dim()));
         let mut rng = StdRng::seed_from_u64(10);
         let before = state.energy();
-        if let FlipOutcome::Feasible { delta } = state.probe_pair(0, 3, &mut rng) {
+        if let Some(delta) = state.probe_pair(0, 3, &mut rng).settled(&mut state) {
             state.commit_pair(0, 3, delta);
         }
         let expected = form.energy(state.assignment());

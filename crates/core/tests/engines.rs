@@ -356,11 +356,17 @@ fn dqubo_solves_are_pinned() {
     }
     check(
         &QkpGenerator::new(30, 0.5).generate(5),
-        [(1, 0xb868_c025_6b6b_672b, 0.0), (2, 0x575b_1935_605c_bcf2, 0.0)],
+        [
+            (1, 0xb868_c025_6b6b_672b, 0.0),
+            (2, 0x575b_1935_605c_bcf2, 0.0),
+        ],
     );
     check(
         &MaxCut::random(20, 0.3, 4),
-        [(1, 0x771d_9f8b_5943_a44c, -35.0), (2, 0x4e6b_f684_ed73_9732, -39.0)],
+        [
+            (1, 0x771d_9f8b_5943_a44c, -35.0),
+            (2, 0x4e6b_f684_ed73_9732, -39.0),
+        ],
     );
 }
 

@@ -59,4 +59,4 @@ pub use cell::FefetCell;
 pub use device::{FefetDevice, MultiLevelSpec};
 pub use error::DeviceError;
 pub use pulse::{StaircasePulse, WritePulse};
-pub use variability::{gaussian, skip_gaussian, VariationModel, GAUSSIAN_MAX};
+pub use variability::{gaussian, skip_gaussian, GaussianDraw, VariationModel, GAUSSIAN_MAX};

@@ -127,21 +127,88 @@ impl Default for VariationModel {
 
 /// Standard normal sample via Box–Muller (keeps the workspace free of
 /// distribution dependencies). Every noise source of the device and
-/// circuit models draws through this one function.
+/// circuit models draws through this one function, or through
+/// [`GaussianDraw`], which takes the same draws.
 pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.random::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    GaussianDraw::draw(rng).value()
+}
+
+/// The two uniforms of one Box–Muller sample, drawn but not yet turned
+/// into a value.
+///
+/// A caller that needs the sample only when it could change a decision
+/// draws first, asks [`bound`](Self::bound) for a cheap upper bound on
+/// the magnitude, and computes [`value`](Self::value) (`ln`, `sqrt`,
+/// `cos`) only when the bound cannot settle the decision. The stream
+/// advances exactly as one [`gaussian`] call advances it.
+///
+/// # Example
+///
+/// ```
+/// use hycim_fefet::{gaussian, GaussianDraw};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let draw = GaussianDraw::draw(&mut StdRng::seed_from_u64(3));
+/// assert!(draw.value().abs() <= draw.bound());
+/// assert_eq!(draw.value(), gaussian(&mut StdRng::seed_from_u64(3)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GaussianDraw {
+    u1: f64,
+    u2: f64,
+}
+
+impl GaussianDraw {
+    /// Draws `u1` (redrawn until it exceeds `f64::MIN_POSITIVE`) and
+    /// then `u2`: the draws of one [`gaussian`] call.
+    pub fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        loop {
+            let u1: f64 = rng.random::<f64>();
+            if u1 > f64::MIN_POSITIVE {
+                let u2: f64 = rng.random::<f64>();
+                return Self { u1, u2 };
+            }
         }
     }
+
+    /// The standard normal sample `√(−2 ln u1) · cos(2π u2)`.
+    pub fn value(self) -> f64 {
+        (-2.0 * self.u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * self.u2).cos()
+    }
+
+    /// A certified upper bound on `|value()|`, from `u1`'s bits alone:
+    /// no `ln`, no `cos`, never NaN.
+    ///
+    /// For a normal `u1 = 2^(e−1023)·(1 + m/2⁵²)` the bit image is
+    /// `b = e·2⁵² + m`, and the concave `log2` lies above its chord on
+    /// `[1, 2]`: `log2(1 + x) ≥ x`. Hence `log2 u1 ≥ b/2⁵² − 1023` and
+    /// `value² ≤ −2 ln u1 ≤ 2 ln 2 · (1023 − b/2⁵²)`. Converting `b`
+    /// (below 2⁶²) to `f64` is off by at most 2⁸, i.e. 2⁻⁴⁴ after the
+    /// exact division, and `1023 − b/2⁵²` is then exact (Sterbenz), so
+    /// a margin of 2⁻⁴³ *inside* the root keeps the argument above its
+    /// true value even as `u1 → 1`, where that value is about 2⁻⁵² (a
+    /// margin outside the root would not cover the conversion error
+    /// there). A factor `1 + 2⁻⁴⁰` covers the few ulps of
+    /// `ln`/`sqrt`/`cos` in `value()` and of this product.
+    pub fn bound(self) -> f64 {
+        let chord = 1023.0 - self.u1.to_bits() as f64 / (1u64 << 52) as f64;
+        (2.0 * std::f64::consts::LN_2 * (chord + Self::CHORD_MARGIN)).sqrt() * Self::ROUNDING_FACTOR
+    }
+
+    /// Margin inside the root of [`bound`](Self::bound): twice the
+    /// worst error of the bit-image conversion.
+    const CHORD_MARGIN: f64 = 1.0 / (1u64 << 43) as f64;
+
+    /// Relative margin on [`bound`](Self::bound) for floating-point
+    /// rounding (`1 + 2⁻⁴⁰`, far above the few ulps it covers).
+    const ROUNDING_FACTOR: f64 = 1.0 + 1.0 / (1u64 << 40) as f64;
 }
 
 /// Advances `rng` exactly as one [`gaussian`] call does — the same
 /// redraws of `u1`, then `u2` — without the transcendental math. For
 /// callers that can prove the sample cannot matter (see
-/// [`GAUSSIAN_MAX`]) but must keep the stream where it would be.
+/// [`GAUSSIAN_MAX`]) before drawing, but must keep the stream where it
+/// would be.
 pub fn skip_gaussian<R: Rng + ?Sized>(rng: &mut R) {
     while rng.random::<f64>() <= f64::MIN_POSITIVE {}
     rng.random::<f64>();
@@ -216,6 +283,77 @@ mod tests {
             gaussian(&mut a);
             skip_gaussian(&mut b);
             assert_eq!(a.random::<u64>(), b.random::<u64>());
+        }
+    }
+
+    /// The Box–Muller expression `gaussian` inlined before
+    /// [`GaussianDraw`] existed.
+    fn inline_gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+        loop {
+            let u1: f64 = rng.random::<f64>();
+            if u1 > f64::MIN_POSITIVE {
+                let u2: f64 = rng.random::<f64>();
+                return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            }
+        }
+    }
+
+    #[test]
+    fn gaussian_draw_reproduces_the_inline_box_muller() {
+        let words = vec![0, 0, 5 << 11, 7 << 40, 99];
+        let mut drawn = Words(words.clone().into_iter());
+        let mut inline = Words(words.into_iter());
+        assert_eq!(
+            GaussianDraw::draw(&mut drawn).value().to_bits(),
+            inline_gaussian(&mut inline).to_bits()
+        );
+        assert_eq!(drawn.next_u64(), 99);
+        assert_eq!(inline.next_u64(), 99);
+        for seed in 0..200 {
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            for _ in 0..50 {
+                assert_eq!(
+                    GaussianDraw::draw(&mut a).value().to_bits(),
+                    inline_gaussian(&mut b).to_bits()
+                );
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
+        }
+    }
+
+    fn check_bound(draw: GaussianDraw) {
+        let (bound, value) = (draw.bound(), draw.value());
+        assert!(!bound.is_nan(), "NaN bound for {draw:?}");
+        assert!(bound >= value.abs(), "{draw:?}: bound {bound} < |{value}|");
+        assert!(bound < GAUSSIAN_MAX, "{draw:?}: bound {bound}");
+    }
+
+    #[test]
+    fn gaussian_bound_covers_every_extreme_draw() {
+        // u1 = k·2⁻⁵³ at every power-of-two edge of the 53-bit uniform,
+        // with u2 where |cos| is largest.
+        const ULP: f64 = 1.0 / (1u64 << 53) as f64;
+        let mut ks = vec![1, (1u64 << 53) - 1];
+        for j in 0..53 {
+            ks.extend([(1u64 << j) - 1, 1 << j, (1 << j) + 1]);
+        }
+        let u2s = [0.0, 0.5 - ULP, 0.5, 0.5 + ULP, 1.0 - ULP];
+        for k in ks.into_iter().filter(|&k| k > 0) {
+            for u2 in u2s {
+                check_bound(GaussianDraw {
+                    u1: k as f64 * ULP,
+                    u2,
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn gaussian_bound_covers_seeded_draws() {
+        let mut rng = StdRng::seed_from_u64(0xb0d);
+        for _ in 0..1_000_000 {
+            check_bound(GaussianDraw::draw(&mut rng));
         }
     }
 

@@ -13,6 +13,7 @@ use hycim_service::{DisposeOutcome, JobStatus};
 
 use crate::frame::{FrameError, MessageReceiver, MessageSender};
 use crate::proto::{ErrorCode, JobSpec, ProtoError, Request, Response, WireSolution};
+use crate::worker::MAX_WAIT;
 
 /// Any failure of the networked path, every variant typed — the
 /// coordinator never surfaces a hang or a corrupted merge, it
@@ -155,7 +156,7 @@ impl From<ProtoError> for NetError {
 
 /// A connection to one worker. Requests are strictly sequential (one
 /// in flight); jobs themselves run asynchronously on the worker, so a
-/// client submits many jobs and polls them through the same
+/// client submits many jobs and waits on them through the same
 /// connection.
 pub struct WorkerClient {
     sender: MessageSender<TcpStream>,
@@ -239,26 +240,17 @@ impl WorkerClient {
         self.receiver.inner_ref()
     }
 
-    fn call(&mut self, request: &Request, expected: &'static str) -> Result<Response, NetError> {
+    /// Sends one request and reads its reply; a typed error reply
+    /// becomes [`NetError::Remote`].
+    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
         self.sender.send(&request.to_value())?;
         let frame = self
             .receiver
             .recv()?
             .ok_or_else(|| NetError::Io(std::io::Error::other("worker closed the connection")))?;
-        let response = Response::from_value(&frame)?;
-        match response {
+        match Response::from_value(&frame)? {
             Response::Error { code, message } => Err(NetError::Remote { code, message }),
-            other => {
-                let got = reply_name(&other);
-                if got == expected {
-                    Ok(other)
-                } else {
-                    Err(NetError::UnexpectedReply {
-                        expected,
-                        got: got.to_string(),
-                    })
-                }
-            }
+            other => Ok(other),
         }
     }
 
@@ -269,9 +261,9 @@ impl WorkerClient {
     /// Any [`NetError`]; a full worker queue is
     /// [`NetError::Remote`] with [`ErrorCode::Backpressure`].
     pub fn submit(&mut self, spec: &JobSpec) -> Result<u64, NetError> {
-        match self.call(&Request::Submit(spec.clone()), "submitted")? {
+        match self.call(&Request::Submit(spec.clone()))? {
             Response::Submitted { job } => Ok(job),
-            _ => unreachable!("call() checked the reply kind"),
+            other => Err(unexpected("submitted", &other)),
         }
     }
 
@@ -281,9 +273,35 @@ impl WorkerClient {
     ///
     /// Any [`NetError`].
     pub fn poll(&mut self, job: u64) -> Result<JobStatus, NetError> {
-        match self.call(&Request::Poll { job }, "status")? {
+        match self.call(&Request::Poll { job })? {
             Response::Status { status, .. } => Ok(status),
-            _ => unreachable!("call() checked the reply kind"),
+            other => Err(unexpected("status", &other)),
+        }
+    }
+
+    /// Blocks until the job turns terminal, for at most `timeout`
+    /// (the worker clamps it to [`MAX_WAIT`]). A terminal job is
+    /// fetched in the same round trip: `Some(solutions)`, or the
+    /// typed error [`fetch`](Self::fetch) would return, and either
+    /// way the entry is consumed. `None` means the job was still
+    /// queued or running when the deadline passed. Keep `timeout`
+    /// below the read timeout, or a slow job reads as
+    /// [`NetError::Timeout`].
+    ///
+    /// # Errors
+    ///
+    /// Any [`NetError`]; a panicked solve is [`NetError::Remote`] with
+    /// [`ErrorCode::JobFailed`].
+    pub fn wait(
+        &mut self,
+        job: u64,
+        timeout: Duration,
+    ) -> Result<Option<Vec<WireSolution>>, NetError> {
+        let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
+        match self.call(&Request::Wait { job, timeout_ms })? {
+            Response::Solutions { solutions, .. } => Ok(Some(solutions)),
+            Response::Status { .. } => Ok(None),
+            other => Err(unexpected("solutions or status", &other)),
         }
     }
 
@@ -295,9 +313,9 @@ impl WorkerClient {
     /// Any [`NetError`]; a panicked solve is [`NetError::Remote`] with
     /// [`ErrorCode::JobFailed`].
     pub fn fetch(&mut self, job: u64) -> Result<Vec<WireSolution>, NetError> {
-        match self.call(&Request::Fetch { job }, "solutions")? {
+        match self.call(&Request::Fetch { job })? {
             Response::Solutions { solutions, .. } => Ok(solutions),
-            _ => unreachable!("call() checked the reply kind"),
+            other => Err(unexpected("solutions", &other)),
         }
     }
 
@@ -307,9 +325,9 @@ impl WorkerClient {
     ///
     /// Any [`NetError`].
     pub fn cancel(&mut self, job: u64) -> Result<DisposeOutcome, NetError> {
-        match self.call(&Request::Cancel { job }, "cancelled")? {
+        match self.call(&Request::Cancel { job })? {
             Response::Cancelled { outcome, .. } => Ok(outcome),
-            _ => unreachable!("call() checked the reply kind"),
+            other => Err(unexpected("cancelled", &other)),
         }
     }
 
@@ -321,26 +339,41 @@ impl WorkerClient {
     ///
     /// Any [`NetError`].
     pub fn stats(&mut self) -> Result<Snapshot, NetError> {
-        match self.call(&Request::Stats, "stats")? {
+        match self.call(&Request::Stats)? {
             Response::Stats { stats } => Ok(stats),
-            _ => unreachable!("call() checked the reply kind"),
+            other => Err(unexpected("stats", &other)),
         }
     }
 
-    /// Polls until the job turns terminal, then fetches — the
-    /// blocking convenience for single-worker callers.
+    /// Waits until the job turns terminal and fetches it — the
+    /// blocking convenience for single-worker callers. Each `wait`
+    /// carries half this connection's read timeout as its deadline,
+    /// capped at [`MAX_WAIT`].
     ///
     /// # Errors
     ///
     /// Any [`NetError`].
     pub fn wait_fetch(&mut self, job: u64) -> Result<Vec<WireSolution>, NetError> {
+        let deadline = wait_deadline(self.receiver_stream().read_timeout()?);
         loop {
-            let status = self.poll(job)?;
-            if status.is_terminal() {
-                return self.fetch(job);
+            if let Some(solutions) = self.wait(job, deadline)? {
+                return Ok(solutions);
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
+    }
+}
+
+/// The `wait` deadline for a connection with the given read timeout:
+/// half of it, capped at [`MAX_WAIT`] ([`MAX_WAIT`] without one), so
+/// the worker always answers before the client gives up on the read.
+pub(crate) fn wait_deadline(read_timeout: Option<Duration>) -> Duration {
+    read_timeout.map_or(MAX_WAIT, |timeout| (timeout / 2).min(MAX_WAIT))
+}
+
+fn unexpected(expected: &'static str, got: &Response) -> NetError {
+    NetError::UnexpectedReply {
+        expected,
+        got: reply_name(got).to_string(),
     }
 }
 

@@ -20,6 +20,18 @@
 //! * **Dead** — the probe budget is spent; the worker is never
 //!   contacted again in this run.
 //!
+//! # Waiting on shards
+//!
+//! Each loop round probes, dispatches, and then sends the `wait` verb
+//! for every in-flight shard. The worker answers as soon as the shard
+//! finishes, with its solutions, or with the shard's status once the
+//! deadline passes. The deadline is half the read timeout, capped at
+//! [`MAX_WAIT`](crate::worker::MAX_WAIT), so it always expires before
+//! the read does. While some worker is on probation the deadline is
+//! cut to 2 ms, so rounds, and with them the probe schedule, keep
+//! ticking; a round with no shard in flight then sleeps those 2 ms.
+//! A healthy fleet never sleeps between rounds.
+//!
 //! Between retry attempts of one shard the coordinator sleeps an
 //! exponentially growing, jittered backoff. The jitter is drawn from
 //! a dedicated `replica_seed(seed, BACKOFF_ROLE, attempt)` stream —
@@ -48,7 +60,7 @@ use std::time::Duration;
 use hycim_core::{merge_shards, replica_seed, Shard, ShardPlan};
 use hycim_obs::{Event, ObsRegistry, Snapshot};
 
-use crate::client::{NetError, WorkerClient};
+use crate::client::{wait_deadline, NetError, WorkerClient};
 use crate::local;
 use crate::proto::{JobSpec, WireSolution};
 
@@ -57,6 +69,12 @@ use crate::proto::{JobSpec, WireSolution};
 /// role the study recipes use (instance 0, solve 1, hardware 2), so
 /// backoff draws can never collide with a solve stream.
 pub const BACKOFF_ROLE: u64 = 0xB0FF;
+
+/// How long a loop round lasts while some worker is on probation: the
+/// `wait` deadline, or the sleep of a round with no shard in flight.
+/// The probe schedule counts rounds, so rounds must keep passing while
+/// a probe is due.
+const PROBATION_WAIT: Duration = Duration::from_millis(2);
 
 /// Seeded exponential backoff between retry attempts of one shard.
 ///
@@ -163,7 +181,6 @@ pub type SleepFn = Arc<dyn Fn(Duration) + Send + Sync>;
 pub struct Coordinator {
     addrs: Vec<String>,
     max_attempts: usize,
-    poll_interval: Duration,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     connect_timeout: Option<Duration>,
@@ -241,7 +258,6 @@ impl Coordinator {
         Self {
             addrs,
             max_attempts,
-            poll_interval: Duration::from_millis(2),
             read_timeout: None,
             write_timeout: None,
             connect_timeout: None,
@@ -274,7 +290,8 @@ impl Coordinator {
     /// Bounds every per-request wait on a worker: a peer that accepts
     /// the connection but goes silent turns into [`NetError::Timeout`]
     /// — which suspends it and requeues its shards — instead of
-    /// hanging the whole run.
+    /// hanging the whole run. The `wait` verb's deadline is half of
+    /// it, capped at [`MAX_WAIT`](crate::worker::MAX_WAIT).
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = Some(timeout);
         self
@@ -342,7 +359,7 @@ impl Coordinator {
 
     /// Replaces the backoff sleep (tests inject a recorder so retry
     /// schedules are asserted without real waits). Only backoff waits
-    /// route through this hook; the poll interval does not.
+    /// route through this hook; the probation pacing does not.
     pub fn with_sleep_fn(mut self, sleep: SleepFn) -> Self {
         self.sleep = sleep;
         self
@@ -491,10 +508,9 @@ impl Coordinator {
             .collect();
         let mut cursor = 0usize;
         let mut round = 0u64;
+        let wait_for = wait_deadline(self.read_timeout);
 
         loop {
-            let mut progressed = false;
-
             // Probe pass: contact every probation worker whose
             // penalty has elapsed; readmit the ones that answer.
             for (w, state) in workers.iter_mut().enumerate() {
@@ -525,7 +541,6 @@ impl Coordinator {
                         self.obs
                             .tracer()
                             .record(Event::WorkerReadmitted { worker: w as u64 });
-                        progressed = true;
                     }
                     Err(e) => {
                         let probes_failed = probes_failed + 1;
@@ -555,14 +570,10 @@ impl Coordinator {
                 let (attempts, chain) = (*attempts, chain.clone());
                 if attempts >= self.max_attempts {
                     slots[i] = Slot::Done(self.finish_locally_or_fail(&jobs[i], attempts, chain)?);
-                    progressed = true;
                     continue;
                 }
                 let Some(worker) = next_live(&workers, &mut cursor) else {
-                    if workers
-                        .iter()
-                        .any(|w| matches!(w, Worker::Probation { .. }))
-                    {
+                    if on_probation(&workers) {
                         // Someone may still be readmitted; wait for
                         // the probe schedule.
                         continue;
@@ -572,7 +583,6 @@ impl Coordinator {
                     let mut chain = chain;
                     chain.push(fleet_obituary(&self.addrs, &workers));
                     slots[i] = Slot::Done(self.finish_locally_or_fail(&jobs[i], attempts, chain)?);
-                    progressed = true;
                     continue;
                 };
                 if attempts > 0 {
@@ -606,7 +616,6 @@ impl Coordinator {
                             attempts: attempts + 1,
                             chain,
                         };
-                        progressed = true;
                     }
                     Err(e) => {
                         attempts_made.inc();
@@ -622,66 +631,54 @@ impl Coordinator {
                 }
             }
 
-            // Poll every in-flight shard; fetch the finished ones.
+            // Wait on every in-flight shard: the worker answers as
+            // soon as it finishes, or with its status at the deadline.
+            let mut in_flight = false;
             for i in 0..slots.len() {
-                let (worker, job, attempts) = match &slots[i] {
-                    Slot::Pending {
-                        worker,
-                        job,
-                        attempts,
-                        ..
-                    } => (*worker, *job, *attempts),
-                    _ => continue,
+                let Slot::Pending {
+                    worker,
+                    job,
+                    attempts,
+                    ..
+                } = slots[i]
+                else {
+                    continue;
                 };
-                let Worker::Live { client, .. } = &mut workers[worker] else {
+                let deadline = if on_probation(&workers) {
+                    wait_for.min(PROBATION_WAIT)
+                } else {
+                    wait_for
+                };
+                let Worker::Live { client, failures } = &mut workers[worker] else {
                     // Its worker was suspended this round; the
                     // suspension already requeued it.
                     continue;
                 };
-                match client.poll(job) {
-                    Ok(status) if !status.is_terminal() => {}
-                    Ok(_) => {
-                        let Worker::Live { client, .. } = &mut workers[worker] else {
-                            unreachable!("checked live above");
-                        };
-                        match client.fetch(job) {
-                            Ok(solutions) => {
-                                if let Worker::Live { failures, .. } = &mut workers[worker] {
-                                    // A delivered shard closes the
-                                    // breaker's consecutive count.
-                                    *failures = 0;
-                                }
-                                shards_done.inc();
-                                slots[i] = Slot::Done(solutions);
-                                progressed = true;
-                            }
-                            Err(e) => {
-                                // Job-level failures (panicked solve,
-                                // refused spec) and transport deaths
-                                // alike: the worker is suspect, the
-                                // shard retries elsewhere.
-                                let failure = e.to_string();
-                                self.note_failure(
-                                    &mut workers,
-                                    &mut slots,
-                                    jobs,
-                                    worker,
-                                    &failure,
-                                    round,
-                                );
-                                if let Slot::Pending { chain, .. } = &mut slots[i] {
-                                    let mut chain = std::mem::take(chain);
-                                    chain.push(format!("attempt {attempts}: {failure}"));
-                                    slots[i] = Slot::Todo { attempts, chain };
-                                }
-                                progressed = true;
-                            }
+                in_flight = true;
+                match client.wait(job, deadline) {
+                    Ok(None) => {}
+                    Ok(Some(solutions)) => {
+                        // A delivered shard closes the breaker's
+                        // consecutive count.
+                        *failures = 0;
+                        shards_done.inc();
+                        slots[i] = Slot::Done(solutions);
+                    }
+                    Err(e @ NetError::Remote { .. }) => {
+                        // A job-level failure (panicked solve, refused
+                        // spec): the worker is suspect, the shard
+                        // retries elsewhere.
+                        let failure = e.to_string();
+                        self.note_failure(&mut workers, &mut slots, jobs, worker, &failure, round);
+                        if let Slot::Pending { chain, .. } = &mut slots[i] {
+                            let mut chain = std::mem::take(chain);
+                            chain.push(format!("attempt {attempts}: {failure}"));
+                            slots[i] = Slot::Todo { attempts, chain };
                         }
                     }
                     Err(e) => {
                         let failure = e.to_string();
                         self.note_failure(&mut workers, &mut slots, jobs, worker, &failure, round);
-                        progressed = true;
                     }
                 }
             }
@@ -690,8 +687,8 @@ impl Coordinator {
                 break;
             }
             round += 1;
-            if !progressed {
-                std::thread::sleep(self.poll_interval);
+            if !in_flight && on_probation(&workers) {
+                std::thread::sleep(PROBATION_WAIT);
             }
         }
 
@@ -789,6 +786,13 @@ impl Coordinator {
     }
 }
 
+/// Whether some worker awaits a probe.
+fn on_probation(workers: &[Worker]) -> bool {
+    workers
+        .iter()
+        .any(|w| matches!(w, Worker::Probation { .. }))
+}
+
 /// Advances the round-robin cursor to the next live worker.
 fn next_live(workers: &[Worker], cursor: &mut usize) -> Option<usize> {
     for _ in 0..workers.len() {
@@ -844,6 +848,49 @@ mod tests {
             .with_base(Duration::from_millis(4))
             .with_cap(Duration::from_millis(50));
         assert!((1..8).any(|a| other.delay(a) != backoff.delay(a)));
+    }
+
+    #[test]
+    fn probes_keep_their_round_pace_while_a_long_shard_runs() {
+        use crate::worker::{WorkerConfig, WorkerFault, WorkerServer};
+        use hycim_cop::{maxcut::MaxCut, AnyProblem};
+
+        // Worker 0 solves a long shard. Worker 1 panics on its first
+        // shard and goes on probation. The probe schedule counts
+        // rounds, so rounds must keep passing while the long shard
+        // runs: worker 1 is probed and readmitted before the run ends.
+        let spawn = |fault| {
+            let mut config = WorkerConfig::new();
+            config.fault = fault;
+            WorkerServer::bind("127.0.0.1:0", config)
+                .expect("bind loopback")
+                .spawn()
+        };
+        let healthy = spawn(None);
+        let flaky = spawn(Some(WorkerFault::PanicFirstSubmits(1)));
+        let problem = AnyProblem::from(MaxCut::random(60, 0.5, 5));
+        let spec = JobSpec {
+            family: problem.family_tag().to_string(),
+            problem: problem.to_wire(),
+            engine: "software".to_string(),
+            sweeps: 10_000,
+            hardware_seed: 1,
+            record_trace: false,
+            seeds: Vec::new(),
+        };
+        let (total, jobs) = shard_replica_column(&spec, 2, 7, 0, 2);
+        let coordinator =
+            Coordinator::new(vec![healthy.addr().to_string(), flaky.addr().to_string()]);
+        let merged = coordinator.run(total, &jobs).expect("the run completes");
+        assert_eq!(merged.len(), 2);
+        let stats = coordinator.obs().snapshot();
+        assert_eq!(stats.counter("coord.workers_retired"), Some(1), "{stats:?}");
+        assert!(
+            stats.counter("coord.workers_readmitted").unwrap_or(0) >= 1,
+            "{stats:?}"
+        );
+        healthy.stop();
+        flaky.stop();
     }
 
     #[test]

@@ -318,13 +318,18 @@ impl<'a> Parser<'a> {
                     return Err(self.err("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run of plain bytes in one go, so a
+                    // string parses in linear time. The run ends at an
+                    // ASCII byte or the end of the input, and the input
+                    // is a &str, so it is valid UTF-8.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -470,6 +475,22 @@ mod tests {
                 "{doc:?}: {err} (wanted {needle:?})"
             );
         }
+    }
+
+    #[test]
+    fn multi_mib_strings_parse_in_linear_time() {
+        // A per-character rescan of the remaining input takes minutes
+        // here, even optimized; one pass over each run of plain bytes
+        // takes milliseconds, even unoptimized.
+        let segment = format!("{}héllo ∑ 🦀 \"quoted\" \\ \n\t", "plain ascii ".repeat(16));
+        let text = segment.repeat(20_000);
+        assert!(text.len() >= 4 << 20, "{} bytes", text.len());
+        let doc = Value::Str(text).encode();
+        let begun = std::time::Instant::now();
+        let parsed = Value::parse(&doc).unwrap();
+        let took = begun.elapsed();
+        assert_eq!(parsed.encode(), doc);
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
     }
 
     #[test]

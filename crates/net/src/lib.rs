@@ -11,9 +11,11 @@
 //! * [`frame`] — one message per line, prefix-tagged with the
 //!   protocol version, byte-bounded per frame. Plain
 //!   `std::net::TcpStream`, no async runtime.
-//! * [`proto`] — the five verbs (`submit`, `poll`, `fetch`,
+//! * [`proto`] — the six verbs (`submit`, `poll`, `wait`, `fetch`,
 //!   `cancel`, `stats`), the [`JobSpec`] shard description, and the
-//!   [`WireSolution`] results.
+//!   [`WireSolution`] results. `wait` blocks on the worker until the
+//!   job finishes or a deadline (at most [`MAX_WAIT`]) passes, so
+//!   nobody polls on a timer.
 //! * [`worker`] — a [`WorkerServer`] bridging the verbs onto a
 //!   [`JobService`](hycim_service::JobService) pool, with
 //!   per-connection job disposal (a dropped coordinator never strands
@@ -61,4 +63,4 @@ pub use client::{NetError, WorkerClient};
 pub use coordinator::{shard_replica_column, BackoffConfig, Coordinator, ShardJob, SleepFn};
 pub use frame::{FrameError, MessageReceiver, MessageSender, FRAME_PREFIX};
 pub use proto::{ErrorCode, JobSpec, ProtoError, Request, Response, WireSolution};
-pub use worker::{WorkerConfig, WorkerFault, WorkerHandle, WorkerServer};
+pub use worker::{WorkerConfig, WorkerFault, WorkerHandle, WorkerServer, MAX_WAIT};

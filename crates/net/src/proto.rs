@@ -1,6 +1,6 @@
-//! The protocol messages: five request verbs (`submit`, `poll`,
-//! `fetch`, `cancel`, `stats`), their responses, and the typed
-//! payloads — a [`JobSpec`] describing one shard of solves, the
+//! The protocol messages: six request verbs (`submit`, `poll`,
+//! `wait`, `fetch`, `cancel`, `stats`), their responses, and the
+//! typed payloads — a [`JobSpec`] describing one shard of solves, the
 //! [`WireSolution`]s coming back, and a metrics
 //! [`Snapshot`] for the `stats` scrape.
 //!
@@ -335,7 +335,7 @@ fn snapshot_from_value(v: &Value) -> Result<Snapshot, ProtoError> {
     Ok(snapshot)
 }
 
-/// A request frame: one of the five verbs.
+/// A request frame: one of the six verbs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Submit a shard of solves; answered by
@@ -345,6 +345,17 @@ pub enum Request {
     Poll {
         /// The job id from [`Response::Submitted`].
         job: u64,
+    },
+    /// Block until the job turns terminal, for at most `timeout_ms`
+    /// (the worker clamps it to [`MAX_WAIT`](crate::worker::MAX_WAIT)).
+    /// A terminal job is answered exactly as [`Fetch`](Self::Fetch)
+    /// would answer it, consuming the entry; a job still live when the
+    /// deadline passes is answered by [`Response::Status`].
+    Wait {
+        /// The job id from [`Response::Submitted`].
+        job: u64,
+        /// How long the worker may hold the reply, in milliseconds.
+        timeout_ms: u64,
     },
     /// Take a terminal job's solutions (consumes the entry).
     Fetch {
@@ -374,6 +385,11 @@ impl Request {
                 ("verb", Value::Str("poll".into())),
                 ("job", Value::UInt(*job)),
             ]),
+            Request::Wait { job, timeout_ms } => Value::object(vec![
+                ("verb", Value::Str("wait".into())),
+                ("job", Value::UInt(*job)),
+                ("timeout_ms", Value::UInt(*timeout_ms)),
+            ]),
             Request::Fetch { job } => Value::object(vec![
                 ("verb", Value::Str("fetch".into())),
                 ("job", Value::UInt(*job)),
@@ -396,6 +412,10 @@ impl Request {
             "submit" => Ok(Request::Submit(JobSpec::from_value(field(v, "spec")?)?)),
             "poll" => Ok(Request::Poll {
                 job: u64_field(v, "job")?,
+            }),
+            "wait" => Ok(Request::Wait {
+                job: u64_field(v, "job")?,
+                timeout_ms: u64_field(v, "timeout_ms")?,
             }),
             "fetch" => Ok(Request::Fetch {
                 job: u64_field(v, "job")?,
@@ -630,6 +650,14 @@ mod tests {
         for req in [
             Request::Submit(sample_spec()),
             Request::Poll { job: 0 },
+            Request::Wait {
+                job: 4,
+                timeout_ms: 250,
+            },
+            Request::Wait {
+                job: u64::MAX,
+                timeout_ms: u64::MAX,
+            },
             Request::Fetch { job: u64::MAX },
             Request::Cancel { job: 7 },
             Request::Stats,
@@ -774,6 +802,15 @@ mod tests {
             .unwrap_err()
             .message
             .contains("missing field \"job\""));
+
+        let no_deadline = Value::object(vec![
+            ("verb", Value::Str("wait".into())),
+            ("job", Value::UInt(1)),
+        ]);
+        assert!(Request::from_value(&no_deadline)
+            .unwrap_err()
+            .message
+            .contains("missing field \"timeout_ms\""));
 
         let bad_float = Value::object(vec![
             ("assignment", Value::Str("01".into())),

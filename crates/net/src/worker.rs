@@ -13,12 +13,19 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use hycim_obs::ObsRegistry;
 use hycim_service::{DisposeOutcome, JobId, JobService, ServiceConfig, SubmitError};
 
 use crate::frame::{FrameError, MessageReceiver, MessageSender, DEFAULT_MAX_FRAME};
 use crate::proto::{ErrorCode, JobSpec, Request, Response, WireSolution};
+
+/// The longest a `wait` request may hold its connection: a larger
+/// `timeout_ms` is clamped to this, so no request parks a connection
+/// thread for long. Clients keep their `wait` deadlines below their
+/// read timeouts, so a clamped reply always arrives in time.
+pub const MAX_WAIT: Duration = Duration::from_secs(1);
 
 /// Deliberate misbehavior for the fault-injection tests — compiled in
 /// unconditionally (it is inert unless configured) so the test suite
@@ -337,6 +344,14 @@ fn handle_request(request: Request, shared: &WorkerShared, owned: &mut HashSet<u
                 message: format!("job {job} is not tracked"),
             },
         },
+        Request::Wait { job, timeout_ms } => {
+            let timeout = Duration::from_millis(timeout_ms).min(MAX_WAIT);
+            match shared.service.wait_timeout(JobId::from_raw(job), timeout) {
+                Some(status) if !status.is_terminal() => Response::Status { job, status },
+                // Terminal or untracked: answer exactly as fetch does.
+                _ => fetch(job, shared, owned),
+            }
+        }
         Request::Fetch { job } => fetch(job, shared, owned),
         Request::Cancel { job } => {
             let outcome = shared.service.dispose(JobId::from_raw(job));
@@ -453,5 +468,152 @@ fn fetch(job: u64, shared: &WorkerShared, owned: &mut HashSet<u64>) -> Response 
             code: ErrorCode::Internal,
             message: e.to_string(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    use hycim_cop::maxcut::MaxCut;
+    use hycim_cop::AnyProblem;
+
+    use crate::client::WorkerClient;
+
+    /// A shard that keeps a solve thread busy for a while, so a `wait`
+    /// on it parks its connection.
+    fn slow_spec() -> JobSpec {
+        let problem = AnyProblem::from(MaxCut::random(40, 0.5, 5));
+        JobSpec {
+            family: problem.family_tag().to_string(),
+            problem: problem.to_wire(),
+            engine: "software".to_string(),
+            sweeps: 4000,
+            hardware_seed: 1,
+            record_trace: false,
+            seeds: vec![1, 2, 3],
+        }
+    }
+
+    fn assert_drains(handle: &WorkerHandle) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while handle.live_jobs() > 0 {
+            assert!(Instant::now() < deadline, "worker leaked jobs");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn wait_deadlines_are_clamped_to_max_wait() {
+        let server = WorkerServer::bind("127.0.0.1:0", WorkerConfig::new()).expect("bind");
+        let shared = &server.shared;
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let id = shared
+            .service
+            .submit_with(move || -> Result<Vec<WireSolution>, String> {
+                gate.recv().expect("the test releases the job");
+                Ok(Vec::new())
+            })
+            .expect("queue has room");
+        let job = id.raw();
+        let mut owned = HashSet::from([job]);
+
+        let begun = Instant::now();
+        let reply = handle_request(
+            Request::Wait {
+                job,
+                timeout_ms: u64::MAX,
+            },
+            shared,
+            &mut owned,
+        );
+        let took = begun.elapsed();
+        assert!(
+            matches!(reply, Response::Status { status, .. } if !status.is_terminal()),
+            "{reply:?}"
+        );
+        assert!(took >= MAX_WAIT && took < 3 * MAX_WAIT, "held {took:?}");
+
+        release.send(()).expect("the job is waiting");
+        let reply = handle_request(
+            Request::Wait {
+                job,
+                timeout_ms: u64::MAX,
+            },
+            shared,
+            &mut owned,
+        );
+        assert_eq!(
+            reply,
+            Response::Solutions {
+                job,
+                solutions: Vec::new()
+            }
+        );
+        assert!(owned.is_empty(), "the delivered wait consumed the job");
+    }
+
+    #[test]
+    fn hanging_up_mid_wait_leaks_no_job() {
+        let worker = WorkerServer::bind("127.0.0.1:0", WorkerConfig::new())
+            .expect("bind")
+            .spawn();
+        // A zero deadline answers at once with the live status, and
+        // the hang-up disposes the running job; a long one is still
+        // parked when the peer goes away.
+        for timeout_ms in [0, 1000] {
+            let stream = TcpStream::connect(worker.addr()).expect("connect");
+            let mut receiver =
+                MessageReceiver::new(BufReader::new(stream.try_clone().expect("clone")));
+            let mut sender = MessageSender::new(&stream);
+            sender
+                .send(&Request::Submit(slow_spec()).to_value())
+                .expect("send submit");
+            let frame = receiver.recv().expect("frame").expect("a reply");
+            let Ok(Response::Submitted { job }) = Response::from_value(&frame) else {
+                panic!("expected submitted, got {frame:?}");
+            };
+            sender
+                .send(&Request::Wait { job, timeout_ms }.to_value())
+                .expect("send wait");
+            stream.shutdown(Shutdown::Both).expect("hang up");
+            assert_drains(&worker);
+        }
+        worker.stop();
+    }
+
+    #[test]
+    fn stop_returns_while_a_connection_is_parked_in_wait() {
+        let server = WorkerServer::bind("127.0.0.1:0", WorkerConfig::new()).expect("bind");
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let id = server
+            .shared
+            .service
+            .submit_with(move || -> Result<Vec<WireSolution>, String> {
+                let _ = gate.recv();
+                Ok(Vec::new())
+            })
+            .expect("queue has room");
+        let frames_in = server.shared.obs.counter("net.frames_in");
+        let worker = server.spawn();
+        let mut client = WorkerClient::connect(worker.addr()).expect("connect");
+        let waiter = std::thread::spawn(move || client.wait(id.raw(), MAX_WAIT));
+        // The wait frame has arrived: its connection thread is parked
+        // on a job that cannot finish.
+        while frames_in.get() == 0 {
+            std::thread::yield_now();
+        }
+
+        let begun = Instant::now();
+        worker.stop();
+        assert!(
+            begun.elapsed() < MAX_WAIT / 2,
+            "stop took {:?}",
+            begun.elapsed()
+        );
+        // The severed connection fails the waiter instead of holding it.
+        assert!(waiter.join().expect("waiter thread").is_err());
+        drop(release);
     }
 }

@@ -1,7 +1,10 @@
 //! Protocol laws, property-tested: `decode(encode(m)) == m` for every
-//! verb, every reply, and every problem family — over the full frame
-//! stack (JSON encode → line frame → bounded read → JSON parse) — and
-//! line-numbered decode errors on trailing garbage.
+//! verb, every reply, every problem family, and every string — over
+//! the full frame stack (JSON encode → line frame → bounded read →
+//! JSON parse) — and line-numbered decode errors on trailing garbage.
+//! Plus the `wait` verb's laws against a live worker: a malformed
+//! `wait` is a typed error on a stream that stays synchronized, and a
+//! delivered `wait` consumes the job.
 
 use hycim_cop::binpack::BinPacking;
 use hycim_cop::coloring::GraphColoring;
@@ -13,7 +16,10 @@ use hycim_cop::spinglass::SpinGlass;
 use hycim_cop::tsp::Tsp;
 use hycim_cop::{AnyProblem, CopError};
 use hycim_net::json::Value;
-use hycim_net::{JobSpec, MessageReceiver, MessageSender, Request, Response, WireSolution};
+use hycim_net::{
+    ErrorCode, JobSpec, MessageReceiver, MessageSender, NetError, Request, Response, WireSolution,
+    WorkerClient, WorkerConfig, WorkerServer,
+};
 use hycim_service::{DisposeOutcome, JobStatus};
 use proptest::prelude::*;
 
@@ -66,8 +72,36 @@ fn arb_solution() -> impl Strategy<Value = WireSolution> {
         )
 }
 
+/// Maps one draw onto a character class the JSON writer treats
+/// differently: printable ASCII, control characters, the escaped
+/// punctuation, and two-, three- and four-byte UTF-8.
+fn pick_char(code: u32) -> char {
+    let n = code / 6;
+    let scalar = match code % 6 {
+        0 => 0x20 + n % 0x5f,
+        1 => n % 0x20,
+        2 => [u32::from('"'), u32::from('\\'), u32::from('/')][(n % 3) as usize],
+        3 => 0x80 + n % (0x800 - 0x80),
+        4 => 0x800 + n % (0x1_0000 - 0x800),
+        _ => 0x1_0000 + n % (0x11_0000 - 0x1_0000),
+    };
+    // Surrogates are the only unrepresentable draws.
+    char::from_u32(scalar).unwrap_or('\u{fffd}')
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `parse ∘ encode = id` on arbitrary strings, with multi-byte
+    /// UTF-8 next to escapes and control characters, bare and through
+    /// the frame stack.
+    #[test]
+    fn strings_round_trip(codes in proptest::collection::vec(any::<u32>(), 0..64)) {
+        let value = Value::Str(codes.into_iter().map(pick_char).collect());
+        let text = value.encode();
+        prop_assert_eq!(Value::parse(&text).expect("encoded strings parse"), value.clone());
+        prop_assert_eq!(round_trip(&value), value);
+    }
 
     /// Submit round-trips for every problem family, with the instance
     /// reconstructing to its exact canonical form.
@@ -102,9 +136,10 @@ proptest! {
 
     /// The id-carrying verbs round-trip for any id.
     #[test]
-    fn id_verbs_round_trip(job in any::<u64>()) {
+    fn id_verbs_round_trip(job in any::<u64>(), timeout_ms in any::<u64>()) {
         for request in [
             Request::Poll { job },
+            Request::Wait { job, timeout_ms },
             Request::Fetch { job },
             Request::Cancel { job },
         ] {
@@ -206,4 +241,93 @@ proptest! {
             other => prop_assert!(false, "expected a Json frame error, got {other:?}"),
         }
     }
+}
+
+fn wait_test_spec() -> JobSpec {
+    let problem = AnyProblem::from(MaxCut::random(8, 0.5, 3));
+    JobSpec {
+        family: problem.family_tag().to_string(),
+        problem: problem.to_wire(),
+        engine: "software".to_string(),
+        sweeps: 20,
+        hardware_seed: 1,
+        record_trace: false,
+        seeds: vec![1, 2],
+    }
+}
+
+fn expect_remote(result: Result<Option<Vec<WireSolution>>, NetError>, want: ErrorCode) {
+    match result {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, want),
+        other => panic!("expected a remote {want} error, got {other:?}"),
+    }
+}
+
+#[test]
+fn wait_without_a_deadline_is_a_bad_request_on_a_synchronized_stream() {
+    let worker = WorkerServer::bind("127.0.0.1:0", WorkerConfig::new())
+        .expect("bind loopback")
+        .spawn();
+    let stream = std::net::TcpStream::connect(worker.addr()).expect("connect");
+    let mut receiver = MessageReceiver::new(std::io::BufReader::new(
+        stream.try_clone().expect("clone for reading"),
+    ));
+    let mut sender = MessageSender::new(&stream);
+    let mut reply = |value: &Value| {
+        sender.send(value).expect("send");
+        let frame = receiver.recv().expect("frame").expect("a reply");
+        Response::from_value(&frame).expect("worker speaks the protocol")
+    };
+
+    let no_deadline = Value::object(vec![
+        ("verb", Value::Str("wait".into())),
+        ("job", Value::UInt(0)),
+    ]);
+    match reply(&no_deadline) {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("timeout_ms"), "{message}");
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    // Still synchronized: the next frame gets its own answer.
+    let well_formed = Request::Wait {
+        job: 0,
+        timeout_ms: 0,
+    };
+    match reply(&well_formed.to_value()) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownJob),
+        other => panic!("expected unknown_job, got {other:?}"),
+    }
+    worker.stop();
+}
+
+#[test]
+fn wait_on_unknown_or_consumed_jobs_is_unknown_job() {
+    let worker = WorkerServer::bind("127.0.0.1:0", WorkerConfig::new())
+        .expect("bind loopback")
+        .spawn();
+    let mut client = WorkerClient::connect(worker.addr()).expect("connect");
+    expect_remote(
+        client.wait(12_345, std::time::Duration::from_millis(5)),
+        ErrorCode::UnknownJob,
+    );
+
+    let job = client.submit(&wait_test_spec()).expect("submit");
+    let delivered = loop {
+        if let Some(solutions) = client
+            .wait(job, std::time::Duration::from_secs(1))
+            .expect("wait")
+        {
+            break solutions;
+        }
+    };
+    assert_eq!(delivered.len(), 2);
+    // The delivered wait consumed the entry.
+    expect_remote(
+        client.wait(job, std::time::Duration::from_secs(1)),
+        ErrorCode::UnknownJob,
+    );
+    assert_eq!(worker.live_jobs(), 0);
+    worker.stop();
 }

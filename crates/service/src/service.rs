@@ -7,7 +7,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hycim_cop::CopProblem;
 use hycim_core::{default_threads, replica_seed, Engine};
@@ -168,7 +168,8 @@ struct Shared {
     state: Mutex<State>,
     /// Wakes workers when a job is queued or shutdown begins.
     work_cv: Condvar,
-    /// Wakes [`JobService::wait`] callers when any job turns terminal.
+    /// Wakes [`JobService::wait`] and [`JobService::wait_timeout`]
+    /// callers when any job turns terminal.
     done_cv: Condvar,
     queue_capacity: usize,
     metrics: ServiceMetrics,
@@ -409,15 +410,36 @@ impl JobService {
     /// (`None` when the id is unknown or already fetched — possibly
     /// by a concurrent fetcher while waiting).
     pub fn wait(&self, id: JobId) -> Option<JobStatus> {
+        self.wait_timeout(id, Duration::MAX)
+    }
+
+    /// [`wait`](Self::wait) with a deadline: returns the terminal
+    /// status as soon as the job reaches it, or the job's current
+    /// (non-terminal) status once `timeout` has passed. `None` when
+    /// the id is unknown or already fetched. A `timeout` too large to
+    /// form a deadline (such as [`Duration::MAX`]) waits without one.
+    pub fn wait_timeout(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
+        let deadline = Instant::now().checked_add(timeout);
         let mut state = self.shared.state.lock().expect("service state lock");
         loop {
-            match state.jobs.get(&id.0) {
-                None => return None,
-                Some(entry) if entry.status.is_terminal() => return Some(entry.status),
-                Some(_) => {
-                    state = self.shared.done_cv.wait(state).expect("service state lock");
-                }
+            let status = state.jobs.get(&id.0)?.status;
+            if status.is_terminal() {
+                return Some(status);
             }
+            state = match deadline {
+                None => self.shared.done_cv.wait(state).expect("service state lock"),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Some(status);
+                    }
+                    self.shared
+                        .done_cv
+                        .wait_timeout(state, left)
+                        .expect("service state lock")
+                        .0
+                }
+            };
         }
     }
 
@@ -851,6 +873,58 @@ mod tests {
             .solutions
             .iter()
             .all(|s| s.objective >= best.objective || !s.feasible));
+    }
+
+    #[test]
+    fn wait_timeout_returns_the_live_status_at_the_deadline_and_early_on_completion() {
+        let service = JobService::start(ServiceConfig::new().with_workers(1));
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let running = service
+            .submit_with(move || {
+                started_tx.send(()).expect("test is listening");
+                gate.recv().expect("test releases the job");
+                7u32
+            })
+            .unwrap();
+        let queued = service.submit_with(|| 8u32).unwrap();
+        started.recv().expect("the job starts");
+
+        // The deadline passes with both jobs still live: each wait
+        // hands back the job's current status.
+        let timeout = Duration::from_millis(20);
+        let begun = Instant::now();
+        assert_eq!(
+            service.wait_timeout(running, timeout),
+            Some(JobStatus::Running)
+        );
+        assert!(begun.elapsed() >= timeout, "returned before the deadline");
+        assert_eq!(
+            service.wait_timeout(queued, Duration::ZERO),
+            Some(JobStatus::Queued)
+        );
+
+        // Completion wakes a waiter long before its deadline.
+        let releaser = std::thread::spawn(move || release.send(()).expect("job is waiting"));
+        let begun = Instant::now();
+        assert_eq!(
+            service.wait_timeout(running, Duration::from_secs(600)),
+            Some(JobStatus::Done)
+        );
+        assert!(begun.elapsed() < Duration::from_secs(60));
+        releaser.join().expect("releaser thread");
+        assert_eq!(
+            service.wait_timeout(queued, Duration::MAX),
+            Some(JobStatus::Done)
+        );
+
+        // Unknown and already-fetched ids have no status.
+        assert_eq!(service.fetch_value::<u32>(running).unwrap(), 7);
+        assert_eq!(service.wait_timeout(running, Duration::from_secs(1)), None);
+        assert_eq!(
+            service.wait_timeout(JobId::from_raw(999), Duration::from_secs(1)),
+            None
+        );
     }
 
     #[test]

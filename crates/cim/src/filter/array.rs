@@ -39,15 +39,87 @@ pub struct FilterArray {
     weights: Vec<u64>,
     rows: usize,
     staircase: StaircasePulse,
-    ml_config: MatchlineConfig,
     fidelity: Fidelity,
-    variation: VariationModel,
+    /// The constants of a fast-path read.
+    fast: ArrayRead,
+}
+
+/// What a fast-path read of a [`FilterArray`] needs, and nothing of its
+/// cells: the aggregate drop and √load-scaled noise of
+/// [`Fidelity::Fast`]. An [`InequalityFilter`]'s [`FilterRead`] carries
+/// one per array, so it outlives the cells.
+///
+/// [`InequalityFilter`]: crate::filter::InequalityFilter
+/// [`FilterRead`]: crate::filter::FilterRead
+#[derive(Debug, Clone)]
+pub(super) struct ArrayRead {
+    ml_config: MatchlineConfig,
     /// Fraction of the nominal clamp current an ON cell actually
     /// conducts: the 1FeFET1R series blend gives
     /// `I = I_clamp · I_on / (I_on + I_clamp)`, ≈ 0.98 at the paper's
     /// operating point. The fast path scales its unit drops by this so
     /// both fidelities share the same mean ML.
     effective_unit_fraction: f64,
+    /// Relative per-read current noise of one cell-phase: the temporal
+    /// share ([`FilterArray::TEMPORAL_NOISE_FRACTION`]) of the cell
+    /// current spread.
+    temporal_sigma: f64,
+}
+
+impl ArrayRead {
+    /// Fast-path evaluation from a precomputed load (used by the SA
+    /// loop, where the load is tracked incrementally in O(1)). `z` is
+    /// the read's standard-normal noise sample, drawn by the caller
+    /// exactly when the load is positive and the array has current
+    /// variability (it has no effect otherwise).
+    pub(super) fn evaluate_fast(&self, load_units: u64, z: f64) -> f64 {
+        let mut ml = self.discharged(load_units);
+        let sigma_units = self.read_noise_units(load_units);
+        if sigma_units > 0.0 {
+            let noise_units = z * sigma_units;
+            if noise_units > 0.0 {
+                ml.discharge_units(noise_units);
+                return ml.voltage();
+            }
+            // Negative noise: less discharge → add voltage back
+            // (bounded by VDD).
+            let v = ml.voltage() - noise_units * ml.config().unit_drop();
+            return v.min(self.ml_config.vdd);
+        }
+        ml.voltage()
+    }
+
+    /// The noise-free part of a fast-path read: the matchline after
+    /// the aggregate drop of `load_units` at the effective
+    /// (series-blended) cell current.
+    pub(super) fn discharged(&self, load_units: u64) -> Matchline {
+        let mut ml = Matchline::precharged(self.matchline_config());
+        ml.discharge_units(load_units as f64 * self.effective_unit_fraction);
+        ml
+    }
+
+    /// Whether a fast-path read at `load_units` carries noise, and so
+    /// takes one standard-normal sample.
+    pub(super) fn draws_noise(&self, load_units: u64) -> bool {
+        self.temporal_sigma > 0.0 && load_units > 0
+    }
+
+    /// σ, in weight units, of a fast-path read's noise: each of the
+    /// `load` conducting cell-phases carries temporal current noise,
+    /// so the summed charge noise scales with √load. Zero exactly when
+    /// the read draws no noise sample.
+    pub(super) fn read_noise_units(&self, load_units: u64) -> f64 {
+        if self.draws_noise(load_units) {
+            self.temporal_sigma * (load_units as f64).sqrt()
+        } else {
+            0.0
+        }
+    }
+
+    /// The matchline configuration the read discharges.
+    pub(super) fn matchline_config(&self) -> &MatchlineConfig {
+        &self.ml_config
+    }
 }
 
 /// Shared construction parameters for filter arrays (re-exported from
@@ -118,16 +190,18 @@ impl FilterArray {
             cells.push(column);
         }
         let i_on = params.spec.i_on();
-        let effective_unit_fraction = i_on / (i_on + params.ml_config.cell_current);
         Ok(Self {
             cells,
             weights: weights.to_vec(),
             rows: params.rows,
             staircase: StaircasePulse::for_spec(params.spec, params.phase_time_ns),
-            ml_config: params.ml_config.clone(),
             fidelity: params.fidelity,
-            variation: params.variation.clone(),
-            effective_unit_fraction,
+            fast: ArrayRead {
+                ml_config: params.ml_config.clone(),
+                effective_unit_fraction: i_on / (i_on + params.ml_config.cell_current),
+                temporal_sigma: params.variation.current_sigma_rel()
+                    * Self::TEMPORAL_NOISE_FRACTION,
+            },
         })
     }
 
@@ -175,19 +249,19 @@ impl FilterArray {
             Fidelity::DeviceAccurate => self.evaluate_device(x, rng),
             Fidelity::Fast => {
                 let load = self.selected_units(x);
-                let z = if self.draws_noise(load) {
+                let z = if self.fast.draws_noise(load) {
                     gaussian(rng)
                 } else {
                     0.0
                 };
-                self.evaluate_fast(load, z)
+                self.fast.evaluate_fast(load, z)
             }
         }
     }
 
     fn evaluate_device<R: Rng + ?Sized>(&self, x: &Assignment, rng: &mut R) -> f64 {
         assert_eq!(x.len(), self.num_columns(), "input length mismatch");
-        let mut ml = Matchline::precharged(&self.ml_config);
+        let mut ml = Matchline::precharged(self.matchline_config());
         for (_, v) in self.staircase.iter() {
             let mut i_total = 0.0;
             for (col, column) in self.cells.iter().enumerate() {
@@ -211,58 +285,9 @@ impl FilterArray {
     /// clean even at loads of thousands of units.
     pub const TEMPORAL_NOISE_FRACTION: f64 = 0.1;
 
-    /// Fast-path evaluation from a precomputed load (used by the SA
-    /// loop, where the load is tracked incrementally in O(1)). `z` is
-    /// the read's standard-normal noise sample, drawn by the caller
-    /// exactly when the load is positive and the array has current
-    /// variability (it has no effect otherwise).
-    pub fn evaluate_fast(&self, load_units: u64, z: f64) -> f64 {
-        let mut ml = self.discharged(load_units);
-        let sigma_units = self.read_noise_units(load_units);
-        if sigma_units > 0.0 {
-            let noise_units = z * sigma_units;
-            if noise_units > 0.0 {
-                ml.discharge_units(noise_units);
-                return ml.voltage();
-            }
-            // Negative noise: less discharge → add voltage back
-            // (bounded by VDD).
-            let v = ml.voltage() - noise_units * ml.config().unit_drop();
-            return v.min(self.ml_config.vdd);
-        }
-        ml.voltage()
-    }
-
-    /// The noise-free part of a fast-path read: the matchline after
-    /// the aggregate drop of `load_units` at the effective
-    /// (series-blended) cell current.
-    pub(crate) fn discharged(&self, load_units: u64) -> Matchline {
-        let mut ml = Matchline::precharged(&self.ml_config);
-        ml.discharge_units(load_units as f64 * self.effective_unit_fraction);
-        ml
-    }
-
-    /// Whether a fast-path read at `load_units` carries noise, and so
-    /// takes one standard-normal sample.
-    pub(crate) fn draws_noise(&self, load_units: u64) -> bool {
-        self.temporal_sigma() > 0.0 && load_units > 0
-    }
-
-    /// σ, in weight units, of a fast-path read's noise: each of the
-    /// `load` conducting cell-phases carries temporal current noise,
-    /// so the summed charge noise scales with √load. Zero exactly when
-    /// the read draws no noise sample.
-    pub(crate) fn read_noise_units(&self, load_units: u64) -> f64 {
-        if self.draws_noise(load_units) {
-            self.temporal_sigma() * (load_units as f64).sqrt()
-        } else {
-            0.0
-        }
-    }
-
-    /// Relative per-read current noise of one cell-phase.
-    fn temporal_sigma(&self) -> f64 {
-        self.variation.current_sigma_rel() * Self::TEMPORAL_NOISE_FRACTION
+    /// The constants of a fast-path read, which outlive the cells.
+    pub(super) fn fast_read(&self) -> &ArrayRead {
+        &self.fast
     }
 
     /// The staircase pulse used for evaluation.
@@ -272,7 +297,7 @@ impl FilterArray {
 
     /// The matchline configuration in use.
     pub fn matchline_config(&self) -> &MatchlineConfig {
-        &self.ml_config
+        self.fast.matchline_config()
     }
 
     /// Per-phase ML voltage trace of a device-accurate evaluation —
@@ -286,7 +311,7 @@ impl FilterArray {
     /// Panics if `x.len() != self.num_columns()`.
     pub fn waveform<R: Rng + ?Sized>(&self, x: &Assignment, rng: &mut R) -> Vec<f64> {
         assert_eq!(x.len(), self.num_columns(), "input length mismatch");
-        let mut ml = Matchline::precharged(&self.ml_config);
+        let mut ml = Matchline::precharged(self.matchline_config());
         let mut trace = vec![ml.voltage()];
         for (_, v) in self.staircase.iter() {
             let mut i_total = 0.0;

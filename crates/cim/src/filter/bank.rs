@@ -3,7 +3,7 @@ use std::fmt;
 use hycim_qubo::{Assignment, LinearConstraint};
 use rand::Rng;
 
-use crate::filter::{FilterConfig, FilterDecision, InequalityFilter, Read};
+use crate::filter::{FilterConfig, FilterDecision, FilterRead, InequalityFilter};
 use crate::CimError;
 
 /// A bank of inequality filters evaluating several constraints in
@@ -194,46 +194,26 @@ impl FilterBank {
     }
 
     /// The aggregate verdict of [`classify_loads`](Self::classify_loads)
-    /// without materializing the per-filter decisions: the SA hot
-    /// loop's allocation-free fast path, leaving `rng` exactly where
-    /// `classify_loads` leaves it.
-    ///
-    /// Every filter draws its samples, in filter order, as
-    /// [`InequalityFilter::admits_load`] would. A read those draws
-    /// cannot settle is settled only after every later filter has drawn
-    /// and none of the bank's reads is a veto, certain or settled: a
-    /// bank with any certain veto returns `false` without computing a
-    /// single noise sample.
+    /// without materializing the per-filter decisions, leaving `rng`
+    /// exactly where `classify_loads` leaves it: the bank read of
+    /// [`FilterRead::admits_all`], which a programmed chip runs over
+    /// its filters' read models.
     ///
     /// # Panics
     ///
     /// Panics if `loads.len() != self.len()`.
     pub fn admits<R: Rng + ?Sized>(&self, loads: &[u64], rng: &mut R) -> bool {
-        assert_eq!(loads.len(), self.len(), "one load per constraint");
-        admits_from(&self.filters, loads, false, rng)
+        FilterRead::admits_all(&self.filters, loads, rng)
     }
-}
 
-/// Reads `filters` in order and returns the bank verdict, `vetoed`
-/// covering the reads before them. A read its draws cannot settle waits
-/// in its own frame while the rest of the bank draws (recursively), and
-/// is settled only if no read vetoes.
-fn admits_from<R: Rng + ?Sized>(
-    filters: &[InequalityFilter],
-    loads: &[u64],
-    mut vetoed: bool,
-    rng: &mut R,
-) -> bool {
-    for (k, (filter, &load)) in filters.iter().zip(loads).enumerate() {
-        match filter.read(load, rng) {
-            Read::Certain(admitted) => vetoed |= !admitted,
-            Read::Band(draws) => {
-                return admits_from(&filters[k + 1..], &loads[k + 1..], vetoed, rng)
-                    && filter.settle(load, draws).is_feasible();
-            }
-        }
+    /// The filters' read models, in constraint order, dropping every
+    /// array's cells — what a programmed chip keeps of the bank.
+    pub fn into_read_models(self) -> Vec<FilterRead> {
+        self.filters
+            .into_iter()
+            .map(InequalityFilter::into_read_model)
+            .collect()
     }
-    !vetoed
 }
 
 impl fmt::Display for FilterBank {
@@ -359,17 +339,20 @@ mod tests {
         }
     }
 
-    /// `admits` returns the `classify_loads` verdict and leaves the RNG
-    /// stream where `classify_loads` leaves it: over every load in
-    /// `0..=Σw` of each filter, and at every load within ±8 units of
-    /// each capacity (with the other filters empty, at capacity, or
-    /// full). The two streams run in lockstep over the whole sweep, so
-    /// a single skipped or extra draw shows up at the next comparison.
-    /// Each filter's `admits_load` is held to `classify_load` the same
-    /// way at load 0 and on both sides of its two load thresholds, and
-    /// the thresholds are checked against the conditions they stand
-    /// for at every load. Checked on a seeded stream and on
-    /// [`ExtremeDraws`].
+    /// `admits`, and `FilterRead::admits_all` over the bank's cell-free
+    /// read models, return the `classify_loads` verdict and leave the
+    /// RNG stream where `classify_loads` leaves it: over every load in
+    /// `0..=Σw` of each filter, with each filter in turn at every load
+    /// in `0..=Σw+1` (the others empty or at capacity), and at every
+    /// load within ±8 units of each capacity (the others empty, at
+    /// capacity, or full). The three streams run in lockstep over the
+    /// whole sweep,
+    /// so a single skipped or extra draw shows up at the next
+    /// comparison. Each read model's `admits_load` is held to its
+    /// filter's `classify_load` the same way at load 0 and on both
+    /// sides of its two load thresholds, and the thresholds are checked
+    /// against the conditions they stand for at every load. Checked on
+    /// a seeded stream and on [`ExtremeDraws`].
     fn check_admits_law(config: &FilterConfig, seed: u64) {
         check_thresholds(config, seed);
         let stream = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -388,7 +371,7 @@ mod tests {
     fn check_thresholds(config: &FilterConfig, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let bank = FilterBank::build(&law_constraints(), config, &mut rng).unwrap();
-        for f in bank.filters() {
+        for f in bank.into_read_models() {
             let extreme = [hycim_fefet::GAUSSIAN_MAX; 3];
             let widest = f.shift(f.max_load, extreme);
             for load in 0..=f.max_load {
@@ -396,16 +379,16 @@ mod tests {
                 assert_eq!(
                     load < f.admit_upto,
                     d > f.shift(load, extreme),
-                    "{f} at {load}"
+                    "{f:?} at {load}"
                 );
-                assert_eq!(load >= f.veto_from, -d > widest, "{f} at {load}");
+                assert_eq!(load >= f.veto_from, -d > widest, "{f:?} at {load}");
             }
         }
     }
 
     /// The loads at which a filter's read path changes: load 0 (no
     /// working draw) and both sides of each threshold, within `0..=Σw`.
-    fn threshold_loads(f: &InequalityFilter) -> Vec<u64> {
+    fn threshold_loads(f: &FilterRead) -> Vec<u64> {
         [
             0,
             f.admit_upto,
@@ -426,6 +409,16 @@ mod tests {
         let mut cases: Vec<Vec<u64>> = (0..=*totals.iter().max().unwrap())
             .map(|l| totals.iter().map(|&t| l.min(t)).collect())
             .collect();
+        for (f, &total) in totals.iter().enumerate() {
+            for others in [0, 1] {
+                for load in 0..=total + 1 {
+                    let mut loads: Vec<u64> =
+                        cs.iter().map(|c| [0, c.capacity()][others]).collect();
+                    loads[f] = load;
+                    cases.push(loads);
+                }
+            }
+        }
         for (f, c) in cs.iter().enumerate() {
             let near = c.capacity().saturating_sub(8)..=(c.capacity() + 8).min(totals[f]);
             for load in near {
@@ -440,31 +433,45 @@ mod tests {
                 }
             }
         }
+        let reads = bank.clone().into_read_models();
         let mut verdicts = stream.clone();
+        let mut models = stream.clone();
         let mut decisions = stream;
         for loads in &cases {
+            let decision = bank.classify_loads(loads, &mut decisions).is_feasible();
             assert_eq!(
                 bank.admits(loads, &mut verdicts),
-                bank.classify_loads(loads, &mut decisions).is_feasible(),
+                decision,
                 "verdicts differ at loads {loads:?}"
             );
             assert_eq!(
+                FilterRead::admits_all(&reads, loads, &mut models),
+                decision,
+                "read-model verdicts differ at loads {loads:?}"
+            );
+            let next = decisions.next_u64();
+            assert_eq!(
                 verdicts.next_u64(),
-                decisions.next_u64(),
+                next,
                 "RNG streams diverged after loads {loads:?}"
             );
+            assert_eq!(
+                models.next_u64(),
+                next,
+                "read-model RNG stream diverged after loads {loads:?}"
+            );
         }
-        for f in bank.filters() {
+        for (f, filter) in reads.iter().zip(bank.filters()) {
             for load in threshold_loads(f) {
                 assert_eq!(
                     f.admits_load(load, &mut verdicts),
-                    f.classify_load(load, &mut decisions).is_feasible(),
-                    "{f}: verdicts differ at load {load}"
+                    filter.classify_load(load, &mut decisions).is_feasible(),
+                    "{f:?}: verdicts differ at load {load}"
                 );
                 assert_eq!(
                     verdicts.next_u64(),
                     decisions.next_u64(),
-                    "{f}: RNG streams diverged after load {load}"
+                    "{f:?}: RNG streams diverged after load {load}"
                 );
             }
         }
@@ -473,18 +480,21 @@ mod tests {
     /// A bank read with one filter certainly vetoing and another in its
     /// band (drawing, possibly settling) returns the `classify_loads`
     /// verdict and leaves the stream where `classify_loads` does, with
-    /// the veto before or after the band read.
+    /// the veto before or after the band read — through the bank and
+    /// through its read models.
     fn check_veto_short_circuit<R: RngCore + Clone>(config: &FilterConfig, stream: R) {
         let cs = law_constraints();
         let bank = FilterBank::build(&cs, config, &mut StdRng::seed_from_u64(9)).unwrap();
+        let reads = bank.clone().into_read_models();
         let mut verdicts = stream.clone();
+        let mut models = stream.clone();
         let mut decisions = stream;
         let mut cases = 0;
-        for (v, vetoing) in bank.filters().iter().enumerate() {
+        for (v, vetoing) in reads.iter().enumerate() {
             if vetoing.veto_from > vetoing.max_load {
                 continue;
             }
-            for (b, banded) in bank.filters().iter().enumerate() {
+            for (b, banded) in reads.iter().enumerate() {
                 if b == v {
                     continue;
                 }
@@ -493,8 +503,11 @@ mod tests {
                     loads[v] = vetoing.max_load;
                     loads[b] = load;
                     assert!(!bank.admits(&loads, &mut verdicts), "loads {loads:?}");
+                    assert!(!FilterRead::admits_all(&reads, &loads, &mut models));
                     assert!(!bank.classify_loads(&loads, &mut decisions).is_feasible());
-                    assert_eq!(verdicts.next_u64(), decisions.next_u64(), "loads {loads:?}");
+                    let next = decisions.next_u64();
+                    assert_eq!(verdicts.next_u64(), next, "loads {loads:?}");
+                    assert_eq!(models.next_u64(), next, "loads {loads:?}");
                     cases += 1;
                 }
             }
@@ -525,6 +538,13 @@ mod tests {
     fn admits_equals_classify_loads_under_paper_noise() {
         for seed in 0..3 {
             check_admits_law(&FilterConfig::paper(), seed);
+        }
+    }
+
+    #[test]
+    fn admits_equals_classify_loads_under_ten_times_paper_noise() {
+        for seed in 0..3 {
+            check_admits_law(&crate::filter::tests::scaled_noise(10.0), seed);
         }
     }
 

@@ -13,12 +13,11 @@ mod array;
 mod bank;
 mod cell;
 mod comparator;
+mod read;
 
 use std::fmt;
 
-use hycim_fefet::{
-    gaussian, skip_gaussian, GaussianDraw, MultiLevelSpec, VariationModel, GAUSSIAN_MAX,
-};
+use hycim_fefet::{gaussian, MultiLevelSpec, VariationModel};
 use hycim_qubo::Assignment;
 use rand::Rng;
 
@@ -26,6 +25,7 @@ pub use array::{decompose_weight, FilterArray};
 pub use bank::{BankDecision, FilterBank};
 pub use cell::FilterCell;
 pub use comparator::{ComparatorConfig, VoltageComparator};
+pub use read::FilterRead;
 
 use crate::{CimError, Fidelity, MatchlineConfig};
 
@@ -138,46 +138,16 @@ impl FilterDecision {
 
 /// The complete inequality filter: working array + replica array +
 /// comparator (paper Fig. 5(b)).
+///
+/// The arrays keep their cells for the device-accurate
+/// [`classify`](Self::classify), waveforms and the validation figures;
+/// the fast path reads the cell-free [`FilterRead`] it holds, which
+/// [`into_read_model`](Self::into_read_model) keeps alone.
 #[derive(Debug, Clone)]
 pub struct InequalityFilter {
     working: FilterArray,
     replica: FilterArray,
-    comparator: VoltageComparator,
-    capacity: u64,
-    /// Built-in feasibility bias (V): the comparator latch is skewed by
-    /// half a weight unit so the exact-boundary case `Σwᵢxᵢ = C`
-    /// (which the paper's Fig. 5(f) counts as feasible, `9 ≤ 9`)
-    /// resolves feasible; the decision threshold then sits midway
-    /// between loads `C` and `C+1`.
-    decision_margin: f64,
-    // Per-filter constants of `admits_load`, fixed at build.
-    /// Noise-free replica ML at `C` plus the comparator offset (V).
-    replica_threshold: f64,
-    /// Working-array ML drop per weight unit (V).
-    working_unit_drop: f64,
-    /// σ, in weight units, of the replica read at `C`.
-    replica_sigma: f64,
-    /// `replica_sigma` times the replica ML drop per weight unit (V).
-    replica_spread: f64,
-    /// Loads below this are admitted whatever the noise draws.
-    admit_upto: u64,
-    /// Loads from this up to `max_load` are vetoed whatever the noise
-    /// draws.
-    veto_from: u64,
-    /// The working array's full load `Σwᵢ`.
-    max_load: u64,
-}
-
-/// The noise samples of one fast-path read, in draw order — working
-/// ML, replica ML, comparator — with `None` where the read draws none.
-type ReadDraws = [Option<GaussianDraw>; 3];
-
-/// What the draws of one fast-path read settle.
-enum Read {
-    /// No sample can flip the verdict: the noise-free one stands.
-    Certain(bool),
-    /// The verdict needs the samples' values.
-    Band(ReadDraws),
+    read: FilterRead,
 }
 
 impl InequalityFilter {
@@ -215,45 +185,23 @@ impl InequalityFilter {
         let replica_weights = spread_capacity(capacity, n, config.max_item_weight());
         let replica = FilterArray::program(&replica_weights, config, rng)?;
         let comparator = VoltageComparator::sample(&config.comparator, rng);
-        let decision_margin = 0.5 * config.matchline.unit_drop();
-        let replica_threshold = replica.discharged(capacity).voltage() + comparator.offset();
-        let working_unit_drop = working.matchline_config().unit_drop();
-        let replica_sigma = replica.read_noise_units(capacity);
-        let replica_spread = replica_sigma * replica.matchline_config().unit_drop();
-        let max_load = weights.iter().sum();
-        let mut filter = Self {
-            working,
-            replica,
+        let read = FilterRead::new(
+            working.fast_read(),
+            replica.fast_read(),
             comparator,
             capacity,
-            decision_margin,
-            replica_threshold,
-            working_unit_drop,
-            replica_sigma,
-            replica_spread,
-            admit_upto: 0,
-            veto_from: max_load + 1,
-            max_load,
-        };
-        // `distance` does not increase with the load (the working ML
-        // only discharges further) and the largest shift any draws can
-        // cause does not decrease (σ_w grows as √load), in exact and in
-        // rounded arithmetic alike, since every step is monotone. So
-        // the loads whose distance beats that shift form a prefix; the
-        // loads whose distance falls below minus the shift at the full
-        // load form a suffix of `0..=Σw`.
-        let extreme = [GAUSSIAN_MAX; 3];
-        let widest = filter.shift(max_load, extreme);
-        filter.admit_upto = first_failing(max_load + 1, |l| {
-            filter.distance(l) > filter.shift(l, extreme)
-        });
-        filter.veto_from = first_failing(max_load + 1, |l| -filter.distance(l) <= widest);
-        Ok(filter)
+            weights.iter().sum(),
+        );
+        Ok(Self {
+            working,
+            replica,
+            read,
+        })
     }
 
     /// The encoded capacity `C`.
     pub fn capacity(&self) -> u64 {
-        self.capacity
+        self.read.capacity()
     }
 
     /// The working array.
@@ -268,7 +216,13 @@ impl InequalityFilter {
 
     /// The comparator instance.
     pub fn comparator(&self) -> &VoltageComparator {
-        &self.comparator
+        self.read.comparator()
+    }
+
+    /// The fast-path read model alone, dropping both arrays' cells — a
+    /// programmed chip keeps only this.
+    pub fn into_read_model(self) -> FilterRead {
+        self.read
     }
 
     /// Evaluates one input configuration: precharge, 4-phase staircase
@@ -282,141 +236,26 @@ impl InequalityFilter {
         let replica_ml = self
             .replica
             .evaluate(&Assignment::ones_vec(self.replica.num_columns()), rng);
-        let z = if self.comparator.noise_sigma() > 0.0 {
+        let z = if self.comparator().noise_sigma() > 0.0 {
             gaussian(rng)
         } else {
             0.0
         };
-        let feasible = self
-            .comparator
-            .at_least(ml + self.decision_margin, replica_ml, z);
-        FilterDecision {
-            feasible,
-            ml,
-            replica_ml,
-        }
+        self.read.decide(ml, replica_ml, z)
     }
 
     /// Fast-path classification from a precomputed load (the SA loop
-    /// tracks `Σwᵢxᵢ` incrementally in O(1) per flip).
+    /// tracks `Σwᵢxᵢ` incrementally in O(1) per flip); see
+    /// [`FilterRead::classify_load`].
     pub fn classify_load<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> FilterDecision {
-        let draws = self.draw(load, rng);
-        self.settle(load, draws)
+        self.read.classify_load(load, rng)
     }
-
-    /// The verdict of [`classify_load`](Self::classify_load), leaving
-    /// `rng` exactly where `classify_load` leaves it — the SA hot
-    /// loop's read. The noise math runs only when a draw could flip the
-    /// verdict:
-    ///
-    /// 1. Loads below a build-time threshold, and loads from a second
-    ///    one up to `Σwᵢ`, keep their noise-free verdict under any
-    ///    draws (each sample is at most [`GAUSSIAN_MAX`] in
-    ///    magnitude): the draws are skipped, advancing the stream
-    ///    without the math.
-    /// 2. Otherwise the samples are drawn, and the noise-free verdict
-    ///    stands when the decision distance exceeds the largest shift
-    ///    these particular draws can cause, from
-    ///    [`GaussianDraw::bound`].
-    /// 3. Only otherwise is the read settled through the arithmetic of
-    ///    `classify_load`.
-    pub fn admits_load<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> bool {
-        match self.read(load, rng) {
-            Read::Certain(admitted) => admitted,
-            Read::Band(draws) => self.settle(load, draws).is_feasible(),
-        }
-    }
-
-    /// Draws the samples of a read at `load` and settles what they can
-    /// settle without their values (steps 1 and 2 of
-    /// [`admits_load`](Self::admits_load)).
-    fn read<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> Read {
-        if load < self.admit_upto || (self.veto_from..=self.max_load).contains(&load) {
-            for noisy in self.noisy(load) {
-                if noisy {
-                    skip_gaussian(rng);
-                }
-            }
-            return Read::Certain(load < self.admit_upto);
-        }
-        let draws = self.draw(load, rng);
-        let distance = self.distance(load);
-        if distance.abs() > self.shift(load, draws.map(|d| d.map_or(0.0, GaussianDraw::bound))) {
-            Read::Certain(distance > 0.0)
-        } else {
-            Read::Band(draws)
-        }
-    }
-
-    /// Which of a read's three noise sources draw a sample at `load`.
-    fn noisy(&self, load: u64) -> [bool; 3] {
-        [
-            self.working.draws_noise(load),
-            self.replica_sigma > 0.0,
-            self.comparator.noise_sigma() > 0.0,
-        ]
-    }
-
-    /// The samples `classify_load` draws at `load`, in its order.
-    fn draw<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> ReadDraws {
-        self.noisy(load)
-            .map(|noisy| noisy.then(|| GaussianDraw::draw(rng)))
-    }
-
-    /// The noisy read at `load` under `draws`.
-    fn settle(&self, load: u64, draws: ReadDraws) -> FilterDecision {
-        let [w, r, c] = draws.map(|d| d.map_or(0.0, GaussianDraw::value));
-        let ml = self.working.evaluate_fast(load, w);
-        let replica_ml = self.replica.evaluate_fast(self.capacity, r);
-        let feasible = self
-            .comparator
-            .at_least(ml + self.decision_margin, replica_ml, c);
-        FilterDecision {
-            feasible,
-            ml,
-            replica_ml,
-        }
-    }
-
-    /// The noise-free decision distance (V) at `load`: positive when
-    /// the noise-free comparator admits.
-    fn distance(&self, load: u64) -> f64 {
-        let ml = self.working.discharged(load).voltage();
-        (ml + self.decision_margin) - self.replica_threshold
-    }
-
-    /// The largest shift (V) of the decision distance at `load` that
-    /// samples of magnitude at most `bounds` (working ML, replica ML,
-    /// comparator) can cause, rounding slack included. A sample `z`
-    /// moves a matchline by at most `|z|·σ·ΔV_unit` (the rail clamps
-    /// only pull it back toward the noise-free voltage) and the
-    /// comparator input by `|z|·σ_cmp`.
-    fn shift(&self, load: u64, [w, r, c]: [f64; 3]) -> f64 {
-        w * self.working.read_noise_units(load) * self.working_unit_drop
-            + r * self.replica_spread
-            + c * self.comparator.noise_sigma()
-            + Self::VERDICT_SLACK
-    }
-
-    /// Margin (V) added to the shifts of [`admits_load`](Self::admits_load)
-    /// for floating-point rounding: the noisy comparison sums a few
-    /// voltages of at most VDD, whose rounding errors are ~1e-15 V.
-    const VERDICT_SLACK: f64 = 1e-9;
 }
 
-/// The first `l` in `0..end` for which `holds(l)` is false (`end` if
-/// none is), where `holds` is true on a prefix of `0..end`.
-fn first_failing(end: u64, holds: impl Fn(u64) -> bool) -> u64 {
-    let (mut lo, mut hi) = (0, end);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if holds(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
+impl AsRef<FilterRead> for InequalityFilter {
+    fn as_ref(&self) -> &FilterRead {
+        &self.read
     }
-    lo
 }
 
 impl fmt::Display for InequalityFilter {
@@ -426,7 +265,7 @@ impl fmt::Display for InequalityFilter {
             "InequalityFilter({}×{} working + replica, C={})",
             self.working.num_rows(),
             self.working.num_columns(),
-            self.capacity
+            self.capacity()
         )
     }
 }
@@ -545,6 +384,61 @@ mod tests {
         let spread = spread_capacity(130, 5, 64);
         assert_eq!(spread.iter().sum::<u64>(), 130);
         assert!(spread.iter().all(|&c| c <= 64));
+    }
+
+    /// The paper configuration with its noise scaled by `factor`: cell
+    /// variability and both comparator sigmas.
+    pub(super) fn scaled_noise(factor: f64) -> FilterConfig {
+        let paper = ComparatorConfig::paper();
+        FilterConfig::paper()
+            .with_variation(VariationModel::paper().scaled(factor))
+            .with_comparator(ComparatorConfig {
+                offset_sigma: factor * paper.offset_sigma,
+                noise_sigma: factor * paper.noise_sigma,
+            })
+    }
+
+    /// A filter's read model, both arrays' cells dropped, reads as the
+    /// filter's fast path: over every load in `0..=Σw+1`, its
+    /// `admits_load` verdict is the filter's
+    /// `classify_load(..).is_feasible()` and its `classify_load` the
+    /// same decision, and each leaves the stream where the filter's
+    /// `classify_load` leaves it. The streams run in lockstep over the
+    /// whole sweep. At paper noise and at 10× noise.
+    #[test]
+    fn read_model_reads_as_the_filter_over_every_load() {
+        use rand::RngCore;
+        let weights: Vec<u64> = (0..100).map(|i| (i % 50) + 1).collect();
+        let total: u64 = weights.iter().sum();
+        for factor in [1.0, 10.0] {
+            for seed in 0..3 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let filter =
+                    InequalityFilter::build(&weights, 1300, &scaled_noise(factor), &mut rng)
+                        .unwrap();
+                let read = filter.clone().into_read_model();
+                let stream = StdRng::seed_from_u64(seed ^ 0x4ead);
+                let mut verdicts = stream.clone();
+                let mut models = stream.clone();
+                let mut decisions = stream;
+                for load in 0..=total + 1 {
+                    let decision = filter.classify_load(load, &mut decisions);
+                    assert_eq!(
+                        read.admits_load(load, &mut verdicts),
+                        decision.is_feasible(),
+                        "{factor}× noise, seed {seed}: verdicts differ at load {load}"
+                    );
+                    assert_eq!(
+                        read.classify_load(load, &mut models),
+                        decision,
+                        "{factor}× noise, seed {seed}: decisions differ at load {load}"
+                    );
+                    let next = decisions.next_u64();
+                    assert_eq!(verdicts.next_u64(), next, "stream diverged at load {load}");
+                    assert_eq!(models.next_u64(), next, "stream diverged at load {load}");
+                }
+            }
+        }
     }
 
     #[test]

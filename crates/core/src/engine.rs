@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+use std::sync::OnceLock;
+
 use hycim_cop::{CopProblem, QkpInstance};
 use hycim_qubo::dqubo::DquboForm;
 use hycim_qubo::{Assignment, InequalityQubo, MultiInequalityQubo};
@@ -41,8 +43,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{
-    run_annealing, BankHardwareState, DquboConfig, DquboHardwareState, HyCimConfig, HycimError,
-    Solution,
+    run_annealing, BankChip, BankHardwareState, DquboChip, DquboConfig, DquboHardwareState,
+    HyCimConfig, HycimError, Solution,
 };
 
 /// A solver backend over a [`CopProblem`]: construction validates the
@@ -123,10 +125,13 @@ impl<P: CopProblem, E: Engine<P> + ?Sized> Engine<P> for Box<E> {
 ///   natively. On a single-constraint problem both constructors build
 ///   the same chip and return bit-identical solutions.
 ///
-/// Determinism: `hardware_seed` fabricates the bank's filters in
-/// constraint order from one RNG stream (then the crossbar), so the
-/// same seed builds the same "chip instance"; `solve(seed)` is then a
-/// pure function of the seed, which is what keeps
+/// Fabricate once: construction programs one [`BankChip`] from
+/// `hardware_seed` — the bank's filters in constraint order from one
+/// RNG stream, then the crossbar — and every solve anneals against
+/// that chip, which it only reads. The same seed builds the same "chip
+/// instance", and a solve draws only from its own seed's stream, so
+/// `solve(seed)` is a pure function of the seed whatever the engine
+/// solved before or concurrently. That is what keeps
 /// [`BatchRunner`](crate::BatchRunner) grids and `hycim-service` jobs
 /// bit-identical at any thread count.
 #[derive(Debug, Clone)]
@@ -136,9 +141,9 @@ pub struct HyCimEngine<P: CopProblem> {
     /// Backend tag: `"hycim"` or `"bank"`, by constructor.
     backend: &'static str,
     config: HyCimConfig,
-    /// Seed used to fabricate hardware instances (device variability
-    /// is sampled per-engine, like a real chip).
-    hardware_seed: u64,
+    /// The programmed hardware (device variability is sampled
+    /// per-engine, like a real chip).
+    chip: BankChip,
 }
 
 /// The paper's solver: the HyCiM engine specialized to the quadratic
@@ -182,22 +187,16 @@ impl<P: CopProblem> HyCimEngine<P> {
         config: &HyCimConfig,
         hardware_seed: u64,
     ) -> Result<Self, HycimError> {
-        // Validate hardware mapping eagerly so configuration errors
-        // surface at build time, not first solve.
+        // Programming the chip is the mapping check: configuration
+        // errors surface at build time, not first solve.
         let mut rng = StdRng::seed_from_u64(hardware_seed);
-        let _ = BankHardwareState::build(
-            &encoded,
-            &config.filter,
-            &config.crossbar,
-            Assignment::zeros(encoded.dim()),
-            &mut rng,
-        )?;
+        let chip = BankChip::build(&encoded, &config.filter, &config.crossbar, &mut rng)?;
         Ok(Self {
             problem: problem.clone(),
             encoded,
             backend,
             config: config.clone(),
-            hardware_seed,
+            chip,
         })
     }
 
@@ -222,15 +221,7 @@ impl<P: CopProblem> HyCimEngine<P> {
     /// Panics if `initial` violates any constraint or has the wrong
     /// length.
     pub fn solve_from(&self, initial: &Assignment, seed: u64) -> Solution<P> {
-        let mut hw_rng = StdRng::seed_from_u64(self.hardware_seed);
-        let mut state = BankHardwareState::build(
-            &self.encoded,
-            &self.config.filter,
-            &self.config.crossbar,
-            initial.clone(),
-            &mut hw_rng,
-        )
-        .expect("mapping validated at construction");
+        let mut state = BankHardwareState::new(&self.chip, initial.clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
         let assignment = trace.best_assignment().clone();
@@ -256,11 +247,19 @@ impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
 
 /// The D-QUBO baseline engine the paper compares against (Sec 4.3,
 /// Fig. 10), generic over the problem being encoded.
+///
+/// The penalty form is quantized onto one [`DquboChip`] per engine, at
+/// its first solve; every solve reads that chip, so `solve(seed)` is a
+/// pure function of the seed.
 #[derive(Debug, Clone)]
 pub struct DquboEngine<P: CopProblem> {
     problem: P,
     form: DquboForm,
     config: DquboConfig,
+    /// Programmed by the first solve rather than at construction:
+    /// quantizing cannot fail, so construction has no mapping to check,
+    /// and an engine that is built but never solved skips the cost.
+    chip: OnceLock<DquboChip>,
 }
 
 /// The baseline solver of the paper's comparison: the D-QUBO engine
@@ -280,6 +279,7 @@ impl<P: CopProblem> DquboEngine<P> {
             problem: problem.clone(),
             form,
             config: config.clone(),
+            chip: OnceLock::new(),
         })
     }
 
@@ -299,12 +299,10 @@ impl<P: CopProblem> DquboEngine<P> {
     ///
     /// Panics if `initial.len() != self.form().dim()`.
     pub fn solve_from(&self, initial: &Assignment, seed: u64) -> Solution<P> {
-        let mut state = DquboHardwareState::build(
-            &self.form,
-            self.config.bits,
-            self.config.current_sigma_rel,
-            initial.clone(),
-        );
+        let chip = self.chip.get_or_init(|| {
+            DquboChip::build(&self.form, self.config.bits, self.config.current_sigma_rel)
+        });
+        let mut state = DquboHardwareState::new(chip, initial.clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
         // Decode the best extended configuration back to the problem
@@ -618,13 +616,12 @@ mod tests {
         )
         .unwrap();
         // Route through the raw-problem impl: a MultiInequalityQubo is
-        // not itself a CopProblem, so check via the state directly.
+        // not itself a CopProblem, so check via the chip directly.
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(BankHardwareState::build(
+        assert!(BankChip::build(
             &mq,
             &HyCimConfig::default().filter,
             &HyCimConfig::default().crossbar,
-            Assignment::zeros(2),
             &mut rng,
         )
         .is_err());

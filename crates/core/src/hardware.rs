@@ -8,15 +8,22 @@
 //! matchline noise, comparator offset and decision noise). The
 //! device-accurate paths of `hycim-cim` validate this equivalence in
 //! tests and generate the paper's validation figures.
+//!
+//! Each backend splits into an immutable chip ([`BankChip`],
+//! [`DquboChip`]), programmed once per engine, and a per-solve state
+//! ([`BankHardwareState`], [`DquboHardwareState`]) that borrows it.
+//! Fabrication draws only from the hardware seed's stream and a solve
+//! only from its own, so one chip shared by every solve gives the bits
+//! a chip rebuilt for each solve would.
 
 use hycim_anneal::{AnnealState, FlipOutcome};
 use hycim_cim::crossbar::{Crossbar, CrossbarConfig};
-use hycim_cim::filter::{FilterBank, FilterConfig};
+use hycim_cim::filter::{FilterBank, FilterConfig, FilterRead};
 use hycim_cim::CimError;
 use hycim_fefet::GaussianDraw;
 use hycim_qubo::dqubo::DquboForm;
 use hycim_qubo::quant::QuantizedMatrix;
-use hycim_qubo::{Assignment, DeltaEngine, MultiInequalityQubo, QuboMatrix};
+use hycim_qubo::{Assignment, DeltaEngine, LinearConstraint, MultiInequalityQubo, QuboMatrix};
 use rand::rngs::StdRng;
 
 /// A crossbar readout `exact + z·σ` (the stored-matrix delta plus
@@ -69,37 +76,87 @@ impl Readout {
     }
 }
 
-/// The HyCiM pipeline state: a [`FilterBank`] (one inequality filter
-/// per constraint) + CiM crossbar + SA bookkeeping.
+/// A programmed HyCiM chip: the read models of a [`FilterBank`] (one
+/// inequality filter per constraint) and the CiM crossbar's stored
+/// matrix and readout noise — everything a solve reads and nothing it
+/// writes (paper Fig. 3).
+///
+/// An engine fabricates its chip once, and every solve anneals against
+/// it through a [`BankHardwareState`]. Fabrication samples device
+/// variability from `rng` filter by filter in constraint order, then
+/// for the crossbar, so a fixed hardware seed fabricates the same
+/// "chip instance". Each filter keeps only its cell-free
+/// [`FilterRead`]: the per-cell arrays serve the device-accurate
+/// validation paths of `hycim-cim`, not the SA loop, and are dropped
+/// once the chip is programmed.
+#[derive(Debug, Clone)]
+pub struct BankChip {
+    /// Per-filter fast-path read models, in constraint order.
+    filters: Vec<FilterRead>,
+    /// The constraints the filters encode, in the same order.
+    constraints: Vec<LinearConstraint>,
+    /// The matrix the crossbar actually stores (quantized).
+    matrix: QuboMatrix,
+    /// Per-readout energy noise sigma.
+    readout_sigma: f64,
+}
+
+impl BankChip {
+    /// Programs one filter per constraint of `problem`, then the
+    /// crossbar with its objective.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CimError`] from filter-bank or crossbar
+    /// construction — the hardware mapping check.
+    pub fn build(
+        problem: &MultiInequalityQubo,
+        filter_config: &FilterConfig,
+        crossbar_config: &CrossbarConfig,
+        rng: &mut StdRng,
+    ) -> Result<Self, CimError> {
+        let filters = FilterBank::build(problem.constraints(), filter_config, rng)?;
+        let crossbar = Crossbar::program(problem.objective(), crossbar_config, rng)?;
+        // Typical readout activates about half the programmed cells.
+        let typical_active = crossbar.mapping().programmed_cells() / 2;
+        Ok(Self {
+            filters: filters.into_read_models(),
+            constraints: problem.constraints().to_vec(),
+            readout_sigma: crossbar.readout_sigma(typical_active),
+            matrix: crossbar.stored_matrix().clone(),
+        })
+    }
+}
+
+/// One solve's state on a [`BankChip`]: the configuration, its
+/// per-constraint loads and reported energy, the pending crossbar
+/// readout and the local fields — the SA bookkeeping of paper
+/// Fig. 6(b).
 ///
 /// This is the one filtered-hardware state. A single-constraint
-/// problem (the paper's QKP) programs a one-filter bank, which
-/// fabricates its filter from the same RNG stream and spends the same
-/// classify draws as a lone filter would. Multi-constraint COPs (bin
-/// packing, the multi-dimensional knapsack) program their *exact*
+/// problem (the paper's QKP) runs on a one-filter chip, whose filter
+/// was fabricated from the same RNG stream and spends the same classify
+/// draws as a lone filter would. Multi-constraint COPs (bin packing,
+/// the multi-dimensional knapsack) program their *exact*
 /// per-constraint form: every proposed flip is classified by all `k`
 /// filters concurrently (in hardware the bank shares one 4-phase
 /// matchline read, so the latency is that of a single filter) and
 /// reaches the crossbar only when every filter admits it.
 ///
 /// The SA hot loop tracks each constraint's load `Σw⁽ᵏ⁾ᵢxᵢ`
-/// incrementally — O(k) per flip — and uses the bank's allocation-free
-/// fast path (matchline + comparator noise included) rather than
-/// re-simulating every cell. Filter reads whose verdict no noise draw
-/// can flip, and crossbar readouts that are certainly uphill, take their
-/// draws but skip the noise math until a decision needs it
-/// ([`InequalityFilter::admits_load`](hycim_cim::filter::InequalityFilter::admits_load),
-/// [`FlipOutcome::Uphill`]), so every solve is bit-identical to one that
-/// evaluates every draw.
+/// incrementally — O(k) per flip — and reads the filters' fast path
+/// (matchline + comparator noise included) rather than re-simulating
+/// every cell. Filter reads whose verdict no noise draw can flip, and
+/// crossbar readouts that are certainly uphill, take their draws but
+/// skip the noise math until a decision needs it
+/// ([`FilterRead::admits_all`], [`FlipOutcome::Uphill`]), so every
+/// solve is bit-identical to one that evaluates every draw. The chip
+/// is only read, so any number of states can share it.
 #[derive(Debug, Clone)]
-pub struct BankHardwareState {
-    /// The matrix the crossbar actually stores (quantized).
-    matrix: QuboMatrix,
-    bank: FilterBank,
-    /// Per-constraint weight rows, in bank order.
-    weights: Vec<Vec<u64>>,
+pub struct BankHardwareState<'c> {
+    chip: &'c BankChip,
     x: Assignment,
-    /// Current per-constraint loads, index-aligned with the bank.
+    /// Current per-constraint loads, index-aligned with the filters.
     loads: Vec<u64>,
     /// Proposed-loads buffer reused across probes (no per-iteration
     /// allocation in the hot loop).
@@ -113,63 +170,28 @@ pub struct BankHardwareState {
     deltas: DeltaEngine,
 }
 
-impl BankHardwareState {
-    /// Builds the hardware state for a multi-inequality QUBO problem:
-    /// programs one filter per constraint and the crossbar with the
-    /// objective, then initializes at `initial` (must satisfy every
-    /// constraint).
-    ///
-    /// Device variability is sampled from `rng` filter-by-filter in
-    /// constraint order, then for the crossbar — so a fixed hardware
-    /// seed fabricates the same "chip instance" (bank included) on
-    /// every build, which is what keeps bank solves bit-identical
-    /// across threads and services.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CimError`] from filter-bank or crossbar
-    /// construction.
+impl<'c> BankHardwareState<'c> {
+    /// Starts a solve on `chip` at `initial`.
     ///
     /// # Panics
     ///
-    /// Panics if `initial` violates any constraint.
-    pub fn build(
-        problem: &MultiInequalityQubo,
-        filter_config: &FilterConfig,
-        crossbar_config: &CrossbarConfig,
-        initial: Assignment,
-        rng: &mut StdRng,
-    ) -> Result<Self, CimError> {
+    /// Panics if `initial` violates any constraint or has the wrong
+    /// length.
+    pub fn new(chip: &'c BankChip, initial: Assignment) -> Self {
         assert!(
-            problem.is_feasible(&initial),
+            chip.constraints.iter().all(|c| c.is_satisfied(&initial)),
             "initial configuration must satisfy every constraint"
         );
-        let bank = FilterBank::build(problem.constraints(), filter_config, rng)?;
-        let crossbar = Crossbar::program(problem.objective(), crossbar_config, rng)?;
-        let matrix = crossbar.stored_matrix().clone();
-        // Typical readout activates about half the programmed cells.
-        let typical_active = crossbar.mapping().programmed_cells() / 2;
-        let readout_sigma = crossbar.readout_sigma(typical_active);
-        let weights: Vec<Vec<u64>> = problem
-            .constraints()
-            .iter()
-            .map(|c| c.weights().to_vec())
-            .collect();
-        let loads = problem.loads(&initial);
-        let proposed = vec![0; loads.len()];
-        let energy = matrix.energy(&initial);
-        let deltas = DeltaEngine::local(&matrix, &initial);
-        Ok(Self {
-            matrix,
-            bank,
-            weights,
-            x: initial,
+        let loads: Vec<u64> = chip.constraints.iter().map(|c| c.load(&initial)).collect();
+        Self {
+            chip,
+            proposed: vec![0; loads.len()],
             loads,
-            proposed,
-            energy,
-            readout: Readout::new(readout_sigma),
-            deltas,
-        })
+            energy: chip.matrix.energy(&initial),
+            readout: Readout::new(chip.readout_sigma),
+            deltas: DeltaEngine::local(&chip.matrix, &initial),
+            x: initial,
+        }
     }
 
     /// Switches to dense O(n) row-scan deltas over the stored matrix
@@ -179,30 +201,16 @@ impl BankHardwareState {
         self
     }
 
-    /// Current per-constraint loads, in bank order.
+    /// Current per-constraint loads, in filter order.
     pub fn loads(&self) -> &[u64] {
         &self.loads
-    }
-
-    /// The filter bank in use.
-    pub fn bank(&self) -> &FilterBank {
-        &self.bank
-    }
-
-    /// The stored (quantized) objective matrix.
-    pub fn stored_matrix(&self) -> &QuboMatrix {
-        &self.matrix
-    }
-
-    /// Per-readout energy noise sigma.
-    pub fn readout_sigma(&self) -> f64 {
-        self.readout.sigma
     }
 
     /// Fills `self.proposed` with the loads after flipping `bits`
     /// (distinct indices).
     fn propose(&mut self, bits: &[usize]) {
-        for (k, row) in self.weights.iter().enumerate() {
+        for (k, c) in self.chip.constraints.iter().enumerate() {
+            let row = c.weights();
             let mut load = self.loads[k] as i64;
             for &i in bits {
                 let w = row[i] as i64;
@@ -217,20 +225,27 @@ impl BankHardwareState {
     fn apply(&mut self, bits: &[usize]) {
         for &i in bits {
             let selected = self.x.flip(i);
-            for (k, row) in self.weights.iter().enumerate() {
+            for (k, c) in self.chip.constraints.iter().enumerate() {
+                let w = c.weights()[i];
                 if selected {
-                    self.loads[k] += row[i];
+                    self.loads[k] += w;
                 } else {
-                    self.loads[k] -= row[i];
+                    self.loads[k] -= w;
                 }
             }
         }
     }
+
+    /// Whether every filter admits `loads` (fast path: analog
+    /// matchline + comparator noise per filter, read concurrently).
+    fn admits(&self, loads: &[u64], rng: &mut StdRng) -> bool {
+        FilterRead::admits_all(&self.chip.filters, loads, rng)
+    }
 }
 
-impl AnnealState for BankHardwareState {
+impl AnnealState for BankHardwareState<'_> {
     fn dim(&self) -> usize {
-        self.matrix.dim()
+        self.chip.matrix.dim()
     }
 
     fn assignment(&self) -> &Assignment {
@@ -243,12 +258,10 @@ impl AnnealState for BankHardwareState {
 
     fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
         self.propose(&[i]);
-        // All k filters evaluate the proposal concurrently (fast
-        // path: analog matchline + comparator noise per filter).
-        if !self.bank.admits(&self.proposed, rng) {
+        if !self.admits(&self.proposed, rng) {
             return FlipOutcome::Infeasible;
         }
-        let exact = self.deltas.flip_delta(&self.matrix, &self.x, i);
+        let exact = self.deltas.flip_delta(&self.chip.matrix, &self.x, i);
         self.readout.probe(exact, rng)
     }
 
@@ -265,10 +278,10 @@ impl AnnealState for BankHardwareState {
     fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
         assert_ne!(i, j, "pair flip needs two distinct bits");
         self.propose(&[i, j]);
-        if !self.bank.admits(&self.proposed, rng) {
+        if !self.admits(&self.proposed, rng) {
             return FlipOutcome::Infeasible;
         }
-        let exact = self.deltas.pair_delta(&self.matrix, &self.x, i, j);
+        let exact = self.deltas.pair_delta(&self.chip.matrix, &self.x, i, j);
         self.readout.probe(exact, rng)
     }
 
@@ -284,60 +297,84 @@ impl AnnealState for BankHardwareState {
         // again. Two extra reads of the whole bank make a rare noisy
         // false-feasible admission on any filter vanishingly unlikely
         // to persist.
-        (0..2).all(|_| self.bank.admits(&self.loads, rng))
+        (0..2).all(|_| self.admits(&self.loads, rng))
     }
 }
 
-/// The D-QUBO baseline state: the penalty-form matrix on a (much
-/// larger) crossbar, no filter — every move is admissible and pays a
-/// full crossbar evaluation (paper Sec 2.1, Fig. 10).
+/// The D-QUBO baseline chip: the penalty-form matrix as a (much
+/// larger) crossbar stores it, no filter (paper Sec 2.1, Fig. 10).
 ///
 /// The expanded matrix is quantized at
 /// `⌈log₂(Q_ij)MAX⌉` bits (or an explicit override for ablations) but
 /// not materialized as a cell array: at n ≈ 2600 and 25 bits that
 /// would be hundreds of millions of cells (the very overhead Fig. 9(c)
-/// charges against D-QUBO).
+/// charges against D-QUBO). An engine quantizes once, on its first
+/// solve; every solve reads the chip through a
+/// [`DquboHardwareState`].
 #[derive(Debug, Clone)]
-pub struct DquboHardwareState {
+pub struct DquboChip {
+    /// The stored (quantized, then dequantized) penalty matrix.
     matrix: QuboMatrix,
+    /// Constant offset of the penalty expansion.
     offset: f64,
-    x: Assignment,
-    energy: f64,
-    readout: Readout,
+    /// Per-readout energy noise sigma.
+    readout_sigma: f64,
+    /// Problem variables ahead of the penalty auxiliaries.
     num_items: usize,
-    /// Flip-delta backend over the stored matrix (local fields by
-    /// default).
-    deltas: DeltaEngine,
 }
 
-impl DquboHardwareState {
-    /// Builds the baseline state from a D-QUBO form. `bits` overrides
-    /// the quantization width (`None` → `⌈log₂(Q_ij)MAX⌉`, the paper's
+impl DquboChip {
+    /// Quantizes a D-QUBO form onto the crossbar. `bits` overrides the
+    /// quantization width (`None` → `⌈log₂(Q_ij)MAX⌉`, the paper's
     /// setting, which is lossless for integer penalties).
-    pub fn build(
-        form: &DquboForm,
-        bits: Option<u32>,
-        current_sigma_rel: f64,
-        initial: Assignment,
-    ) -> Self {
-        assert_eq!(initial.len(), form.dim(), "configuration length mismatch");
+    pub fn build(form: &DquboForm, bits: Option<u32>, current_sigma_rel: f64) -> Self {
         let bits = bits.unwrap_or_else(|| hycim_qubo::quant::matrix_bits(form.matrix()));
         let quant = QuantizedMatrix::quantize(form.matrix(), bits);
         let matrix = quant.dequantize();
         // Same readout model as the HyCiM crossbar: σ grows with the
         // active cell count, which for the D-QUBO matrix is large.
         let typical_active = matrix.nonzeros() * bits as usize / 2;
-        let readout_sigma = current_sigma_rel * (typical_active as f64).sqrt() * quant.scale();
-        let energy = matrix.energy(&initial) + form.offset();
-        let deltas = DeltaEngine::local(&matrix, &initial);
         Self {
+            readout_sigma: current_sigma_rel * (typical_active as f64).sqrt() * quant.scale(),
             matrix,
             offset: form.offset(),
-            x: initial,
-            energy,
-            readout: Readout::new(readout_sigma),
             num_items: form.num_items(),
-            deltas,
+        }
+    }
+}
+
+/// One solve's state on a [`DquboChip`]: every move is admissible and
+/// pays a full crossbar evaluation.
+#[derive(Debug, Clone)]
+pub struct DquboHardwareState<'c> {
+    chip: &'c DquboChip,
+    x: Assignment,
+    energy: f64,
+    readout: Readout,
+    /// Flip-delta backend over the stored matrix (local fields by
+    /// default).
+    deltas: DeltaEngine,
+}
+
+impl<'c> DquboHardwareState<'c> {
+    /// Starts a solve on `chip` at `initial`, a configuration of the
+    /// extended (items + auxiliaries) space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial.len()` is not the chip's dimension.
+    pub fn new(chip: &'c DquboChip, initial: Assignment) -> Self {
+        assert_eq!(
+            initial.len(),
+            chip.matrix.dim(),
+            "configuration length mismatch"
+        );
+        Self {
+            chip,
+            energy: chip.matrix.energy(&initial) + chip.offset,
+            readout: Readout::new(chip.readout_sigma),
+            deltas: DeltaEngine::local(&chip.matrix, &initial),
+            x: initial,
         }
     }
 
@@ -350,28 +387,13 @@ impl DquboHardwareState {
 
     /// Item part of the current configuration.
     pub fn item_assignment(&self) -> Assignment {
-        self.x.truncated(self.num_items)
-    }
-
-    /// Per-readout energy noise sigma.
-    pub fn readout_sigma(&self) -> f64 {
-        self.readout.sigma
-    }
-
-    /// The stored (quantized) penalty matrix.
-    pub fn stored_matrix(&self) -> &QuboMatrix {
-        &self.matrix
-    }
-
-    /// Constant offset of the penalty expansion.
-    pub fn offset(&self) -> f64 {
-        self.offset
+        self.x.truncated(self.chip.num_items)
     }
 }
 
-impl AnnealState for DquboHardwareState {
+impl AnnealState for DquboHardwareState<'_> {
     fn dim(&self) -> usize {
-        self.matrix.dim()
+        self.chip.matrix.dim()
     }
 
     fn assignment(&self) -> &Assignment {
@@ -383,7 +405,7 @@ impl AnnealState for DquboHardwareState {
     }
 
     fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
-        let exact = self.deltas.flip_delta(&self.matrix, &self.x, i);
+        let exact = self.deltas.flip_delta(&self.chip.matrix, &self.x, i);
         self.readout.probe(exact, rng)
     }
 
@@ -399,7 +421,7 @@ impl AnnealState for DquboHardwareState {
 
     fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
         assert_ne!(i, j, "pair flip needs two distinct bits");
-        let exact = self.deltas.pair_delta(&self.matrix, &self.x, i, j);
+        let exact = self.deltas.pair_delta(&self.chip.matrix, &self.x, i, j);
         self.readout.probe(exact, rng)
     }
 
@@ -437,15 +459,9 @@ mod tests {
         let mq = qkp_form(25, 0.5, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let cb_cfg = CrossbarConfig::paper().with_variation(VariationModel::none());
-        let mut hw = BankHardwareState::build(
-            &mq,
-            &noiseless_filter_config(),
-            &cb_cfg,
-            Assignment::zeros(25),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(hw.bank().len(), 1);
+        let chip = BankChip::build(&mq, &noiseless_filter_config(), &cb_cfg, &mut rng).unwrap();
+        let mut hw = BankHardwareState::new(&chip, Assignment::zeros(25));
+        assert_eq!(chip.filters.len(), 1);
         // Random walk: energies must track the exact objective (7-bit
         // quantization of ≤100 profits is lossless).
         for step in 0..300 {
@@ -480,15 +496,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let heavy = Assignment::ones_vec(10);
         assert!(!mq.is_feasible(&heavy), "all ten items overload C");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            BankHardwareState::build(
-                &mq,
-                &noiseless_filter_config(),
-                &CrossbarConfig::paper(),
-                heavy,
-                &mut rng,
-            )
-        }));
+        let chip = BankChip::build(
+            &mq,
+            &noiseless_filter_config(),
+            &CrossbarConfig::paper(),
+            &mut rng,
+        )
+        .unwrap();
+        let result = std::panic::catch_unwind(|| BankHardwareState::new(&chip, heavy));
         assert!(result.is_err());
     }
 
@@ -496,15 +511,15 @@ mod tests {
     fn noisy_probes_have_spread() {
         let mq = qkp_form(30, 1.0, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let mut hw = BankHardwareState::build(
+        let chip = BankChip::build(
             &mq,
             &FilterConfig::default(),
             &CrossbarConfig::paper(),
-            Assignment::zeros(30),
             &mut rng,
         )
         .unwrap();
-        assert!(hw.readout_sigma() > 0.0);
+        let mut hw = BankHardwareState::new(&chip, Assignment::zeros(30));
+        assert!(chip.readout_sigma > 0.0);
         let deltas: Vec<f64> = (0..50)
             .filter_map(|_| hw.probe_flip(0, &mut rng).settled(&mut hw))
             .collect();
@@ -525,15 +540,9 @@ mod tests {
         let (bp, mq) = bank_problem();
         let mut rng = StdRng::seed_from_u64(21);
         let cb_cfg = CrossbarConfig::paper().with_variation(VariationModel::none());
-        let mut hw = BankHardwareState::build(
-            &mq,
-            &noiseless_filter_config(),
-            &cb_cfg,
-            Assignment::zeros(mq.dim()),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(hw.bank().len(), 2);
+        let chip = BankChip::build(&mq, &noiseless_filter_config(), &cb_cfg, &mut rng).unwrap();
+        let mut hw = BankHardwareState::new(&chip, Assignment::zeros(mq.dim()));
+        assert_eq!(chip.filters.len(), 2);
         // Random walk: energies must track the exact objective and the
         // trajectory must stay inside every bin's capacity.
         for step in 0..400 {
@@ -570,14 +579,8 @@ mod tests {
         let (_, mq) = bank_problem();
         let mut rng = StdRng::seed_from_u64(22);
         let cb_cfg = CrossbarConfig::paper().with_variation(VariationModel::none());
-        let mut hw = BankHardwareState::build(
-            &mq,
-            &noiseless_filter_config(),
-            &cb_cfg,
-            Assignment::zeros(mq.dim()),
-            &mut rng,
-        )
-        .unwrap();
+        let chip = BankChip::build(&mq, &noiseless_filter_config(), &cb_cfg, &mut rng).unwrap();
+        let mut hw = BankHardwareState::new(&chip, Assignment::zeros(mq.dim()));
         // A pair flip landing inside both bins is admitted with the
         // exact cross-term delta.
         if let Some(delta) = hw.probe_pair(0, 3, &mut rng).settled(&mut hw) {
@@ -610,15 +613,14 @@ mod tests {
             heavy.set(i * 2, true);
         }
         assert!(!mq.is_feasible(&heavy));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            BankHardwareState::build(
-                &mq,
-                &noiseless_filter_config(),
-                &CrossbarConfig::paper(),
-                heavy,
-                &mut rng,
-            )
-        }));
+        let chip = BankChip::build(
+            &mq,
+            &noiseless_filter_config(),
+            &CrossbarConfig::paper(),
+            &mut rng,
+        )
+        .unwrap();
+        let result = std::panic::catch_unwind(|| BankHardwareState::new(&chip, heavy));
         assert!(result.is_err());
     }
 
@@ -628,15 +630,15 @@ mod tests {
         let mkp = hycim_cop::mkp::MkpGenerator::new(12, 3).generate(5);
         let mq = mkp.to_multi_inequality_qubo().unwrap();
         let mut rng = StdRng::seed_from_u64(24);
-        let mut hw = BankHardwareState::build(
+        let chip = BankChip::build(
             &mq,
             &noiseless_filter_config(),
             &CrossbarConfig::paper().with_variation(VariationModel::none()),
-            Assignment::zeros(12),
             &mut rng,
         )
         .unwrap();
-        assert_eq!(hw.bank().len(), 3);
+        let mut hw = BankHardwareState::new(&chip, Assignment::zeros(12));
+        assert_eq!(chip.filters.len(), 3);
         for step in 0..300 {
             let i = step % 12;
             if let Some(delta) = hw.probe_flip(i, &mut rng).settled(&mut hw) {
@@ -656,20 +658,16 @@ mod tests {
         use hycim_anneal::{Annealer, GeometricSchedule};
         let mq = qkp_form(30, 0.5, 31);
         let annealer = Annealer::new(GeometricSchedule::new(40.0, 0.995), 800);
-        let build = |rng: &mut StdRng| {
-            BankHardwareState::build(
-                &mq,
-                &FilterConfig::default(),
-                &CrossbarConfig::paper(),
-                Assignment::zeros(30),
-                rng,
-            )
-            .unwrap()
-        };
         let mut hw_rng = StdRng::seed_from_u64(7);
-        let mut local = build(&mut hw_rng);
-        let mut hw_rng = StdRng::seed_from_u64(7);
-        let mut dense = build(&mut hw_rng).with_dense_deltas();
+        let chip = BankChip::build(
+            &mq,
+            &FilterConfig::default(),
+            &CrossbarConfig::paper(),
+            &mut hw_rng,
+        )
+        .unwrap();
+        let mut local = BankHardwareState::new(&chip, Assignment::zeros(30));
+        let mut dense = BankHardwareState::new(&chip, Assignment::zeros(30)).with_dense_deltas();
         let mut rng_a = StdRng::seed_from_u64(99);
         let mut rng_b = StdRng::seed_from_u64(99);
         let trace_local = annealer.run(&mut local, &mut rng_a);
@@ -689,20 +687,17 @@ mod tests {
         let mkp = hycim_cop::mkp::MkpGenerator::new(14, 3).generate(8);
         let mq = mkp.to_multi_inequality_qubo().unwrap();
         let annealer = Annealer::new(GeometricSchedule::new(40.0, 0.99), 600);
-        let build = |rng: &mut StdRng| {
-            BankHardwareState::build(
-                &mq,
-                &FilterConfig::default(),
-                &CrossbarConfig::paper(),
-                Assignment::zeros(mq.dim()),
-                rng,
-            )
-            .unwrap()
-        };
         let mut hw_rng = StdRng::seed_from_u64(11);
-        let mut local = build(&mut hw_rng);
-        let mut hw_rng = StdRng::seed_from_u64(11);
-        let mut dense = build(&mut hw_rng).with_dense_deltas();
+        let chip = BankChip::build(
+            &mq,
+            &FilterConfig::default(),
+            &CrossbarConfig::paper(),
+            &mut hw_rng,
+        )
+        .unwrap();
+        let mut local = BankHardwareState::new(&chip, Assignment::zeros(mq.dim()));
+        let mut dense =
+            BankHardwareState::new(&chip, Assignment::zeros(mq.dim())).with_dense_deltas();
         let mut rng_a = StdRng::seed_from_u64(42);
         let mut rng_b = StdRng::seed_from_u64(42);
         let trace_local = annealer.run(&mut local, &mut rng_a);
@@ -723,9 +718,10 @@ mod tests {
             .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
             .unwrap();
         let annealer = Annealer::new(GeometricSchedule::new(60.0, 0.99), 600);
-        let mut local = DquboHardwareState::build(&form, None, 0.02, Assignment::zeros(form.dim()));
-        let mut dense = DquboHardwareState::build(&form, None, 0.02, Assignment::zeros(form.dim()))
-            .with_dense_deltas();
+        let chip = DquboChip::build(&form, None, 0.02);
+        let mut local = DquboHardwareState::new(&chip, Assignment::zeros(form.dim()));
+        let mut dense =
+            DquboHardwareState::new(&chip, Assignment::zeros(form.dim())).with_dense_deltas();
         let mut rng_a = StdRng::seed_from_u64(5);
         let mut rng_b = StdRng::seed_from_u64(5);
         let trace_local = annealer.run(&mut local, &mut rng_a);
@@ -847,14 +843,14 @@ mod tests {
             .unwrap();
         for (mq, seed) in [(qkp, 1), (mkp, 2)] {
             let mut hw_rng = StdRng::seed_from_u64(seed);
-            let state = BankHardwareState::build(
+            let chip = BankChip::build(
                 &mq,
                 &FilterConfig::default(),
                 &CrossbarConfig::paper(),
-                Assignment::zeros(mq.dim()),
                 &mut hw_rng,
             )
             .unwrap();
+            let state = BankHardwareState::new(&chip, Assignment::zeros(mq.dim()));
             check_deferred_equals_eager(state, 200, seed + 10);
         }
     }
@@ -867,7 +863,8 @@ mod tests {
         let form = inst
             .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
             .unwrap();
-        let state = DquboHardwareState::build(&form, None, 0.02, Assignment::zeros(form.dim()));
+        let chip = DquboChip::build(&form, None, 0.02);
+        let state = DquboHardwareState::new(&chip, Assignment::zeros(form.dim()));
         check_deferred_equals_eager(state, 200, 5);
     }
 
@@ -879,7 +876,8 @@ mod tests {
         let form = inst
             .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::OneHot)
             .unwrap();
-        let mut state = DquboHardwareState::build(&form, None, 0.0, Assignment::zeros(form.dim()));
+        let chip = DquboChip::build(&form, None, 0.0);
+        let mut state = DquboHardwareState::new(&chip, Assignment::zeros(form.dim()));
         let mut rng = StdRng::seed_from_u64(8);
         for step in 0..200 {
             let i = step % form.dim();
@@ -906,7 +904,8 @@ mod tests {
         let form = inst
             .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
             .unwrap();
-        let mut state = DquboHardwareState::build(&form, None, 0.0, Assignment::zeros(form.dim()));
+        let chip = DquboChip::build(&form, None, 0.0);
+        let mut state = DquboHardwareState::new(&chip, Assignment::zeros(form.dim()));
         let mut rng = StdRng::seed_from_u64(10);
         let before = state.energy();
         if let Some(delta) = state.probe_pair(0, 3, &mut rng).settled(&mut state) {

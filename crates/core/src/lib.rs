@@ -17,8 +17,9 @@
 //!
 //! The engine layer is generic over the problem:
 //!
-//! * [`HyCimEngine`] — the filter + crossbar pipeline above, on the
-//!   one filtered-hardware state ([`BankHardwareState`]).
+//! * [`HyCimEngine`] — the filter + crossbar pipeline above: one
+//!   [`BankChip`] programmed per engine, read by every solve through
+//!   the one filtered-hardware state ([`BankHardwareState`]).
 //!   [`HyCimEngine::new`] programs the single-constraint form;
 //!   [`HyCimEngine::bank`] programs a filter *bank* (one filter per
 //!   inequality) gating the crossbar, making bin packing bin-exact and
@@ -80,7 +81,7 @@ pub use engine::{
     DquboEngine, DquboSolver, Engine, HyCimEngine, HyCimSolver, SoftwareEngine, SoftwareSolver,
 };
 pub use error::HycimError;
-pub use hardware::{BankHardwareState, DquboHardwareState};
+pub use hardware::{BankChip, BankHardwareState, DquboChip, DquboHardwareState};
 pub use kind::{EngineKind, EngineSettings};
 pub use packed_engine::{PackedConfig, PackedEngine, PackedMode};
 pub use shard::{merge_shards, Shard, ShardError, ShardPlan};

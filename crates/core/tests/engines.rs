@@ -370,6 +370,52 @@ fn dqubo_solves_are_pinned() {
     );
 }
 
+/// Fabricate once: an engine programs one chip and its solves only read
+/// it. An engine that has already solved other seeds — first from 4
+/// `BatchRunner` threads at once, then serially — returns for every
+/// seed the solution a freshly built engine returns: the same
+/// assignment, reported-energy bits and anneal trace (energies
+/// recorded), whether solved again from 4 threads or serially.
+fn check_shared_chip<P: CopProblem, E: Engine<P>>(build: impl Fn() -> E) {
+    let used = build();
+    let label = format!("{}/{}", used.problem().kind(), used.backend());
+    let runner = BatchRunner::new().with_threads(4);
+    runner.run_seeds(&used, &(200..208).collect::<Vec<u64>>());
+    for seed in [100, 101] {
+        used.solve(seed);
+    }
+    let seeds: Vec<u64> = (0..8).collect();
+    let concurrent = runner.run_seeds(&used, &seeds);
+    for (&seed, from_threads) in seeds.iter().zip(&concurrent) {
+        let fresh = build().solve(seed);
+        for s in [from_threads, &used.solve(seed)] {
+            assert_eq!(s.assignment, fresh.assignment, "{label} seed {seed}");
+            assert_eq!(
+                s.reported_energy.to_bits(),
+                fresh.reported_energy.to_bits(),
+                "{label} seed {seed}"
+            );
+            assert_eq!(s.trace, fresh.trace, "{label} seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn solves_on_a_shared_chip_equal_solves_on_a_fresh_one() {
+    use hycim_cop::generator::QkpGenerator;
+    let hycim = HyCimConfig::default().with_sweeps(60).with_trace();
+    let qkp = QkpGenerator::new(30, 0.5).generate(2);
+    check_shared_chip(|| HyCimEngine::new(&qkp, &hycim, 5).unwrap());
+    let mkp = MkpGenerator::new(20, 3).generate(3);
+    check_shared_chip(|| HyCimEngine::bank(&mkp, &hycim, 5).unwrap());
+    let dqubo = DquboConfig {
+        record_trace: true,
+        ..DquboConfig::default().with_sweeps(60)
+    };
+    let small = QkpGenerator::new(12, 0.5).generate(4);
+    check_shared_chip(|| DquboEngine::new(&small, &dqubo).unwrap());
+}
+
 #[test]
 fn batch_runner_covers_the_matrix_deterministically() {
     // One problem family per constraint class, both thread counts.

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hycim_cim::crossbar::CrossbarConfig;
 use hycim_cim::filter::{ComparatorConfig, FilterConfig};
 use hycim_cop::generator::QkpGenerator;
-use hycim_core::{DquboConfig, Engine, HyCimConfig, HyCimSolver};
+use hycim_core::{DquboConfig, Engine, HyCimConfig, HyCimEngine};
 use hycim_qubo::dqubo::AuxEncoding;
 use std::hint::black_box;
 
@@ -23,7 +23,7 @@ fn bench_quantization_bits(c: &mut Criterion) {
         let config = HyCimConfig::default()
             .with_sweeps(20)
             .with_crossbar(CrossbarConfig::paper().with_bits(bits));
-        let solver = HyCimSolver::new(&inst, &config, 1).expect("maps");
+        let solver = HyCimEngine::new(&inst, &config, 1).expect("maps");
         group.bench_function(BenchmarkId::from_parameter(bits), |b| {
             let mut seed = 0u64;
             b.iter(|| {
@@ -56,7 +56,7 @@ fn bench_comparator_noise(c: &mut Criterion) {
         let config = HyCimConfig::default()
             .with_sweeps(20)
             .with_filter(FilterConfig::paper().with_comparator(cmp));
-        let solver = HyCimSolver::new(&inst, &config, 2).expect("maps");
+        let solver = HyCimEngine::new(&inst, &config, 2).expect("maps");
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             let mut seed = 0u64;
             b.iter(|| {
@@ -76,7 +76,7 @@ fn bench_swap_fraction(c: &mut Criterion) {
     for swap in [0.0f64, 0.25, 0.5] {
         let mut config = HyCimConfig::default().with_sweeps(20);
         config.swap_probability = swap;
-        let solver = HyCimSolver::new(&inst, &config, 3).expect("maps");
+        let solver = HyCimEngine::new(&inst, &config, 3).expect("maps");
         group.bench_function(BenchmarkId::from_parameter(format!("{swap}")), |b| {
             let mut seed = 0u64;
             b.iter(|| {
@@ -105,7 +105,7 @@ fn bench_dqubo_encoding(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             let mut seed = 0u64;
             b.iter(|| {
-                let solver = hycim_core::DquboSolver::new(&inst, &config).expect("transforms");
+                let solver = hycim_core::DquboEngine::new(&inst, &config).expect("transforms");
                 seed += 1;
                 black_box(solver.solve(seed).value())
             })

@@ -6,17 +6,18 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hycim_cop::generator::QkpGenerator;
-use hycim_core::{BatchRunner, HyCimConfig, HyCimSolver};
+use hycim_cop::QkpInstance;
+use hycim_core::{BatchRunner, HyCimConfig, HyCimEngine};
 use std::hint::black_box;
 
 fn bench_batch_speedup(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_runner_speedup");
     group.sample_size(10);
     let config = HyCimConfig::default().with_sweeps(30);
-    let engines: Vec<HyCimSolver> = (0..4)
+    let engines: Vec<HyCimEngine<QkpInstance>> = (0..4)
         .map(|seed| {
             let inst = QkpGenerator::new(60, 0.5).generate(seed);
-            HyCimSolver::new(&inst, &config, seed).expect("maps")
+            HyCimEngine::new(&inst, &config, seed).expect("maps")
         })
         .collect();
     let max_threads = std::thread::available_parallelism()
@@ -39,7 +40,7 @@ fn bench_replica_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_runner_replicas");
     group.sample_size(10);
     let inst = QkpGenerator::new(60, 0.5).generate(9);
-    let engine = HyCimSolver::new(&inst, &HyCimConfig::default().with_sweeps(30), 9).expect("maps");
+    let engine = HyCimEngine::new(&inst, &HyCimConfig::default().with_sweeps(30), 9).expect("maps");
     let runner = BatchRunner::new();
     for replicas in [1usize, 4, 16] {
         group.bench_function(BenchmarkId::from_parameter(replicas), |b| {

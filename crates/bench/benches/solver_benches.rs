@@ -8,7 +8,7 @@ use hycim_cim::crossbar::{Crossbar, CrossbarConfig};
 use hycim_cim::filter::{FilterConfig, InequalityFilter};
 use hycim_cim::Fidelity;
 use hycim_cop::generator::QkpGenerator;
-use hycim_core::{DquboConfig, DquboSolver, Engine, HyCimConfig, HyCimSolver};
+use hycim_core::{DquboConfig, DquboEngine, Engine, HyCimConfig, HyCimEngine};
 use hycim_qubo::dqubo::{AuxEncoding, DquboForm, PenaltyWeights};
 use hycim_qubo::Assignment;
 use rand::rngs::StdRng;
@@ -113,7 +113,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end_solve");
     group.sample_size(10);
     let inst = QkpGenerator::new(100, 0.25).generate(10);
-    let hycim = HyCimSolver::new(&inst, &HyCimConfig::default().with_sweeps(50), 1).expect("maps");
+    let hycim = HyCimEngine::new(&inst, &HyCimConfig::default().with_sweeps(50), 1).expect("maps");
     group.bench_function("hycim_50_sweeps", |b| {
         let mut seed = 0u64;
         b.iter(|| {
@@ -122,7 +122,7 @@ fn bench_end_to_end(c: &mut Criterion) {
         })
     });
     let dqubo =
-        DquboSolver::new(&inst, &DquboConfig::default().with_sweeps(10)).expect("transforms");
+        DquboEngine::new(&inst, &DquboConfig::default().with_sweeps(10)).expect("transforms");
     group.bench_function("dqubo_10_sweeps", |b| {
         let mut seed = 0u64;
         b.iter(|| {

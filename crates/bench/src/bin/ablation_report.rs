@@ -13,13 +13,12 @@
 //! cargo run --release -p hycim-bench --bin ablation_report
 //! ```
 
-use hycim_bench::{default_threads, Args};
+use hycim_bench::{default_threads, Args, SuccessTally};
 use hycim_cim::crossbar::CrossbarConfig;
 use hycim_cim::filter::{ComparatorConfig, FilterConfig};
 use hycim_cop::generator::benchmark_set;
 use hycim_cop::QkpInstance;
-use hycim_core::success::run_grid_report;
-use hycim_core::{BatchRunner, DquboConfig, DquboSolver, HyCimConfig, HyCimSolver};
+use hycim_core::{BatchRunner, DquboConfig, DquboEngine, HyCimConfig, HyCimEngine};
 use hycim_qubo::dqubo::AuxEncoding;
 
 fn hycim_rate(
@@ -29,12 +28,12 @@ fn hycim_rate(
     seed: u64,
     runner: &BatchRunner,
 ) -> f64 {
-    let engines: Vec<HyCimSolver> = instances
+    let engines: Vec<HyCimEngine<QkpInstance>> = instances
         .iter()
         .enumerate()
-        .map(|(idx, inst)| HyCimSolver::new(inst, config, seed + idx as u64).expect("mappable"))
+        .map(|(idx, inst)| HyCimEngine::new(inst, config, seed + idx as u64).expect("mappable"))
         .collect();
-    run_grid_report(&engines, initials, seed, runner).average_success_rate()
+    SuccessTally::measure(&engines, initials, seed, runner).success_rate()
 }
 
 fn main() {
@@ -107,15 +106,15 @@ fn main() {
         let config = DquboConfig::default()
             .with_sweeps(dsweeps)
             .with_encoding(enc);
-        let engines: Vec<DquboSolver> = instances
+        let engines: Vec<DquboEngine<QkpInstance>> = instances
             .iter()
-            .map(|inst| DquboSolver::new(inst, &config).expect("transformable"))
+            .map(|inst| DquboEngine::new(inst, &config).expect("transformable"))
             .collect();
-        let report = run_grid_report(&engines, initials, seed, &runner);
+        let tally = SuccessTally::measure(&engines, initials, seed, &runner);
         println!(
             "  {name}: success {:.1}%, infeasible finals {:.1}%",
-            report.average_success_rate(),
-            report.infeasible_rate()
+            tally.success_rate(),
+            tally.infeasible_rate()
         );
     }
 

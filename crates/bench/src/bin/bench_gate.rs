@@ -2,10 +2,10 @@
 //! the fresh cells against the committed `BENCH_study.json` within
 //! tolerance bands; quality regressions fail (exit 1), improvements
 //! and throughput drift warn. Also validates `BENCH_hotpath.json`
-//! (schema v1, v2, or v3) and re-times its smallest probe cells —
-//! both the scalar local-field rows and, on v3 artifacts, the packed
-//! 64-lane replica rows (warn-only drift; a lane diverging from its
-//! scalar `replica_seed` twin fails).
+//! (schema v3 only) and re-times its smallest probe cells — both the
+//! scalar local-field rows and the packed 64-lane replica rows
+//! (warn-only drift; a lane diverging from its scalar `replica_seed`
+//! twin fails).
 //!
 //! ```text
 //! cargo run --release -p hycim-bench --bin bench_gate
@@ -87,7 +87,7 @@ fn main() -> ExitCode {
         .run(&recipe)
         .expect("gate recipe cells must construct");
     println!(
-        "gate: fresh run finished in {:.2}s solve wall-clock ({} cells)",
+        "gate: fresh run finished in {:.2}s wall-clock ({} cells)",
         result.wall_seconds,
         result.cells()
     );

@@ -12,8 +12,8 @@
 use hycim_bench::{default_threads, Args};
 use hycim_cim::energy::EnergyModel;
 use hycim_cop::generator::benchmark_set;
-use hycim_cop::CopProblem;
-use hycim_core::{BatchRunner, HyCimConfig, HyCimSolver};
+use hycim_cop::{CopProblem, QkpInstance};
+use hycim_core::{BatchRunner, HyCimConfig, HyCimEngine};
 use hycim_qubo::dqubo::{AuxEncoding, PenaltyWeights};
 use hycim_qubo::quant::matrix_bits;
 
@@ -34,10 +34,10 @@ fn main() {
     // Measure the infeasible-proposal fraction from real runs, one
     // replica per instance, all instances in parallel.
     let config = HyCimConfig::default().with_sweeps(sweeps);
-    let engines: Vec<HyCimSolver> = instances
+    let engines: Vec<HyCimEngine<QkpInstance>> = instances
         .iter()
         .enumerate()
-        .map(|(idx, inst)| HyCimSolver::new(inst, &config, seed + idx as u64).expect("mappable"))
+        .map(|(idx, inst)| HyCimEngine::new(inst, &config, seed + idx as u64).expect("mappable"))
         .collect();
     let grid = BatchRunner::new()
         .with_threads(threads)

@@ -18,10 +18,10 @@
 
 use std::time::Instant;
 
-use hycim_bench::{default_threads, mean, Args};
+use hycim_bench::{default_threads, mean, Args, SuccessTally};
 use hycim_cop::generator::benchmark_set;
-use hycim_core::success::{run_grid_report, SuccessReport};
-use hycim_core::{BatchRunner, DquboConfig, DquboSolver, HyCimConfig, HyCimSolver};
+use hycim_cop::QkpInstance;
+use hycim_core::{BatchRunner, DquboConfig, DquboEngine, HyCimConfig, HyCimEngine};
 
 fn main() {
     let args = Args::parse();
@@ -44,15 +44,15 @@ fn main() {
     // ---- HyCiM ------------------------------------------------------
     let t = Instant::now();
     let hycim_cfg = HyCimConfig::default().with_sweeps(sweeps);
-    let hycim_engines: Vec<HyCimSolver> = instances
+    let hycim_engines: Vec<HyCimEngine<QkpInstance>> = instances
         .iter()
         .enumerate()
         .map(|(idx, inst)| {
-            HyCimSolver::new(inst, &hycim_cfg, seed + idx as u64)
+            HyCimEngine::new(inst, &hycim_cfg, seed + idx as u64)
                 .expect("benchmark instances map onto the hardware")
         })
         .collect();
-    let hycim = run_grid_report(&hycim_engines, initials, seed, &runner);
+    let hycim = SuccessTally::measure(&hycim_engines, initials, seed, &runner);
     println!("\n== HyCiM ({:.1}s) ==", t.elapsed().as_secs_f64());
     print_report(&hycim);
 
@@ -64,11 +64,11 @@ fn main() {
     // ---- D-QUBO baseline ---------------------------------------------
     let t = Instant::now();
     let dqubo_cfg = DquboConfig::default().with_sweeps(dqubo_sweeps);
-    let dqubo_engines: Vec<DquboSolver> = instances
+    let dqubo_engines: Vec<DquboEngine<QkpInstance>> = instances
         .iter()
-        .map(|inst| DquboSolver::new(inst, &dqubo_cfg).expect("transformable"))
+        .map(|inst| DquboEngine::new(inst, &dqubo_cfg).expect("transformable"))
         .collect();
-    let dqubo = run_grid_report(&dqubo_engines, initials, seed, &runner);
+    let dqubo = SuccessTally::measure(&dqubo_engines, initials, seed, &runner);
     println!(
         "\n== D-QUBO baseline ({:.1}s) ==",
         t.elapsed().as_secs_f64()
@@ -78,11 +78,11 @@ fn main() {
     println!("\n== headline comparison ==");
     println!(
         "HyCiM  average success rate: {:>6.2}%   (paper: 98.54%)",
-        hycim.average_success_rate()
+        hycim.success_rate()
     );
     println!(
         "D-QUBO average success rate: {:>6.2}%   (paper: 10.75%)",
-        dqubo.average_success_rate()
+        dqubo.success_rate()
     );
     println!(
         "D-QUBO runs ending infeasible: {:.1}% (the paper's \"trapped in \
@@ -91,16 +91,16 @@ fn main() {
     );
 }
 
-fn print_report(report: &SuccessReport) {
-    let values = report.all_normalized_values();
+fn print_report(report: &SuccessTally) {
+    let values = &report.normalized;
     println!(
         "normalized QKP values: mean {:.3}, min {:.3}",
-        mean(&values),
+        mean(values),
         values.iter().fold(f64::INFINITY, |a, &b| a.min(b))
     );
     // Histogram of normalized values (the Fig. 10 scatter condensed).
     let mut bins = [0usize; 11];
-    for &v in &values {
+    for &v in values {
         let b = (v.clamp(0.0, 1.0) * 10.0).floor() as usize;
         bins[b.min(10)] += 1;
     }
@@ -115,8 +115,5 @@ fn print_report(report: &SuccessReport) {
             );
         }
     }
-    println!(
-        "average success rate: {:.2}%",
-        report.average_success_rate()
-    );
+    println!("average success rate: {:.2}%", report.success_rate());
 }

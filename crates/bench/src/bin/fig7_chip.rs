@@ -9,7 +9,7 @@
 use hycim_bench::{bar, Args};
 use hycim_cim::linearity::measure_linearity;
 use hycim_cop::QkpInstance;
-use hycim_core::{Engine, HyCimConfig, HyCimSolver};
+use hycim_core::{Engine, HyCimConfig, HyCimEngine};
 use hycim_fefet::VariationModel;
 
 fn main() {
@@ -53,7 +53,7 @@ fn main() {
     for m in 0..measurements {
         // Each measurement erases and reprograms the chip (fresh
         // hardware seed), then runs SA (paper protocol).
-        let solver = HyCimSolver::new(&inst, &config, seed + m as u64).expect("mappable example");
+        let solver = HyCimEngine::new(&inst, &config, seed + m as u64).expect("mappable example");
         let solution = solver.solve(seed + 100 + m as u64);
         let energies = solution.trace.energies();
         // Subsample the trace to ~15 points like the figure.

@@ -61,7 +61,7 @@ fn main() {
     println!(
         "\ndistributed: {} cells, {} iterations, {:.2}s",
         distributed.cells(),
-        distributed.total_iterations,
+        distributed.total_iterations(),
         distributed.wall_seconds
     );
 
@@ -72,7 +72,7 @@ fn main() {
     println!(
         "local (1 thread): {} cells, {} iterations, {:.2}s",
         local.cells(),
-        local.total_iterations,
+        local.total_iterations(),
         local.wall_seconds
     );
 

@@ -8,11 +8,11 @@
 //! cargo run --release -p hycim-bench --bin table1_summary
 //! ```
 
-use hycim_bench::{default_threads, Args};
+use hycim_bench::{default_threads, Args, SuccessTally};
 use hycim_cop::generator::benchmark_set;
-use hycim_core::success::run_grid_report;
+use hycim_cop::QkpInstance;
 use hycim_core::table::{literature_rows, render_table, this_work_row};
-use hycim_core::{BatchRunner, HyCimConfig, HyCimSolver};
+use hycim_core::{BatchRunner, HyCimConfig, HyCimEngine};
 
 fn main() {
     let args = Args::parse();
@@ -30,18 +30,18 @@ fn main() {
         instances.len()
     );
     let config = HyCimConfig::default().with_sweeps(sweeps);
-    let engines: Vec<HyCimSolver> = instances
+    let engines: Vec<HyCimEngine<QkpInstance>> = instances
         .iter()
         .enumerate()
         .map(|(idx, inst)| {
-            HyCimSolver::new(inst, &config, seed + idx as u64).expect("mappable benchmark instance")
+            HyCimEngine::new(inst, &config, seed + idx as u64).expect("mappable benchmark instance")
         })
         .collect();
     let runner = BatchRunner::new().with_threads(threads);
-    let report = run_grid_report(&engines, initials, seed, &runner);
+    let tally = SuccessTally::measure(&engines, initials, seed, &runner);
 
     let mut rows = literature_rows();
-    rows.push(this_work_row(report.average_success_rate()));
+    rows.push(this_work_row(tally.success_rate()));
     println!("== Table 1: summary of QUBO solvers ==");
     println!("{}", render_table(&rows));
     println!(

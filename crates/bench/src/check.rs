@@ -11,18 +11,10 @@
 
 use std::env;
 
-/// Current schema tag of `BENCH_hotpath.json` (v3 = v2 plus the
-/// required `replica_rows` packed-vs-scalar throughput block).
+/// Schema tag of `BENCH_hotpath.json`: scalar local-field `rows`, a
+/// `meta` provenance block, and the `replica_rows` packed-vs-scalar
+/// throughput block. Earlier tags are rejected.
 pub const HOTPATH_SCHEMA: &str = "hycim-hotpath/v3";
-
-/// The pre-replica-rows hotpath schema tag (v1 plus the required
-/// `meta` provenance block), still accepted by the validator and
-/// tolerated by the gate.
-pub const HOTPATH_SCHEMA_V2: &str = "hycim-hotpath/v2";
-
-/// The pre-provenance hotpath schema tag, still accepted by the
-/// validator and tolerated by the gate.
-pub const HOTPATH_SCHEMA_V1: &str = "hycim-hotpath/v1";
 
 /// Schema tag of `BENCH_study.json`.
 pub const STUDY_SCHEMA: &str = "hycim-study/v1";
@@ -159,12 +151,12 @@ fn structural_checks(doc: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn schema_check<'a>(doc: &str, accepted: &[&'a str]) -> Result<&'a str, String> {
-    accepted
-        .iter()
-        .find(|tag| doc.contains(&format!("\"schema\": \"{tag}\"")))
-        .copied()
-        .ok_or_else(|| format!("missing schema tag (expected one of {accepted:?})"))
+fn schema_check(doc: &str, tag: &str) -> Result<(), String> {
+    if doc.contains(&format!("\"schema\": \"{tag}\"")) {
+        Ok(())
+    } else {
+        Err(format!("missing schema tag (expected {tag:?})"))
+    }
 }
 
 fn meta_check(doc: &str) -> Result<(), String> {
@@ -244,20 +236,18 @@ fn rate_field(fragment: &str, key: &str, label: &str) -> Result<f64, String> {
 }
 
 /// Validates the shape of an emitted `BENCH_hotpath.json` document:
-/// schema tag (`/v1` or `/v2`; `/v2` additionally requires the `meta`
-/// provenance block), balanced braces/brackets, at least one row,
-/// every row carrying every required key, and strictly positive finite
-/// throughput numbers.
+/// the [`HOTPATH_SCHEMA`] tag, the `meta` provenance block, balanced
+/// braces/brackets, at least one row, a `replica_rows` block, every
+/// row and replica row carrying every required key, and strictly
+/// positive finite throughput numbers.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first violation.
 pub fn validate_hotpath_json(doc: &str) -> Result<(), String> {
     structural_checks(doc)?;
-    let tag = schema_check(doc, &[HOTPATH_SCHEMA, HOTPATH_SCHEMA_V2, HOTPATH_SCHEMA_V1])?;
-    if tag != HOTPATH_SCHEMA_V1 {
-        meta_check(doc)?;
-    }
+    schema_check(doc, HOTPATH_SCHEMA)?;
+    meta_check(doc)?;
     let rows_found = rows(doc, "{ \"family\":");
     if rows_found.is_empty() {
         return Err("no rows found".into());
@@ -276,29 +266,26 @@ pub fn validate_hotpath_json(doc: &str) -> Result<(), String> {
             }
         }
     }
-    if tag == HOTPATH_SCHEMA {
-        if !doc.contains("\"replica_rows\":") {
-            return Err("v3 document missing \"replica_rows\" block".into());
-        }
-        for (idx, row) in rows(doc, "{ \"lanes\":").iter().enumerate() {
-            let row = format!("\"lanes\":{row}");
-            for key in HOTPATH_REPLICA_ROW_KEYS {
-                if !row.contains(&format!("\"{key}\":")) {
-                    return Err(format!("replica row {idx} missing key {key:?}"));
-                }
+    if !doc.contains("\"replica_rows\":") {
+        return Err("document missing \"replica_rows\" block".into());
+    }
+    for (idx, row) in rows(doc, "{ \"lanes\":").iter().enumerate() {
+        let row = format!("\"lanes\":{row}");
+        for key in HOTPATH_REPLICA_ROW_KEYS {
+            if !row.contains(&format!("\"{key}\":")) {
+                return Err(format!("replica row {idx} missing key {key:?}"));
             }
-            for key in [
-                "scalar_iters_per_sec",
-                "packed_iters_per_sec",
-                "replica_speedup",
-            ] {
-                let parsed =
-                    number_field(&row, key).map_err(|e| format!("replica row {idx}: {e}"))?;
-                if parsed <= 0.0 {
-                    return Err(format!(
-                        "replica row {idx}: {key} = {parsed} is not positive"
-                    ));
-                }
+        }
+        for key in [
+            "scalar_iters_per_sec",
+            "packed_iters_per_sec",
+            "replica_speedup",
+        ] {
+            let parsed = number_field(&row, key).map_err(|e| format!("replica row {idx}: {e}"))?;
+            if parsed <= 0.0 {
+                return Err(format!(
+                    "replica row {idx}: {key} = {parsed} is not positive"
+                ));
             }
         }
     }
@@ -315,7 +302,7 @@ pub fn validate_hotpath_json(doc: &str) -> Result<(), String> {
 /// Returns a human-readable description of the first violation.
 pub fn validate_study_json(doc: &str) -> Result<(), String> {
     structural_checks(doc)?;
-    schema_check(doc, &[STUDY_SCHEMA])?;
+    schema_check(doc, STUDY_SCHEMA)?;
     meta_check(doc)?;
     for key in ["study", "seed", "replicas", "sweeps", "engines"] {
         if !doc.contains(&format!("\"{key}\":")) {
@@ -432,8 +419,8 @@ pub fn parse_hotpath_rows(doc: &str) -> Result<Vec<(String, usize, f64)>, String
 /// replica-throughput drift check. The `sweeps` field lets the drift
 /// probe replay the committed row's own run length (throughput is
 /// sweep-count dependent: longer runs amortize setup and spend more
-/// time in the draw-free cold tail). Pre-v3 documents simply yield an
-/// empty list (no replica rows to drift against).
+/// time in the draw-free cold tail). A document without replica rows
+/// yields an empty list (nothing to drift against).
 ///
 /// # Errors
 ///
@@ -477,29 +464,36 @@ mod tests {
     }
 
     #[test]
-    fn hotpath_validator_accepts_v3_v2_and_legacy_v1() {
+    fn hotpath_validator_accepts_v3_and_rejects_v2_and_v1() {
         let meta = format!("  {},\n", ReportMeta::unknown().render());
         validate_hotpath_json(&v3_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("v3");
-        validate_hotpath_json(&hotpath_doc(HOTPATH_SCHEMA_V2, &meta, GOOD_ROW)).expect("v2");
-        validate_hotpath_json(&hotpath_doc(HOTPATH_SCHEMA_V1, "", GOOD_ROW)).expect("v1");
+        // The superseded tags fail on the tag itself, even when the
+        // rest of the document is well-formed.
+        let v2 = hotpath_doc("hycim-hotpath/v2", &meta, GOOD_ROW);
+        let v1 = hotpath_doc("hycim-hotpath/v1", "", GOOD_ROW);
+        for old in [v2, v1] {
+            assert!(validate_hotpath_json(&old)
+                .unwrap_err()
+                .contains("schema tag"));
+        }
     }
 
     #[test]
     fn hotpath_validator_rejects_malformed() {
         assert!(validate_hotpath_json("[]").is_err());
         assert!(validate_hotpath_json("{}").is_err(), "missing schema");
-        let v2_no_meta = hotpath_doc(HOTPATH_SCHEMA_V2, "", GOOD_ROW);
+        let v3_no_meta = hotpath_doc(HOTPATH_SCHEMA, "", GOOD_ROW);
         assert!(
-            validate_hotpath_json(&v2_no_meta)
+            validate_hotpath_json(&v3_no_meta)
                 .unwrap_err()
                 .contains("meta"),
-            "v2 requires meta"
+            "v3 requires meta"
         );
-        let no_rows = hotpath_doc(HOTPATH_SCHEMA_V1, "", "");
+        let no_rows = v3_doc("", GOOD_REPLICA_ROW);
         assert!(validate_hotpath_json(&no_rows).is_err(), "no rows");
         let bad = GOOD_ROW.replace("\"speedup\": 9.0", "\"speedup\": -3.0");
         assert!(
-            validate_hotpath_json(&hotpath_doc(HOTPATH_SCHEMA_V1, "", &bad)).is_err(),
+            validate_hotpath_json(&v3_doc(&bad, "")).is_err(),
             "negative speedup"
         );
     }
@@ -534,7 +528,7 @@ mod tests {
         assert_eq!(rows, vec![("maxcut".to_string(), 256, 60, 1.2e8)]);
         // Pre-v3 documents have no replica rows — the parser returns
         // an empty list rather than an error.
-        let v1 = hotpath_doc(HOTPATH_SCHEMA_V1, "", GOOD_ROW);
+        let v1 = hotpath_doc("hycim-hotpath/v1", "", GOOD_ROW);
         assert_eq!(parse_replica_rows(&v1).expect("tolerated"), vec![]);
     }
 
@@ -597,7 +591,7 @@ mod tests {
 
     #[test]
     fn hotpath_rows_extract() {
-        let doc = hotpath_doc(HOTPATH_SCHEMA_V1, "", GOOD_ROW);
+        let doc = v3_doc(GOOD_ROW, GOOD_REPLICA_ROW);
         let rows = parse_hotpath_rows(&doc).expect("extracts");
         assert_eq!(rows, vec![("maxcut".to_string(), 256, 9e6)]);
     }

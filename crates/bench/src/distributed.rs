@@ -7,7 +7,7 @@
 //! path the local runner uses (`build_instance`), every shard
 //! carries its pre-derived solve seeds plus the instance-keyed
 //! hardware seed, and scoring delegates to the same formulas
-//! ([`WireSolution::objective_success`], `summarize_cell`). A
+//! ([`fold_reference`], [`summarize_cell`]). A
 //! distributed run therefore renders a `BENCH_study.json` document
 //! **byte-identical** to a local single-thread run of the same recipe
 //! — the pin of the `distributed_study` integration tests and the
@@ -15,10 +15,10 @@
 
 use std::time::Instant;
 
-use hycim_net::{shard_replica_column, Coordinator, JobSpec, WireSolution};
+use hycim_net::{shard_replica_column, Coordinator, JobSpec};
 
 use crate::recipe::StudyRecipe;
-use crate::stats::{rank_engines, summarize_cell, ProblemSummary};
+use crate::stats::{fold_reference, rank_engines, summarize_cell, ProblemSummary, RunScore};
 use crate::study::{build_instance, StudyResult};
 
 /// Executes [`StudyRecipe`]s by sharding every cell over wire workers.
@@ -76,10 +76,9 @@ impl DistributedStudyRunner {
         let started = Instant::now();
         let coordinator = &self.coordinator;
         let mut problems = Vec::new();
-        let mut total_iterations = 0u64;
         for (spec, n, key) in recipe.instances() {
             let instance = build_instance(&spec, n, &key, recipe)?;
-            let mut batches = Vec::new();
+            let mut columns = Vec::new();
             for &kind in &recipe.engines {
                 let base = JobSpec {
                     family: instance.family_tag().to_string(),
@@ -97,50 +96,38 @@ impl DistributedStudyRunner {
                     0,
                     self.shards,
                 );
-                let merged = coordinator
+                let runs: Vec<RunScore> = coordinator
                     .run(total, &jobs)
-                    .map_err(|e| format!("{key} on {}: {e}", kind.tag()))?;
-                batches.push((kind, merged));
+                    .map_err(|e| format!("{key} on {}: {e}", kind.tag()))?
+                    .iter()
+                    .map(|s| {
+                        let iters = s.iters_to_best as usize;
+                        (s.objective, s.feasible, iters, s.iterations as usize)
+                    })
+                    .collect();
+                columns.push((kind, runs));
             }
 
             // Problem-local reference, folded exactly as the local
             // runner folds it: the instance's own reference with the
             // best feasible solve of any engine on this problem.
-            let best_seen = batches
-                .iter()
-                .flat_map(|(_, runs)| runs.iter())
-                .filter(|s| s.feasible)
-                .map(|s| s.objective)
-                .fold(f64::INFINITY, f64::min);
-            let reference = instance
-                .reference_objective(recipe.instance_seed(&key))
-                .unwrap_or(f64::INFINITY)
-                .min(best_seen);
-
-            let mut cells = Vec::new();
-            for (kind, runs) in &batches {
-                let scores: Vec<(f64, bool, bool, usize, usize)> = runs
+            let reference = fold_reference(
+                instance.reference_objective(recipe.instance_seed(&key)),
+                columns
                     .iter()
-                    .map(|s: &WireSolution| {
-                        (
-                            s.objective,
-                            s.feasible,
-                            s.objective_success(reference),
-                            s.iters_to_best as usize,
-                            s.iterations as usize,
-                        )
-                    })
-                    .collect();
-                total_iterations += scores.iter().map(|s| s.4 as u64).sum::<u64>();
-                cells.push(summarize_cell(kind.tag(), &scores));
-            }
+                    .flat_map(|(_, runs)| runs)
+                    .map(|r| (r.0, r.1)),
+            );
             problems.push(ProblemSummary {
                 problem: key.clone(),
                 family: spec.family.tag().to_string(),
                 n,
                 dim: instance.dim(),
                 reference,
-                cells,
+                cells: columns
+                    .iter()
+                    .map(|(kind, runs)| summarize_cell(kind.tag(), reference, runs))
+                    .collect(),
             });
         }
         let rankings = rank_engines(&problems);
@@ -149,7 +136,6 @@ impl DistributedStudyRunner {
             problems,
             rankings,
             wall_seconds: started.elapsed().as_secs_f64(),
-            total_iterations,
         })
     }
 }

@@ -193,7 +193,7 @@ pub fn throughput_drift(committed_hotpath: &str, tol: &GateTolerances) -> GateRe
 /// drifted below the tolerance ratio. **Warn-only by design**: replica
 /// throughput is as machine-dependent as the scalar hotpath numbers,
 /// so like [`throughput_drift`] this check never contributes a
-/// failure — a pre-v3 artifact (no replica rows) or even an
+/// failure — an artifact with no replica rows or even an
 /// unextractable replica block only produces advisories.
 pub fn replica_throughput_drift(committed_hotpath: &str, tol: &GateTolerances) -> GateReport {
     let mut report = GateReport::default();

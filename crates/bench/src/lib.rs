@@ -49,11 +49,14 @@ pub mod study;
 pub use check::{
     parse_hotpath_rows, parse_replica_rows, parse_study_cells, validate_hotpath_json,
     validate_study_json, CommittedCell, ReportMeta, HOTPATH_REPLICA_ROW_KEYS, HOTPATH_ROW_KEYS,
-    HOTPATH_SCHEMA, HOTPATH_SCHEMA_V1, HOTPATH_SCHEMA_V2, STUDY_SCHEMA,
+    HOTPATH_SCHEMA, STUDY_SCHEMA,
 };
 pub use distributed::DistributedStudyRunner;
 pub use recipe::{EngineKind, Family, FamilySpec, RecipeError, StudyRecipe};
-pub use stats::{rank_cells, rank_engines, CellSummary, EngineRanking, ProblemSummary};
+pub use stats::{
+    fold_reference, rank_cells, rank_engines, CellSummary, EngineRanking, ProblemSummary,
+    SuccessTally,
+};
 pub use study::{render_metrics_summary, render_study_json, StudyResult, StudyRunner};
 
 use std::collections::HashMap;

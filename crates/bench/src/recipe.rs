@@ -373,7 +373,7 @@ impl StudyRecipe {
     }
 
     /// Root seed of one instance's solve batch (fed to
-    /// `BatchRunner::run_telemetry`, which derives per-replica seeds).
+    /// `BatchRunner::run`, which derives per-replica seeds).
     pub fn solve_seed(&self, key: &str) -> u64 {
         replica_seed(self.seed ^ fnv1a(key), 1, 0)
     }

@@ -1,8 +1,97 @@
-//! Study statistics: per-(problem, engine) cell summaries and the
-//! kurobako-style cross-problem engine rankings (success rates,
-//! Borda points, best/worst counts) the `study_report` bin emits.
+//! Study statistics: the one reference fold every success score goes
+//! through, the Fig. 10 success tally of the QKP report bins,
+//! per-(problem, engine) cell summaries and the kurobako-style
+//! cross-problem engine rankings (success rates, Borda points,
+//! best/worst counts) the `study_report` bin emits.
+
+use hycim_cop::CopProblem;
+use hycim_core::{objective_success, BatchRunner, Engine};
 
 use crate::mean;
+
+/// The reference objective (minimization convention) runs are scored
+/// against: the problem's exact/heuristic `reference` folded with the
+/// best feasible `(objective, feasible)` run — the runs may beat the
+/// heuristic. Infeasible runs never lower it; with no reference and
+/// no feasible run it is `+inf`, so nothing scores as a success.
+pub fn fold_reference(reference: Option<f64>, runs: impl IntoIterator<Item = (f64, bool)>) -> f64 {
+    let best_seen = runs
+        .into_iter()
+        .filter(|&(_, feasible)| feasible)
+        .map(|(objective, _)| objective)
+        .fold(f64::INFINITY, f64::min);
+    reference.unwrap_or(f64::INFINITY).min(best_seen)
+}
+
+/// The paper's Fig. 10 tally over a set of instances: every run's
+/// normalized value, and how many runs succeeded (feasible and within
+/// 5% of the reference) or ended infeasible.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SuccessTally {
+    /// Normalized value of every run (1 = matched the reference), in
+    /// instance order then replica order — the full Fig. 10 scatter.
+    pub normalized: Vec<f64>,
+    /// Runs within 5% of their instance reference and feasible.
+    pub successes: usize,
+    /// Runs that ended infeasible (D-QUBO trapping).
+    pub infeasible: usize,
+}
+
+impl SuccessTally {
+    /// Runs the Fig. 10 protocol over `engines` (one per instance):
+    /// `replicas` starts each through [`BatchRunner::run_grid`], then
+    /// instance `idx` is scored against [`fold_reference`] of its
+    /// problem reference at seed `seed + idx` and that engine's own
+    /// runs. Scoring re-runs the reference heuristic per instance, so
+    /// it runs on the runner's threads too. Deterministic in `seed`
+    /// for any thread count.
+    pub fn measure<P, E>(engines: &[E], replicas: usize, seed: u64, runner: &BatchRunner) -> Self
+    where
+        P: CopProblem,
+        E: Engine<P>,
+    {
+        let grid = runner.run_grid(engines, replicas, seed);
+        let scored = runner.map_indexed(engines.len(), |idx| {
+            let runs = &grid[idx];
+            let reference = fold_reference(
+                engines[idx]
+                    .problem()
+                    .reference_objective(seed + idx as u64),
+                runs.iter().map(|s| (s.objective, s.feasible)),
+            );
+            runs.iter()
+                .map(|s| {
+                    let success = s.objective_success(reference);
+                    (s.normalized_objective(reference), success, s.feasible)
+                })
+                .collect::<Vec<_>>()
+        });
+        let runs = scored.concat();
+        Self {
+            normalized: runs.iter().map(|r| r.0).collect(),
+            successes: runs.iter().filter(|r| r.1).count(),
+            infeasible: runs.iter().filter(|r| !r.2).count(),
+        }
+    }
+
+    /// Success rate over all runs, in percent (the paper's headline
+    /// 98.54% / 10.75%); 0 for an empty tally.
+    pub fn success_rate(&self) -> f64 {
+        self.percent(self.successes)
+    }
+
+    /// Share of runs ending infeasible, in percent.
+    pub fn infeasible_rate(&self) -> f64 {
+        self.percent(self.infeasible)
+    }
+
+    fn percent(&self, count: usize) -> f64 {
+        if self.normalized.is_empty() {
+            return 0.0;
+        }
+        100.0 * count as f64 / self.normalized.len() as f64
+    }
+}
 
 /// Aggregate of one (problem, engine) cell: `replicas` solves scored
 /// against the problem's reference objective. Every field except
@@ -148,28 +237,134 @@ pub fn rank_engines(problems: &[ProblemSummary]) -> Vec<EngineRanking> {
     rankings
 }
 
-/// Builds one cell summary from per-replica scores.
+/// One replica's scoring inputs: `(objective, feasible,
+/// iters_to_best, iterations)`.
+pub type RunScore = (f64, bool, usize, usize);
+
+/// Builds one cell summary from per-replica scores, counting a
+/// success by [`objective_success`] against the folded `reference`.
 ///
-/// `scores` is one `(objective, feasible, success, iters_to_best,
-/// iterations)` tuple per replica, in replica order (so the means are
-/// order-stable and bit-identical across thread counts).
-pub fn summarize_cell(engine: &str, scores: &[(f64, bool, bool, usize, usize)]) -> CellSummary {
-    let replicas = scores.len().max(1) as f64;
-    let objectives: Vec<f64> = scores.iter().map(|s| s.0).collect();
+/// `runs` is in replica order (so the means are order-stable and
+/// bit-identical across thread counts).
+pub fn summarize_cell(engine: &str, reference: f64, runs: &[RunScore]) -> CellSummary {
+    let replicas = runs.len().max(1) as f64;
+    let objectives: Vec<f64> = runs.iter().map(|r| r.0).collect();
+    let successes = runs
+        .iter()
+        .filter(|r| objective_success(r.0, r.1, reference))
+        .count();
     CellSummary {
         engine: engine.to_string(),
-        success_rate: scores.iter().filter(|s| s.2).count() as f64 / replicas,
-        feasible_rate: scores.iter().filter(|s| s.1).count() as f64 / replicas,
+        success_rate: successes as f64 / replicas,
+        feasible_rate: runs.iter().filter(|r| r.1).count() as f64 / replicas,
         best_objective: objectives.iter().copied().fold(f64::INFINITY, f64::min),
         mean_objective: mean(&objectives),
-        mean_iters_to_best: mean(&scores.iter().map(|s| s.3 as f64).collect::<Vec<_>>()),
-        iterations: scores.iter().map(|s| s.4 as u64).sum(),
+        mean_iters_to_best: mean(&runs.iter().map(|r| r.2 as f64).collect::<Vec<_>>()),
+        iterations: runs.iter().map(|r| r.3 as u64).sum(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hycim_cop::generator::QkpGenerator;
+    use hycim_cop::maxcut::MaxCut;
+    use hycim_core::{DquboConfig, DquboEngine, HyCimConfig, HyCimEngine};
+
+    #[test]
+    fn fold_reference_takes_the_best_feasible_run() {
+        let runs = [(-90.0, true), (-120.0, false), (-95.0, true)];
+        // A feasible run beats the heuristic; the better infeasible
+        // run never counts.
+        assert_eq!(fold_reference(Some(-92.0), runs), -95.0);
+        assert_eq!(fold_reference(Some(-100.0), runs), -100.0);
+        // No reference: the best feasible run is the reference.
+        assert_eq!(fold_reference(None, runs), -95.0);
+        // No reference and nothing feasible: nothing can succeed.
+        assert_eq!(
+            fold_reference(None, [(-120.0, false), (-7.0, false)]),
+            f64::INFINITY
+        );
+        assert_eq!(fold_reference(Some(3.0), []), 3.0);
+    }
+
+    #[test]
+    fn success_tally_aggregate_rates() {
+        // Two instances of two runs each, flattened in instance
+        // order: 3 of 4 runs succeed, 1 ends infeasible.
+        let tally = SuccessTally {
+            normalized: vec![1.0, 0.5, 1.0, 1.0],
+            successes: 3,
+            infeasible: 1,
+        };
+        assert!((tally.success_rate() - 75.0).abs() < 1e-12);
+        assert!((tally.infeasible_rate() - 25.0).abs() < 1e-12);
+        assert_eq!(tally.normalized.len(), 4);
+        assert_eq!(SuccessTally::default().success_rate(), 0.0);
+    }
+
+    #[test]
+    fn success_tally_flattens_in_instance_order() {
+        let config = HyCimConfig::default().with_sweeps(40);
+        let engines: Vec<_> = (0..3)
+            .map(|seed| {
+                let inst = QkpGenerator::new(12, 0.5).generate(seed);
+                HyCimEngine::new(&inst, &config, seed).unwrap()
+            })
+            .collect();
+        let runner = BatchRunner::new().with_threads(2);
+        let tally = SuccessTally::measure(&engines, 2, 4, &runner);
+        let grid = BatchRunner::serial().run_grid(&engines, 2, 4);
+        let mut expected = Vec::new();
+        for (idx, runs) in grid.iter().enumerate() {
+            let reference = fold_reference(
+                engines[idx].problem().reference_objective(4 + idx as u64),
+                runs.iter().map(|s| (s.objective, s.feasible)),
+            );
+            expected.extend(runs.iter().map(|s| s.normalized_objective(reference)));
+        }
+        assert_eq!(tally.normalized, expected);
+    }
+
+    #[test]
+    fn hycim_tally_on_small_set() {
+        let inst = QkpGenerator::new(25, 0.5).generate(1);
+        // A positive best-known value: the QKP reference is a profit.
+        assert!(inst.reference_objective(1).unwrap() < 0.0);
+        let engine = HyCimEngine::new(&inst, &HyCimConfig::default().with_sweeps(150), 1).unwrap();
+        assert_eq!(engine.backend(), "hycim");
+        let tally = SuccessTally::measure(&[engine], 5, 1, &BatchRunner::serial());
+        assert_eq!(tally.normalized.len(), 5);
+        assert!(
+            tally.success_rate() >= 80.0,
+            "rate {}",
+            tally.success_rate()
+        );
+        assert_eq!(tally.infeasible, 0);
+    }
+
+    #[test]
+    fn dqubo_tally_stays_normalized() {
+        let inst = QkpGenerator::new(25, 0.5).generate(2);
+        let engine = DquboEngine::new(&inst, &DquboConfig::default().with_sweeps(50)).unwrap();
+        let tally = SuccessTally::measure(&[engine], 5, 2, &BatchRunner::serial());
+        assert_eq!(tally.normalized.len(), 5);
+        // All values within [0, ~1].
+        assert!(tally.normalized.iter().all(|&v| (0.0..=1.001).contains(&v)));
+    }
+
+    #[test]
+    fn generic_tally_runs_maxcut() {
+        let graph = MaxCut::random(14, 0.5, 3);
+        let engine = HyCimEngine::new(&graph, &HyCimConfig::default().with_sweeps(200), 3).unwrap();
+        let runner = BatchRunner::new().with_threads(2);
+        let tally = SuccessTally::measure(&[engine], 4, 3, &runner);
+        assert_eq!(tally.normalized.len(), 4);
+        assert!(
+            tally.success_rate() > 0.0,
+            "no run reached 95% of the cut reference"
+        );
+    }
 
     fn cell(engine: &str, success: f64, best: f64, mean_obj: f64) -> CellSummary {
         CellSummary {
@@ -281,12 +476,13 @@ mod tests {
 
     #[test]
     fn summarize_cell_aggregates_in_replica_order() {
+        // Against reference -10, only the first replica is within 5%.
         let scores = [
-            (-10.0, true, true, 40, 100),
-            (-8.0, true, false, 90, 100),
-            (f64::INFINITY, false, false, 0, 100),
+            (-10.0, true, 40, 100),
+            (-8.0, true, 90, 100),
+            (f64::INFINITY, false, 0, 100),
         ];
-        let c = summarize_cell("hycim", &scores);
+        let c = summarize_cell("hycim", -10.0, &scores);
         assert!((c.success_rate - 1.0 / 3.0).abs() < 1e-12);
         assert!((c.feasible_rate - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(c.best_objective, -10.0);

@@ -8,8 +8,8 @@
 //! instance seeds, solve seeds, and hardware seeds all derive from
 //! the study seed and each instance's canonical key, and the
 //! [`BatchRunner`] guarantees bit-identical solves at any thread
-//! count. Wall-clock telemetry is collected (for stdout reporting)
-//! but never rendered into the artifact. Because seeding is keyed and
+//! count. Wall-clock time is measured (for stdout reporting) but
+//! never rendered into the artifact. Because seeding is keyed and
 //! not positional, any sub-recipe — the CI gate — reproduces the
 //! exact cells of a superset study.
 
@@ -22,6 +22,7 @@ use hycim_cop::mkp::MkpGenerator;
 use hycim_cop::spinglass::SpinGlass;
 use hycim_cop::tsp::Tsp;
 use std::sync::Arc;
+use std::time::Instant;
 
 use hycim_cop::{AnyProblem, CopProblem};
 use hycim_core::{BatchRunner, Engine, EngineSettings};
@@ -32,7 +33,10 @@ use rand::{Rng, SeedableRng};
 use crate::check::ReportMeta;
 use crate::check::STUDY_SCHEMA;
 use crate::recipe::{EngineKind, Family, FamilySpec, StudyRecipe};
-use crate::stats::{rank_engines, summarize_cell, CellSummary, EngineRanking, ProblemSummary};
+use crate::stats::{
+    fold_reference, rank_engines, summarize_cell, CellSummary, EngineRanking, ProblemSummary,
+    RunScore,
+};
 
 /// Outcome of one study run: the deterministic summaries plus the
 /// (nondeterministic, stdout-only) execution telemetry.
@@ -44,14 +48,21 @@ pub struct StudyResult {
     pub problems: Vec<ProblemSummary>,
     /// Cross-problem engine rankings, best-first.
     pub rankings: Vec<EngineRanking>,
-    /// Total wall-clock spent inside engine solves, in seconds
-    /// (telemetry; never rendered into the JSON artifact).
+    /// Wall-clock time of the whole run, in seconds (telemetry; never
+    /// rendered into the JSON artifact).
     pub wall_seconds: f64,
-    /// Total annealing iterations across all cells (deterministic).
-    pub total_iterations: u64,
 }
 
 impl StudyResult {
+    /// Total annealing iterations across all cells (deterministic).
+    pub fn total_iterations(&self) -> u64 {
+        self.problems
+            .iter()
+            .flat_map(|p| &p.cells)
+            .map(|c| c.iterations)
+            .sum()
+    }
+
     /// Number of (problem, engine) cells the study ran.
     pub fn cells(&self) -> usize {
         self.problems.iter().map(|p| p.cells.len()).sum()
@@ -95,8 +106,8 @@ impl StudyRunner {
     /// Routes per-cell execution counters into a metrics registry:
     /// `batch.cells` / `batch.iterations` / `batch.cell_iterations`
     /// (deterministic) and `timing.batch.cell_seconds` (wall-clock,
-    /// quarantined in the snapshot's `timing.` section). This replaces
-    /// the old stdout-only telemetry path — render the snapshot with
+    /// quarantined in the snapshot's `timing.` section), plus each
+    /// solve's `core.anneal.*` counts — render the snapshot with
     /// [`render_metrics_summary`] when a human report is wanted.
     pub fn with_obs(mut self, obs: Arc<ObsRegistry>) -> Self {
         self.runner = self.runner.with_obs(obs);
@@ -111,12 +122,11 @@ impl StudyRunner {
     /// the grid cannot be constructed (a family that does not map onto
     /// a requested backend).
     pub fn run(&self, recipe: &StudyRecipe) -> Result<StudyResult, String> {
+        let started = Instant::now();
         let mut problems = Vec::new();
-        let mut wall_seconds = 0.0;
-        let mut total_iterations = 0u64;
         for (spec, n, key) in recipe.instances() {
             let instance = build_instance(&spec, n, &key, recipe)?;
-            let (summary, wall, iters) = match &instance {
+            let summary = match &instance {
                 AnyProblem::Qkp(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
                 AnyProblem::Knapsack(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
                 AnyProblem::MaxCut(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
@@ -126,8 +136,6 @@ impl StudyRunner {
                 AnyProblem::BinPack(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
                 AnyProblem::Mkp(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
             }?;
-            wall_seconds += wall;
-            total_iterations += iters;
             problems.push(summary);
         }
         let rankings = rank_engines(&problems);
@@ -135,8 +143,7 @@ impl StudyRunner {
             recipe: recipe.clone(),
             problems,
             rankings,
-            wall_seconds,
-            total_iterations,
+            wall_seconds: started.elapsed().as_secs_f64(),
         })
     }
 }
@@ -172,58 +179,43 @@ fn run_instance<P: CopProblem + 'static>(
     key: &str,
     recipe: &StudyRecipe,
     runner: &BatchRunner,
-) -> Result<(ProblemSummary, f64, u64), String> {
-    let mut batches = Vec::new();
+) -> Result<ProblemSummary, String> {
+    let mut columns = Vec::new();
     for &kind in &recipe.engines {
         let engine = build_engine(kind, problem, key, recipe)?;
-        let runs = runner.run_telemetry(&engine, recipe.replicas, recipe.solve_seed(key));
-        batches.push((kind, runs));
+        let runs: Vec<RunScore> = runner
+            .run(&engine, recipe.replicas, recipe.solve_seed(key))
+            .iter()
+            .map(|s| {
+                let iters = s.trace.iters_to_best();
+                (s.objective, s.feasible, iters, s.trace.iterations())
+            })
+            .collect();
+        columns.push((kind, runs));
     }
 
     // Problem-local reference: the instance's exact/heuristic
     // reference folded with the best feasible solve of any engine on
     // this problem — never values from other problems, so recipe
     // subsetting cannot shift it.
-    let best_seen = batches
-        .iter()
-        .flat_map(|(_, runs)| runs.iter())
-        .filter(|(s, _)| s.feasible)
-        .map(|(s, _)| s.objective)
-        .fold(f64::INFINITY, f64::min);
-    let reference = problem
-        .reference_objective(recipe.instance_seed(key))
-        .unwrap_or(f64::INFINITY)
-        .min(best_seen);
-
-    let mut wall = 0.0;
-    let mut iterations = 0u64;
-    let mut cells = Vec::new();
-    for (kind, runs) in &batches {
-        let scores: Vec<(f64, bool, bool, usize, usize)> = runs
+    let reference = fold_reference(
+        problem.reference_objective(recipe.instance_seed(key)),
+        columns
             .iter()
-            .map(|(s, t)| {
-                (
-                    s.objective,
-                    s.feasible,
-                    s.objective_success(reference),
-                    s.trace.iters_to_best(),
-                    t.iterations,
-                )
-            })
-            .collect();
-        wall += runs.iter().map(|(_, t)| t.wall_seconds).sum::<f64>();
-        iterations += scores.iter().map(|s| s.4 as u64).sum::<u64>();
-        cells.push(summarize_cell(kind.tag(), &scores));
-    }
-    let summary = ProblemSummary {
+            .flat_map(|(_, runs)| runs)
+            .map(|r| (r.0, r.1)),
+    );
+    Ok(ProblemSummary {
         problem: key.to_string(),
         family: spec.family.tag().to_string(),
         n,
         dim: problem.dim(),
         reference,
-        cells,
-    };
-    Ok((summary, wall, iterations))
+        cells: columns
+            .iter()
+            .map(|(kind, runs)| summarize_cell(kind.tag(), reference, runs))
+            .collect(),
+    })
 }
 
 /// Generates the instance of one recipe cell, type-erased — the ONE
@@ -306,9 +298,9 @@ pub fn render_metrics_summary(result: &StudyResult, snapshot: &Snapshot) -> Stri
     let mut out = String::new();
     out.push_str("-- metrics (stdout only, never in the artifact) --\n");
     out.push_str(&format!(
-        "cells {}  iterations {}  solve wall-clock {:.2}s\n",
+        "cells {}  iterations {}  wall-clock {:.2}s\n",
         result.cells(),
-        result.total_iterations,
+        result.total_iterations(),
         result.wall_seconds
     ));
     out.push_str(&snapshot.render());
@@ -409,7 +401,7 @@ mod tests {
         assert_eq!(result.problems.len(), 2);
         assert_eq!(result.cells(), 4);
         assert_eq!(result.rankings.len(), 2);
-        assert!(result.total_iterations > 0);
+        assert!(result.total_iterations() > 0);
         assert!(result.wall_seconds > 0.0);
         for p in &result.problems {
             assert!(p.reference.is_finite(), "{}: reference folded", p.problem);
@@ -441,7 +433,7 @@ mod tests {
         assert_eq!(snapshot.counter("batch.cells"), Some(2));
         assert_eq!(
             snapshot.counter("batch.iterations"),
-            Some(result.total_iterations)
+            Some(result.total_iterations())
         );
         assert_eq!(
             snapshot

@@ -70,19 +70,6 @@ pub fn default_threads() -> usize {
         })
 }
 
-/// Per-cell execution telemetry from a [`BatchRunner`] fan-out.
-///
-/// Only `iterations` is deterministic; `wall_seconds` depends on the
-/// machine and scheduling, so report layers must keep it out of any
-/// artifact with a bit-identity guarantee (stdout is fine).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellTelemetry {
-    /// Wall-clock duration of this cell's solve, in seconds.
-    pub wall_seconds: f64,
-    /// Annealing iterations the solve executed (from the trace).
-    pub iterations: usize,
-}
-
 /// Multi-threaded, deterministic multi-start runner over a
 /// replica-count × problem-list grid.
 #[derive(Debug, Clone)]
@@ -110,13 +97,14 @@ impl BatchRunner {
         }
     }
 
-    /// Publishes [`run_telemetry`](Self::run_telemetry) observations
-    /// into `obs` (under `batch.*` names, each solve's anneal counts
-    /// under `core.anneal.*` plus one `AnnealPhase` event labeled with
-    /// the engine's backend tag, wall-clock under `timing.batch.*`)
-    /// instead of discarding them. Observations are recorded after the
-    /// fan-out joins, in replica order, so every non-`timing.` metric
-    /// is bit-identical across thread counts.
+    /// Publishes every [`run_seeds`](Self::run_seeds) fan-out (and so
+    /// every [`run`](Self::run)) into `obs`: `batch.*` cell counts,
+    /// each solve's anneal counts under `core.anneal.*` plus one
+    /// `AnnealPhase` event labeled with the engine's backend tag, and
+    /// per-cell wall-clock under `timing.batch.*`. Observations are
+    /// recorded after the fan-out joins, in seed order, so every
+    /// non-`timing.` metric is bit-identical across thread counts.
+    /// [`run_grid`](Self::run_grid) does not publish.
     pub fn with_obs(mut self, obs: Arc<ObsRegistry>) -> Self {
         self.obs = Some(obs);
         self
@@ -139,8 +127,9 @@ impl BatchRunner {
     }
 
     /// Runs `replicas` independent solves of one engine (replica `k`
-    /// uses `replica_seed(root_seed, 0, k)`), returning solutions in
-    /// replica order.
+    /// uses `replica_seed(root_seed, 0, k)`, the seeds of
+    /// [`run_grid`](Self::run_grid) row 0), returning solutions in
+    /// replica order — [`run_seeds`](Self::run_seeds) over that column.
     ///
     /// # Panics
     ///
@@ -151,87 +140,66 @@ impl BatchRunner {
         E: Engine<P>,
     {
         assert!(replicas > 0, "need at least one replica");
-        self.run_grid(std::slice::from_ref(engine), replicas, root_seed)
-            .pop()
-            .expect("one engine produces one row")
+        let seeds: Vec<u64> = (0..replicas as u64)
+            .map(|k| replica_seed(root_seed, 0, k))
+            .collect();
+        self.run_seeds(engine, &seeds)
     }
 
     /// Runs one solve per pre-derived seed, in seed order — the
-    /// primitive behind shard execution (a shard spec carries its
-    /// exact [`replica_seed`]s, so the worker and the coordinator's
-    /// local fallback both reduce to this call). Results are
-    /// bit-identical for any thread count; an empty seed list returns
-    /// an empty vector.
+    /// primitive behind [`run`](Self::run) and shard execution (a shard
+    /// spec carries its exact [`replica_seed`]s, so the worker and the
+    /// coordinator's local fallback both reduce to this call). Results
+    /// are bit-identical for any thread count; an empty seed list
+    /// returns an empty vector.
+    ///
+    /// With a registry attached ([`with_obs`](Self::with_obs)) each
+    /// cell is also timed and the batch is published after the join;
+    /// without one, no clock is read.
     pub fn run_seeds<P, E>(&self, engine: &E, seeds: &[u64]) -> Vec<Solution<P>>
     where
         P: CopProblem,
         E: Engine<P>,
     {
-        self.map_indexed(seeds.len(), |k| engine.solve(seeds[k]))
-    }
-
-    /// Like [`run`](Self::run), but pairs every solution with its
-    /// [`CellTelemetry`] — the hook the study harness uses to report
-    /// throughput without polluting the deterministic results. The
-    /// solutions are bit-identical to what `run` returns for the same
-    /// arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas == 0`.
-    pub fn run_telemetry<P, E>(
-        &self,
-        engine: &E,
-        replicas: usize,
-        root_seed: u64,
-    ) -> Vec<(Solution<P>, CellTelemetry)>
-    where
-        P: CopProblem,
-        E: Engine<P>,
-    {
-        assert!(replicas > 0, "need at least one replica");
-        let cells = self.map_indexed(replicas, |k| {
+        let Some(obs) = &self.obs else {
+            return self.map_indexed(seeds.len(), |k| engine.solve(seeds[k]));
+        };
+        let cells = self.map_indexed(seeds.len(), |k| {
             let start = Instant::now();
-            let solution = engine.solve(replica_seed(root_seed, 0, k as u64));
-            let telemetry = CellTelemetry {
-                wall_seconds: start.elapsed().as_secs_f64(),
-                iterations: solution.trace.iterations(),
-            };
-            (solution, telemetry)
+            let solution = engine.solve(seeds[k]);
+            (solution, start.elapsed().as_secs_f64())
         });
-        if let Some(obs) = &self.obs {
-            // Feed the registry after the join, in replica order:
-            // no hot-path contention, and the non-timing metrics are
-            // independent of how cells landed on threads.
-            let cell_count = obs.counter("batch.cells");
-            let iterations = obs.counter("batch.iterations");
-            let per_cell = obs.histogram("batch.cell_iterations");
-            let wall = obs.histogram("timing.batch.cell_seconds");
-            // Whole-solve anneal counts come off each finished trace,
-            // so publishing them draws nothing from any solve stream.
-            let solves = obs.counter("core.anneal.solves");
-            let anneal_iterations = obs.counter("core.anneal.iterations");
-            let accepted = obs.counter("core.anneal.accepted");
-            let rejected_metropolis = obs.counter("core.anneal.rejected_metropolis");
-            let rejected_infeasible = obs.counter("core.anneal.rejected_infeasible");
-            for (solution, telemetry) in &cells {
-                cell_count.inc();
-                iterations.add(telemetry.iterations as u64);
-                per_cell.record(telemetry.iterations as f64);
-                wall.record(telemetry.wall_seconds);
-                let trace = &solution.trace;
-                solves.inc();
-                anneal_iterations.add(trace.iterations() as u64);
-                accepted.add(trace.accepted() as u64);
-                rejected_metropolis.add(trace.rejected_metropolis() as u64);
-                rejected_infeasible.add(trace.rejected_infeasible() as u64);
-                obs.tracer().record(hycim_obs::Event::AnnealPhase {
-                    label: engine.backend(),
-                    iterations: trace.iterations() as u64,
-                });
-            }
+        // Feed the registry after the join, in seed order: no hot-path
+        // contention, and the non-timing metrics are independent of
+        // how cells landed on threads. Whole-solve anneal counts come
+        // off each finished trace, so publishing them draws nothing
+        // from any solve stream.
+        let cell_count = obs.counter("batch.cells");
+        let iterations = obs.counter("batch.iterations");
+        let per_cell = obs.histogram("batch.cell_iterations");
+        let wall = obs.histogram("timing.batch.cell_seconds");
+        let solves = obs.counter("core.anneal.solves");
+        let anneal_iterations = obs.counter("core.anneal.iterations");
+        let accepted = obs.counter("core.anneal.accepted");
+        let rejected_metropolis = obs.counter("core.anneal.rejected_metropolis");
+        let rejected_infeasible = obs.counter("core.anneal.rejected_infeasible");
+        for (solution, seconds) in &cells {
+            let trace = &solution.trace;
+            cell_count.inc();
+            iterations.add(trace.iterations() as u64);
+            per_cell.record(trace.iterations() as f64);
+            wall.record(*seconds);
+            solves.inc();
+            anneal_iterations.add(trace.iterations() as u64);
+            accepted.add(trace.accepted() as u64);
+            rejected_metropolis.add(trace.rejected_metropolis() as u64);
+            rejected_infeasible.add(trace.rejected_infeasible() as u64);
+            obs.tracer().record(hycim_obs::Event::AnnealPhase {
+                label: engine.backend(),
+                iterations: trace.iterations() as u64,
+            });
         }
-        cells
+        cells.into_iter().map(|(solution, _)| solution).collect()
     }
 
     /// Runs the full grid: `replicas` solves of every engine, fanned
@@ -267,9 +235,10 @@ impl BatchRunner {
     }
 
     /// Order-preserving parallel map over `0..n` on this runner's
-    /// worker threads: the deterministic fan-out primitive `run_grid`
-    /// and the success-rate harness share.
-    pub(crate) fn map_indexed<R, F>(&self, n: usize, job: F) -> Vec<R>
+    /// worker threads: the deterministic fan-out primitive every run
+    /// method uses, public so report layers can put per-instance work
+    /// (such as re-running a reference heuristic) on the same threads.
+    pub fn map_indexed<R, F>(&self, n: usize, job: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
@@ -384,19 +353,46 @@ mod tests {
         let inst = QkpGenerator::new(15, 0.5).generate(7);
         let engine = HyCimEngine::new(&inst, &HyCimConfig::default().with_sweeps(30), 7).unwrap();
         let plain = BatchRunner::serial().run(&engine, 4, 13);
-        let with_tel = BatchRunner::new()
+        let obs = Arc::new(ObsRegistry::new());
+        let published = BatchRunner::new()
             .with_threads(3)
-            .run_telemetry(&engine, 4, 13);
-        assert_eq!(plain.len(), with_tel.len());
-        for (p, (s, t)) in plain.iter().zip(&with_tel) {
+            .with_obs(Arc::clone(&obs))
+            .run(&engine, 4, 13);
+        assert_eq!(plain.len(), published.len());
+        for (p, s) in plain.iter().zip(&published) {
             assert_eq!(p.assignment, s.assignment);
             assert_eq!(p.objective, s.objective);
-            // Telemetry is attached, not substituted: iterations come
-            // from the trace and the wall clock is non-negative.
-            assert_eq!(t.iterations, s.trace.iterations());
-            assert!(t.iterations > 0);
-            assert!(t.wall_seconds >= 0.0);
+            assert!(s.trace.iterations() > 0);
         }
+        // Telemetry is attached, not substituted: iterations come from
+        // the traces and every cell's wall clock was recorded.
+        let snapshot = obs.snapshot();
+        let iterations: usize = published.iter().map(|s| s.trace.iterations()).sum();
+        assert_eq!(snapshot.counter("batch.cells"), Some(4));
+        assert_eq!(
+            snapshot.counter("batch.iterations"),
+            Some(iterations as u64)
+        );
+        let wall = snapshot.histogram("timing.batch.cell_seconds").unwrap();
+        assert_eq!(wall.count(), 4);
+    }
+
+    #[test]
+    fn run_seeds_publishes_what_run_publishes() {
+        let inst = QkpGenerator::new(14, 0.5).generate(9);
+        let engine = HyCimEngine::new(&inst, &HyCimConfig::default().with_sweeps(20), 9).unwrap();
+        let seeds: Vec<u64> = (0..5).map(|k| replica_seed(21, 0, k)).collect();
+        let (via_run, via_seeds) = (Arc::new(ObsRegistry::new()), Arc::new(ObsRegistry::new()));
+        let runner = BatchRunner::serial().with_obs(Arc::clone(&via_run));
+        runner.run(&engine, 5, 21);
+        let runner = BatchRunner::new()
+            .with_threads(3)
+            .with_obs(Arc::clone(&via_seeds));
+        runner.run_seeds(&engine, &seeds);
+        let stable = via_run.render_stable();
+        assert!(stable.contains("batch.cells 5"));
+        assert!(stable.contains("core.anneal.solves 5"));
+        assert_eq!(via_seeds.render_stable(), stable);
     }
 
     #[test]

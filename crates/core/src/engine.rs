@@ -36,7 +36,7 @@
 
 use std::sync::OnceLock;
 
-use hycim_cop::{CopProblem, QkpInstance};
+use hycim_cop::CopProblem;
 use hycim_qubo::dqubo::DquboForm;
 use hycim_qubo::{Assignment, InequalityQubo, MultiInequalityQubo};
 use rand::rngs::StdRng;
@@ -145,10 +145,6 @@ pub struct HyCimEngine<P: CopProblem> {
     /// per-engine, like a real chip).
     chip: BankChip,
 }
-
-/// The paper's solver: the HyCiM engine specialized to the quadratic
-/// knapsack problem it evaluates on.
-pub type HyCimSolver = HyCimEngine<QkpInstance>;
 
 impl<P: CopProblem> HyCimEngine<P> {
     /// Builds the paper's single-filter engine for a problem.
@@ -262,10 +258,6 @@ pub struct DquboEngine<P: CopProblem> {
     chip: OnceLock<DquboChip>,
 }
 
-/// The baseline solver of the paper's comparison: the D-QUBO engine
-/// specialized to QKP.
-pub type DquboSolver = DquboEngine<QkpInstance>;
-
 impl<P: CopProblem> DquboEngine<P> {
     /// Transforms the problem with penalty auxiliaries and prepares
     /// the baseline engine.
@@ -344,9 +336,6 @@ pub struct SoftwareEngine<P: CopProblem> {
     config: HyCimConfig,
 }
 
-/// The software reference solver specialized to QKP.
-pub type SoftwareSolver = SoftwareEngine<QkpInstance>;
-
 impl<P: CopProblem> SoftwareEngine<P> {
     /// Builds a software engine with the same annealing parameters.
     ///
@@ -400,6 +389,7 @@ impl<P: CopProblem> Engine<P> for SoftwareEngine<P> {
 mod tests {
     use super::*;
     use hycim_cop::generator::QkpGenerator;
+    use hycim_cop::QkpInstance;
 
     fn fig7e() -> QkpInstance {
         let mut inst = QkpInstance::new(vec![10, 6, 8], vec![4, 7, 2], 9).unwrap();
@@ -412,7 +402,7 @@ mod tests {
     #[test]
     fn hycim_solves_fig7e() {
         let solver =
-            HyCimSolver::new(&fig7e(), &HyCimConfig::default().with_sweeps(50), 1).unwrap();
+            HyCimEngine::new(&fig7e(), &HyCimConfig::default().with_sweeps(50), 1).unwrap();
         let solution = solver.solve(2);
         assert!(solution.feasible);
         assert_eq!(solution.value(), 25);
@@ -423,7 +413,7 @@ mod tests {
     #[test]
     fn software_solves_fig7e() {
         let solver =
-            SoftwareSolver::new(&fig7e(), &HyCimConfig::default().with_sweeps(50)).unwrap();
+            SoftwareEngine::new(&fig7e(), &HyCimConfig::default().with_sweeps(50)).unwrap();
         let solution = solver.solve(3);
         assert_eq!(solution.value(), 25);
     }
@@ -431,7 +421,7 @@ mod tests {
     #[test]
     fn solutions_are_seed_deterministic() {
         let solver =
-            HyCimSolver::new(&fig7e(), &HyCimConfig::default().with_sweeps(20), 7).unwrap();
+            HyCimEngine::new(&fig7e(), &HyCimConfig::default().with_sweeps(20), 7).unwrap();
         assert_eq!(solver.solve(11).value(), solver.solve(11).value());
         assert_eq!(
             solver.solve(11).reported_energy,
@@ -444,7 +434,7 @@ mod tests {
         for seed in 0..5 {
             let inst = QkpGenerator::new(40, 0.5).generate(seed);
             let solver =
-                HyCimSolver::new(&inst, &HyCimConfig::default().with_sweeps(100), seed).unwrap();
+                HyCimEngine::new(&inst, &HyCimConfig::default().with_sweeps(100), seed).unwrap();
             let solution = solver.solve(seed);
             assert!(
                 solution.feasible,
@@ -456,7 +446,7 @@ mod tests {
 
     #[test]
     fn trace_recording_toggles() {
-        let solver = HyCimSolver::new(
+        let solver = HyCimEngine::new(
             &fig7e(),
             &HyCimConfig::default().with_sweeps(10).with_trace(),
             1,
@@ -464,7 +454,7 @@ mod tests {
         .unwrap();
         assert!(!solver.solve(1).trace.energies().is_empty());
         let solver2 =
-            HyCimSolver::new(&fig7e(), &HyCimConfig::default().with_sweeps(10), 1).unwrap();
+            HyCimEngine::new(&fig7e(), &HyCimConfig::default().with_sweeps(10), 1).unwrap();
         assert!(solver2.solve(1).trace.energies().is_empty());
     }
 
@@ -472,7 +462,7 @@ mod tests {
     fn oversized_weights_fail_at_build() {
         // Item weight 100 > filter column limit 64.
         let inst = QkpInstance::new(vec![5, 5], vec![100, 3], 50).unwrap();
-        assert!(HyCimSolver::new(&inst, &HyCimConfig::default(), 1).is_err());
+        assert!(HyCimEngine::new(&inst, &HyCimConfig::default(), 1).is_err());
     }
 
     #[test]
@@ -480,7 +470,7 @@ mod tests {
         let inst = QkpGenerator::new(10, 0.5)
             .with_capacity_range(20, 60)
             .generate(1);
-        let solver = DquboSolver::new(&inst, &DquboConfig::default().with_sweeps(50)).unwrap();
+        let solver = DquboEngine::new(&inst, &DquboConfig::default().with_sweeps(50)).unwrap();
         let solution = solver.solve(2);
         assert_eq!(solution.assignment.len(), 10);
         // Either feasible with a matching value or marked infeasible
@@ -498,8 +488,8 @@ mod tests {
         let inst = QkpGenerator::new(10, 0.5)
             .with_capacity_range(100, 200)
             .generate(3);
-        let one_hot = DquboSolver::new(&inst, &DquboConfig::default()).unwrap();
-        let binary = DquboSolver::new(
+        let one_hot = DquboEngine::new(&inst, &DquboConfig::default()).unwrap();
+        let binary = DquboEngine::new(
             &inst,
             &DquboConfig::default().with_encoding(AuxEncoding::Binary),
         )
@@ -517,7 +507,7 @@ mod tests {
         for seed in 0..runs {
             let inst = QkpGenerator::new(20, 0.5).generate(seed);
             let (_, best) = solvers::best_known(&inst, 10, seed);
-            let solver = DquboSolver::new(&inst, &DquboConfig::default().with_sweeps(100)).unwrap();
+            let solver = DquboEngine::new(&inst, &DquboConfig::default().with_sweeps(100)).unwrap();
             if solver.solve(seed).is_success(best) {
                 successes += 1;
             }
@@ -533,7 +523,7 @@ mod tests {
         let inst = QkpGenerator::new(8, 0.5)
             .with_capacity_range(10, 30)
             .generate(5);
-        let solver = DquboSolver::new(&inst, &DquboConfig::default().with_sweeps(20)).unwrap();
+        let solver = DquboEngine::new(&inst, &DquboConfig::default().with_sweeps(20)).unwrap();
         assert_eq!(solver.solve(9).value(), solver.solve(9).value());
     }
 
@@ -564,15 +554,15 @@ mod tests {
         let inst = fig7e();
         let config = HyCimConfig::default().with_sweeps(5);
         assert_eq!(
-            HyCimSolver::new(&inst, &config, 1).unwrap().backend(),
+            HyCimEngine::new(&inst, &config, 1).unwrap().backend(),
             "hycim"
         );
         assert_eq!(
-            SoftwareSolver::new(&inst, &config).unwrap().backend(),
+            SoftwareEngine::new(&inst, &config).unwrap().backend(),
             "software"
         );
         assert_eq!(
-            DquboSolver::new(&inst, &DquboConfig::default())
+            DquboEngine::new(&inst, &DquboConfig::default())
                 .unwrap()
                 .backend(),
             "dqubo"

@@ -32,15 +32,20 @@
 //!   tempering), each lane bit-identical to a scalar run under the
 //!   [`replica_seed`] contract.
 //! * [`BatchRunner`] — deterministic multi-threaded multi-start
-//!   evaluation over a replica × problem grid.
+//!   evaluation over a replica × problem grid; with a metrics registry
+//!   attached, [`BatchRunner::run_seeds`] (and [`BatchRunner::run`]
+//!   over it) publishes per-solve counters after each fan-out.
 //!
-//! [`HyCimSolver`], [`DquboSolver`] and [`SoftwareSolver`] are the QKP
-//! specializations the paper evaluates.
+//! Every engine is generic over the problem: the paper evaluates on
+//! the quadratic knapsack, and `HyCimEngine::new(&qkp, …)` infers
+//! `HyCimEngine<QkpInstance>` from the instance. Success-rate scoring
+//! (the paper's Fig. 10 rule) lives with the report layer in
+//! `hycim-bench`.
 //!
 //! # Example
 //!
 //! ```
-//! use hycim_core::{Engine, HyCimConfig, HyCimSolver};
+//! use hycim_core::{Engine, HyCimConfig, HyCimEngine};
 //! use hycim_cop::QkpInstance;
 //!
 //! # fn main() -> Result<(), hycim_core::HycimError> {
@@ -50,7 +55,7 @@
 //! inst.set_pair_profit(0, 2, 7);
 //! inst.set_pair_profit(1, 2, 2);
 //!
-//! let solver = HyCimSolver::new(&inst, &HyCimConfig::default(), 1)?;
+//! let solver = HyCimEngine::new(&inst, &HyCimConfig::default(), 1)?;
 //! let solution = solver.solve(42);
 //! assert!(solution.feasible);
 //! assert_eq!(solution.value(), 25); // items 0 and 2: 10 + 8 + 7
@@ -71,15 +76,12 @@ mod kind;
 mod packed_engine;
 pub mod shard;
 mod solution;
-pub mod success;
 pub mod table;
 
-pub use batch::{default_threads, replica_seed, BatchRunner, CellTelemetry};
+pub use batch::{default_threads, replica_seed, BatchRunner};
 pub use calibrate::{calibrate_t0, run_annealing};
 pub use config::{AnnealSettings, DquboConfig, HyCimConfig};
-pub use engine::{
-    DquboEngine, DquboSolver, Engine, HyCimEngine, HyCimSolver, SoftwareEngine, SoftwareSolver,
-};
+pub use engine::{DquboEngine, Engine, HyCimEngine, SoftwareEngine};
 pub use error::HycimError;
 pub use hardware::{BankChip, BankHardwareState, DquboChip, DquboHardwareState};
 pub use kind::{EngineKind, EngineSettings};

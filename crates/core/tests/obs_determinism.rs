@@ -23,15 +23,15 @@ fn solutions_are_bit_identical_with_and_without_a_registry() {
         let engine = kind
             .build(&inst, &settings)
             .expect("QKP encodes everywhere");
-        let bare = BatchRunner::serial().run_telemetry(&engine, 3, 7);
+        let bare = BatchRunner::serial().run(&engine, 3, 7);
 
         let obs = Arc::new(ObsRegistry::new());
         let instrumented = BatchRunner::serial()
             .with_threads(2)
             .with_obs(Arc::clone(&obs))
-            .run_telemetry(&engine, 3, 7);
+            .run(&engine, 3, 7);
 
-        for (replica, ((a, _), (b, _))) in bare.iter().zip(&instrumented).enumerate() {
+        for (replica, (a, b)) in bare.iter().zip(&instrumented).enumerate() {
             assert_eq!(
                 a.assignment, b.assignment,
                 "{kind} diverged at replica {replica}"
@@ -59,13 +59,13 @@ fn solutions_are_bit_identical_with_and_without_a_registry() {
             Some(3),
             "{kind} published no solve counters"
         );
-        let iterations: usize = instrumented.iter().map(|(s, _)| s.trace.iterations()).sum();
+        let iterations: usize = instrumented.iter().map(|s| s.trace.iterations()).sum();
         assert_eq!(
             snapshot.counter("core.anneal.iterations"),
             Some(iterations as u64),
             "{kind} published the wrong iteration count"
         );
-        let accepted: usize = instrumented.iter().map(|(s, _)| s.trace.accepted()).sum();
+        let accepted: usize = instrumented.iter().map(|s| s.trace.accepted()).sum();
         assert_eq!(
             snapshot.counter("core.anneal.accepted"),
             Some(accepted as u64)
@@ -98,7 +98,7 @@ fn stable_snapshots_are_byte_identical_across_runs() {
         let runner = BatchRunner::serial()
             .with_threads(threads)
             .with_obs(Arc::clone(&obs));
-        let cells = runner.run_telemetry(&engine, 6, 42);
+        let cells = runner.run(&engine, 6, 42);
         assert_eq!(cells.len(), 6);
         obs.snapshot()
     };

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example portfolio`
 
 use hycim::cop::{solvers, QkpInstance};
-use hycim::core::{BatchRunner, HyCimConfig, HyCimSolver};
+use hycim::core::{BatchRunner, HyCimConfig, HyCimEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 12 candidate projects: standalone payoff and cost (in $100k).
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (exact_x, exact_value) = solvers::exhaustive(&portfolio)?;
 
     // HyCiM pipeline.
-    let solver = HyCimSolver::new(&portfolio, &HyCimConfig::default().with_sweeps(300), 1)?;
+    let solver = HyCimEngine::new(&portfolio, &HyCimConfig::default().with_sweeps(300), 1)?;
     // A handful of annealing runs from different Monte-Carlo starts
     // (the paper's protocol), fanned out over worker threads by the
     // deterministic BatchRunner; keep the best.

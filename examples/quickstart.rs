@@ -5,7 +5,7 @@
 
 use hycim::cop::generator::QkpGenerator;
 use hycim::cop::solvers;
-use hycim::core::{DquboConfig, DquboSolver, Engine, HyCimConfig, HyCimSolver};
+use hycim::core::{DquboConfig, DquboEngine, Engine, HyCimConfig, HyCimEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A benchmark-style 100-item QKP instance (profits ≤ 100 with 25%
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("best-known value: {best_known}");
 
     // --- HyCiM: inequality-QUBO + filter + crossbar + SA -------------
-    let hycim = HyCimSolver::new(&instance, &HyCimConfig::default(), 1)?;
+    let hycim = HyCimEngine::new(&instance, &HyCimConfig::default(), 1)?;
     let solution = hycim.solve(42);
     println!(
         "HyCiM:  value {} ({:.1}% of best known), feasible: {}, \
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- D-QUBO baseline: penalty encoding, no filter ----------------
-    let dqubo = DquboSolver::new(&instance, &DquboConfig::default().with_sweeps(100))?;
+    let dqubo = DquboEngine::new(&instance, &DquboConfig::default().with_sweeps(100))?;
     let baseline = dqubo.solve(42);
     println!(
         "D-QUBO: value {} ({:.1}% of best known), feasible: {}, \

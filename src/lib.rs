@@ -15,7 +15,7 @@
 //! | [`fefet`] | `hycim-fefet` | Multi-level FeFET device models, Preisach-style programming, 1FeFET1R cells |
 //! | [`cim`] | `hycim-cim` | Inequality filter, CiM crossbar, ADC, matchline, area & energy models |
 //! | [`anneal`] | `hycim-anneal` | Simulated-annealing engine, schedules, traces |
-//! | [`core`] | `hycim-core` | Generic engines (`HyCimEngine` with its single-filter and filter-bank constructors, `DquboEngine`, `SoftwareEngine`), the parallel `BatchRunner`, success-rate harness |
+//! | [`core`] | `hycim-core` | Generic engines (`HyCimEngine` with its single-filter and filter-bank constructors, `DquboEngine`, `SoftwareEngine`), the parallel `BatchRunner` |
 //! | [`service`] | `hycim-service` | Job-service front-end: bounded-queue worker pool serving solve jobs to concurrent callers (submit → poll → fetch) |
 //! | [`net`] | `hycim-net` | Framed-JSON wire protocol over TCP: worker servers bridging jobs onto the service pool, the shard-planning coordinator with worker health tracking / seeded retry backoff / local-fallback degradation, a deterministic fault-injection proxy, bit-identical distributed solves |
 //! | [`obs`] | `hycim-obs` | Observability: dependency-free metrics registry (counters, gauges, mergeable histograms), bounded event tracer, Prometheus-style exposition, deterministic snapshot form |
@@ -27,13 +27,13 @@
 //! ## Quickstart
 //!
 //! ```
-//! use hycim::core::{Engine, HyCimConfig, HyCimSolver};
+//! use hycim::core::{Engine, HyCimConfig, HyCimEngine};
 //! use hycim::cop::generator::QkpGenerator;
 //!
 //! # fn main() -> Result<(), hycim::core::HycimError> {
 //! // A 100-item quadratic knapsack instance in the benchmark style.
 //! let instance = QkpGenerator::new(100, 0.25).generate(7);
-//! let solver = HyCimSolver::new(
+//! let solver = HyCimEngine::new(
 //!     &instance,
 //!     &HyCimConfig::default().with_sweeps(100),
 //!     1, // hardware seed ("chip instance")
@@ -73,8 +73,8 @@ pub mod prelude {
     pub use hycim_cop::mkp::{MkpGenerator, MultiKnapsack};
     pub use hycim_cop::{CopProblem, QkpInstance};
     pub use hycim_core::{
-        BatchRunner, DquboConfig, DquboEngine, DquboSolver, Engine, HyCimConfig, HyCimEngine,
-        HyCimSolver, HycimError, SoftwareEngine, SoftwareSolver, Solution,
+        BatchRunner, DquboConfig, DquboEngine, Engine, HyCimConfig, HyCimEngine, HycimError,
+        SoftwareEngine, Solution,
     };
     pub use hycim_net::{
         BackoffConfig, ChaosProxy, Coordinator, FaultPlan, JobSpec, WireSolution, WorkerClient,

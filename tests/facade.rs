@@ -33,7 +33,7 @@ fn facade_modules_alias_subcrates() {
 #[test]
 fn prelude_surface_is_usable() {
     let instance = QkpGenerator::new(12, 0.5).generate(3);
-    let solver = HyCimSolver::new(&instance, &HyCimConfig::default().with_sweeps(30), 1)
+    let solver = HyCimEngine::new(&instance, &HyCimConfig::default().with_sweeps(30), 1)
         .expect("small instance maps onto the paper-sized hardware");
     let solution: Solution<QkpInstance> = solver.solve(7);
     assert!(solution.feasible);

@@ -100,8 +100,8 @@ fn hardware_noise_costs_little_quality() {
     for seed in 0..4 {
         let inst = QkpGenerator::new(60, 0.5).generate(seed);
         let config = HyCimConfig::default().with_sweeps(300);
-        let hw = HyCimSolver::new(&inst, &config, seed).expect("maps");
-        let sw = SoftwareSolver::new(&inst, &config).expect("transforms");
+        let hw = HyCimEngine::new(&inst, &config, seed).expect("maps");
+        let sw = SoftwareEngine::new(&inst, &config).expect("transforms");
         hw_total += hw.solve(seed).value();
         sw_total += sw.solve(seed).value();
     }
@@ -121,7 +121,7 @@ fn variability_degrades_gracefully() {
         let config = HyCimConfig::default().with_sweeps(200).with_filter(
             FilterConfig::default().with_variation(VariationModel::paper().scaled(scale)),
         );
-        let solver = HyCimSolver::new(&inst, &config, 5).expect("maps");
+        let solver = HyCimEngine::new(&inst, &config, 5).expect("maps");
         values.push(solver.solve(5).value());
     }
     // No collapse: the noisiest run keeps ≥ 90% of the ideal run.

@@ -4,7 +4,7 @@
 
 use hycim::cop::generator::QkpGenerator;
 use hycim::cop::{parser, solvers};
-use hycim::core::{DquboConfig, DquboSolver, HyCimConfig, HyCimSolver, SoftwareSolver};
+use hycim::core::{DquboConfig, DquboEngine, HyCimConfig, HyCimEngine, SoftwareEngine};
 use hycim::prelude::*;
 use hycim::qubo::dqubo::{AuxEncoding, PenaltyWeights};
 
@@ -23,7 +23,7 @@ fn fig7e() -> QkpInstance {
 fn full_pipeline_on_fig7e() {
     let inst = fig7e();
     let solver =
-        HyCimSolver::new(&inst, &HyCimConfig::default().with_sweeps(100), 1).expect("mappable");
+        HyCimEngine::new(&inst, &HyCimConfig::default().with_sweeps(100), 1).expect("mappable");
     let solution = solver.solve(3);
     assert!(solution.feasible);
     assert_eq!(solution.value(), 25);
@@ -37,8 +37,8 @@ fn hardware_and_software_agree_on_small_instances() {
         let inst = QkpGenerator::new(15, 0.5).generate(seed);
         let (_, opt) = solvers::exhaustive(&inst).expect("small instance");
         let config = HyCimConfig::default().with_sweeps(200);
-        let hw = HyCimSolver::new(&inst, &config, seed).expect("mappable");
-        let sw = SoftwareSolver::new(&inst, &config).expect("transformable");
+        let hw = HyCimEngine::new(&inst, &config, seed).expect("mappable");
+        let sw = SoftwareEngine::new(&inst, &config).expect("transformable");
         let hv = hw.solve(seed).value();
         let sv = sw.solve(seed).value();
         assert!(
@@ -65,12 +65,12 @@ fn hycim_beats_dqubo_on_benchmark_instances() {
         let (_, best) = solvers::best_known(&inst, 10, seed);
 
         let hycim =
-            HyCimSolver::new(&inst, &HyCimConfig::default().with_sweeps(300), seed).unwrap();
+            HyCimEngine::new(&inst, &HyCimConfig::default().with_sweeps(300), seed).unwrap();
         if hycim.solve(seed).is_success(best) {
             hycim_successes += 1;
         }
 
-        let dqubo = DquboSolver::new(&inst, &DquboConfig::default().with_sweeps(60)).unwrap();
+        let dqubo = DquboEngine::new(&inst, &DquboConfig::default().with_sweeps(60)).unwrap();
         if dqubo.solve(seed).is_success(best) {
             dqubo_successes += 1;
         }
@@ -93,7 +93,7 @@ fn parsed_instances_round_trip_through_the_solver() {
     let parsed = parser::parse_qkp(&text).expect("own output parses");
     assert_eq!(parsed, inst);
     let solver =
-        HyCimSolver::new(&parsed, &HyCimConfig::default().with_sweeps(100), 2).expect("mappable");
+        HyCimEngine::new(&parsed, &HyCimConfig::default().with_sweeps(100), 2).expect("mappable");
     let solution = solver.solve(4);
     assert!(solution.feasible);
     assert!(solution.value() > 0);
@@ -160,6 +160,6 @@ fn filter_and_constraint_agree_across_the_benchmark_set() {
 fn solver_error_paths_are_reported() {
     // Weight above the filter column limit.
     let inst = QkpInstance::new(vec![1, 1], vec![90, 3], 50).unwrap();
-    let err = HyCimSolver::new(&inst, &HyCimConfig::default(), 1).unwrap_err();
+    let err = HyCimEngine::new(&inst, &HyCimConfig::default(), 1).unwrap_err();
     assert!(err.to_string().contains("cim layer"));
 }

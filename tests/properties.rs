@@ -82,7 +82,7 @@ proptest! {
     #[test]
     fn hycim_solutions_are_sound(inst in arb_instance(), seed in any::<u64>()) {
         let (_, opt) = hycim::cop::solvers::exhaustive(&inst).expect("small");
-        let solver = HyCimSolver::new(
+        let solver = HyCimEngine::new(
             &inst,
             &HyCimConfig::default().with_sweeps(30),
             seed,
@@ -98,7 +98,7 @@ proptest! {
     /// size, and reported values match re-evaluation.
     #[test]
     fn dqubo_solutions_decode_consistently(inst in arb_instance(), seed in any::<u64>()) {
-        let solver = DquboSolver::new(
+        let solver = DquboEngine::new(
             &inst,
             &DquboConfig::default().with_sweeps(20),
         ).expect("transformable");

@@ -23,12 +23,15 @@
 //! `chaos_demo` example all exercise the exact production client and
 //! coordinator code paths through it.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use crate::worker::set_up_stream;
 
 /// SplitMix64 finalizer (the same mixer `replica_seed` builds on) —
 /// the plan's per-connection draw.
@@ -165,8 +168,10 @@ struct ProxyShared {
     stop: AtomicBool,
     accepted: AtomicUsize,
     injected: AtomicUsize,
-    /// Live socket pairs, severed on stop so pump threads unblock.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Live socket pairs by connection index, severed on stop so pump
+    /// threads unblock. A connection removes its entry when its
+    /// response pump ends.
+    conns: Mutex<HashMap<usize, Vec<TcpStream>>>,
 }
 
 /// A running fault-injection proxy: connect clients to
@@ -194,7 +199,7 @@ impl ChaosProxy {
             stop: AtomicBool::new(false),
             accepted: AtomicUsize::new(0),
             injected: AtomicUsize::new(0),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -237,7 +242,16 @@ impl ChaosProxy {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Poke the accept loop so it observes the flag.
         let _ = TcpStream::connect(self.addr);
-        for stream in self.shared.conns.lock().expect("chaos conn lock").drain(..) {
+        // This runs from `Drop`, so a poisoned table is taken as it is:
+        // each insert or remove leaves it whole.
+        let conns = std::mem::take(
+            &mut *self
+                .shared
+                .conns
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for stream in conns.into_values().flatten() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.accept.take() {
@@ -275,8 +289,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
             let _ = client.shutdown(Shutdown::Both);
             continue;
         };
-        track(shared, &client);
-        track(shared, &worker);
+        set_up_stream(&client);
+        set_up_stream(&worker);
+        let pair = [&client, &worker]
+            .iter()
+            .filter_map(|s| s.try_clone().ok())
+            .collect();
+        shared
+            .conns
+            .lock()
+            .expect("chaos conn lock")
+            .insert(index, pair);
         // Upstream pump: client → worker, always faithful (faults act
         // on the response direction, where the coordinator's fate is
         // decided).
@@ -293,13 +316,12 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
             .name("hycim-chaos-down".to_string())
             .spawn(move || {
                 pump_faulted(worker, client, fault, &shared_down);
+                shared_down
+                    .conns
+                    .lock()
+                    .expect("chaos conn lock")
+                    .remove(&index);
             });
-    }
-}
-
-fn track(shared: &ProxyShared, stream: &TcpStream) {
-    if let Ok(clone) = stream.try_clone() {
-        shared.conns.lock().expect("chaos conn lock").push(clone);
     }
 }
 
@@ -430,6 +452,45 @@ mod tests {
         // The latest script entry for an index wins.
         let plan = plan.script(5, ConnFault::Clean);
         assert_eq!(plan.fault_for(5), ConnFault::Clean);
+    }
+
+    #[test]
+    fn ended_connections_leave_the_proxy_connection_table() {
+        use crate::client::WorkerClient;
+        use crate::worker::{WorkerConfig, WorkerServer};
+
+        let worker = WorkerServer::bind("127.0.0.1:0", WorkerConfig::new())
+            .expect("bind")
+            .spawn();
+        let proxy =
+            ChaosProxy::spawn(worker.addr().to_string(), FaultPlan::clean(0)).expect("spawn proxy");
+        for _ in 0..20 {
+            let mut client = WorkerClient::connect(proxy.addr()).expect("connect");
+            client.stats().expect("stats through the proxy");
+            // Both sides of a live proxied connection have Nagle off.
+            let nodelay: Vec<bool> = proxy
+                .shared
+                .conns
+                .lock()
+                .expect("chaos conn lock")
+                .values()
+                .flatten()
+                .map(|s| s.nodelay().expect("query"))
+                .collect();
+            assert!(nodelay.iter().all(|&on| on), "{nodelay:?}");
+        }
+        let tracked = || proxy.shared.conns.lock().expect("chaos conn lock").len();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while tracked() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} proxied connections still tracked",
+                tracked()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        proxy.stop();
+        worker.stop();
     }
 
     #[test]

@@ -13,7 +13,7 @@ use hycim_service::{DisposeOutcome, JobStatus};
 
 use crate::frame::{FrameError, MessageReceiver, MessageSender};
 use crate::proto::{ErrorCode, JobSpec, ProtoError, Request, Response, WireSolution};
-use crate::worker::MAX_WAIT;
+use crate::worker::{set_up_stream, MAX_WAIT};
 
 /// Any failure of the networked path, every variant typed — the
 /// coordinator never surfaces a hang or a corrupted merge, it
@@ -154,10 +154,11 @@ impl From<ProtoError> for NetError {
     }
 }
 
-/// A connection to one worker. Requests are strictly sequential (one
-/// in flight); jobs themselves run asynchronously on the worker, so a
-/// client submits many jobs and waits on them through the same
-/// connection.
+/// A connection to one worker. Each public method is one request →
+/// reply round trip; jobs themselves run asynchronously on the worker,
+/// so a client submits many jobs and waits on them through the same
+/// connection. The coordinator pipelines: it writes several requests
+/// before reading their replies, which come back in write order.
 pub struct WorkerClient {
     sender: MessageSender<TcpStream>,
     receiver: MessageReceiver<BufReader<TcpStream>>,
@@ -197,7 +198,7 @@ impl WorkerClient {
     }
 
     fn from_stream(stream: TcpStream) -> Result<Self, NetError> {
-        stream.set_nodelay(true).ok();
+        set_up_stream(&stream);
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
             sender: MessageSender::new(stream),
@@ -243,7 +244,22 @@ impl WorkerClient {
     /// Sends one request and reads its reply; a typed error reply
     /// becomes [`NetError::Remote`].
     fn call(&mut self, request: &Request) -> Result<Response, NetError> {
+        self.send(request)?;
+        self.recv()
+    }
+
+    /// Writes one request without reading its reply. The worker
+    /// answers a connection's requests strictly in order, so several
+    /// requests may be written before their replies are read with
+    /// [`recv`](Self::recv), one each, in write order.
+    pub(crate) fn send(&mut self, request: &Request) -> Result<(), NetError> {
         self.sender.send(&request.to_value())?;
+        Ok(())
+    }
+
+    /// Reads the reply to the oldest request not yet answered; a typed
+    /// error reply becomes [`NetError::Remote`].
+    pub(crate) fn recv(&mut self) -> Result<Response, NetError> {
         let frame = self
             .receiver
             .recv()?
@@ -261,10 +277,7 @@ impl WorkerClient {
     /// Any [`NetError`]; a full worker queue is
     /// [`NetError::Remote`] with [`ErrorCode::Backpressure`].
     pub fn submit(&mut self, spec: &JobSpec) -> Result<u64, NetError> {
-        match self.call(&Request::Submit(spec.clone()))? {
-            Response::Submitted { job } => Ok(job),
-            other => Err(unexpected("submitted", &other)),
-        }
+        submitted(self.call(&Request::Submit(spec.clone()))?)
     }
 
     /// Polls a job's lifecycle status.
@@ -297,12 +310,7 @@ impl WorkerClient {
         job: u64,
         timeout: Duration,
     ) -> Result<Option<Vec<WireSolution>>, NetError> {
-        let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
-        match self.call(&Request::Wait { job, timeout_ms })? {
-            Response::Solutions { solutions, .. } => Ok(Some(solutions)),
-            Response::Status { .. } => Ok(None),
-            other => Err(unexpected("solutions or status", &other)),
-        }
+        waited(self.call(&wait_request(job, timeout))?)
     }
 
     /// Fetches a terminal job's solutions (consumes the job on the
@@ -368,6 +376,30 @@ impl WorkerClient {
 /// the worker always answers before the client gives up on the read.
 pub(crate) fn wait_deadline(read_timeout: Option<Duration>) -> Duration {
     read_timeout.map_or(MAX_WAIT, |timeout| (timeout / 2).min(MAX_WAIT))
+}
+
+/// The `wait` request for `job` with a `timeout` deadline.
+pub(crate) fn wait_request(job: u64, timeout: Duration) -> Request {
+    let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
+    Request::Wait { job, timeout_ms }
+}
+
+/// Decodes the reply to a `submit`: the worker-local job id.
+pub(crate) fn submitted(reply: Response) -> Result<u64, NetError> {
+    match reply {
+        Response::Submitted { job } => Ok(job),
+        other => Err(unexpected("submitted", &other)),
+    }
+}
+
+/// Decodes the reply to a `wait`: `Some(solutions)` for a delivered
+/// job, `None` for one still queued or running at the deadline.
+pub(crate) fn waited(reply: Response) -> Result<Option<Vec<WireSolution>>, NetError> {
+    match reply {
+        Response::Solutions { solutions, .. } => Ok(Some(solutions)),
+        Response::Status { .. } => Ok(None),
+        other => Err(unexpected("solutions or status", &other)),
+    }
 }
 
 fn unexpected(expected: &'static str, got: &Response) -> NetError {

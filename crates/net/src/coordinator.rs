@@ -32,6 +32,17 @@
 //! ticking; a round with no shard in flight then sleeps those 2 ms.
 //! A healthy fleet never sleeps between rounds.
 //!
+//! Both passes are pipelined: the dispatch pass writes every `submit`
+//! before it reads any reply, and the wait pass every `wait`. Replies
+//! are read in write order, which on each connection is the order the
+//! worker answers in. A failure partway through a pass moves the
+//! worker's connection generation on, whether the connection was
+//! replaced or dropped, and no reply is read from a generation other
+//! than the one its request was written to. Such a submit is requeued
+//! as a failed attempt. Such a `wait` is skipped: a suspension has
+//! already requeued its shard, and after a reconnect the shard is
+//! waited on again in the next round.
+//!
 //! Between retry attempts of one shard the coordinator sleeps an
 //! exponentially growing, jittered backoff. The jitter is drawn from
 //! a dedicated `replica_seed(seed, BACKOFF_ROLE, attempt)` stream —
@@ -60,9 +71,9 @@ use std::time::Duration;
 use hycim_core::{merge_shards, replica_seed, Shard, ShardPlan};
 use hycim_obs::{Event, ObsRegistry, Snapshot};
 
-use crate::client::{wait_deadline, NetError, WorkerClient};
+use crate::client::{submitted, wait_deadline, wait_request, waited, NetError, WorkerClient};
 use crate::local;
-use crate::proto::{JobSpec, WireSolution};
+use crate::proto::{JobSpec, Request, WireSolution};
 
 /// Role index of the backoff-jitter stream in
 /// [`hycim_core::replica_seed`] — distinct from every
@@ -235,10 +246,44 @@ enum Worker {
     },
 }
 
+/// The workers of one run.
+struct Fleet {
+    workers: Vec<Worker>,
+    /// Per-worker connection generation, bumped whenever a worker's
+    /// connection is replaced or dropped. A reply is read only from
+    /// the generation its request was written to.
+    generations: Vec<u64>,
+}
+
+impl Fleet {
+    /// The client and breaker count of `worker`, if it is live on the
+    /// connection `generation` names.
+    fn connection(
+        &mut self,
+        worker: usize,
+        generation: u64,
+    ) -> Option<(&mut WorkerClient, &mut u32)> {
+        match &mut self.workers[worker] {
+            Worker::Live { client, failures } if self.generations[worker] == generation => {
+                Some((client, failures))
+            }
+            _ => None,
+        }
+    }
+}
+
 enum Slot {
     /// Waiting for (re-)dispatch.
     Todo { attempts: usize, chain: Vec<String> },
-    /// Submitted; `attempts` includes this one.
+    /// Submit written to `worker`'s connection `generation`, reply not
+    /// yet read; `attempts` excludes this one.
+    Submitted {
+        worker: usize,
+        generation: u64,
+        attempts: usize,
+        chain: Vec<String>,
+    },
+    /// Submit accepted; `attempts` includes this one.
     Pending {
         worker: usize,
         job: u64,
@@ -491,7 +536,7 @@ impl Coordinator {
         let readmitted = self.obs.counter("coord.workers_readmitted");
         let backoff_waits = self.obs.counter("coord.backoff_waits");
 
-        let mut workers: Vec<Worker> = self
+        let workers: Vec<Worker> = self
             .addrs
             .iter()
             .map(|addr| match self.connect(addr) {
@@ -506,6 +551,10 @@ impl Coordinator {
                 },
             })
             .collect();
+        let mut fleet = Fleet {
+            generations: vec![0; workers.len()],
+            workers,
+        };
         let mut cursor = 0usize;
         let mut round = 0u64;
         let wait_for = wait_deadline(self.read_timeout);
@@ -513,7 +562,7 @@ impl Coordinator {
         loop {
             // Probe pass: contact every probation worker whose
             // penalty has elapsed; readmit the ones that answer.
-            for (w, state) in workers.iter_mut().enumerate() {
+            for (w, state) in fleet.workers.iter_mut().enumerate() {
                 let Worker::Probation {
                     since,
                     probes_failed,
@@ -560,9 +609,9 @@ impl Coordinator {
                 }
             }
 
-            // Dispatch every waiting shard to the next live worker —
-            // or settle its fate when neither retries nor workers
-            // remain.
+            // Dispatch, write half: send every waiting shard's submit
+            // to the next live worker — or settle its fate when
+            // neither retries nor workers remain.
             for i in 0..slots.len() {
                 let Slot::Todo { attempts, chain } = &slots[i] else {
                     continue;
@@ -572,8 +621,8 @@ impl Coordinator {
                     slots[i] = Slot::Done(self.finish_locally_or_fail(&jobs[i], attempts, chain)?);
                     continue;
                 }
-                let Some(worker) = next_live(&workers, &mut cursor) else {
-                    if on_probation(&workers) {
+                let Some(worker) = next_live(&fleet.workers, &mut cursor) else {
+                    if on_probation(&fleet.workers) {
                         // Someone may still be readmitted; wait for
                         // the probe schedule.
                         continue;
@@ -581,7 +630,7 @@ impl Coordinator {
                     // The whole fleet is dead: degrade (or report,
                     // with every worker's last failure on the chain).
                     let mut chain = chain;
-                    chain.push(fleet_obituary(&self.addrs, &workers));
+                    chain.push(fleet_obituary(&self.addrs, &fleet.workers));
                     slots[i] = Slot::Done(self.finish_locally_or_fail(&jobs[i], attempts, chain)?);
                     continue;
                 };
@@ -591,13 +640,51 @@ impl Coordinator {
                         (self.sleep)(backoff.delay(attempts));
                     }
                 }
-                let shard = jobs[i].shard;
-                let Worker::Live { client, .. } = &mut workers[worker] else {
+                let generation = fleet.generations[worker];
+                let Worker::Live { client, .. } = &mut fleet.workers[worker] else {
                     unreachable!("next_live returns live workers");
                 };
-                match client.submit(&jobs[i].spec) {
-                    Ok(job) => {
+                slots[i] = match client.send(&Request::Submit(jobs[i].spec.clone())) {
+                    Ok(()) => Slot::Submitted {
+                        worker,
+                        generation,
+                        attempts,
+                        chain,
+                    },
+                    Err(e) => {
                         attempts_made.inc();
+                        let failure = e.to_string();
+                        self.note_failure(&mut fleet, &mut slots, jobs, worker, &failure, round);
+                        requeued(attempts, chain, &failure)
+                    }
+                };
+            }
+
+            // Dispatch, read half: one reply per submit, in write
+            // order, each from the connection its submit went out on.
+            for i in 0..slots.len() {
+                let Slot::Submitted {
+                    worker,
+                    generation,
+                    attempts,
+                    chain,
+                } = &mut slots[i]
+                else {
+                    continue;
+                };
+                let (worker, generation, attempts) = (*worker, *generation, *attempts);
+                let chain = std::mem::take(chain);
+                attempts_made.inc();
+                let Some((client, _)) = fleet.connection(worker, generation) else {
+                    // An earlier failure replaced or dropped that
+                    // connection, and the submit was lost with it.
+                    let failure = format!("worker {worker} connection lost before the reply");
+                    slots[i] = requeued(attempts, chain, &failure);
+                    continue;
+                };
+                slots[i] = match client.recv().and_then(submitted) {
+                    Ok(job) => {
+                        let shard = jobs[i].shard;
                         if attempts > 0 {
                             retries.inc();
                             self.obs.tracer().record(Event::ShardRetried {
@@ -610,52 +697,61 @@ impl Coordinator {
                             end: shard.end as u64,
                             worker: worker as u64,
                         });
-                        slots[i] = Slot::Pending {
+                        Slot::Pending {
                             worker,
                             job,
                             attempts: attempts + 1,
                             chain,
-                        };
+                        }
                     }
                     Err(e) => {
-                        attempts_made.inc();
                         let failure = e.to_string();
-                        self.note_failure(&mut workers, &mut slots, jobs, worker, &failure, round);
-                        let mut chain = chain;
-                        chain.push(format!("attempt {}: {failure}", attempts + 1));
-                        slots[i] = Slot::Todo {
-                            attempts: attempts + 1,
-                            chain,
-                        };
+                        self.note_failure(&mut fleet, &mut slots, jobs, worker, &failure, round);
+                        requeued(attempts, chain, &failure)
                     }
-                }
+                };
             }
 
-            // Wait on every in-flight shard: the worker answers as
-            // soon as it finishes, or with its status at the deadline.
+            // Wait, write half: a `wait` for every in-flight shard.
+            // The worker answers as soon as the shard finishes, or
+            // with its status at the deadline.
             let mut in_flight = false;
+            let mut waits = Vec::new();
             for i in 0..slots.len() {
-                let Slot::Pending {
-                    worker,
-                    job,
-                    attempts,
-                    ..
-                } = slots[i]
-                else {
+                let Slot::Pending { worker, job, .. } = slots[i] else {
                     continue;
                 };
-                let deadline = if on_probation(&workers) {
+                let deadline = if on_probation(&fleet.workers) {
                     wait_for.min(PROBATION_WAIT)
                 } else {
                     wait_for
                 };
-                let Worker::Live { client, failures } = &mut workers[worker] else {
+                let generation = fleet.generations[worker];
+                let Worker::Live { client, .. } = &mut fleet.workers[worker] else {
                     // Its worker was suspended this round; the
                     // suspension already requeued it.
                     continue;
                 };
                 in_flight = true;
-                match client.wait(job, deadline) {
+                match client.send(&wait_request(job, deadline)) {
+                    Ok(()) => waits.push((i, worker, generation)),
+                    Err(e) => {
+                        let failure = e.to_string();
+                        self.note_failure(&mut fleet, &mut slots, jobs, worker, &failure, round);
+                    }
+                }
+            }
+
+            // Wait, read half: the replies in write order. A shard
+            // that finished early has its reply buffered already.
+            for (i, worker, generation) in waits {
+                let Some((client, failures)) = fleet.connection(worker, generation) else {
+                    // The connection this wait went out on was
+                    // dropped, which requeued the shard, or replaced,
+                    // and the next round waits on it again.
+                    continue;
+                };
+                match client.recv().and_then(waited) {
                     Ok(None) => {}
                     Ok(Some(solutions)) => {
                         // A delivered shard closes the breaker's
@@ -669,8 +765,12 @@ impl Coordinator {
                         // spec): the worker is suspect, the shard
                         // retries elsewhere.
                         let failure = e.to_string();
-                        self.note_failure(&mut workers, &mut slots, jobs, worker, &failure, round);
-                        if let Slot::Pending { chain, .. } = &mut slots[i] {
+                        self.note_failure(&mut fleet, &mut slots, jobs, worker, &failure, round);
+                        if let Slot::Pending {
+                            attempts, chain, ..
+                        } = &mut slots[i]
+                        {
+                            let attempts = *attempts;
                             let mut chain = std::mem::take(chain);
                             chain.push(format!("attempt {attempts}: {failure}"));
                             slots[i] = Slot::Todo { attempts, chain };
@@ -678,7 +778,7 @@ impl Coordinator {
                     }
                     Err(e) => {
                         let failure = e.to_string();
-                        self.note_failure(&mut workers, &mut slots, jobs, worker, &failure, round);
+                        self.note_failure(&mut fleet, &mut slots, jobs, worker, &failure, round);
                     }
                 }
             }
@@ -687,7 +787,7 @@ impl Coordinator {
                 break;
             }
             round += 1;
-            if !in_flight && on_probation(&workers) {
+            if !in_flight && on_probation(&fleet.workers) {
                 std::thread::sleep(PROBATION_WAIT);
             }
         }
@@ -716,17 +816,19 @@ impl Coordinator {
     /// pending on it (attempt counts preserved — the retry itself
     /// re-increments on dispatch). A failure under the threshold
     /// keeps the worker live but replaces its connection, since most
-    /// failures sever the transport.
+    /// failures sever the transport. Either way the worker's
+    /// connection generation moves on, so no reply to a request
+    /// written before the failure is read.
     fn note_failure(
         &self,
-        workers: &mut [Worker],
+        fleet: &mut Fleet,
         slots: &mut [Slot],
         jobs: &[ShardJob],
         worker: usize,
         reason: &str,
         round: u64,
     ) {
-        let failures = match &mut workers[worker] {
+        let failures = match &mut fleet.workers[worker] {
             Worker::Live { failures, .. } => {
                 *failures += 1;
                 *failures
@@ -735,12 +837,13 @@ impl Coordinator {
             // round, and the first suspension requeues them all).
             _ => return,
         };
+        fleet.generations[worker] += 1;
         if failures < self.failure_threshold {
             // Under the breaker threshold: stay in rotation on a
             // fresh connection (the failed one is suspect).
             match self.connect(&self.addrs[worker]) {
                 Ok(client) => {
-                    workers[worker] = Worker::Live { client, failures };
+                    fleet.workers[worker] = Worker::Live { client, failures };
                     return;
                 }
                 Err(_) => {
@@ -752,7 +855,7 @@ impl Coordinator {
         self.obs.tracer().record(Event::WorkerRetired {
             worker: worker as u64,
         });
-        workers[worker] = Worker::Probation {
+        fleet.workers[worker] = Worker::Probation {
             since: round,
             probes_failed: 0,
             last: reason.to_string(),
@@ -783,6 +886,16 @@ impl Coordinator {
                 }
             }
         }
+    }
+}
+
+/// The slot of a failed dispatch attempt: requeued, with the attempt
+/// counted and its failure on the chain.
+fn requeued(attempts: usize, mut chain: Vec<String>, failure: &str) -> Slot {
+    chain.push(format!("attempt {}: {failure}", attempts + 1));
+    Slot::Todo {
+        attempts: attempts + 1,
+        chain,
     }
 }
 

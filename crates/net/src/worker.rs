@@ -7,11 +7,11 @@
 //! [`JobService::dispose`]. A coordinator crash therefore never
 //! strands results on a worker; the job table drains back to empty.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -85,8 +85,12 @@ struct WorkerShared {
     /// counters and the job service's `service.*` family land in the
     /// same place, so a single `stats` scrape sees the entire process.
     obs: Arc<ObsRegistry>,
-    /// Live connection streams, for unblocking reads on stop.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Live connection streams, keyed by connection id, for
+    /// unblocking reads on stop. A connection removes its entry when
+    /// it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// The id the next accepted connection gets.
+    next_conn: AtomicU64,
 }
 
 /// A bound (not yet serving) protocol server.
@@ -120,7 +124,8 @@ impl WorkerServer {
                 fault: config.fault,
                 max_frame: config.max_frame,
                 obs,
-                conns: Mutex::new(Vec::new()),
+                conns: Mutex::new(HashMap::new()),
+                next_conn: AtomicU64::new(0),
             }),
         })
     }
@@ -202,8 +207,17 @@ impl WorkerHandle {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Poke the accept loop so it observes the flag.
         let _ = TcpStream::connect(self.addr);
-        // Sever every live connection to unblock its reader thread.
-        for stream in self.shared.conns.lock().expect("conn list lock").drain(..) {
+        // Sever every live connection to unblock its reader thread. This
+        // runs from `Drop`, so a poisoned table is taken as it is: each
+        // insert or remove leaves it whole.
+        let conns = std::mem::take(
+            &mut *self
+                .shared
+                .conns
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for stream in conns.into_values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.accept.take() {
@@ -226,17 +240,48 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<WorkerShared>) -> std::io::R
         if shared.stop.load(Ordering::SeqCst) {
             return Ok(());
         }
+        set_up_stream(&stream);
+        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("conn list lock").push(clone);
+            track_connection(shared, |conns| {
+                conns.insert(id, clone);
+            });
         }
         let shared = Arc::clone(shared);
         let _ = std::thread::Builder::new()
             .name("hycim-net-conn".to_string())
-            .spawn(move || handle_connection(stream, &shared));
+            .spawn(move || {
+                handle_connection(stream, &shared);
+                track_connection(&shared, |conns| {
+                    conns.remove(&id);
+                });
+            });
     }
 }
 
-/// Serves one connection: a strict request → response loop. Malformed
+/// Edits the live-connection table and republishes its size as the
+/// `net.connections_open` gauge.
+fn track_connection(shared: &WorkerShared, edit: impl FnOnce(&mut HashMap<u64, TcpStream>)) {
+    let mut conns = shared.conns.lock().expect("conn list lock");
+    edit(&mut conns);
+    shared
+        .obs
+        .gauge("net.connections_open")
+        .set(conns.len() as u64);
+}
+
+/// Socket setup shared by every protocol socket: the worker's accepted
+/// connections, the client's, and both sides of a chaos proxy
+/// connection. Nagle's algorithm is off: the coordinator pipelines
+/// requests, so two replies can leave back to back, and under Nagle
+/// the second would wait for the peer's delayed ACK (about 40 ms).
+pub(crate) fn set_up_stream(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+}
+
+/// Serves one connection: a strict request → response loop. Requests
+/// that arrive pipelined (written before the earlier replies are
+/// read) are answered one at a time, in arrival order. Malformed
 /// frames that leave the stream synchronized (valid line, bad
 /// content) get an error response; anything that desynchronizes or
 /// ends the stream closes the connection. Either way, every job the
@@ -502,6 +547,37 @@ mod tests {
             assert!(Instant::now() < deadline, "worker leaked jobs");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    #[test]
+    fn set_up_streams_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        assert!(
+            !accepted.nodelay().expect("query"),
+            "Nagle is on by default"
+        );
+        set_up_stream(&accepted);
+        assert!(accepted.nodelay().expect("query"));
+        drop(client);
+
+        // The accept loop sets up every connection the worker serves.
+        let worker = WorkerServer::bind("127.0.0.1:0", WorkerConfig::new())
+            .expect("bind")
+            .spawn();
+        let mut client = WorkerClient::connect(worker.addr()).expect("connect");
+        client.stats().expect("stats");
+        let nodelay: Vec<bool> = worker
+            .shared
+            .conns
+            .lock()
+            .expect("conn list lock")
+            .values()
+            .map(|s| s.nodelay().expect("query"))
+            .collect();
+        assert_eq!(nodelay, [true]);
+        worker.stop();
     }
 
     #[test]

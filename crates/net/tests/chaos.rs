@@ -8,7 +8,7 @@
 //! exactly: same connection indices, same faults, same recovery path.
 
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hycim_cop::maxcut::MaxCut;
 use hycim_cop::AnyProblem;
@@ -123,6 +123,56 @@ fn mid_run_drop_is_retried_bit_identically() {
         stats.counter("coord.workers_readmitted").unwrap_or(0) >= 1,
         "{stats:?}"
     );
+}
+
+#[test]
+fn drop_between_pipelined_submit_replies_retries_without_reading_the_new_connection() {
+    // Three submits go out on connection 0 before any reply is read.
+    // The proxy forwards the first reply, then cuts the connection.
+    // Under a failure threshold of 2 the coordinator reconnects at
+    // once. The later shards must be retried rather than have their
+    // replies read from the replacement connection, which never
+    // carried their submits: such a read would wait out the read
+    // timeout.
+    let p = problem();
+    let worker = spawn_worker(WorkerConfig::new());
+    let plan = FaultPlan::clean(7).script(0, ConnFault::CloseAfterResponses { responses: 1 });
+    let proxy = ChaosProxy::spawn(worker.addr().to_string(), plan).expect("spawn proxy");
+
+    let spec = spec_for(&p, Vec::new());
+    let (total, jobs) = shard_replica_column(&spec, 6, 33, 0, 3);
+    let read_timeout = Duration::from_secs(10);
+    let coordinator = Coordinator::new(vec![proxy.addr().to_string()])
+        .with_max_attempts(8)
+        .expect("nonzero bound")
+        .with_failure_threshold(2)
+        .with_read_timeout(read_timeout)
+        .with_connect_timeout(Duration::from_secs(5));
+    let begun = Instant::now();
+    let merged = coordinator.run(total, &jobs).expect("the run recovers");
+    assert!(
+        begun.elapsed() < read_timeout / 2,
+        "a read waited out its timeout: {:?}",
+        begun.elapsed()
+    );
+    assert_eq!(merged, reference(&p, 6, 33), "faults perturbed the bits");
+
+    let events = coordinator.obs().tracer().events();
+    for job in &jobs[1..] {
+        assert!(
+            events.iter().any(|e| matches!(
+                *e,
+                Event::ShardRetried { start, end }
+                    if start == job.shard.start as u64 && end == job.shard.end as u64
+            )),
+            "shard {:?} was not retried: {events:?}",
+            job.shard
+        );
+    }
+    assert!(proxy.connections() >= 2, "the worker was reconnected");
+
+    proxy.stop();
+    worker.stop();
 }
 
 #[test]

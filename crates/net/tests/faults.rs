@@ -267,6 +267,94 @@ fn panicked_worker_is_retried_on_the_survivor_bit_identically() {
 }
 
 #[test]
+fn wait_pass_failure_requeues_every_pipelined_shard_of_the_worker() {
+    let p = problem();
+    let engine = EngineKind::Software
+        .build(&p, &EngineSettings::new(40, 2))
+        .expect("builds");
+    let reference: Vec<WireSolution> = BatchRunner::serial()
+        .run(&engine, 8, 45)
+        .iter()
+        .map(WireSolution::from_solution)
+        .collect();
+    // Four shards on two workers: A holds shards 0 and 2, with both
+    // waits written before either reply is read. Shard 0 panics. At
+    // threshold 1 the suspension requeues both; at threshold 2 A gets
+    // a new connection, from which shard 2's reply must not be read
+    // (it would wait out the read timeout).
+    for threshold in [1, 2] {
+        let mut faulty = WorkerConfig::new();
+        faulty.fault = Some(WorkerFault::PanicOnSubmit(0));
+        let a = spawn_worker(faulty);
+        let b = spawn_worker(WorkerConfig::new());
+        let addrs = vec![a.addr().to_string(), b.addr().to_string()];
+
+        let spec = spec_for(&p, Vec::new());
+        let (total, jobs) = shard_replica_column(&spec, 8, 45, 0, 4);
+        let read_timeout = Duration::from_secs(10);
+        let coordinator = Coordinator::new(addrs)
+            .with_failure_threshold(threshold)
+            .with_read_timeout(read_timeout);
+        let begun = Instant::now();
+        let merged = coordinator
+            .run(total, &jobs)
+            .expect("retry on the survivor succeeds");
+        assert!(
+            begun.elapsed() < read_timeout / 2,
+            "threshold {threshold}: a read waited out its timeout: {:?}",
+            begun.elapsed()
+        );
+        assert_eq!(
+            merged, reference,
+            "threshold {threshold} perturbed the bits"
+        );
+        if threshold == 1 {
+            let stats = coordinator.obs().snapshot();
+            assert_eq!(stats.counter("coord.workers_retired"), Some(1), "{stats:?}");
+            assert_eq!(stats.counter("coord.shards_requeued"), Some(2), "{stats:?}");
+            assert_eq!(stats.counter("coord.shard_retries"), Some(2), "{stats:?}");
+        }
+
+        assert_drains(&a);
+        assert_drains(&b);
+        a.stop();
+        b.stop();
+    }
+}
+
+#[test]
+fn closed_connections_leave_the_worker_connection_table() {
+    // Every connection a worker accepts is tracked until it ends; a
+    // long-lived worker must not keep a socket per past connection.
+    let handle = spawn_worker(WorkerConfig::new());
+    let open = || {
+        handle
+            .obs()
+            .snapshot()
+            .gauge("net.connections_open")
+            .unwrap_or(0)
+    };
+    for _ in 0..50 {
+        let mut client = WorkerClient::connect(handle.addr()).expect("connect");
+        let stats = client.stats().expect("stats");
+        assert!(
+            stats.gauge("net.connections_open").unwrap_or(0) >= 1,
+            "the scraping connection is open: {stats:?}"
+        );
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while open() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} connections still tracked",
+            open()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.stop();
+}
+
+#[test]
 fn exhausted_retries_surface_a_typed_shard_error() {
     // A spec no worker can run: the engine tag is unknown everywhere.
     let handle = spawn_worker(WorkerConfig::new());

@@ -24,6 +24,7 @@ use hycim_net::{
     shard_replica_column, Coordinator, ErrorCode, JobSpec, NetError, WireSolution, WorkerClient,
     WorkerConfig, WorkerServer,
 };
+use hycim_obs::Event;
 
 fn spawn_workers(n: usize) -> (Vec<hycim_net::WorkerHandle>, Vec<String>) {
     let handles: Vec<_> = (0..n)
@@ -118,10 +119,37 @@ fn shard_boundaries_do_not_change_the_merged_result() {
     let mut runs = Vec::new();
     for shards in [1usize, 2, 3, 5] {
         let (total, jobs) = shard_replica_column(&spec, 7, 11, 0, shards);
-        let merged = Coordinator::new(addrs.clone())
+        let coordinator = Coordinator::new(addrs.clone());
+        let merged = coordinator
             .run(total, &jobs)
             .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
         runs.push((shards, merged));
+        // With 5 shards one connection carries 3 pipelined submits and
+        // waits; a clean run still makes one attempt per shard and
+        // dispatches in slot order, round-robin over the workers.
+        let stats = coordinator.obs().snapshot();
+        assert_eq!(
+            stats.counter("coord.shard_attempts"),
+            Some(shards as u64),
+            "{stats:?}"
+        );
+        assert_eq!(stats.counter("coord.shard_retries"), Some(0), "{stats:?}");
+        let dispatched: Vec<(u64, u64)> = coordinator
+            .obs()
+            .tracer()
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::ShardDispatched { start, worker, .. } => Some((start, worker)),
+                _ => None,
+            })
+            .collect();
+        let in_slot_order: Vec<(u64, u64)> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| (job.shard.start as u64, i as u64 % 2))
+            .collect();
+        assert_eq!(dispatched, in_slot_order, "{shards} shards");
     }
     let (_, first) = &runs[0];
     for (shards, merged) in &runs[1..] {

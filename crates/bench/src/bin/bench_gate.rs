@@ -27,8 +27,8 @@ use hycim_bench::gate::{
     diff_study_cells, replica_throughput_drift, throughput_drift, GateReport, GateTolerances,
 };
 use hycim_bench::{
-    default_threads, parse_study_cells, render_metrics_summary, validate_hotpath_json,
-    validate_study_json, Args, StudyRecipe, StudyRunner,
+    default_threads, read_hotpath, read_study, render_metrics_summary, Args, StudyRecipe,
+    StudyRunner,
 };
 use hycim_obs::ObsRegistry;
 
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
 
     let mut report = GateReport::default();
 
-    // Committed quality artifact: must exist and validate.
+    // Committed quality artifact: must exist and read cleanly.
     let committed = match std::fs::read_to_string(&study_path) {
         Ok(doc) => doc,
         Err(e) => {
@@ -54,14 +54,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Err(e) = validate_study_json(&committed) {
-        eprintln!("FAIL: {study_path} is malformed: {e}");
-        return ExitCode::from(2);
-    }
-    let committed_cells = match parse_study_cells(&committed) {
+    let committed_cells = match read_study(&committed) {
         Ok(cells) => cells,
         Err(e) => {
-            eprintln!("FAIL: {study_path}: {e}");
+            eprintln!("FAIL: {study_path} is malformed: {e}");
             return ExitCode::from(2);
         }
     };
@@ -98,19 +94,17 @@ fn main() -> ExitCode {
         &tol,
     ));
 
-    // Throughput artifact: validate, then (optionally) probe drift.
-    match std::fs::read_to_string(&hotpath_path) {
-        Err(e) => report
-            .failures
-            .push(format!("cannot read {hotpath_path}: {e}")),
-        Ok(doc) => {
-            if let Err(e) = validate_hotpath_json(&doc) {
-                report.failures.push(format!("{hotpath_path}: {e}"));
-            } else if !args.has_flag("skip-throughput") {
-                report.merge(throughput_drift(&doc, &tol));
-                report.merge(replica_throughput_drift(&doc, &tol));
-            }
+    // Throughput artifact: read, then (optionally) probe drift.
+    let hotpath = std::fs::read_to_string(&hotpath_path)
+        .map_err(|e| format!("cannot read {hotpath_path}: {e}"))
+        .and_then(|doc| read_hotpath(&doc).map_err(|e| format!("{hotpath_path}: {e}")));
+    match hotpath {
+        Err(e) => report.failures.push(e),
+        Ok(hotpath) if !args.has_flag("skip-throughput") => {
+            report.merge(throughput_drift(&hotpath, &tol));
+            report.merge(replica_throughput_drift(&hotpath, &tol));
         }
+        Ok(_) => {}
     }
 
     for w in &report.warnings {

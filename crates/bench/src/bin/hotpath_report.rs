@@ -32,7 +32,7 @@
 //! ```
 
 use hycim_bench::hotpath::{family_row, render_hotpath_json, replica_family_row};
-use hycim_bench::{bar, validate_hotpath_json, Args, ReportMeta};
+use hycim_bench::{bar, read_hotpath, Args, ReportMeta};
 
 fn main() {
     let args = Args::parse();
@@ -112,7 +112,7 @@ fn main() {
     }
 
     let doc = render_hotpath_json(&rows, &replica_rows, iters_per_var, &ReportMeta::from_env());
-    validate_hotpath_json(&doc).expect("emitted report must be well-formed");
+    read_hotpath(&doc).expect("emitted report must be well-formed");
     std::fs::write(&out_path, &doc).expect("writable output path");
     println!(
         "\nwrote {out_path} ({} rows + {} replica rows, shape validated)",

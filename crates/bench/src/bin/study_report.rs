@@ -22,8 +22,8 @@
 use std::sync::Arc;
 
 use hycim_bench::{
-    default_threads, render_metrics_summary, render_study_json, validate_study_json, Args,
-    ReportMeta, StudyRecipe, StudyRunner,
+    default_threads, read_study, render_metrics_summary, render_study_json, Args, ReportMeta,
+    StudyRecipe, StudyRunner,
 };
 use hycim_obs::ObsRegistry;
 
@@ -99,7 +99,7 @@ fn main() {
     }
 
     let doc = render_study_json(&result, &ReportMeta::from_env());
-    validate_study_json(&doc).expect("emitted report must be well-formed");
+    read_study(&doc).expect("emitted report must be well-formed");
     std::fs::write(&out_path, &doc).expect("writable output path");
     if !quiet {
         println!(

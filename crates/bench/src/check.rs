@@ -1,15 +1,17 @@
-//! Shape validation of the committed `BENCH_*.json` artifacts plus
-//! the provenance `meta` block both report bins stamp.
+//! Reading back the committed `BENCH_*.json` artifacts, plus the
+//! provenance `meta` block both report bins stamp.
 //!
-//! The harness deliberately has no JSON dependency; the artifacts are
-//! emitted by string formatting and validated here by string checks —
-//! schema tag, balanced delimiters, per-row required keys, and range
-//! checks on the numbers the gate later compares. Both `hotpath_report`
-//! and `study_report` re-read their own output through these
-//! validators before writing, so CI smoke runs fail loudly on a
-//! malformed report.
+//! The artifacts are written by string formatting (their layout is
+//! part of the committed bytes) and read back through the protocol's
+//! JSON parser in its report mode, [`Value::parse_report`]: schema
+//! tag, `meta` strings, per-row required keys, and range checks on the
+//! numbers the gate later compares. Both `hotpath_report` and
+//! `study_report` re-read their own output through these readers
+//! before writing, so CI smoke runs fail loudly on a malformed report.
 
 use std::env;
+
+use hycim_net::json::Value;
 
 /// Schema tag of `BENCH_hotpath.json`: scalar local-field `rows`, a
 /// `meta` provenance block, and the `replica_rows` packed-vs-scalar
@@ -85,19 +87,15 @@ pub struct ReportMeta {
 impl ReportMeta {
     /// Reads the provenance environment variables.
     pub fn from_env() -> Self {
-        let clean = |v: Result<String, env::VarError>| {
-            v.ok()
-                .map(|s| {
-                    s.chars()
-                        .filter(|c| !c.is_control() && *c != '"' && *c != '\\')
-                        .collect::<String>()
-                })
+        let var = |key| {
+            env::var(key)
+                .ok()
                 .filter(|s| !s.is_empty())
                 .unwrap_or_else(|| "unknown".to_string())
         };
         Self {
-            generated: clean(env::var("SOURCE_DATE_EPOCH")),
-            git: clean(env::var("HYCIM_GIT_DESCRIBE")),
+            generated: var("SOURCE_DATE_EPOCH"),
+            git: var("HYCIM_GIT_DESCRIBE"),
         }
     }
 
@@ -112,15 +110,17 @@ impl ReportMeta {
     /// Renders the one-line `"meta": { ... }` JSON fragment (no
     /// trailing comma or newline).
     pub fn render(&self) -> String {
+        let json = |s: &str| Value::Str(s.to_string()).encode();
         format!(
-            "\"meta\": {{ \"generated\": \"{}\", \"git\": \"{}\" }}",
-            self.generated, self.git
+            "\"meta\": {{ \"generated\": {}, \"git\": {} }}",
+            json(&self.generated),
+            json(&self.git)
         )
     }
 }
 
-/// One (problem, engine) cell extracted from a committed study
-/// document — the quantities the regression gate compares.
+/// One (problem, engine) cell read from a committed study document —
+/// the quantities the regression gate compares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommittedCell {
     /// Canonical instance key.
@@ -135,308 +135,155 @@ pub struct CommittedCell {
     pub mean_objective: Option<f64>,
 }
 
-fn structural_checks(doc: &str) -> Result<(), String> {
-    if !doc.trim_start().starts_with('{') {
-        return Err("document does not start with an object".into());
-    }
-    for (open, close, label) in [('{', '}', "braces"), ('[', ']', "brackets")] {
-        let opens = doc.matches(open).count();
-        let closes = doc.matches(close).count();
-        if opens != closes {
-            return Err(format!(
-                "unbalanced {label}: {opens} open vs {closes} close"
-            ));
-        }
-    }
-    Ok(())
+/// The throughput rows of a committed hotpath document — the
+/// committed side of the gate's drift probes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CommittedHotpath {
+    /// `(family, n, local_iters_per_sec)` of every scalar row.
+    pub rows: Vec<(String, usize, f64)>,
+    /// `(family, n, sweeps, packed_iters_per_sec)` of every replica
+    /// row. The probe replays the row's own `sweeps`: throughput is
+    /// sweep-count dependent (longer runs amortize setup and spend
+    /// more time in the draw-free cold tail).
+    pub replica_rows: Vec<(String, usize, usize, f64)>,
 }
 
-fn schema_check(doc: &str, tag: &str) -> Result<(), String> {
-    if doc.contains(&format!("\"schema\": \"{tag}\"")) {
-        Ok(())
-    } else {
-        Err(format!("missing schema tag (expected {tag:?})"))
+/// Parses a report and checks its schema tag and `meta` strings.
+fn read_report(doc: &str, schema: &str) -> Result<Value, String> {
+    let report = Value::parse_report(doc).map_err(|e| e.to_string())?;
+    let tag = report.str_field("schema")?;
+    if tag != schema {
+        return Err(format!("schema tag {tag:?}, expected {schema:?}"));
     }
-}
-
-fn meta_check(doc: &str) -> Result<(), String> {
-    let block = doc
-        .split("\"meta\": {")
-        .nth(1)
-        .and_then(|rest| rest.split('}').next())
-        .ok_or("missing \"meta\" block")?;
+    let meta = report.field("meta")?;
     for key in ["generated", "git"] {
-        if !block.contains(&format!("\"{key}\": \"")) {
-            return Err(format!("meta block missing key {key:?}"));
-        }
+        meta.str_field(key).map_err(|e| format!("meta: {e}"))?;
     }
-    Ok(())
+    Ok(report)
 }
 
-/// Splits out every row fragment starting with `marker` (e.g.
-/// `{ "family":`), each truncated at its first `}` — sufficient for
-/// flat rows.
-fn rows<'a>(doc: &'a str, marker: &str) -> Vec<&'a str> {
-    doc.split(marker)
-        .skip(1)
-        .map(|r| r.split('}').next().unwrap_or(""))
+/// Reads every row with `read`, naming the first row that fails.
+fn each<T>(
+    rows: &[Value],
+    label: &str,
+    read: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    rows.iter()
+        .enumerate()
+        .map(|(idx, row)| read(row).map_err(|e| format!("{label} {idx}: {e}")))
         .collect()
 }
 
-/// Extracts the raw token following `"key": ` in a fragment.
-fn raw_field<'a>(fragment: &'a str, key: &str) -> Result<&'a str, String> {
-    fragment
-        .split(&format!("\"{key}\": "))
-        .nth(1)
-        .and_then(|rest| rest.split([',', ' ', '\n', '}', ']']).next())
-        .ok_or_else(|| format!("cannot locate {key:?}"))
+fn has_keys(row: &Value, keys: &[&str]) -> Result<(), String> {
+    keys.iter().try_for_each(|key| row.field(key).map(drop))
 }
 
-/// Extracts a required finite number.
-fn number_field(fragment: &str, key: &str) -> Result<f64, String> {
-    let raw = raw_field(fragment, key)?;
-    let parsed: f64 = raw
-        .parse()
-        .map_err(|_| format!("{key} = {raw:?} is not a number"))?;
-    if !parsed.is_finite() {
-        return Err(format!("{key} = {parsed} is not finite"));
-    }
-    Ok(parsed)
-}
-
-/// Extracts a number that may be recorded as `null` (non-finite
-/// values are rendered that way).
-fn nullable_number_field(fragment: &str, key: &str) -> Result<Option<f64>, String> {
-    let raw = raw_field(fragment, key)?;
-    if raw == "null" {
-        return Ok(None);
-    }
-    let parsed: f64 = raw
-        .parse()
-        .map_err(|_| format!("{key} = {raw:?} is not a number or null"))?;
-    Ok(Some(parsed))
-}
-
-/// Extracts a quoted string value.
-fn string_field(fragment: &str, key: &str) -> Result<String, String> {
-    fragment
-        .split(&format!("\"{key}\": \""))
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .map(str::to_string)
-        .ok_or_else(|| format!("cannot locate string {key:?}"))
-}
-
-fn rate_field(fragment: &str, key: &str, label: &str) -> Result<f64, String> {
-    let rate = number_field(fragment, key).map_err(|e| format!("{label}: {e}"))?;
+fn rate(row: &Value, key: &str) -> Result<f64, String> {
+    let rate = row.number_field(key)?;
     if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("{label}: {key} = {rate} not in [0, 1]"));
+        return Err(format!("{key} = {rate} not in [0, 1]"));
     }
     Ok(rate)
 }
 
-/// Validates the shape of an emitted `BENCH_hotpath.json` document:
-/// the [`HOTPATH_SCHEMA`] tag, the `meta` provenance block, balanced
-/// braces/brackets, at least one row, a `replica_rows` block, every
-/// row and replica row carrying every required key, and strictly
-/// positive finite throughput numbers.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first violation.
-pub fn validate_hotpath_json(doc: &str) -> Result<(), String> {
-    structural_checks(doc)?;
-    schema_check(doc, HOTPATH_SCHEMA)?;
-    meta_check(doc)?;
-    let rows_found = rows(doc, "{ \"family\":");
-    if rows_found.is_empty() {
-        return Err("no rows found".into());
+fn positive(row: &Value, key: &str) -> Result<f64, String> {
+    let x = row.number_field(key)?;
+    if x <= 0.0 {
+        return Err(format!("{key} = {x} is not positive"));
     }
-    for (idx, row) in rows_found.iter().enumerate() {
-        let row = format!("\"family\":{row}");
-        for key in HOTPATH_ROW_KEYS {
-            if !row.contains(&format!("\"{key}\":")) {
-                return Err(format!("row {idx} missing key {key:?}"));
-            }
-        }
-        for key in ["dense_iters_per_sec", "local_iters_per_sec", "speedup"] {
-            let parsed = number_field(&row, key).map_err(|e| format!("row {idx}: {e}"))?;
-            if parsed <= 0.0 {
-                return Err(format!("row {idx}: {key} = {parsed} is not positive"));
-            }
-        }
-    }
-    if !doc.contains("\"replica_rows\":") {
-        return Err("document missing \"replica_rows\" block".into());
-    }
-    for (idx, row) in rows(doc, "{ \"lanes\":").iter().enumerate() {
-        let row = format!("\"lanes\":{row}");
-        for key in HOTPATH_REPLICA_ROW_KEYS {
-            if !row.contains(&format!("\"{key}\":")) {
-                return Err(format!("replica row {idx} missing key {key:?}"));
-            }
-        }
-        for key in [
-            "scalar_iters_per_sec",
-            "packed_iters_per_sec",
-            "replica_speedup",
-        ] {
-            let parsed = number_field(&row, key).map_err(|e| format!("replica row {idx}: {e}"))?;
-            if parsed <= 0.0 {
-                return Err(format!(
-                    "replica row {idx}: {key} = {parsed} is not positive"
-                ));
-            }
-        }
-    }
-    Ok(())
+    Ok(x)
 }
 
-/// Validates the shape of an emitted `BENCH_study.json` document:
-/// schema tag, required `meta` block, balanced delimiters, at least
-/// one problem with at least one cell, every cell and ranking row
-/// carrying its required keys, and rates confined to `[0, 1]`.
+/// A number the writer records as `null` when it is not finite.
+fn objective(row: &Value, key: &str) -> Result<Option<f64>, String> {
+    match row.field(key)? {
+        Value::Null => Ok(None),
+        _ => row.number_field(key).map(Some),
+    }
+}
+
+/// Reads a `BENCH_hotpath.json` document: the [`HOTPATH_SCHEMA`] tag,
+/// the `meta` provenance block, at least one row, a `replica_rows`
+/// array, every row and replica row carrying every required key, and
+/// strictly positive finite throughput numbers.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first violation.
-pub fn validate_study_json(doc: &str) -> Result<(), String> {
-    structural_checks(doc)?;
-    schema_check(doc, STUDY_SCHEMA)?;
-    meta_check(doc)?;
-    for key in ["study", "seed", "replicas", "sweeps", "engines"] {
-        if !doc.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing top-level key {key:?}"));
-        }
+pub fn read_hotpath(doc: &str) -> Result<CommittedHotpath, String> {
+    let report = read_report(doc, HOTPATH_SCHEMA)?;
+    let rows = report.array_field("rows")?;
+    if rows.is_empty() {
+        return Err("no rows found".into());
     }
-    let problems = rows(doc, "{ \"problem\":");
+    let rows = each(rows, "row", |row| {
+        has_keys(row, &HOTPATH_ROW_KEYS)?;
+        positive(row, "dense_iters_per_sec")?;
+        positive(row, "speedup")?;
+        Ok((
+            row.str_field("family")?.to_string(),
+            row.u64_field("n")? as usize,
+            positive(row, "local_iters_per_sec")?,
+        ))
+    })?;
+    let replica_rows = each(report.array_field("replica_rows")?, "replica row", |row| {
+        has_keys(row, &HOTPATH_REPLICA_ROW_KEYS)?;
+        positive(row, "scalar_iters_per_sec")?;
+        positive(row, "replica_speedup")?;
+        Ok((
+            row.str_field("family")?.to_string(),
+            row.u64_field("n")? as usize,
+            row.u64_field("sweeps")? as usize,
+            positive(row, "packed_iters_per_sec")?,
+        ))
+    })?;
+    Ok(CommittedHotpath { rows, replica_rows })
+}
+
+/// Reads a `BENCH_study.json` document into its (problem, engine)
+/// cells: the [`STUDY_SCHEMA`] tag, the `meta` block, the recipe keys,
+/// at least one problem with at least one cell, at least one ranking,
+/// every problem, cell and ranking carrying its required keys, rates
+/// confined to `[0, 1]`, and objectives that are numbers or `null`.
+///
+/// # Errors
+///
+/// Returns a human-readable description of the first violation.
+pub fn read_study(doc: &str) -> Result<Vec<CommittedCell>, String> {
+    let report = read_report(doc, STUDY_SCHEMA)?;
+    has_keys(&report, &["study", "seed", "replicas", "sweeps", "engines"])?;
+    let problems = report.array_field("problems")?;
     if problems.is_empty() {
         return Err("no problems found".into());
     }
-    for (idx, header) in problems.iter().enumerate() {
-        let header = format!("\"problem\":{header}");
-        for key in ["problem", "family", "n", "dim", "reference", "cells"] {
-            if !header.contains(&format!("\"{key}\":")) {
-                return Err(format!("problem {idx} missing key {key:?}"));
-            }
+    let cells = each(problems, "problem", |p| {
+        has_keys(p, &["family", "n", "dim", "reference"])?;
+        let problem = p.str_field("problem")?;
+        let cells = each(p.array_field("cells")?, "cell", |cell| {
+            has_keys(cell, &STUDY_CELL_KEYS)?;
+            rate(cell, "feasible_rate")?;
+            Ok(CommittedCell {
+                problem: problem.to_string(),
+                engine: cell.str_field("engine")?.to_string(),
+                success_rate: rate(cell, "success_rate")?,
+                best_objective: objective(cell, "best_objective")?,
+                mean_objective: objective(cell, "mean_objective")?,
+            })
+        })?;
+        if cells.is_empty() {
+            return Err(format!("{problem} has no cells"));
         }
-    }
-    let cells = rows(doc, "{ \"engine\":");
-    if cells.len() < problems.len() {
-        return Err(format!(
-            "{} problems but only {} cells",
-            problems.len(),
-            cells.len()
-        ));
-    }
-    for (idx, cell) in cells.iter().enumerate() {
-        let cell = format!("\"engine\":{cell}");
-        let label = format!("cell {idx}");
-        for key in STUDY_CELL_KEYS {
-            if !cell.contains(&format!("\"{key}\":")) {
-                return Err(format!("{label} missing key {key:?}"));
-            }
-        }
-        rate_field(&cell, "success_rate", &label)?;
-        rate_field(&cell, "feasible_rate", &label)?;
-        nullable_number_field(&cell, "best_objective").map_err(|e| format!("{label}: {e}"))?;
-        nullable_number_field(&cell, "mean_objective").map_err(|e| format!("{label}: {e}"))?;
-    }
-    let rankings = rows(doc, "{ \"rank\":");
+        Ok(cells)
+    })?;
+    let rankings = report.array_field("rankings")?;
     if rankings.is_empty() {
         return Err("no rankings found".into());
     }
-    for (idx, row) in rankings.iter().enumerate() {
-        let row = format!("\"rank\":{row}");
-        let label = format!("ranking {idx}");
-        for key in STUDY_RANKING_KEYS {
-            if !row.contains(&format!("\"{key}\":")) {
-                return Err(format!("{label} missing key {key:?}"));
-            }
-        }
-        rate_field(&row, "mean_success_rate", &label)?;
-    }
-    Ok(())
-}
-
-/// Extracts every (problem, engine) cell of a study document — the
-/// committed side of the gate's comparison. Call
-/// [`validate_study_json`] first; this assumes a well-formed document.
-///
-/// # Errors
-///
-/// Returns a description of the first cell that cannot be extracted.
-pub fn parse_study_cells(doc: &str) -> Result<Vec<CommittedCell>, String> {
-    let mut cells = Vec::new();
-    for block in doc.split("{ \"problem\":").skip(1) {
-        let header = format!("\"problem\":{}", block.split('}').next().unwrap_or(""));
-        let problem = string_field(&header, "problem")?;
-        // The block runs until the next problem marker, so its cell
-        // rows are exactly this problem's.
-        for fragment in rows(block, "{ \"engine\":") {
-            let fragment = format!("\"engine\":{fragment}");
-            cells.push(CommittedCell {
-                problem: problem.clone(),
-                engine: string_field(&fragment, "engine")?,
-                success_rate: rate_field(&fragment, "success_rate", &problem)?,
-                best_objective: nullable_number_field(&fragment, "best_objective")
-                    .map_err(|e| format!("{problem}: {e}"))?,
-                mean_objective: nullable_number_field(&fragment, "mean_objective")
-                    .map_err(|e| format!("{problem}: {e}"))?,
-            });
-        }
-    }
-    if cells.is_empty() {
-        return Err("document contains no cells".into());
-    }
-    Ok(cells)
-}
-
-/// Extracts `(family, n, local_iters_per_sec)` from every row of a
-/// hotpath document — the committed side of the throughput-drift
-/// check.
-///
-/// # Errors
-///
-/// Returns a description of the first row that cannot be extracted.
-pub fn parse_hotpath_rows(doc: &str) -> Result<Vec<(String, usize, f64)>, String> {
-    let mut out = Vec::new();
-    for fragment in rows(doc, "{ \"family\":") {
-        let fragment = format!("\"family\":{fragment}");
-        let family = string_field(&fragment, "family")?;
-        let n = number_field(&fragment, "n")? as usize;
-        let ips = number_field(&fragment, "local_iters_per_sec")?;
-        out.push((family, n, ips));
-    }
-    if out.is_empty() {
-        return Err("document contains no rows".into());
-    }
-    Ok(out)
-}
-
-/// Extracts `(family, n, sweeps, packed_iters_per_sec)` from every
-/// replica row of a hotpath document — the committed side of the
-/// replica-throughput drift check. The `sweeps` field lets the drift
-/// probe replay the committed row's own run length (throughput is
-/// sweep-count dependent: longer runs amortize setup and spend more
-/// time in the draw-free cold tail). A document without replica rows
-/// yields an empty list (nothing to drift against).
-///
-/// # Errors
-///
-/// Returns a description of the first replica row that cannot be
-/// extracted.
-pub fn parse_replica_rows(doc: &str) -> Result<Vec<(String, usize, usize, f64)>, String> {
-    let mut out = Vec::new();
-    for fragment in rows(doc, "{ \"lanes\":") {
-        let fragment = format!("\"lanes\":{fragment}");
-        let family = string_field(&fragment, "family")?;
-        let n = number_field(&fragment, "n")? as usize;
-        let sweeps = number_field(&fragment, "sweeps")? as usize;
-        let ips = number_field(&fragment, "packed_iters_per_sec")?;
-        out.push((family, n, sweeps, ips));
-    }
-    Ok(out)
+    each(rankings, "ranking", |row| {
+        has_keys(row, &STUDY_RANKING_KEYS)?;
+        rate(row, "mean_success_rate")
+    })?;
+    Ok(cells.concat())
 }
 
 #[cfg(test)]
@@ -466,36 +313,29 @@ mod tests {
     #[test]
     fn hotpath_validator_accepts_v3_and_rejects_v2_and_v1() {
         let meta = format!("  {},\n", ReportMeta::unknown().render());
-        validate_hotpath_json(&v3_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("v3");
+        read_hotpath(&v3_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("v3");
         // The superseded tags fail on the tag itself, even when the
         // rest of the document is well-formed.
         let v2 = hotpath_doc("hycim-hotpath/v2", &meta, GOOD_ROW);
         let v1 = hotpath_doc("hycim-hotpath/v1", "", GOOD_ROW);
         for old in [v2, v1] {
-            assert!(validate_hotpath_json(&old)
-                .unwrap_err()
-                .contains("schema tag"));
+            assert!(read_hotpath(&old).unwrap_err().contains("schema tag"));
         }
     }
 
     #[test]
     fn hotpath_validator_rejects_malformed() {
-        assert!(validate_hotpath_json("[]").is_err());
-        assert!(validate_hotpath_json("{}").is_err(), "missing schema");
+        assert!(read_hotpath("[]").is_err());
+        assert!(read_hotpath("{}").is_err(), "missing schema");
         let v3_no_meta = hotpath_doc(HOTPATH_SCHEMA, "", GOOD_ROW);
         assert!(
-            validate_hotpath_json(&v3_no_meta)
-                .unwrap_err()
-                .contains("meta"),
+            read_hotpath(&v3_no_meta).unwrap_err().contains("meta"),
             "v3 requires meta"
         );
         let no_rows = v3_doc("", GOOD_REPLICA_ROW);
-        assert!(validate_hotpath_json(&no_rows).is_err(), "no rows");
+        assert!(read_hotpath(&no_rows).is_err(), "no rows");
         let bad = GOOD_ROW.replace("\"speedup\": 9.0", "\"speedup\": -3.0");
-        assert!(
-            validate_hotpath_json(&v3_doc(&bad, "")).is_err(),
-            "negative speedup"
-        );
+        assert!(read_hotpath(&v3_doc(&bad, "")).is_err(), "negative speedup");
     }
 
     #[test]
@@ -503,33 +343,33 @@ mod tests {
         // v3 without any replica_rows key is rejected...
         let meta = format!("  {},\n", ReportMeta::unknown().render());
         let missing = hotpath_doc(HOTPATH_SCHEMA, &meta, GOOD_ROW);
-        assert!(validate_hotpath_json(&missing)
-            .unwrap_err()
-            .contains("replica_rows"));
+        assert!(read_hotpath(&missing).unwrap_err().contains("replica_rows"));
         // ...a present-but-empty block is fine...
-        validate_hotpath_json(&v3_doc(GOOD_ROW, "")).expect("empty replica block");
+        read_hotpath(&v3_doc(GOOD_ROW, "")).expect("empty replica block");
         // ...and malformed replica rows are named.
         let bad_key = GOOD_REPLICA_ROW.replace("\"sweeps\"", "\"swps\"");
-        assert!(validate_hotpath_json(&v3_doc(GOOD_ROW, &bad_key))
+        assert!(read_hotpath(&v3_doc(GOOD_ROW, &bad_key))
             .unwrap_err()
             .contains("sweeps"));
         let bad_ips = GOOD_REPLICA_ROW.replace(
             "\"packed_iters_per_sec\": 1.2e8",
             "\"packed_iters_per_sec\": 0.0",
         );
-        assert!(validate_hotpath_json(&v3_doc(GOOD_ROW, &bad_ips))
+        assert!(read_hotpath(&v3_doc(GOOD_ROW, &bad_ips))
             .unwrap_err()
             .contains("not positive"));
     }
 
     #[test]
     fn replica_rows_extract_and_tolerate_their_absence() {
-        let rows = parse_replica_rows(&v3_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("extracts");
-        assert_eq!(rows, vec![("maxcut".to_string(), 256, 60, 1.2e8)]);
-        // Pre-v3 documents have no replica rows — the parser returns
-        // an empty list rather than an error.
-        let v1 = hotpath_doc("hycim-hotpath/v1", "", GOOD_ROW);
-        assert_eq!(parse_replica_rows(&v1).expect("tolerated"), vec![]);
+        let read = read_hotpath(&v3_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("extracts");
+        assert_eq!(
+            read.replica_rows,
+            vec![("maxcut".to_string(), 256, 60, 1.2e8)]
+        );
+        // An empty replica block reads as an empty list.
+        let empty = read_hotpath(&v3_doc(GOOD_ROW, "")).expect("tolerated");
+        assert_eq!(empty.replica_rows, vec![]);
     }
 
     fn study_doc(cell: &str) -> String {
@@ -551,36 +391,62 @@ mod tests {
 
     #[test]
     fn study_validator_accepts_wellformed() {
-        validate_study_json(&study_doc(GOOD_CELL)).expect("valid study document");
+        read_study(&study_doc(GOOD_CELL)).expect("valid study document");
     }
 
     #[test]
     fn study_validator_rejects_malformed() {
-        assert!(validate_study_json("{}").is_err(), "missing schema");
+        assert!(read_study("{}").is_err(), "missing schema");
         let doc = study_doc(GOOD_CELL);
         let no_meta = doc.replace("\"meta\"", "\"nope\"");
-        assert!(validate_study_json(&no_meta).unwrap_err().contains("meta"));
+        assert!(read_study(&no_meta).unwrap_err().contains("meta"));
         let bad_rate = doc.replace("\"success_rate\": 1.0000", "\"success_rate\": 1.5");
-        assert!(validate_study_json(&bad_rate)
-            .unwrap_err()
-            .contains("not in [0, 1]"));
+        assert!(read_study(&bad_rate).unwrap_err().contains("not in [0, 1]"));
         let missing_key = doc.replace("\"feasible_rate\"", "\"f_rate\"");
-        assert!(validate_study_json(&missing_key)
+        assert!(read_study(&missing_key)
             .unwrap_err()
             .contains("feasible_rate"));
         let no_rankings = doc.replace("\"rank\":", "\"r\":");
-        assert!(validate_study_json(&no_rankings)
+        assert!(read_study(&no_rankings)
             .unwrap_err()
-            .contains("rankings"));
+            .contains("missing field \"rank\""));
         let unbalanced = format!("{doc}{{");
-        assert!(validate_study_json(&unbalanced)
+        assert!(read_study(&unbalanced)
             .unwrap_err()
-            .contains("unbalanced"));
+            .contains("trailing input"));
+    }
+
+    #[test]
+    fn malformed_study_artifacts_are_rejected_and_compact_ones_read() {
+        let doc = study_doc(GOOD_CELL);
+        let rate = "\"success_rate\": 1.0000, ";
+        let tag = format!("\"schema\": \"{STUDY_SCHEMA}\"");
+        for (bad, needle) in [
+            (
+                doc.replacen(rate, "\"success_rate\": 1.0000 ", 1),
+                "expected ',' or '}'",
+            ),
+            (
+                doc.replacen(rate, &format!("{rate}\"success_rate\": 7.5, "), 1),
+                "duplicate key \"success_rate\"",
+            ),
+            (format!("{doc}garbage"), "trailing input"),
+            (
+                doc.replacen(&tag, &format!("\"schema\": \"old\", \"x\": {{ {tag} }}"), 1),
+                "schema tag \"old\"",
+            ),
+        ] {
+            let err = read_study(&bad).unwrap_err();
+            assert!(err.contains(needle), "{err} (wanted {needle:?})");
+        }
+        let compact = doc.replace("{ \"", "{\"").replace("\": ", "\":");
+        assert_ne!(compact, doc);
+        assert_eq!(read_study(&compact), read_study(&doc));
     }
 
     #[test]
     fn committed_cells_extract_with_null_objectives() {
-        let cells = parse_study_cells(&study_doc(GOOD_CELL)).expect("extracts");
+        let cells = read_study(&study_doc(GOOD_CELL)).expect("extracts");
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].problem, "qkp-d50-n10");
         assert_eq!(cells[0].engine, "software");
@@ -592,7 +458,7 @@ mod tests {
     #[test]
     fn hotpath_rows_extract() {
         let doc = v3_doc(GOOD_ROW, GOOD_REPLICA_ROW);
-        let rows = parse_hotpath_rows(&doc).expect("extracts");
+        let rows = read_hotpath(&doc).expect("extracts").rows;
         assert_eq!(rows, vec![("maxcut".to_string(), 256, 9e6)]);
     }
 
@@ -607,5 +473,14 @@ mod tests {
         let rendered = ReportMeta::unknown().render();
         assert!(rendered.starts_with("\"meta\": {"));
         assert!(rendered.contains("\"generated\": \"unknown\""));
+        // Provenance strings are escaped, so any value reads back.
+        let quoted = ReportMeta {
+            generated: "say \"hi\"".into(),
+            git: "v1-2-g\\x\n".into(),
+        };
+        let doc = study_doc(GOOD_CELL).replace(&rendered, &quoted.render());
+        assert_eq!(read_study(&doc), read_study(&study_doc(GOOD_CELL)));
+        let meta = Value::parse_report(&doc).unwrap().field("meta").cloned();
+        assert_eq!(meta.unwrap().str_field("generated"), Ok("say \"hi\""));
     }
 }

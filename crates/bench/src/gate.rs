@@ -22,7 +22,7 @@
 //!   fail is bit-identity — a packed lane diverging from its scalar
 //!   `replica_seed` twin is a correctness break, not machine noise.
 
-use crate::check::{parse_hotpath_rows, parse_replica_rows, CommittedCell};
+use crate::check::{CommittedCell, CommittedHotpath};
 use crate::hotpath::{family_row, replica_family_row};
 use crate::stats::CellSummary;
 
@@ -154,19 +154,11 @@ pub fn diff_study_cells(
 /// Probe cells use the same generation parameters as the
 /// `hotpath_report` defaults, at the smallest committed size, so the
 /// comparison is like-for-like.
-pub fn throughput_drift(committed_hotpath: &str, tol: &GateTolerances) -> GateReport {
+pub fn throughput_drift(committed: &CommittedHotpath, tol: &GateTolerances) -> GateReport {
     let mut report = GateReport::default();
-    let rows = match parse_hotpath_rows(committed_hotpath) {
-        Ok(rows) => rows,
-        Err(e) => {
-            report
-                .failures
-                .push(format!("committed hotpath document: {e}"));
-            return report;
-        }
-    };
     for family in ["maxcut", "spinglass"] {
-        let Some((_, n, committed_ips)) = rows
+        let Some((_, n, committed_ips)) = committed
+            .rows
             .iter()
             .filter(|(f, _, _)| f == family)
             .min_by_key(|(_, n, _)| *n)
@@ -192,22 +184,13 @@ pub fn throughput_drift(committed_hotpath: &str, tol: &GateTolerances) -> GateRe
 /// replica-row family and warns when the packed replica throughput
 /// drifted below the tolerance ratio. **Warn-only by design**: replica
 /// throughput is as machine-dependent as the scalar hotpath numbers,
-/// so like [`throughput_drift`] this check never contributes a
-/// failure — an artifact with no replica rows or even an
-/// unextractable replica block only produces advisories.
-pub fn replica_throughput_drift(committed_hotpath: &str, tol: &GateTolerances) -> GateReport {
+/// so like [`throughput_drift`] its drift never contributes a
+/// failure.
+pub fn replica_throughput_drift(committed: &CommittedHotpath, tol: &GateTolerances) -> GateReport {
     let mut report = GateReport::default();
-    let rows = match parse_replica_rows(committed_hotpath) {
-        Ok(rows) => rows,
-        Err(e) => {
-            report.warnings.push(format!(
-                "committed replica rows unreadable ({e}); skipping drift probe"
-            ));
-            return report;
-        }
-    };
     for family in ["maxcut", "spinglass"] {
-        let Some((_, n, sweeps, committed_ips)) = rows
+        let Some((_, n, sweeps, committed_ips)) = committed
+            .replica_rows
             .iter()
             .filter(|(f, _, _, _)| f == family)
             .min_by_key(|(_, n, _, _)| *n)
@@ -348,17 +331,11 @@ mod tests {
         assert!(diff_study_cells(&base_null, &run, &GateTolerances::default()).passed());
     }
 
-    fn v3_doc_with_replica_ips(ips: &str) -> String {
-        format!(
-            "{{\n  \"schema\": \"hycim-hotpath/v3\",\n  \"meta\": {{ \"generated\": \"unknown\", \
-             \"git\": \"unknown\" }},\n  \"rows\": [\n    {{ \"family\": \"maxcut\", \"state\": \
-             \"software\", \"n\": 16, \"nnz\": 10, \"avg_degree\": 2.0, \"iterations\": 100, \
-             \"dense_iters_per_sec\": 1e6, \"local_iters_per_sec\": 9e6, \"speedup\": 9.0, \
-             \"bit_identical\": true }}\n  ],\n  \"replica_rows\": [\n    {{ \"lanes\": 64, \
-             \"family\": \"maxcut\", \"n\": 16, \"nnz\": 10, \"avg_degree\": 2.0, \"sweeps\": 30, \
-             \"scalar_iters_per_sec\": 8e6, \"packed_iters_per_sec\": {ips}, \
-             \"replica_speedup\": 15.0, \"bit_identical\": true }}\n  ]\n}}\n"
-        )
+    fn replica_ips(ips: f64) -> CommittedHotpath {
+        CommittedHotpath {
+            rows: vec![],
+            replica_rows: vec![("maxcut".into(), 16, 30, ips)],
+        }
     }
 
     #[test]
@@ -366,7 +343,7 @@ mod tests {
         // The CI doctoring scenario: a committed packed throughput
         // inflated far beyond what any machine reaches. The drift is
         // advisory — warnings, zero failures.
-        let doctored = v3_doc_with_replica_ips("1e15");
+        let doctored = replica_ips(1e15);
         let report = replica_throughput_drift(&doctored, &GateTolerances::default());
         assert!(report.passed(), "{:?}", report.failures);
         assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
@@ -377,20 +354,10 @@ mod tests {
     #[test]
     fn honest_replica_throughput_passes_silently() {
         // A committed value low enough that any machine beats it.
-        let honest = v3_doc_with_replica_ips("1.0");
+        let honest = replica_ips(1.0);
         let report = replica_throughput_drift(&honest, &GateTolerances::default());
         assert!(report.passed(), "{:?}", report.failures);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
-    }
-
-    #[test]
-    fn pre_v3_artifacts_skip_the_replica_probe() {
-        let v2 = "{\n  \"schema\": \"hycim-hotpath/v2\",\n  \"meta\": { \"generated\": \
-                  \"unknown\", \"git\": \"unknown\" },\n  \"rows\": [\n    { \"family\": \
-                  \"maxcut\", \"n\": 64, \"local_iters_per_sec\": 9e6 }\n  ]\n}\n";
-        let report = replica_throughput_drift(v2, &GateTolerances::default());
-        assert!(report.passed());
-        assert!(report.warnings.is_empty());
     }
 
     #[test]

@@ -326,11 +326,6 @@ pub fn family_row(
 
 /// Renders the `BENCH_hotpath.json` (schema v3) document: the
 /// dense-vs-local `rows` plus the packed-vs-scalar `replica_rows`.
-///
-/// Replica-row objects deliberately *lead* with the `"lanes"` key: the
-/// string-level row extractors split documents on the `{ "family":`
-/// marker, so leading with a different key keeps the two row kinds
-/// unambiguous.
 pub fn render_hotpath_json(
     rows: &[HotpathRow],
     replica_rows: &[ReplicaRow],
@@ -391,7 +386,7 @@ pub fn render_hotpath_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{parse_hotpath_rows, parse_replica_rows, validate_hotpath_json};
+    use crate::check::read_hotpath;
 
     #[test]
     fn family_rows_time_and_stay_bit_identical() {
@@ -420,12 +415,12 @@ mod tests {
         let rows = vec![family_row("maxcut", 16, 3, 1, 0.3, 0.25)];
         let replica_rows = vec![replica_family_row("maxcut", 16, 4, 1, 0.3, 0.25)];
         let doc = render_hotpath_json(&rows, &replica_rows, 3, &ReportMeta::unknown());
-        validate_hotpath_json(&doc).expect("v3 document validates");
-        let extracted = parse_hotpath_rows(&doc).expect("rows extract");
+        let read = read_hotpath(&doc).expect("v3 document reads");
+        let extracted = read.rows;
         assert_eq!(extracted.len(), 1);
         assert_eq!(extracted[0].0, "maxcut");
         assert_eq!(extracted[0].1, 16);
-        let replicas = parse_replica_rows(&doc).expect("replica rows extract");
+        let replicas = read.replica_rows;
         assert_eq!(replicas.len(), 1);
         assert_eq!(replicas[0].0, "maxcut");
         assert_eq!(replicas[0].2, 4, "sweeps round-trip through the document");

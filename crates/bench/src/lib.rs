@@ -22,7 +22,7 @@
 //!   (`study_report` bin) and regression-gated against it
 //!   (`bench_gate` bin).
 //! * **This library** — the tiny dependency-free CLI parser,
-//!   reporting helpers, and `BENCH_*.json` validators ([`check`]) the
+//!   reporting helpers, and `BENCH_*.json` readers ([`check`]) the
 //!   binaries share, so each binary stays a self-contained experiment
 //!   script.
 //!
@@ -47,9 +47,8 @@ pub mod stats;
 pub mod study;
 
 pub use check::{
-    parse_hotpath_rows, parse_replica_rows, parse_study_cells, validate_hotpath_json,
-    validate_study_json, CommittedCell, ReportMeta, HOTPATH_REPLICA_ROW_KEYS, HOTPATH_ROW_KEYS,
-    HOTPATH_SCHEMA, STUDY_SCHEMA,
+    read_hotpath, read_study, CommittedCell, CommittedHotpath, ReportMeta,
+    HOTPATH_REPLICA_ROW_KEYS, HOTPATH_ROW_KEYS, HOTPATH_SCHEMA, STUDY_SCHEMA,
 };
 pub use distributed::DistributedStudyRunner;
 pub use recipe::{EngineKind, Family, FamilySpec, RecipeError, StudyRecipe};

@@ -388,7 +388,7 @@ pub fn render_study_json(result: &StudyResult, meta: &ReportMeta) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::validate_study_json;
+    use crate::check::read_study;
 
     #[test]
     fn tiny_study_runs_and_renders_valid_json() {
@@ -411,7 +411,7 @@ mod tests {
             }
         }
         let doc = render_study_json(&result, &ReportMeta::unknown());
-        validate_study_json(&doc).expect("rendered document validates");
+        read_study(&doc).expect("rendered document validates");
         // Telemetry never leaks into the artifact.
         assert!(!doc.contains("wall"));
     }

@@ -4,9 +4,7 @@
 //! committed-vs-fresh diff on real runs.
 
 use hycim_bench::gate::{diff_study_cells, GateTolerances};
-use hycim_bench::{
-    parse_study_cells, render_study_json, validate_study_json, ReportMeta, StudyRecipe, StudyRunner,
-};
+use hycim_bench::{read_study, render_study_json, ReportMeta, StudyRecipe, StudyRunner};
 
 /// The acceptance criterion: the rendered study document is
 /// bit-identical across `--threads 1` and `--threads 4`.
@@ -16,7 +14,7 @@ fn study_json_is_bit_identical_across_thread_counts() {
     let meta = ReportMeta::unknown();
     let serial = StudyRunner::new().with_threads(1).run(&recipe).unwrap();
     let doc1 = render_study_json(&serial, &meta);
-    validate_study_json(&doc1).expect("serial document validates");
+    read_study(&doc1).expect("serial document reads");
     let parallel = StudyRunner::new().with_threads(4).run(&recipe).unwrap();
     let doc4 = render_study_json(&parallel, &meta);
     assert_eq!(doc1, doc4, "thread count leaked into the artifact");
@@ -58,10 +56,9 @@ fn gate_diff_passes_on_own_output_and_fails_on_doctored() {
     let recipe = StudyRecipe::preset("micro").unwrap();
     let result = StudyRunner::new().with_threads(2).run(&recipe).unwrap();
     let committed = render_study_json(&result, &ReportMeta::unknown());
-    validate_study_json(&committed).unwrap();
     let tol = GateTolerances::default();
 
-    let cells = parse_study_cells(&committed).unwrap();
+    let cells = read_study(&committed).unwrap();
     let report = diff_study_cells(&cells, &result.fresh_cells(), &tol);
     assert!(report.passed(), "self-diff failed: {:?}", report.failures);
     assert!(report.warnings.is_empty(), "{:?}", report.warnings);
@@ -73,8 +70,7 @@ fn gate_diff_passes_on_own_output_and_fails_on_doctored() {
     let start = committed.find(marker).expect("cells carry objectives") + marker.len();
     let end = start + committed[start..].find(',').expect("more fields follow");
     let doctored = format!("{}-999999.0000{}", &committed[..start], &committed[end..]);
-    validate_study_json(&doctored).expect("doctored document still well-formed");
-    let doctored_cells = parse_study_cells(&doctored).unwrap();
+    let doctored_cells = read_study(&doctored).expect("doctored document still well-formed");
     let report = diff_study_cells(&doctored_cells, &result.fresh_cells(), &tol);
     assert!(!report.passed(), "doctored committed file must fail");
     assert!(

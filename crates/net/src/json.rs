@@ -1,18 +1,27 @@
 //! A minimal hand-rolled JSON value, writer, and reader — the
 //! protocol's only serialization substrate (the build environment is
-//! offline, so no serde).
+//! offline, so no serde), and the reader of the committed
+//! `BENCH_*.json` reports.
 //!
-//! The dialect is deliberately narrow: the only number form is an
+//! The wire dialect is deliberately narrow: the only number form is an
 //! unsigned decimal integer ([`Value::UInt`]), because every numeric
 //! protocol field is a `u64` (seeds, job ids, counts). Floats never
 //! appear as JSON numbers — they travel as 16-digit hex strings of
 //! their IEEE-754 bits (see [`hycim_qubo::wire`]), which is what makes
 //! the protocol *exact*: no decimal round-trip can perturb a merged
-//! result. The reader rejects anything outside the dialect (signs,
-//! fractions, exponents, duplicate object keys) with a byte-offset
-//! error instead of guessing.
+//! result. [`Value::parse`] rejects anything outside the dialect
+//! (signs, fractions, exponents, duplicate object keys) with a
+//! byte-offset error instead of guessing. [`Value::parse_report`] is
+//! the same reader with one difference: it also admits signed,
+//! fractional and exponent numbers, kept as written in
+//! [`Value::Number`]. Both bound nesting at [`MAX_DEPTH`], so no input
+//! can exhaust the stack.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects either reader accepts.
+/// Protocol messages and reports nest at most five deep.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON document (or a document under construction).
 #[derive(Debug, Clone, PartialEq)]
@@ -23,6 +32,9 @@ pub enum Value {
     Bool(bool),
     /// An unsigned decimal integer — the dialect's only number form.
     UInt(u64),
+    /// A report's signed, fractional or exponent number, as written.
+    /// Only [`Value::parse_report`] produces one.
+    Number(String),
     /// A string (escapes resolved).
     Str(String),
     /// An array.
@@ -60,6 +72,16 @@ impl Value {
         }
     }
 
+    /// The numeric payload of a [`Value::UInt`] or [`Value::Number`]
+    /// (`None` for anything else and for numbers beyond `f64` range).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::UInt(n) => Some(*n as f64),
+            Value::Number(text) => text.parse().ok().filter(|x: &f64| x.is_finite()),
+            _ => None,
+        }
+    }
+
     /// The string payload, when this is a [`Value::Str`].
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -84,6 +106,53 @@ impl Value {
         }
     }
 
+    /// Looks up a required key. The typed `*_field` readers below
+    /// build on it; each error names the key (`missing field "job"`,
+    /// `field "job" must be an unsigned integer`), so the protocol
+    /// decoders and the report readers share one set of messages.
+    ///
+    /// # Errors
+    ///
+    /// When the key is absent (or this is no object).
+    pub fn field(&self, key: &str) -> Result<&Value, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field \"{key}\""))
+    }
+
+    fn typed<'v, T>(
+        &'v self,
+        key: &str,
+        read: impl FnOnce(&'v Value) -> Option<T>,
+        what: &str,
+    ) -> Result<T, String> {
+        read(self.field(key)?).ok_or_else(|| format!("field \"{key}\" must be {what}"))
+    }
+
+    /// Reads a required unsigned integer.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, Value::as_u64, "an unsigned integer")
+    }
+
+    /// Reads a required number (see [`Value::as_f64`]).
+    pub fn number_field(&self, key: &str) -> Result<f64, String> {
+        self.typed(key, Value::as_f64, "a number")
+    }
+
+    /// Reads a required string.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.typed(key, Value::as_str, "a string")
+    }
+
+    /// Reads a required bool.
+    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
+        self.typed(key, Value::as_bool, "a bool")
+    }
+
+    /// Reads a required array.
+    pub fn array_field(&self, key: &str) -> Result<&[Value], String> {
+        self.typed(key, Value::as_array, "an array")
+    }
+
     /// Serializes to compact single-line JSON. The output never
     /// contains a raw newline (newlines in strings are escaped), which
     /// is what lets the frame layer delimit messages by line.
@@ -99,6 +168,7 @@ impl Value {
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
             Value::UInt(n) => out.push_str(&n.to_string()),
+            Value::Number(text) => out.push_str(text),
             Value::Str(s) => write_string(s, out),
             Value::Array(items) => {
                 out.push('[');
@@ -125,15 +195,31 @@ impl Value {
         }
     }
 
-    /// Parses a complete JSON document, rejecting trailing input.
+    /// Parses a complete protocol document, rejecting trailing input.
     ///
     /// # Errors
     ///
     /// A [`JsonError`] carrying the byte offset of the first violation.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
+        Self::parse_with(text, false)
+    }
+
+    /// Parses a complete report document: the protocol dialect plus
+    /// signed, fractional and exponent numbers ([`Value::Number`]).
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] carrying the byte offset of the first violation.
+    pub fn parse_report(text: &str) -> Result<Value, JsonError> {
+        Self::parse_with(text, true)
+    }
+
+    fn parse_with(text: &str, report: bool) -> Result<Value, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
+            report,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -184,6 +270,10 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
+    /// Whether report numbers ([`Value::Number`]) are admitted.
+    report: bool,
 }
 
 impl<'a> Parser<'a> {
@@ -232,30 +322,73 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'0'..=b'9') => self.uint(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
+            Some(b'0'..=b'9') => self.number(),
+            Some(b'-') if self.report => self.number(),
             Some(b'-') => Err(self.err("negative numbers are outside the protocol dialect")),
             Some(other) => Err(self.err(format!("unexpected byte '{}'", other as char))),
             None => Err(self.err("unexpected end of document")),
         }
     }
 
-    fn uint(&mut self) -> Result<Value, JsonError> {
+    /// Skips a run of decimal digits, requiring at least one.
+    fn digits(&mut self) -> Result<(), JsonError> {
         let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
+        if self.pos == start {
+            return Err(self.err("expected a digit"));
+        }
+        Ok(())
+    }
+
+    fn number(&mut self) -> Result<Value, JsonError> {
+        let bytes = self.bytes;
+        let signed = self.peek() == Some(b'-');
+        let number_start = self.pos;
+        self.pos += usize::from(signed);
+        let start = self.pos;
+        self.digits()?;
+        let digits = &bytes[start..self.pos];
+        let fractional = matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E'));
+        if fractional && !self.report {
             return Err(self.err("fractions/exponents are outside the protocol dialect"));
         }
-        let digits = &self.bytes[start..self.pos];
         if digits.len() > 1 && digits[0] == b'0' {
             self.pos = start;
             return Err(self.err("leading zeros are not allowed"));
         }
-        std::str::from_utf8(digits)
-            .expect("digits are ascii")
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+        }
+        let ascii = |b| std::str::from_utf8(b).expect("numbers are ascii");
+        if signed || fractional {
+            return Ok(Value::Number(
+                ascii(&bytes[number_start..self.pos]).to_string(),
+            ));
+        }
+        ascii(digits)
             .parse::<u64>()
             .map(Value::UInt)
             .map_err(|_| JsonError {
@@ -450,6 +583,45 @@ mod tests {
         );
         assert!(v.get("missing").is_none());
         assert!(Value::Null.get("n").is_none());
+        assert_eq!(v.u64_field("n"), Ok(7));
+        assert_eq!(v.str_field("s"), Ok("hi"));
+        assert_eq!(v.number_field("n"), Ok(7.0));
+        assert_eq!(v.field("missing"), Err("missing field \"missing\"".into()));
+        assert_eq!(
+            v.u64_field("s"),
+            Err("field \"s\" must be an unsigned integer".into())
+        );
+        assert_eq!(
+            v.array_field("b"),
+            Err("field \"b\" must be an array".into())
+        );
+    }
+
+    #[test]
+    fn report_numbers_parse_as_written_and_stay_off_the_wire() {
+        let doc = "{\"a\": -5.0, \"b\": 1.2e8, \"c\": 0.0000, \"d\": -3, \"e\": 7, \"f\": 1E-2}";
+        let v = Value::parse_report(doc).unwrap();
+        assert_eq!(v.get("a"), Some(&Value::Number("-5.0".into())));
+        assert_eq!(v.get("e"), Some(&Value::UInt(7)));
+        let read = |k| v.number_field(k).unwrap();
+        assert_eq!([read("a"), read("b"), read("c")], [-5.0, 1.2e8, 0.0]);
+        assert_eq!([read("d"), read("e"), read("f")], [-3.0, 7.0, 0.01]);
+        assert_eq!(Value::parse_report(&v.encode()).unwrap(), v);
+        assert!(Value::parse(doc).is_err(), "the wire keeps its dialect");
+        assert_eq!(Value::Number("1e999".into()).as_f64(), None);
+        for (bad, needle) in [
+            ("-", "expected a digit"),
+            ("1.", "expected a digit"),
+            ("1e+", "expected a digit"),
+            ("-01.5", "leading zero"),
+            ("[1.5,]", "unexpected byte"),
+            ("[".repeat(65).as_str(), "nesting deeper than 64"),
+        ] {
+            let err = Value::parse_report(bad).unwrap_err();
+            assert!(err.message.contains(needle), "{bad:?}: {err}");
+        }
+        let deepest = format!("{}{}", "[".repeat(64), "]".repeat(64));
+        assert!(Value::parse_report(&deepest).is_ok());
     }
 
     #[test]
@@ -468,6 +640,7 @@ mod tests {
             ("\"bad \\x escape\"", "unknown escape"),
             ("nul", "expected 'null'"),
             ("", "unexpected end"),
+            ("[".repeat(10_000).as_str(), "nesting deeper than 64"),
         ] {
             let err = Value::parse(doc).unwrap_err();
             assert!(

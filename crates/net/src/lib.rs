@@ -7,7 +7,8 @@
 //! * [`json`] — a hand-rolled JSON dialect (unsigned integers only;
 //!   floats travel as IEEE-754 bit images in hex, problems in their
 //!   canonical text form), so nothing on the wire can perturb a
-//!   result.
+//!   result. The same parser also reads the committed `BENCH_*.json`
+//!   reports, whose decimal numbers it admits only there.
 //! * [`frame`] — one message per line, prefix-tagged with the
 //!   protocol version, byte-bounded per frame. Plain
 //!   `std::net::TcpStream`, no async runtime.

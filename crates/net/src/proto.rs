@@ -54,31 +54,14 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, ProtoError> {
-    v.get(key)
-        .ok_or_else(|| ProtoError::new(format!("missing field \"{key}\"")))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, ProtoError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| ProtoError::new(format!("field \"{key}\" must be an unsigned integer")))
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, ProtoError> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| ProtoError::new(format!("field \"{key}\" must be a string")))
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, ProtoError> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| ProtoError::new(format!("field \"{key}\" must be a bool")))
+impl From<String> for ProtoError {
+    fn from(message: String) -> Self {
+        Self { message }
+    }
 }
 
 fn f64_field(v: &Value, key: &str) -> Result<f64, ProtoError> {
-    let text = str_field(v, key)?;
+    let text = v.str_field(key)?;
     decode_f64(text)
         .ok_or_else(|| ProtoError::new(format!("field \"{key}\" is not a hex-encoded f64")))
 }
@@ -150,9 +133,8 @@ impl JobSpec {
     }
 
     fn from_value(v: &Value) -> Result<Self, ProtoError> {
-        let seeds = field(v, "seeds")?
-            .as_array()
-            .ok_or_else(|| ProtoError::new("field \"seeds\" must be an array"))?
+        let seeds = v
+            .array_field("seeds")?
             .iter()
             .map(|s| {
                 s.as_u64()
@@ -160,12 +142,12 @@ impl JobSpec {
             })
             .collect::<Result<Vec<u64>, _>>()?;
         Ok(JobSpec {
-            family: str_field(v, "family")?.to_string(),
-            problem: str_field(v, "problem")?.to_string(),
-            engine: str_field(v, "engine")?.to_string(),
-            sweeps: u64_field(v, "sweeps")?,
-            hardware_seed: u64_field(v, "hardware_seed")?,
-            record_trace: bool_field(v, "record_trace")?,
+            family: v.str_field("family")?.to_string(),
+            problem: v.str_field("problem")?.to_string(),
+            engine: v.str_field("engine")?.to_string(),
+            sweeps: v.u64_field("sweeps")?,
+            hardware_seed: v.u64_field("hardware_seed")?,
+            record_trace: v.bool_field("record_trace")?,
             seeds,
         })
     }
@@ -250,7 +232,7 @@ impl WireSolution {
     }
 
     fn from_value(v: &Value) -> Result<Self, ProtoError> {
-        let assignment = str_field(v, "assignment")?;
+        let assignment = v.str_field("assignment")?;
         if !assignment.bytes().all(|b| b == b'0' || b == b'1') {
             return Err(ProtoError::new("assignment must be a 0/1 bit string"));
         }
@@ -258,9 +240,9 @@ impl WireSolution {
             assignment: assignment.to_string(),
             objective: f64_field(v, "objective")?,
             reported_energy: f64_field(v, "reported_energy")?,
-            feasible: bool_field(v, "feasible")?,
-            iters_to_best: u64_field(v, "iters_to_best")?,
-            iterations: u64_field(v, "iterations")?,
+            feasible: v.bool_field("feasible")?,
+            iters_to_best: v.u64_field("iters_to_best")?,
+            iterations: v.u64_field("iterations")?,
         })
     }
 }
@@ -297,7 +279,7 @@ fn snapshot_to_value(s: &Snapshot) -> Value {
 
 fn snapshot_from_value(v: &Value) -> Result<Snapshot, ProtoError> {
     let entries = |v: &Value, key: &str| -> Result<Vec<(String, Value)>, ProtoError> {
-        match field(v, key)? {
+        match v.field(key)? {
             Value::Object(fields) => Ok(fields.clone()),
             _ => Err(ProtoError::new(format!(
                 "field \"{key}\" must be an object"
@@ -408,20 +390,20 @@ impl Request {
     ///
     /// A [`ProtoError`] naming the violation (unknown verbs included).
     pub fn from_value(v: &Value) -> Result<Self, ProtoError> {
-        match str_field(v, "verb")? {
-            "submit" => Ok(Request::Submit(JobSpec::from_value(field(v, "spec")?)?)),
+        match v.str_field("verb")? {
+            "submit" => Ok(Request::Submit(JobSpec::from_value(v.field("spec")?)?)),
             "poll" => Ok(Request::Poll {
-                job: u64_field(v, "job")?,
+                job: v.u64_field("job")?,
             }),
             "wait" => Ok(Request::Wait {
-                job: u64_field(v, "job")?,
-                timeout_ms: u64_field(v, "timeout_ms")?,
+                job: v.u64_field("job")?,
+                timeout_ms: v.u64_field("timeout_ms")?,
             }),
             "fetch" => Ok(Request::Fetch {
-                job: u64_field(v, "job")?,
+                job: v.u64_field("job")?,
             }),
             "cancel" => Ok(Request::Cancel {
-                job: u64_field(v, "job")?,
+                job: v.u64_field("job")?,
             }),
             "stats" => Ok(Request::Stats),
             other => Err(ProtoError::new(format!("unknown verb \"{other}\""))),
@@ -581,47 +563,46 @@ impl Response {
     ///
     /// A [`ProtoError`] naming the violation.
     pub fn from_value(v: &Value) -> Result<Self, ProtoError> {
-        match str_field(v, "reply")? {
+        match v.str_field("reply")? {
             "submitted" => Ok(Response::Submitted {
-                job: u64_field(v, "job")?,
+                job: v.u64_field("job")?,
             }),
             "status" => {
-                let tag = str_field(v, "status")?;
+                let tag = v.str_field("status")?;
                 Ok(Response::Status {
-                    job: u64_field(v, "job")?,
+                    job: v.u64_field("job")?,
                     status: JobStatus::from_tag(tag)
                         .ok_or_else(|| ProtoError::new(format!("unknown status tag \"{tag}\"")))?,
                 })
             }
             "solutions" => {
-                let solutions = field(v, "solutions")?
-                    .as_array()
-                    .ok_or_else(|| ProtoError::new("field \"solutions\" must be an array"))?
+                let solutions = v
+                    .array_field("solutions")?
                     .iter()
                     .map(WireSolution::from_value)
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Response::Solutions {
-                    job: u64_field(v, "job")?,
+                    job: v.u64_field("job")?,
                     solutions,
                 })
             }
             "cancelled" => {
-                let tag = str_field(v, "outcome")?;
+                let tag = v.str_field("outcome")?;
                 Ok(Response::Cancelled {
-                    job: u64_field(v, "job")?,
+                    job: v.u64_field("job")?,
                     outcome: DisposeOutcome::from_tag(tag)
                         .ok_or_else(|| ProtoError::new(format!("unknown outcome tag \"{tag}\"")))?,
                 })
             }
             "stats" => Ok(Response::Stats {
-                stats: snapshot_from_value(field(v, "stats")?)?,
+                stats: snapshot_from_value(v.field("stats")?)?,
             }),
             "error" => {
-                let tag = str_field(v, "code")?;
+                let tag = v.str_field("code")?;
                 Ok(Response::Error {
                     code: ErrorCode::from_tag(tag)
                         .ok_or_else(|| ProtoError::new(format!("unknown error code \"{tag}\"")))?,
-                    message: str_field(v, "message")?.to_string(),
+                    message: v.str_field("message")?.to_string(),
                 })
             }
             other => Err(ProtoError::new(format!("unknown reply \"{other}\""))),

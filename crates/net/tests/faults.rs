@@ -119,6 +119,12 @@ fn malformed_json_gets_a_typed_error_and_the_stream_survives() {
     conn.write(b"hycim1 {oops\n");
     let (code, _) = conn.expect_error();
     assert_eq!(code, ErrorCode::BadRequest);
+    // Nesting far past the parser's depth bound: a typed error, not a
+    // stack overflow on the connection thread.
+    conn.write(format!("hycim1 {}\n", "[".repeat(10_000)).as_bytes());
+    let (code, message) = conn.expect_error();
+    assert_eq!(code, ErrorCode::BadRequest);
+    assert!(message.contains("nesting"), "{message}");
 
     // Still synchronized.
     conn.send(&Request::Poll { job: 1 });

@@ -158,11 +158,6 @@ impl<S: Schedule> Annealer<S> {
         self.iterations
     }
 
-    /// The schedule in use.
-    pub fn schedule(&self) -> &S {
-        &self.schedule
-    }
-
     /// Runs the annealing loop to completion, mutating `state` in
     /// place and returning the trace. Deterministic in `rng`.
     ///
@@ -330,7 +325,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut state = SoftwareState::new(iq, Assignment::zeros(iq.dim()));
         let trace = annealer.run(&mut state, &mut rng);
-        (trace, annealer.schedule().calls.get())
+        (trace, annealer.schedule.calls.get())
     }
 
     #[test]

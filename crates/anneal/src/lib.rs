@@ -23,9 +23,6 @@
 //!   bitplanes ([`PackedSoftwareState`]): one CSR sweep advances all
 //!   64 lanes, bit-identically to 64 scalar sweep-reference runs
 //!   ([`run_replica_scalar`]) on per-lane RNG streams.
-//! * [`tempering`] — parallel tempering / replica exchange over the
-//!   packed lanes ([`run_packed_tempering`]: temperature ladder across
-//!   the 64 lanes, deterministic even/odd swap sweeps).
 //!
 //! Every accept decision in the crate goes through one Metropolis rule,
 //! [`metropolis_decide`]: the [`Annealer`] draws for it through
@@ -65,7 +62,6 @@ mod annealer;
 pub mod packed;
 mod schedule;
 mod state;
-pub mod tempering;
 mod trace;
 
 pub use annealer::{
@@ -78,5 +74,4 @@ pub use packed::{
 };
 pub use schedule::{ConstantSchedule, GeometricSchedule, LinearSchedule, Schedule};
 pub use state::{AnnealState, FlipOutcome, PenaltyState, SoftwareState};
-pub use tempering::{run_packed_tempering, PackedTemperingConfig, PackedTemperingResult};
 pub use trace::AnnealTrace;

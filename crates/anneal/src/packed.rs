@@ -1,7 +1,7 @@
 //! Bit-parallel 64-replica annealing over [`PackedReplicaState`]
 //! bitplanes, plus the scalar sweep reference it is proven against.
 //!
-//! One [`PackedSoftwareState::sweep`] proposes every variable once in
+//! One packed sweep proposes every variable once in
 //! each of the 64 lanes: the CSR row, constraint weight, and spin
 //! bitplane of variable `i` are loaded once, each lane runs the exact
 //! inequality veto and the shared
@@ -59,7 +59,7 @@ impl SweepSchedule {
     /// # Panics
     ///
     /// Panics unless `t0 > 0` and `0 < α <= 1`.
-    pub fn new(t0: f64, alpha: f64) -> Self {
+    fn new(t0: f64, alpha: f64) -> Self {
         assert!(t0 > 0.0, "initial temperature must be positive");
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         Self { t0, alpha }
@@ -84,16 +84,6 @@ impl SweepSchedule {
     /// Temperature of sweep `s`.
     pub fn temperature(&self, sweep: usize) -> f64 {
         self.t0 * self.alpha.powi(sweep as i32)
-    }
-
-    /// Initial temperature.
-    pub fn t0(&self) -> f64 {
-        self.t0
-    }
-
-    /// Per-sweep cooling factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 
@@ -189,19 +179,9 @@ impl PackedSoftwareState {
         self.fields.dim()
     }
 
-    /// The underlying problem.
-    pub fn problem(&self) -> &InequalityQubo {
-        &self.problem
-    }
-
     /// Lane `k`'s current tracked energy.
     pub fn energy(&self, k: usize) -> f64 {
         self.energies[k]
-    }
-
-    /// Lane `k`'s current constraint load `Σwᵢxᵢ`.
-    pub fn load(&self, k: usize) -> u64 {
-        self.loads[k]
     }
 
     /// Lane `k`'s best energy so far.
@@ -214,14 +194,9 @@ impl PackedSoftwareState {
         Assignment::from_bits(self.best_planes.iter().map(|plane| (plane >> k) & 1 == 1))
     }
 
-    /// Lane `k`'s current configuration.
-    pub fn lane_assignment(&self, k: usize) -> Assignment {
-        self.fields.lane_assignment(k)
-    }
-
     /// Aggregate (accepted, Metropolis-rejected, vetoed) move counts
     /// across all lanes.
-    pub fn counts(&self) -> (u64, u64, u64) {
+    fn counts(&self) -> (u64, u64, u64) {
         (self.accepted, self.rejected, self.infeasible)
     }
 
@@ -241,20 +216,17 @@ impl PackedSoftwareState {
     }
 
     /// Runs one sequential sweep: proposes flipping each variable
-    /// `i = 0..n` once in every lane. Lane `k` anneals at
-    /// `temperatures[k]` and consumes randomness only from `rngs[k]`
+    /// `i = 0..n` once in every lane. Every lane anneals at
+    /// `temperature`; lane `k` consumes randomness only from `rngs[k]`
     /// (one uniform draw per uphill feasible probe — exactly the
     /// scalar reference's consumption). Accepting lanes of each
     /// variable are committed with one masked bitplane update.
     ///
     /// # Panics
     ///
-    /// Panics unless `temperatures` and `rngs` both have [`LANES`]
-    /// entries.
-    pub fn sweep(&mut self, temperatures: &[f64], rngs: &mut [StdRng]) {
-        assert_eq!(temperatures.len(), LANES, "need one temperature per lane");
+    /// Panics unless `rngs` has [`LANES`] entries.
+    fn sweep(&mut self, temperature: f64, rngs: &mut [StdRng]) {
         assert_eq!(rngs.len(), LANES, "need one RNG stream per lane");
-        let temperatures: &[f64; LANES] = temperatures.try_into().expect("length asserted");
         let rngs: &mut [StdRng; LANES] = rngs.try_into().expect("length asserted");
         let capacity = self.problem.constraint().capacity();
         let weights = self.problem.constraint().weights();
@@ -262,16 +234,13 @@ impl PackedSoftwareState {
         let (mut accepted, mut rejected, mut infeasible) = (0u64, 0u64, 0u64);
         let mut deltas = [0.0f64; LANES];
         let mut improved = 0u64;
-        // Per-lane draw-skip thresholds: an uphill `Δ ≥ 37.5·T_k` is
-        // rejected by `metropolis_accept_sweep` *before* it draws (see
+        // Draw-skip threshold: an uphill `Δ ≥ 37.5·T` is rejected by
+        // `metropolis_accept_sweep` *before* it draws (see
         // `DRAW_DOMINATED`), with the identical `mul` + `cmp`, so that
-        // whole branch folds into the phase-1 mask. A lane with
-        // `T_k ≤ 0` also rejects draw-free, and its threshold
-        // `37.5·T_k ≤ 0` is below every uphill delta — same verdict.
-        let mut thresholds = [0.0f64; LANES];
-        for (th, t) in thresholds.iter_mut().zip(temperatures) {
-            *th = crate::annealer::DRAW_DOMINATED * *t;
-        }
+        // whole branch folds into the phase-1 mask. At `T ≤ 0` every
+        // uphill move also rejects draw-free, and the threshold
+        // `37.5·T ≤ 0` is below every uphill delta — same verdict.
+        let threshold = crate::annealer::DRAW_DOMINATED * temperature;
         self.commit_log.clear();
         for (i, &w) in weights.iter().enumerate() {
             let word = self.fields.plane(i);
@@ -287,9 +256,9 @@ impl PackedSoftwareState {
             }
             let mut downhill = 0u64;
             let mut draw_free_reject = 0u64;
-            for (k, (d, th)) in deltas.iter().zip(&thresholds).enumerate() {
+            for (k, d) in deltas.iter().enumerate() {
                 downhill |= u64::from(*d <= 0.0) << k;
-                draw_free_reject |= u64::from(*d >= *th) << k;
+                draw_free_reject |= u64::from(*d >= threshold) << k;
             }
             // Inequality veto, skipped when `veto_free` proves the
             // filter can never fire. Consumes no randomness (scalar
@@ -319,7 +288,7 @@ impl PackedSoftwareState {
             while pending != 0 {
                 let k = pending.trailing_zeros() as usize & (LANES - 1);
                 pending &= pending - 1;
-                if metropolis_accept_sweep(deltas[k], temperatures[k], &mut rngs[k]) {
+                if metropolis_accept_sweep(deltas[k], temperature, &mut rngs[k]) {
                     commit_mask |= 1u64 << k;
                 }
             }
@@ -406,33 +375,25 @@ impl PackedRunOutcome {
     }
 }
 
-/// Runs `sweeps` independent-lane annealing sweeps (every lane cools
-/// on the same per-sweep schedule) and returns the per-lane outcomes.
+/// Runs `sweeps` annealing sweeps from `state` (every lane cools on
+/// the same per-sweep schedule) and returns the per-lane outcomes.
 /// Lane `k` reads randomness only from `rngs[k]`; the run is
-/// bit-identical to 64 [`run_replica_scalar`] calls on the same
-/// initials, schedule, and RNG streams.
+/// bit-identical to 64 [`run_replica_scalar`] calls on the state's
+/// initial configurations, the same schedule, and the same RNG
+/// streams.
 ///
 /// # Panics
 ///
-/// Panics on lane-count mismatches (see [`PackedSoftwareState::new`]).
+/// Panics unless `rngs` has [`LANES`] entries.
 pub fn run_packed_sweeps(
-    problem: &InequalityQubo,
-    initials: &[Assignment],
+    mut state: PackedSoftwareState,
     sweeps: usize,
     schedule: &SweepSchedule,
     rngs: &mut [StdRng],
 ) -> PackedRunOutcome {
-    let mut state = PackedSoftwareState::new(problem, initials);
-    let mut temperatures = [0.0f64; LANES];
     for sweep in 0..sweeps {
-        let t = schedule.temperature(sweep);
-        temperatures.fill(t);
-        state.sweep(&temperatures, rngs);
+        state.sweep(schedule.temperature(sweep), rngs);
     }
-    collect_outcome(&state)
-}
-
-fn collect_outcome(state: &PackedSoftwareState) -> PackedRunOutcome {
     let (accepted, rejected, infeasible) = state.counts();
     PackedRunOutcome {
         best_energies: (0..LANES).map(|k| state.best_energy(k)).collect(),
@@ -553,7 +514,8 @@ mod tests {
             let initials = lane_initials(&iq, 10);
             let schedule = SweepSchedule::cooling_to(25.0, 0.01, 30);
             let mut rngs = lane_rngs(99);
-            let packed = run_packed_sweeps(&iq, &initials, 30, &schedule, &mut rngs);
+            let state = PackedSoftwareState::new(&iq, &initials);
+            let packed = run_packed_sweeps(state, 30, &schedule, &mut rngs);
             let (mut accepted, mut rejected, mut infeasible) = (0u64, 0u64, 0u64);
             for (k, initial) in initials.iter().enumerate() {
                 let mut rng = StdRng::seed_from_u64(99u64.wrapping_add(k as u64));
@@ -594,19 +556,17 @@ mod tests {
         let schedule = SweepSchedule::cooling_to(30.0, 0.05, 20);
         let mut rngs = lane_rngs(5);
         let mut state = PackedSoftwareState::new(&iq, &initials);
-        let mut temps = [0.0f64; LANES];
         for sweep in 0..20 {
-            temps.fill(schedule.temperature(sweep));
-            state.sweep(&temps, &mut rngs);
+            state.sweep(schedule.temperature(sweep), &mut rngs);
         }
         for k in 0..LANES {
-            let x = state.lane_assignment(k);
+            let x = state.fields.lane_assignment(k);
             assert!(iq.is_feasible(&x), "lane {k} walked infeasible");
             assert!(
                 (state.energy(k) - iq.objective_energy(&x)).abs() < 1e-6,
                 "lane {k} energy cache diverged"
             );
-            assert_eq!(state.load(k), iq.constraint().load(&x), "lane {k} load");
+            assert_eq!(state.loads[k], iq.constraint().load(&x), "lane {k} load");
             assert!(iq.is_feasible(&state.best_assignment(k)));
             assert!(state.best_energy(k) <= state.energy(k) + 1e-12);
         }
@@ -618,7 +578,7 @@ mod tests {
         assert_eq!(s.temperature(0), 100.0);
         let t_end = s.temperature(50);
         assert!((t_end - 1.0).abs() < 1e-9, "T(50) = {t_end}");
-        assert!(s.alpha() < 1.0 && s.alpha() > 0.0);
+        assert!(s.alpha < 1.0 && s.alpha > 0.0);
     }
 
     #[test]

@@ -162,7 +162,7 @@ proptest! {
         family in 0usize..2,
         sweeps in 2usize..12,
     ) {
-        use hycim_anneal::{run_packed_sweeps, run_replica_scalar, SweepSchedule};
+        use hycim_anneal::{run_packed_sweeps, run_replica_scalar, PackedSoftwareState, SweepSchedule};
         use hycim_cop::maxcut::MaxCut;
         use hycim_cop::spinglass::SpinGlass;
         use hycim_cop::CopProblem;
@@ -183,7 +183,8 @@ proptest! {
             .collect();
         let schedule = SweepSchedule::cooling_to(40.0, 0.02, sweeps);
 
-        let packed = run_packed_sweeps(&iq, &initials, sweeps, &schedule, &mut rngs);
+        let state = PackedSoftwareState::new(&iq, &initials);
+        let packed = run_packed_sweeps(state, sweeps, &schedule, &mut rngs);
 
         let (mut acc, mut rej, mut inf) = (0u64, 0u64, 0u64);
         for (k, initial) in initials.iter().enumerate() {

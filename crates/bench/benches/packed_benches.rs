@@ -1,12 +1,9 @@
 //! Criterion micro-benchmarks of the bit-parallel replica hot path:
-//! one packed 64-lane sweep vs 64 scalar sweep-reference replicas,
-//! the masked bitplane commit, and parallel tempering exchange rounds.
+//! one packed 64-lane sweep vs 64 scalar sweep-reference replicas, and
+//! the masked bitplane commit.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use hycim_anneal::{
-    run_packed_sweeps, run_packed_tempering, run_replica_scalar, PackedTemperingConfig,
-    SweepSchedule,
-};
+use hycim_anneal::{run_packed_sweeps, run_replica_scalar, PackedSoftwareState, SweepSchedule};
 use hycim_cop::maxcut::MaxCut;
 use hycim_cop::CopProblem;
 use hycim_qubo::{Assignment, InequalityQubo, PackedReplicaState, LANES};
@@ -46,9 +43,8 @@ fn bench_packed_vs_scalar_sweeps(c: &mut Criterion) {
             b.iter_batched(
                 || lane_rngs(12),
                 |mut rngs| {
-                    black_box(run_packed_sweeps(
-                        &iq, &initials, sweeps, &schedule, &mut rngs,
-                    ))
+                    let state = PackedSoftwareState::new(&iq, &initials);
+                    black_box(run_packed_sweeps(state, sweeps, &schedule, &mut rngs))
                 },
                 BatchSize::SmallInput,
             )
@@ -102,39 +98,5 @@ fn bench_masked_commit(c: &mut Criterion) {
     group.finish();
 }
 
-/// Parallel tempering over the packed lanes: ladder sweeps plus the
-/// deterministic even/odd exchange rounds.
-fn bench_packed_tempering(c: &mut Criterion) {
-    let n = 128;
-    let iq = problem(n);
-    let initials = lane_initials(&iq, 31);
-    let config = PackedTemperingConfig {
-        t_min: 0.5,
-        t_max: 50.0,
-        sweeps_per_exchange: 2,
-        rounds: 5,
-    };
-    c.bench_function("packed_tempering_5_rounds", |b| {
-        b.iter_batched(
-            || (lane_rngs(32), StdRng::seed_from_u64(33)),
-            |(mut rngs, mut swap_rng)| {
-                black_box(run_packed_tempering(
-                    &iq,
-                    &initials,
-                    &config,
-                    &mut rngs,
-                    &mut swap_rng,
-                ))
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_packed_vs_scalar_sweeps,
-    bench_masked_commit,
-    bench_packed_tempering
-);
+criterion_group!(benches, bench_packed_vs_scalar_sweeps, bench_masked_commit);
 criterion_main!(benches);

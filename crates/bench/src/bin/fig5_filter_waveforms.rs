@@ -23,12 +23,12 @@ fn main() {
     println!("== Fig 4(c): filter-cell ML waveforms per stored weight ==");
     let config = FilterConfig::default().with_fidelity(Fidelity::DeviceAccurate);
     let spec = MultiLevelSpec::paper_filter();
-    let stair = StaircasePulse::for_spec(&spec, 10.0);
+    let stair = StaircasePulse::for_spec(&spec);
     println!(
         "staircase phases (V): {}",
         stair
             .iter()
-            .map(|(_, v)| format!("{v:.2}"))
+            .map(|v| format!("{v:.2}"))
             .collect::<Vec<_>>()
             .join(", ")
     );

@@ -48,7 +48,7 @@ pub const HOTPATH_REPLICA_ROW_KEYS: [&str; 9] = [
 ];
 
 /// Keys every cell of a study report must carry.
-pub const STUDY_CELL_KEYS: [&str; 7] = [
+const STUDY_CELL_KEYS: [&str; 7] = [
     "engine",
     "success_rate",
     "feasible_rate",
@@ -59,7 +59,7 @@ pub const STUDY_CELL_KEYS: [&str; 7] = [
 ];
 
 /// Keys every ranking row of a study report must carry.
-pub const STUDY_RANKING_KEYS: [&str; 7] = [
+const STUDY_RANKING_KEYS: [&str; 7] = [
     "rank",
     "engine",
     "problems",

@@ -81,7 +81,7 @@ fn time_run<S: AnnealState>(
 }
 
 /// Times one inequality-QUBO encoding on both software delta backends.
-pub fn software_row(
+fn software_row(
     family: &'static str,
     iq: &InequalityQubo,
     iters_per_var: usize,
@@ -112,7 +112,7 @@ pub fn software_row(
 
 /// Times the D-QUBO penalty encoding of a generated QKP instance on
 /// both delta backends.
-pub fn penalty_row(n_items: usize, iters_per_var: usize, seed: u64) -> HotpathRow {
+fn penalty_row(n_items: usize, iters_per_var: usize, seed: u64) -> HotpathRow {
     let inst = QkpGenerator::new(n_items, 0.25).generate(seed);
     let form = inst
         .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
@@ -178,12 +178,7 @@ impl ReplicaRow {
 /// Times one inequality-QUBO encoding on the packed 64-lane engine vs
 /// the production scalar annealing path, and verifies all 64 lanes
 /// against their scalar sweep-reference twins.
-pub fn replica_row(
-    family: &'static str,
-    iq: &InequalityQubo,
-    sweeps: usize,
-    seed: u64,
-) -> ReplicaRow {
+fn replica_row(family: &'static str, iq: &InequalityQubo, sweeps: usize, seed: u64) -> ReplicaRow {
     let n = iq.dim();
     let config = PackedConfig::paper().with_sweeps(sweeps);
     let engine = PackedEngine::new(iq, &config).expect("raw inequality QUBO encodes");

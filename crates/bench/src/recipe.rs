@@ -23,8 +23,8 @@
 //! round-trip law the property suite pins).
 //!
 //! Seeding is **instance-keyed, not positional**: every instance's
-//! seeds derive from its [`instance key`](FamilySpec::instance_key)
-//! and the study seed, so a sub-recipe (the CI gate) reproduces the
+//! seeds derive from its instance key (the JSON `problem` field, e.g.
+//! `qkp-d25-n10`) and the study seed, so a sub-recipe (the CI gate) reproduces the
 //! exact cells of a superset recipe bit-identically.
 
 use std::fmt;
@@ -115,7 +115,7 @@ impl FamilySpec {
     /// instance — the JSON `problem` field and the root of all seed
     /// derivation, so the same instance key always means the same
     /// instance and the same solve seeds in any recipe.
-    pub fn instance_key(&self, n: usize) -> String {
+    fn instance_key(&self, n: usize) -> String {
         match self.family {
             Family::Qkp { density_pct } => format!("qkp-d{density_pct}-n{n}"),
             Family::Knapsack => format!("knapsack-n{n}"),

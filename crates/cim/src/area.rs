@@ -41,7 +41,7 @@ impl AreaModel {
     /// Area of one crossbar storing an `n × n` matrix at `bits`-bit
     /// quantization (two sign planes, per-column ADCs muxed 4:1,
     /// row/column drivers), in F².
-    pub fn crossbar_f2(&self, n: usize, bits: u32) -> f64 {
+    fn crossbar_f2(&self, n: usize, bits: u32) -> f64 {
         let cells = 2.0 * (n as f64) * (n as f64) * f64::from(bits) * self.cell_f2;
         let adcs = (n as f64 / 4.0).ceil() * self.adc_f2;
         let drivers = 2.0 * (n as f64) * self.driver_f2;
@@ -50,7 +50,7 @@ impl AreaModel {
 
     /// Area of the inequality filter (working + replica `rows × n`
     /// arrays + comparator + drivers), in F².
-    pub fn filter_f2(&self, rows: usize, n: usize) -> f64 {
+    fn filter_f2(&self, rows: usize, n: usize) -> f64 {
         let cells = 2.0 * (rows as f64) * (n as f64) * self.cell_f2;
         let drivers = (n as f64) * self.driver_f2;
         cells + drivers + self.comparator_f2
@@ -58,14 +58,8 @@ impl AreaModel {
 
     /// Total HyCiM area: inequality filter + crossbar (paper Fig. 9(c)
     /// counts both).
-    pub fn hycim_f2(&self, n: usize, bits: u32, filter_rows: usize) -> f64 {
+    fn hycim_f2(&self, n: usize, bits: u32, filter_rows: usize) -> f64 {
         self.crossbar_f2(n, bits) + self.filter_f2(filter_rows, n)
-    }
-
-    /// Converts F² to µm² at the configured node.
-    pub fn f2_to_um2(&self, f2: f64) -> f64 {
-        let f_um = self.feature_nm * 1e-3;
-        f2 * f_um * f_um
     }
 }
 
@@ -190,12 +184,5 @@ mod tests {
         // crossbar — the premise that adding the filter still saves.
         let m = AreaModel::paper();
         assert!(m.filter_f2(16, 100) < 0.1 * m.crossbar_f2(100, 7));
-    }
-
-    #[test]
-    fn unit_conversion() {
-        let m = AreaModel::paper();
-        // 1 F² at 28 nm = 784e-6 µm².
-        assert!((m.f2_to_um2(1.0) - 784e-6).abs() < 1e-9);
     }
 }

@@ -17,7 +17,7 @@ use rand::Rng;
 /// use hycim_cim::crossbar::{Adc, AdcConfig};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
-/// let adc = Adc::new(AdcConfig::ideal(8, 100));
+/// let adc = Adc::new(AdcConfig::new(8, 100, 0.0));
 /// let mut rng = StdRng::seed_from_u64(1);
 /// // 8 bits over 100 cells: every count is resolved exactly.
 /// assert_eq!(adc.sample_count(42.0, &mut rng), 42);
@@ -34,20 +34,6 @@ pub struct AdcConfig {
 }
 
 impl AdcConfig {
-    /// An ideal (noise-free) ADC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits == 0` or `bits > 24` or `max_count == 0`.
-    pub fn ideal(bits: u32, max_count: usize) -> Self {
-        Self::new(bits, max_count, 0.0)
-    }
-
-    /// Paper-like ADC: 8-bit with 0.3 LSB noise.
-    pub fn paper(max_count: usize) -> Self {
-        Self::new(8, max_count, 0.3)
-    }
-
     /// Fully custom configuration.
     ///
     /// # Panics
@@ -67,7 +53,7 @@ impl AdcConfig {
 
     /// Counts per LSB: `max_count / (2^bits − 1)`, at least one count
     /// resolved per code when the resolution suffices.
-    pub fn counts_per_lsb(&self) -> f64 {
+    fn counts_per_lsb(&self) -> f64 {
         self.max_count as f64 / ((1u64 << self.bits) - 1) as f64
     }
 }
@@ -128,7 +114,7 @@ mod tests {
 
     #[test]
     fn ideal_adc_is_exact_when_resolution_suffices() {
-        let adc = Adc::new(AdcConfig::ideal(8, 100));
+        let adc = Adc::new(AdcConfig::new(8, 100, 0.0));
         let mut rng = StdRng::seed_from_u64(1);
         for count in 0..=100u64 {
             assert_eq!(adc.sample_count(count as f64, &mut rng), count);
@@ -138,7 +124,7 @@ mod tests {
     #[test]
     fn coarse_adc_quantizes() {
         // 3 bits over 100 counts: LSB ≈ 14.3 counts.
-        let adc = Adc::new(AdcConfig::ideal(3, 100));
+        let adc = Adc::new(AdcConfig::new(3, 100, 0.0));
         let mut rng = StdRng::seed_from_u64(2);
         let out = adc.sample_count(50.0, &mut rng);
         assert_ne!(out, 50);
@@ -147,7 +133,7 @@ mod tests {
 
     #[test]
     fn clamps_at_full_scale() {
-        let adc = Adc::new(AdcConfig::ideal(4, 15));
+        let adc = Adc::new(AdcConfig::new(4, 15, 0.0));
         let mut rng = StdRng::seed_from_u64(3);
         assert_eq!(adc.sample_count(1000.0, &mut rng), 15);
     }
@@ -168,6 +154,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "adc bits")]
     fn zero_bits_rejected() {
-        let _ = AdcConfig::ideal(0, 10);
+        let _ = AdcConfig::new(0, 10, 0.0);
     }
 }

@@ -59,17 +59,6 @@ impl CrossbarConfig {
         self.fidelity = fidelity;
         self
     }
-
-    /// Overrides the ADC resolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `adc_bits == 0 || adc_bits > 24`.
-    pub fn with_adc_bits(mut self, adc_bits: u32) -> Self {
-        assert!(adc_bits > 0 && adc_bits <= 24, "adc bits must be in 1..=24");
-        self.adc_bits = adc_bits;
-        self
-    }
 }
 
 impl Default for CrossbarConfig {
@@ -163,16 +152,6 @@ impl Crossbar {
     /// dequantized).
     pub fn stored_matrix(&self) -> &QuboMatrix {
         &self.dequantized
-    }
-
-    /// Noise-free energy of the *stored* (quantized) matrix — the
-    /// value an ideal readout would produce.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn ideal_energy(&self, x: &Assignment) -> f64 {
-        self.dequantized.energy(x)
     }
 
     /// One full analog QUBO computation `xᵀQx` (paper Fig. 6(a)):

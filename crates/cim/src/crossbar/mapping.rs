@@ -27,7 +27,6 @@ use crate::CimError;
 /// let map = CrossbarMapping::new(&q, 7)?;
 /// assert_eq!(map.dim(), 3);
 /// assert_eq!(map.bits(), 7);
-/// assert_eq!(map.total_cells(), 3 * 3 * 7 * 2); // pos + neg planes
 /// # Ok(())
 /// # }
 /// ```
@@ -44,7 +43,7 @@ pub struct CrossbarMapping {
 /// Hard cap on the mapped dimension; protects against accidentally
 /// programming a D-QUBO-sized matrix (n ≈ 2600, hundreds of millions
 /// of cells) into an explicit cell array.
-pub const MAX_CROSSBAR_DIM: usize = 4096;
+const MAX_CROSSBAR_DIM: usize = 4096;
 
 impl CrossbarMapping {
     /// Quantizes `q` to `bits` magnitude bits and builds the bit-plane
@@ -116,11 +115,6 @@ impl CrossbarMapping {
     /// Number of programmed (1-storing) cells.
     pub fn programmed_cells(&self) -> usize {
         self.planes.iter().flatten().flatten().map(Vec::len).sum()
-    }
-
-    /// Total physical cells allocated: `n × n × M` per sign plane.
-    pub fn total_cells(&self) -> usize {
-        self.dim * self.dim * self.bits as usize * 2
     }
 
     /// Reconstructs the dequantized matrix the crossbar effectively
@@ -245,7 +239,6 @@ mod tests {
         let mut q = QuboMatrix::zeros(2);
         q.set(0, 0, 3.0); // 0b11 at 2-bit scale → depends on scale
         let map = CrossbarMapping::new(&q, 2).unwrap();
-        assert_eq!(map.total_cells(), 2 * 2 * 2 * 2);
         assert!(map.programmed_cells() >= 1);
     }
 }

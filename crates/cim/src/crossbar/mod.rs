@@ -11,9 +11,7 @@
 mod adc;
 mod array;
 mod mapping;
-mod programming;
 
 pub use adc::{Adc, AdcConfig};
 pub use array::{Crossbar, CrossbarConfig};
-pub use mapping::{CrossbarMapping, MAX_CROSSBAR_DIM};
-pub use programming::{ProgrammingEngine, ProgrammingReport};
+pub use mapping::CrossbarMapping;

@@ -103,7 +103,7 @@ impl EnergyModel {
     /// `bits`-bit matrix with `active_cells` conducting cells:
     /// cell reads + one ADC conversion per active column per bit plane
     /// per sign.
-    pub fn crossbar_vmv(&self, active_columns: usize, bits: u32, active_cells: usize) -> f64 {
+    fn crossbar_vmv(&self, active_columns: usize, bits: u32, active_cells: usize) -> f64 {
         active_cells as f64 * self.cell_read
             + (active_columns as f64) * f64::from(bits) * 2.0 * self.adc_conversion
     }

@@ -130,7 +130,6 @@ pub(crate) struct ArrayParams<'a> {
     pub ml_config: &'a MatchlineConfig,
     pub variation: &'a VariationModel,
     pub fidelity: Fidelity,
-    pub phase_time_ns: f64,
 }
 
 impl FilterArray {
@@ -156,7 +155,6 @@ impl FilterArray {
                 ml_config: &config.matchline,
                 variation: &config.variation,
                 fidelity: config.fidelity,
-                phase_time_ns: config.matchline.phase_time * 1e9,
             },
             rng,
         )
@@ -194,7 +192,7 @@ impl FilterArray {
             cells,
             weights: weights.to_vec(),
             rows: params.rows,
-            staircase: StaircasePulse::for_spec(params.spec, params.phase_time_ns),
+            staircase: StaircasePulse::for_spec(params.spec),
             fidelity: params.fidelity,
             fast: ArrayRead {
                 ml_config: params.ml_config.clone(),
@@ -225,7 +223,7 @@ impl FilterArray {
     /// # Panics
     ///
     /// Panics if `x.len() != self.num_columns()`.
-    pub fn selected_units(&self, x: &Assignment) -> u64 {
+    fn selected_units(&self, x: &Assignment) -> u64 {
         assert_eq!(x.len(), self.num_columns(), "input length mismatch");
         self.weights
             .iter()
@@ -262,7 +260,7 @@ impl FilterArray {
     fn evaluate_device<R: Rng + ?Sized>(&self, x: &Assignment, rng: &mut R) -> f64 {
         assert_eq!(x.len(), self.num_columns(), "input length mismatch");
         let mut ml = Matchline::precharged(self.matchline_config());
-        for (_, v) in self.staircase.iter() {
+        for v in self.staircase.iter() {
             let mut i_total = 0.0;
             for (col, column) in self.cells.iter().enumerate() {
                 if !x.get(col) {
@@ -283,16 +281,11 @@ impl FilterArray {
     /// cancels (both arrays carry it); only thermal/flicker noise
     /// remains per-read. This is what keeps the Fig. 8 classification
     /// clean even at loads of thousands of units.
-    pub const TEMPORAL_NOISE_FRACTION: f64 = 0.1;
+    const TEMPORAL_NOISE_FRACTION: f64 = 0.1;
 
     /// The constants of a fast-path read, which outlive the cells.
     pub(super) fn fast_read(&self) -> &ArrayRead {
         &self.fast
-    }
-
-    /// The staircase pulse used for evaluation.
-    pub fn staircase(&self) -> &StaircasePulse {
-        &self.staircase
     }
 
     /// The matchline configuration in use.
@@ -313,7 +306,7 @@ impl FilterArray {
         assert_eq!(x.len(), self.num_columns(), "input length mismatch");
         let mut ml = Matchline::precharged(self.matchline_config());
         let mut trace = vec![ml.voltage()];
-        for (_, v) in self.staircase.iter() {
+        for v in self.staircase.iter() {
             let mut i_total = 0.0;
             for (col, column) in self.cells.iter().enumerate() {
                 if !x.get(col) {
@@ -346,7 +339,7 @@ impl fmt::Display for FilterArray {
 /// `max_level` each: greedy fill (`w = 4+4+…+r+0+…`), per paper
 /// Sec 3.3 ("each item weight wᵢ is decomposed into multiple wᵢⱼ
 /// values").
-pub fn decompose_weight(w: u64, rows: usize, max_level: u8) -> Vec<u8> {
+fn decompose_weight(w: u64, rows: usize, max_level: u8) -> Vec<u8> {
     let mut out = Vec::with_capacity(rows);
     let mut remaining = w;
     for _ in 0..rows {

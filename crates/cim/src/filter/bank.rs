@@ -56,11 +56,6 @@ impl BankDecision {
         self.decisions.iter().all(FilterDecision::is_feasible)
     }
 
-    /// Per-filter decisions, in constraint order.
-    pub fn decisions(&self) -> &[FilterDecision] {
-        &self.decisions
-    }
-
     /// Index of the first violated constraint, if any.
     ///
     /// # Example
@@ -257,7 +252,7 @@ mod tests {
         let bad = bank.classify(&Assignment::parse_bit_string("1010").unwrap(), &mut rng);
         assert!(!bad.is_feasible());
         assert_eq!(bad.first_violation(), Some(0));
-        assert_eq!(bad.decisions().len(), 2);
+        assert_eq!(bad.decisions.len(), 2);
     }
 
     #[test]

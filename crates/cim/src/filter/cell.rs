@@ -23,10 +23,10 @@ use rand::Rng;
 /// let mut rng = StdRng::seed_from_u64(2);
 /// let mut cell = FilterCell::sample(&spec, &VariationModel::none(), &mut rng);
 /// cell.store(3);
-/// let stair = StaircasePulse::for_spec(&spec, 10.0);
+/// let stair = StaircasePulse::for_spec(&spec);
 /// let phases_on = stair
 ///     .iter()
-///     .filter(|&(_, v)| cell.current_in_phase(v, true, &mut rng) > 1e-6)
+///     .filter(|&v| cell.current_in_phase(v, true, &mut rng) > 1e-6)
 ///     .count();
 /// assert_eq!(phases_on, 3);
 /// ```
@@ -48,15 +48,8 @@ impl FilterCell {
         }
     }
 
-    /// An ideal, variation-free cell.
-    pub fn ideal(spec: &MultiLevelSpec) -> Self {
-        Self {
-            inner: FefetCell::ideal(spec),
-        }
-    }
-
     /// Stored sub-weight.
-    pub fn weight(&self) -> u8 {
+    fn weight(&self) -> u8 {
         self.inner.level()
     }
 
@@ -111,16 +104,16 @@ mod tests {
     fn conduction_phases_equal_weight() {
         // The Fig. 4(c) property for every storable weight.
         let spec = MultiLevelSpec::paper_filter();
-        let stair = StaircasePulse::for_spec(&spec, 10.0);
+        let stair = StaircasePulse::for_spec(&spec);
         let mut rng = StdRng::seed_from_u64(3);
         for w in 0..=4u8 {
-            let mut cell = FilterCell::ideal(&spec);
+            let mut cell = FilterCell {
+                inner: FefetCell::ideal(&spec),
+            };
             cell.store(w);
             let on = stair
                 .iter()
-                .filter(|&(_, v)| {
-                    cell.current_in_phase(v, true, &mut rng) > 0.5 * cell.clamp_current()
-                })
+                .filter(|&v| cell.current_in_phase(v, true, &mut rng) > 0.5 * cell.clamp_current())
                 .count();
             assert_eq!(on, usize::from(w), "weight {w}");
         }
@@ -130,7 +123,9 @@ mod tests {
     fn grounded_gate_never_conducts() {
         let spec = MultiLevelSpec::paper_filter();
         let mut rng = StdRng::seed_from_u64(4);
-        let mut cell = FilterCell::ideal(&spec);
+        let mut cell = FilterCell {
+            inner: FefetCell::ideal(&spec),
+        };
         cell.store(4);
         for v in spec.read_voltages() {
             assert_eq!(cell.current_in_phase(v, false, &mut rng), 0.0);
@@ -143,7 +138,7 @@ mod tests {
         // dominate Vt noise (~30 mV) — every cell still conducts in
         // exactly `w` phases.
         let spec = MultiLevelSpec::paper_filter();
-        let stair = StaircasePulse::for_spec(&spec, 10.0);
+        let stair = StaircasePulse::for_spec(&spec);
         let mut rng = StdRng::seed_from_u64(5);
         for trial in 0..50 {
             let w = trial % 5;
@@ -151,9 +146,7 @@ mod tests {
             cell.store(w as u8);
             let on = stair
                 .iter()
-                .filter(|&(_, v)| {
-                    cell.current_in_phase(v, true, &mut rng) > 0.5 * cell.clamp_current()
-                })
+                .filter(|&v| cell.current_in_phase(v, true, &mut rng) > 0.5 * cell.clamp_current())
                 .count();
             assert_eq!(on, w, "trial {trial}");
         }

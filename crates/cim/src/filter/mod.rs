@@ -21,7 +21,7 @@ use hycim_fefet::{gaussian, MultiLevelSpec, VariationModel};
 use hycim_qubo::Assignment;
 use rand::Rng;
 
-pub use array::{decompose_weight, FilterArray};
+pub use array::FilterArray;
 pub use bank::{BankDecision, FilterBank};
 pub use cell::FilterCell;
 pub use comparator::{ComparatorConfig, VoltageComparator};
@@ -81,19 +81,8 @@ impl FilterConfig {
         self
     }
 
-    /// Replaces the row count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows == 0`.
-    pub fn with_rows(mut self, rows: usize) -> Self {
-        assert!(rows > 0, "need at least one row");
-        self.rows = rows;
-        self
-    }
-
     /// Largest per-item weight the working array can store.
-    pub fn max_item_weight(&self) -> u64 {
+    fn max_item_weight(&self) -> u64 {
         self.rows as u64 * u64::from(self.spec.max_level())
     }
 }
@@ -122,11 +111,6 @@ impl FilterDecision {
     /// Working-array matchline voltage (V).
     pub fn ml(&self) -> f64 {
         self.ml
-    }
-
-    /// Replica matchline voltage (V).
-    pub fn replica_ml(&self) -> f64 {
-        self.replica_ml
     }
 
     /// Working ML normalized by the replica ML — the quantity plotted
@@ -315,7 +299,7 @@ mod tests {
                 load <= 9,
                 "load {load} misclassified (ml {:.4}, replica {:.4})",
                 decision.ml(),
-                decision.replica_ml()
+                decision.replica_ml
             );
         }
     }

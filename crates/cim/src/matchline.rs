@@ -50,11 +50,6 @@ impl MatchlineConfig {
     pub fn unit_drop(&self) -> f64 {
         self.cell_current * self.phase_time / self.c_ml
     }
-
-    /// Largest number of unit drops before the ML rails at 0 V.
-    pub fn units_to_rail(&self) -> f64 {
-        self.vdd / self.unit_drop()
-    }
 }
 
 impl Default for MatchlineConfig {
@@ -102,11 +97,6 @@ impl Matchline {
     pub fn discharge_units(&mut self, units: f64) {
         self.voltage = (self.voltage - units * self.config.unit_drop()).max(0.0);
     }
-
-    /// Re-precharges to VDD for the next evaluation.
-    pub fn precharge(&mut self) {
-        self.voltage = self.config.vdd;
-    }
 }
 
 impl fmt::Display for Matchline {
@@ -128,7 +118,7 @@ mod tests {
         let cfg = MatchlineConfig::default();
         assert_eq!(cfg.vdd, 2.0);
         // 6400 units (full 16×100 array at max weight) stay on-scale.
-        assert!(cfg.units_to_rail() > 6400.0);
+        assert!(cfg.vdd / cfg.unit_drop() > 6400.0);
     }
 
     #[test]
@@ -161,7 +151,5 @@ mod tests {
         let mut ml = Matchline::precharged(&cfg);
         ml.discharge_units(1e9);
         assert_eq!(ml.voltage(), 0.0);
-        ml.precharge();
-        assert_eq!(ml.voltage(), cfg.vdd);
     }
 }

@@ -141,15 +141,6 @@ impl GraphColoring {
         q
     }
 
-    /// Energy of a proper coloring under [`objective_matrix`]: the
-    /// dropped constant is `penalty · nodes`, so proper colorings sit
-    /// at exactly `−penalty · nodes`.
-    ///
-    /// [`objective_matrix`]: Self::objective_matrix
-    pub fn proper_energy(&self, penalty: f64) -> f64 {
-        -penalty * self.nodes as f64
-    }
-
     /// Whether `x` assigns exactly one color per node with no
     /// monochromatic edge.
     ///
@@ -214,7 +205,9 @@ mod tests {
         let x = g.greedy_coloring().expect("3-colorable");
         assert!(g.is_proper_coloring(&x));
         let q = g.objective_matrix(5.0);
-        assert_eq!(q.energy(&x), g.proper_energy(5.0));
+        // The dropped constant is `penalty · nodes`, so a proper
+        // coloring sits at exactly `−penalty · nodes`.
+        assert_eq!(q.energy(&x), -5.0 * 3.0);
     }
 
     #[test]

@@ -142,25 +142,21 @@ impl QkpGenerator {
     }
 }
 
-/// The paper's evaluation workload: 40 QKP instances of 100 items —
-/// 10 seeds at each density in {25, 50, 75, 100}% (Sec 4, \[28\]).
+/// A benchmark set: `per_density` seeds at each of the four densities
+/// {25, 50, 75, 100}%, `n` items each. Seeds are derived
+/// deterministically so the set is reproducible across runs.
+/// `benchmark_set(100, 10)` is the paper's evaluation workload: 40 QKP
+/// instances of 100 items (Sec 4, \[28\]).
 ///
 /// # Example
 ///
 /// ```
-/// use hycim_cop::generator::standard_benchmark_set;
+/// use hycim_cop::generator::benchmark_set;
 ///
-/// let set = standard_benchmark_set();
+/// let set = benchmark_set(100, 10);
 /// assert_eq!(set.len(), 40);
 /// assert!(set.iter().all(|i| i.num_items() == 100));
 /// ```
-pub fn standard_benchmark_set() -> Vec<QkpInstance> {
-    benchmark_set(100, 10)
-}
-
-/// A scaled benchmark set: `per_density` seeds at each of the four
-/// densities, `n` items each. Seeds are derived deterministically so
-/// the set is reproducible across runs.
 pub fn benchmark_set(n: usize, per_density: usize) -> Vec<QkpInstance> {
     let densities = [0.25, 0.5, 0.75, 1.0];
     let mut out = Vec::with_capacity(densities.len() * per_density);
@@ -219,7 +215,7 @@ mod tests {
 
     #[test]
     fn standard_set_matches_paper_shape() {
-        let set = standard_benchmark_set();
+        let set = benchmark_set(100, 10);
         assert_eq!(set.len(), 40);
         // D-QUBO dimension n + C must fall in the paper's reported
         // 200..=2636 band (Fig. 9(b)).

@@ -932,7 +932,7 @@ impl MultiKnapsack {
     /// The MKP's QUBO objective: negated linear profits on the
     /// diagonal (no pair terms — the MKP is linear in the profits; the
     /// constraints carry all the structure).
-    pub fn profit_objective(&self) -> QuboMatrix {
+    fn profit_objective(&self) -> QuboMatrix {
         let mut q = QuboMatrix::zeros(self.num_items());
         for (i, &p) in self.profits().iter().enumerate() {
             q.set(i, i, -(p as f64));
@@ -946,7 +946,7 @@ impl BinPacking {
     /// assignment penalty plus a quadratic per-bin load term
     /// `Σₖ (Σᵢ sᵢ x_{i,k})²` that steers SA toward balanced (hence
     /// capacity-respecting) packings under the aggregate constraint.
-    pub fn packing_objective(&self) -> QuboMatrix {
+    fn packing_objective(&self) -> QuboMatrix {
         // A dropped/duplicated item must never pay off: un-assigning
         // item i saves at most ~2·C·sᵢ of load penalty, so the
         // assignment penalty dominates at 4·C·s_max.

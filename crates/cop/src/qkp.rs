@@ -136,8 +136,8 @@ impl QkpInstance {
     ///
     /// # Panics
     ///
-    /// Panics if an index is out of bounds or `i == j` (use the
-    /// constructor or [`set_item_profit`](Self::set_item_profit)).
+    /// Panics if an index is out of bounds or `i == j` (item profits
+    /// are set by the constructor).
     pub fn set_pair_profit(&mut self, i: usize, j: usize, profit: u64) {
         let n = self.num_items();
         assert!(i < n && j < n, "item index out of bounds");
@@ -145,15 +145,6 @@ impl QkpInstance {
         let (a, b) = if i < j { (i, j) } else { (j, i) };
         let idx = self.pair_index(a, b);
         self.pair_profits[idx] = profit;
-    }
-
-    /// Sets the individual profit `pᵢᵢ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn set_item_profit(&mut self, i: usize, profit: u64) {
-        self.item_profits[i] = profit;
     }
 
     /// Objective value `Σ pᵢᵢxᵢ + Σ_{i<j} pᵢⱼxᵢxⱼ` of a selection
@@ -265,12 +256,6 @@ impl QkpInstance {
         )
     }
 
-    /// QKP value recovered from an inequality-QUBO energy
-    /// (`value = −energy` for feasible configurations).
-    pub fn value_from_energy(&self, energy: f64) -> u64 {
-        (-energy).round().max(0.0) as u64
-    }
-
     /// Density: fraction of nonzero profit coefficients among all
     /// `n(n+1)/2` possible (the benchmark set uses 25–100%).
     pub fn density(&self) -> f64 {
@@ -358,7 +343,6 @@ mod tests {
         let q = inst.objective_matrix();
         let x = Assignment::from_bits([true, false, true]);
         assert_eq!(q.energy(&x), -(inst.value(&x) as f64));
-        assert_eq!(inst.value_from_energy(q.energy(&x)), inst.value(&x));
     }
 
     #[test]

@@ -13,28 +13,7 @@ use crate::AnnealSettings;
 /// effectively greedy on a dense one; per-instance calibration keeps
 /// the acceptance profile comparable across the benchmark set (the
 /// paper's 40 instances span densities 25–100%).
-///
-/// # Example
-///
-/// ```
-/// use hycim_anneal::SoftwareState;
-/// use hycim_core::calibrate_t0;
-/// use hycim_qubo::{Assignment, InequalityQubo, LinearConstraint, QuboMatrix};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut q = QuboMatrix::zeros(2);
-/// q.set(0, 0, -40.0);
-/// q.set(1, 1, -60.0);
-/// let iq = InequalityQubo::new(q, LinearConstraint::new(vec![1, 1], 2)?)?;
-/// let mut state = SoftwareState::new(&iq, Assignment::zeros(2));
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let t0 = calibrate_t0(&mut state, 0.5, 64, &mut rng);
-/// assert!(t0 >= 20.0 && t0 <= 30.0); // 0.5 × mean(40, 60)
-/// # Ok(())
-/// # }
-/// ```
-pub fn calibrate_t0<S: AnnealState>(
+fn calibrate_t0<S: AnnealState>(
     state: &mut S,
     fraction: f64,
     samples: usize,
@@ -61,7 +40,8 @@ pub fn calibrate_t0<S: AnnealState>(
 }
 
 /// The shared annealing driver of every engine: calibrates T₀ from the
-/// state's probed deltas ([`calibrate_t0`] with 64 samples), derives
+/// state's probed deltas (`fraction × mean|Δ|` over 64 sampled flips,
+/// at least 1), derives
 /// the geometric decay reaching `t_end_fraction × T₀` after
 /// `sweeps × dim` iterations, and runs the Metropolis loop.
 ///
@@ -110,8 +90,20 @@ mod tests {
     use super::*;
     use hycim_anneal::SoftwareState;
     use hycim_cop::generator::QkpGenerator;
-    use hycim_qubo::Assignment;
+    use hycim_qubo::{Assignment, InequalityQubo, LinearConstraint, QuboMatrix};
     use rand::SeedableRng;
+
+    #[test]
+    fn calibrates_to_the_fraction_of_the_mean_delta() {
+        let mut q = QuboMatrix::zeros(2);
+        q.set(0, 0, -40.0);
+        q.set(1, 1, -60.0);
+        let iq = InequalityQubo::new(q, LinearConstraint::new(vec![1, 1], 2).unwrap()).unwrap();
+        let mut state = SoftwareState::new(&iq, Assignment::zeros(2));
+        let mut rng = StdRng::seed_from_u64(1);
+        let t0 = calibrate_t0(&mut state, 0.5, 64, &mut rng);
+        assert!((20.0..=30.0).contains(&t0)); // 0.5 × mean(40, 60)
+    }
 
     #[test]
     fn denser_instances_calibrate_hotter() {

@@ -50,7 +50,7 @@ pub struct HyCimConfig {
 
 impl HyCimConfig {
     /// The paper-calibrated defaults (Sec 4).
-    pub fn paper() -> Self {
+    fn paper() -> Self {
         Self {
             sweeps: 1000,
             swap_probability: hycim_anneal::DEFAULT_SWAP_PROBABILITY,
@@ -137,7 +137,7 @@ pub struct DquboConfig {
 
 impl DquboConfig {
     /// The paper's baseline settings.
-    pub fn paper() -> Self {
+    fn paper() -> Self {
         Self {
             sweeps: 1000,
             swap_probability: hycim_anneal::DEFAULT_SWAP_PROBABILITY,
@@ -172,12 +172,6 @@ impl DquboConfig {
     /// Overrides the quantization bit width.
     pub fn with_bits(mut self, bits: u32) -> Self {
         self.bits = Some(bits);
-        self
-    }
-
-    /// Overrides the penalty weights.
-    pub fn with_penalty(mut self, penalty: PenaltyWeights) -> Self {
-        self.penalty = penalty;
         self
     }
 

@@ -206,23 +206,6 @@ impl<P: CopProblem> HyCimEngine<P> {
     pub fn instance(&self) -> &P {
         &self.problem
     }
-
-    /// Runs one annealing from an explicit initial configuration
-    /// (which must satisfy every encoded constraint — the paper's
-    /// initial states are Monte-Carlo sampled feasible
-    /// configurations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` violates any constraint or has the wrong
-    /// length.
-    pub fn solve_from(&self, initial: &Assignment, seed: u64) -> Solution<P> {
-        let mut state = BankHardwareState::new(&self.chip, initial.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
-        let assignment = trace.best_assignment().clone();
-        Solution::score(&self.problem, assignment, trace)
-    }
 }
 
 impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
@@ -235,9 +218,14 @@ impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
     }
 
     fn solve(&self, seed: u64) -> Solution<P> {
+        // A Monte-Carlo sampled feasible start (as in the paper); the
+        // anneal stream is then seeded afresh from the same seed.
+        let initial = self.problem.initial(&mut StdRng::seed_from_u64(seed));
+        let mut state = BankHardwareState::new(&self.chip, initial);
         let mut rng = StdRng::seed_from_u64(seed);
-        let initial = self.problem.initial(&mut rng);
-        self.solve_from(&initial, seed)
+        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
+        let assignment = trace.best_assignment().clone();
+        Solution::score(&self.problem, assignment, trace)
     }
 }
 
@@ -284,25 +272,6 @@ impl<P: CopProblem> DquboEngine<P> {
     pub fn instance(&self) -> &P {
         &self.problem
     }
-
-    /// Runs one annealing from an explicit extended-space start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial.len() != self.form().dim()`.
-    pub fn solve_from(&self, initial: &Assignment, seed: u64) -> Solution<P> {
-        let chip = self.chip.get_or_init(|| {
-            DquboChip::build(&self.form, self.config.bits, self.config.current_sigma_rel)
-        });
-        let mut state = DquboHardwareState::new(chip, initial.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
-        // Decode the best extended configuration back to the problem
-        // space; the filterless baseline may well land infeasible
-        // (Fig. 10).
-        let assignment = self.form.decode(trace.best_assignment());
-        Solution::score(&self.problem, assignment, trace)
-    }
 }
 
 impl<P: CopProblem> Engine<P> for DquboEngine<P> {
@@ -322,7 +291,17 @@ impl<P: CopProblem> Engine<P> for DquboEngine<P> {
         // auxiliaries.
         let items = Assignment::random_with_density(self.form.num_items(), 0.3, &mut rng);
         let initial = self.form.lift(&items);
-        self.solve_from(&initial, seed)
+        let chip = self.chip.get_or_init(|| {
+            DquboChip::build(&self.form, self.config.bits, self.config.current_sigma_rel)
+        });
+        let mut state = DquboHardwareState::new(chip, initial);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
+        // Decode the best extended configuration back to the problem
+        // space; the filterless baseline may well land infeasible
+        // (Fig. 10).
+        let assignment = self.form.decode(trace.best_assignment());
+        Solution::score(&self.problem, assignment, trace)
     }
 }
 
@@ -354,19 +333,6 @@ impl<P: CopProblem> SoftwareEngine<P> {
     pub fn encoded(&self) -> &InequalityQubo {
         &self.encoded
     }
-
-    /// Runs one annealing from an explicit feasible start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is infeasible or has the wrong length.
-    pub fn solve_from(&self, initial: &Assignment, seed: u64) -> Solution<P> {
-        let mut state = hycim_anneal::SoftwareState::new(&self.encoded, initial.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
-        let assignment = trace.best_assignment().clone();
-        Solution::score(&self.problem, assignment, trace)
-    }
 }
 
 impl<P: CopProblem> Engine<P> for SoftwareEngine<P> {
@@ -379,9 +345,12 @@ impl<P: CopProblem> Engine<P> for SoftwareEngine<P> {
     }
 
     fn solve(&self, seed: u64) -> Solution<P> {
+        let initial = self.problem.initial(&mut StdRng::seed_from_u64(seed));
+        let mut state = hycim_anneal::SoftwareState::new(&self.encoded, initial);
         let mut rng = StdRng::seed_from_u64(seed);
-        let initial = self.problem.initial(&mut rng);
-        self.solve_from(&initial, seed)
+        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
+        let assignment = trace.best_assignment().clone();
+        Solution::score(&self.problem, assignment, trace)
     }
 }
 

@@ -28,9 +28,8 @@
 //!   penalty encoding on a much larger crossbar, no filter.
 //! * [`SoftwareEngine`] — a noise-free software reference.
 //! * [`PackedEngine`] — the bit-parallel software engine: 64 replicas
-//!   per solve in `u64` spin bitplanes (independent lanes or parallel
-//!   tempering), each lane bit-identical to a scalar run under the
-//!   [`replica_seed`] contract.
+//!   per solve in `u64` spin bitplanes, each lane bit-identical to a
+//!   scalar run under the [`replica_seed`] contract.
 //! * [`BatchRunner`] — deterministic multi-threaded multi-start
 //!   evaluation over a replica × problem grid; with a metrics registry
 //!   attached, [`BatchRunner::run_seeds`] (and [`BatchRunner::run`]
@@ -79,12 +78,12 @@ mod solution;
 pub mod table;
 
 pub use batch::{default_threads, replica_seed, BatchRunner};
-pub use calibrate::{calibrate_t0, run_annealing};
+pub use calibrate::run_annealing;
 pub use config::{AnnealSettings, DquboConfig, HyCimConfig};
 pub use engine::{DquboEngine, Engine, HyCimEngine, SoftwareEngine};
 pub use error::HycimError;
 pub use hardware::{BankChip, BankHardwareState, DquboChip, DquboHardwareState};
 pub use kind::{EngineKind, EngineSettings};
-pub use packed_engine::{PackedConfig, PackedEngine, PackedMode};
+pub use packed_engine::{PackedConfig, PackedEngine};
 pub use shard::{merge_shards, Shard, ShardError, ShardPlan};
 pub use solution::{objective_success, Solution};

@@ -24,37 +24,23 @@
 //! as `t0_fraction × mean|h|` over all `n × 64` maintained fields at
 //! the initial configurations
 //! ([`PackedSoftwareState::mean_abs_field`]), floored at 1 like
-//! [`calibrate_t0`](crate::calibrate_t0), so scalar twins can
+//! [`run_annealing`](crate::run_annealing), so scalar twins can
 //! reconstruct the exact cooling schedule from the initials alone.
 
 use hycim_anneal::{
-    run_packed_tempering, AnnealTrace, PackedRunOutcome, PackedSoftwareState,
-    PackedTemperingConfig, SweepSchedule,
+    run_packed_sweeps, AnnealTrace, PackedRunOutcome, PackedSoftwareState, SweepSchedule,
 };
 use hycim_cop::CopProblem;
-use hycim_qubo::{Assignment, InequalityQubo, LANES};
+use hycim_qubo::{InequalityQubo, LANES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::batch::replica_seed;
-use crate::{Engine, HyCimConfig, HycimError, Solution};
+use crate::{Engine, HycimError, Solution};
 
-/// How the packed engine couples its 64 lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackedMode {
-    /// Independent lanes: every lane cools on the same geometric
-    /// per-sweep schedule. This is the mode covered by the
-    /// packed-vs-scalar bit-identity law.
-    Independent,
-    /// Parallel tempering: the 64 lanes hold a geometric temperature
-    /// ladder and exchange rungs in deterministic even/odd sweeps
-    /// ([`hycim_anneal::tempering::run_packed_tempering`]).
-    Tempering,
-}
-
-/// Configuration of the [`PackedEngine`]: the shared annealing-scale
-/// parameters (paper defaults, matching [`HyCimConfig`]) plus the
-/// lane-coupling mode.
+/// Configuration of the [`PackedEngine`]: the annealing-scale
+/// parameters (paper defaults, matching
+/// [`HyCimConfig`](crate::HyCimConfig)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedConfig {
     /// Annealing sweeps; each sweep proposes `n` moves *per lane*.
@@ -63,21 +49,15 @@ pub struct PackedConfig {
     pub t0_fraction: f64,
     /// Final (coldest) temperature as a fraction of T₀.
     pub t_end_fraction: f64,
-    /// Packed sweeps between exchange rounds (tempering mode only).
-    pub sweeps_per_exchange: usize,
-    /// Lane-coupling mode.
-    pub mode: PackedMode,
 }
 
 impl PackedConfig {
-    /// The paper-calibrated defaults (Sec 4), independent lanes.
+    /// The paper-calibrated defaults (Sec 4).
     pub fn paper() -> Self {
         Self {
             sweeps: 1000,
             t0_fraction: 0.5,
             t_end_fraction: 0.002,
-            sweeps_per_exchange: 2,
-            mode: PackedMode::Independent,
         }
     }
 
@@ -90,39 +70,6 @@ impl PackedConfig {
         assert!(sweeps > 0, "need at least one sweep");
         self.sweeps = sweeps;
         self
-    }
-
-    /// Switches the lanes to parallel tempering with
-    /// `sweeps_per_exchange` packed sweeps between exchange rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sweeps_per_exchange == 0`.
-    pub fn with_tempering(mut self, sweeps_per_exchange: usize) -> Self {
-        assert!(
-            sweeps_per_exchange > 0,
-            "need at least one sweep between exchanges"
-        );
-        self.mode = PackedMode::Tempering;
-        self.sweeps_per_exchange = sweeps_per_exchange;
-        self
-    }
-
-    /// The packed counterpart of a scalar engine configuration: same
-    /// sweep count and temperature fractions.
-    pub fn from_hycim(config: &HyCimConfig) -> Self {
-        Self {
-            sweeps: config.sweeps,
-            t0_fraction: config.t0_fraction,
-            t_end_fraction: config.t_end_fraction,
-            ..Self::paper()
-        }
-    }
-}
-
-impl Default for PackedConfig {
-    fn default() -> Self {
-        Self::paper()
     }
 }
 
@@ -151,95 +98,34 @@ impl<P: CopProblem> PackedEngine<P> {
         })
     }
 
-    /// The problem in inequality-QUBO form.
-    pub fn encoded(&self) -> &InequalityQubo {
-        &self.encoded
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &PackedConfig {
-        &self.config
-    }
-
-    /// Lane `k`'s RNG stream for a solve: the
-    /// [`replica_seed`](crate::replica_seed) contract with
-    /// `problem_index = 0`.
-    fn lane_rngs(seed: u64) -> Vec<StdRng> {
-        (0..LANES)
-            .map(|k| StdRng::seed_from_u64(replica_seed(seed, 0, k as u64)))
-            .collect()
-    }
-
-    /// Draws each lane's initial configuration from its own stream
-    /// (the stream then continues into the annealing loop).
-    fn lane_initials(&self, rngs: &mut [StdRng]) -> Vec<Assignment> {
-        rngs.iter_mut()
-            .map(|rng| self.problem.initial(rng))
-            .collect()
-    }
-
     /// The deterministic per-sweep cooling schedule for a packed state
     /// at its initial configurations: `T₀ = t0_fraction × mean|h|`
-    /// (floored at 1, like [`calibrate_t0`](crate::calibrate_t0)),
+    /// (floored at 1, like [`run_annealing`](crate::run_annealing)),
     /// decaying geometrically to `t_end_fraction × T₀` over `sweeps`.
     pub fn schedule_for(&self, state: &PackedSoftwareState) -> SweepSchedule {
         let t0 = (self.config.t0_fraction * state.mean_abs_field()).max(1.0);
         SweepSchedule::cooling_to(t0, self.config.t_end_fraction, self.config.sweeps)
     }
 
-    /// Runs all [`LANES`] independent lanes of `solve(seed)` and
-    /// returns the per-lane outcomes — the testable surface of the
-    /// bit-identity law, and what the throughput benchmarks time.
+    /// Runs all [`LANES`] lanes of `solve(seed)` and returns the
+    /// per-lane outcomes — the testable surface of the bit-identity
+    /// law, and what the throughput benchmarks time.
     ///
-    /// Only meaningful in [`PackedMode::Independent`]; tempering mode
-    /// couples the lanes, so per-lane outcomes are not scalar runs.
+    /// Lane `k` draws its initial configuration from the
+    /// [`replica_seed`](crate::replica_seed) stream
+    /// (`problem_index = 0`, replica `k`) and anneals on the rest of
+    /// that stream.
     pub fn lane_outcomes(&self, seed: u64) -> PackedRunOutcome {
-        let mut rngs = Self::lane_rngs(seed);
-        let initials = self.lane_initials(&mut rngs);
-        let mut state = PackedSoftwareState::new(&self.encoded, &initials);
-        let schedule = self.schedule_for(&state);
-        let mut temperatures = [0.0f64; LANES];
-        for sweep in 0..self.config.sweeps {
-            temperatures.fill(schedule.temperature(sweep));
-            state.sweep(&temperatures, &mut rngs);
-        }
-        let (accepted, rejected, infeasible) = state.counts();
-        PackedRunOutcome {
-            best_energies: (0..LANES).map(|k| state.best_energy(k)).collect(),
-            best_assignments: (0..LANES).map(|k| state.best_assignment(k)).collect(),
-            final_energies: (0..LANES).map(|k| state.energy(k)).collect(),
-            accepted,
-            rejected,
-            infeasible,
-        }
-    }
-
-    fn solve_tempering(&self, seed: u64) -> Solution<P> {
-        let mut rngs = Self::lane_rngs(seed);
-        let initials = self.lane_initials(&mut rngs);
+        let mut rngs: Vec<StdRng> = (0..LANES as u64)
+            .map(|k| StdRng::seed_from_u64(replica_seed(seed, 0, k)))
+            .collect();
+        let initials: Vec<_> = rngs
+            .iter_mut()
+            .map(|rng| self.problem.initial(rng))
+            .collect();
         let state = PackedSoftwareState::new(&self.encoded, &initials);
         let schedule = self.schedule_for(&state);
-        let rounds = (self.config.sweeps / self.config.sweeps_per_exchange).max(1);
-        let config = PackedTemperingConfig {
-            t_min: schedule.t0() * self.config.t_end_fraction,
-            t_max: schedule.t0(),
-            sweeps_per_exchange: self.config.sweeps_per_exchange,
-            rounds,
-        };
-        // The exchange decisions draw from their own stream (replica
-        // index LANES — past every lane) so lane streams stay aligned
-        // with their independent-mode twins.
-        let mut swap_rng = StdRng::seed_from_u64(replica_seed(seed, 0, LANES as u64));
-        let result =
-            run_packed_tempering(&self.encoded, &initials, &config, &mut rngs, &mut swap_rng);
-        let trace = AnnealTrace::from_counts(
-            result.best_energy,
-            result.best_assignment.clone(),
-            result.accepted as usize,
-            result.rejected as usize,
-            result.infeasible as usize,
-        );
-        Solution::score(&self.problem, result.best_assignment, trace)
+        run_packed_sweeps(state, self.config.sweeps, &schedule, &mut rngs)
     }
 }
 
@@ -253,21 +139,16 @@ impl<P: CopProblem> Engine<P> for PackedEngine<P> {
     }
 
     fn solve(&self, seed: u64) -> Solution<P> {
-        match self.config.mode {
-            PackedMode::Independent => {
-                let outcome = self.lane_outcomes(seed);
-                let k = outcome.best_lane();
-                let trace = AnnealTrace::from_counts(
-                    outcome.best_energies[k],
-                    outcome.best_assignments[k].clone(),
-                    outcome.accepted as usize,
-                    outcome.rejected as usize,
-                    outcome.infeasible as usize,
-                );
-                Solution::score(&self.problem, outcome.best_assignments[k].clone(), trace)
-            }
-            PackedMode::Tempering => self.solve_tempering(seed),
-        }
+        let outcome = self.lane_outcomes(seed);
+        let k = outcome.best_lane();
+        let trace = AnnealTrace::from_counts(
+            outcome.best_energies[k],
+            outcome.best_assignments[k].clone(),
+            outcome.accepted as usize,
+            outcome.rejected as usize,
+            outcome.infeasible as usize,
+        );
+        Solution::score(&self.problem, outcome.best_assignments[k].clone(), trace)
     }
 }
 
@@ -322,32 +203,7 @@ mod tests {
         );
         assert_eq!(
             solution.trace.iterations(),
-            engine.config().sweeps * engine.encoded().dim() * LANES
+            engine.config.sweeps * engine.encoded.dim() * LANES
         );
-    }
-
-    #[test]
-    fn tempering_mode_solves_and_is_deterministic() {
-        let inst = QkpGenerator::new(15, 0.6).generate(2);
-        let engine = PackedEngine::new(
-            &inst,
-            &PackedConfig::paper().with_sweeps(40).with_tempering(2),
-        )
-        .unwrap();
-        let a = engine.solve(5);
-        let b = engine.solve(5);
-        assert!(a.feasible);
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.reported_energy, b.reported_energy);
-    }
-
-    #[test]
-    fn from_hycim_copies_the_shared_scale_parameters() {
-        let h = HyCimConfig::default().with_sweeps(77);
-        let p = PackedConfig::from_hycim(&h);
-        assert_eq!(p.sweeps, 77);
-        assert_eq!(p.t0_fraction, h.t0_fraction);
-        assert_eq!(p.t_end_fraction, h.t_end_fraction);
-        assert_eq!(p.mode, PackedMode::Independent);
     }
 }

@@ -370,6 +370,43 @@ fn dqubo_solves_are_pinned() {
     );
 }
 
+#[test]
+fn packed_solves_are_pinned() {
+    // The 64-lane packed engine as `EngineKind::Packed` builds it. The
+    // lane law compares each lane against its scalar twin; these pins
+    // fix the absolute output — the best lane's assignment, energy and
+    // the counts of all 64 lanes — on a QKP and a max-cut.
+    use hycim_cop::generator::QkpGenerator;
+    fn check<P: CopProblem + 'static>(problem: &P, pins: [(u64, u64, f64); 2]) {
+        let packed = EngineKind::Packed
+            .build(problem, &EngineSettings::new(120, 0))
+            .expect("encodable");
+        for (seed, digest, objective) in pins {
+            let s = packed.solve(seed);
+            assert_eq!(
+                (solve_digest(&s), s.objective.to_bits()),
+                (digest, objective.to_bits()),
+                "{} seed {seed}",
+                problem.kind()
+            );
+        }
+    }
+    check(
+        &QkpGenerator::new(40, 0.5).generate(3),
+        [
+            (1, 0x722d_510e_1e31_b46a, -8553.0),
+            (2, 0x18bb_33d1_374d_a042, -8551.0),
+        ],
+    );
+    check(
+        &MaxCut::random(30, 0.3, 5),
+        [
+            (1, 0xbada_864c_e71b_fd4f, -103.0),
+            (2, 0x7926_a9f6_3acc_85d6, -103.0),
+        ],
+    );
+}
+
 /// Fabricate once: an engine programs one chip and its solves only read
 /// it. An engine that has already solved other seeds — first from 4
 /// `BatchRunner` threads at once, then serially — returns for every

@@ -24,30 +24,25 @@ use crate::{FefetDevice, MultiLevelSpec, VariationModel};
 /// let spec = MultiLevelSpec::paper_binary();
 /// let mut rng = StdRng::seed_from_u64(9);
 /// let mut cell = FefetCell::sample(&spec, &VariationModel::default(), &mut rng);
+/// let vread = spec.read_voltage(1);
+/// assert!(!cell.is_on(vread, &mut rng)); // erased: stores 0
 /// cell.program(1);
-/// // Single-transistor multiplication i = x·q·y (paper Fig. 2(c)):
-/// let i = cell.multiply(true, true, &mut rng);
-/// assert!(i > 0.0);
-/// assert_eq!(cell.multiply(false, true, &mut rng), 0.0);
+/// assert!(cell.is_on(vread, &mut rng)); // stores 1: conducts at the clamp
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FefetCell {
     device: FefetDevice,
-    /// Series resistance (Ω).
-    resistance: f64,
-    /// Drain-line voltage when driven (V). The paper reads at
-    /// V_DS = 50 mV (Fig. 2(b)).
-    v_drive: f64,
 }
 
 impl FefetCell {
-    /// Nominal clamped ON current: `v_drive / resistance` with the
-    /// defaults below → 2 µA, matching the ~2 µA/cell slope of the
-    /// measured crossbar linearity (paper Fig. 7(d): ~64 µA at 32
-    /// cells).
-    pub const DEFAULT_RESISTANCE: f64 = 25_000.0;
-    /// Default drain drive voltage (50 mV, per Fig. 2(b)).
-    pub const DEFAULT_DRIVE: f64 = 0.05;
+    /// Series resistance (Ω). With the drive below the clamped ON
+    /// current `DRIVE / RESISTANCE` is 2 µA, matching the ~2 µA/cell
+    /// slope of the measured crossbar linearity (paper Fig. 7(d):
+    /// ~64 µA at 32 cells).
+    const RESISTANCE: f64 = 25_000.0;
+    /// Drain-line voltage when driven (V). The paper reads at
+    /// V_DS = 50 mV (Fig. 2(b)).
+    const DRIVE: f64 = 0.05;
 
     /// Fabricates a cell with sampled device variability.
     pub fn sample<R: Rng + ?Sized>(
@@ -57,8 +52,6 @@ impl FefetCell {
     ) -> Self {
         Self {
             device: FefetDevice::sample(spec, variation, rng),
-            resistance: Self::DEFAULT_RESISTANCE,
-            v_drive: Self::DEFAULT_DRIVE,
         }
     }
 
@@ -66,36 +59,7 @@ impl FefetCell {
     pub fn ideal(spec: &MultiLevelSpec) -> Self {
         Self {
             device: FefetDevice::ideal(spec),
-            resistance: Self::DEFAULT_RESISTANCE,
-            v_drive: Self::DEFAULT_DRIVE,
         }
-    }
-
-    /// Overrides the series resistance (Ω).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resistance <= 0`.
-    pub fn with_resistance(mut self, resistance: f64) -> Self {
-        assert!(resistance > 0.0, "resistance must be positive");
-        self.resistance = resistance;
-        self
-    }
-
-    /// Overrides the drain drive voltage (V).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v_drive <= 0`.
-    pub fn with_drive(mut self, v_drive: f64) -> Self {
-        assert!(v_drive > 0.0, "drive voltage must be positive");
-        self.v_drive = v_drive;
-        self
-    }
-
-    /// The underlying FeFET.
-    pub fn device(&self) -> &FefetDevice {
-        &self.device
     }
 
     /// Currently stored level.
@@ -119,7 +83,7 @@ impl FefetCell {
 
     /// Nominal clamped ON current (A).
     pub fn clamp_current(&self) -> f64 {
-        self.v_drive / self.resistance
+        Self::DRIVE / Self::RESISTANCE
     }
 
     /// Cell current at gate voltage `vg` (A): the FeFET current
@@ -146,20 +110,6 @@ impl FefetCell {
     pub fn is_on<R: Rng + ?Sized>(&self, vg: f64, rng: &mut R) -> bool {
         self.current(vg, rng) >= 0.5 * self.clamp_current()
     }
-
-    /// Single-transistor multiplication `i = x · q · y` (paper
-    /// Fig. 2(c)): gate input `x`, stored bit `q = level ≥ 1`, drain
-    /// input `y`. Returns the drain current (A); exactly `0.0` when
-    /// `x` or `y` is 0 (no drive).
-    ///
-    /// The read gate voltage targets the level-1 read point.
-    pub fn multiply<R: Rng + ?Sized>(&self, x: bool, y: bool, rng: &mut R) -> f64 {
-        if !x || !y {
-            return 0.0;
-        }
-        let vread = self.device.spec().read_voltage(1);
-        self.current(vread, rng)
-    }
 }
 
 impl fmt::Display for FefetCell {
@@ -168,7 +118,7 @@ impl fmt::Display for FefetCell {
             f,
             "FefetCell(level={}, R={:.0} Ω, clamp={:.2e} A)",
             self.level(),
-            self.resistance,
+            Self::RESISTANCE,
             self.clamp_current()
         )
     }
@@ -194,7 +144,7 @@ mod tests {
         for _ in 0..60 {
             let mut cell = FefetCell::sample(&spec, &variation, &mut rng);
             cell.program(1);
-            raw.push(cell.device().drain_current(vread, &mut rng));
+            raw.push(cell.device.drain_current(vread, &mut rng));
             clamped.push(cell.current(vread, &mut rng));
         }
         let rel_spread = |xs: &[f64]| {
@@ -221,46 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn multiply_truth_table() {
-        let spec = MultiLevelSpec::paper_binary();
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut cell = FefetCell::ideal(&spec);
-        // q = 0: every product is (near) zero.
-        for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
-            let i = cell.multiply(x, y, &mut rng);
-            if x && y {
-                assert!(i < 0.01 * cell.clamp_current(), "q=0 but current {i:.2e}");
-            } else {
-                assert_eq!(i, 0.0);
-            }
-        }
-        // q = 1: only x=y=1 conducts.
-        cell.program(1);
-        assert!(cell.multiply(true, true, &mut rng) > 0.5 * cell.clamp_current());
-        assert_eq!(cell.multiply(true, false, &mut rng), 0.0);
-        assert_eq!(cell.multiply(false, true, &mut rng), 0.0);
-    }
-
-    #[test]
     fn default_clamp_is_two_microamps() {
         let spec = MultiLevelSpec::paper_binary();
         let cell = FefetCell::ideal(&spec);
         assert!((cell.clamp_current() - 2.0e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn builders_validate() {
-        let spec = MultiLevelSpec::paper_binary();
-        let cell = FefetCell::ideal(&spec)
-            .with_resistance(50_000.0)
-            .with_drive(0.1);
-        assert!((cell.clamp_current() - 2.0e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "resistance")]
-    fn zero_resistance_rejected() {
-        let spec = MultiLevelSpec::paper_binary();
-        let _ = FefetCell::ideal(&spec).with_resistance(0.0);
     }
 }

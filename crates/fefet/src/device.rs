@@ -116,12 +116,12 @@ impl MultiLevelSpec {
     }
 
     /// OFF current (A).
-    pub fn i_off(&self) -> f64 {
+    fn i_off(&self) -> f64 {
         self.i_off
     }
 
     /// Maximum safe gate voltage (V).
-    pub fn vg_limit(&self) -> f64 {
+    fn vg_limit(&self) -> f64 {
         self.vg_limit
     }
 
@@ -215,14 +215,13 @@ impl FefetDevice {
         self.level
     }
 
-    /// Programs the device to `level` (idealized write; the
-    /// pulse-accurate path goes through [`crate::preisach`]).
+    /// Programs the device to `level`.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::LevelOutOfRange`] if the level is not
     /// supported.
-    pub fn try_program(&mut self, level: u8) -> Result<(), DeviceError> {
+    fn try_program(&mut self, level: u8) -> Result<(), DeviceError> {
         if level > self.spec.max_level() {
             return Err(DeviceError::LevelOutOfRange {
                 level,
@@ -233,12 +232,12 @@ impl FefetDevice {
         Ok(())
     }
 
-    /// Programs the device to `level`.
+    /// Programs the device to `level` (an idealized write: the stored
+    /// level is set directly).
     ///
     /// # Panics
     ///
-    /// Panics if the level is not supported; use
-    /// [`try_program`](Self::try_program) for a fallible variant.
+    /// Panics if the level is not supported.
     pub fn program(&mut self, level: u8) {
         self.try_program(level).expect("level within device range");
     }
@@ -250,7 +249,7 @@ impl FefetDevice {
 
     /// Effective threshold voltage: nominal level threshold plus the
     /// device's fixed offset.
-    pub fn effective_threshold(&self) -> f64 {
+    fn effective_threshold(&self) -> f64 {
         self.spec.threshold(self.level) + self.vt_offset
     }
 
@@ -261,11 +260,7 @@ impl FefetDevice {
     ///
     /// Returns [`DeviceError::VoltageOutOfRange`] if `vg` exceeds the
     /// safe gate limit.
-    pub fn try_drain_current<R: Rng + ?Sized>(
-        &self,
-        vg: f64,
-        rng: &mut R,
-    ) -> Result<f64, DeviceError> {
+    fn try_drain_current<R: Rng + ?Sized>(&self, vg: f64, rng: &mut R) -> Result<f64, DeviceError> {
         if vg.abs() > self.spec.vg_limit() {
             return Err(DeviceError::VoltageOutOfRange {
                 voltage: vg,

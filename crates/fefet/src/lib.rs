@@ -1,29 +1,25 @@
 //! Behavioral FeFET device substrate for the HyCiM reproduction.
 //!
-//! The paper's circuits (Sec 2.2, Fig. 2) rest on three device
-//! properties, all modeled here:
+//! The paper's circuits (Sec 2.2, Fig. 2) rest on two device
+//! properties, both modeled here:
 //!
 //! 1. **Multi-level storage** — different write pulses program
 //!    different threshold voltages, giving the multi-level I_D–V_G
 //!    curves of Fig. 2(b). Modeled by [`MultiLevelSpec`] +
-//!    [`FefetDevice`] with a logistic transfer characteristic.
-//! 2. **Hysteretic programming** — a simplified Preisach-style
-//!    polarization model ([`preisach`]) maps program/erase pulses to
-//!    threshold-voltage shifts, as in the compact model the paper
-//!    simulates with \[26\].
-//! 3. **Single-transistor multiplication** — with a binary bit `q`
+//!    [`FefetDevice`] with a logistic transfer characteristic; a write
+//!    sets the stored level directly.
+//! 2. **Single-transistor multiplication** — with a binary bit `q`
 //!    stored, drain current realizes `i = x · q · y` when `x` drives
-//!    the gate and `y` the drain (Fig. 2(c)). See
-//!    [`FefetCell::multiply`].
+//!    the gate and `y` the drain (Fig. 2(c)): a driven cell storing 1
+//!    conducts at its clamp current ([`FefetCell::is_on`]), one
+//!    storing 0 does not.
 //!
 //! Device-to-device and cycle-to-cycle variability (the spread across
 //! the 60 measured devices in Fig. 2(b)) is modeled by
-//! [`VariationModel`] and propagates into every read. Threshold-voltage
-//! drift over time — the stored levels slowly relaxing toward each
-//! other — is modeled separately in [`retention`], bounding how long a
-//! programmed constraint stays accurate without a refresh. The 1FeFET1R
+//! [`VariationModel`] and propagates into every read. The 1FeFET1R
 //! current clamp the paper uses to regulate ON current (Fig. 4(a,b),
-//! \[24, 25\]) is modeled by [`FefetCell`].
+//! \[24, 25\]) is modeled by [`FefetCell`]; the filter's multi-phase
+//! read is the [`StaircasePulse`].
 //!
 //! # Example
 //!
@@ -50,13 +46,11 @@
 mod cell;
 mod device;
 mod error;
-pub mod preisach;
 mod pulse;
-pub mod retention;
 mod variability;
 
 pub use cell::FefetCell;
 pub use device::{FefetDevice, MultiLevelSpec};
 pub use error::DeviceError;
-pub use pulse::{StaircasePulse, WritePulse};
+pub use pulse::StaircasePulse;
 pub use variability::{gaussian, skip_gaussian, GaussianDraw, VariationModel, GAUSSIAN_MAX};

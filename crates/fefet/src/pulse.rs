@@ -1,86 +1,4 @@
-use std::fmt;
-
 use crate::MultiLevelSpec;
-
-/// A gate write pulse: amplitude (V, sign selects program vs erase)
-/// and width (ns). See paper Fig. 2(a).
-///
-/// # Example
-///
-/// ```
-/// use hycim_fefet::WritePulse;
-///
-/// let p = WritePulse::program(4.0, 100.0);
-/// assert!(p.is_program());
-/// let e = WritePulse::erase(-4.0, 100.0);
-/// assert!(!e.is_program());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WritePulse {
-    amplitude: f64,
-    width_ns: f64,
-}
-
-impl WritePulse {
-    /// A program pulse (positive amplitude).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amplitude <= 0` or `width_ns <= 0`.
-    pub fn program(amplitude: f64, width_ns: f64) -> Self {
-        assert!(amplitude > 0.0, "program pulses need positive amplitude");
-        assert!(width_ns > 0.0, "pulse width must be positive");
-        Self {
-            amplitude,
-            width_ns,
-        }
-    }
-
-    /// An erase pulse (negative amplitude).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amplitude >= 0` or `width_ns <= 0`.
-    pub fn erase(amplitude: f64, width_ns: f64) -> Self {
-        assert!(amplitude < 0.0, "erase pulses need negative amplitude");
-        assert!(width_ns > 0.0, "pulse width must be positive");
-        Self {
-            amplitude,
-            width_ns,
-        }
-    }
-
-    /// Pulse amplitude in volts (signed).
-    pub fn amplitude(&self) -> f64 {
-        self.amplitude
-    }
-
-    /// Pulse width in nanoseconds.
-    pub fn width_ns(&self) -> f64 {
-        self.width_ns
-    }
-
-    /// Whether this is a program (positive) pulse.
-    pub fn is_program(&self) -> bool {
-        self.amplitude > 0.0
-    }
-}
-
-impl fmt::Display for WritePulse {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} pulse {:.2} V / {:.0} ns",
-            if self.is_program() {
-                "program"
-            } else {
-                "erase"
-            },
-            self.amplitude,
-            self.width_ns
-        )
-    }
-}
 
 /// The multi-phase staircase read pulse of the inequality filter
 /// (paper Fig. 4(c)): phase `t` (0-based) applies `Vread_{L−t}`,
@@ -96,77 +14,30 @@ impl fmt::Display for WritePulse {
 /// use hycim_fefet::{MultiLevelSpec, StaircasePulse};
 ///
 /// let spec = MultiLevelSpec::paper_filter();
-/// let stair = StaircasePulse::for_spec(&spec, 10.0);
-/// assert_eq!(stair.num_phases(), 4);
+/// let stair = StaircasePulse::for_spec(&spec);
+/// let volts: Vec<f64> = stair.iter().collect();
+/// assert_eq!(volts.len(), 4);
 /// // Amplitude rises phase by phase.
-/// assert!(stair.phase_voltage(3) > stair.phase_voltage(0));
+/// assert!(volts.windows(2).all(|w| w[0] < w[1]));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StaircasePulse {
     /// Voltage applied in each phase, ascending.
     phase_voltages: Vec<f64>,
-    /// Duration of each phase (ns).
-    phase_width_ns: f64,
 }
 
 impl StaircasePulse {
     /// Builds the staircase matching a device spec: one phase per read
     /// voltage, ascending (`Vread_L` first, `Vread_1` last).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `phase_width_ns <= 0`.
-    pub fn for_spec(spec: &MultiLevelSpec, phase_width_ns: f64) -> Self {
-        assert!(phase_width_ns > 0.0, "phase width must be positive");
+    pub fn for_spec(spec: &MultiLevelSpec) -> Self {
         let mut v = spec.read_voltages(); // Vread_1 (highest) .. Vread_L (lowest)
         v.reverse(); // ascend: Vread_L .. Vread_1
-        Self {
-            phase_voltages: v,
-            phase_width_ns,
-        }
+        Self { phase_voltages: v }
     }
 
-    /// Builds a custom staircase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the voltages are not strictly ascending or the width
-    /// is not positive.
-    pub fn new(phase_voltages: Vec<f64>, phase_width_ns: f64) -> Self {
-        assert!(!phase_voltages.is_empty(), "need at least one phase");
-        assert!(
-            phase_voltages.windows(2).all(|w| w[0] < w[1]),
-            "staircase must ascend"
-        );
-        assert!(phase_width_ns > 0.0, "phase width must be positive");
-        Self {
-            phase_voltages,
-            phase_width_ns,
-        }
-    }
-
-    /// Number of phases.
-    pub fn num_phases(&self) -> usize {
-        self.phase_voltages.len()
-    }
-
-    /// Gate voltage applied during phase `t` (0-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= self.num_phases()`.
-    pub fn phase_voltage(&self, t: usize) -> f64 {
-        self.phase_voltages[t]
-    }
-
-    /// Duration of each phase in nanoseconds.
-    pub fn phase_width_ns(&self) -> f64 {
-        self.phase_width_ns
-    }
-
-    /// Iterates over `(phase_index, voltage)` pairs in time order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.phase_voltages.iter().copied().enumerate()
+    /// Iterates over the phase voltages in time order.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        self.phase_voltages.iter().copied()
     }
 }
 
@@ -177,43 +48,22 @@ mod tests {
     #[test]
     fn staircase_matches_spec_read_voltages() {
         let spec = MultiLevelSpec::paper_filter();
-        let stair = StaircasePulse::for_spec(&spec, 5.0);
-        assert_eq!(stair.num_phases(), 4);
+        let stair = StaircasePulse::for_spec(&spec);
+        assert_eq!(stair.phase_voltages.len(), 4);
         // Phase 0 applies Vread_4 (lowest), phase 3 applies Vread_1.
-        assert!((stair.phase_voltage(0) - spec.read_voltage(4)).abs() < 1e-12);
-        assert!((stair.phase_voltage(3) - spec.read_voltage(1)).abs() < 1e-12);
+        assert!((stair.phase_voltages[0] - spec.read_voltage(4)).abs() < 1e-12);
+        assert!((stair.phase_voltages[3] - spec.read_voltage(1)).abs() < 1e-12);
     }
 
     #[test]
     fn conduction_count_equals_stored_level() {
         // The core staircase property behind ML ∝ −wᵢxᵢ (Eq. 8).
         let spec = MultiLevelSpec::paper_filter();
-        let stair = StaircasePulse::for_spec(&spec, 5.0);
+        let stair = StaircasePulse::for_spec(&spec);
         for level in 0..=4u8 {
             let vt = spec.threshold(level);
-            let conducting = stair.iter().filter(|&(_, v)| v > vt).count();
+            let conducting = stair.iter().filter(|&v| v > vt).count();
             assert_eq!(conducting, usize::from(level), "level {level}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "ascend")]
-    fn rejects_descending_staircase() {
-        let _ = StaircasePulse::new(vec![1.0, 0.5], 5.0);
-    }
-
-    #[test]
-    fn write_pulse_validation() {
-        let p = WritePulse::program(3.0, 10.0);
-        assert_eq!(p.amplitude(), 3.0);
-        assert!(p.to_string().contains("program"));
-        let e = WritePulse::erase(-3.0, 10.0);
-        assert!(e.to_string().contains("erase"));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive amplitude")]
-    fn program_rejects_negative() {
-        let _ = WritePulse::program(-1.0, 10.0);
     }
 }

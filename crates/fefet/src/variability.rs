@@ -18,8 +18,8 @@ use rand::Rng;
 ///
 /// let noisy = VariationModel::default();
 /// let clean = VariationModel::none();
-/// assert!(noisy.vt_sigma_d2d() > 0.0);
-/// assert_eq!(clean.vt_sigma_d2d(), 0.0);
+/// assert!(noisy.current_sigma_rel() > 0.0);
+/// assert_eq!(clean.current_sigma_rel(), 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariationModel {
@@ -69,16 +69,6 @@ impl VariationModel {
             vt_sigma_c2c,
             current_sigma_rel,
         }
-    }
-
-    /// Device-to-device threshold sigma (V).
-    pub fn vt_sigma_d2d(&self) -> f64 {
-        self.vt_sigma_d2d
-    }
-
-    /// Cycle-to-cycle threshold sigma (V).
-    pub fn vt_sigma_c2c(&self) -> f64 {
-        self.vt_sigma_c2c
     }
 
     /// Relative current noise sigma.

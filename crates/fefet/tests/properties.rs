@@ -1,7 +1,6 @@
 //! Property-based tests of the device-model invariants.
 
-use hycim_fefet::preisach::PolarizationState;
-use hycim_fefet::{FefetCell, FefetDevice, MultiLevelSpec, VariationModel, WritePulse};
+use hycim_fefet::{FefetCell, FefetDevice, MultiLevelSpec, VariationModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,27 +38,6 @@ proptest! {
         }
     }
 
-    /// Preisach polarization stays in [-1, 1] under arbitrary pulse
-    /// trains, and a saturating erase always restores level 0.
-    #[test]
-    fn polarization_bounded_and_erasable(
-        pulses in proptest::collection::vec((0.5f64..4.5, 1.0f64..2000.0, any::<bool>()), 0..12)
-    ) {
-        let spec = MultiLevelSpec::paper_filter();
-        let mut p = PolarizationState::new(&spec);
-        for (amp, width, is_program) in pulses {
-            let pulse = if is_program {
-                WritePulse::program(amp, width)
-            } else {
-                WritePulse::erase(-amp, width)
-            };
-            p.apply_pulse(&pulse);
-            prop_assert!((-1.0..=1.0).contains(&p.polarization()));
-        }
-        p.apply_pulse(&WritePulse::erase(-4.5, 10_000.0));
-        prop_assert_eq!(p.nearest_level(), 0);
-    }
-
     /// The 1FeFET1R clamp bounds every cell current by V/R regardless
     /// of device state or variability.
     #[test]
@@ -82,10 +60,10 @@ proptest! {
     fn staircase_counts_levels(pitch in 0.3f64..0.8) {
         let vts: Vec<f64> = (0..5).map(|k| 2.2 - pitch * k as f64).collect();
         let spec = MultiLevelSpec::new(vts, 1e-4, 1e-9, 0.05);
-        let stair = hycim_fefet::StaircasePulse::for_spec(&spec, 10.0);
+        let stair = hycim_fefet::StaircasePulse::for_spec(&spec);
         for level in 0..=spec.max_level() {
             let vt = spec.threshold(level);
-            let conducting = stair.iter().filter(|&(_, v)| v > vt).count();
+            let conducting = stair.iter().filter(|&v| v > vt).count();
             prop_assert_eq!(conducting, usize::from(level));
         }
     }

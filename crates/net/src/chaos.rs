@@ -91,7 +91,7 @@ pub enum ConnFault {
 impl ConnFault {
     /// True when the fault perturbs traffic at all (everything except
     /// [`Clean`](Self::Clean)).
-    pub fn is_fault(&self) -> bool {
+    fn is_fault(&self) -> bool {
         *self != ConnFault::Clean
     }
 }
@@ -141,7 +141,7 @@ impl FaultPlan {
     }
 
     /// The fault connection `connection` gets under this plan.
-    pub fn fault_for(&self, connection: usize) -> ConnFault {
+    fn fault_for(&self, connection: usize) -> ConnFault {
         if let Some((_, fault)) = self.script.iter().rev().find(|(idx, _)| *idx == connection) {
             return *fault;
         }

@@ -79,13 +79,20 @@ use crate::proto::{JobSpec, Request, WireSolution};
 /// [`hycim_core::replica_seed`] — distinct from every
 /// role the study recipes use (instance 0, solve 1, hardware 2), so
 /// backoff draws can never collide with a solve stream.
-pub const BACKOFF_ROLE: u64 = 0xB0FF;
+const BACKOFF_ROLE: u64 = 0xB0FF;
 
 /// How long a loop round lasts while some worker is on probation: the
 /// `wait` deadline, or the sleep of a round with no shard in flight.
 /// The probe schedule counts rounds, so rounds must keep passing while
 /// a probe is due.
 const PROBATION_WAIT: Duration = Duration::from_millis(2);
+
+/// Dispatch rounds a worker spends on probation before its first
+/// health probe; each failed probe doubles the wait.
+const PROBE_BASE_ROUNDS: u64 = 4;
+
+/// Failed probes after which a worker is dead for the rest of the run.
+const PROBE_LIMIT: u32 = 3;
 
 /// Seeded exponential backoff between retry attempts of one shard.
 ///
@@ -183,7 +190,7 @@ pub fn shard_replica_column(
 
 /// The injectable sleep used for backoff waits — tests swap in a
 /// recorder so retry schedules are asserted, not slept through.
-pub type SleepFn = Arc<dyn Fn(Duration) + Send + Sync>;
+type SleepFn = Arc<dyn Fn(Duration) + Send + Sync>;
 
 /// Dispatches shard jobs across a set of workers, with worker health
 /// tracking, seeded retry backoff, and local-fallback graceful
@@ -193,12 +200,9 @@ pub struct Coordinator {
     addrs: Vec<String>,
     max_attempts: usize,
     read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
     connect_timeout: Option<Duration>,
     failure_threshold: u32,
-    probe_base_rounds: u64,
-    probe_limit: u32,
-    backoff: Option<BackoffConfig>,
+    backoff: BackoffConfig,
     local_fallback: bool,
     sleep: SleepFn,
     obs: Arc<ObsRegistry>,
@@ -210,11 +214,8 @@ impl fmt::Debug for Coordinator {
             .field("addrs", &self.addrs)
             .field("max_attempts", &self.max_attempts)
             .field("read_timeout", &self.read_timeout)
-            .field("write_timeout", &self.write_timeout)
             .field("connect_timeout", &self.connect_timeout)
             .field("failure_threshold", &self.failure_threshold)
-            .field("probe_base_rounds", &self.probe_base_rounds)
-            .field("probe_limit", &self.probe_limit)
             .field("backoff", &self.backoff)
             .field("local_fallback", &self.local_fallback)
             .finish_non_exhaustive()
@@ -304,12 +305,9 @@ impl Coordinator {
             addrs,
             max_attempts,
             read_timeout: None,
-            write_timeout: None,
             connect_timeout: None,
             failure_threshold: 1,
-            probe_base_rounds: 4,
-            probe_limit: 3,
-            backoff: Some(BackoffConfig::new(0)),
+            backoff: BackoffConfig::new(0),
             local_fallback: true,
             sleep: Arc::new(std::thread::sleep),
             obs: Arc::new(ObsRegistry::new()),
@@ -342,14 +340,6 @@ impl Coordinator {
         self
     }
 
-    /// Bounds every request write: a worker that stops draining its
-    /// socket (a stalled reader) turns into [`NetError::Timeout`]
-    /// once the buffers fill.
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = Some(timeout);
-        self
-    }
-
     /// Bounds the initial connect to each worker (unreachable
     /// addresses otherwise stall for the platform default, often
     /// minutes).
@@ -366,27 +356,9 @@ impl Coordinator {
         self
     }
 
-    /// The probation schedule: the first probe waits `base_rounds`
-    /// dispatch rounds (clamped to at least 1), each failed probe
-    /// doubles the wait, and after `probe_limit` failed probes the
-    /// worker is declared dead for the rest of the run. Defaults:
-    /// 4 rounds, 3 probes.
-    pub fn with_probe_schedule(mut self, base_rounds: u64, probe_limit: u32) -> Self {
-        self.probe_base_rounds = base_rounds.max(1);
-        self.probe_limit = probe_limit;
-        self
-    }
-
     /// Overrides the seeded retry backoff (see [`BackoffConfig`]).
     pub fn with_backoff(mut self, backoff: BackoffConfig) -> Self {
-        self.backoff = Some(backoff);
-        self
-    }
-
-    /// Disables the retry backoff entirely (retries redispatch
-    /// immediately — the pre-resilience behavior).
-    pub fn without_backoff(mut self) -> Self {
-        self.backoff = None;
+        self.backoff = backoff;
         self
     }
 
@@ -453,7 +425,6 @@ impl Coordinator {
             None => WorkerClient::connect(addr)?,
         };
         client.set_timeout(self.read_timeout)?;
-        client.set_write_timeout(self.write_timeout)?;
         Ok(client)
     }
 
@@ -571,7 +542,7 @@ impl Coordinator {
                 else {
                     continue;
                 };
-                let penalty = self.probe_base_rounds << (*probes_failed).min(16);
+                let penalty = PROBE_BASE_ROUNDS << (*probes_failed).min(16);
                 if round < since.saturating_add(penalty) {
                     continue;
                 }
@@ -593,7 +564,7 @@ impl Coordinator {
                     }
                     Err(e) => {
                         let probes_failed = probes_failed + 1;
-                        *state = if probes_failed >= self.probe_limit {
+                        *state = if probes_failed >= PROBE_LIMIT {
                             self.obs.counter("coord.workers_dead").inc();
                             Worker::Dead {
                                 last: e.to_string(),
@@ -635,10 +606,8 @@ impl Coordinator {
                     continue;
                 };
                 if attempts > 0 {
-                    if let Some(backoff) = &self.backoff {
-                        backoff_waits.inc();
-                        (self.sleep)(backoff.delay(attempts));
-                    }
+                    backoff_waits.inc();
+                    (self.sleep)(self.backoff.delay(attempts));
                 }
                 let generation = fleet.generations[worker];
                 let Worker::Live { client, .. } = &mut fleet.workers[worker] else {

@@ -1,6 +1,6 @@
 //! Line-delimited message framing over any `Read`/`Write` pair.
 //!
-//! One frame is one line: the protocol prefix [`FRAME_PREFIX`], a
+//! One frame is one line: the protocol prefix `hycim1 `, a
 //! single-line JSON document (the [`json`](crate::json) writer never
 //! emits raw newlines), and `\n`. The prefix carries the protocol
 //! version, so a peer speaking anything else — an older worker, a
@@ -20,7 +20,7 @@ use crate::json::{JsonError, Value};
 
 /// Protocol tag every frame starts with; bump the digit on any
 /// incompatible change.
-pub const FRAME_PREFIX: &str = "hycim1 ";
+const FRAME_PREFIX: &str = "hycim1 ";
 
 /// Default per-frame byte bound (generous: the largest legitimate
 /// frame is a submitted problem instance, tens of kilobytes).
@@ -43,7 +43,7 @@ pub enum FrameError {
         /// The configured bound.
         limit: usize,
     },
-    /// The line did not start with [`FRAME_PREFIX`] — the peer speaks
+    /// The line did not start with the protocol prefix — the peer speaks
     /// a different protocol (or protocol version).
     BadPrefix {
         /// The first bytes of the offending line (truncated for

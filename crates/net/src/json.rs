@@ -14,14 +14,14 @@
 //! byte-offset error instead of guessing. [`Value::parse_report`] is
 //! the same reader with one difference: it also admits signed,
 //! fractional and exponent numbers, kept as written in
-//! [`Value::Number`]. Both bound nesting at [`MAX_DEPTH`], so no input
-//! can exhaust the stack.
+//! [`Value::Number`]. Both bound nesting at 64 levels of arrays and
+//! objects, so no input can exhaust the stack.
 
 use std::fmt;
 
 /// The deepest nesting of arrays and objects either reader accepts.
 /// Protocol messages and reports nest at most five deep.
-pub const MAX_DEPTH: usize = 64;
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON document (or a document under construction).
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +74,7 @@ impl Value {
 
     /// The numeric payload of a [`Value::UInt`] or [`Value::Number`]
     /// (`None` for anything else and for numbers beyond `f64` range).
-    pub fn as_f64(&self) -> Option<f64> {
+    fn as_f64(&self) -> Option<f64> {
         match self {
             Value::UInt(n) => Some(*n as f64),
             Value::Number(text) => text.parse().ok().filter(|x: &f64| x.is_finite()),
@@ -91,7 +91,7 @@ impl Value {
     }
 
     /// The bool payload, when this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
+    fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -133,7 +133,8 @@ impl Value {
         self.typed(key, Value::as_u64, "an unsigned integer")
     }
 
-    /// Reads a required number (see [`Value::as_f64`]).
+    /// Reads a required number: an unsigned integer or a report
+    /// number within `f64` range.
     pub fn number_field(&self, key: &str) -> Result<f64, String> {
         self.typed(key, Value::as_f64, "a number")
     }

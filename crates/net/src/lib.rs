@@ -61,7 +61,7 @@ pub mod worker;
 
 pub use chaos::{ChaosProxy, ConnFault, FaultPlan};
 pub use client::{NetError, WorkerClient};
-pub use coordinator::{shard_replica_column, BackoffConfig, Coordinator, ShardJob, SleepFn};
-pub use frame::{FrameError, MessageReceiver, MessageSender, FRAME_PREFIX};
+pub use coordinator::{shard_replica_column, BackoffConfig, Coordinator, ShardJob};
+pub use frame::{FrameError, MessageReceiver, MessageSender};
 pub use proto::{ErrorCode, JobSpec, ProtoError, Request, Response, WireSolution};
 pub use worker::{WorkerConfig, WorkerFault, WorkerHandle, WorkerServer, MAX_WAIT};

@@ -25,7 +25,6 @@ use hycim_cop::{AnyProblem, CopError};
 use hycim_core::{EngineKind, EngineSettings, Solution};
 use hycim_obs::{HistogramSnapshot, Snapshot};
 use hycim_qubo::wire::{decode_f64, encode_f64};
-use hycim_qubo::Assignment;
 use hycim_service::{DisposeOutcome, JobStatus};
 
 use crate::json::Value;
@@ -205,16 +204,6 @@ impl WireSolution {
     /// and local scoring share one formula.
     pub fn objective_success(&self, reference: f64) -> bool {
         hycim_core::objective_success(self.objective, self.feasible, reference)
-    }
-
-    /// Parses the assignment bit string back into an [`Assignment`].
-    ///
-    /// # Errors
-    ///
-    /// Names the malformed string.
-    pub fn decode_assignment(&self) -> Result<Assignment, ProtoError> {
-        Assignment::parse_bit_string(&self.assignment)
-            .ok_or_else(|| ProtoError::new(format!("malformed bit string \"{}\"", self.assignment)))
     }
 
     fn to_value(&self) -> Value {
@@ -460,7 +449,7 @@ impl ErrorCode {
     }
 
     /// Parses a [`tag`](Self::tag).
-    pub fn from_tag(tag: &str) -> Option<Self> {
+    fn from_tag(tag: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|c| c.tag() == tag)
     }
 }

@@ -63,4 +63,4 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS, HISTOGRAM_SLOTS,
 };
 pub use registry::{ObsRegistry, Snapshot};
-pub use trace::{Event, EventTracer, DEFAULT_TRACE_CAPACITY};
+pub use trace::{Event, EventTracer};

@@ -88,15 +88,6 @@ impl Gauge {
         self.value.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Subtracts one, saturating at zero.
-    pub fn dec(&self) {
-        let _ = self
-            .value
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-    }
-
     /// Current level.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -220,7 +211,7 @@ impl HistogramSnapshot {
     }
 
     /// Upper edge of the bucket bracketing the `q`-quantile.
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         self.quantile_bounds(q).1
     }
 
@@ -265,8 +256,7 @@ mod tests {
         g.inc();
         assert_eq!(g.get(), 4);
         g.set(0);
-        g.dec();
-        assert_eq!(g.get(), 0, "dec saturates at zero");
+        assert_eq!(g.get(), 0);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Default ring capacity: enough to hold a full coordinator run on
 /// the bench presets without ever mattering for memory.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
+const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
 /// A typed span emitted by an instrumented tier. Events carry the
 /// identifiers a debugger wants (job ids, shard ranges, worker
@@ -126,13 +125,12 @@ impl fmt::Display for Event {
 }
 
 /// A bounded ring of [`Event`]s. When full, the oldest event is
-/// dropped and a drop counter ticks, so the tracer never grows and
-/// never blocks progress for more than a short mutex hold.
+/// dropped, so the tracer never grows and never blocks progress for
+/// more than a short mutex hold.
 #[derive(Debug)]
 pub struct EventTracer {
     ring: Mutex<VecDeque<Event>>,
     capacity: usize,
-    dropped: AtomicU64,
 }
 
 impl Default for EventTracer {
@@ -143,11 +141,10 @@ impl Default for EventTracer {
 
 impl EventTracer {
     /// A tracer holding at most `capacity` events (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         Self {
             ring: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
         }
     }
 
@@ -156,7 +153,6 @@ impl EventTracer {
         let mut ring = self.ring.lock().expect("event ring poisoned");
         if ring.len() == self.capacity {
             ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         ring.push_back(event);
     }
@@ -189,11 +185,6 @@ impl EventTracer {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Events evicted to make room since construction.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +205,6 @@ mod tests {
                 Event::JobDone { job: 1 },
             ]
         );
-        assert_eq!(tracer.dropped(), 0);
     }
 
     #[test]
@@ -230,7 +220,6 @@ mod tests {
                 Event::JobSubmitted { job: 3 },
             ]
         );
-        assert_eq!(tracer.dropped(), 1);
     }
 
     #[test]

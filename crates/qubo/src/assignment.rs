@@ -193,24 +193,6 @@ impl Assignment {
         self.ones
     }
 
-    /// Hamming distance to another configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configurations have different lengths.
-    pub fn hamming_distance(&self, other: &Assignment) -> usize {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "hamming distance requires equal lengths"
-        );
-        self.bits
-            .iter()
-            .zip(&other.bits)
-            .filter(|(a, b)| a != b)
-            .count()
-    }
-
     /// Iterates over the bit values.
     pub fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, bool>> {
         self.bits.iter().copied()
@@ -324,7 +306,6 @@ mod tests {
         assert_eq!(z.len(), 5);
         let o = Assignment::ones_vec(5);
         assert_eq!(o.ones(), 5);
-        assert_eq!(z.hamming_distance(&o), 5);
     }
 
     #[test]

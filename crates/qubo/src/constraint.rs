@@ -14,7 +14,7 @@ use crate::{Assignment, QuboError};
 /// let c = LinearConstraint::new(vec![4, 7, 2], 9)?;
 /// let x = Assignment::from_bits([true, false, true]);
 /// assert!(c.is_satisfied(&x));
-/// assert_eq!(c.slack(&x), 3);
+/// assert_eq!(c.load(&x), 6);
 /// # Ok(())
 /// # }
 /// ```
@@ -86,34 +86,9 @@ impl LinearConstraint {
         self.load(x) <= self.capacity
     }
 
-    /// Remaining capacity `C − Σ wᵢxᵢ` (saturating at zero when
-    /// violated; use [`violation`](Self::violation) for the excess).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn slack(&self, x: &Assignment) -> u64 {
-        self.capacity.saturating_sub(self.load(x))
-    }
-
-    /// Constraint violation `max(0, Σ wᵢxᵢ − C)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn violation(&self, x: &Assignment) -> u64 {
-        self.load(x).saturating_sub(self.capacity)
-    }
-
     /// Total weight of all items `Σ wᵢ`.
-    pub fn total_weight(&self) -> u64 {
+    fn total_weight(&self) -> u64 {
         self.weights.iter().sum()
-    }
-
-    /// Whether the constraint is trivially satisfiable by every
-    /// configuration (`Σ wᵢ ≤ C`).
-    pub fn is_trivial(&self) -> bool {
-        self.total_weight() <= self.capacity
     }
 
     /// Fraction of the `2ⁿ` configurations that are feasible, computed
@@ -214,19 +189,16 @@ mod tests {
         let x = Assignment::from_bits([true, true, false]); // load 11 > 9
         assert_eq!(c.load(&x), 11);
         assert!(!c.is_satisfied(&x));
-        assert_eq!(c.slack(&x), 0);
-        assert_eq!(c.violation(&x), 2);
+        assert_eq!(c.load(&x) - c.capacity(), 2); // the violation
 
         let y = Assignment::from_bits([false, true, true]); // load 9 == 9
         assert!(c.is_satisfied(&y));
-        assert_eq!(c.slack(&y), 0);
-        assert_eq!(c.violation(&y), 0);
+        assert_eq!(c.capacity() - c.load(&y), 0); // no slack left
     }
 
     #[test]
     fn trivial_constraint() {
         let c = LinearConstraint::new(vec![1, 1], 10).unwrap();
-        assert!(c.is_trivial());
         assert!((c.feasible_fraction() - 1.0).abs() < 1e-12);
     }
 

@@ -57,23 +57,6 @@ impl PenaltyWeights {
         alpha: 2.0,
         beta: 2.0,
     };
-
-    /// Creates penalty weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either coefficient is non-positive or non-finite.
-    pub fn new(alpha: f64, beta: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha.is_finite(),
-            "alpha must be positive and finite"
-        );
-        assert!(
-            beta > 0.0 && beta.is_finite(),
-            "beta must be positive and finite"
-        );
-        Self { alpha, beta }
-    }
 }
 
 impl Default for PenaltyWeights {
@@ -284,11 +267,6 @@ impl DquboForm {
     /// Encoding in use.
     pub fn encoding(&self) -> AuxEncoding {
         self.encoding
-    }
-
-    /// Penalty weights in use.
-    pub fn penalty_weights(&self) -> PenaltyWeights {
-        self.weights
     }
 
     /// The original constraint the penalty encodes.
@@ -528,11 +506,5 @@ mod tests {
         let (q, c) = small_problem();
         let d = DquboForm::transform(&q, &c, PenaltyWeights::PAPER, AuxEncoding::OneHot).unwrap();
         assert!(d.to_string().contains("one-hot"));
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn penalty_weights_validate() {
-        let _ = PenaltyWeights::new(0.0, 1.0);
     }
 }

@@ -77,11 +77,11 @@ impl IsingModel {
     ///
     /// # Panics
     ///
-    /// Panics if an index is out of bounds or `i == j` (use
-    /// [`set_field`](Self::set_field) for self-couplings).
+    /// Panics if an index is out of bounds or `i == j` (self-couplings
+    /// are fields).
     pub fn set_coupling(&mut self, i: usize, j: usize, value: f64) {
         assert!(i < self.n && j < self.n, "index out of bounds");
-        assert_ne!(i, j, "diagonal couplings are fields; use set_field");
+        assert_ne!(i, j, "diagonal couplings are fields");
         let (a, b) = if i < j { (i, j) } else { (j, i) };
         let idx = self.pair_index(a, b);
         self.couplings[idx] = value;
@@ -94,15 +94,6 @@ impl IsingModel {
     /// Panics if `i` is out of bounds.
     pub fn field(&self, i: usize) -> f64 {
         self.fields[i]
-    }
-
-    /// Sets the local field `hᵢ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn set_field(&mut self, i: usize, value: f64) {
-        self.fields[i] = value;
     }
 
     /// Ising energy of a spin configuration `σ ∈ {−1, +1}ⁿ`, including
@@ -251,7 +242,7 @@ mod tests {
     fn spin_energy_definition() {
         let mut ising = IsingModel::zeros(2);
         ising.set_coupling(0, 1, 2.0);
-        ising.set_field(0, -1.0);
+        ising.fields[0] = -1.0;
         // σ = (+1, −1): E = 2·(+1)(−1) + (−1)(+1) = −3
         assert_eq!(ising.energy(&[1, -1]), -3.0);
     }

@@ -103,11 +103,6 @@ impl CsrNeighbors {
     pub fn dim(&self) -> usize {
         self.diag.len()
     }
-
-    /// Structural off-diagonal degree of variable `i`.
-    pub fn degree(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
-    }
 }
 
 /// Default number of committed flips between full field recomputes.
@@ -213,12 +208,6 @@ impl LocalFieldState {
         self.n
     }
 
-    /// Structural degree of variable `i` (off-diagonal nonzeros in its
-    /// row — the commit cost).
-    pub fn degree(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
-    }
-
     /// The maintained field `h_i = Q_ii + Σ_{j≠i} Q_ij·x_j`.
     pub fn field(&self, i: usize) -> f64 {
         self.fields[i]
@@ -285,10 +274,8 @@ impl LocalFieldState {
     }
 
     /// Recomputes every field from scratch — O(n + nnz). Called
-    /// automatically every `refresh_interval` commits; public so
-    /// callers can re-sync after mutating the configuration outside
-    /// the commit API.
-    pub fn refresh(&mut self, x: &Assignment) {
+    /// automatically every `refresh_interval` commits.
+    fn refresh(&mut self, x: &Assignment) {
         for i in 0..self.n {
             let mut h = self.diag[i];
             for k in self.offsets[i]..self.offsets[i + 1] {
@@ -347,11 +334,6 @@ impl DeltaEngine {
     /// The dense fallback backend.
     pub fn dense() -> Self {
         DeltaEngine::Dense
-    }
-
-    /// Whether this is the maintained local-field backend.
-    pub fn is_local(&self) -> bool {
-        matches!(self, DeltaEngine::LocalField(_))
     }
 
     /// Energy change of flipping bit `i` — O(1) on the local-field
@@ -520,10 +502,12 @@ mod tests {
         q.set(0, 3, 2.0);
         q.set(2, 2, 5.0); // diagonal only — no neighbors
         let lf = LocalFieldState::new(&q, &Assignment::zeros(4));
-        assert_eq!(lf.degree(0), 2);
-        assert_eq!(lf.degree(1), 1);
-        assert_eq!(lf.degree(2), 0);
-        assert_eq!(lf.degree(3), 1);
+        // Off-diagonal nonzeros per row: the commit cost.
+        let degree = |i: usize| lf.offsets[i + 1] - lf.offsets[i];
+        assert_eq!(degree(0), 2);
+        assert_eq!(degree(1), 1);
+        assert_eq!(degree(2), 0);
+        assert_eq!(degree(3), 1);
     }
 
     #[test]
@@ -533,8 +517,8 @@ mod tests {
         let mut x = Assignment::random(15, &mut rng);
         let mut local = DeltaEngine::local(&q, &x);
         let mut dense = DeltaEngine::dense();
-        assert!(local.is_local());
-        assert!(!dense.is_local());
+        assert!(matches!(local, DeltaEngine::LocalField(_)));
+        assert!(matches!(dense, DeltaEngine::Dense));
         for _ in 0..200 {
             let i = rng.random_range(0..15);
             if rng.random_bool(0.3) {

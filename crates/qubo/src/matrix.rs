@@ -256,29 +256,6 @@ impl QuboMatrix {
         }
     }
 
-    /// Adds another QUBO matrix of the same dimension element-wise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuboError::DimensionMismatch`] if dimensions differ.
-    pub fn try_add(&self, other: &QuboMatrix) -> Result<QuboMatrix, QuboError> {
-        if self.n != other.n {
-            return Err(QuboError::DimensionMismatch {
-                expected: self.n,
-                found: other.n,
-            });
-        }
-        Ok(QuboMatrix {
-            n: self.n,
-            coeffs: self
-                .coeffs
-                .iter()
-                .zip(&other.coeffs)
-                .map(|(a, b)| a + b)
-                .collect(),
-        })
-    }
-
     /// Embeds this matrix in the top-left corner of a larger zero
     /// matrix of dimension `new_dim`.
     ///
@@ -298,29 +275,10 @@ impl QuboMatrix {
         q
     }
 
-    /// Dense row-major copy of the full symmetric matrix, splitting
-    /// each off-diagonal coefficient evenly across `(i,j)` and `(j,i)`.
-    ///
-    /// Useful for mapping onto crossbars that store the full square
-    /// array (paper Fig. 6(a) keeps the upper triangle; this helper
-    /// supports both conventions).
-    pub fn to_dense_symmetric(&self) -> Vec<Vec<f64>> {
-        let mut m = vec![vec![0.0; self.n]; self.n];
-        for (i, j, v) in self.iter_nonzero() {
-            if i == j {
-                m[i][i] = v;
-            } else {
-                m[i][j] = v / 2.0;
-                m[j][i] = v / 2.0;
-            }
-        }
-        m
-    }
-
     /// Dense row-major copy of the upper-triangular convention used by
     /// the paper's crossbar mapping (Fig. 6(a)): element `(i, j)` holds
     /// the full coefficient for `i <= j`, zeros below the diagonal.
-    pub fn to_dense_upper(&self) -> Vec<Vec<f64>> {
+    fn to_dense_upper(&self) -> Vec<Vec<f64>> {
         let mut m = vec![vec![0.0; self.n]; self.n];
         for (i, j, v) in self.iter_nonzero() {
             m[i][j] = v;
@@ -381,13 +339,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..20 {
             let x = Assignment::random(6, &mut rng);
-            // Brute-force xᵀQx with the symmetric dense convention.
-            let dense = q.to_dense_symmetric();
+            // Brute-force xᵀQx with the symmetric dense convention:
+            // each off-diagonal coefficient split across (i,j), (j,i).
             let mut e = 0.0;
             for i in 0..6 {
                 for j in 0..6 {
                     if x.get(i) && x.get(j) {
-                        e += dense[i][j];
+                        e += if i == j {
+                            q.get(i, i)
+                        } else {
+                            q.get(i, j) / 2.0
+                        };
                     }
                 }
             }
@@ -440,12 +402,11 @@ mod tests {
     fn scaled_and_added() {
         let q = random_qubo(4, 9);
         let doubled = q.scaled(2.0);
-        let sum = q.try_add(&q).unwrap();
+        let mut sum = q.clone();
+        for (i, j, v) in q.iter_nonzero() {
+            sum.add(i, j, v);
+        }
         assert_eq!(doubled, sum);
-        assert!(matches!(
-            q.try_add(&QuboMatrix::zeros(5)),
-            Err(QuboError::DimensionMismatch { .. })
-        ));
     }
 
     #[test]

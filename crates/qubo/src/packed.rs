@@ -56,7 +56,7 @@ pub const LANES: usize = 64;
 ///
 /// assert_eq!(ps.flip_delta(0, 17), -4.0);   // lane 17 probes bit 0
 /// ps.commit_masked(0, 1 << 17);             // only lane 17 flips
-/// assert_eq!(ps.spin(0, 17), true);
+/// assert!(ps.lane_assignment(17).get(0));
 /// assert_eq!(ps.flip_delta(1, 17), 6.0);    // lane 17 feels the coupling
 /// assert_eq!(ps.flip_delta(1, 16), 0.0);    // lane 16 untouched
 /// ```
@@ -141,7 +141,7 @@ impl PackedReplicaState {
     }
 
     /// Lane `k`'s value of variable `i`.
-    pub fn spin(&self, i: usize, k: usize) -> bool {
+    fn spin(&self, i: usize, k: usize) -> bool {
         (self.planes[i] >> k) & 1 == 1
     }
 
@@ -274,7 +274,7 @@ impl PackedReplicaState {
     /// order as the scalar
     /// [`LocalFieldState::refresh`](crate::LocalFieldState::refresh),
     /// and zeroes its commit counter. O(n + nnz).
-    pub fn refresh_lane(&mut self, k: usize) {
+    fn refresh_lane(&mut self, k: usize) {
         for i in 0..self.dim() {
             let mut h = self.csr.diag[i];
             for e in self.csr.offsets[i]..self.csr.offsets[i + 1] {
@@ -288,7 +288,7 @@ impl PackedReplicaState {
     }
 
     /// Recomputes every lane's fields from scratch. O(LANES·(n + nnz)).
-    pub fn refresh_all(&mut self) {
+    fn refresh_all(&mut self) {
         for k in 0..LANES {
             self.refresh_lane(k);
         }

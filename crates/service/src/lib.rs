@@ -31,10 +31,10 @@
 //! * **Cancellation.** Queued jobs can be [cancelled](JobService::cancel)
 //!   before a worker picks them up; a worker panic marks the job
 //!   [`Failed`](JobStatus::Failed) without killing the pool.
-//! * **Fetch-or-forget retention.** Every unfetched terminal result
+//! * **Fetch-or-dispose retention.** Every unfetched terminal result
 //!   is retained so fetch-after-completion works; callers that
-//!   abandon a job must [`forget`](JobService::forget) it (also the
-//!   disposal path for jobs past the cancellation window), or the
+//!   abandon a job must [`dispose`](JobService::dispose) of it (also
+//!   the disposal path for jobs past the cancellation window), or the
 //!   result store grows with each abandoned job.
 //!
 //! # Example

@@ -145,7 +145,7 @@ struct JobEntry {
     task: Option<ErasedTask>,
     result: Option<ErasedResult>,
     error: Option<String>,
-    /// Set by [`JobService::forget`] on a running job: the completion
+    /// Set by [`JobService::dispose`] on a running job: the completion
     /// path drops the entry instead of storing its result.
     forgotten: bool,
     /// When the job entered the queue — the start of the
@@ -543,23 +543,15 @@ impl JobService {
     /// whose caller lost interest after they started running (where
     /// [`cancel`](Self::cancel) no longer applies). A queued job is
     /// cancelled first; a running job's entry is dropped as soon as
-    /// its worker finishes, its result discarded. Returns false when
-    /// the id is unknown or already fetched.
+    /// its worker finishes, its result discarded. The outcome is what
+    /// the wire protocol's `cancel` verb reports back.
     ///
     /// The service retains every unfetched terminal result (that is
     /// what makes fetch-after-completion work), so callers that
-    /// abandon jobs **must** forget them or the result store grows
+    /// abandon jobs **must** dispose of them or the result store grows
     /// with each abandoned job.
     ///
-    /// Equivalent to checking [`dispose`](Self::dispose) against
-    /// [`DisposeOutcome::Unknown`].
-    pub fn forget(&self, id: JobId) -> bool {
-        !matches!(self.dispose(id), DisposeOutcome::Unknown)
-    }
-
-    /// [`forget`](Self::forget) with the outcome spelled out — what the
-    /// wire protocol's `cancel` verb reports back. The whole decision
-    /// runs under one lock acquisition, so a dispose racing a
+    /// The whole decision runs under one lock acquisition, so a dispose racing a
     /// concurrent fetch (or a worker finishing the job) observes
     /// exactly one consistent lifecycle stage: a job can never end up
     /// half-disposed with a stuck `Running` entry.
@@ -604,7 +596,7 @@ impl JobService {
 
     /// Number of jobs the service is currently tracking (queued,
     /// running, or terminal-but-unfetched). A well-behaved caller that
-    /// fetches or forgets every submission drives this back to zero —
+    /// fetches or disposes of every submission drives this back to zero —
     /// the leak assertion the protocol tests rely on.
     pub fn live_jobs(&self) -> usize {
         self.shared
@@ -947,50 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn forget_disposes_of_every_lifecycle_stage() {
-        let engine = maxcut_engine(10);
-        let service = JobService::start(ServiceConfig::new().with_workers(1));
-
-        // Unknown ids are a no-op.
-        assert!(!service.forget(JobId(999)));
-
-        // Done: the retained result is dropped without a fetch.
-        let done = service.submit(&engine, 1).unwrap();
-        service.wait(done);
-        assert!(service.forget(done));
-        assert_eq!(service.status(done), None);
-        assert!(!service.forget(done), "already disposed");
-
-        // Queued: behaves like cancel + dispose (the job never runs).
-        let head = service.submit_batch(&engine, 64, 2).unwrap();
-        let queued = service.submit(&engine, 3).unwrap();
-        assert!(service.forget(queued));
-        assert_eq!(service.status(queued), None);
-
-        // Running: the completion path drops the entry.
-        while service.status(head) == Some(JobStatus::Queued) {
-            std::thread::yield_now();
-        }
-        if service.status(head) == Some(JobStatus::Running) {
-            assert!(service.forget(head));
-            while service.status(head).is_some() {
-                std::thread::yield_now();
-            }
-        } else {
-            // The worker already finished: forget still disposes.
-            assert!(service.forget(head));
-        }
-        assert_eq!(service.status(head), None);
-        assert!(matches!(
-            service.fetch::<hycim_cop::maxcut::MaxCut>(head),
-            Err(FetchError::Unknown(_))
-        ));
-
-        // The store is empty: nothing leaked.
-        assert!(service.shared.state.lock().unwrap().jobs.is_empty());
-    }
-
-    #[test]
     fn value_jobs_round_trip_with_typed_fetch() {
         let service = JobService::start(ServiceConfig::new().with_workers(2));
         let id = service.submit_with(|| 6u64 * 7).unwrap();
@@ -1026,6 +974,39 @@ mod tests {
     }
 
     #[test]
+    fn forget_disposes_of_every_lifecycle_stage() {
+        let engine = maxcut_engine(10);
+        let service = JobService::start(ServiceConfig::new().with_workers(1));
+        let stored = |service: &JobService| service.shared.state.lock().unwrap().jobs.len();
+
+        // Done: the retained result is dropped without a fetch.
+        let done = service.submit(&engine, 1).unwrap();
+        service.wait(done);
+        assert_ne!(service.dispose(done), DisposeOutcome::Unknown);
+        assert_eq!(service.status(done), None);
+        assert_eq!(stored(&service), 0);
+
+        // Queued: behaves like cancel + dispose (the job never runs).
+        let head = service.submit_batch(&engine, 64, 2).unwrap();
+        let queued = service.submit(&engine, 3).unwrap();
+        assert_ne!(service.dispose(queued), DisposeOutcome::Unknown);
+        assert_eq!(service.status(queued), None);
+        assert_eq!(stored(&service), 1, "only the head batch remains");
+
+        // Running (or just finished): either way the entry goes.
+        while service.status(head) == Some(JobStatus::Queued) {
+            std::thread::yield_now();
+        }
+        assert_ne!(service.dispose(head), DisposeOutcome::Unknown);
+        while service.status(head).is_some() {
+            std::thread::yield_now();
+        }
+
+        // The store is empty: nothing leaked.
+        assert_eq!(stored(&service), 0);
+    }
+
+    #[test]
     fn dispose_reports_the_stage_it_found() {
         let engine = maxcut_engine(10);
         let service = JobService::start(ServiceConfig::new().with_workers(1));
@@ -1055,12 +1036,18 @@ mod tests {
             DisposeOutcome::Discarded => {} // worker already finished
             other => panic!("unexpected outcome {other:?}"),
         }
+        assert_eq!(service.status(head), None);
+        assert!(matches!(
+            service.fetch::<hycim_cop::maxcut::MaxCut>(head),
+            Err(FetchError::Unknown(_))
+        ));
+        // The store is empty: nothing leaked.
         assert_eq!(service.live_jobs(), 0);
     }
 
     #[test]
     fn concurrent_dispose_and_fetch_never_strand_an_entry() {
-        // The regression this guards: the old forget() took the lock
+        // The regression this guards: an older disposal path took the lock
         // twice (cancel, then re-lock), so a fetch could interleave
         // and the second half would act on stale state. Hammer
         // dispose against fetch and the worker from three sides and
@@ -1174,7 +1161,7 @@ mod tests {
 
         // Cancelled path.
         assert!(service.cancel(queued));
-        service.forget(head);
+        service.dispose(head);
         service.wait(head);
 
         let snapshot = obs.snapshot();

@@ -12,9 +12,9 @@
 //! |---|---|---|
 //! | [`qubo`] | `hycim-qubo` | QUBO/Ising algebra, inequality-QUBO form, D-QUBO penalty transformation, quantization |
 //! | [`cop`] | `hycim-cop` | The `CopProblem` trait + 8 problem types (QKP, knapsack, max-cut, TSP, coloring, bin packing, multi-dimensional knapsack, spin glass), CNAM/MKP generators & parsers, reference solvers |
-//! | [`fefet`] | `hycim-fefet` | Multi-level FeFET device models, Preisach-style programming, 1FeFET1R cells |
+//! | [`fefet`] | `hycim-fefet` | Multi-level FeFET device models, variability, 1FeFET1R cells, the staircase read pulse |
 //! | [`cim`] | `hycim-cim` | Inequality filter, CiM crossbar, ADC, matchline, area & energy models |
-//! | [`anneal`] | `hycim-anneal` | Simulated-annealing engine, schedules, traces |
+//! | [`anneal`] | `hycim-anneal` | Simulated-annealing engine, schedules, traces, 64-lane packed sweeps |
 //! | [`core`] | `hycim-core` | Generic engines (`HyCimEngine` with its single-filter and filter-bank constructors, `DquboEngine`, `SoftwareEngine`), the parallel `BatchRunner` |
 //! | [`service`] | `hycim-service` | Job-service front-end: bounded-queue worker pool serving solve jobs to concurrent callers (submit → poll → fetch) |
 //! | [`net`] | `hycim-net` | Framed-JSON wire protocol over TCP: worker servers bridging jobs onto the service pool, the shard-planning coordinator with worker health tracking / seeded retry backoff / local-fallback degradation, a deterministic fault-injection proxy, bit-identical distributed solves |

@@ -2,7 +2,7 @@ use std::fmt;
 
 use rand::Rng;
 
-use crate::{DeviceError, VariationModel};
+use crate::VariationModel;
 
 /// Specification of a multi-level FeFET: per-level threshold voltages
 /// and the read voltages that discriminate them (paper Fig. 2(a,b),
@@ -215,23 +215,6 @@ impl FefetDevice {
         self.level
     }
 
-    /// Programs the device to `level`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::LevelOutOfRange`] if the level is not
-    /// supported.
-    fn try_program(&mut self, level: u8) -> Result<(), DeviceError> {
-        if level > self.spec.max_level() {
-            return Err(DeviceError::LevelOutOfRange {
-                level,
-                max_level: self.spec.max_level(),
-            });
-        }
-        self.level = level;
-        Ok(())
-    }
-
     /// Programs the device to `level` (an idealized write: the stored
     /// level is set directly).
     ///
@@ -239,7 +222,12 @@ impl FefetDevice {
     ///
     /// Panics if the level is not supported.
     pub fn program(&mut self, level: u8) {
-        self.try_program(level).expect("level within device range");
+        let max_level = self.spec.max_level();
+        assert!(
+            level <= max_level,
+            "storage level {level} exceeds device maximum {max_level}"
+        );
+        self.level = level;
     }
 
     /// Erases the device back to level 0.
@@ -256,16 +244,13 @@ impl FefetDevice {
     /// Drain current at gate voltage `vg` (A), including
     /// cycle-to-cycle read noise drawn from `rng`.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`DeviceError::VoltageOutOfRange`] if `vg` exceeds the
-    /// safe gate limit.
-    fn try_drain_current<R: Rng + ?Sized>(&self, vg: f64, rng: &mut R) -> Result<f64, DeviceError> {
-        if vg.abs() > self.spec.vg_limit() {
-            return Err(DeviceError::VoltageOutOfRange {
-                voltage: vg,
-                limit: self.spec.vg_limit(),
-            });
+    /// Panics if `vg` exceeds the safe gate limit.
+    pub fn drain_current<R: Rng + ?Sized>(&self, vg: f64, rng: &mut R) -> f64 {
+        let limit = self.spec.vg_limit();
+        if vg.abs() > limit {
+            panic!("voltage {vg} V exceeds safe limit {limit} V");
         }
         let vt = self.effective_threshold() + self.variation.sample_c2c_shift(rng);
         // Logistic I_D–V_G in log-current space: interpolate the
@@ -274,17 +259,7 @@ impl FefetDevice {
         let s = 1.0 / (1.0 + (-(vg - vt) / self.spec.transition_width).exp());
         let log_i = self.spec.i_off().ln() * (1.0 - s) + self.spec.i_on().ln() * s;
         let noise = self.variation.sample_current_factor(rng);
-        Ok(log_i.exp() * noise)
-    }
-
-    /// Drain current at gate voltage `vg` (A).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vg` exceeds the safe gate limit.
-    pub fn drain_current<R: Rng + ?Sized>(&self, vg: f64, rng: &mut R) -> f64 {
-        self.try_drain_current(vg, rng)
-            .expect("gate voltage within safe range")
+        log_i.exp() * noise
     }
 
     /// Whether the device conducts (current above the geometric mean of
@@ -363,29 +338,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "storage level 5 exceeds device maximum 1")]
     fn program_validates_level() {
         let spec = MultiLevelSpec::paper_binary();
         let mut dev = FefetDevice::ideal(&spec);
-        assert!(matches!(
-            dev.try_program(5),
-            Err(DeviceError::LevelOutOfRange {
-                level: 5,
-                max_level: 1
-            })
-        ));
-        assert!(dev.try_program(1).is_ok());
+        dev.program(1);
         assert_eq!(dev.level(), 1);
+        dev.program(5);
     }
 
     #[test]
+    #[should_panic(expected = "voltage 9 V exceeds safe limit")]
     fn voltage_limit_enforced() {
         let spec = MultiLevelSpec::paper_filter();
         let dev = FefetDevice::ideal(&spec);
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(matches!(
-            dev.try_drain_current(9.0, &mut rng),
-            Err(DeviceError::VoltageOutOfRange { .. })
-        ));
+        dev.drain_current(9.0, &mut rng);
     }
 
     #[test]

@@ -45,12 +45,10 @@
 
 mod cell;
 mod device;
-mod error;
 mod pulse;
 mod variability;
 
 pub use cell::FefetCell;
 pub use device::{FefetDevice, MultiLevelSpec};
-pub use error::DeviceError;
 pub use pulse::StaircasePulse;
 pub use variability::{gaussian, skip_gaussian, GaussianDraw, VariationModel, GAUSSIAN_MAX};

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use hycim_core::ShardError;
 use hycim_obs::Snapshot;
-use hycim_service::{DisposeOutcome, JobStatus};
+use hycim_service::DisposeOutcome;
 
 use crate::frame::{FrameError, MessageReceiver, MessageSender};
 use crate::proto::{ErrorCode, JobSpec, ProtoError, Request, Response, WireSolution};
@@ -280,51 +280,25 @@ impl WorkerClient {
         submitted(self.call(&Request::Submit(spec.clone()))?)
     }
 
-    /// Polls a job's lifecycle status.
-    ///
-    /// # Errors
-    ///
-    /// Any [`NetError`].
-    pub fn poll(&mut self, job: u64) -> Result<JobStatus, NetError> {
-        match self.call(&Request::Poll { job })? {
-            Response::Status { status, .. } => Ok(status),
-            other => Err(unexpected("status", &other)),
-        }
-    }
-
     /// Blocks until the job turns terminal, for at most `timeout`
     /// (the worker clamps it to [`MAX_WAIT`]). A terminal job is
-    /// fetched in the same round trip: `Some(solutions)`, or the
-    /// typed error [`fetch`](Self::fetch) would return, and either
-    /// way the entry is consumed. `None` means the job was still
-    /// queued or running when the deadline passed. Keep `timeout`
-    /// below the read timeout, or a slow job reads as
+    /// delivered in the same round trip: `Some(solutions)`, or a typed
+    /// error, and either way the entry is consumed. `None` means the
+    /// job was still queued or running when the deadline passed. Keep
+    /// `timeout` below the read timeout, or a slow job reads as
     /// [`NetError::Timeout`].
     ///
     /// # Errors
     ///
     /// Any [`NetError`]; a panicked solve is [`NetError::Remote`] with
-    /// [`ErrorCode::JobFailed`].
+    /// [`ErrorCode::JobFailed`], an untracked (or already delivered)
+    /// job one with [`ErrorCode::UnknownJob`].
     pub fn wait(
         &mut self,
         job: u64,
         timeout: Duration,
     ) -> Result<Option<Vec<WireSolution>>, NetError> {
         waited(self.call(&wait_request(job, timeout))?)
-    }
-
-    /// Fetches a terminal job's solutions (consumes the job on the
-    /// worker).
-    ///
-    /// # Errors
-    ///
-    /// Any [`NetError`]; a panicked solve is [`NetError::Remote`] with
-    /// [`ErrorCode::JobFailed`].
-    pub fn fetch(&mut self, job: u64) -> Result<Vec<WireSolution>, NetError> {
-        match self.call(&Request::Fetch { job })? {
-            Response::Solutions { solutions, .. } => Ok(solutions),
-            other => Err(unexpected("solutions", &other)),
-        }
     }
 
     /// Cancels / disposes a job at whatever stage it is in.
@@ -353,8 +327,8 @@ impl WorkerClient {
         }
     }
 
-    /// Waits until the job turns terminal and fetches it — the
-    /// blocking convenience for single-worker callers. Each `wait`
+    /// Waits until the job turns terminal and takes its solutions —
+    /// the blocking convenience for single-worker callers. Each `wait`
     /// carries half this connection's read timeout as its deadline,
     /// capped at [`MAX_WAIT`].
     ///

@@ -12,11 +12,12 @@
 //! * [`frame`] — one message per line, prefix-tagged with the
 //!   protocol version, byte-bounded per frame. Plain
 //!   `std::net::TcpStream`, no async runtime.
-//! * [`proto`] — the six verbs (`submit`, `poll`, `wait`, `fetch`,
-//!   `cancel`, `stats`), the [`JobSpec`] shard description, and the
+//! * [`proto`] — the four verbs (`submit`, `wait`, `cancel`,
+//!   `stats`), the [`JobSpec`] shard description, and the
 //!   [`WireSolution`] results. `wait` blocks on the worker until the
-//!   job finishes or a deadline (at most [`MAX_WAIT`]) passes, so
-//!   nobody polls on a timer.
+//!   job finishes or a deadline (at most [`MAX_WAIT`]) passes, and
+//!   delivers a finished job's solutions in the same reply, so nobody
+//!   polls on a timer.
 //! * [`worker`] — a [`WorkerServer`] bridging the verbs onto a
 //!   [`JobService`](hycim_service::JobService) pool, with
 //!   per-connection job disposal (a dropped coordinator never strands

@@ -1,5 +1,5 @@
-//! The protocol messages: six request verbs (`submit`, `poll`,
-//! `wait`, `fetch`, `cancel`, `stats`), their responses, and the
+//! The protocol messages: four request verbs (`submit`, `wait`,
+//! `cancel`, `stats`), their responses, and the
 //! typed payloads — a [`JobSpec`] describing one shard of solves, the
 //! [`WireSolution`]s coming back, and a metrics
 //! [`Snapshot`] for the `stats` scrape.
@@ -306,32 +306,24 @@ fn snapshot_from_value(v: &Value) -> Result<Snapshot, ProtoError> {
     Ok(snapshot)
 }
 
-/// A request frame: one of the six verbs.
+/// A request frame: one of the four verbs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Submit a shard of solves; answered by
     /// [`Response::Submitted`] or [`Response::Error`].
     Submit(JobSpec),
-    /// Ask a job's lifecycle status.
-    Poll {
-        /// The job id from [`Response::Submitted`].
-        job: u64,
-    },
     /// Block until the job turns terminal, for at most `timeout_ms`
-    /// (the worker clamps it to [`MAX_WAIT`](crate::worker::MAX_WAIT)).
-    /// A terminal job is answered exactly as [`Fetch`](Self::Fetch)
-    /// would answer it, consuming the entry; a job still live when the
-    /// deadline passes is answered by [`Response::Status`].
+    /// (the worker clamps it to [`MAX_WAIT`](crate::worker::MAX_WAIT)),
+    /// then deliver it: a terminal job is answered by
+    /// [`Response::Solutions`] or a typed [`Response::Error`],
+    /// consuming the entry; a job still live when the deadline passes
+    /// is answered by [`Response::Status`]. A zero timeout reads the
+    /// job's state without blocking.
     Wait {
         /// The job id from [`Response::Submitted`].
         job: u64,
         /// How long the worker may hold the reply, in milliseconds.
         timeout_ms: u64,
-    },
-    /// Take a terminal job's solutions (consumes the entry).
-    Fetch {
-        /// The job id from [`Response::Submitted`].
-        job: u64,
     },
     /// Cancel or dispose of a job at any lifecycle stage.
     Cancel {
@@ -352,18 +344,10 @@ impl Request {
                 ("verb", Value::Str("submit".into())),
                 ("spec", spec.to_value()),
             ]),
-            Request::Poll { job } => Value::object(vec![
-                ("verb", Value::Str("poll".into())),
-                ("job", Value::UInt(*job)),
-            ]),
             Request::Wait { job, timeout_ms } => Value::object(vec![
                 ("verb", Value::Str("wait".into())),
                 ("job", Value::UInt(*job)),
                 ("timeout_ms", Value::UInt(*timeout_ms)),
-            ]),
-            Request::Fetch { job } => Value::object(vec![
-                ("verb", Value::Str("fetch".into())),
-                ("job", Value::UInt(*job)),
             ]),
             Request::Cancel { job } => Value::object(vec![
                 ("verb", Value::Str("cancel".into())),
@@ -381,15 +365,9 @@ impl Request {
     pub fn from_value(v: &Value) -> Result<Self, ProtoError> {
         match v.str_field("verb")? {
             "submit" => Ok(Request::Submit(JobSpec::from_value(v.field("spec")?)?)),
-            "poll" => Ok(Request::Poll {
-                job: v.u64_field("job")?,
-            }),
             "wait" => Ok(Request::Wait {
                 job: v.u64_field("job")?,
                 timeout_ms: v.u64_field("timeout_ms")?,
-            }),
-            "fetch" => Ok(Request::Fetch {
-                job: v.u64_field("job")?,
             }),
             "cancel" => Ok(Request::Cancel {
                 job: v.u64_field("job")?,
@@ -406,13 +384,9 @@ pub enum ErrorCode {
     /// The request was malformed (bad spec, unparsable problem,
     /// unknown engine tag, unknown verb).
     BadRequest,
-    /// The job id is not tracked (never submitted, already fetched or
-    /// disposed).
+    /// The job id is not tracked (never submitted, already delivered
+    /// or disposed).
     UnknownJob,
-    /// A fetch arrived before the job turned terminal.
-    NotFinished,
-    /// The fetched job had been cancelled; its entry is now disposed.
-    JobCancelled,
     /// The job's solve panicked on the worker; the message carries the
     /// panic text. Its entry is now disposed.
     JobFailed,
@@ -425,11 +399,9 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// All codes, for table-driven tests.
-    pub const ALL: [ErrorCode; 7] = [
+    pub const ALL: [ErrorCode; 5] = [
         ErrorCode::BadRequest,
         ErrorCode::UnknownJob,
-        ErrorCode::NotFinished,
-        ErrorCode::JobCancelled,
         ErrorCode::JobFailed,
         ErrorCode::Backpressure,
         ErrorCode::Internal,
@@ -440,8 +412,6 @@ impl ErrorCode {
         match self {
             ErrorCode::BadRequest => "bad_request",
             ErrorCode::UnknownJob => "unknown_job",
-            ErrorCode::NotFinished => "not_finished",
-            ErrorCode::JobCancelled => "job_cancelled",
             ErrorCode::JobFailed => "job_failed",
             ErrorCode::Backpressure => "backpressure",
             ErrorCode::Internal => "internal",
@@ -469,16 +439,17 @@ pub enum Response {
         /// service, not global.
         job: u64,
     },
-    /// The job's current lifecycle status.
+    /// The job's current lifecycle status: a `wait` whose deadline
+    /// passed before the job turned terminal.
     Status {
-        /// The polled job.
+        /// The waited-on job.
         job: u64,
         /// Its status.
         status: JobStatus,
     },
     /// The job's solutions, in shard (seed) order.
     Solutions {
-        /// The fetched job.
+        /// The delivered job.
         job: u64,
         /// One solution per seed of the submitted spec.
         solutions: Vec<WireSolution>,
@@ -619,7 +590,6 @@ mod tests {
     fn requests_round_trip() {
         for req in [
             Request::Submit(sample_spec()),
-            Request::Poll { job: 0 },
             Request::Wait {
                 job: 4,
                 timeout_ms: 250,
@@ -628,7 +598,6 @@ mod tests {
                 job: u64::MAX,
                 timeout_ms: u64::MAX,
             },
-            Request::Fetch { job: u64::MAX },
             Request::Cancel { job: 7 },
             Request::Stats,
         ] {
@@ -767,7 +736,7 @@ mod tests {
             .message
             .contains("unknown verb \"steal\""));
 
-        let missing = Value::object(vec![("verb", Value::Str("poll".into()))]);
+        let missing = Value::object(vec![("verb", Value::Str("cancel".into()))]);
         assert!(Request::from_value(&missing)
             .unwrap_err()
             .message

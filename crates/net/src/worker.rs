@@ -184,8 +184,8 @@ impl WorkerHandle {
     }
 
     /// Jobs the worker's service is currently tracking — drains to 0
-    /// once every owning connection has fetched, cancelled, or
-    /// disconnected (the leak assertion of the protocol tests).
+    /// once every owning connection has collected (`wait`), cancelled,
+    /// or disconnected (the leak assertion of the protocol tests).
     pub fn live_jobs(&self) -> usize {
         self.shared.service.live_jobs()
     }
@@ -382,22 +382,14 @@ fn handle_request(request: Request, shared: &WorkerShared, owned: &mut HashSet<u
         Request::Stats => Response::Stats {
             stats: shared.obs.snapshot(),
         },
-        Request::Poll { job } => match shared.service.status(JobId::from_raw(job)) {
-            Some(status) => Response::Status { job, status },
-            None => Response::Error {
-                code: ErrorCode::UnknownJob,
-                message: format!("job {job} is not tracked"),
-            },
-        },
         Request::Wait { job, timeout_ms } => {
             let timeout = Duration::from_millis(timeout_ms).min(MAX_WAIT);
             match shared.service.wait_timeout(JobId::from_raw(job), timeout) {
                 Some(status) if !status.is_terminal() => Response::Status { job, status },
-                // Terminal or untracked: answer exactly as fetch does.
+                // Terminal or untracked: deliver it.
                 _ => fetch(job, shared, owned),
             }
         }
-        Request::Fetch { job } => fetch(job, shared, owned),
         Request::Cancel { job } => {
             let outcome = shared.service.dispose(JobId::from_raw(job));
             if outcome != DisposeOutcome::Unknown {
@@ -410,7 +402,7 @@ fn handle_request(request: Request, shared: &WorkerShared, owned: &mut HashSet<u
 
 fn submit(spec: JobSpec, shared: &WorkerShared, owned: &mut HashSet<u64>) -> Response {
     // Validate everything the worker can check synchronously, so bad
-    // specs fail the submit instead of a later fetch.
+    // specs fail the submit instead of a later wait.
     let kind = match spec.engine_kind() {
         Ok(kind) => kind,
         Err(e) => {
@@ -468,6 +460,8 @@ fn submit(spec: JobSpec, shared: &WorkerShared, owned: &mut HashSet<u64>) -> Res
     }
 }
 
+/// The delivery step of `wait`: takes a terminal (or untracked) job's
+/// value out of the service, consuming the entry.
 fn fetch(job: u64, shared: &WorkerShared, owned: &mut HashSet<u64>) -> Response {
     use hycim_service::FetchError;
     match shared
@@ -485,17 +479,6 @@ fn fetch(job: u64, shared: &WorkerShared, owned: &mut HashSet<u64>) -> Response 
             Response::Error {
                 code: ErrorCode::JobFailed,
                 message,
-            }
-        }
-        Err(FetchError::NotFinished(status)) => Response::Error {
-            code: ErrorCode::NotFinished,
-            message: format!("job {job} is still {status}"),
-        },
-        Err(FetchError::Cancelled(_)) => {
-            owned.remove(&job);
-            Response::Error {
-                code: ErrorCode::JobCancelled,
-                message: format!("job {job} was cancelled"),
             }
         }
         Err(FetchError::Failed { message, .. }) => {

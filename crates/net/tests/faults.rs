@@ -100,13 +100,30 @@ impl RawConn {
 fn unknown_verb_gets_a_typed_error_and_the_stream_survives() {
     let handle = spawn_worker(WorkerConfig::new());
     let mut conn = RawConn::connect(handle.addr());
-    conn.write(b"hycim1 {\"verb\":\"steal\"}\n");
-    let (code, message) = conn.expect_error();
-    assert_eq!(code, ErrorCode::BadRequest);
-    assert!(message.contains("unknown verb"), "{message}");
+    // An invented verb, and the two verbs the protocol no longer
+    // speaks (`poll` and `fetch`, folded into `wait`).
+    for frame in [
+        &b"hycim1 {\"verb\":\"steal\"}\n"[..],
+        b"hycim1 {\"verb\":\"poll\",\"job\":0}\n",
+        b"hycim1 {\"verb\":\"fetch\",\"job\":0}\n",
+    ] {
+        conn.write(frame);
+        let (code, message) = conn.expect_error();
+        assert_eq!(code, ErrorCode::BadRequest);
+        assert!(message.contains("unknown verb"), "{message}");
 
-    // The stream is still synchronized: a real verb works after it.
-    conn.send(&Request::Poll { job: 0 });
+        // The stream is still synchronized: a real verb works after it.
+        conn.send(&Request::Stats);
+        match conn.recv().expect("frame").expect("a response") {
+            Response::Stats { .. } => {}
+            other => panic!("expected stats, got {other:?}"),
+        }
+    }
+
+    conn.send(&Request::Wait {
+        job: 0,
+        timeout_ms: 0,
+    });
     let (code, _) = conn.expect_error();
     assert_eq!(code, ErrorCode::UnknownJob);
     handle.stop();
@@ -127,7 +144,10 @@ fn malformed_json_gets_a_typed_error_and_the_stream_survives() {
     assert!(message.contains("nesting"), "{message}");
 
     // Still synchronized.
-    conn.send(&Request::Poll { job: 1 });
+    conn.send(&Request::Wait {
+        job: 1,
+        timeout_ms: 0,
+    });
     let (code, _) = conn.expect_error();
     assert_eq!(code, ErrorCode::UnknownJob);
     handle.stop();
@@ -417,7 +437,7 @@ fn hung_peer_turns_into_a_typed_timeout_not_a_hang() {
         .set_timeout(Some(Duration::from_millis(50)))
         .expect("set timeout");
     let started = Instant::now();
-    match client.poll(0) {
+    match client.stats() {
         Err(NetError::Timeout) => {}
         other => panic!("expected NetError::Timeout, got {other:?}"),
     }

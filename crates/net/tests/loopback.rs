@@ -7,9 +7,9 @@
 //!   single-thread local [`BatchRunner`] run;
 //! * shard-boundary choice (1, 2, 3, 5 shards) does not change the
 //!   merged result;
-//! * the submit/poll/fetch/cancel verbs behave over the wire,
-//!   including cancelling concurrently with fetching — no stuck
-//!   `Running` entries, job tables drain to zero;
+//! * the submit/wait/cancel verbs behave over the wire, including
+//!   cancelling concurrently with waiting — no stuck `Running`
+//!   entries, job tables drain to zero;
 //! * the `stats` verb round-trips a worker's metrics registry, and a
 //!   coordinator scrape sees nonzero frame and shard counters on
 //!   every worker it drove.
@@ -197,7 +197,7 @@ fn verbs_round_trip_over_the_wire() {
     spec.seeds = vec![4, 5];
     let job = client.submit(&spec).expect("submit");
 
-    // Poll until terminal, fetch, and compare against direct solves.
+    // Wait until delivered, and compare against direct solves.
     let solutions = client.wait_fetch(job).expect("fetch");
     assert_eq!(solutions.len(), 2);
     let engine = EngineKind::Software
@@ -207,12 +207,10 @@ fn verbs_round_trip_over_the_wire() {
         assert_eq!(ours, &WireSolution::from_solution(&engine.solve(*seed)));
     }
 
-    // The fetch consumed the job: both poll and fetch now say unknown.
-    for err in [
-        client.poll(job).unwrap_err(),
-        client.fetch(job).unwrap_err(),
-    ] {
-        match err {
+    // The delivery consumed the job: a wait, blocking or not, now
+    // says unknown.
+    for timeout in [Duration::ZERO, Duration::from_millis(200)] {
+        match client.wait(job, timeout).unwrap_err() {
             NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::UnknownJob),
             other => panic!("expected a typed remote error, got {other}"),
         }
@@ -242,8 +240,8 @@ fn stats_verb_round_trips_a_live_workers_registry() {
     assert_eq!(solutions.len(), 3);
 
     let stats = client.stats().expect("stats");
-    // The wire layer counted our conversation (submit + polls + fetch,
-    // and the stats request itself).
+    // The wire layer counted our conversation (submit + waits, and
+    // the stats request itself).
     assert!(
         stats.counter("net.frames_in").unwrap_or(0) >= 3,
         "{stats:?}"
@@ -322,8 +320,8 @@ fn coordinator_scrape_sees_nonzero_counters_on_every_worker() {
 
 #[test]
 fn concurrent_cancel_and_fetch_over_the_wire_leave_no_stuck_jobs() {
-    // The wire-level regression test for the dispose/fetch race: one
-    // connection hammers fetch while another cancels the same job.
+    // The wire-level regression test for the dispose/delivery race:
+    // one connection waits on a job while another cancels it.
     // Whatever interleaving happens, the job table drains and every
     // response is typed.
     let problem = gate_problem();
@@ -343,25 +341,22 @@ fn concurrent_cancel_and_fetch_over_the_wire_leave_no_stuck_jobs() {
                 client.cancel(job).expect("cancel is always answered")
             })
         };
-        let fetcher = std::thread::spawn(move || loop {
-            match submitter.fetch(job) {
-                Ok(solutions) => return Ok(solutions),
-                Err(NetError::Remote {
-                    code: ErrorCode::NotFinished,
-                    ..
-                }) => std::thread::yield_now(),
+        let waiter = std::thread::spawn(move || loop {
+            match submitter.wait(job, Duration::from_millis(20)) {
+                Ok(Some(solutions)) => return Ok(solutions),
+                Ok(None) => {}
                 Err(NetError::Remote { code, message }) => return Err((code, message)),
                 Err(other) => panic!("untyped failure: {other}"),
             }
         });
 
         let outcome = canceller.join().expect("canceller thread");
-        let fetched = fetcher.join().expect("fetcher thread");
+        let fetched = waiter.join().expect("waiter thread");
         // Consistency: typed outcomes only, whoever won the race.
         match fetched {
             Ok(solutions) => assert_eq!(solutions.len(), 4),
             Err((code, message)) => assert!(
-                matches!(code, ErrorCode::JobCancelled | ErrorCode::UnknownJob),
+                code == ErrorCode::UnknownJob,
                 "round {round}: unexpected {code}: {message} (cancel said {outcome:?})"
             ),
         }

@@ -138,9 +138,7 @@ proptest! {
     #[test]
     fn id_verbs_round_trip(job in any::<u64>(), timeout_ms in any::<u64>()) {
         for request in [
-            Request::Poll { job },
             Request::Wait { job, timeout_ms },
-            Request::Fetch { job },
             Request::Cancel { job },
         ] {
             let decoded = Request::from_value(&round_trip(&request.to_value()))
@@ -168,7 +166,6 @@ proptest! {
             JobStatus::Running,
             JobStatus::Done,
             JobStatus::Failed,
-            JobStatus::Cancelled,
         ] {
             responses.push(Response::Status { job, status });
         }
@@ -229,7 +226,7 @@ proptest! {
     fn trailing_frame_garbage_is_rejected(job in any::<u64>()) {
         let mut wire = Vec::new();
         MessageSender::new(&mut wire)
-            .send(&Request::Poll { job }.to_value())
+            .send(&Request::Cancel { job }.to_value())
             .expect("send");
         // Splice garbage between the document and the newline.
         let split = wire.len() - 1;

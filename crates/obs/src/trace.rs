@@ -34,7 +34,7 @@ pub enum Event {
         /// Service-assigned job id.
         job: u64,
     },
-    /// The job was cancelled before completion.
+    /// The job was disposed of while still queued; it never ran.
     JobCancelled {
         /// Service-assigned job id.
         job: u64,

@@ -33,19 +33,18 @@ impl fmt::Display for SubmitError {
 
 impl Error for SubmitError {}
 
-/// Why a [`fetch`](crate::JobService::fetch) did not return a result.
+/// Why a [`fetch_value`](crate::JobService::fetch_value) did not
+/// return a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FetchError {
     /// No job with this id is tracked: it was never submitted here, or
-    /// its result was already fetched (fetching a terminal job
+    /// it was already fetched or disposed (fetching a terminal job
     /// consumes the entry).
     Unknown(JobId),
     /// The job has not reached a terminal state yet; the payload is
-    /// the status observed (`Queued` or `Running`). Poll again or use
-    /// [`wait_fetch`](crate::JobService::wait_fetch).
+    /// the status observed (`Queued` or `Running`).
+    /// [`wait`](crate::JobService::wait) for it first.
     NotFinished(JobStatus),
-    /// The job was cancelled before it ran, so there is no result.
-    Cancelled(JobId),
     /// The job panicked on its worker thread; the panic message is
     /// preserved.
     Failed {
@@ -54,9 +53,9 @@ pub enum FetchError {
         /// Panic payload rendered as text.
         message: String,
     },
-    /// The job completed, but its result is not a
-    /// `JobResult<P>` for the requested problem type `P` (the entry is
-    /// kept, so fetching with the right type still works).
+    /// The job completed, but its value is not of the requested type
+    /// (the entry is kept, so fetching with the right type still
+    /// works).
     WrongType(JobId),
 }
 
@@ -67,10 +66,9 @@ impl fmt::Display for FetchError {
             FetchError::NotFinished(status) => {
                 write!(f, "job is not finished (status: {status})")
             }
-            FetchError::Cancelled(id) => write!(f, "{id} was cancelled before running"),
             FetchError::Failed { id, message } => write!(f, "{id} failed: {message}"),
             FetchError::WrongType(id) => {
-                write!(f, "{id} holds a result of a different problem type")
+                write!(f, "{id} holds a value of a different type")
             }
         }
     }
@@ -103,6 +101,6 @@ mod tests {
         .contains("boom"));
         assert!(FetchError::WrongType(JobId(2))
             .to_string()
-            .contains("different problem type"));
+            .contains("different type"));
     }
 }

@@ -1,9 +1,6 @@
-//! Job handles, lifecycle states, and the typed result envelope.
+//! Job handles and lifecycle states.
 
 use std::fmt;
-
-use hycim_cop::CopProblem;
-use hycim_core::Solution;
 
 /// Opaque handle of a submitted job, unique within one
 /// [`JobService`](crate::JobService) for its whole lifetime (ids are
@@ -34,38 +31,32 @@ impl fmt::Display for JobId {
 }
 
 /// Lifecycle state of a job, as reported by
-/// [`JobService::status`](crate::JobService::status).
+/// [`JobService::wait_timeout`](crate::JobService::wait_timeout).
 ///
-/// The only transitions are `Queued → Running → {Done, Failed}` and
-/// `Queued → Cancelled`; once a worker has picked a job up it runs to
-/// completion (an [`Engine::solve`](hycim_core::Engine::solve) call
-/// has no safe interruption point — it is a pure function of its
-/// seed).
+/// The only transitions are `Queued → Running → {Done, Failed}`; once
+/// a worker has picked a job up it runs to completion (a closure has
+/// no safe interruption point). A queued job that is
+/// [disposed](crate::JobService::dispose) leaves the table without a
+/// final state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
     /// Waiting in the bounded queue for a free worker.
     Queued,
-    /// A worker thread is executing the solve.
+    /// A worker thread is executing the job.
     Running,
-    /// Finished successfully; the result is ready to
-    /// [`fetch`](crate::JobService::fetch).
+    /// Finished successfully; the value is ready to
+    /// [`fetch_value`](crate::JobService::fetch_value).
     Done,
     /// The job panicked on its worker; fetching returns the panic
     /// message as [`FetchError::Failed`](crate::FetchError::Failed).
     Failed,
-    /// Cancelled while still queued; it never ran.
-    Cancelled,
 }
 
 impl JobStatus {
-    /// Whether the job has reached a final state (`Done`, `Failed` or
-    /// `Cancelled`) — i.e. polling will never observe another
-    /// transition.
+    /// Whether the job has reached a final state (`Done` or `Failed`)
+    /// — i.e. waiting will never observe another transition.
     pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            JobStatus::Done | JobStatus::Failed | JobStatus::Cancelled
-        )
+        matches!(self, JobStatus::Done | JobStatus::Failed)
     }
 
     /// Stable text tag (also the [`Display`](fmt::Display) form) for
@@ -76,7 +67,6 @@ impl JobStatus {
             JobStatus::Running => "running",
             JobStatus::Done => "done",
             JobStatus::Failed => "failed",
-            JobStatus::Cancelled => "cancelled",
         }
     }
 
@@ -87,7 +77,6 @@ impl JobStatus {
             JobStatus::Running,
             JobStatus::Done,
             JobStatus::Failed,
-            JobStatus::Cancelled,
         ]
         .into_iter()
         .find(|s| s.tag() == tag)
@@ -97,64 +86,6 @@ impl JobStatus {
 impl fmt::Display for JobStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.tag())
-    }
-}
-
-/// Typed result of a completed job: the solutions of every replica,
-/// with the exact solve seed each one used — enough to reproduce any
-/// entry with a direct [`Engine::solve`](hycim_core::Engine::solve)
-/// call.
-#[derive(Debug, Clone)]
-pub struct JobResult<P: CopProblem> {
-    /// The handle this result was fetched under.
-    pub id: JobId,
-    /// Backend tag of the engine that ran the job (`"hycim"`,
-    /// `"dqubo"`, `"software"`).
-    pub backend: &'static str,
-    /// The solve seed of each replica, index-aligned with
-    /// [`solutions`](Self::solutions). Single-solve jobs have exactly
-    /// one entry; batch jobs hold
-    /// [`replica_seed`](hycim_core::replica_seed)-derived seeds.
-    pub seeds: Vec<u64>,
-    /// One solution per replica, in replica order.
-    pub solutions: Vec<Solution<P>>,
-}
-
-impl<P: CopProblem> JobResult<P> {
-    /// The single solution of a one-shot job (equivalently: the first
-    /// replica of a batch).
-    ///
-    /// # Panics
-    ///
-    /// Never panics for results produced by a
-    /// [`JobService`](crate::JobService) — every job runs at least one
-    /// replica.
-    pub fn solution(&self) -> &Solution<P> {
-        self.solutions
-            .first()
-            .expect("jobs run at least one replica")
-    }
-
-    /// The best solution across replicas: lowest objective, feasible
-    /// preferred over infeasible (ties keep the earliest replica, so
-    /// the choice is deterministic).
-    pub fn best(&self) -> &Solution<P> {
-        self.solutions
-            .iter()
-            .reduce(|best, s| {
-                let better = (s.feasible, -s.objective) > (best.feasible, -best.objective);
-                if better {
-                    s
-                } else {
-                    best
-                }
-            })
-            .expect("jobs run at least one replica")
-    }
-
-    /// Number of replicas the job ran.
-    pub fn replicas(&self) -> usize {
-        self.solutions.len()
     }
 }
 
@@ -168,14 +99,13 @@ mod tests {
         assert!(!JobStatus::Running.is_terminal());
         assert!(JobStatus::Done.is_terminal());
         assert!(JobStatus::Failed.is_terminal());
-        assert!(JobStatus::Cancelled.is_terminal());
     }
 
     #[test]
     fn display_forms() {
         assert_eq!(JobId(7).to_string(), "job-7");
         assert_eq!(JobStatus::Queued.to_string(), "queued");
-        assert_eq!(JobStatus::Cancelled.to_string(), "cancelled");
+        assert_eq!(JobStatus::Failed.to_string(), "failed");
     }
 
     #[test]
@@ -185,7 +115,6 @@ mod tests {
             JobStatus::Running,
             JobStatus::Done,
             JobStatus::Failed,
-            JobStatus::Cancelled,
         ] {
             assert_eq!(JobStatus::from_tag(s.tag()), Some(s));
         }

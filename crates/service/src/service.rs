@@ -1,5 +1,5 @@
 //! The worker pool: a bounded job queue drained by OS threads, with
-//! submit / poll / fetch / cancel endpoints safe to call from any
+//! submit / wait / fetch / dispose endpoints safe to call from any
 //! number of caller threads at once.
 
 use std::any::Any;
@@ -9,19 +9,17 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hycim_cop::CopProblem;
-use hycim_core::{default_threads, replica_seed, Engine};
+use hycim_core::default_threads;
 use hycim_obs::{Counter, Event, Gauge, Histogram, ObsRegistry};
 
-use crate::{FetchError, JobId, JobResult, JobStatus, SubmitError};
+use crate::{FetchError, JobId, JobStatus, SubmitError};
 
-/// A finished job's payload with its concrete problem type erased, so
+/// A finished job's value with its concrete type erased, so
 /// heterogeneous jobs can share one queue and one result store.
 type ErasedResult = Box<dyn Any + Send>;
 
-/// A queued unit of work: runs the solve and returns the erased
-/// result. Stored until a worker picks it up (or cancellation drops
-/// it).
+/// A queued unit of work: runs the closure and returns the erased
+/// value. Stored until a worker picks it up (or disposal drops it).
 type ErasedTask = Box<dyn FnOnce() -> ErasedResult + Send>;
 
 /// Sizing of a [`JobService`]: worker-thread count and the queue
@@ -77,16 +75,6 @@ impl ServiceConfig {
         self.obs = Some(obs);
         self
     }
-
-    /// Configured worker-thread count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Configured queue bound.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
 }
 
 impl Default for ServiceConfig {
@@ -102,8 +90,8 @@ pub enum DisposeOutcome {
     /// The id is untracked (never submitted, or already fetched or
     /// disposed).
     Unknown,
-    /// The job was still queued: it was cancelled and its entry
-    /// dropped; it will never run.
+    /// The job was still queued: its entry was dropped; it will never
+    /// run.
     Cancelled,
     /// The job was running: its entry is flagged and will be dropped
     /// by the worker the moment the solve finishes, result discarded.
@@ -138,8 +126,7 @@ impl DisposeOutcome {
 }
 
 /// Book-keeping of one job. The task is taken when a worker starts
-/// it; exactly one of `result` / `error` is set once terminal (none
-/// for `Cancelled`).
+/// it; exactly one of `result` / `error` is set once terminal.
 struct JobEntry {
     status: JobStatus,
     task: Option<ErasedTask>,
@@ -201,20 +188,10 @@ impl ServiceMetrics {
             obs,
         }
     }
-
-    /// Counts `n` cancellations and emits their lifecycle events.
-    fn cancelled(&self, ids: impl IntoIterator<Item = JobId>) {
-        let mut n = 0;
-        for id in ids {
-            self.obs.tracer().record(Event::JobCancelled { job: id.0 });
-            n += 1;
-        }
-        self.jobs_cancelled.add(n);
-    }
 }
 
-/// A running solver service: submit jobs from any thread, poll their
-/// [`JobStatus`], fetch typed [`JobResult`]s. Dropping the service
+/// A running job service: submit closures from any thread, wait for
+/// their [`JobStatus`], fetch their typed values. Dropping the service
 /// (or calling [`shutdown`](Self::shutdown)) stops accepting new
 /// jobs, drains the queue, and joins the workers.
 ///
@@ -253,90 +230,12 @@ impl JobService {
         Self { shared, workers }
     }
 
-    /// Submits one solve: the worker will run `engine.solve(seed)`,
-    /// so the result is bit-identical to that direct call. Returns
-    /// immediately with the job handle.
-    ///
-    /// The engine is shared by `Arc` — submitting many seeds against
-    /// one engine clones no problem data.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::QueueFull`] under backpressure,
-    /// [`SubmitError::ShuttingDown`] after shutdown began.
-    pub fn submit<P, E>(&self, engine: &Arc<E>, seed: u64) -> Result<JobId, SubmitError>
-    where
-        P: CopProblem + 'static,
-        E: Engine<P> + 'static,
-    {
-        let engine = Arc::clone(engine);
-        self.enqueue(move |id| {
-            Box::new(move || -> ErasedResult {
-                let backend = engine.backend();
-                let solution = engine.solve(seed);
-                Box::new(JobResult {
-                    id,
-                    backend,
-                    seeds: vec![seed],
-                    solutions: vec![solution],
-                })
-            })
-        })
-    }
-
-    /// Submits a multi-start batch as **one** job: `replicas`
-    /// independent solves whose seeds come from
-    /// [`replica_seed`]`(root_seed, 0, k)` — exactly the
-    /// [`BatchRunner::run`](hycim_core::BatchRunner::run) derivation,
-    /// so the fetched solutions are bit-identical to a `BatchRunner`
-    /// run of the same `(engine, replicas, root_seed)` at any thread
-    /// count. Replicas run serially on one worker; submit several
-    /// batches (or single solves) to spread load across workers.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::QueueFull`] under backpressure,
-    /// [`SubmitError::ShuttingDown`] after shutdown began.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas == 0`.
-    pub fn submit_batch<P, E>(
-        &self,
-        engine: &Arc<E>,
-        replicas: usize,
-        root_seed: u64,
-    ) -> Result<JobId, SubmitError>
-    where
-        P: CopProblem + 'static,
-        E: Engine<P> + 'static,
-    {
-        assert!(replicas > 0, "need at least one replica");
-        let engine = Arc::clone(engine);
-        self.enqueue(move |id| {
-            Box::new(move || -> ErasedResult {
-                let backend = engine.backend();
-                let seeds: Vec<u64> = (0..replicas)
-                    .map(|k| replica_seed(root_seed, 0, k as u64))
-                    .collect();
-                let solutions = seeds.iter().map(|&s| engine.solve(s)).collect();
-                Box::new(JobResult {
-                    id,
-                    backend,
-                    seeds,
-                    solutions,
-                })
-            })
-        })
-    }
-
-    /// Submits an arbitrary computation as a job: the worker runs
-    /// `task()` and stores its value for [`fetch_value`](Self::fetch_value).
-    /// This is the bridge the wire protocol (`hycim-net`) builds on —
-    /// a network worker submits "reconstruct the engine and solve a
-    /// shard" closures whose results are plain serializable values,
-    /// with the same lifecycle (poll, cancel, panic isolation) as
-    /// engine jobs.
+    /// Submits a job: a worker runs `task()` and stores its value for
+    /// [`fetch_value`](Self::fetch_value). Returns immediately with the
+    /// job handle. The wire protocol (`hycim-net`) submits "rebuild the
+    /// engine and solve a shard" closures whose values are plain
+    /// serializable solutions; a closure that runs `engine.solve(seed)`
+    /// fetches a value bit-identical to that direct call.
     ///
     /// # Errors
     ///
@@ -347,18 +246,54 @@ impl JobService {
         R: Send + 'static,
         F: FnOnce() -> R + Send + 'static,
     {
-        self.enqueue(move |_| Box::new(move || -> ErasedResult { Box::new(task()) }))
+        let task: ErasedTask = Box::new(move || -> ErasedResult { Box::new(task()) });
+        let metrics = &self.shared.metrics;
+        let mut state = self.shared.state.lock().expect("service state lock");
+        if state.shutdown {
+            return Err(SubmitError::ShuttingDown);
+        }
+        if state.queue.len() >= self.shared.queue_capacity {
+            metrics.rejected_queue_full.inc();
+            return Err(SubmitError::QueueFull {
+                capacity: self.shared.queue_capacity,
+            });
+        }
+        let id = JobId(state.next_id);
+        state.next_id += 1;
+        state.jobs.insert(
+            id.0,
+            JobEntry {
+                status: JobStatus::Queued,
+                task: Some(task),
+                result: None,
+                error: None,
+                forgotten: false,
+                submitted: Instant::now(),
+            },
+        );
+        state.queue.push_back(id);
+        metrics.submitted.inc();
+        metrics.queue_depth.set(state.queue.len() as u64);
+        metrics
+            .obs
+            .tracer()
+            .record(Event::JobSubmitted { job: id.0 });
+        drop(state);
+        self.shared.work_cv.notify_one();
+        Ok(id)
     }
 
-    /// Takes the typed value of a terminal [`submit_with`](Self::submit_with)
-    /// job. Same consumption semantics as [`fetch`](Self::fetch): a
-    /// successful (or cancelled/failed) fetch removes the entry; a
-    /// type mismatch leaves it in place.
+    /// Takes the typed value of a terminal job. A successful fetch
+    /// (and a fetch of a failed job) **consumes** the entry: later
+    /// waits return `None` and the id is forgotten. A type mismatch
+    /// leaves the entry in place.
     ///
     /// # Errors
     ///
-    /// As [`fetch`](Self::fetch), with [`FetchError::WrongType`] when
-    /// `R` is not the closure's return type.
+    /// [`FetchError::NotFinished`] while queued/running,
+    /// [`FetchError::Failed`] for a job that panicked,
+    /// [`FetchError::WrongType`] when `R` is not the closure's return
+    /// type, [`FetchError::Unknown`] for untracked ids.
     pub fn fetch_value<R>(&self, id: JobId) -> Result<R, FetchError>
     where
         R: Send + 'static,
@@ -367,10 +302,6 @@ impl JobService {
         let entry = state.jobs.get_mut(&id.0).ok_or(FetchError::Unknown(id))?;
         match entry.status {
             JobStatus::Queued | JobStatus::Running => Err(FetchError::NotFinished(entry.status)),
-            JobStatus::Cancelled => {
-                state.jobs.remove(&id.0);
-                Err(FetchError::Cancelled(id))
-            }
             JobStatus::Failed => {
                 let entry = state.jobs.remove(&id.0).expect("entry just observed");
                 Err(FetchError::Failed {
@@ -399,13 +330,6 @@ impl JobService {
         }
     }
 
-    /// Current status of a job, or `None` when the id is unknown or
-    /// its result was already fetched.
-    pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        let state = self.shared.state.lock().expect("service state lock");
-        state.jobs.get(&id.0).map(|entry| entry.status)
-    }
-
     /// Blocks until the job reaches a terminal state and returns it
     /// (`None` when the id is unknown or already fetched — possibly
     /// by a concurrent fetcher while waiting).
@@ -417,7 +341,8 @@ impl JobService {
     /// status as soon as the job reaches it, or the job's current
     /// (non-terminal) status once `timeout` has passed. `None` when
     /// the id is unknown or already fetched. A `timeout` too large to
-    /// form a deadline (such as [`Duration::MAX`]) waits without one.
+    /// form a deadline (such as [`Duration::MAX`]) waits without one;
+    /// [`Duration::ZERO`] reads the current status without waiting.
     pub fn wait_timeout(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
         let deadline = Instant::now().checked_add(timeout);
         let mut state = self.shared.state.lock().expect("service state lock");
@@ -443,108 +368,12 @@ impl JobService {
         }
     }
 
-    /// Takes the typed result of a terminal job. A successful fetch
-    /// (and a fetch of a cancelled or failed job) **consumes** the
-    /// entry: subsequent [`status`](Self::status) calls return `None`
-    /// and the id can be garbage-collected. A type mismatch leaves
-    /// the entry in place.
-    ///
-    /// # Errors
-    ///
-    /// [`FetchError::NotFinished`] while queued/running,
-    /// [`FetchError::Cancelled`] / [`FetchError::Failed`] for those
-    /// terminal states, [`FetchError::WrongType`] when `P` is not the
-    /// problem type the job was submitted with,
-    /// [`FetchError::Unknown`] for untracked ids.
-    pub fn fetch<P>(&self, id: JobId) -> Result<JobResult<P>, FetchError>
-    where
-        P: CopProblem + 'static,
-    {
-        let mut state = self.shared.state.lock().expect("service state lock");
-        let entry = state.jobs.get_mut(&id.0).ok_or(FetchError::Unknown(id))?;
-        match entry.status {
-            JobStatus::Queued | JobStatus::Running => Err(FetchError::NotFinished(entry.status)),
-            JobStatus::Cancelled => {
-                state.jobs.remove(&id.0);
-                Err(FetchError::Cancelled(id))
-            }
-            JobStatus::Failed => {
-                let entry = state.jobs.remove(&id.0).expect("entry just observed");
-                Err(FetchError::Failed {
-                    id,
-                    message: entry.error.unwrap_or_else(|| "unknown panic".into()),
-                })
-            }
-            JobStatus::Done => {
-                let erased = entry.result.take().expect("done jobs hold a result");
-                let latency = entry.submitted.elapsed();
-                match erased.downcast::<JobResult<P>>() {
-                    Ok(result) => {
-                        state.jobs.remove(&id.0);
-                        self.shared
-                            .metrics
-                            .submit_to_fetch
-                            .record(latency.as_secs_f64());
-                        Ok(*result)
-                    }
-                    Err(erased) => {
-                        // Wrong type requested: restore the result so a
-                        // correctly-typed fetch still succeeds.
-                        entry.result = Some(erased);
-                        Err(FetchError::WrongType(id))
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`wait`](Self::wait) + [`fetch`](Self::fetch) in one call: the
-    /// blocking convenience for callers that have nothing else to do.
-    ///
-    /// # Errors
-    ///
-    /// As [`fetch`](Self::fetch), minus `NotFinished`.
-    pub fn wait_fetch<P>(&self, id: JobId) -> Result<JobResult<P>, FetchError>
-    where
-        P: CopProblem + 'static,
-    {
-        self.wait(id);
-        self.fetch(id)
-    }
-
-    /// Cancels a job if it is still queued: true when this call won
-    /// the race (the job will never run), false when the job already
-    /// started, finished, or is unknown. Running jobs cannot be
-    /// interrupted — a solve is a pure function with no safe
-    /// cancellation point.
-    pub fn cancel(&self, id: JobId) -> bool {
-        let mut state = self.shared.state.lock().expect("service state lock");
-        let Some(entry) = state.jobs.get_mut(&id.0) else {
-            return false;
-        };
-        if entry.status != JobStatus::Queued {
-            return false;
-        }
-        entry.status = JobStatus::Cancelled;
-        entry.task = None;
-        state.queue.retain(|&queued| queued != id);
-        self.shared
-            .metrics
-            .queue_depth
-            .set(state.queue.len() as u64);
-        self.shared.metrics.cancelled([id]);
-        drop(state);
-        self.shared.done_cv.notify_all();
-        true
-    }
-
-    /// Drops a job's book-keeping without fetching its result: the
+    /// Drops a job's book-keeping without fetching its value: the
     /// disposal path for fire-and-forget submissions and for jobs
-    /// whose caller lost interest after they started running (where
-    /// [`cancel`](Self::cancel) no longer applies). A queued job is
-    /// cancelled first; a running job's entry is dropped as soon as
-    /// its worker finishes, its result discarded. The outcome is what
-    /// the wire protocol's `cancel` verb reports back.
+    /// whose caller lost interest. A queued job is dropped before it
+    /// runs; a running job's entry is dropped as soon as its worker
+    /// finishes, its value discarded. The outcome is what the wire
+    /// protocol's `cancel` verb reports back.
     ///
     /// The service retains every unfetched terminal result (that is
     /// what makes fetch-after-completion work), so callers that
@@ -562,17 +391,17 @@ impl JobService {
         };
         let outcome = match entry.status {
             JobStatus::Queued => {
-                // Cancel and drop the stub in the same critical
-                // section (cancelled entries hold no result).
-                entry.status = JobStatus::Cancelled;
-                entry.task = None;
+                // Unqueue and drop the entry, task and all, in one
+                // critical section.
                 state.queue.retain(|&queued| queued != id);
                 state.jobs.remove(&id.0);
-                self.shared
-                    .metrics
-                    .queue_depth
-                    .set(state.queue.len() as u64);
-                self.shared.metrics.cancelled([id]);
+                let metrics = &self.shared.metrics;
+                metrics.queue_depth.set(state.queue.len() as u64);
+                metrics.jobs_cancelled.inc();
+                metrics
+                    .obs
+                    .tracer()
+                    .record(Event::JobCancelled { job: id.0 });
                 DisposeOutcome::Cancelled
             }
             JobStatus::Running => {
@@ -582,7 +411,7 @@ impl JobService {
                 entry.forgotten = true;
                 DisposeOutcome::Deferred
             }
-            JobStatus::Done | JobStatus::Failed | JobStatus::Cancelled => {
+            JobStatus::Done | JobStatus::Failed => {
                 state.jobs.remove(&id.0);
                 DisposeOutcome::Discarded
             }
@@ -607,45 +436,6 @@ impl JobService {
             .len()
     }
 
-    /// Cancels every currently-queued job, returning how many were
-    /// cancelled (running jobs are unaffected).
-    pub fn cancel_queued(&self) -> usize {
-        let mut state = self.shared.state.lock().expect("service state lock");
-        let queued: Vec<JobId> = state.queue.drain(..).collect();
-        for id in &queued {
-            let entry = state.jobs.get_mut(&id.0).expect("queued job has an entry");
-            entry.status = JobStatus::Cancelled;
-            entry.task = None;
-        }
-        self.shared.metrics.queue_depth.set(0);
-        self.shared.metrics.cancelled(queued.iter().copied());
-        drop(state);
-        if !queued.is_empty() {
-            self.shared.done_cv.notify_all();
-        }
-        queued.len()
-    }
-
-    /// Number of jobs currently waiting in the queue.
-    pub fn queued(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("service state lock")
-            .queue
-            .len()
-    }
-
-    /// The queue bound submits are checked against.
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.queue_capacity
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The registry this service publishes into: the one handed to
     /// [`ServiceConfig::with_obs`], or the service's private registry
     /// otherwise. Metric names are listed in the `hycim-obs` docs
@@ -660,47 +450,6 @@ impl JobService {
     /// service, as an explicit statement of intent.
     pub fn shutdown(self) {
         drop(self);
-    }
-
-    /// Allocates an id under the lock, builds the task for it, and
-    /// queues it — the single submit path both public submits share.
-    /// Holding the lock across `make` keeps the capacity check and
-    /// the push atomic (task construction is a few moves, no solving).
-    fn enqueue(&self, make: impl FnOnce(JobId) -> ErasedTask) -> Result<JobId, SubmitError> {
-        let metrics = &self.shared.metrics;
-        let mut state = self.shared.state.lock().expect("service state lock");
-        if state.shutdown {
-            return Err(SubmitError::ShuttingDown);
-        }
-        if state.queue.len() >= self.shared.queue_capacity {
-            metrics.rejected_queue_full.inc();
-            return Err(SubmitError::QueueFull {
-                capacity: self.shared.queue_capacity,
-            });
-        }
-        let id = JobId(state.next_id);
-        state.next_id += 1;
-        state.jobs.insert(
-            id.0,
-            JobEntry {
-                status: JobStatus::Queued,
-                task: Some(make(id)),
-                result: None,
-                error: None,
-                forgotten: false,
-                submitted: Instant::now(),
-            },
-        );
-        state.queue.push_back(id);
-        metrics.submitted.inc();
-        metrics.queue_depth.set(state.queue.len() as u64);
-        metrics
-            .obs
-            .tracer()
-            .record(Event::JobSubmitted { job: id.0 });
-        drop(state);
-        self.shared.work_cv.notify_one();
-        Ok(id)
     }
 }
 
@@ -793,78 +542,53 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hycim_core::{HyCimConfig, SoftwareEngine};
+    use std::sync::mpsc::{channel, Sender};
 
-    fn maxcut_engine(nodes: usize) -> Arc<SoftwareEngine<hycim_cop::maxcut::MaxCut>> {
-        let graph = hycim_cop::maxcut::MaxCut::random(nodes, 0.5, 1);
-        Arc::new(
-            SoftwareEngine::new(&graph, &HyCimConfig::default().with_sweeps(30))
-                .expect("max-cut always encodes"),
-        )
+    /// Submits a job that parks its worker until the returned sender
+    /// is used or dropped, and waits until it is running — the fixture
+    /// that keeps later jobs queued.
+    fn park_worker(service: &JobService) -> (JobId, Sender<()>) {
+        let (started_tx, started) = channel();
+        let (release, gate) = channel::<()>();
+        let id = service
+            .submit_with(move || {
+                started_tx.send(()).expect("test is listening");
+                let _ = gate.recv();
+            })
+            .unwrap();
+        started.recv().expect("the job starts");
+        (id, release)
+    }
+
+    fn status(service: &JobService, id: JobId) -> Option<JobStatus> {
+        service.wait_timeout(id, Duration::ZERO)
     }
 
     #[test]
     fn single_job_round_trip() {
-        let engine = maxcut_engine(10);
         let service = JobService::start(ServiceConfig::new().with_workers(2));
-        let id = service.submit(&engine, 5).unwrap();
+        let id = service.submit_with(|| vec![5u64, 6]).unwrap();
         assert_eq!(service.wait(id), Some(JobStatus::Done));
-        let result = service
-            .fetch::<hycim_cop::maxcut::MaxCut>(id)
-            .expect("done job fetches");
-        assert_eq!(result.backend, "software");
-        assert_eq!(result.seeds, vec![5]);
-        assert_eq!(result.solution().assignment, engine.solve(5).assignment);
+        assert_eq!(service.fetch_value::<Vec<u64>>(id).unwrap(), [5, 6]);
         // Fetch consumed the entry.
-        assert_eq!(service.status(id), None);
+        assert_eq!(status(&service, id), None);
         assert!(matches!(
-            service.fetch::<hycim_cop::maxcut::MaxCut>(id),
+            service.fetch_value::<Vec<u64>>(id),
             Err(FetchError::Unknown(_))
         ));
     }
 
     #[test]
     fn wrong_type_fetch_keeps_the_result() {
-        let engine = maxcut_engine(8);
         let service = JobService::start(ServiceConfig::new().with_workers(1));
-        let id = service.submit(&engine, 1).unwrap();
+        let id = service.submit_with(|| String::from("cut")).unwrap();
         service.wait(id);
         assert!(matches!(
-            service.fetch::<hycim_cop::QkpInstance>(id),
+            service.fetch_value::<u64>(id),
             Err(FetchError::WrongType(_))
         ));
         // Entry survived; the right type still succeeds.
-        assert!(service.fetch::<hycim_cop::maxcut::MaxCut>(id).is_ok());
-    }
-
-    #[test]
-    fn batch_job_matches_batch_runner_seeds() {
-        let engine = maxcut_engine(10);
-        let service = JobService::start(ServiceConfig::new().with_workers(2));
-        let id = service.submit_batch(&engine, 4, 99).unwrap();
-        let result = service
-            .wait_fetch::<hycim_cop::maxcut::MaxCut>(id)
-            .expect("batch fetches");
-        assert_eq!(result.replicas(), 4);
-        let direct = hycim_core::BatchRunner::serial().run(engine.as_ref(), 4, 99);
-        for (k, (ours, reference)) in result.solutions.iter().zip(&direct).enumerate() {
-            assert_eq!(result.seeds[k], replica_seed(99, 0, k as u64));
-            assert_eq!(ours.assignment, reference.assignment, "replica {k}");
-            assert_eq!(ours.objective, reference.objective);
-        }
-    }
-
-    #[test]
-    fn best_solution_is_deterministic() {
-        let engine = maxcut_engine(12);
-        let service = JobService::start(ServiceConfig::new().with_workers(3));
-        let id = service.submit_batch(&engine, 6, 7).unwrap();
-        let result = service.wait_fetch::<hycim_cop::maxcut::MaxCut>(id).unwrap();
-        let best = result.best();
-        assert!(result
-            .solutions
-            .iter()
-            .all(|s| s.objective >= best.objective || !s.feasible));
+        assert_eq!(service.fetch_value::<String>(id).unwrap(), "cut");
     }
 
     #[test]
@@ -921,20 +645,19 @@ mod tests {
 
     #[test]
     fn panicking_job_fails_without_killing_the_pool() {
-        let engine = maxcut_engine(8);
         let service = JobService::start(ServiceConfig::new().with_workers(1));
         let id = service
-            .enqueue(|_| Box::new(|| -> ErasedResult { panic!("intentional test panic") }))
+            .submit_with(|| -> u64 { panic!("intentional test panic") })
             .unwrap();
         assert_eq!(service.wait(id), Some(JobStatus::Failed));
-        match service.fetch::<hycim_cop::maxcut::MaxCut>(id) {
+        match service.fetch_value::<u64>(id) {
             Err(FetchError::Failed { message, .. }) => {
                 assert!(message.contains("intentional test panic"))
             }
             other => panic!("expected Failed, got {other:?}"),
         }
         // The lone worker survived the panic and still serves jobs.
-        let ok = service.submit(&engine, 3).unwrap();
+        let ok = service.submit_with(|| 3u64).unwrap();
         assert_eq!(service.wait(ok), Some(JobStatus::Done));
     }
 
@@ -975,70 +698,65 @@ mod tests {
 
     #[test]
     fn forget_disposes_of_every_lifecycle_stage() {
-        let engine = maxcut_engine(10);
         let service = JobService::start(ServiceConfig::new().with_workers(1));
         let stored = |service: &JobService| service.shared.state.lock().unwrap().jobs.len();
 
         // Done: the retained result is dropped without a fetch.
-        let done = service.submit(&engine, 1).unwrap();
+        let done = service.submit_with(|| 1u64).unwrap();
         service.wait(done);
         assert_ne!(service.dispose(done), DisposeOutcome::Unknown);
-        assert_eq!(service.status(done), None);
+        assert_eq!(status(&service, done), None);
         assert_eq!(stored(&service), 0);
 
-        // Queued: behaves like cancel + dispose (the job never runs).
-        let head = service.submit_batch(&engine, 64, 2).unwrap();
-        let queued = service.submit(&engine, 3).unwrap();
+        // Queued: the job never runs.
+        let (head, release) = park_worker(&service);
+        let queued = service
+            .submit_with(|| -> u64 { panic!("a disposed job ran") })
+            .unwrap();
         assert_ne!(service.dispose(queued), DisposeOutcome::Unknown);
-        assert_eq!(service.status(queued), None);
-        assert_eq!(stored(&service), 1, "only the head batch remains");
+        assert_eq!(status(&service, queued), None);
+        assert_eq!(stored(&service), 1, "only the running head remains");
 
-        // Running (or just finished): either way the entry goes.
-        while service.status(head) == Some(JobStatus::Queued) {
-            std::thread::yield_now();
-        }
+        // Running: the entry goes once the worker finishes.
         assert_ne!(service.dispose(head), DisposeOutcome::Unknown);
-        while service.status(head).is_some() {
+        drop(release);
+        while status(&service, head).is_some() {
             std::thread::yield_now();
         }
 
         // The store is empty: nothing leaked.
         assert_eq!(stored(&service), 0);
+        assert_eq!(
+            service.obs().snapshot().counter("service.jobs_failed"),
+            Some(0)
+        );
     }
 
     #[test]
     fn dispose_reports_the_stage_it_found() {
-        let engine = maxcut_engine(10);
         let service = JobService::start(ServiceConfig::new().with_workers(1));
         assert_eq!(service.dispose(JobId(404)), DisposeOutcome::Unknown);
 
-        let done = service.submit(&engine, 1).unwrap();
+        let done = service.submit_with(|| 1u64).unwrap();
         service.wait(done);
         assert_eq!(service.dispose(done), DisposeOutcome::Discarded);
         assert_eq!(service.dispose(done), DisposeOutcome::Unknown);
 
-        // Park the worker on a long batch, then queue one more.
-        let head = service.submit_batch(&engine, 64, 2).unwrap();
-        let queued = service.submit(&engine, 3).unwrap();
+        // Park the worker, then queue one more.
+        let (head, release) = park_worker(&service);
+        let queued = service.submit_with(|| 3u64).unwrap();
         assert_eq!(service.dispose(queued), DisposeOutcome::Cancelled);
-        assert_eq!(service.status(queued), None);
+        assert_eq!(status(&service, queued), None);
 
-        while service.status(head) == Some(JobStatus::Queued) {
+        // Flagged while running: the worker drops it on finish.
+        assert_eq!(service.dispose(head), DisposeOutcome::Deferred);
+        assert_eq!(status(&service, head), Some(JobStatus::Running));
+        release.send(()).expect("the head is parked");
+        while status(&service, head).is_some() {
             std::thread::yield_now();
         }
-        match service.dispose(head) {
-            DisposeOutcome::Deferred => {
-                // Flagged while running: the worker drops it on finish.
-                while service.status(head).is_some() {
-                    std::thread::yield_now();
-                }
-            }
-            DisposeOutcome::Discarded => {} // worker already finished
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        assert_eq!(service.status(head), None);
         assert!(matches!(
-            service.fetch::<hycim_cop::maxcut::MaxCut>(head),
+            service.fetch_value::<()>(head),
             Err(FetchError::Unknown(_))
         ));
         // The store is empty: nothing leaked.
@@ -1052,17 +770,18 @@ mod tests {
         // and the second half would act on stale state. Hammer
         // dispose against fetch and the worker from three sides and
         // assert the job table always drains to empty.
-        let engine = maxcut_engine(8);
         let service = Arc::new(JobService::start(ServiceConfig::new().with_workers(2)));
         for round in 0..40u64 {
-            let id = service.submit(&engine, round).unwrap();
+            let id = service
+                .submit_with(move || (0..2000u64).fold(round, |acc, k| acc.wrapping_mul(31) ^ k))
+                .unwrap();
             let disposer = {
                 let service = Arc::clone(&service);
                 std::thread::spawn(move || service.dispose(id))
             };
             let fetcher = {
                 let service = Arc::clone(&service);
-                std::thread::spawn(move || service.fetch::<hycim_cop::maxcut::MaxCut>(id))
+                std::thread::spawn(move || service.fetch_value::<u64>(id))
             };
             let disposed = disposer.join().unwrap();
             let fetched = fetcher.join().unwrap();
@@ -1076,12 +795,12 @@ mod tests {
             // (Cancelled/Discarded or a successful fetch) or via the
             // worker's forgotten-flag path (Deferred). Bounded wait so
             // a stranded entry fails the test instead of hanging it.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while service.status(id).is_some() {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while status(&service, id).is_some() {
                 assert!(
-                    std::time::Instant::now() < deadline,
+                    Instant::now() < deadline,
                     "round {round}: entry stranded as {:?} after dispose={disposed:?} fetch={fetched:?}",
-                    service.status(id)
+                    status(&service, id)
                 );
                 std::thread::yield_now();
             }
@@ -1091,10 +810,9 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs() {
-        let engine = maxcut_engine(10);
         let service = JobService::start(ServiceConfig::new().with_workers(1));
-        let ids: Vec<JobId> = (0..5)
-            .map(|seed| service.submit(&engine, seed).unwrap())
+        let ids: Vec<JobId> = (0..5u64)
+            .map(|k| service.submit_with(move || k).unwrap())
             .collect();
         let shared = Arc::clone(&service.shared);
         service.shutdown();
@@ -1107,23 +825,14 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_flag_is_rejected() {
-        let engine = maxcut_engine(8);
         let service = JobService::start(ServiceConfig::new().with_workers(1));
         service.shared.state.lock().unwrap().shutdown = true;
         assert_eq!(
-            service.submit(&engine, 1).unwrap_err(),
+            service.submit_with(|| 1u64).unwrap_err(),
             SubmitError::ShuttingDown
         );
         // Clear the flag so Drop's join still works normally.
         service.shared.state.lock().unwrap().shutdown = false;
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one replica")]
-    fn zero_replica_batch_panics() {
-        let engine = maxcut_engine(8);
-        let service = JobService::start(ServiceConfig::new().with_workers(1));
-        let _ = service.submit_batch(&engine, 0, 1);
     }
 
     #[test]
@@ -1134,7 +843,6 @@ mod tests {
 
     #[test]
     fn metrics_track_the_job_lifecycle() {
-        let engine = maxcut_engine(10);
         let obs = Arc::new(hycim_obs::ObsRegistry::new());
         let service = JobService::start(
             ServiceConfig::new()
@@ -1144,24 +852,21 @@ mod tests {
         );
 
         // Done path, with a submit→fetch latency observation.
-        let done = service.submit(&engine, 1).unwrap();
-        service
-            .wait_fetch::<hycim_cop::maxcut::MaxCut>(done)
-            .unwrap();
+        let done = service.submit_with(|| 1u64).unwrap();
+        service.wait(done);
+        service.fetch_value::<u64>(done).unwrap();
 
         // QueueFull path: park the worker, fill the 1-slot queue,
         // then overflow it.
-        let head = service.submit_batch(&engine, 64, 2).unwrap();
-        while service.status(head) == Some(JobStatus::Queued) {
-            std::thread::yield_now();
-        }
-        let queued = service.submit(&engine, 3).unwrap();
-        let overflow = service.submit(&engine, 4);
+        let (head, release) = park_worker(&service);
+        let queued = service.submit_with(|| 3u64).unwrap();
+        let overflow = service.submit_with(|| 4u64);
         assert!(matches!(overflow, Err(SubmitError::QueueFull { .. })));
 
-        // Cancelled path.
-        assert!(service.cancel(queued));
+        // Cancelled path: disposing of a queued job.
+        assert_eq!(service.dispose(queued), DisposeOutcome::Cancelled);
         service.dispose(head);
+        drop(release);
         service.wait(head);
 
         let snapshot = obs.snapshot();
@@ -1185,7 +890,7 @@ mod tests {
 
         // A service without with_obs still tracks privately.
         let private = JobService::start(ServiceConfig::new().with_workers(1));
-        let id = private.submit(&engine, 9).unwrap();
+        let id = private.submit_with(|| 9u64).unwrap();
         private.wait(id);
         assert_eq!(
             private.obs().snapshot().counter("service.submitted"),
@@ -1204,16 +909,5 @@ mod tests {
             service.obs().snapshot().counter("service.jobs_failed"),
             Some(1)
         );
-    }
-
-    #[test]
-    fn config_accessors() {
-        let config = ServiceConfig::new().with_workers(3).with_queue_capacity(7);
-        assert_eq!(config.workers(), 3);
-        assert_eq!(config.queue_capacity(), 7);
-        let service = JobService::start(config);
-        assert_eq!(service.workers(), 3);
-        assert_eq!(service.queue_capacity(), 7);
-        assert_eq!(service.queued(), 0);
     }
 }

@@ -1,20 +1,25 @@
-//! Job lifecycle integration tests: the ISSUE's acceptance criterion
-//! that concurrent submissions across heterogeneous problem types
-//! fetch solutions **bit-identical** to serial `Engine::solve` calls
-//! with the same seeds, plus cancellation and queue-full behavior.
+//! Job lifecycle integration tests: concurrent submissions across
+//! heterogeneous problem types fetch solutions **bit-identical** to
+//! serial `Engine::solve` calls with the same seeds, plus disposal of
+//! queued jobs and queue-full behavior.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
+use std::time::Duration;
 
 use hycim_cop::binpack::BinPacking;
 use hycim_cop::generator::QkpGenerator;
 use hycim_cop::maxcut::MaxCut;
 use hycim_cop::tsp::Tsp;
-use hycim_cop::QkpInstance;
+use hycim_cop::{CopProblem, QkpInstance};
 use hycim_core::{
     replica_seed, BatchRunner, DquboConfig, DquboEngine, Engine, HyCimConfig, HyCimEngine,
-    SoftwareEngine,
+    SoftwareEngine, Solution,
 };
-use hycim_service::{FetchError, JobService, JobStatus, ServiceConfig, SubmitError};
+use hycim_service::{
+    DisposeOutcome, FetchError, JobId, JobService, JobStatus, ServiceConfig, SubmitError,
+};
 
 fn qkp_engine(seed: u64) -> Arc<HyCimEngine<QkpInstance>> {
     let inst = QkpGenerator::new(20, 0.5).generate(seed);
@@ -30,6 +35,39 @@ fn maxcut_engine(seed: u64) -> Arc<SoftwareEngine<MaxCut>> {
         SoftwareEngine::new(&graph, &HyCimConfig::default().with_sweeps(60))
             .expect("max-cut always encodes"),
     )
+}
+
+/// Submits `engine.solve(seed)` as a job.
+fn submit_solve<P, E>(service: &JobService, engine: &Arc<E>, seed: u64) -> JobId
+where
+    P: CopProblem + 'static,
+    E: Engine<P> + 'static,
+{
+    let engine = Arc::clone(engine);
+    service
+        .submit_with(move || engine.solve(seed))
+        .expect("capacity is ample")
+}
+
+/// Waits for a solve job and takes its solution.
+fn wait_solution<P: CopProblem + 'static>(service: &JobService, job: JobId) -> Solution<P> {
+    service.wait(job);
+    service.fetch_value(job).expect("solve job fetches")
+}
+
+/// Submits a job that holds the service's only worker until the
+/// returned sender is used or dropped, and waits until it runs.
+fn park_worker(service: &JobService) -> (JobId, Sender<()>) {
+    let (started_tx, started) = channel();
+    let (release, gate) = channel::<()>();
+    let job = service
+        .submit_with(move || {
+            started_tx.send(()).expect("test is listening");
+            let _ = gate.recv();
+        })
+        .expect("capacity");
+    started.recv().expect("the head job starts");
+    (job, release)
 }
 
 /// The headline guarantee: many threads hammering one service with
@@ -52,19 +90,19 @@ fn concurrent_heterogeneous_submits_match_serial_solves() {
         let submit_qkp = scope.spawn(|| {
             seeds
                 .iter()
-                .map(|&s| service.submit(&qkp, s).expect("capacity is ample"))
+                .map(|&s| submit_solve(&service, &qkp, s))
                 .collect::<Vec<_>>()
         });
         let submit_cut = scope.spawn(|| {
             seeds
                 .iter()
-                .map(|&s| service.submit(&cut, s).expect("capacity is ample"))
+                .map(|&s| submit_solve(&service, &cut, s))
                 .collect::<Vec<_>>()
         });
         let submit_tsp = scope.spawn(|| {
             seeds
                 .iter()
-                .map(|&s| service.submit(&tsp, s).expect("capacity is ample"))
+                .map(|&s| submit_solve(&service, &tsp, s))
                 .collect::<Vec<_>>()
         });
         (
@@ -75,64 +113,60 @@ fn concurrent_heterogeneous_submits_match_serial_solves() {
     });
 
     for (&seed, &job) in seeds.iter().zip(&qkp_jobs) {
-        let got = service.wait_fetch::<QkpInstance>(job).expect("qkp job");
+        let got: Solution<QkpInstance> = wait_solution(&service, job);
         let want = qkp.solve(seed);
-        assert_eq!(
-            got.solution().assignment,
-            want.assignment,
-            "qkp seed {seed}"
-        );
-        assert_eq!(got.solution().objective, want.objective);
-        assert_eq!(got.solution().reported_energy, want.reported_energy);
-        assert_eq!(got.backend, "hycim");
+        assert_eq!(got.assignment, want.assignment, "qkp seed {seed}");
+        assert_eq!(got.objective, want.objective);
+        assert_eq!(got.reported_energy, want.reported_energy);
     }
     for (&seed, &job) in seeds.iter().zip(&cut_jobs) {
-        let got = service.wait_fetch::<MaxCut>(job).expect("max-cut job");
+        let got: Solution<MaxCut> = wait_solution(&service, job);
         let want = cut.solve(seed);
-        assert_eq!(
-            got.solution().assignment,
-            want.assignment,
-            "cut seed {seed}"
-        );
-        assert_eq!(got.solution().objective, want.objective);
-        assert_eq!(got.backend, "software");
+        assert_eq!(got.assignment, want.assignment, "cut seed {seed}");
+        assert_eq!(got.objective, want.objective);
     }
     for (&seed, &job) in seeds.iter().zip(&tsp_jobs) {
-        let got = service.wait_fetch::<Tsp>(job).expect("tsp job");
+        let got: Solution<Tsp> = wait_solution(&service, job);
         let want = tsp.solve(seed);
-        assert_eq!(
-            got.solution().assignment,
-            want.assignment,
-            "tsp seed {seed}"
-        );
-        assert_eq!(got.solution().decoded, want.decoded);
-        assert_eq!(got.backend, "dqubo");
+        assert_eq!(got.assignment, want.assignment, "tsp seed {seed}");
+        assert_eq!(got.decoded, want.decoded);
     }
+    assert_eq!(service.live_jobs(), 0);
 }
 
-/// Batch jobs reuse the `replica_seed` derivation, so one service job
-/// equals a whole `BatchRunner` run — at any worker count.
+/// A multi-start batch run inside one job (a closure around
+/// `BatchRunner`) equals the same `BatchRunner` run outside the
+/// service, whatever the thread count on either side.
 #[test]
 fn batch_job_is_bit_identical_to_batch_runner() {
     let engine = qkp_engine(5);
     let service = JobService::start(ServiceConfig::new().with_workers(3));
-    let job = service.submit_batch(&engine, 5, 77).expect("capacity");
-    let got = service.wait_fetch::<QkpInstance>(job).expect("batch job");
+    let solver = Arc::clone(&engine);
+    let job = service
+        .submit_with(move || BatchRunner::serial().run(solver.as_ref(), 5, 77))
+        .expect("capacity");
+    service.wait(job);
+    let got = service
+        .fetch_value::<Vec<Solution<QkpInstance>>>(job)
+        .expect("batch job");
     let want = BatchRunner::new()
         .with_threads(2)
         .run(engine.as_ref(), 5, 77);
-    assert_eq!(got.replicas(), want.len());
-    for (k, (g, w)) in got.solutions.iter().zip(&want).enumerate() {
-        assert_eq!(got.seeds[k], replica_seed(77, 0, k as u64));
+    assert_eq!(got.len(), want.len());
+    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(
+            g.assignment,
+            engine.solve(replica_seed(77, 0, k as u64)).assignment
+        );
         assert_eq!(g.assignment, w.assignment, "replica {k}");
         assert_eq!(g.objective, w.objective);
         assert_eq!(g.reported_energy, w.reported_energy);
     }
 }
 
-/// Bank-engine jobs ride the same erased queue: a batch job over the
-/// multi-constraint pipeline fetches bit-identical to `BatchRunner`,
-/// and every replica's solution satisfies each per-bin constraint.
+/// Bank-engine solves ride the same erased queue: one job per replica
+/// seed fetches bit-identical to `BatchRunner`, and every replica's
+/// solution satisfies each per-bin constraint.
 #[test]
 fn bank_engine_jobs_are_bit_identical_and_bin_exact() {
     let bp = BinPacking::new(vec![4, 5, 3, 6], 9, 2).unwrap();
@@ -140,17 +174,17 @@ fn bank_engine_jobs_are_bit_identical_and_bin_exact() {
         HyCimEngine::bank(&bp, &HyCimConfig::default().with_sweeps(60), 7)
             .expect("bin packing maps onto the bank"),
     );
+    assert_eq!(Engine::<BinPacking>::backend(engine.as_ref()), "bank");
     let service = JobService::start(ServiceConfig::new().with_workers(3));
-    let job = service.submit_batch(&engine, 4, 31).expect("capacity");
-    let got = service.wait_fetch::<BinPacking>(job).expect("bank job");
-    assert_eq!(got.backend, "bank");
+    let jobs: Vec<JobId> = (0..4)
+        .map(|k| submit_solve(&service, &engine, replica_seed(31, 0, k)))
+        .collect();
     let want = BatchRunner::new()
         .with_threads(2)
         .run(engine.as_ref(), 4, 31);
-    use hycim_cop::CopProblem;
     let mq = bp.to_multi_inequality_qubo().expect("encodable");
-    for (k, (g, w)) in got.solutions.iter().zip(&want).enumerate() {
-        assert_eq!(got.seeds[k], replica_seed(31, 0, k as u64));
+    for (k, (&job, w)) in jobs.iter().zip(&want).enumerate() {
+        let g: Solution<BinPacking> = wait_solution(&service, job);
         assert_eq!(g.assignment, w.assignment, "replica {k}");
         assert_eq!(g.reported_energy, w.reported_energy);
         assert!(
@@ -160,45 +194,43 @@ fn bank_engine_jobs_are_bit_identical_and_bin_exact() {
     }
 }
 
-/// Cancelling a queued job prevents it from ever running; its entry
-/// reports `Cancelled` until fetched, and fetching yields the typed
-/// cancellation error.
+/// Disposing of a queued job drops it before it runs: the dispose
+/// reports `Cancelled`, the id is forgotten at once, a second dispose
+/// finds nothing, and the jobs around it still complete.
 #[test]
 fn cancellation_of_queued_jobs() {
-    let engine = qkp_engine(9);
-    // One worker + a long head-of-line job keeps later jobs queued.
+    // One worker parked on a head job keeps later jobs queued.
     let service = JobService::start(ServiceConfig::new().with_workers(1).with_queue_capacity(16));
-    let head = service.submit_batch(&engine, 8, 1).expect("capacity");
-    let victims: Vec<_> = (0..4)
-        .map(|s| service.submit(&engine, s).expect("capacity"))
+    let (head, release) = park_worker(&service);
+    let ran = Arc::new(AtomicBool::new(false));
+    let victims: Vec<JobId> = (0..4)
+        .map(|_| {
+            let ran = Arc::clone(&ran);
+            service
+                .submit_with(move || ran.store(true, Ordering::SeqCst))
+                .expect("capacity")
+        })
         .collect();
+    let survivor = service.submit_with(|| 7u64).expect("capacity");
 
-    let mut cancelled = Vec::new();
     for &job in &victims {
-        if service.cancel(job) {
-            assert_eq!(service.status(job), Some(JobStatus::Cancelled));
-            cancelled.push(job);
-        }
-    }
-    // Double-cancel is a no-op, not an error.
-    for &job in &cancelled {
-        assert!(!service.cancel(job));
-    }
-    for &job in &cancelled {
-        match service.wait_fetch::<QkpInstance>(job) {
-            Err(FetchError::Cancelled(id)) => assert_eq!(id, job),
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-        // Fetch consumed the entry.
-        assert_eq!(service.status(job), None);
+        assert_eq!(service.dispose(job), DisposeOutcome::Cancelled);
+        assert_eq!(service.wait_timeout(job, Duration::ZERO), None);
+        // Double-dispose is a no-op, not an error.
+        assert_eq!(service.dispose(job), DisposeOutcome::Unknown);
+        assert!(matches!(
+            service.fetch_value::<()>(job),
+            Err(FetchError::Unknown(id)) if id == job
+        ));
     }
     // Untouched jobs still complete correctly.
-    assert!(service.wait_fetch::<QkpInstance>(head).is_ok());
-    for job in victims {
-        if !cancelled.contains(&job) {
-            assert!(service.wait_fetch::<QkpInstance>(job).is_ok());
-        }
-    }
+    drop(release);
+    assert_eq!(service.wait(head), Some(JobStatus::Done));
+    assert_eq!(service.wait(survivor), Some(JobStatus::Done));
+    assert_eq!(service.fetch_value::<u64>(survivor).unwrap(), 7);
+    service.fetch_value::<()>(head).unwrap();
+    assert!(!ran.load(Ordering::SeqCst), "a disposed job ran");
+    assert_eq!(service.live_jobs(), 0);
 }
 
 /// The queue bound is enforced per waiting job: submits beyond it
@@ -209,35 +241,34 @@ fn queue_full_backpressure() {
     let engine = qkp_engine(11);
     let service = JobService::start(ServiceConfig::new().with_workers(1).with_queue_capacity(3));
     // Occupy the worker so subsequent submits stay queued.
-    let head = service.submit_batch(&engine, 6, 2).expect("first submit");
+    let (head, release) = park_worker(&service);
 
     let mut queued_jobs = Vec::new();
     let mut rejections = 0usize;
-    // 3 capacity + the head job possibly still queued: submit until
-    // the bound trips, which must happen within a handful of tries.
     for seed in 0..16 {
-        match service.submit(&engine, seed) {
+        let engine = Arc::clone(&engine);
+        match service.submit_with(move || engine.solve(seed)) {
             Ok(job) => queued_jobs.push(job),
             Err(SubmitError::QueueFull { capacity }) => {
                 assert_eq!(capacity, 3);
-                assert_eq!(service.queue_capacity(), 3);
                 rejections += 1;
                 break;
             }
             Err(other) => panic!("unexpected submit error: {other}"),
         }
-        assert!(queued_jobs.len() <= 4, "bound never tripped");
     }
     assert_eq!(rejections, 1, "submit loop must hit the bound");
+    assert_eq!(queued_jobs.len(), 3, "the bound counts waiting jobs only");
 
     // Draining the queue restores capacity.
+    drop(release);
     service.wait(head);
     for &job in &queued_jobs {
         service.wait(job);
     }
-    assert_eq!(service.queued(), 0);
-    let retry = service.submit(&engine, 99).expect("drained queue accepts");
-    assert!(service.wait_fetch::<QkpInstance>(retry).is_ok());
+    let retry = submit_solve(&service, &engine, 99);
+    let got: Solution<QkpInstance> = wait_solution(&service, retry);
+    assert_eq!(got.assignment, engine.solve(99).assignment);
 }
 
 /// Status transitions observed through the public API follow the
@@ -246,16 +277,14 @@ fn queue_full_backpressure() {
 fn status_lifecycle_and_unique_ids() {
     let engine = maxcut_engine(13);
     let service = JobService::start(ServiceConfig::new().with_workers(2));
-    let jobs: Vec<_> = (0..8)
-        .map(|s| service.submit(&engine, s).expect("capacity"))
-        .collect();
+    let jobs: Vec<_> = (0..8).map(|s| submit_solve(&service, &engine, s)).collect();
     let unique: std::collections::BTreeSet<_> = jobs.iter().copied().collect();
     assert_eq!(unique.len(), jobs.len(), "ids must be unique");
 
     for &job in &jobs {
         // Any status observed before the terminal wait must be a
         // legal non-fetched state.
-        if let Some(status) = service.status(job) {
+        if let Some(status) = service.wait_timeout(job, Duration::ZERO) {
             assert!(matches!(
                 status,
                 JobStatus::Queued | JobStatus::Running | JobStatus::Done
@@ -264,6 +293,6 @@ fn status_lifecycle_and_unique_ids() {
         assert_eq!(service.wait(job), Some(JobStatus::Done));
     }
     for job in jobs {
-        assert!(service.wait_fetch::<MaxCut>(job).is_ok());
+        assert!(service.fetch_value::<Solution<MaxCut>>(job).is_ok());
     }
 }

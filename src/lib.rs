@@ -16,7 +16,7 @@
 //! | [`cim`] | `hycim-cim` | Inequality filter, CiM crossbar, ADC, matchline, area & energy models |
 //! | [`anneal`] | `hycim-anneal` | Simulated-annealing engine, schedules, traces, 64-lane packed sweeps |
 //! | [`core`] | `hycim-core` | Generic engines (`HyCimEngine` with its single-filter and filter-bank constructors, `DquboEngine`, `SoftwareEngine`), the parallel `BatchRunner` |
-//! | [`service`] | `hycim-service` | Job-service front-end: bounded-queue worker pool serving solve jobs to concurrent callers (submit → poll → fetch) |
+//! | [`service`] | `hycim-service` | Job-service front-end: bounded-queue worker pool running job closures for concurrent callers (submit → wait → fetch, or dispose) |
 //! | [`net`] | `hycim-net` | Framed-JSON wire protocol over TCP: worker servers bridging jobs onto the service pool, the shard-planning coordinator with worker health tracking / seeded retry backoff / local-fallback degradation, a deterministic fault-injection proxy, bit-identical distributed solves |
 //! | [`obs`] | `hycim-obs` | Observability: dependency-free metrics registry (counters, gauges, mergeable histograms), bounded event tracer, Prometheus-style exposition, deterministic snapshot form |
 //!
@@ -85,7 +85,5 @@ pub mod prelude {
         Assignment, DeltaEngine, InequalityQubo, IsingModel, LinearConstraint, LocalFieldState,
         MultiInequalityQubo, QuboMatrix,
     };
-    pub use hycim_service::{
-        DisposeOutcome, JobId, JobResult, JobService, JobStatus, ServiceConfig,
-    };
+    pub use hycim_service::{DisposeOutcome, JobId, JobService, JobStatus, ServiceConfig};
 }

@@ -1,5 +1,5 @@
 use hycim_qubo::dqubo::DquboForm;
-use hycim_qubo::{Assignment, DeltaEngine, InequalityQubo};
+use hycim_qubo::{Assignment, InequalityQubo, LocalFieldState};
 use rand::rngs::StdRng;
 
 /// Result of probing a single-bit flip.
@@ -118,7 +118,7 @@ pub struct SoftwareState {
     x: Assignment,
     load: u64,
     energy: f64,
-    deltas: DeltaEngine,
+    fields: LocalFieldState,
 }
 
 impl SoftwareState {
@@ -136,23 +136,14 @@ impl SoftwareState {
         );
         let load = problem.constraint().load(&initial);
         let energy = problem.objective_energy(&initial);
-        let deltas = DeltaEngine::local(problem.objective(), &initial);
+        let fields = LocalFieldState::new(problem.objective(), &initial);
         Self {
             problem: problem.clone(),
             x: initial,
             load,
             energy,
-            deltas,
+            fields,
         }
-    }
-
-    /// Switches to dense O(n) row-scan deltas (no maintained local
-    /// fields). Only the benchmark harness and the equivalence tests
-    /// want this; the default local-field backend computes the same
-    /// deltas in O(1).
-    pub fn with_dense_deltas(mut self) -> Self {
-        self.deltas = DeltaEngine::dense();
-        self
     }
 
     /// Current constraint load `Σwᵢxᵢ`.
@@ -190,7 +181,7 @@ impl AnnealState for SoftwareState {
             return FlipOutcome::Infeasible;
         }
         FlipOutcome::Feasible {
-            delta: self.deltas.flip_delta(self.problem.objective(), &self.x, i),
+            delta: self.fields.flip_delta(&self.x, i),
         }
     }
 
@@ -201,7 +192,7 @@ impl AnnealState for SoftwareState {
         } else {
             self.load -= w;
         }
-        self.deltas.commit_flip(&self.x, i);
+        self.fields.commit_flip(&self.x, i);
         self.energy += delta;
     }
 
@@ -222,8 +213,8 @@ impl AnnealState for SoftwareState {
         }
         FlipOutcome::Feasible {
             delta: self
-                .deltas
-                .pair_delta(self.problem.objective(), &self.x, i, j),
+                .fields
+                .pair_delta(&self.x, i, j, self.problem.objective().get(i, j)),
         }
     }
 
@@ -236,7 +227,7 @@ impl AnnealState for SoftwareState {
                 self.load -= weight;
             }
         }
-        self.deltas.commit_pair(&self.x, i, j);
+        self.fields.commit_pair(&self.x, i, j);
         self.energy += delta;
     }
 }
@@ -250,7 +241,7 @@ pub struct PenaltyState {
     form: DquboForm,
     x: Assignment,
     energy: f64,
-    deltas: DeltaEngine,
+    fields: LocalFieldState,
 }
 
 impl PenaltyState {
@@ -263,30 +254,18 @@ impl PenaltyState {
     pub fn new(form: &DquboForm, initial: Assignment) -> Self {
         assert_eq!(initial.len(), form.dim(), "configuration length mismatch");
         let energy = form.energy(&initial);
-        let deltas = DeltaEngine::local(form.matrix(), &initial);
+        let fields = LocalFieldState::new(form.matrix(), &initial);
         Self {
             form: form.clone(),
             x: initial,
             energy,
-            deltas,
+            fields,
         }
-    }
-
-    /// Switches to dense O(n) row-scan deltas — see
-    /// [`SoftwareState::with_dense_deltas`].
-    pub fn with_dense_deltas(mut self) -> Self {
-        self.deltas = DeltaEngine::dense();
-        self
     }
 
     /// The underlying D-QUBO form.
     pub fn form(&self) -> &DquboForm {
         &self.form
-    }
-
-    /// Item part of the current configuration.
-    pub fn item_assignment(&self) -> Assignment {
-        self.form.decode(&self.x)
     }
 }
 
@@ -305,27 +284,29 @@ impl AnnealState for PenaltyState {
 
     fn probe_flip(&mut self, i: usize, _rng: &mut StdRng) -> FlipOutcome {
         FlipOutcome::Feasible {
-            delta: self.deltas.flip_delta(self.form.matrix(), &self.x, i),
+            delta: self.fields.flip_delta(&self.x, i),
         }
     }
 
     fn commit_flip(&mut self, i: usize, delta: f64) {
         self.x.flip(i);
-        self.deltas.commit_flip(&self.x, i);
+        self.fields.commit_flip(&self.x, i);
         self.energy += delta;
     }
 
     fn probe_pair(&mut self, i: usize, j: usize, _rng: &mut StdRng) -> FlipOutcome {
         assert_ne!(i, j, "pair flip needs two distinct bits");
         FlipOutcome::Feasible {
-            delta: self.deltas.pair_delta(self.form.matrix(), &self.x, i, j),
+            delta: self
+                .fields
+                .pair_delta(&self.x, i, j, self.form.matrix().get(i, j)),
         }
     }
 
     fn commit_pair(&mut self, i: usize, j: usize, delta: f64) {
         self.x.flip(i);
         self.x.flip(j);
-        self.deltas.commit_pair(&self.x, i, j);
+        self.fields.commit_pair(&self.x, i, j);
         self.energy += delta;
     }
 }
@@ -431,7 +412,7 @@ mod tests {
                 None => panic!("penalty state never vetoes"),
             }
         }
-        let x = state.item_assignment();
+        let x = form.decode(state.assignment());
         assert!(!iq.is_feasible(&x), "walked into infeasible region");
         // Energy matches the exact form evaluation.
         assert!((state.energy() - form.energy(state.assignment())).abs() < 1e-9);

@@ -99,51 +99,40 @@ proptest! {
         prop_assert!((state.energy() - form.energy(state.assignment())).abs() < 1e-6);
     }
 
-    /// The local-field backend is bit-identical to the dense path on
-    /// integer-valued instances: the full annealing run — every RNG
-    /// draw, accept decision, and recorded energy — matches exactly.
+    /// A whole annealing run, exchange moves included, keeps the
+    /// tracked energy exact on integer-valued instances: after
+    /// `Annealer::run` the energy each state accumulated from its
+    /// local-field deltas has the bits of the energy recomputed from
+    /// the final assignment, for the filtered and the penalty form.
     #[test]
-    fn software_runs_match_dense_bit_for_bit(
+    fn tracked_energy_is_exact_after_full_runs(
         seed in any::<u64>(),
-        n in 4usize..24,
+        n in 3usize..24,
         iters in 20usize..300,
-    ) {
-        let inst = QkpGenerator::new(n, 0.5).generate(seed);
-        let iq = inst.to_inequality_qubo().expect("valid");
-        let annealer = Annealer::new(GeometricSchedule::new(50.0, 0.995), iters);
-        let mut rng_local = StdRng::seed_from_u64(seed);
-        let mut local = SoftwareState::new(&iq, Assignment::zeros(n));
-        let trace_local = annealer.run(&mut local, &mut rng_local);
-        let mut rng_dense = StdRng::seed_from_u64(seed);
-        let mut dense = SoftwareState::new(&iq, Assignment::zeros(n)).with_dense_deltas();
-        let trace_dense = annealer.run(&mut dense, &mut rng_dense);
-        prop_assert_eq!(trace_local, trace_dense);
-        prop_assert_eq!(local.assignment(), dense.assignment());
-        prop_assert_eq!(local.energy(), dense.energy());
-    }
-
-    /// Same bit-identity law for the penalty (D-QUBO) state.
-    #[test]
-    fn penalty_runs_match_dense_bit_for_bit(
-        seed in any::<u64>(),
-        n in 3usize..10,
-        iters in 20usize..200,
     ) {
         let inst = QkpGenerator::new(n, 0.5)
             .with_capacity_range(5, 40)
             .generate(seed);
+        let annealer = Annealer::new(GeometricSchedule::new(50.0, 0.995), iters)
+            .with_swap_probability(0.5);
+
+        let iq = inst.to_inequality_qubo().expect("valid");
+        let mut software = SoftwareState::new(&iq, Assignment::zeros(n));
+        annealer.run(&mut software, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(
+            software.energy().to_bits(),
+            iq.objective_energy(software.assignment()).to_bits()
+        );
+
         let form = inst
             .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
             .expect("transformable");
-        let annealer = Annealer::new(GeometricSchedule::new(50.0, 0.99), iters);
-        let mut rng_local = StdRng::seed_from_u64(seed);
-        let mut local = PenaltyState::new(&form, Assignment::zeros(form.dim()));
-        let trace_local = annealer.run(&mut local, &mut rng_local);
-        let mut rng_dense = StdRng::seed_from_u64(seed);
-        let mut dense = PenaltyState::new(&form, Assignment::zeros(form.dim())).with_dense_deltas();
-        let trace_dense = annealer.run(&mut dense, &mut rng_dense);
-        prop_assert_eq!(trace_local, trace_dense);
-        prop_assert_eq!(local.assignment(), dense.assignment());
+        let mut penalty = PenaltyState::new(&form, Assignment::zeros(form.dim()));
+        annealer.run(&mut penalty, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(
+            penalty.energy().to_bits(),
+            form.energy(penalty.assignment()).to_bits()
+        );
     }
 }
 

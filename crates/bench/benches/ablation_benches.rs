@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md §7:
+//! Ablation benches for the model's design choices:
 //! crossbar quantization bits, comparator noise, SA schedule shape,
 //! D-QUBO aux encoding, and swap-move fraction. These measure solution
 //! *quality* proxies as throughput-style benchmarks so regressions in
@@ -75,7 +75,7 @@ fn bench_swap_fraction(c: &mut Criterion) {
     let inst = QkpGenerator::new(100, 0.5).generate(3);
     for swap in [0.0f64, 0.25, 0.5] {
         let mut config = HyCimConfig::default().with_sweeps(20);
-        config.swap_probability = swap;
+        config.anneal.swap_probability = swap;
         let solver = HyCimEngine::new(&inst, &config, 3).expect("maps");
         group.bench_function(BenchmarkId::from_parameter(format!("{swap}")), |b| {
             let mut seed = 0u64;

@@ -1,41 +1,12 @@
-//! Criterion micro-benchmarks of the flip-delta hot path: the dense
-//! O(n) row scan vs the maintained local-field O(1) lookup, at the
-//! probe level and over full SA runs.
+//! Criterion micro-benchmark of the local-field commit: the
+//! O(deg(i)) field update a committed flip pays.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use hycim_anneal::{Annealer, GeometricSchedule, SoftwareState};
 use hycim_cop::maxcut::MaxCut;
-use hycim_cop::CopProblem;
 use hycim_qubo::{Assignment, LocalFieldState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-
-fn bench_flip_delta_probe(c: &mut Criterion) {
-    let mut group = c.benchmark_group("flip_delta_probe");
-    for n in [64usize, 256, 1024] {
-        let g = MaxCut::random(n, 0.05, 3);
-        let q = g.objective_matrix();
-        let mut rng = StdRng::seed_from_u64(4);
-        let x = Assignment::random(n, &mut rng);
-        let lf = LocalFieldState::new(&q, &x);
-        group.bench_function(BenchmarkId::new("dense", n), |b| {
-            let mut i = 0;
-            b.iter(|| {
-                i = (i + 1) % n;
-                black_box(q.flip_delta(black_box(&x), i))
-            })
-        });
-        group.bench_function(BenchmarkId::new("local_field", n), |b| {
-            let mut i = 0;
-            b.iter(|| {
-                i = (i + 1) % n;
-                black_box(lf.flip_delta(black_box(&x), i))
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_commit_flip(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_field_commit");
@@ -61,43 +32,5 @@ fn bench_commit_flip(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sa_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sa_1000_iterations_backend");
-    let n = 256;
-    let g = MaxCut::random(n, 0.05, 7);
-    let iq = CopProblem::to_inequality_qubo(&g).expect("max-cut encodes");
-    let annealer = Annealer::new(GeometricSchedule::new(50.0, 0.999), 1000).without_trace();
-    group.bench_function("dense", |b| {
-        b.iter_batched(
-            || {
-                (
-                    SoftwareState::new(&iq, Assignment::zeros(n)).with_dense_deltas(),
-                    StdRng::seed_from_u64(8),
-                )
-            },
-            |(mut state, mut rng)| black_box(annealer.run(&mut state, &mut rng)),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("local_field", |b| {
-        b.iter_batched(
-            || {
-                (
-                    SoftwareState::new(&iq, Assignment::zeros(n)),
-                    StdRng::seed_from_u64(8),
-                )
-            },
-            |(mut state, mut rng)| black_box(annealer.run(&mut state, &mut rng)),
-            BatchSize::SmallInput,
-        )
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_flip_delta_probe,
-    bench_commit_flip,
-    bench_sa_backends
-);
+criterion_group!(benches, bench_commit_flip);
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Quality ablations for the design choices called out in DESIGN.md §7
+//! Quality ablations for the model's design choices
 //! — reports *success rates* (not throughput; see `ablation_benches`
 //! for timing) under each variation, with every (instance × initial)
 //! grid fanned out by the deterministic parallel `BatchRunner`:
@@ -90,7 +90,7 @@ fn main() {
     println!("\n== exchange-move fraction (0 = pure single flips) ==");
     for swap in [0.0, 0.25, 0.5] {
         let mut config = HyCimConfig::default().with_sweeps(sweeps);
-        config.swap_probability = swap;
+        config.anneal.swap_probability = swap;
         println!(
             "  swap {swap:>4}: success {:.1}%",
             hycim_rate(&instances, &config, initials, seed, &runner)
@@ -122,7 +122,7 @@ fn main() {
     println!("\n== final temperature fraction (t_end / t0) ==");
     for t_end in [0.05, 0.01, 0.002, 0.0005] {
         let mut config = HyCimConfig::default().with_sweeps(sweeps);
-        config.t_end_fraction = t_end;
+        config.anneal.t_end_fraction = t_end;
         println!(
             "  t_end {t_end:>7}: success {:.1}%",
             hycim_rate(&instances, &config, initials, seed, &runner)

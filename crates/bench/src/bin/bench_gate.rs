@@ -2,7 +2,7 @@
 //! the fresh cells against the committed `BENCH_study.json` within
 //! tolerance bands; quality regressions fail (exit 1), improvements
 //! and throughput drift warn. Also validates `BENCH_hotpath.json`
-//! (schema v3 only) and re-times its smallest probe cells — both the
+//! (schema v4 only) and re-times its smallest probe cells — both the
 //! scalar local-field rows and the packed 64-lane replica rows
 //! (warn-only drift; a lane diverging from its scalar `replica_seed`
 //! twin fails).

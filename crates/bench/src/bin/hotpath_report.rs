@@ -1,25 +1,18 @@
-//! SA hot-path throughput report: dense O(n) row-scan deltas vs the
-//! maintained local-field backend, across problem families and sizes,
-//! plus the bit-parallel replica throughput of the packed 64-lane
-//! engine vs one production scalar replica.
+//! SA hot-path throughput report: annealing iterations/second on
+//! maintained local fields across problem families and sizes, plus
+//! the bit-parallel replica throughput of the packed 64-lane engine vs
+//! one production scalar replica.
 //!
-//! For every (family, n) cell the report runs the *same* annealing
-//! loop twice — once on a state built with
-//! [`with_dense_deltas`](hycim_anneal::SoftwareState::with_dense_deltas),
-//! once on the default local-field backend — with identical seeds, and
-//! measures iterations/second. On integer-valued instances the two
-//! trajectories are bit-identical (asserted per cell), so the ratio is
-//! a pure hot-path speedup, not an algorithmic change.
-//!
-//! The replica rows do the same for multi-replica annealing: the
-//! packed engine advances 64 replicas per pass over the coupling
-//! structure (`u64` spin bitplanes, lane-major maintained fields),
-//! and every lane is verified bit-identical to an independent scalar
-//! sweep-reference replica on its `replica_seed` RNG stream (asserted
-//! per cell), so the replica speedup is likewise pure hot path.
+//! Each scalar (family, n) cell times one annealing run on the
+//! local-field state the engines use. The replica rows advance 64
+//! replicas per pass over the coupling structure (`u64` spin
+//! bitplanes, lane-major maintained fields), and every lane is
+//! verified bit-identical to an independent scalar sweep-reference
+//! replica on its `replica_seed` RNG stream (asserted per cell), so
+//! the replica speedup is pure hot path, not an algorithmic change.
 //!
 //! Emits `BENCH_hotpath.json` (override with `--out`), the repo's
-//! perf-trajectory artifact, schema `hycim-hotpath/v3` with a `meta`
+//! perf-trajectory artifact, schema `hycim-hotpath/v4` with a `meta`
 //! provenance block (`HYCIM_GIT_DESCRIBE` / `SOURCE_DATE_EPOCH`
 //! environment variables, `"unknown"` when unset), and validates its
 //! shape before exiting. The measurement and rendering logic lives in
@@ -47,11 +40,11 @@ fn main() {
     let replica_sweeps = args.get_usize("replica-sweeps", 240);
     let replica_families = args.get_str("replica-families", "maxcut,spinglass");
 
-    println!("SA hot-path throughput: dense row scans vs maintained local fields");
+    println!("SA hot-path throughput on maintained local fields");
     println!("sizes {sizes:?}, {iters_per_var} iterations/variable, families [{families}]\n");
     println!(
-        "{:<11} {:>6} {:>9} {:>7} {:>13} {:>13} {:>8}",
-        "family", "n", "nnz", "deg", "dense it/s", "local it/s", "speedup"
+        "{:<11} {:>6} {:>9} {:>7} {:>13}",
+        "family", "n", "nnz", "deg", "local it/s"
     );
 
     let mut rows = Vec::new();
@@ -59,20 +52,8 @@ fn main() {
         for family in families.split(',').map(str::trim) {
             let row = family_row(family, n, iters_per_var, seed, maxcut_density, qkp_density);
             println!(
-                "{:<11} {:>6} {:>9} {:>7.1} {:>13.0} {:>13.0} {:>7.1}x  {}",
-                row.family,
-                row.n,
-                row.nnz,
-                row.avg_degree,
-                row.dense_ips,
-                row.local_ips,
-                row.speedup(),
-                bar(row.speedup().min(40.0), 40.0, 24),
-            );
-            assert!(
-                row.bit_identical,
-                "{} n={} trajectories diverged between backends",
-                row.family, row.n
+                "{:<11} {:>6} {:>9} {:>7.1} {:>13.0}",
+                row.family, row.n, row.nnz, row.avg_degree, row.local_ips,
             );
             rows.push(row);
         }
@@ -120,14 +101,6 @@ fn main() {
         replica_rows.len()
     );
 
-    let best = rows
-        .iter()
-        .filter(|r| r.n >= 256 && (r.family == "maxcut" || r.family == "spinglass"))
-        .map(|r| r.speedup())
-        .fold(0.0f64, f64::max);
-    if best > 0.0 {
-        println!("max sparse-family speedup at n >= 256: {best:.1}x");
-    }
     let best_replica = replica_rows
         .iter()
         .filter(|r| r.n >= 256)

@@ -16,25 +16,23 @@ use hycim_net::json::Value;
 /// Schema tag of `BENCH_hotpath.json`: scalar local-field `rows`, a
 /// `meta` provenance block, and the `replica_rows` packed-vs-scalar
 /// throughput block. Earlier tags are rejected.
-pub const HOTPATH_SCHEMA: &str = "hycim-hotpath/v3";
+pub const HOTPATH_SCHEMA: &str = "hycim-hotpath/v4";
 
 /// Schema tag of `BENCH_study.json`.
 pub const STUDY_SCHEMA: &str = "hycim-study/v1";
 
 /// Keys every row of a hotpath report must carry.
-pub const HOTPATH_ROW_KEYS: [&str; 9] = [
+pub const HOTPATH_ROW_KEYS: [&str; 7] = [
     "family",
     "state",
     "n",
     "nnz",
     "avg_degree",
     "iterations",
-    "dense_iters_per_sec",
     "local_iters_per_sec",
-    "speedup",
 ];
 
-/// Keys every replica row of a v3 hotpath report must carry.
+/// Keys every replica row of a hotpath report must carry.
 pub const HOTPATH_REPLICA_ROW_KEYS: [&str; 9] = [
     "lanes",
     "family",
@@ -218,8 +216,6 @@ pub fn read_hotpath(doc: &str) -> Result<CommittedHotpath, String> {
     }
     let rows = each(rows, "row", |row| {
         has_keys(row, &HOTPATH_ROW_KEYS)?;
-        positive(row, "dense_iters_per_sec")?;
-        positive(row, "speedup")?;
         Ok((
             row.str_field("family")?.to_string(),
             row.u64_field("n")? as usize,
@@ -295,14 +291,13 @@ mod tests {
     }
 
     const GOOD_ROW: &str = "    { \"family\": \"maxcut\", \"state\": \"software\", \"n\": 256, \
-         \"nnz\": 10, \"avg_degree\": 2.0, \"iterations\": 100, \"dense_iters_per_sec\": 1e6, \
-         \"local_iters_per_sec\": 9e6, \"speedup\": 9.0, \"bit_identical\": true }\n";
+         \"nnz\": 10, \"avg_degree\": 2.0, \"iterations\": 100, \"local_iters_per_sec\": 9e6 }\n";
 
     const GOOD_REPLICA_ROW: &str = "    { \"lanes\": 64, \"family\": \"maxcut\", \"n\": 256, \
          \"nnz\": 10, \"avg_degree\": 2.0, \"sweeps\": 60, \"scalar_iters_per_sec\": 8e6, \
          \"packed_iters_per_sec\": 1.2e8, \"replica_speedup\": 15.0, \"bit_identical\": true }\n";
 
-    fn v3_doc(rows: &str, replica_rows: &str) -> String {
+    fn v4_doc(rows: &str, replica_rows: &str) -> String {
         format!(
             "{{\n  \"schema\": \"{HOTPATH_SCHEMA}\",\n  {},\n  \"rows\": [\n{rows}  ],\n  \
              \"replica_rows\": [\n{replica_rows}  ]\n}}\n",
@@ -311,14 +306,15 @@ mod tests {
     }
 
     #[test]
-    fn hotpath_validator_accepts_v3_and_rejects_v2_and_v1() {
+    fn hotpath_validator_accepts_v4_and_rejects_older_tags() {
         let meta = format!("  {},\n", ReportMeta::unknown().render());
-        read_hotpath(&v3_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("v3");
+        read_hotpath(&v4_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("v4");
         // The superseded tags fail on the tag itself, even when the
         // rest of the document is well-formed.
+        let v3 = v4_doc(GOOD_ROW, GOOD_REPLICA_ROW).replace(HOTPATH_SCHEMA, "hycim-hotpath/v3");
         let v2 = hotpath_doc("hycim-hotpath/v2", &meta, GOOD_ROW);
         let v1 = hotpath_doc("hycim-hotpath/v1", "", GOOD_ROW);
-        for old in [v2, v1] {
+        for old in [v3, v2, v1] {
             assert!(read_hotpath(&old).unwrap_err().contains("schema tag"));
         }
     }
@@ -327,48 +323,54 @@ mod tests {
     fn hotpath_validator_rejects_malformed() {
         assert!(read_hotpath("[]").is_err());
         assert!(read_hotpath("{}").is_err(), "missing schema");
-        let v3_no_meta = hotpath_doc(HOTPATH_SCHEMA, "", GOOD_ROW);
+        let no_meta = hotpath_doc(HOTPATH_SCHEMA, "", GOOD_ROW);
         assert!(
-            read_hotpath(&v3_no_meta).unwrap_err().contains("meta"),
-            "v3 requires meta"
+            read_hotpath(&no_meta).unwrap_err().contains("meta"),
+            "meta is required"
         );
-        let no_rows = v3_doc("", GOOD_REPLICA_ROW);
+        let no_rows = v4_doc("", GOOD_REPLICA_ROW);
         assert!(read_hotpath(&no_rows).is_err(), "no rows");
-        let bad = GOOD_ROW.replace("\"speedup\": 9.0", "\"speedup\": -3.0");
-        assert!(read_hotpath(&v3_doc(&bad, "")).is_err(), "negative speedup");
+        let bad = GOOD_ROW.replace(
+            "\"local_iters_per_sec\": 9e6",
+            "\"local_iters_per_sec\": -3.0",
+        );
+        assert!(
+            read_hotpath(&v4_doc(&bad, "")).is_err(),
+            "negative throughput"
+        );
     }
 
     #[test]
-    fn v3_validator_checks_the_replica_block() {
-        // v3 without any replica_rows key is rejected...
+    fn hotpath_validator_checks_the_replica_block() {
+        // A document without any replica_rows key is rejected...
         let meta = format!("  {},\n", ReportMeta::unknown().render());
         let missing = hotpath_doc(HOTPATH_SCHEMA, &meta, GOOD_ROW);
         assert!(read_hotpath(&missing).unwrap_err().contains("replica_rows"));
         // ...a present-but-empty block is fine...
-        read_hotpath(&v3_doc(GOOD_ROW, "")).expect("empty replica block");
+        read_hotpath(&v4_doc(GOOD_ROW, "")).expect("empty replica block");
         // ...and malformed replica rows are named.
         let bad_key = GOOD_REPLICA_ROW.replace("\"sweeps\"", "\"swps\"");
-        assert!(read_hotpath(&v3_doc(GOOD_ROW, &bad_key))
+        assert!(read_hotpath(&v4_doc(GOOD_ROW, &bad_key))
             .unwrap_err()
             .contains("sweeps"));
         let bad_ips = GOOD_REPLICA_ROW.replace(
             "\"packed_iters_per_sec\": 1.2e8",
             "\"packed_iters_per_sec\": 0.0",
         );
-        assert!(read_hotpath(&v3_doc(GOOD_ROW, &bad_ips))
+        assert!(read_hotpath(&v4_doc(GOOD_ROW, &bad_ips))
             .unwrap_err()
             .contains("not positive"));
     }
 
     #[test]
     fn replica_rows_extract_and_tolerate_their_absence() {
-        let read = read_hotpath(&v3_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("extracts");
+        let read = read_hotpath(&v4_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("extracts");
         assert_eq!(
             read.replica_rows,
             vec![("maxcut".to_string(), 256, 60, 1.2e8)]
         );
         // An empty replica block reads as an empty list.
-        let empty = read_hotpath(&v3_doc(GOOD_ROW, "")).expect("tolerated");
+        let empty = read_hotpath(&v4_doc(GOOD_ROW, "")).expect("tolerated");
         assert_eq!(empty.replica_rows, vec![]);
     }
 
@@ -457,7 +459,7 @@ mod tests {
 
     #[test]
     fn hotpath_rows_extract() {
-        let doc = v3_doc(GOOD_ROW, GOOD_REPLICA_ROW);
+        let doc = v4_doc(GOOD_ROW, GOOD_REPLICA_ROW);
         let rows = read_hotpath(&doc).expect("extracts").rows;
         assert_eq!(rows, vec![("maxcut".to_string(), 256, 9e6)]);
     }

@@ -16,7 +16,7 @@
 //! * **Throughput drifts warn.** Wall-clock depends on the machine, so
 //!   the hotpath probe only warns when local throughput falls below
 //!   `throughput_ratio` × the committed iterations/second. The same
-//!   warn-only policy covers the v3 replica rows
+//!   warn-only policy covers the replica rows
 //!   ([`replica_throughput_drift`]): packed replica throughput drifting
 //!   below the ratio is advisory. The one replica check that *does*
 //!   fail is bit-identity — a packed lane diverging from its scalar

@@ -1,13 +1,13 @@
-//! SA hot-path throughput measurement: dense O(n) row-scan deltas vs
-//! the maintained local-field backend, shared by the `hotpath_report`
-//! bin (which sweeps the full family × size matrix) and the
-//! `bench_gate` bin (which re-times a single small probe cell for the
-//! throughput-drift warning).
+//! SA hot-path throughput measurement: annealing runs on maintained
+//! local fields, plus the packed 64-lane engine against one scalar
+//! replica. Shared by the `hotpath_report` bin (which sweeps the full
+//! family × size matrix) and the `bench_gate` bin (which re-times a
+//! single small probe cell for the throughput-drift warning).
 
 use std::time::Instant;
 
 use hycim_anneal::{
-    run_replica_scalar, AnnealState, AnnealTrace, Annealer, GeometricSchedule, PackedSoftwareState,
+    run_replica_scalar, AnnealState, Annealer, GeometricSchedule, PackedSoftwareState,
     PenaltyState, SoftwareState,
 };
 use hycim_cop::generator::QkpGenerator;
@@ -38,19 +38,8 @@ pub struct HotpathRow {
     pub avg_degree: f64,
     /// Iterations per timed run.
     pub iterations: usize,
-    /// Dense-delta backend throughput, iterations/second.
-    pub dense_ips: f64,
-    /// Local-field backend throughput, iterations/second.
+    /// Local-field annealing throughput, iterations/second.
     pub local_ips: f64,
-    /// Whether both backends produced bit-identical trajectories.
-    pub bit_identical: bool,
-}
-
-impl HotpathRow {
-    /// Local-field speedup over the dense backend.
-    pub fn speedup(&self) -> f64 {
-        self.local_ips / self.dense_ips
-    }
 }
 
 fn degree_stats(q: &QuboMatrix) -> (usize, f64) {
@@ -61,13 +50,12 @@ fn degree_stats(q: &QuboMatrix) -> (usize, f64) {
 }
 
 /// Times `annealer.run` on a fresh state from `make`, returning
-/// (iterations/sec, final trace). One untimed warmup run absorbs
-/// first-touch effects.
+/// iterations/sec. One untimed warmup run absorbs first-touch effects.
 fn time_run<S: AnnealState>(
     annealer: &Annealer<GeometricSchedule>,
     seed: u64,
     make: impl Fn() -> S,
-) -> (f64, AnnealTrace) {
+) -> f64 {
     let mut warm = make();
     let mut rng = StdRng::seed_from_u64(seed);
     let _ = annealer.run(&mut warm, &mut rng);
@@ -75,12 +63,22 @@ fn time_run<S: AnnealState>(
     let mut state = make();
     let mut rng = StdRng::seed_from_u64(seed);
     let start = Instant::now();
-    let trace = annealer.run(&mut state, &mut rng);
+    let _ = annealer.run(&mut state, &mut rng);
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    (annealer.iterations() as f64 / elapsed, trace)
+    annealer.iterations() as f64 / elapsed
 }
 
-/// Times one inequality-QUBO encoding on both software delta backends.
+/// The annealer every scalar run times: `iters_per_var` moves per
+/// variable of an `n`-variable encoding.
+fn row_annealer(n: usize, iters_per_var: usize) -> Annealer<GeometricSchedule> {
+    Annealer::new(
+        GeometricSchedule::new(50.0, 0.999),
+        (iters_per_var * n).max(1),
+    )
+    .without_trace()
+}
+
+/// Times one inequality-QUBO encoding on [`SoftwareState`].
 fn software_row(
     family: &'static str,
     iq: &InequalityQubo,
@@ -88,12 +86,8 @@ fn software_row(
     seed: u64,
 ) -> HotpathRow {
     let n = iq.dim();
-    let iterations = (iters_per_var * n).max(1);
-    let annealer = Annealer::new(GeometricSchedule::new(50.0, 0.999), iterations).without_trace();
-    let (dense_ips, dense_trace) = time_run(&annealer, seed, || {
-        SoftwareState::new(iq, Assignment::zeros(n)).with_dense_deltas()
-    });
-    let (local_ips, local_trace) = time_run(&annealer, seed, || {
+    let annealer = row_annealer(n, iters_per_var);
+    let local_ips = time_run(&annealer, seed, || {
         SoftwareState::new(iq, Assignment::zeros(n))
     });
     let (nnz, avg_degree) = degree_stats(iq.objective());
@@ -103,27 +97,21 @@ fn software_row(
         n,
         nnz,
         avg_degree,
-        iterations,
-        dense_ips,
+        iterations: annealer.iterations(),
         local_ips,
-        bit_identical: dense_trace == local_trace,
     }
 }
 
 /// Times the D-QUBO penalty encoding of a generated QKP instance on
-/// both delta backends.
+/// [`PenaltyState`].
 fn penalty_row(n_items: usize, iters_per_var: usize, seed: u64) -> HotpathRow {
     let inst = QkpGenerator::new(n_items, 0.25).generate(seed);
     let form = inst
         .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
         .expect("QKP transforms");
     let n = form.dim();
-    let iterations = (iters_per_var * n).max(1);
-    let annealer = Annealer::new(GeometricSchedule::new(50.0, 0.999), iterations).without_trace();
-    let (dense_ips, dense_trace) = time_run(&annealer, seed, || {
-        PenaltyState::new(&form, Assignment::zeros(n)).with_dense_deltas()
-    });
-    let (local_ips, local_trace) = time_run(&annealer, seed, || {
+    let annealer = row_annealer(n, iters_per_var);
+    let local_ips = time_run(&annealer, seed, || {
         PenaltyState::new(&form, Assignment::zeros(n))
     });
     let (nnz, avg_degree) = degree_stats(form.matrix());
@@ -133,10 +121,8 @@ fn penalty_row(n_items: usize, iters_per_var: usize, seed: u64) -> HotpathRow {
         n,
         nnz,
         avg_degree,
-        iterations,
-        dense_ips,
+        iterations: annealer.iterations(),
         local_ips,
-        bit_identical: dense_trace == local_trace,
     }
 }
 
@@ -202,14 +188,12 @@ fn replica_row(family: &'static str, iq: &InequalityQubo, sweeps: usize, seed: u
     // Scalar baseline: the production per-replica annealing loop on
     // maintained local fields (the same path `run_annealing` drives),
     // doing one replica's worth of iterations.
-    let iterations = (n * sweeps).max(1);
-    let annealer = Annealer::new(GeometricSchedule::new(50.0, 0.999), iterations).without_trace();
+    let annealer = row_annealer(n, sweeps);
     let scalar_ips = (0..3)
         .map(|_| {
-            let (ips, _) = time_run(&annealer, seed, || {
+            time_run(&annealer, seed, || {
                 SoftwareState::new(iq, Assignment::zeros(n))
-            });
-            ips
+            })
         })
         .fold(0.0f64, f64::max);
 
@@ -319,8 +303,8 @@ pub fn family_row(
     }
 }
 
-/// Renders the `BENCH_hotpath.json` (schema v3) document: the
-/// dense-vs-local `rows` plus the packed-vs-scalar `replica_rows`.
+/// Renders the `BENCH_hotpath.json` (schema v4) document: the
+/// local-field `rows` plus the packed-vs-scalar `replica_rows`.
 pub fn render_hotpath_json(
     rows: &[HotpathRow],
     replica_rows: &[ReplicaRow],
@@ -338,18 +322,14 @@ pub fn render_hotpath_json(
     for (k, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{ \"family\": \"{}\", \"state\": \"{}\", \"n\": {}, \"nnz\": {}, \
-             \"avg_degree\": {:.2}, \"iterations\": {}, \"dense_iters_per_sec\": {:.1}, \
-             \"local_iters_per_sec\": {:.1}, \"speedup\": {:.2}, \"bit_identical\": {} }}{}\n",
+             \"avg_degree\": {:.2}, \"iterations\": {}, \"local_iters_per_sec\": {:.1} }}{}\n",
             r.family,
             r.state,
             r.n,
             r.nnz,
             r.avg_degree,
             r.iterations,
-            r.dense_ips,
             r.local_ips,
-            r.speedup(),
-            r.bit_identical,
             if k + 1 < rows.len() { "," } else { "" },
         ));
     }
@@ -384,11 +364,18 @@ mod tests {
     use crate::check::read_hotpath;
 
     #[test]
-    fn family_rows_time_and_stay_bit_identical() {
-        for family in ["maxcut", "spinglass", "qkp", "qkp-dqubo"] {
+    fn family_rows_time_the_local_field_path() {
+        for (family, state) in [
+            ("maxcut", "software"),
+            ("spinglass", "software"),
+            ("qkp", "software"),
+            ("qkp-dqubo", "penalty"),
+        ] {
             let row = family_row(family, 24, 4, 1, 0.3, 0.25);
-            assert!(row.dense_ips > 0.0 && row.local_ips > 0.0, "{family}");
-            assert!(row.bit_identical, "{family} trajectories diverged");
+            assert_eq!((row.family, row.state), (family, state));
+            assert!(row.n >= 24, "{family}: auxiliaries only add variables");
+            assert_eq!(row.iterations, 4 * row.n, "{family}");
+            assert!(row.local_ips > 0.0, "{family}");
         }
     }
 
@@ -406,11 +393,11 @@ mod tests {
     }
 
     #[test]
-    fn rendered_v3_report_validates_and_extracts_both_row_kinds() {
+    fn rendered_report_validates_and_extracts_both_row_kinds() {
         let rows = vec![family_row("maxcut", 16, 3, 1, 0.3, 0.25)];
         let replica_rows = vec![replica_family_row("maxcut", 16, 4, 1, 0.3, 0.25)];
         let doc = render_hotpath_json(&rows, &replica_rows, 3, &ReportMeta::unknown());
-        let read = read_hotpath(&doc).expect("v3 document reads");
+        let read = read_hotpath(&doc).expect("v4 document reads");
         let extracted = read.rows;
         assert_eq!(extracted.len(), 1);
         assert_eq!(extracted[0].0, "maxcut");

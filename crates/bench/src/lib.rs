@@ -1,6 +1,6 @@
 //! Benchmark harness for the HyCiM reproduction: shared utilities for
 //! the figure/table regeneration binaries and the criterion benches
-//! (see DESIGN.md §4 for the experiment index).
+//! (see `docs/ARCHITECTURE.md`, "Evaluation layer").
 //!
 //! The crate has three kinds of targets:
 //!

@@ -5,8 +5,7 @@
 //! 7-bit crossbar) over D-QUBO (16–25-bit crossbar alone) of
 //! 88.06–99.96%. Relative savings are governed by cell counts and the
 //! per-block peripheral overheads, which this closed-form model
-//! captures at 28 nm (the paper's HKMG node); see DESIGN.md §2 for the
-//! substitution note.
+//! captures at 28 nm (the paper's HKMG node).
 
 use std::fmt;
 

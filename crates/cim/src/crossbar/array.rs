@@ -239,7 +239,8 @@ impl Crossbar {
     /// Standard deviation of the hardware readout noise for a
     /// configuration activating `active_cells` weighted cells,
     /// expressed in energy units. Exposed so the SA hot loop can model
-    /// readout noise without a full array pass (see DESIGN.md §2).
+    /// readout noise without a full array pass (see
+    /// `docs/ARCHITECTURE.md`, "The hot path").
     pub fn readout_sigma(&self, active_cells: usize) -> f64 {
         self.config.variation.current_sigma_rel()
             * (active_cells as f64).sqrt()

@@ -3,7 +3,7 @@ use std::fmt;
 /// Simulation fidelity of the analog CiM blocks.
 ///
 /// Both fidelities share the same nominal transfer function; they
-/// differ only in how non-idealities are sampled (see DESIGN.md §2).
+/// differ only in how non-idealities are sampled.
 ///
 /// # Example
 ///

@@ -21,7 +21,8 @@
 //! `DeviceAccurate` simulates each cell's current with full device
 //! variability (used by the validation figures), while `Fast` uses the
 //! analytically equivalent aggregate with statistically matched noise
-//! (used inside the SA hot loop — see DESIGN.md §2).
+//! (used inside the SA hot loop — see `docs/ARCHITECTURE.md`, "The hot
+//! path").
 //!
 //! # Example
 //!

@@ -1151,7 +1151,7 @@ mod tests {
         let iq = CopProblem::to_inequality_qubo(&qkp).unwrap();
         let mq = qkp.to_multi_inequality_qubo().unwrap();
         assert_eq!(mq.num_constraints(), 1);
-        assert_eq!(mq.as_single(), Some(iq));
+        assert_eq!(mq, MultiInequalityQubo::from(iq));
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub fn local_search(inst: &QkpInstance, start: &Assignment) -> Assignment {
 /// `seed`.
 ///
 /// This stands in for the "true optimal value" of the paper's success
-/// criterion (see DESIGN.md §2 for the substitution rationale).
+/// criterion.
 pub fn best_known(inst: &QkpInstance, restarts: usize, seed: u64) -> (Assignment, u64) {
     let mut best_x = local_search(inst, &greedy(inst));
     let mut best_v = inst.value(&best_x);

@@ -63,7 +63,7 @@ fn calibrate_t0<S: AnnealState>(
 /// let iq = InequalityQubo::new(q, LinearConstraint::new(vec![1, 1], 2)?)?;
 /// let mut state = SoftwareState::new(&iq, Assignment::zeros(2));
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let settings = HyCimConfig::default().with_sweeps(20).anneal_settings();
+/// let settings = HyCimConfig::default().with_sweeps(20).anneal;
 /// let trace = run_annealing(&mut state, &settings, &mut rng);
 /// assert_eq!(trace.best_energy(), -5.0);
 /// # Ok(())

@@ -13,24 +13,8 @@ use hycim_qubo::dqubo::{AuxEncoding, PenaltyWeights};
 /// [`run_annealing`](crate::run_annealing).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealSettings {
-    /// Annealing sweeps; each sweep proposes `dim` moves.
-    pub sweeps: usize,
-    /// Fraction of exchange (swap) moves — the paper value 0.5.
-    pub swap_probability: f64,
-    /// T₀ = `t0_fraction × mean|Δ|` at the initial state.
-    pub t0_fraction: f64,
-    /// Final temperature as a fraction of T₀.
-    pub t_end_fraction: f64,
-    /// Record per-iteration energies.
-    pub record_trace: bool,
-}
-
-/// Configuration of the HyCiM engine pipeline.
-#[derive(Debug, Clone)]
-pub struct HyCimConfig {
-    /// Annealing sweeps; each sweep proposes `n` moves (the paper's
-    /// "1000 iterations", read as full-network updates — see
-    /// EXPERIMENTS.md).
+    /// Annealing sweeps; each sweep proposes `dim` moves (the paper's
+    /// "1000 iterations", read as full-network updates).
     pub sweeps: usize,
     /// Fraction of exchange (swap) moves (the paper value 0.5, the
     /// [`Annealer`](hycim_anneal::Annealer) default).
@@ -39,26 +23,42 @@ pub struct HyCimConfig {
     pub t0_fraction: f64,
     /// Final temperature as a fraction of T₀.
     pub t_end_fraction: f64,
-    /// Inequality filter hardware configuration.
-    pub filter: FilterConfig,
-    /// Crossbar hardware configuration.
-    pub crossbar: CrossbarConfig,
     /// Record per-iteration energies (Fig. 7(f) traces) — off by
     /// default to keep bulk experiments lean.
     pub record_trace: bool,
 }
 
-impl HyCimConfig {
-    /// The paper-calibrated defaults (Sec 4).
+impl AnnealSettings {
+    /// The paper-calibrated schedule both engine configs start from.
     fn paper() -> Self {
         Self {
             sweeps: 1000,
             swap_probability: hycim_anneal::DEFAULT_SWAP_PROBABILITY,
             t0_fraction: 0.5,
             t_end_fraction: 0.002,
+            record_trace: false,
+        }
+    }
+}
+
+/// Configuration of the HyCiM engine pipeline.
+#[derive(Debug, Clone)]
+pub struct HyCimConfig {
+    /// The annealing schedule.
+    pub anneal: AnnealSettings,
+    /// Inequality filter hardware configuration.
+    pub filter: FilterConfig,
+    /// Crossbar hardware configuration.
+    pub crossbar: CrossbarConfig,
+}
+
+impl HyCimConfig {
+    /// The paper-calibrated defaults (Sec 4).
+    fn paper() -> Self {
+        Self {
+            anneal: AnnealSettings::paper(),
             filter: FilterConfig::paper(),
             crossbar: CrossbarConfig::paper(),
-            record_trace: false,
         }
     }
 
@@ -69,13 +69,13 @@ impl HyCimConfig {
     /// Panics if `sweeps == 0`.
     pub fn with_sweeps(mut self, sweeps: usize) -> Self {
         assert!(sweeps > 0, "need at least one sweep");
-        self.sweeps = sweeps;
+        self.anneal.sweeps = sweeps;
         self
     }
 
     /// Enables per-iteration trace recording.
     pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
+        self.anneal.record_trace = true;
         self
     }
 
@@ -90,17 +90,6 @@ impl HyCimConfig {
         self.crossbar = crossbar;
         self
     }
-
-    /// The shared annealing-schedule parameters.
-    pub fn anneal_settings(&self) -> AnnealSettings {
-        AnnealSettings {
-            sweeps: self.sweeps,
-            swap_probability: self.swap_probability,
-            t0_fraction: self.t0_fraction,
-            t_end_fraction: self.t_end_fraction,
-            record_trace: self.record_trace,
-        }
-    }
 }
 
 impl Default for HyCimConfig {
@@ -114,14 +103,8 @@ impl Default for HyCimConfig {
 /// inequality filter.
 #[derive(Debug, Clone)]
 pub struct DquboConfig {
-    /// Annealing sweeps (each sweep proposes `n + n_aux` moves).
-    pub sweeps: usize,
-    /// Fraction of exchange (swap) moves.
-    pub swap_probability: f64,
-    /// T₀ = `t0_fraction × mean|Δ|` at the initial state.
-    pub t0_fraction: f64,
-    /// Final temperature as a fraction of T₀.
-    pub t_end_fraction: f64,
+    /// The annealing schedule (each sweep proposes `n + n_aux` moves).
+    pub anneal: AnnealSettings,
     /// Penalty coefficients α, β (paper sets both to 2).
     pub penalty: PenaltyWeights,
     /// Auxiliary-variable encoding (paper baseline: one-hot).
@@ -131,23 +114,17 @@ pub struct DquboConfig {
     pub bits: Option<u32>,
     /// Relative device current noise feeding the readout model.
     pub current_sigma_rel: f64,
-    /// Record per-iteration energies.
-    pub record_trace: bool,
 }
 
 impl DquboConfig {
     /// The paper's baseline settings.
     fn paper() -> Self {
         Self {
-            sweeps: 1000,
-            swap_probability: hycim_anneal::DEFAULT_SWAP_PROBABILITY,
-            t0_fraction: 0.5,
-            t_end_fraction: 0.002,
+            anneal: AnnealSettings::paper(),
             penalty: PenaltyWeights::PAPER,
             encoding: AuxEncoding::OneHot,
             bits: None,
             current_sigma_rel: 0.03,
-            record_trace: false,
         }
     }
 
@@ -158,7 +135,7 @@ impl DquboConfig {
     /// Panics if `sweeps == 0`.
     pub fn with_sweeps(mut self, sweeps: usize) -> Self {
         assert!(sweeps > 0, "need at least one sweep");
-        self.sweeps = sweeps;
+        self.anneal.sweeps = sweeps;
         self
     }
 
@@ -173,17 +150,6 @@ impl DquboConfig {
     pub fn with_bits(mut self, bits: u32) -> Self {
         self.bits = Some(bits);
         self
-    }
-
-    /// The shared annealing-schedule parameters.
-    pub fn anneal_settings(&self) -> AnnealSettings {
-        AnnealSettings {
-            sweeps: self.sweeps,
-            swap_probability: self.swap_probability,
-            t0_fraction: self.t0_fraction,
-            t_end_fraction: self.t_end_fraction,
-            record_trace: self.record_trace,
-        }
     }
 }
 
@@ -200,35 +166,38 @@ mod tests {
     #[test]
     fn defaults_are_the_paper_settings() {
         let h = HyCimConfig::default();
-        assert_eq!(h.sweeps, 1000);
-        assert_eq!(h.swap_probability, 0.5);
+        assert_eq!(h.anneal.sweeps, 1000);
+        assert_eq!(h.anneal.swap_probability, 0.5);
+        assert_eq!(h.anneal.t0_fraction, 0.5);
+        assert_eq!(h.anneal.t_end_fraction, 0.002);
+        assert!(!h.anneal.record_trace);
         let d = DquboConfig::default();
-        assert_eq!(d.swap_probability, 0.5);
+        assert_eq!(d.anneal.swap_probability, 0.5);
         assert_eq!(d.penalty, PenaltyWeights::PAPER);
     }
 
     #[test]
     fn builders_override_fields() {
         let h = HyCimConfig::default().with_sweeps(7).with_trace();
-        assert_eq!(h.sweeps, 7);
-        assert!(h.record_trace);
+        assert_eq!(h.anneal.sweeps, 7);
+        assert!(h.anneal.record_trace);
         let d = DquboConfig::default()
             .with_sweeps(9)
             .with_bits(5)
             .with_encoding(AuxEncoding::Binary);
-        assert_eq!(d.sweeps, 9);
+        assert_eq!(d.anneal.sweeps, 9);
         assert_eq!(d.bits, Some(5));
         assert_eq!(d.encoding, AuxEncoding::Binary);
     }
 
     #[test]
     fn anneal_settings_mirror_the_configs() {
+        // Both engines anneal on the same schedule; only the sweep
+        // override moves it.
         let h = HyCimConfig::default().with_sweeps(123);
-        let s = h.anneal_settings();
-        assert_eq!(s.sweeps, 123);
-        assert_eq!(s.swap_probability, h.swap_probability);
-        assert_eq!(s.t0_fraction, h.t0_fraction);
-        let d = DquboConfig::default();
-        assert_eq!(d.anneal_settings().sweeps, 1000);
+        let d = DquboConfig::default().with_sweeps(123);
+        assert_eq!(h.anneal, d.anneal);
+        assert_eq!(h.anneal.sweeps, 123);
+        assert_eq!(DquboConfig::default().anneal.sweeps, 1000);
     }
 }

@@ -223,7 +223,7 @@ impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
         let initial = self.problem.initial(&mut StdRng::seed_from_u64(seed));
         let mut state = BankHardwareState::new(&self.chip, initial);
         let mut rng = StdRng::seed_from_u64(seed);
-        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
+        let trace = run_annealing(&mut state, &self.config.anneal, &mut rng);
         let assignment = trace.best_assignment().clone();
         Solution::score(&self.problem, assignment, trace)
     }
@@ -296,7 +296,7 @@ impl<P: CopProblem> Engine<P> for DquboEngine<P> {
         });
         let mut state = DquboHardwareState::new(chip, initial);
         let mut rng = StdRng::seed_from_u64(seed);
-        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
+        let trace = run_annealing(&mut state, &self.config.anneal, &mut rng);
         // Decode the best extended configuration back to the problem
         // space; the filterless baseline may well land infeasible
         // (Fig. 10).
@@ -348,7 +348,7 @@ impl<P: CopProblem> Engine<P> for SoftwareEngine<P> {
         let initial = self.problem.initial(&mut StdRng::seed_from_u64(seed));
         let mut state = hycim_anneal::SoftwareState::new(&self.encoded, initial);
         let mut rng = StdRng::seed_from_u64(seed);
-        let trace = run_annealing(&mut state, &self.config.anneal_settings(), &mut rng);
+        let trace = run_annealing(&mut state, &self.config.anneal, &mut rng);
         let assignment = trace.best_assignment().clone();
         Solution::score(&self.problem, assignment, trace)
     }

@@ -1,13 +1,14 @@
 //! Hardware-backed [`AnnealState`] implementations: the glue between
 //! the SA logic and the CiM circuit models (paper Fig. 3 / Fig. 6(b)).
 //!
-//! Per DESIGN.md §2, the SA hot loop does not re-simulate every cell
-//! per iteration; it uses the crossbar's *stored* (quantized) matrix
-//! for incremental deltas plus statistically matched readout noise,
-//! and the inequality filter's fast path (which still includes
-//! matchline noise, comparator offset and decision noise). The
-//! device-accurate paths of `hycim-cim` validate this equivalence in
-//! tests and generate the paper's validation figures.
+//! The SA hot loop does not re-simulate every cell per iteration (see
+//! `docs/ARCHITECTURE.md`, "The hot path"); it uses the crossbar's
+//! *stored* (quantized) matrix for incremental deltas plus
+//! statistically matched readout noise, and the inequality filter's
+//! fast path (which still includes matchline noise, comparator offset
+//! and decision noise). The device-accurate paths of `hycim-cim`
+//! validate this equivalence in tests and generate the paper's
+//! validation figures.
 //!
 //! Each backend splits into an immutable chip ([`BankChip`],
 //! [`DquboChip`]), programmed once per engine, and a per-solve state
@@ -23,7 +24,7 @@ use hycim_cim::CimError;
 use hycim_fefet::GaussianDraw;
 use hycim_qubo::dqubo::DquboForm;
 use hycim_qubo::quant::QuantizedMatrix;
-use hycim_qubo::{Assignment, DeltaEngine, LinearConstraint, MultiInequalityQubo, QuboMatrix};
+use hycim_qubo::{Assignment, LinearConstraint, LocalFieldState, MultiInequalityQubo, QuboMatrix};
 use rand::rngs::StdRng;
 
 /// A crossbar readout `exact + z·σ` (the stored-matrix delta plus
@@ -165,9 +166,8 @@ pub struct BankHardwareState<'c> {
     /// what the SA logic sees.
     energy: f64,
     readout: Readout,
-    /// Flip-delta backend over the stored matrix (local fields by
-    /// default).
-    deltas: DeltaEngine,
+    /// Maintained local fields over the stored matrix.
+    fields: LocalFieldState,
 }
 
 impl<'c> BankHardwareState<'c> {
@@ -189,16 +189,9 @@ impl<'c> BankHardwareState<'c> {
             loads,
             energy: chip.matrix.energy(&initial),
             readout: Readout::new(chip.readout_sigma),
-            deltas: DeltaEngine::local(&chip.matrix, &initial),
+            fields: LocalFieldState::new(&chip.matrix, &initial),
             x: initial,
         }
-    }
-
-    /// Switches to dense O(n) row-scan deltas over the stored matrix
-    /// (benchmark/equivalence use only).
-    pub fn with_dense_deltas(mut self) -> Self {
-        self.deltas = DeltaEngine::dense();
-        self
     }
 
     /// Current per-constraint loads, in filter order.
@@ -261,7 +254,7 @@ impl AnnealState for BankHardwareState<'_> {
         if !self.admits(&self.proposed, rng) {
             return FlipOutcome::Infeasible;
         }
-        let exact = self.deltas.flip_delta(&self.chip.matrix, &self.x, i);
+        let exact = self.fields.flip_delta(&self.x, i);
         self.readout.probe(exact, rng)
     }
 
@@ -271,7 +264,7 @@ impl AnnealState for BankHardwareState<'_> {
 
     fn commit_flip(&mut self, i: usize, delta: f64) {
         self.apply(&[i]);
-        self.deltas.commit_flip(&self.x, i);
+        self.fields.commit_flip(&self.x, i);
         self.energy += delta;
     }
 
@@ -281,13 +274,15 @@ impl AnnealState for BankHardwareState<'_> {
         if !self.admits(&self.proposed, rng) {
             return FlipOutcome::Infeasible;
         }
-        let exact = self.deltas.pair_delta(&self.chip.matrix, &self.x, i, j);
+        let exact = self
+            .fields
+            .pair_delta(&self.x, i, j, self.chip.matrix.get(i, j));
         self.readout.probe(exact, rng)
     }
 
     fn commit_pair(&mut self, i: usize, j: usize, delta: f64) {
         self.apply(&[i, j]);
-        self.deltas.commit_pair(&self.x, i, j);
+        self.fields.commit_pair(&self.x, i, j);
         self.energy += delta;
     }
 
@@ -319,8 +314,6 @@ pub struct DquboChip {
     offset: f64,
     /// Per-readout energy noise sigma.
     readout_sigma: f64,
-    /// Problem variables ahead of the penalty auxiliaries.
-    num_items: usize,
 }
 
 impl DquboChip {
@@ -338,7 +331,6 @@ impl DquboChip {
             readout_sigma: current_sigma_rel * (typical_active as f64).sqrt() * quant.scale(),
             matrix,
             offset: form.offset(),
-            num_items: form.num_items(),
         }
     }
 }
@@ -351,9 +343,8 @@ pub struct DquboHardwareState<'c> {
     x: Assignment,
     energy: f64,
     readout: Readout,
-    /// Flip-delta backend over the stored matrix (local fields by
-    /// default).
-    deltas: DeltaEngine,
+    /// Maintained local fields over the stored matrix.
+    fields: LocalFieldState,
 }
 
 impl<'c> DquboHardwareState<'c> {
@@ -373,21 +364,9 @@ impl<'c> DquboHardwareState<'c> {
             chip,
             energy: chip.matrix.energy(&initial) + chip.offset,
             readout: Readout::new(chip.readout_sigma),
-            deltas: DeltaEngine::local(&chip.matrix, &initial),
+            fields: LocalFieldState::new(&chip.matrix, &initial),
             x: initial,
         }
-    }
-
-    /// Switches to dense O(n) row-scan deltas over the stored matrix
-    /// (benchmark/equivalence use only).
-    pub fn with_dense_deltas(mut self) -> Self {
-        self.deltas = DeltaEngine::dense();
-        self
-    }
-
-    /// Item part of the current configuration.
-    pub fn item_assignment(&self) -> Assignment {
-        self.x.truncated(self.chip.num_items)
     }
 }
 
@@ -405,7 +384,7 @@ impl AnnealState for DquboHardwareState<'_> {
     }
 
     fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
-        let exact = self.deltas.flip_delta(&self.chip.matrix, &self.x, i);
+        let exact = self.fields.flip_delta(&self.x, i);
         self.readout.probe(exact, rng)
     }
 
@@ -415,20 +394,22 @@ impl AnnealState for DquboHardwareState<'_> {
 
     fn commit_flip(&mut self, i: usize, delta: f64) {
         self.x.flip(i);
-        self.deltas.commit_flip(&self.x, i);
+        self.fields.commit_flip(&self.x, i);
         self.energy += delta;
     }
 
     fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
         assert_ne!(i, j, "pair flip needs two distinct bits");
-        let exact = self.deltas.pair_delta(&self.chip.matrix, &self.x, i, j);
+        let exact = self
+            .fields
+            .pair_delta(&self.x, i, j, self.chip.matrix.get(i, j));
         self.readout.probe(exact, rng)
     }
 
     fn commit_pair(&mut self, i: usize, j: usize, delta: f64) {
         self.x.flip(i);
         self.x.flip(j);
-        self.deltas.commit_pair(&self.x, i, j);
+        self.fields.commit_pair(&self.x, i, j);
         self.energy += delta;
     }
 }
@@ -648,88 +629,6 @@ mod tests {
         }
     }
 
-    /// Dense and local-field backends are bit-identical on the noisy
-    /// one-filter hardware state: the 7-bit quantization of integer
-    /// QKP profits is lossless, so both backends report the exact same
-    /// deltas, consume the same RNG stream, and take the same accept
-    /// decisions — the whole trajectory matches.
-    #[test]
-    fn hycim_state_dense_and_local_runs_are_bit_identical() {
-        use hycim_anneal::{Annealer, GeometricSchedule};
-        let mq = qkp_form(30, 0.5, 31);
-        let annealer = Annealer::new(GeometricSchedule::new(40.0, 0.995), 800);
-        let mut hw_rng = StdRng::seed_from_u64(7);
-        let chip = BankChip::build(
-            &mq,
-            &FilterConfig::default(),
-            &CrossbarConfig::paper(),
-            &mut hw_rng,
-        )
-        .unwrap();
-        let mut local = BankHardwareState::new(&chip, Assignment::zeros(30));
-        let mut dense = BankHardwareState::new(&chip, Assignment::zeros(30)).with_dense_deltas();
-        let mut rng_a = StdRng::seed_from_u64(99);
-        let mut rng_b = StdRng::seed_from_u64(99);
-        let trace_local = annealer.run(&mut local, &mut rng_a);
-        let trace_dense = annealer.run(&mut dense, &mut rng_b);
-        assert_eq!(trace_local, trace_dense);
-        assert_eq!(local.assignment(), dense.assignment());
-        assert_eq!(local.energy(), dense.energy());
-        assert_eq!(local.loads(), dense.loads());
-    }
-
-    /// Same bit-identity law on the filter-bank state (MKP, 3
-    /// constraints, noisy filters).
-    #[test]
-    fn bank_state_dense_and_local_runs_are_bit_identical() {
-        use hycim_anneal::{Annealer, GeometricSchedule};
-        use hycim_cop::CopProblem;
-        let mkp = hycim_cop::mkp::MkpGenerator::new(14, 3).generate(8);
-        let mq = mkp.to_multi_inequality_qubo().unwrap();
-        let annealer = Annealer::new(GeometricSchedule::new(40.0, 0.99), 600);
-        let mut hw_rng = StdRng::seed_from_u64(11);
-        let chip = BankChip::build(
-            &mq,
-            &FilterConfig::default(),
-            &CrossbarConfig::paper(),
-            &mut hw_rng,
-        )
-        .unwrap();
-        let mut local = BankHardwareState::new(&chip, Assignment::zeros(mq.dim()));
-        let mut dense =
-            BankHardwareState::new(&chip, Assignment::zeros(mq.dim())).with_dense_deltas();
-        let mut rng_a = StdRng::seed_from_u64(42);
-        let mut rng_b = StdRng::seed_from_u64(42);
-        let trace_local = annealer.run(&mut local, &mut rng_a);
-        let trace_dense = annealer.run(&mut dense, &mut rng_b);
-        assert_eq!(trace_local, trace_dense);
-        assert_eq!(local.loads(), dense.loads());
-    }
-
-    /// Same bit-identity law on the filterless D-QUBO baseline state
-    /// (integer penalties are lossless at the default bit width).
-    #[test]
-    fn dqubo_state_dense_and_local_runs_are_bit_identical() {
-        use hycim_anneal::{Annealer, GeometricSchedule};
-        let inst = QkpGenerator::new(12, 0.5)
-            .with_capacity_range(10, 40)
-            .generate(13);
-        let form = inst
-            .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
-            .unwrap();
-        let annealer = Annealer::new(GeometricSchedule::new(60.0, 0.99), 600);
-        let chip = DquboChip::build(&form, None, 0.02);
-        let mut local = DquboHardwareState::new(&chip, Assignment::zeros(form.dim()));
-        let mut dense =
-            DquboHardwareState::new(&chip, Assignment::zeros(form.dim())).with_dense_deltas();
-        let mut rng_a = StdRng::seed_from_u64(5);
-        let mut rng_b = StdRng::seed_from_u64(5);
-        let trace_local = annealer.run(&mut local, &mut rng_a);
-        let trace_dense = annealer.run(&mut dense, &mut rng_b);
-        assert_eq!(trace_local, trace_dense);
-        assert_eq!(local.assignment(), dense.assignment());
-    }
-
     /// Passes probes through to `inner`, counting deferred readouts and
     /// settles; with `eager`, settles every `Uphill` inside the probe
     /// and reports it as `Feasible` — a readout that evaluates every
@@ -810,9 +709,7 @@ mod tests {
     /// its probe: same trace, energy bits, assignment and next draw.
     /// T₀ calibration, whose probes are all settled, is included.
     fn check_deferred_equals_eager<S: AnnealState + Clone>(state: S, sweeps: usize, seed: u64) {
-        let settings = crate::HyCimConfig::default()
-            .with_sweeps(sweeps)
-            .anneal_settings();
+        let settings = crate::HyCimConfig::default().with_sweeps(sweeps).anneal;
         let mut eager = Deferral::new(state.clone(), true);
         let mut deferred = Deferral::new(state, false);
         let mut rng_eager = StdRng::seed_from_u64(seed);
@@ -893,7 +790,7 @@ mod tests {
             "dqubo energy {} vs exact {expected}",
             state.energy()
         );
-        assert_eq!(state.item_assignment().len(), 8);
+        assert_eq!(state.assignment().truncated(form.num_items()).len(), 8);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl EngineKind {
             }
             EngineKind::Dqubo => {
                 let mut dq = DquboConfig::default().with_sweeps(settings.sweeps);
-                dq.record_trace = settings.record_trace;
+                dq.anneal.record_trace = settings.record_trace;
                 Box::new(DquboEngine::new(problem, &dq)?)
             }
             EngineKind::Packed => {

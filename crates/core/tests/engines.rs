@@ -446,8 +446,8 @@ fn solves_on_a_shared_chip_equal_solves_on_a_fresh_one() {
     let mkp = MkpGenerator::new(20, 3).generate(3);
     check_shared_chip(|| HyCimEngine::bank(&mkp, &hycim, 5).unwrap());
     let dqubo = DquboConfig {
-        record_trace: true,
-        ..DquboConfig::default().with_sweeps(60)
+        anneal: hycim.anneal,
+        ..DquboConfig::default()
     };
     let small = QkpGenerator::new(12, 0.5).generate(4);
     check_shared_chip(|| DquboEngine::new(&small, &dqubo).unwrap());

@@ -5,7 +5,7 @@
 //! * [`Assignment`] — a binary variable configuration `x ∈ {0,1}ⁿ`.
 //! * [`QuboMatrix`] — an upper-triangular QUBO matrix `Q` with energy
 //!   `E(x) = xᵀQx` (paper Eq. 2) and O(n) incremental flip deltas.
-//! * [`LocalFieldState`] / [`DeltaEngine`] — maintained local fields
+//! * [`LocalFieldState`] — maintained local fields
 //!   `h_i = Q_ii + Σ Q_ij·x_j` over CSR neighbor lists: O(1) flip
 //!   probes and O(deg(i)) commits, the hot-path backend of every
 //!   annealing state (see [`local_field`]).
@@ -72,7 +72,7 @@ pub use constraint::LinearConstraint;
 pub use error::QuboError;
 pub use inequality::InequalityQubo;
 pub use ising::IsingModel;
-pub use local_field::{CsrNeighbors, DeltaEngine, LocalFieldState};
+pub use local_field::{CsrNeighbors, LocalFieldState};
 pub use matrix::QuboMatrix;
 pub use multi::MultiInequalityQubo;
 pub use packed::{PackedReplicaState, LANES};

@@ -25,8 +25,9 @@
 //! commits (an O(nnz) pass, amortized to noise). For matrices whose
 //! coefficients and partial sums are exactly representable — every
 //! integer-valued problem family in `hycim-cop` — the incremental
-//! fields are *bit-identical* to the dense row scans at all times, so
-//! annealing trajectories do not change when switching paths.
+//! fields are *bit-identical* to the dense row scans of
+//! [`QuboMatrix::flip_delta`] at all times, so a tracked energy equals
+//! the exact `xᵀQx` of the final configuration.
 
 use crate::{Assignment, QuboMatrix};
 
@@ -229,31 +230,18 @@ impl LocalFieldState {
     }
 
     /// Energy change of flipping bits `i` and `j` together:
-    /// `Δᵢ + Δⱼ + Q_ij·dᵢ·dⱼ` with `d = +1` for 0→1 and `−1`
-    /// otherwise. The coupling lookup is a binary search of row `i`'s
-    /// neighbor list — O(log deg(i)).
+    /// `Δᵢ + Δⱼ + q_ij·dᵢ·dⱼ` with `d = +1` for 0→1 and `−1`
+    /// otherwise. The caller passes the cross coupling `q_ij` from its
+    /// stored matrix ([`QuboMatrix::get`], O(1)).
     ///
     /// # Panics
     ///
     /// Panics if `i == j`.
-    pub fn pair_delta(&self, x: &Assignment, i: usize, j: usize) -> f64 {
+    pub fn pair_delta(&self, x: &Assignment, i: usize, j: usize, q_ij: f64) -> f64 {
         assert_ne!(i, j, "pair delta needs two distinct bits");
         let di = if x.get(i) { -1.0 } else { 1.0 };
         let dj = if x.get(j) { -1.0 } else { 1.0 };
-        self.flip_delta(x, i) + self.flip_delta(x, j) + self.coupling(i, j) * di * dj
-    }
-
-    /// The coupling `Q_ij` (order-insensitive; `Q_ii` for `i == j`)
-    /// from the CSR rows, by binary search.
-    pub fn coupling(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return self.diag[i];
-        }
-        let row = &self.neighbor_idx[self.offsets[i]..self.offsets[i + 1]];
-        match row.binary_search(&j) {
-            Ok(k) => self.neighbor_val[self.offsets[i] + k],
-            Err(_) => 0.0,
-        }
+        self.flip_delta(x, i) + self.flip_delta(x, j) + q_ij * di * dj
     }
 
     /// Applies a committed flip of bit `i` to the fields. `x` must be
@@ -299,79 +287,6 @@ impl LocalFieldState {
         self.commits += 1;
         if self.refresh_interval > 0 && self.commits >= self.refresh_interval {
             self.refresh(x);
-        }
-    }
-}
-
-/// The flip-delta backend of an annealing state: either the dense O(n)
-/// row scan of [`QuboMatrix::flip_delta`] or the maintained
-/// [`LocalFieldState`] (the default everywhere).
-///
-/// Keeping the dense path constructible is what lets the benchmark
-/// harness (`hotpath_report`) and the equivalence proptests compare
-/// the two on identical problems; production states never pay for it
-/// (the `Dense` variant is zero-sized — the matrix stays owned by the
-/// state).
-///
-/// All methods take the matrix by reference so the state remains the
-/// single owner; `commit_*` must be called with the *post-flip*
-/// configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeltaEngine {
-    /// Dense O(n) row scans straight off the matrix.
-    Dense,
-    /// Maintained local fields: O(1) probes, O(deg) commits.
-    LocalField(LocalFieldState),
-}
-
-impl DeltaEngine {
-    /// Builds the default (local-field) backend for matrix `q` at
-    /// configuration `x`.
-    pub fn local(q: &QuboMatrix, x: &Assignment) -> Self {
-        DeltaEngine::LocalField(LocalFieldState::new(q, x))
-    }
-
-    /// The dense fallback backend.
-    pub fn dense() -> Self {
-        DeltaEngine::Dense
-    }
-
-    /// Energy change of flipping bit `i` — O(1) on the local-field
-    /// backend, O(n) dense.
-    pub fn flip_delta(&self, q: &QuboMatrix, x: &Assignment, i: usize) -> f64 {
-        match self {
-            DeltaEngine::Dense => q.flip_delta(x, i),
-            DeltaEngine::LocalField(lf) => lf.flip_delta(x, i),
-        }
-    }
-
-    /// Energy change of flipping bits `i` and `j` together. The
-    /// coupling is read from the matrix (O(1) in its triangular
-    /// storage), so both backends share the exact same cross term.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i == j`.
-    pub fn pair_delta(&self, q: &QuboMatrix, x: &Assignment, i: usize, j: usize) -> f64 {
-        assert_ne!(i, j, "pair delta needs two distinct bits");
-        let di = if x.get(i) { -1.0 } else { 1.0 };
-        let dj = if x.get(j) { -1.0 } else { 1.0 };
-        self.flip_delta(q, x, i) + self.flip_delta(q, x, j) + q.get(i, j) * di * dj
-    }
-
-    /// Notifies the backend of a committed flip; `x` is the
-    /// configuration *after* the flip. No-op on the dense backend.
-    pub fn commit_flip(&mut self, x: &Assignment, i: usize) {
-        if let DeltaEngine::LocalField(lf) = self {
-            lf.commit_flip(x, i);
-        }
-    }
-
-    /// Notifies the backend of a committed pair flip; `x` is the
-    /// configuration *after* both flips. No-op on the dense backend.
-    pub fn commit_pair(&mut self, x: &Assignment, i: usize, j: usize) {
-        if let DeltaEngine::LocalField(lf) = self {
-            lf.commit_pair(x, i, j);
         }
     }
 }
@@ -446,7 +361,7 @@ mod tests {
             let j = (i + 1 + rng.random_range(0..11usize)) % 12;
             let mut lf = LocalFieldState::new(&q, &x);
             let before = q.energy(&x);
-            let delta = lf.pair_delta(&x, i, j);
+            let delta = lf.pair_delta(&x, i, j, q.get(i, j));
             x.flip(i);
             x.flip(j);
             lf.commit_pair(&x, i, j);
@@ -458,18 +373,6 @@ mod tests {
             // Fields stay consistent after the pair commit.
             for k in 0..12 {
                 assert!((lf.flip_delta(&x, k) - q.flip_delta(&x, k)).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn coupling_lookup_matches_matrix() {
-        let q = random_sparse_qubo(10, 0.4, 7);
-        let x = Assignment::zeros(10);
-        let lf = LocalFieldState::new(&q, &x);
-        for i in 0..10 {
-            for j in 0..10 {
-                assert_eq!(lf.coupling(i, j), q.get(i, j), "coupling ({i}, {j})");
             }
         }
     }
@@ -511,42 +414,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_engine_backends_agree() {
-        let q = random_sparse_qubo(15, 0.3, 10);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut x = Assignment::random(15, &mut rng);
-        let mut local = DeltaEngine::local(&q, &x);
-        let mut dense = DeltaEngine::dense();
-        assert!(matches!(local, DeltaEngine::LocalField(_)));
-        assert!(matches!(dense, DeltaEngine::Dense));
-        for _ in 0..200 {
-            let i = rng.random_range(0..15);
-            if rng.random_bool(0.3) {
-                let j = (i + 1 + rng.random_range(0..14usize)) % 15;
-                let dl = local.pair_delta(&q, &x, i, j);
-                let dd = dense.pair_delta(&q, &x, i, j);
-                assert!((dl - dd).abs() < 1e-9);
-                x.flip(i);
-                x.flip(j);
-                local.commit_pair(&x, i, j);
-                dense.commit_pair(&x, i, j);
-            } else {
-                let dl = local.flip_delta(&q, &x, i);
-                let dd = dense.flip_delta(&q, &x, i);
-                assert!((dl - dd).abs() < 1e-9);
-                x.flip(i);
-                local.commit_flip(&x, i);
-                dense.commit_flip(&x, i);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "distinct")]
     fn pair_delta_rejects_equal_bits() {
         let q = QuboMatrix::zeros(3);
         let x = Assignment::zeros(3);
         let lf = LocalFieldState::new(&q, &x);
-        let _ = lf.pair_delta(&x, 1, 1);
+        let _ = lf.pair_delta(&x, 1, 1, 0.0);
     }
 }

@@ -159,19 +159,6 @@ impl MultiInequalityQubo {
         self.objective.energy(x)
     }
 
-    /// The single-constraint form, when this model has exactly one
-    /// constraint (`None` otherwise). The inverse of the [`From`]
-    /// conversion.
-    pub fn as_single(&self) -> Option<InequalityQubo> {
-        if self.constraints.len() != 1 {
-            return None;
-        }
-        Some(
-            InequalityQubo::new(self.objective.clone(), self.constraints[0].clone())
-                .expect("validated at construction"),
-        )
-    }
-
     /// Exhaustively finds the minimum gated energy and its
     /// configuration. Exponential; for tests and tiny demos only.
     ///
@@ -313,8 +300,8 @@ mod tests {
         .unwrap();
         let mq = MultiInequalityQubo::from(iq.clone());
         assert_eq!(mq.num_constraints(), 1);
-        assert_eq!(mq.as_single(), Some(iq));
-        assert!(example().as_single().is_none());
+        assert_eq!(mq.objective(), iq.objective());
+        assert_eq!(mq.constraints(), std::slice::from_ref(iq.constraint()));
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub mod prelude {
     };
     pub use hycim_obs::{Counter, EventTracer, Gauge, Histogram, ObsRegistry, Snapshot};
     pub use hycim_qubo::{
-        Assignment, DeltaEngine, InequalityQubo, IsingModel, LinearConstraint, LocalFieldState,
+        Assignment, InequalityQubo, IsingModel, LinearConstraint, LocalFieldState,
         MultiInequalityQubo, QuboMatrix,
     };
     pub use hycim_service::{DisposeOutcome, JobId, JobService, JobStatus, ServiceConfig};

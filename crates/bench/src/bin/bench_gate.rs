@@ -30,6 +30,7 @@ use hycim_bench::{
     default_threads, read_hotpath, read_study, render_metrics_summary, Args, StudyRecipe,
     StudyRunner,
 };
+use hycim_core::BatchRunner;
 use hycim_obs::ObsRegistry;
 
 fn main() -> ExitCode {
@@ -77,9 +78,10 @@ fn main() -> ExitCode {
         recipe.replicas
     );
     let obs = Arc::new(ObsRegistry::new());
-    let result = StudyRunner::new()
+    let runner = BatchRunner::new()
         .with_threads(threads)
-        .with_obs(Arc::clone(&obs))
+        .with_obs(Arc::clone(&obs));
+    let result = StudyRunner::Local(runner)
         .run(&recipe)
         .expect("gate recipe cells must construct");
     println!(

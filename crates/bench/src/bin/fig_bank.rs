@@ -29,30 +29,12 @@ use hycim_cop::binpack::BinPacking;
 use hycim_cop::mkp::MkpGenerator;
 use hycim_cop::CopProblem;
 use hycim_core::{BatchRunner, HyCimConfig, HyCimEngine, Solution};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Feasibility rate, mean objective, and mean value over a replica row.
 fn summarize<P: CopProblem>(solutions: &[Solution<P>]) -> (f64, f64) {
     let feasible = solutions.iter().filter(|s| s.feasible).count() as f64;
     let objectives: Vec<f64> = solutions.iter().map(|s| s.objective).collect();
     (feasible / solutions.len() as f64, mean(&objectives))
-}
-
-/// A seeded bin-packing instance with filter-mappable sizes and a
-/// packing guaranteed to exist (sizes drawn until FFD succeeds).
-fn random_bin_packing(items: usize, bins: usize, seed: u64) -> BinPacking {
-    let mut rng = StdRng::seed_from_u64(seed);
-    loop {
-        let sizes: Vec<u64> = (0..items).map(|_| rng.random_range(2..=9)).collect();
-        let total: u64 = sizes.iter().sum();
-        // ~80% fill across the bins: tight but packable.
-        let capacity = (total * 5 / 4 / bins as u64).max(9);
-        let bp = BinPacking::new(sizes, capacity, bins).expect("valid sizes");
-        if bp.first_fit_decreasing().is_some() {
-            return bp;
-        }
-    }
 }
 
 fn main() {
@@ -78,7 +60,7 @@ fn main() {
     let mut agg_feas = Vec::new();
     let mut bank_feas = Vec::new();
     for idx in 0..instances {
-        let bp = random_bin_packing(items, bins, seed + idx as u64);
+        let bp = BinPacking::random(items, bins, seed + idx as u64);
         let name = CopProblem::name(&bp);
         let hw_seed = seed + idx as u64;
 

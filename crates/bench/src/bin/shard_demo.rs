@@ -1,6 +1,6 @@
 //! Sharded-study demonstration and smoke check: spins up N in-process
 //! TCP workers on loopback, runs a study preset through the
-//! [`DistributedStudyRunner`], re-runs it locally on one thread, and
+//! [`StudyRunner::Fleet`], re-runs it locally on one thread, and
 //! verifies the two rendered `BENCH_study.json` documents are
 //! **byte-identical** — the end-to-end pin of the wire protocol's
 //! determinism contract.
@@ -13,10 +13,9 @@
 //! Exits nonzero if the distributed artifact diverges from the local
 //! one, so CI can run it as a smoke step.
 
-use hycim_bench::{
-    render_study_json, Args, DistributedStudyRunner, ReportMeta, StudyRecipe, StudyRunner,
-};
-use hycim_net::{WorkerConfig, WorkerServer};
+use hycim_bench::{render_study_json, Args, ReportMeta, StudyRecipe, StudyRunner};
+use hycim_core::BatchRunner;
+use hycim_net::{Coordinator, WorkerConfig, WorkerServer};
 
 fn main() {
     let args = Args::parse();
@@ -54,10 +53,11 @@ fn main() {
         println!("worker listening on {addr}");
     }
 
-    let distributed = DistributedStudyRunner::new(addrs)
-        .with_shards(shards)
-        .run(&recipe)
-        .expect("distributed run completes");
+    let fleet = StudyRunner::Fleet {
+        coordinator: Coordinator::new(addrs),
+        shards,
+    };
+    let distributed = fleet.run(&recipe).expect("distributed run completes");
     println!(
         "\ndistributed: {} cells, {} iterations, {:.2}s",
         distributed.cells(),
@@ -65,8 +65,7 @@ fn main() {
         distributed.wall_seconds
     );
 
-    let local = StudyRunner::new()
-        .with_threads(1)
+    let local = StudyRunner::Local(BatchRunner::serial())
         .run(&recipe)
         .expect("local run completes");
     println!(

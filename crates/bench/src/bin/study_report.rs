@@ -25,6 +25,7 @@ use hycim_bench::{
     default_threads, read_study, render_metrics_summary, render_study_json, Args, ReportMeta,
     StudyRecipe, StudyRunner,
 };
+use hycim_core::BatchRunner;
 use hycim_obs::ObsRegistry;
 
 fn main() {
@@ -55,9 +56,10 @@ fn main() {
     }
 
     let obs = Arc::new(ObsRegistry::new());
-    let result = StudyRunner::new()
+    let runner = BatchRunner::new()
         .with_threads(threads)
-        .with_obs(Arc::clone(&obs))
+        .with_obs(Arc::clone(&obs));
+    let result = StudyRunner::Local(runner)
         .run(&recipe)
         .expect("every recipe cell must construct");
 

@@ -2,25 +2,29 @@
 //! the figure/table regeneration binaries and the criterion benches
 //! (see `docs/ARCHITECTURE.md`, "Evaluation layer").
 //!
-//! The crate has three kinds of targets:
+//! The crate has four parts:
 //!
 //! * **Report binaries** (`src/bin/fig5_filter_waveforms.rs` …
-//!   `table1_summary.rs`, `ablation_report.rs`, `energy_report.rs`) —
-//!   each regenerates one figure or table of the paper as text output.
-//!   All accept `--key value` flags parsed by [`Args`]; defaults are
-//!   shape-preserving reductions of the paper's cluster-scale
-//!   protocol (e.g. `fig10_success` defaults to 5 Monte-Carlo initial
-//!   states instead of 1000).
+//!   `table1_summary.rs`, `fig_bank.rs`, `ablation_report.rs`,
+//!   `energy_report.rs`) — each regenerates one figure or table of the
+//!   paper as text output. All accept `--key value` flags parsed by
+//!   [`Args`]; defaults are shape-preserving reductions of the
+//!   paper's cluster-scale protocol (e.g. `fig10_success` defaults to
+//!   5 Monte-Carlo initial states instead of 1000).
 //! * **Criterion benches** (`benches/solver_benches.rs`,
-//!   `benches/ablation_benches.rs`) — throughput of the hot paths
-//!   (filter evaluation, crossbar VMV, SA iterations, COP→QUBO
+//!   `ablation_benches.rs`, `batch_benches.rs`, `hotpath_benches.rs`,
+//!   `packed_benches.rs`) — throughput of the hot paths (filter
+//!   evaluation, crossbar VMV, SA iterations, COP→QUBO
 //!   transformations) and of the ablation variants.
 //! * **The study subsystem** ([`recipe`], [`study`], [`stats`],
-//!   [`gate`]) — declarative [`StudyRecipe`]s expanded by the
-//!   [`StudyRunner`] into the replica × problem × engine grid, ranked
-//!   per engine, emitted as the committed `BENCH_study.json`
-//!   (`study_report` bin) and regression-gated against it
-//!   (`bench_gate` bin).
+//!   [`gate`], [`hotpath`]) — declarative [`StudyRecipe`]s expanded by
+//!   the [`StudyRunner`] into the replica × problem × engine grid
+//!   (each replica column solved on this host or sharded over wire
+//!   workers), ranked per engine, emitted as the committed
+//!   `BENCH_study.json` (`study_report` bin, and `shard_demo` for the
+//!   sharded run) and regression-gated against it and against the
+//!   `BENCH_hotpath.json` throughput rows (`hotpath_report` bin) by
+//!   the `bench_gate` bin.
 //! * **This library** — the tiny dependency-free CLI parser,
 //!   reporting helpers, and `BENCH_*.json` readers ([`check`]) the
 //!   binaries share, so each binary stays a self-contained experiment
@@ -39,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod distributed;
 pub mod gate;
 pub mod hotpath;
 pub mod recipe;
@@ -50,7 +53,6 @@ pub use check::{
     read_hotpath, read_study, CommittedCell, CommittedHotpath, ReportMeta,
     HOTPATH_REPLICA_ROW_KEYS, HOTPATH_ROW_KEYS, HOTPATH_SCHEMA, STUDY_SCHEMA,
 };
-pub use distributed::DistributedStudyRunner;
 pub use recipe::{EngineKind, Family, FamilySpec, RecipeError, StudyRecipe};
 pub use stats::{
     fold_reference, rank_cells, rank_engines, CellSummary, EngineRanking, ProblemSummary,

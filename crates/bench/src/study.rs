@@ -1,17 +1,20 @@
 //! The study runner: expands a [`StudyRecipe`] into its replica ×
-//! problem × engine grid, executes every cell through the
-//! deterministic [`BatchRunner`], and folds the results into
+//! problem × engine grid, executes every replica column on this host
+//! or sharded over wire workers, and folds the results into
 //! per-problem summaries plus cross-problem engine rankings.
 //!
 //! Determinism contract: every value that reaches the summaries (and
 //! therefore `BENCH_study.json`) is a pure function of the recipe —
 //! instance seeds, solve seeds, and hardware seeds all derive from
-//! the study seed and each instance's canonical key, and the
-//! [`BatchRunner`] guarantees bit-identical solves at any thread
-//! count. Wall-clock time is measured (for stdout reporting) but
-//! never rendered into the artifact. Because seeding is keyed and
-//! not positional, any sub-recipe — the CI gate — reproduces the
-//! exact cells of a superset study.
+//! the study seed and each instance's canonical key. Both executors
+//! solve a column through [`solve_any`] over the same pre-derived
+//! replica seeds, and the [`BatchRunner`] guarantees bit-identical
+//! solves at any thread count, so a sharded run renders the bytes of
+//! a local one (the pin of the `distributed_study` and `chaos_study`
+//! tests and the `shard_demo` binary). Wall-clock time is measured
+//! (for stdout reporting) but never rendered into the artifact.
+//! Because seeding is keyed and not positional, any sub-recipe — the
+//! CI gate — reproduces the exact cells of a superset study.
 
 use hycim_cop::binpack::BinPacking;
 use hycim_cop::coloring::GraphColoring;
@@ -21,12 +24,13 @@ use hycim_cop::maxcut::MaxCut;
 use hycim_cop::mkp::MkpGenerator;
 use hycim_cop::spinglass::SpinGlass;
 use hycim_cop::tsp::Tsp;
-use std::sync::Arc;
 use std::time::Instant;
 
-use hycim_cop::{AnyProblem, CopProblem};
-use hycim_core::{BatchRunner, Engine, EngineSettings};
-use hycim_obs::{ObsRegistry, Snapshot};
+use hycim_cop::AnyProblem;
+use hycim_core::{replica_seed, BatchRunner, EngineSettings};
+use hycim_net::local::solve_any;
+use hycim_net::{shard_replica_column, Coordinator, JobSpec, WireSolution};
+use hycim_obs::Snapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,65 +82,80 @@ impl StudyResult {
     }
 }
 
-/// Executes [`StudyRecipe`]s over the engine matrix.
+/// Executes [`StudyRecipe`]s over the engine matrix; the variant picks
+/// where each (problem, engine) replica column is solved. Both render
+/// the same `BENCH_study.json` bytes.
 #[derive(Debug, Clone)]
-pub struct StudyRunner {
-    runner: BatchRunner,
+pub enum StudyRunner {
+    /// Solves every column on this host, on the runner's threads. A
+    /// registry attached with [`BatchRunner::with_obs`] receives the
+    /// per-cell `batch.*` counts, each solve's `core.anneal.*` counts
+    /// and `timing.batch.cell_seconds` (wall-clock, quarantined in the
+    /// snapshot's `timing.` section) — render the snapshot with
+    /// [`render_metrics_summary`] when a human report is wanted.
+    Local(BatchRunner),
+    /// Splits every column into `shards` jobs dispatched over the
+    /// coordinator's workers (with its retries, backoff and local
+    /// fallback). The shard count changes only dispatch granularity,
+    /// never a result.
+    Fleet {
+        /// Dispatches the shard jobs and merges their results.
+        coordinator: Coordinator,
+        /// Shards per replica column (0 is read as 1).
+        shards: usize,
+    },
 }
 
 impl StudyRunner {
-    /// A runner using the stack-wide default thread count.
-    pub fn new() -> Self {
-        Self {
-            runner: BatchRunner::new(),
-        }
-    }
-
-    /// Overrides the worker-thread count (the summaries are
-    /// bit-identical regardless — this only changes wall-clock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.runner = self.runner.with_threads(threads);
-        self
-    }
-
-    /// Routes per-cell execution counters into a metrics registry:
-    /// `batch.cells` / `batch.iterations` / `batch.cell_iterations`
-    /// (deterministic) and `timing.batch.cell_seconds` (wall-clock,
-    /// quarantined in the snapshot's `timing.` section), plus each
-    /// solve's `core.anneal.*` counts — render the snapshot with
-    /// [`render_metrics_summary`] when a human report is wanted.
-    pub fn with_obs(mut self, obs: Arc<ObsRegistry>) -> Self {
-        self.runner = self.runner.with_obs(obs);
-        self
-    }
-
     /// Runs the full grid of a recipe.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the instance and engine if any cell of
-    /// the grid cannot be constructed (a family that does not map onto
-    /// a requested backend).
+    /// Returns a message naming the instance on the first instance that
+    /// cannot be generated, and the instance and engine on the first
+    /// column that cannot be built, dispatched, or merged (exhausted
+    /// retries surface here as the coordinator's error).
     pub fn run(&self, recipe: &StudyRecipe) -> Result<StudyResult, String> {
         let started = Instant::now();
         let mut problems = Vec::new();
         for (spec, n, key) in recipe.instances() {
             let instance = build_instance(&spec, n, &key, recipe)?;
-            let summary = match &instance {
-                AnyProblem::Qkp(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
-                AnyProblem::Knapsack(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
-                AnyProblem::MaxCut(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
-                AnyProblem::SpinGlass(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
-                AnyProblem::Tsp(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
-                AnyProblem::Coloring(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
-                AnyProblem::BinPack(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
-                AnyProblem::Mkp(p) => run_instance(p, &spec, n, &key, recipe, &self.runner),
-            }?;
-            problems.push(summary);
+            let mut columns = Vec::new();
+            for &kind in &recipe.engines {
+                let runs: Vec<RunScore> = self
+                    .column(&instance, kind, &key, recipe)
+                    .map_err(|e| format!("{key} on {}: {e}", kind.tag()))?
+                    .iter()
+                    .map(|s| {
+                        let iters = s.iters_to_best as usize;
+                        (s.objective, s.feasible, iters, s.iterations as usize)
+                    })
+                    .collect();
+                columns.push((kind, runs));
+            }
+
+            // Problem-local reference: the instance's exact/heuristic
+            // reference folded with the best feasible solve of any
+            // engine on this problem — never values from other
+            // problems, so recipe subsetting cannot shift it.
+            let reference = fold_reference(
+                instance.reference_objective(recipe.instance_seed(&key)),
+                columns
+                    .iter()
+                    .flat_map(|(_, runs)| runs)
+                    .map(|r| (r.0, r.1)),
+            );
+            problems.push(ProblemSummary {
+                problem: key.clone(),
+                family: spec.family.tag().to_string(),
+                n,
+                dim: instance.dim(),
+                reference,
+                cells: columns
+                    .iter()
+                    .map(|(kind, runs)| summarize_cell(kind.tag(), reference, runs))
+                    .collect(),
+            });
         }
         let rankings = rank_engines(&problems);
         Ok(StudyResult {
@@ -146,82 +165,50 @@ impl StudyRunner {
             wall_seconds: started.elapsed().as_secs_f64(),
         })
     }
-}
 
-impl Default for StudyRunner {
-    fn default() -> Self {
-        Self::new()
+    /// The `replicas` solves of one engine on one instance, in replica
+    /// order: replica `k` solves with `replica_seed(solve_seed, 0, k)`
+    /// on an engine fabricated from the instance-keyed hardware seed.
+    fn column(
+        &self,
+        instance: &AnyProblem,
+        kind: EngineKind,
+        key: &str,
+        recipe: &StudyRecipe,
+    ) -> Result<Vec<WireSolution>, String> {
+        let solve_seed = recipe.solve_seed(key);
+        let settings = EngineSettings::new(recipe.sweeps, recipe.hardware_seed(key));
+        match self {
+            StudyRunner::Local(runner) => {
+                let seeds: Vec<u64> = (0..recipe.replicas as u64)
+                    .map(|k| replica_seed(solve_seed, 0, k))
+                    .collect();
+                solve_any(runner, instance, kind, &settings, &seeds)
+            }
+            StudyRunner::Fleet {
+                coordinator,
+                shards,
+            } => {
+                let base = JobSpec {
+                    family: instance.family_tag().to_string(),
+                    problem: instance.to_wire(),
+                    engine: kind.tag().to_string(),
+                    sweeps: settings.sweeps as u64,
+                    hardware_seed: settings.hardware_seed,
+                    record_trace: settings.record_trace,
+                    seeds: Vec::new(),
+                };
+                let (total, jobs) =
+                    shard_replica_column(&base, recipe.replicas, solve_seed, 0, *shards);
+                coordinator.run(total, &jobs).map_err(|e| e.to_string())
+            }
+        }
     }
 }
 
-/// Builds the engine column for one problem instance: the shared
-/// [`EngineKind::build`] constructor with the recipe's instance-keyed
-/// hardware seed, wrapping failures with study context. Using the
-/// same constructor as the wire workers is what keeps distributed
-/// study runs bit-identical to local ones.
-fn build_engine<P: CopProblem + 'static>(
-    kind: EngineKind,
-    problem: &P,
-    key: &str,
-    recipe: &StudyRecipe,
-) -> Result<Box<dyn Engine<P>>, String> {
-    kind.build(
-        problem,
-        &EngineSettings::new(recipe.sweeps, recipe.hardware_seed(key)),
-    )
-    .map_err(|e| format!("{key} does not run on {}: {e}", kind.tag()))
-}
-
-fn run_instance<P: CopProblem + 'static>(
-    problem: &P,
-    spec: &FamilySpec,
-    n: usize,
-    key: &str,
-    recipe: &StudyRecipe,
-    runner: &BatchRunner,
-) -> Result<ProblemSummary, String> {
-    let mut columns = Vec::new();
-    for &kind in &recipe.engines {
-        let engine = build_engine(kind, problem, key, recipe)?;
-        let runs: Vec<RunScore> = runner
-            .run(&engine, recipe.replicas, recipe.solve_seed(key))
-            .iter()
-            .map(|s| {
-                let iters = s.trace.iters_to_best();
-                (s.objective, s.feasible, iters, s.trace.iterations())
-            })
-            .collect();
-        columns.push((kind, runs));
-    }
-
-    // Problem-local reference: the instance's exact/heuristic
-    // reference folded with the best feasible solve of any engine on
-    // this problem — never values from other problems, so recipe
-    // subsetting cannot shift it.
-    let reference = fold_reference(
-        problem.reference_objective(recipe.instance_seed(key)),
-        columns
-            .iter()
-            .flat_map(|(_, runs)| runs)
-            .map(|r| (r.0, r.1)),
-    );
-    Ok(ProblemSummary {
-        problem: key.to_string(),
-        family: spec.family.tag().to_string(),
-        n,
-        dim: problem.dim(),
-        reference,
-        cells: columns
-            .iter()
-            .map(|(kind, runs)| summarize_cell(kind.tag(), reference, runs))
-            .collect(),
-    })
-}
-
-/// Generates the instance of one recipe cell, type-erased — the ONE
-/// construction path shared by the local [`StudyRunner`] and the
-/// distributed runner, so both score the exact same instances.
-pub(crate) fn build_instance(
+/// Generates the instance of one recipe cell, type-erased, from its
+/// instance-keyed seed.
+fn build_instance(
     spec: &FamilySpec,
     n: usize,
     key: &str,
@@ -245,7 +232,7 @@ pub(crate) fn build_instance(
         Family::Coloring { colors } => {
             AnyProblem::from(GraphColoring::random(n, 0.3, colors as usize, iseed))
         }
-        Family::BinPack { bins } => AnyProblem::from(random_bin_packing(n, bins as usize, iseed)),
+        Family::BinPack { bins } => AnyProblem::from(BinPacking::random(n, bins as usize, iseed)),
         Family::Mkp { dims } => {
             AnyProblem::from(MkpGenerator::new(n, dims as usize).generate(iseed))
         }
@@ -261,21 +248,6 @@ fn random_knapsack(items: usize, seed: u64) -> Knapsack {
     let max_w = weights.iter().copied().max().unwrap_or(1);
     let capacity = (weights.iter().sum::<u64>() / 2).max(max_w);
     Knapsack::new(profits, weights, capacity).expect("valid knapsack")
-}
-
-/// A seeded packable bin-packing instance (~80% fill; retries until
-/// first-fit-decreasing succeeds so every instance is solvable).
-fn random_bin_packing(items: usize, bins: usize, seed: u64) -> BinPacking {
-    let mut rng = StdRng::seed_from_u64(seed);
-    loop {
-        let sizes: Vec<u64> = (0..items).map(|_| rng.random_range(2..=9)).collect();
-        let total: u64 = sizes.iter().sum();
-        let capacity = (total * 5 / 4 / bins as u64).max(9);
-        let bp = BinPacking::new(sizes, capacity, bins).expect("valid sizes");
-        if bp.first_fit_decreasing().is_some() {
-            return bp;
-        }
-    }
 }
 
 /// Formats a number with fixed decimals, rendering non-finite values
@@ -389,6 +361,8 @@ pub fn render_study_json(result: &StudyResult, meta: &ReportMeta) -> String {
 mod tests {
     use super::*;
     use crate::check::read_study;
+    use hycim_obs::ObsRegistry;
+    use std::sync::Arc;
 
     #[test]
     fn tiny_study_runs_and_renders_valid_json() {
@@ -397,7 +371,9 @@ mod tests {
              problem qkp sizes=8 density=50\nproblem maxcut sizes=6 density=50\n",
         )
         .unwrap();
-        let result = StudyRunner::new().with_threads(2).run(&recipe).unwrap();
+        let result = StudyRunner::Local(BatchRunner::new().with_threads(2))
+            .run(&recipe)
+            .unwrap();
         assert_eq!(result.problems.len(), 2);
         assert_eq!(result.cells(), 4);
         assert_eq!(result.rankings.len(), 2);
@@ -424,11 +400,10 @@ mod tests {
         )
         .unwrap();
         let obs = Arc::new(ObsRegistry::new());
-        let result = StudyRunner::new()
+        let runner = BatchRunner::new()
             .with_obs(Arc::clone(&obs))
-            .with_threads(2) // must preserve the registry
-            .run(&recipe)
-            .unwrap();
+            .with_threads(2);
+        let result = StudyRunner::Local(runner).run(&recipe).unwrap();
         let snapshot = obs.snapshot();
         assert_eq!(snapshot.counter("batch.cells"), Some(2));
         assert_eq!(
@@ -449,16 +424,29 @@ mod tests {
 
     #[test]
     fn unknown_family_backend_combinations_surface_as_errors() {
-        // Every preset family maps onto every preset backend, so
-        // errors only come from construction failures; exercise the
-        // error path via a spin glass too small for the generator.
-        let recipe = StudyRecipe::parse(
-            "study t\nseed 1\nreplicas 1\nsweeps 5\nengines software\n\
-             problem spinglass sizes=2\n",
-        )
-        .unwrap();
-        // n=2 is valid for the generator; this must simply run.
-        assert!(StudyRunner::new().with_threads(1).run(&recipe).is_ok());
+        // The parser refuses a 1-spin glass; the recipe's public fields
+        // do not, so the generator's refusal must surface from both
+        // executors as an error that names the instance. A fleet with
+        // no workers runs its columns through the local fallback.
+        let recipe = StudyRecipe {
+            name: "t".to_string(),
+            seed: 1,
+            replicas: 1,
+            sweeps: 5,
+            engines: vec![EngineKind::Software],
+            problems: vec![FamilySpec {
+                family: Family::SpinGlass,
+                sizes: vec![1],
+            }],
+        };
+        let fleet = StudyRunner::Fleet {
+            coordinator: Coordinator::new(Vec::new()),
+            shards: 1,
+        };
+        for runner in [StudyRunner::Local(BatchRunner::serial()), fleet] {
+            let err = runner.run(&recipe).expect_err("a 1-spin glass is refused");
+            assert!(err.contains("spinglass-n1"), "{err}");
+        }
     }
 
     #[test]
@@ -468,7 +456,9 @@ mod tests {
              problem qkp sizes=8 density=50\n",
         )
         .unwrap();
-        let result = StudyRunner::new().with_threads(1).run(&recipe).unwrap();
+        let result = StudyRunner::Local(BatchRunner::serial())
+            .run(&recipe)
+            .unwrap();
         let cell = &result.problems[0].cells[0];
         // The mean first-touch index is within the executed budget.
         let per_replica = cell.iterations as f64 / recipe.replicas as f64;

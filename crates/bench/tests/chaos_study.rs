@@ -7,9 +7,8 @@
 
 use std::time::Duration;
 
-use hycim_bench::{
-    render_study_json, DistributedStudyRunner, ReportMeta, StudyRecipe, StudyRunner,
-};
+use hycim_bench::{render_study_json, ReportMeta, StudyRecipe, StudyRunner};
+use hycim_core::BatchRunner;
 use hycim_net::{
     ChaosProxy, ConnFault, Coordinator, FaultPlan, WorkerConfig, WorkerFault, WorkerHandle,
     WorkerServer,
@@ -22,8 +21,7 @@ fn spawn_worker(config: WorkerConfig) -> WorkerHandle {
 }
 
 fn local_doc(recipe: &StudyRecipe, meta: &ReportMeta) -> String {
-    let local = StudyRunner::new()
-        .with_threads(1)
+    let local = StudyRunner::Local(BatchRunner::serial())
         .run(recipe)
         .expect("local run completes");
     render_study_json(&local, meta)
@@ -58,14 +56,15 @@ fn gate_study_through_chaos_is_byte_identical_to_local() {
         flaky.addr().to_string(),
         healthy.addr().to_string(),
     ];
-    let coordinator = Coordinator::new(addrs.clone())
+    let coordinator = Coordinator::new(addrs)
         .with_read_timeout(Duration::from_millis(300))
         .with_connect_timeout(Duration::from_secs(5));
-    let wire = DistributedStudyRunner::new(addrs)
-        .with_shards(3)
-        .with_coordinator(coordinator.clone())
-        .run(&recipe)
-        .expect("chaos study completes");
+    let wire = StudyRunner::Fleet {
+        coordinator: coordinator.clone(),
+        shards: 3,
+    }
+    .run(&recipe)
+    .expect("chaos study completes");
 
     assert_eq!(
         render_study_json(&wire, &meta),
@@ -107,14 +106,15 @@ fn all_workers_dead_study_completes_locally_with_the_same_bytes() {
     .expect("spawn proxy");
 
     let addrs = vec!["127.0.0.1:1".to_string(), proxy.addr().to_string()];
-    let coordinator = Coordinator::new(addrs.clone())
+    let coordinator = Coordinator::new(addrs)
         .with_read_timeout(Duration::from_millis(200))
         .with_connect_timeout(Duration::from_secs(5));
-    let wire = DistributedStudyRunner::new(addrs)
-        .with_shards(2)
-        .with_coordinator(coordinator.clone())
-        .run(&recipe)
-        .expect("local fallback completes the study");
+    let wire = StudyRunner::Fleet {
+        coordinator: coordinator.clone(),
+        shards: 2,
+    }
+    .run(&recipe)
+    .expect("local fallback completes the study");
 
     assert_eq!(
         render_study_json(&wire, &meta),

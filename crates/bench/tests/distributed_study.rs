@@ -3,10 +3,9 @@
 //! a local single-thread [`StudyRunner`] run, for the CI presets and
 //! for any shard-boundary choice.
 
-use hycim_bench::{
-    render_study_json, DistributedStudyRunner, ReportMeta, StudyRecipe, StudyRunner,
-};
-use hycim_net::{WorkerConfig, WorkerHandle, WorkerServer};
+use hycim_bench::{render_study_json, ReportMeta, StudyRecipe, StudyRunner};
+use hycim_core::BatchRunner;
+use hycim_net::{Coordinator, WorkerConfig, WorkerHandle, WorkerServer};
 
 fn spawn_workers(n: usize) -> (Vec<WorkerHandle>, Vec<String>) {
     let handles: Vec<_> = (0..n)
@@ -28,12 +27,13 @@ fn preset(name: &str) -> StudyRecipe {
 /// single-thread local run, with identical meta.
 fn render_both(recipe: &StudyRecipe, addrs: Vec<String>, shards: usize) -> (String, String) {
     let meta = ReportMeta::unknown();
-    let wire = DistributedStudyRunner::new(addrs)
-        .with_shards(shards)
-        .run(recipe)
-        .expect("distributed run completes");
-    let local = StudyRunner::new()
-        .with_threads(1)
+    let wire = StudyRunner::Fleet {
+        coordinator: Coordinator::new(addrs),
+        shards,
+    }
+    .run(recipe)
+    .expect("distributed run completes");
+    let local = StudyRunner::Local(BatchRunner::serial())
         .run(recipe)
         .expect("local run completes");
     (
@@ -71,10 +71,12 @@ fn shard_boundary_choice_does_not_change_the_artifact() {
     let meta = ReportMeta::unknown();
     let mut docs = Vec::new();
     for shards in [1usize, 2, 5] {
-        let result = DistributedStudyRunner::new(addrs.clone())
-            .with_shards(shards)
-            .run(&recipe)
-            .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
+        let result = StudyRunner::Fleet {
+            coordinator: Coordinator::new(addrs.clone()),
+            shards,
+        }
+        .run(&recipe)
+        .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
         docs.push(render_study_json(&result, &meta));
     }
     assert_eq!(docs[0], docs[1], "2-shard run diverged from 1-shard");

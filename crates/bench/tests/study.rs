@@ -5,6 +5,7 @@
 
 use hycim_bench::gate::{diff_study_cells, GateTolerances};
 use hycim_bench::{read_study, render_study_json, ReportMeta, StudyRecipe, StudyRunner};
+use hycim_core::BatchRunner;
 
 /// The acceptance criterion: the rendered study document is
 /// bit-identical across `--threads 1` and `--threads 4`.
@@ -12,10 +13,14 @@ use hycim_bench::{read_study, render_study_json, ReportMeta, StudyRecipe, StudyR
 fn study_json_is_bit_identical_across_thread_counts() {
     let recipe = StudyRecipe::preset("micro").expect("micro preset");
     let meta = ReportMeta::unknown();
-    let serial = StudyRunner::new().with_threads(1).run(&recipe).unwrap();
+    let serial = StudyRunner::Local(BatchRunner::new().with_threads(1))
+        .run(&recipe)
+        .unwrap();
     let doc1 = render_study_json(&serial, &meta);
     read_study(&doc1).expect("serial document reads");
-    let parallel = StudyRunner::new().with_threads(4).run(&recipe).unwrap();
+    let parallel = StudyRunner::Local(BatchRunner::new().with_threads(4))
+        .run(&recipe)
+        .unwrap();
     let doc4 = render_study_json(&parallel, &meta);
     assert_eq!(doc1, doc4, "thread count leaked into the artifact");
     // The deterministic summaries agree too (telemetry may differ).
@@ -38,8 +43,12 @@ fn sub_recipe_cells_match_superset_cells_bitwise() {
          problem qkp sizes=8,12 density=50\nproblem maxcut sizes=6 density=50\n",
     )
     .unwrap();
-    let small_run = StudyRunner::new().with_threads(2).run(&small).unwrap();
-    let big_run = StudyRunner::new().with_threads(3).run(&big).unwrap();
+    let small_run = StudyRunner::Local(BatchRunner::new().with_threads(2))
+        .run(&small)
+        .unwrap();
+    let big_run = StudyRunner::Local(BatchRunner::new().with_threads(3))
+        .run(&big)
+        .unwrap();
     let small_p = &small_run.problems[0];
     let big_p = big_run
         .problems
@@ -54,7 +63,9 @@ fn sub_recipe_cells_match_superset_cells_bitwise() {
 #[test]
 fn gate_diff_passes_on_own_output_and_fails_on_doctored() {
     let recipe = StudyRecipe::preset("micro").unwrap();
-    let result = StudyRunner::new().with_threads(2).run(&recipe).unwrap();
+    let result = StudyRunner::Local(BatchRunner::new().with_threads(2))
+        .run(&recipe)
+        .unwrap();
     let committed = render_study_json(&result, &ReportMeta::unknown());
     let tol = GateTolerances::default();
 

@@ -188,21 +188,10 @@ impl FilterBank {
         }
     }
 
-    /// The aggregate verdict of [`classify_loads`](Self::classify_loads)
-    /// without materializing the per-filter decisions, leaving `rng`
-    /// exactly where `classify_loads` leaves it: the bank read of
-    /// [`FilterRead::admits_all`], which a programmed chip runs over
-    /// its filters' read models.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads.len() != self.len()`.
-    pub fn admits<R: Rng + ?Sized>(&self, loads: &[u64], rng: &mut R) -> bool {
-        FilterRead::admits_all(&self.filters, loads, rng)
-    }
-
     /// The filters' read models, in constraint order, dropping every
-    /// array's cells — what a programmed chip keeps of the bank.
+    /// array's cells — what a programmed chip keeps of the bank, and
+    /// what [`FilterRead::admits_all`] reads for the verdict of
+    /// [`classify_loads`](Self::classify_loads).
     pub fn into_read_models(self) -> Vec<FilterRead> {
         self.filters
             .into_iter()
@@ -268,6 +257,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let cs = constraints();
         let bank = FilterBank::build(&cs, &config, &mut rng).unwrap();
+        let reads = bank.clone().into_read_models();
         for bits in 0u32..16 {
             let x = Assignment::from_bits((0..4).map(|i| bits >> i & 1 == 1));
             let loads: Vec<u64> = cs.iter().map(|c| c.load(&x)).collect();
@@ -276,20 +266,23 @@ mod tests {
             let exact = cs.iter().all(|c| c.is_satisfied(&x));
             assert_eq!(full, exact, "full path wrong for {x}");
             assert_eq!(fast, exact, "fast path wrong for {x}");
-            assert_eq!(bank.admits(&loads, &mut rng), exact, "admits wrong for {x}");
+            let admitted = FilterRead::admits_all(&reads, &loads, &mut rng);
+            assert_eq!(admitted, exact, "admits_all wrong for {x}");
         }
 
-        // Noisy filters: `admits` returns the `classify_loads` verdict
-        // and leaves the RNG stream exactly where `classify_loads` does,
-        // including on loads that only one filter vetoes.
+        // Noisy filters: `admits_all` returns the `classify_loads`
+        // verdict and leaves the RNG stream exactly where
+        // `classify_loads` does, including on loads that only one
+        // filter vetoes.
         let noisy = FilterBank::build(&cs, &FilterConfig::default(), &mut rng).unwrap();
+        let noisy_reads = noisy.clone().into_read_models();
         let mut verdicts = StdRng::seed_from_u64(5);
         let mut decisions = StdRng::seed_from_u64(5);
         for bits in 0u32..16 {
             let x = Assignment::from_bits((0..4).map(|i| bits >> i & 1 == 1));
             let loads: Vec<u64> = cs.iter().map(|c| c.load(&x)).collect();
             assert_eq!(
-                noisy.admits(&loads, &mut verdicts),
+                FilterRead::admits_all(&noisy_reads, &loads, &mut verdicts),
                 noisy.classify_loads(&loads, &mut decisions).is_feasible(),
                 "verdicts differ for {x}"
             );
@@ -334,17 +327,16 @@ mod tests {
         }
     }
 
-    /// `admits`, and `FilterRead::admits_all` over the bank's cell-free
-    /// read models, return the `classify_loads` verdict and leave the
-    /// RNG stream where `classify_loads` leaves it: over every load in
-    /// `0..=Σw` of each filter, with each filter in turn at every load
-    /// in `0..=Σw+1` (the others empty or at capacity), and at every
-    /// load within ±8 units of each capacity (the others empty, at
-    /// capacity, or full). The three streams run in lockstep over the
-    /// whole sweep,
+    /// `FilterRead::admits_all` over the bank's cell-free read models
+    /// returns the `classify_loads` verdict and leaves the RNG stream
+    /// where `classify_loads` leaves it: over every load in `0..=Σw` of
+    /// each filter, with each filter in turn at every load in
+    /// `0..=Σw+1` (the others empty or at capacity), and at every load
+    /// within ±8 units of each capacity (the others empty, at capacity,
+    /// or full). The two streams run in lockstep over the whole sweep,
     /// so a single skipped or extra draw shows up at the next
-    /// comparison. Each read model's `admits_load` is held to its
-    /// filter's `classify_load` the same way at load 0 and on both
+    /// comparison. Each read model, read as a bank of one, is held to
+    /// its filter's `classify_load` the same way at load 0 and on both
     /// sides of its two load thresholds, and the thresholds are checked
     /// against the conditions they stand for at every load. Checked on
     /// a seeded stream and on [`ExtremeDraws`].
@@ -429,42 +421,29 @@ mod tests {
             }
         }
         let reads = bank.clone().into_read_models();
-        let mut verdicts = stream.clone();
         let mut models = stream.clone();
         let mut decisions = stream;
         for loads in &cases {
-            let decision = bank.classify_loads(loads, &mut decisions).is_feasible();
-            assert_eq!(
-                bank.admits(loads, &mut verdicts),
-                decision,
-                "verdicts differ at loads {loads:?}"
-            );
             assert_eq!(
                 FilterRead::admits_all(&reads, loads, &mut models),
-                decision,
+                bank.classify_loads(loads, &mut decisions).is_feasible(),
                 "read-model verdicts differ at loads {loads:?}"
-            );
-            let next = decisions.next_u64();
-            assert_eq!(
-                verdicts.next_u64(),
-                next,
-                "RNG streams diverged after loads {loads:?}"
             );
             assert_eq!(
                 models.next_u64(),
-                next,
+                decisions.next_u64(),
                 "read-model RNG stream diverged after loads {loads:?}"
             );
         }
         for (f, filter) in reads.iter().zip(bank.filters()) {
             for load in threshold_loads(f) {
                 assert_eq!(
-                    f.admits_load(load, &mut verdicts),
+                    FilterRead::admits_all(std::slice::from_ref(f), &[load], &mut models),
                     filter.classify_load(load, &mut decisions).is_feasible(),
                     "{f:?}: verdicts differ at load {load}"
                 );
                 assert_eq!(
-                    verdicts.next_u64(),
+                    models.next_u64(),
                     decisions.next_u64(),
                     "{f:?}: RNG streams diverged after load {load}"
                 );
@@ -475,13 +454,12 @@ mod tests {
     /// A bank read with one filter certainly vetoing and another in its
     /// band (drawing, possibly settling) returns the `classify_loads`
     /// verdict and leaves the stream where `classify_loads` does, with
-    /// the veto before or after the band read — through the bank and
-    /// through its read models.
+    /// the veto before or after the band read — through the bank's
+    /// read models.
     fn check_veto_short_circuit<R: RngCore + Clone>(config: &FilterConfig, stream: R) {
         let cs = law_constraints();
         let bank = FilterBank::build(&cs, config, &mut StdRng::seed_from_u64(9)).unwrap();
         let reads = bank.clone().into_read_models();
-        let mut verdicts = stream.clone();
         let mut models = stream.clone();
         let mut decisions = stream;
         let mut cases = 0;
@@ -497,12 +475,9 @@ mod tests {
                     let mut loads = vec![0; cs.len()];
                     loads[v] = vetoing.max_load;
                     loads[b] = load;
-                    assert!(!bank.admits(&loads, &mut verdicts), "loads {loads:?}");
                     assert!(!FilterRead::admits_all(&reads, &loads, &mut models));
                     assert!(!bank.classify_loads(&loads, &mut decisions).is_feasible());
-                    let next = decisions.next_u64();
-                    assert_eq!(verdicts.next_u64(), next, "loads {loads:?}");
-                    assert_eq!(models.next_u64(), next, "loads {loads:?}");
+                    assert_eq!(models.next_u64(), decisions.next_u64(), "loads {loads:?}");
                     cases += 1;
                 }
             }

@@ -236,12 +236,6 @@ impl InequalityFilter {
     }
 }
 
-impl AsRef<FilterRead> for InequalityFilter {
-    fn as_ref(&self) -> &FilterRead {
-        &self.read
-    }
-}
-
 impl fmt::Display for InequalityFilter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -384,7 +378,7 @@ mod tests {
 
     /// A filter's read model, both arrays' cells dropped, reads as the
     /// filter's fast path: over every load in `0..=Σw+1`, its
-    /// `admits_load` verdict is the filter's
+    /// `admits_all` verdict as a bank of one is the filter's
     /// `classify_load(..).is_feasible()` and its `classify_load` the
     /// same decision, and each leaves the stream where the filter's
     /// `classify_load` leaves it. The streams run in lockstep over the
@@ -408,7 +402,7 @@ mod tests {
                 for load in 0..=total + 1 {
                     let decision = filter.classify_load(load, &mut decisions);
                     assert_eq!(
-                        read.admits_load(load, &mut verdicts),
+                        FilterRead::admits_all(std::slice::from_ref(&read), &[load], &mut verdicts),
                         decision.is_feasible(),
                         "{factor}× noise, seed {seed}: verdicts differ at load {load}"
                     );

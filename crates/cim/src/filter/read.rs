@@ -128,10 +128,11 @@ impl FilterRead {
         self.settle(load, draws)
     }
 
-    /// The verdict of [`classify_load`](Self::classify_load), leaving
-    /// `rng` exactly where `classify_load` leaves it — the SA hot
-    /// loop's read. The noise math runs only when a draw could flip the
-    /// verdict:
+    /// The bank verdict over `filters` at per-filter `loads`: whether
+    /// every read admits, leaving `rng` exactly where reading each
+    /// filter through [`classify_load`](Self::classify_load), in order,
+    /// leaves it — the SA hot loop's read (a single filter is a bank of
+    /// one). The noise math runs only when a draw could flip a verdict:
     ///
     /// 1. Loads below a build-time threshold, and loads from a second
     ///    one up to `Σwᵢ`, keep their noise-free verdict under any
@@ -144,40 +145,24 @@ impl FilterRead {
     ///    [`GaussianDraw::bound`].
     /// 3. Only otherwise is the read settled through the arithmetic of
     ///    `classify_load`.
-    pub fn admits_load<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> bool {
-        match self.read(load, rng) {
-            Read::Certain(admitted) => admitted,
-            Read::Band(draws) => self.settle(load, draws).is_feasible(),
-        }
-    }
-
-    /// The bank verdict over `filters` at per-filter `loads`: whether
-    /// every read admits, leaving `rng` exactly where reading each
-    /// filter through [`classify_load`](Self::classify_load), in order,
-    /// leaves it.
     ///
-    /// Every filter draws its samples, in filter order, as
-    /// [`admits_load`](Self::admits_load) would. A read those draws
-    /// cannot settle is settled only after every later filter has drawn
-    /// and none of the bank's reads is a veto, certain or settled: a
-    /// bank with any certain veto returns `false` without computing a
-    /// single noise sample.
+    /// Every filter draws its samples in filter order. A read those
+    /// draws cannot settle is settled only after every later filter has
+    /// drawn and none of the bank's reads is a veto, certain or
+    /// settled: a bank with any certain veto returns `false` without
+    /// computing a single noise sample.
     ///
     /// # Panics
     ///
     /// Panics if `loads.len() != filters.len()`.
-    pub fn admits_all<F: AsRef<FilterRead>, R: Rng + ?Sized>(
-        filters: &[F],
-        loads: &[u64],
-        rng: &mut R,
-    ) -> bool {
+    pub fn admits_all<R: Rng + ?Sized>(filters: &[FilterRead], loads: &[u64], rng: &mut R) -> bool {
         assert_eq!(loads.len(), filters.len(), "one load per constraint");
         admits_from(filters, loads, false, rng)
     }
 
     /// Draws the samples of a read at `load` and settles what they can
     /// settle without their values (steps 1 and 2 of
-    /// [`admits_load`](Self::admits_load)).
+    /// [`admits_all`](Self::admits_all)).
     fn read<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> Read {
         if load < self.admit_upto || (self.veto_from..=self.max_load).contains(&load) {
             for noisy in self.noisy(load) {
@@ -239,30 +224,23 @@ impl FilterRead {
             + Self::VERDICT_SLACK
     }
 
-    /// Margin (V) added to the shifts of [`admits_load`](Self::admits_load)
+    /// Margin (V) added to the shifts of [`admits_all`](Self::admits_all)
     /// for floating-point rounding: the noisy comparison sums a few
     /// voltages of at most VDD, whose rounding errors are ~1e-15 V.
     const VERDICT_SLACK: f64 = 1e-9;
-}
-
-impl AsRef<FilterRead> for FilterRead {
-    fn as_ref(&self) -> &FilterRead {
-        self
-    }
 }
 
 /// Reads `filters` in order and returns the bank verdict, `vetoed`
 /// covering the reads before them. A read its draws cannot settle waits
 /// in its own frame while the rest of the bank draws (recursively), and
 /// is settled only if no read vetoes.
-fn admits_from<F: AsRef<FilterRead>, R: Rng + ?Sized>(
-    filters: &[F],
+fn admits_from<R: Rng + ?Sized>(
+    filters: &[FilterRead],
     loads: &[u64],
     mut vetoed: bool,
     rng: &mut R,
 ) -> bool {
     for (k, (filter, &load)) in filters.iter().zip(loads).enumerate() {
-        let filter = filter.as_ref();
         match filter.read(load, rng) {
             Read::Certain(admitted) => vetoed |= !admitted,
             Read::Band(draws) => {

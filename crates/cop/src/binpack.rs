@@ -10,6 +10,8 @@
 //! inequality filter, handled by a bank of filters.
 
 use hycim_qubo::{Assignment, LinearConstraint, QuboMatrix};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::CopError;
 
@@ -60,6 +62,27 @@ impl BinPacking {
             capacity,
             bins,
         })
+    }
+
+    /// A seeded packable instance, deterministically from `seed`: sizes
+    /// in `2..=9` and a uniform capacity for ~80% fill across the bins
+    /// (at least 9, so every item fits a bin), redrawn until
+    /// first-fit-decreasing packs them, so a packing always exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items == 0` or `bins == 0`.
+    pub fn random(items: usize, bins: usize, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        loop {
+            let sizes: Vec<u64> = (0..items).map(|_| rng.random_range(2..=9)).collect();
+            let total: u64 = sizes.iter().sum();
+            let capacity = (total * 5 / 4 / bins as u64).max(9);
+            let bp = BinPacking::new(sizes, capacity, bins).expect("valid sizes");
+            if bp.first_fit_decreasing().is_some() {
+                return bp;
+            }
+        }
     }
 
     /// Number of items.
@@ -256,5 +279,17 @@ mod tests {
         let bp = BinPacking::new(vec![9, 9, 9], 9, 2).unwrap();
         assert!(bp.first_fit_decreasing().is_none());
         assert_eq!(bp.bin_lower_bound(), 3);
+    }
+
+    #[test]
+    fn random_instances_are_seeded_and_packable() {
+        for seed in 0..20 {
+            let bp = BinPacking::random(8, 2, seed);
+            assert_eq!(bp, BinPacking::random(8, 2, seed));
+            assert_eq!((bp.num_items(), bp.num_bins()), (8, 2));
+            assert!(bp.sizes().iter().all(|s| (2..=9).contains(s)));
+            let x = bp.first_fit_decreasing().expect("packable");
+            assert!(bp.is_valid_packing(&x));
+        }
     }
 }

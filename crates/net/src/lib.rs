@@ -18,6 +18,10 @@
 //!   job finishes or a deadline (at most [`MAX_WAIT`]) passes, and
 //!   delivers a finished job's solutions in the same reply, so nobody
 //!   polls on a timer.
+//! * [`local`] — [`solve_any`](local::solve_any), the one solve path:
+//!   a type-erased problem, an engine kind and seeds in, wire
+//!   solutions out. Workers, the coordinator's local fallback and a
+//!   local study column all call it.
 //! * [`worker`] — a [`WorkerServer`] bridging the verbs onto a
 //!   [`JobService`](hycim_service::JobService) pool, with
 //!   per-connection job disposal (a dropped coordinator never strands
@@ -56,7 +60,7 @@ pub mod client;
 pub mod coordinator;
 pub mod frame;
 pub mod json;
-pub(crate) mod local;
+pub mod local;
 pub mod proto;
 pub mod worker;
 

@@ -1,13 +1,14 @@
 //! Local execution of a shard spec: the one solve path both sides of
 //! the wire share.
 //!
-//! A [`JobSpec`](crate::proto::JobSpec) carries everything a solve
+//! A [`JobSpec`] carries everything a solve
 //! needs — the problem in canonical wire text, the engine tag, the
 //! settings, and every pre-derived replica seed — so "run this shard"
-//! is a pure function of the spec. Workers call it on their pool
-//! threads; the [`Coordinator`](crate::coordinator::Coordinator)
+//! is a pure function of the spec. Workers call [`solve_any`] on their
+//! pool threads; the [`Coordinator`](crate::coordinator::Coordinator)
 //! calls the same function for graceful degradation when the fleet is
-//! exhausted. Because both paths reduce to
+//! exhausted, and a local study column calls it on its own
+//! [`BatchRunner`]. Because every path reduces to
 //! [`BatchRunner::run_seeds`] over the same seeds, a shard solved
 //! locally is byte-for-byte the shard a worker would have returned.
 
@@ -17,40 +18,44 @@ use hycim_cop::{AnyProblem, CopProblem};
 
 use crate::proto::{JobSpec, WireSolution};
 
-/// Solves every seed of a decoded spec, dispatched over the family
-/// enum (the engine is built on the calling thread, so trait objects
-/// never cross threads).
+/// Solves `problem` on a `kind` engine once per seed, in seed order,
+/// on `runner`'s threads — the one place a type-erased problem becomes
+/// an engine (built on the calling thread, so trait objects never
+/// cross threads). The solutions are bit-identical for any runner
+/// thread count.
 ///
 /// # Errors
 ///
 /// A message when the engine refuses the instance (an encoding
 /// limit).
-pub(crate) fn solve_any(
+pub fn solve_any(
+    runner: &BatchRunner,
     problem: &AnyProblem,
     kind: EngineKind,
     settings: &EngineSettings,
     seeds: &[u64],
 ) -> Result<Vec<WireSolution>, String> {
     match problem {
-        AnyProblem::Qkp(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::Knapsack(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::MaxCut(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::SpinGlass(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::Tsp(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::Coloring(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::BinPack(p) => solve_typed(p, kind, settings, seeds),
-        AnyProblem::Mkp(p) => solve_typed(p, kind, settings, seeds),
+        AnyProblem::Qkp(p) => solve_typed(runner, p, kind, settings, seeds),
+        AnyProblem::Knapsack(p) => solve_typed(runner, p, kind, settings, seeds),
+        AnyProblem::MaxCut(p) => solve_typed(runner, p, kind, settings, seeds),
+        AnyProblem::SpinGlass(p) => solve_typed(runner, p, kind, settings, seeds),
+        AnyProblem::Tsp(p) => solve_typed(runner, p, kind, settings, seeds),
+        AnyProblem::Coloring(p) => solve_typed(runner, p, kind, settings, seeds),
+        AnyProblem::BinPack(p) => solve_typed(runner, p, kind, settings, seeds),
+        AnyProblem::Mkp(p) => solve_typed(runner, p, kind, settings, seeds),
     }
 }
 
 fn solve_typed<P: CopProblem + 'static>(
+    runner: &BatchRunner,
     problem: &P,
     kind: EngineKind,
     settings: &EngineSettings,
     seeds: &[u64],
 ) -> Result<Vec<WireSolution>, String> {
     let engine = kind.build(problem, settings).map_err(|e| e.to_string())?;
-    Ok(BatchRunner::serial()
+    Ok(runner
         .run_seeds(&engine, seeds)
         .iter()
         .map(WireSolution::from_solution)
@@ -58,7 +63,7 @@ fn solve_typed<P: CopProblem + 'static>(
 }
 
 /// Runs a whole spec on the local host: decode, build, solve every
-/// seed — the coordinator's graceful-degradation path.
+/// seed serially — the coordinator's graceful-degradation path.
 ///
 /// # Errors
 ///
@@ -72,5 +77,11 @@ pub(crate) fn solve_spec(spec: &JobSpec) -> Result<Vec<WireSolution>, String> {
     let problem = spec
         .decode_problem()
         .map_err(|e| format!("problem does not parse: {e}"))?;
-    solve_any(&problem, kind, &spec.settings(), &spec.seeds)
+    solve_any(
+        &BatchRunner::serial(),
+        &problem,
+        kind,
+        &spec.settings(),
+        &spec.seeds,
+    )
 }

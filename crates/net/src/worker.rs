@@ -15,6 +15,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use hycim_core::BatchRunner;
 use hycim_obs::ObsRegistry;
 use hycim_service::{DisposeOutcome, JobId, JobService, ServiceConfig, SubmitError};
 
@@ -436,7 +437,8 @@ fn submit(spec: JobSpec, shared: &WorkerShared, owned: &mut HashSet<u64>) -> Res
             if inject_panic {
                 panic!("injected worker fault: submit {sequence} dies mid-shard");
             }
-            let solutions = crate::local::solve_any(&problem, kind, &settings, &seeds)?;
+            let solutions =
+                crate::local::solve_any(&BatchRunner::serial(), &problem, kind, &settings, &seeds)?;
             // Flushed once per shard, after the solve — the anneal loop
             // itself stays untouched (the determinism contract).
             obs.counter("net.shards_solved").inc();

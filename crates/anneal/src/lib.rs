@@ -16,7 +16,7 @@
 //!   ([`SoftwareState`], [`PenaltyState`]) and in `hycim-core` for the
 //!   hardware-backed pipelines.
 //! * [`Schedule`] — annealing temperature schedules
-//!   ([`GeometricSchedule`], [`LinearSchedule`], [`ConstantSchedule`]).
+//!   ([`GeometricSchedule`], [`ConstantSchedule`]).
 //! * [`Annealer`] — the Metropolis loop, producing an [`AnnealTrace`]
 //!   (the energy-evolution curves of paper Fig. 7(f)).
 //! * [`packed`] — bit-parallel 64-replica annealing over `u64` spin
@@ -72,6 +72,6 @@ pub use packed::{
     run_packed_sweeps, run_replica_scalar, PackedRunOutcome, PackedSoftwareState, ReplicaOutcome,
     SweepSchedule,
 };
-pub use schedule::{ConstantSchedule, GeometricSchedule, LinearSchedule, Schedule};
+pub use schedule::{ConstantSchedule, GeometricSchedule, Schedule};
 pub use state::{AnnealState, FlipOutcome, PenaltyState, SoftwareState};
 pub use trace::AnnealTrace;

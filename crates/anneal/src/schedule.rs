@@ -104,45 +104,6 @@ impl fmt::Display for GeometricSchedule {
     }
 }
 
-/// Linear cooling `T_k = T₀ · (1 − k/total)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearSchedule {
-    t0: f64,
-}
-
-impl LinearSchedule {
-    /// Creates a linear schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t0 <= 0`.
-    pub fn new(t0: f64) -> Self {
-        assert!(
-            t0 > 0.0 && t0.is_finite(),
-            "initial temperature must be positive"
-        );
-        Self { t0 }
-    }
-
-    /// Initial temperature.
-    pub fn t0(&self) -> f64 {
-        self.t0
-    }
-}
-
-impl Schedule for LinearSchedule {
-    fn temperature(&self, iter: usize, total: usize) -> f64 {
-        let frac = 1.0 - iter as f64 / total.max(1) as f64;
-        self.t0 * frac.max(0.0)
-    }
-}
-
-impl fmt::Display for LinearSchedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "linear(T₀={})", self.t0)
-    }
-}
-
 /// Constant temperature (Metropolis sampling without cooling).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantSchedule {
@@ -251,14 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_reaches_zero() {
-        let s = LinearSchedule::new(10.0);
-        assert_eq!(s.temperature(0, 100), 10.0);
-        assert_eq!(s.temperature(100, 100), 0.0);
-        assert_eq!(s.temperature(150, 100), 0.0);
-    }
-
-    #[test]
     fn constant_is_constant() {
         let s = ConstantSchedule::new(3.0);
         assert_eq!(s.temperature(0, 10), s.temperature(9, 10));
@@ -280,7 +233,6 @@ mod tests {
         assert!(GeometricSchedule::new(1.0, 0.5)
             .to_string()
             .contains("geometric"));
-        assert!(LinearSchedule::new(1.0).to_string().contains("linear"));
         assert!(ConstantSchedule::new(1.0).to_string().contains("constant"));
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests of the annealing engine.
 
 use hycim_anneal::{
-    AnnealState, Annealer, ConstantSchedule, GeometricSchedule, LinearSchedule, PenaltyState,
-    Schedule, SoftwareState,
+    AnnealState, Annealer, ConstantSchedule, GeometricSchedule, PenaltyState, Schedule,
+    SoftwareState,
 };
 use hycim_cop::generator::QkpGenerator;
 use hycim_qubo::dqubo::{AuxEncoding, PenaltyWeights};
@@ -18,9 +18,8 @@ proptest! {
     #[test]
     fn schedules_are_sane(t0 in 0.1f64..1000.0, alpha in 0.01f64..1.0, iter in 0usize..10_000) {
         let g = GeometricSchedule::new(t0, alpha);
-        let l = LinearSchedule::new(t0);
         let c = ConstantSchedule::new(t0);
-        for s in [&g as &dyn Schedule, &l, &c] {
+        for s in [&g as &dyn Schedule, &c] {
             let t = s.temperature(iter, 10_000);
             prop_assert!(t.is_finite() && t >= 0.0);
         }

@@ -16,7 +16,7 @@
 //! provenance block (`HYCIM_GIT_DESCRIBE` / `SOURCE_DATE_EPOCH`
 //! environment variables, `"unknown"` when unset), and validates its
 //! shape before exiting. The measurement and rendering logic lives in
-//! [`hycim_bench::hotpath`], shared with the `bench_gate` drift probe.
+//! [`hycim_bench::hotpath`].
 //!
 //! ```text
 //! cargo run --release -p hycim-bench --bin hotpath_report -- \

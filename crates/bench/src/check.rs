@@ -5,7 +5,9 @@
 //! part of the committed bytes) and read back through the protocol's
 //! JSON parser in its report mode, [`Value::parse_report`]: schema
 //! tag, `meta` strings, per-row required keys, and range checks on the
-//! numbers the gate later compares. Both `hotpath_report` and
+//! rates, objectives and throughputs. These are shape validators only;
+//! that the committed `BENCH_study.json` reproduces byte for byte is
+//! pinned by the `study` integration test. Both `hotpath_report` and
 //! `study_report` re-read their own output through these readers
 //! before writing, so CI smoke runs fail loudly on a malformed report.
 
@@ -117,35 +119,6 @@ impl ReportMeta {
     }
 }
 
-/// One (problem, engine) cell read from a committed study document —
-/// the quantities the regression gate compares.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommittedCell {
-    /// Canonical instance key.
-    pub problem: String,
-    /// Engine backend tag.
-    pub engine: String,
-    /// Committed success rate in `[0, 1]`.
-    pub success_rate: f64,
-    /// Committed best objective (`None` when recorded as `null`).
-    pub best_objective: Option<f64>,
-    /// Committed mean objective (`None` when recorded as `null`).
-    pub mean_objective: Option<f64>,
-}
-
-/// The throughput rows of a committed hotpath document — the
-/// committed side of the gate's drift probes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommittedHotpath {
-    /// `(family, n, local_iters_per_sec)` of every scalar row.
-    pub rows: Vec<(String, usize, f64)>,
-    /// `(family, n, sweeps, packed_iters_per_sec)` of every replica
-    /// row. The probe replays the row's own `sweeps`: throughput is
-    /// sweep-count dependent (longer runs amortize setup and spend
-    /// more time in the draw-free cold tail).
-    pub replica_rows: Vec<(String, usize, usize, f64)>,
-}
-
 /// Parses a report and checks its schema tag and `meta` strings.
 fn read_report(doc: &str, schema: &str) -> Result<Value, String> {
     let report = Value::parse_report(doc).map_err(|e| e.to_string())?;
@@ -160,116 +133,112 @@ fn read_report(doc: &str, schema: &str) -> Result<Value, String> {
     Ok(report)
 }
 
-/// Reads every row with `read`, naming the first row that fails.
-fn each<T>(
+/// Checks every row with `check`, naming the first row that fails.
+fn each(
     rows: &[Value],
     label: &str,
-    read: impl Fn(&Value) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
+    check: impl Fn(&Value) -> Result<(), String>,
+) -> Result<(), String> {
     rows.iter()
         .enumerate()
-        .map(|(idx, row)| read(row).map_err(|e| format!("{label} {idx}: {e}")))
-        .collect()
+        .try_for_each(|(idx, row)| check(row).map_err(|e| format!("{label} {idx}: {e}")))
 }
 
 fn has_keys(row: &Value, keys: &[&str]) -> Result<(), String> {
     keys.iter().try_for_each(|key| row.field(key).map(drop))
 }
 
-fn rate(row: &Value, key: &str) -> Result<f64, String> {
+fn rate(row: &Value, key: &str) -> Result<(), String> {
     let rate = row.number_field(key)?;
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!("{key} = {rate} not in [0, 1]"));
     }
-    Ok(rate)
+    Ok(())
 }
 
-fn positive(row: &Value, key: &str) -> Result<f64, String> {
+fn positive(row: &Value, key: &str) -> Result<(), String> {
     let x = row.number_field(key)?;
     if x <= 0.0 {
         return Err(format!("{key} = {x} is not positive"));
     }
-    Ok(x)
+    Ok(())
 }
 
 /// A number the writer records as `null` when it is not finite.
-fn objective(row: &Value, key: &str) -> Result<Option<f64>, String> {
+fn objective(row: &Value, key: &str) -> Result<(), String> {
     match row.field(key)? {
-        Value::Null => Ok(None),
-        _ => row.number_field(key).map(Some),
+        Value::Null => Ok(()),
+        _ => row.number_field(key).map(drop),
     }
 }
 
-/// Reads a `BENCH_hotpath.json` document: the [`HOTPATH_SCHEMA`] tag,
-/// the `meta` provenance block, at least one row, a `replica_rows`
-/// array, every row and replica row carrying every required key, and
-/// strictly positive finite throughput numbers.
+/// Validates a `BENCH_hotpath.json` document: the [`HOTPATH_SCHEMA`]
+/// tag, the `meta` provenance block, at least one row, a
+/// `replica_rows` array, every row and replica row carrying every
+/// required key, and strictly positive finite throughput numbers.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first violation.
-pub fn read_hotpath(doc: &str) -> Result<CommittedHotpath, String> {
+pub fn read_hotpath(doc: &str) -> Result<(), String> {
     let report = read_report(doc, HOTPATH_SCHEMA)?;
     let rows = report.array_field("rows")?;
     if rows.is_empty() {
         return Err("no rows found".into());
     }
-    let rows = each(rows, "row", |row| {
+    each(rows, "row", |row| {
         has_keys(row, &HOTPATH_ROW_KEYS)?;
-        Ok((
-            row.str_field("family")?.to_string(),
-            row.u64_field("n")? as usize,
-            positive(row, "local_iters_per_sec")?,
-        ))
+        row.str_field("family")?;
+        row.u64_field("n")?;
+        positive(row, "local_iters_per_sec")
     })?;
-    let replica_rows = each(report.array_field("replica_rows")?, "replica row", |row| {
+    each(report.array_field("replica_rows")?, "replica row", |row| {
         has_keys(row, &HOTPATH_REPLICA_ROW_KEYS)?;
-        positive(row, "scalar_iters_per_sec")?;
-        positive(row, "replica_speedup")?;
-        Ok((
-            row.str_field("family")?.to_string(),
-            row.u64_field("n")? as usize,
-            row.u64_field("sweeps")? as usize,
-            positive(row, "packed_iters_per_sec")?,
-        ))
-    })?;
-    Ok(CommittedHotpath { rows, replica_rows })
+        row.str_field("family")?;
+        row.u64_field("n")?;
+        row.u64_field("sweeps")?;
+        for key in [
+            "scalar_iters_per_sec",
+            "packed_iters_per_sec",
+            "replica_speedup",
+        ] {
+            positive(row, key)?;
+        }
+        Ok(())
+    })
 }
 
-/// Reads a `BENCH_study.json` document into its (problem, engine)
-/// cells: the [`STUDY_SCHEMA`] tag, the `meta` block, the recipe keys,
-/// at least one problem with at least one cell, at least one ranking,
-/// every problem, cell and ranking carrying its required keys, rates
-/// confined to `[0, 1]`, and objectives that are numbers or `null`.
+/// Validates a `BENCH_study.json` document: the [`STUDY_SCHEMA`] tag,
+/// the `meta` block, the recipe keys, at least one problem with at
+/// least one cell, at least one ranking, every problem, cell and
+/// ranking carrying its required keys, rates confined to `[0, 1]`,
+/// and objectives that are numbers or `null`.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first violation.
-pub fn read_study(doc: &str) -> Result<Vec<CommittedCell>, String> {
+pub fn read_study(doc: &str) -> Result<(), String> {
     let report = read_report(doc, STUDY_SCHEMA)?;
     has_keys(&report, &["study", "seed", "replicas", "sweeps", "engines"])?;
     let problems = report.array_field("problems")?;
     if problems.is_empty() {
         return Err("no problems found".into());
     }
-    let cells = each(problems, "problem", |p| {
+    each(problems, "problem", |p| {
         has_keys(p, &["family", "n", "dim", "reference"])?;
         let problem = p.str_field("problem")?;
-        let cells = each(p.array_field("cells")?, "cell", |cell| {
-            has_keys(cell, &STUDY_CELL_KEYS)?;
-            rate(cell, "feasible_rate")?;
-            Ok(CommittedCell {
-                problem: problem.to_string(),
-                engine: cell.str_field("engine")?.to_string(),
-                success_rate: rate(cell, "success_rate")?,
-                best_objective: objective(cell, "best_objective")?,
-                mean_objective: objective(cell, "mean_objective")?,
-            })
-        })?;
+        let cells = p.array_field("cells")?;
         if cells.is_empty() {
             return Err(format!("{problem} has no cells"));
         }
-        Ok(cells)
+        each(cells, "cell", |cell| {
+            has_keys(cell, &STUDY_CELL_KEYS)?;
+            cell.str_field("engine")?;
+            rate(cell, "success_rate")?;
+            rate(cell, "feasible_rate")?;
+            objective(cell, "best_objective")?;
+            objective(cell, "mean_objective")
+        })
     })?;
     let rankings = report.array_field("rankings")?;
     if rankings.is_empty() {
@@ -278,8 +247,7 @@ pub fn read_study(doc: &str) -> Result<Vec<CommittedCell>, String> {
     each(rankings, "ranking", |row| {
         has_keys(row, &STUDY_RANKING_KEYS)?;
         rate(row, "mean_success_rate")
-    })?;
-    Ok(cells.concat())
+    })
 }
 
 #[cfg(test)]
@@ -362,18 +330,6 @@ mod tests {
             .contains("not positive"));
     }
 
-    #[test]
-    fn replica_rows_extract_and_tolerate_their_absence() {
-        let read = read_hotpath(&v4_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("extracts");
-        assert_eq!(
-            read.replica_rows,
-            vec![("maxcut".to_string(), 256, 60, 1.2e8)]
-        );
-        // An empty replica block reads as an empty list.
-        let empty = read_hotpath(&v4_doc(GOOD_ROW, "")).expect("tolerated");
-        assert_eq!(empty.replica_rows, vec![]);
-    }
-
     fn study_doc(cell: &str) -> String {
         format!(
             "{{\n  \"schema\": \"{STUDY_SCHEMA}\",\n  {},\n  \"study\": \"t\", \"seed\": 1, \
@@ -393,7 +349,14 @@ mod tests {
 
     #[test]
     fn study_validator_accepts_wellformed() {
+        // GOOD_CELL records its mean objective as `null`.
         read_study(&study_doc(GOOD_CELL)).expect("valid study document");
+    }
+
+    #[test]
+    fn committed_artifacts_validate() {
+        read_hotpath(include_str!("../../../BENCH_hotpath.json")).expect("BENCH_hotpath.json");
+        read_study(include_str!("../../../BENCH_study.json")).expect("BENCH_study.json");
     }
 
     #[test]
@@ -404,6 +367,10 @@ mod tests {
         assert!(read_study(&no_meta).unwrap_err().contains("meta"));
         let bad_rate = doc.replace("\"success_rate\": 1.0000", "\"success_rate\": 1.5");
         assert!(read_study(&bad_rate).unwrap_err().contains("not in [0, 1]"));
+        let text_objective = doc.replace("\"mean_objective\": null", "\"mean_objective\": \"x\"");
+        assert!(read_study(&text_objective)
+            .unwrap_err()
+            .contains("mean_objective"));
         let missing_key = doc.replace("\"feasible_rate\"", "\"f_rate\"");
         assert!(read_study(&missing_key)
             .unwrap_err()
@@ -443,25 +410,7 @@ mod tests {
         }
         let compact = doc.replace("{ \"", "{\"").replace("\": ", "\":");
         assert_ne!(compact, doc);
-        assert_eq!(read_study(&compact), read_study(&doc));
-    }
-
-    #[test]
-    fn committed_cells_extract_with_null_objectives() {
-        let cells = read_study(&study_doc(GOOD_CELL)).expect("extracts");
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].problem, "qkp-d50-n10");
-        assert_eq!(cells[0].engine, "software");
-        assert_eq!(cells[0].success_rate, 1.0);
-        assert_eq!(cells[0].best_objective, Some(-5.0));
-        assert_eq!(cells[0].mean_objective, None);
-    }
-
-    #[test]
-    fn hotpath_rows_extract() {
-        let doc = v4_doc(GOOD_ROW, GOOD_REPLICA_ROW);
-        let rows = read_hotpath(&doc).expect("extracts").rows;
-        assert_eq!(rows, vec![("maxcut".to_string(), 256, 9e6)]);
+        read_study(&compact).expect("compact document reads");
     }
 
     #[test]
@@ -481,7 +430,7 @@ mod tests {
             git: "v1-2-g\\x\n".into(),
         };
         let doc = study_doc(GOOD_CELL).replace(&rendered, &quoted.render());
-        assert_eq!(read_study(&doc), read_study(&study_doc(GOOD_CELL)));
+        read_study(&doc).expect("escaped provenance reads");
         let meta = Value::parse_report(&doc).unwrap().field("meta").cloned();
         assert_eq!(meta.unwrap().str_field("generated"), Ok("say \"hi\""));
     }

@@ -1,8 +1,11 @@
 //! SA hot-path throughput measurement: annealing runs on maintained
 //! local fields, plus the packed 64-lane engine against one scalar
-//! replica. Shared by the `hotpath_report` bin (which sweeps the full
-//! family × size matrix) and the `bench_gate` bin (which re-times a
-//! single small probe cell for the throughput-drift warning).
+//! replica, as the `hotpath_report` bin sweeps them over the family ×
+//! size matrix of `BENCH_hotpath.json`. The throughput numbers are
+//! machine-dependent records, not a check; the one hard property is
+//! that every packed lane stays bit-identical to its scalar
+//! `replica_seed` twin, which the unit tests pin at the smallest
+//! committed replica rows.
 
 use std::time::Instant;
 
@@ -230,9 +233,7 @@ fn replica_row(family: &'static str, iq: &InequalityQubo, sweeps: usize, seed: u
 }
 
 /// Builds the replica-throughput row for one named family at size `n`,
-/// with the same instance-generation parameters as [`family_row`] (so
-/// the gate's drift probe re-measures exactly what `hotpath_report`
-/// committed).
+/// with the same instance-generation parameters as [`family_row`].
 ///
 /// # Panics
 ///
@@ -266,9 +267,8 @@ pub fn replica_family_row(
     }
 }
 
-/// Builds the row for one named family at size `n`, with the same
-/// generation parameters for every caller (so the gate's drift probe
-/// re-measures exactly what `hotpath_report` committed).
+/// Builds the scalar local-field row for one named family at size
+/// `n`.
 ///
 /// # Panics
 ///
@@ -381,31 +381,26 @@ mod tests {
 
     #[test]
     fn replica_rows_time_and_stay_bit_identical() {
-        for family in ["maxcut", "spinglass", "qkp"] {
-            let row = replica_family_row(family, 20, 8, 1, 0.3, 0.25);
+        // Tiny cells per family, plus the smallest committed replica
+        // rows of BENCH_hotpath.json at the `hotpath_report` defaults.
+        let tiny = ["maxcut", "spinglass", "qkp"].map(|f| (f, 20, 8, 0.3));
+        let committed = ["maxcut", "spinglass"].map(|f| (f, 64, 240, 0.05));
+        for (family, n, sweeps, maxcut_density) in tiny.into_iter().chain(committed) {
+            let row = replica_family_row(family, n, sweeps, 1, maxcut_density, 0.25);
             assert_eq!(row.lanes, LANES, "{family}");
             assert!(row.scalar_ips > 0.0 && row.packed_ips > 0.0, "{family}");
             assert!(
                 row.bit_identical,
-                "{family}: packed lanes diverged from scalar replica_seed twins"
+                "{family} n={n}: packed lanes diverged from scalar replica_seed twins"
             );
         }
     }
 
     #[test]
-    fn rendered_report_validates_and_extracts_both_row_kinds() {
+    fn rendered_report_validates_both_row_kinds() {
         let rows = vec![family_row("maxcut", 16, 3, 1, 0.3, 0.25)];
         let replica_rows = vec![replica_family_row("maxcut", 16, 4, 1, 0.3, 0.25)];
         let doc = render_hotpath_json(&rows, &replica_rows, 3, &ReportMeta::unknown());
-        let read = read_hotpath(&doc).expect("v4 document reads");
-        let extracted = read.rows;
-        assert_eq!(extracted.len(), 1);
-        assert_eq!(extracted[0].0, "maxcut");
-        assert_eq!(extracted[0].1, 16);
-        let replicas = read.replica_rows;
-        assert_eq!(replicas.len(), 1);
-        assert_eq!(replicas[0].0, "maxcut");
-        assert_eq!(replicas[0].2, 4, "sweeps round-trip through the document");
-        assert!(replicas[0].3 > 0.0);
+        read_hotpath(&doc).expect("v4 document validates");
     }
 }

@@ -17,14 +17,15 @@
 //!   evaluation, crossbar VMV, SA iterations, COP→QUBO
 //!   transformations) and of the ablation variants.
 //! * **The study subsystem** ([`recipe`], [`study`], [`stats`],
-//!   [`gate`], [`hotpath`]) — declarative [`StudyRecipe`]s expanded by
-//!   the [`StudyRunner`] into the replica × problem × engine grid
-//!   (each replica column solved on this host or sharded over wire
-//!   workers), ranked per engine, emitted as the committed
+//!   [`hotpath`]) — declarative [`StudyRecipe`]s expanded by the
+//!   [`StudyRunner`] into the replica × problem × engine grid (each
+//!   replica column solved on this host or sharded over wire
+//!   workers), ranked per engine, and emitted as the committed
 //!   `BENCH_study.json` (`study_report` bin, and `shard_demo` for the
-//!   sharded run) and regression-gated against it and against the
-//!   `BENCH_hotpath.json` throughput rows (`hotpath_report` bin) by
-//!   the `bench_gate` bin.
+//!   sharded run), plus the `BENCH_hotpath.json` throughput rows
+//!   (`hotpath_report` bin). The one artifact check is that
+//!   `BENCH_study.json` reproduces byte for byte: the `study`
+//!   integration test pins it in `cargo test`.
 //! * **This library** — the tiny dependency-free CLI parser,
 //!   reporting helpers, and `BENCH_*.json` readers ([`check`]) the
 //!   binaries share, so each binary stays a self-contained experiment
@@ -35,7 +36,6 @@
 //! ```text
 //! cargo run --release -p hycim-bench --bin fig10_success -- --sweeps 1000
 //! cargo run --release -p hycim-bench --bin study_report -- --preset default
-//! cargo run --release -p hycim-bench --bin bench_gate
 //! cargo bench -p hycim-bench --bench solver_benches
 //! ```
 
@@ -43,15 +43,14 @@
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod gate;
 pub mod hotpath;
 pub mod recipe;
 pub mod stats;
 pub mod study;
 
 pub use check::{
-    read_hotpath, read_study, CommittedCell, CommittedHotpath, ReportMeta,
-    HOTPATH_REPLICA_ROW_KEYS, HOTPATH_ROW_KEYS, HOTPATH_SCHEMA, STUDY_SCHEMA,
+    read_hotpath, read_study, ReportMeta, HOTPATH_REPLICA_ROW_KEYS, HOTPATH_ROW_KEYS,
+    HOTPATH_SCHEMA, STUDY_SCHEMA,
 };
 pub use recipe::{EngineKind, Family, FamilySpec, RecipeError, StudyRecipe};
 pub use stats::{

@@ -24,8 +24,9 @@
 //!
 //! Seeding is **instance-keyed, not positional**: every instance's
 //! seeds derive from its instance key (the JSON `problem` field, e.g.
-//! `qkp-d25-n10`) and the study seed, so a sub-recipe (the CI gate) reproduces the
-//! exact cells of a superset recipe bit-identically.
+//! `qkp-d25-n10`) and the study seed, so a sub-recipe (the `gate`
+//! preset) reproduces the exact cells of a superset recipe
+//! bit-identically.
 
 use std::fmt;
 
@@ -185,9 +186,10 @@ impl StudyRecipe {
     ///
     /// * `"micro"` — seconds-scale smoke matrix for CI and the
     ///   determinism tests (three backends, four tiny problems).
-    /// * `"gate"` — the regression-gate matrix: a strict subset of
-    ///   `"default"` (same seed/replicas/sweeps/engines), so its cells
-    ///   are bit-identical to the committed `BENCH_study.json`.
+    /// * `"gate"` — every backend on five small problems, the matrix
+    ///   the sharded-study pins run: a strict subset of `"default"`
+    ///   (same seed/replicas/sweeps/engines), so its cells are
+    ///   bit-identical to the committed `BENCH_study.json`.
     /// * `"default"` — the full committed study: all four backends
     ///   over eight problem families.
     pub fn preset(name: &str) -> Option<StudyRecipe> {

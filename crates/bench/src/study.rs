@@ -14,7 +14,7 @@
 //! tests and the `shard_demo` binary). Wall-clock time is measured
 //! (for stdout reporting) but never rendered into the artifact.
 //! Because seeding is keyed and not positional, any sub-recipe — the
-//! CI gate — reproduces the exact cells of a superset study.
+//! `gate` preset — reproduces the exact cells of a superset study.
 
 use hycim_cop::binpack::BinPacking;
 use hycim_cop::coloring::GraphColoring;
@@ -38,8 +38,7 @@ use crate::check::ReportMeta;
 use crate::check::STUDY_SCHEMA;
 use crate::recipe::{EngineKind, Family, FamilySpec, StudyRecipe};
 use crate::stats::{
-    fold_reference, rank_engines, summarize_cell, CellSummary, EngineRanking, ProblemSummary,
-    RunScore,
+    fold_reference, rank_engines, summarize_cell, EngineRanking, ProblemSummary, RunScore,
 };
 
 /// Outcome of one study run: the deterministic summaries plus the
@@ -70,15 +69,6 @@ impl StudyResult {
     /// Number of (problem, engine) cells the study ran.
     pub fn cells(&self) -> usize {
         self.problems.iter().map(|p| p.cells.len()).sum()
-    }
-
-    /// Flattens to `(instance key, cell)` pairs — the fresh side of
-    /// the regression gate's comparison.
-    pub fn fresh_cells(&self) -> Vec<(String, CellSummary)> {
-        self.problems
-            .iter()
-            .flat_map(|p| p.cells.iter().map(|c| (p.problem.clone(), c.clone())))
-            .collect()
     }
 }
 

@@ -54,8 +54,8 @@ fn micro_preset_sharded_run_is_byte_identical_to_local() {
 
 #[test]
 fn gate_preset_three_worker_run_matches_single_thread_local() {
-    // The regression-gate matrix itself — every family and backend the
-    // committed BENCH_study.json gates on — sharded over 3 workers.
+    // The `gate` preset — every backend on a subset of the committed
+    // BENCH_study.json's problems — sharded over 3 workers.
     let (handles, addrs) = spawn_workers(3);
     let (wire_doc, local_doc) = render_both(&preset("gate"), addrs, 3);
     assert_eq!(wire_doc, local_doc, "gate artifact diverged");

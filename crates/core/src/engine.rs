@@ -137,7 +137,6 @@ impl<P: CopProblem, E: Engine<P> + ?Sized> Engine<P> for Box<E> {
 #[derive(Debug, Clone)]
 pub struct HyCimEngine<P: CopProblem> {
     problem: P,
-    encoded: MultiInequalityQubo,
     /// Backend tag: `"hycim"` or `"bank"`, by constructor.
     backend: &'static str,
     config: HyCimConfig,
@@ -158,7 +157,7 @@ impl<P: CopProblem> HyCimEngine<P> {
     /// filter's 64-unit columns).
     pub fn new(problem: &P, config: &HyCimConfig, hardware_seed: u64) -> Result<Self, HycimError> {
         let encoded = MultiInequalityQubo::from(problem.to_inequality_qubo()?);
-        Self::program(problem, encoded, "hycim", config, hardware_seed)
+        Self::program(problem, &encoded, "hycim", config, hardware_seed)
     }
 
     /// Builds the filter-bank engine for a problem: one filter per
@@ -173,12 +172,12 @@ impl<P: CopProblem> HyCimEngine<P> {
     /// constraint weights exceeding the filter's 64-unit columns).
     pub fn bank(problem: &P, config: &HyCimConfig, hardware_seed: u64) -> Result<Self, HycimError> {
         let encoded = problem.to_multi_inequality_qubo()?;
-        Self::program(problem, encoded, "bank", config, hardware_seed)
+        Self::program(problem, &encoded, "bank", config, hardware_seed)
     }
 
     fn program(
         problem: &P,
-        encoded: MultiInequalityQubo,
+        encoded: &MultiInequalityQubo,
         backend: &'static str,
         config: &HyCimConfig,
         hardware_seed: u64,
@@ -186,25 +185,13 @@ impl<P: CopProblem> HyCimEngine<P> {
         // Programming the chip is the mapping check: configuration
         // errors surface at build time, not first solve.
         let mut rng = StdRng::seed_from_u64(hardware_seed);
-        let chip = BankChip::build(&encoded, &config.filter, &config.crossbar, &mut rng)?;
+        let chip = BankChip::build(encoded, &config.filter, &config.crossbar, &mut rng)?;
         Ok(Self {
             problem: problem.clone(),
-            encoded,
             backend,
             config: config.clone(),
             chip,
         })
-    }
-
-    /// The problem in the (multi-)inequality-QUBO form the filter bank
-    /// is programmed with.
-    pub fn encoded(&self) -> &MultiInequalityQubo {
-        &self.encoded
-    }
-
-    /// The instance being solved.
-    pub fn instance(&self) -> &P {
-        &self.problem
     }
 }
 
@@ -267,11 +254,6 @@ impl<P: CopProblem> DquboEngine<P> {
     pub fn form(&self) -> &DquboForm {
         &self.form
     }
-
-    /// The instance being solved.
-    pub fn instance(&self) -> &P {
-        &self.problem
-    }
 }
 
 impl<P: CopProblem> Engine<P> for DquboEngine<P> {
@@ -327,11 +309,6 @@ impl<P: CopProblem> SoftwareEngine<P> {
             encoded: problem.to_inequality_qubo()?,
             config: config.clone(),
         })
-    }
-
-    /// The problem in inequality-QUBO form.
-    pub fn encoded(&self) -> &InequalityQubo {
-        &self.encoded
     }
 }
 
@@ -546,9 +523,15 @@ mod tests {
     fn bank_engine_solves_fig7e_via_single_constraint_bank() {
         // A single-constraint problem runs on a 1-filter bank and
         // reaches the same optimum as the single-filter pipeline.
+        assert_eq!(
+            fig7e()
+                .to_multi_inequality_qubo()
+                .unwrap()
+                .num_constraints(),
+            1
+        );
         let engine =
             HyCimEngine::bank(&fig7e(), &HyCimConfig::default().with_sweeps(50), 1).unwrap();
-        assert_eq!(engine.encoded().num_constraints(), 1);
         let solution = engine.solve(2);
         assert!(solution.feasible);
         assert_eq!(solution.value(), 25);

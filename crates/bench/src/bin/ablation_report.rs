@@ -1,6 +1,6 @@
 //! Quality ablations for the model's design choices
-//! — reports *success rates* (not throughput; see `ablation_benches`
-//! for timing) under each variation, with every (instance × initial)
+//! — reports *success rates* (not timing; no harness times the
+//! variants) under each variation, with every (instance × initial)
 //! grid fanned out by the deterministic parallel `BatchRunner`:
 //!
 //! * crossbar quantization bits (4..10 for HyCiM),

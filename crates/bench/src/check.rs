@@ -1,51 +1,22 @@
-//! Reading back the committed `BENCH_*.json` artifacts, plus the
-//! provenance `meta` block both report bins stamp.
+//! Reading back the committed `BENCH_study.json` artifact, plus the
+//! provenance `meta` block the study report stamps.
 //!
-//! The artifacts are written by string formatting (their layout is
-//! part of the committed bytes) and read back through the protocol's
-//! JSON parser in its report mode, [`Value::parse_report`]: schema
-//! tag, `meta` strings, per-row required keys, and range checks on the
-//! rates, objectives and throughputs. These are shape validators only;
-//! that the committed `BENCH_study.json` reproduces byte for byte is
-//! pinned by the `study` integration test. Both `hotpath_report` and
-//! `study_report` re-read their own output through these readers
-//! before writing, so CI smoke runs fail loudly on a malformed report.
+//! The artifact is written by string formatting (its layout is part
+//! of the committed bytes) and read back through the protocol's JSON
+//! parser in its report mode, [`Value::parse_report`]: schema tag,
+//! `meta` strings, per-row required keys, and range checks on the
+//! rates and objectives. This is a shape validator only; that the
+//! committed `BENCH_study.json` reproduces byte for byte is pinned by
+//! the `study` integration test. `study_report` re-reads its own
+//! output through [`read_study`] before writing, so CI smoke runs fail
+//! loudly on a malformed report.
 
 use std::env;
 
 use hycim_net::json::Value;
 
-/// Schema tag of `BENCH_hotpath.json`: scalar local-field `rows`, a
-/// `meta` provenance block, and the `replica_rows` packed-vs-scalar
-/// throughput block. Earlier tags are rejected.
-pub const HOTPATH_SCHEMA: &str = "hycim-hotpath/v4";
-
 /// Schema tag of `BENCH_study.json`.
 pub const STUDY_SCHEMA: &str = "hycim-study/v1";
-
-/// Keys every row of a hotpath report must carry.
-pub const HOTPATH_ROW_KEYS: [&str; 7] = [
-    "family",
-    "state",
-    "n",
-    "nnz",
-    "avg_degree",
-    "iterations",
-    "local_iters_per_sec",
-];
-
-/// Keys every replica row of a hotpath report must carry.
-pub const HOTPATH_REPLICA_ROW_KEYS: [&str; 9] = [
-    "lanes",
-    "family",
-    "n",
-    "nnz",
-    "avg_degree",
-    "sweeps",
-    "scalar_iters_per_sec",
-    "packed_iters_per_sec",
-    "replica_speedup",
-];
 
 /// Keys every cell of a study report must carry.
 const STUDY_CELL_KEYS: [&str; 7] = [
@@ -74,8 +45,8 @@ const STUDY_RANKING_KEYS: [&str; 7] = [
 /// Populated from the environment so artifact generation stays
 /// deterministic and process-spawn-free: `HYCIM_GIT_DESCRIBE` carries
 /// the `git describe` string and `SOURCE_DATE_EPOCH` the timestamp;
-/// both default to `"unknown"` (the committed artifacts are generated
-/// with neither set, keeping them bit-reproducible).
+/// both default to `"unknown"` (the committed artifact is generated
+/// with neither set, keeping it bit-reproducible).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReportMeta {
     /// Generation timestamp (`SOURCE_DATE_EPOCH` or `"unknown"`).
@@ -156,56 +127,12 @@ fn rate(row: &Value, key: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn positive(row: &Value, key: &str) -> Result<(), String> {
-    let x = row.number_field(key)?;
-    if x <= 0.0 {
-        return Err(format!("{key} = {x} is not positive"));
-    }
-    Ok(())
-}
-
 /// A number the writer records as `null` when it is not finite.
 fn objective(row: &Value, key: &str) -> Result<(), String> {
     match row.field(key)? {
         Value::Null => Ok(()),
         _ => row.number_field(key).map(drop),
     }
-}
-
-/// Validates a `BENCH_hotpath.json` document: the [`HOTPATH_SCHEMA`]
-/// tag, the `meta` provenance block, at least one row, a
-/// `replica_rows` array, every row and replica row carrying every
-/// required key, and strictly positive finite throughput numbers.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first violation.
-pub fn read_hotpath(doc: &str) -> Result<(), String> {
-    let report = read_report(doc, HOTPATH_SCHEMA)?;
-    let rows = report.array_field("rows")?;
-    if rows.is_empty() {
-        return Err("no rows found".into());
-    }
-    each(rows, "row", |row| {
-        has_keys(row, &HOTPATH_ROW_KEYS)?;
-        row.str_field("family")?;
-        row.u64_field("n")?;
-        positive(row, "local_iters_per_sec")
-    })?;
-    each(report.array_field("replica_rows")?, "replica row", |row| {
-        has_keys(row, &HOTPATH_REPLICA_ROW_KEYS)?;
-        row.str_field("family")?;
-        row.u64_field("n")?;
-        row.u64_field("sweeps")?;
-        for key in [
-            "scalar_iters_per_sec",
-            "packed_iters_per_sec",
-            "replica_speedup",
-        ] {
-            positive(row, key)?;
-        }
-        Ok(())
-    })
 }
 
 /// Validates a `BENCH_study.json` document: the [`STUDY_SCHEMA`] tag,
@@ -254,82 +181,6 @@ pub fn read_study(doc: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn hotpath_doc(schema: &str, meta: &str, rows: &str) -> String {
-        format!("{{\n  \"schema\": \"{schema}\",\n{meta}  \"rows\": [\n{rows}  ]\n}}\n")
-    }
-
-    const GOOD_ROW: &str = "    { \"family\": \"maxcut\", \"state\": \"software\", \"n\": 256, \
-         \"nnz\": 10, \"avg_degree\": 2.0, \"iterations\": 100, \"local_iters_per_sec\": 9e6 }\n";
-
-    const GOOD_REPLICA_ROW: &str = "    { \"lanes\": 64, \"family\": \"maxcut\", \"n\": 256, \
-         \"nnz\": 10, \"avg_degree\": 2.0, \"sweeps\": 60, \"scalar_iters_per_sec\": 8e6, \
-         \"packed_iters_per_sec\": 1.2e8, \"replica_speedup\": 15.0, \"bit_identical\": true }\n";
-
-    fn v4_doc(rows: &str, replica_rows: &str) -> String {
-        format!(
-            "{{\n  \"schema\": \"{HOTPATH_SCHEMA}\",\n  {},\n  \"rows\": [\n{rows}  ],\n  \
-             \"replica_rows\": [\n{replica_rows}  ]\n}}\n",
-            ReportMeta::unknown().render()
-        )
-    }
-
-    #[test]
-    fn hotpath_validator_accepts_v4_and_rejects_older_tags() {
-        let meta = format!("  {},\n", ReportMeta::unknown().render());
-        read_hotpath(&v4_doc(GOOD_ROW, GOOD_REPLICA_ROW)).expect("v4");
-        // The superseded tags fail on the tag itself, even when the
-        // rest of the document is well-formed.
-        let v3 = v4_doc(GOOD_ROW, GOOD_REPLICA_ROW).replace(HOTPATH_SCHEMA, "hycim-hotpath/v3");
-        let v2 = hotpath_doc("hycim-hotpath/v2", &meta, GOOD_ROW);
-        let v1 = hotpath_doc("hycim-hotpath/v1", "", GOOD_ROW);
-        for old in [v3, v2, v1] {
-            assert!(read_hotpath(&old).unwrap_err().contains("schema tag"));
-        }
-    }
-
-    #[test]
-    fn hotpath_validator_rejects_malformed() {
-        assert!(read_hotpath("[]").is_err());
-        assert!(read_hotpath("{}").is_err(), "missing schema");
-        let no_meta = hotpath_doc(HOTPATH_SCHEMA, "", GOOD_ROW);
-        assert!(
-            read_hotpath(&no_meta).unwrap_err().contains("meta"),
-            "meta is required"
-        );
-        let no_rows = v4_doc("", GOOD_REPLICA_ROW);
-        assert!(read_hotpath(&no_rows).is_err(), "no rows");
-        let bad = GOOD_ROW.replace(
-            "\"local_iters_per_sec\": 9e6",
-            "\"local_iters_per_sec\": -3.0",
-        );
-        assert!(
-            read_hotpath(&v4_doc(&bad, "")).is_err(),
-            "negative throughput"
-        );
-    }
-
-    #[test]
-    fn hotpath_validator_checks_the_replica_block() {
-        // A document without any replica_rows key is rejected...
-        let meta = format!("  {},\n", ReportMeta::unknown().render());
-        let missing = hotpath_doc(HOTPATH_SCHEMA, &meta, GOOD_ROW);
-        assert!(read_hotpath(&missing).unwrap_err().contains("replica_rows"));
-        // ...a present-but-empty block is fine...
-        read_hotpath(&v4_doc(GOOD_ROW, "")).expect("empty replica block");
-        // ...and malformed replica rows are named.
-        let bad_key = GOOD_REPLICA_ROW.replace("\"sweeps\"", "\"swps\"");
-        assert!(read_hotpath(&v4_doc(GOOD_ROW, &bad_key))
-            .unwrap_err()
-            .contains("sweeps"));
-        let bad_ips = GOOD_REPLICA_ROW.replace(
-            "\"packed_iters_per_sec\": 1.2e8",
-            "\"packed_iters_per_sec\": 0.0",
-        );
-        assert!(read_hotpath(&v4_doc(GOOD_ROW, &bad_ips))
-            .unwrap_err()
-            .contains("not positive"));
-    }
-
     fn study_doc(cell: &str) -> String {
         format!(
             "{{\n  \"schema\": \"{STUDY_SCHEMA}\",\n  {},\n  \"study\": \"t\", \"seed\": 1, \
@@ -355,7 +206,6 @@ mod tests {
 
     #[test]
     fn committed_artifacts_validate() {
-        read_hotpath(include_str!("../../../BENCH_hotpath.json")).expect("BENCH_hotpath.json");
         read_study(include_str!("../../../BENCH_study.json")).expect("BENCH_study.json");
     }
 

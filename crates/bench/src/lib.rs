@@ -1,8 +1,8 @@
-//! Benchmark harness for the HyCiM reproduction: shared utilities for
-//! the figure/table regeneration binaries and the criterion benches
+//! Evaluation harness for the HyCiM reproduction: shared utilities
+//! for the figure/table regeneration binaries and the study subsystem
 //! (see `docs/ARCHITECTURE.md`, "Evaluation layer").
 //!
-//! The crate has four parts:
+//! The crate has three parts:
 //!
 //! * **Report binaries** (`src/bin/fig5_filter_waveforms.rs` …
 //!   `table1_summary.rs`, `fig_bank.rs`, `ablation_report.rs`,
@@ -11,47 +11,38 @@
 //!   [`Args`]; defaults are shape-preserving reductions of the
 //!   paper's cluster-scale protocol (e.g. `fig10_success` defaults to
 //!   5 Monte-Carlo initial states instead of 1000).
-//! * **Criterion benches** (`benches/solver_benches.rs`,
-//!   `ablation_benches.rs`, `batch_benches.rs`, `hotpath_benches.rs`,
-//!   `packed_benches.rs`) — throughput of the hot paths (filter
-//!   evaluation, crossbar VMV, SA iterations, COP→QUBO
-//!   transformations) and of the ablation variants.
-//! * **The study subsystem** ([`recipe`], [`study`], [`stats`],
-//!   [`hotpath`]) — declarative [`StudyRecipe`]s expanded by the
-//!   [`StudyRunner`] into the replica × problem × engine grid (each
-//!   replica column solved on this host or sharded over wire
-//!   workers), ranked per engine, and emitted as the committed
-//!   `BENCH_study.json` (`study_report` bin, and `shard_demo` for the
-//!   sharded run), plus the `BENCH_hotpath.json` throughput rows
-//!   (`hotpath_report` bin). The one artifact check is that
-//!   `BENCH_study.json` reproduces byte for byte: the `study`
-//!   integration test pins it in `cargo test`.
+//! * **The study subsystem** ([`recipe`], [`study`], [`stats`]) —
+//!   declarative [`StudyRecipe`]s expanded by the [`StudyRunner`] into
+//!   the replica × problem × engine grid (each replica column solved
+//!   on this host or sharded over wire workers), ranked per engine,
+//!   and emitted as the committed `BENCH_study.json` (`study_report`
+//!   bin, and `shard_demo` for the sharded run). The one artifact
+//!   check is that `BENCH_study.json` reproduces byte for byte: the
+//!   `study` integration test pins it in `cargo test`.
 //! * **This library** — the tiny dependency-free CLI parser,
-//!   reporting helpers, and `BENCH_*.json` readers ([`check`]) the
-//!   binaries share, so each binary stays a self-contained experiment
-//!   script.
+//!   reporting helpers, and the `BENCH_study.json` reader ([`check`])
+//!   the binaries share, so each binary stays a self-contained
+//!   experiment script.
+//!
+//! Timing lives in the `perfbench` package at the repository root,
+//! which runs parent and change in pairs on one host.
 //!
 //! Run everything from the workspace root:
 //!
 //! ```text
 //! cargo run --release -p hycim-bench --bin fig10_success -- --sweeps 1000
 //! cargo run --release -p hycim-bench --bin study_report -- --preset default
-//! cargo bench -p hycim-bench --bench solver_benches
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod hotpath;
 pub mod recipe;
 pub mod stats;
 pub mod study;
 
-pub use check::{
-    read_hotpath, read_study, ReportMeta, HOTPATH_REPLICA_ROW_KEYS, HOTPATH_ROW_KEYS,
-    HOTPATH_SCHEMA, STUDY_SCHEMA,
-};
+pub use check::{read_study, ReportMeta, STUDY_SCHEMA};
 pub use recipe::{EngineKind, Family, FamilySpec, RecipeError, StudyRecipe};
 pub use stats::{
     fold_reference, rank_cells, rank_engines, CellSummary, EngineRanking, ProblemSummary,
@@ -146,23 +137,6 @@ impl Args {
             .unwrap_or_else(|| default.to_string())
     }
 
-    /// Comma-separated integer list option with default
-    /// (`--sizes 64,256,512`).
-    pub fn get_usize_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        match self.values.get(key) {
-            None => default.to_vec(),
-            Some(v) => v
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--{key} expects comma-separated integers"))
-                })
-                .collect(),
-        }
-    }
-
     /// Whether a bare flag was passed.
     pub fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
@@ -230,14 +204,13 @@ mod tests {
     #[test]
     fn string_and_list_args() {
         let args = Args::parse_from(
-            ["--out", "x.json", "--sizes", "64,256"]
+            ["--out", "x.json", "--preset", "micro"]
                 .iter()
                 .map(|s| s.to_string()),
         );
         assert_eq!(args.get_str("out", "d.json"), "x.json");
+        assert_eq!(args.get_str("preset", "default"), "micro");
         assert_eq!(args.get_str("missing", "d.json"), "d.json");
-        assert_eq!(args.get_usize_list("sizes", &[1]), vec![64, 256]);
-        assert_eq!(args.get_usize_list("absent", &[1, 2]), vec![1, 2]);
     }
 
     #[test]

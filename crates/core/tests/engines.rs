@@ -561,6 +561,15 @@ mod packed_bit_identity {
         }
     }
 
+    /// The law at a larger size and a longer schedule than the
+    /// proptest cells: n = 64 over 240 sweeps, instance seed `1 + n`.
+    #[test]
+    fn packed_engine_lanes_equal_scalar_replicas_at_n64() {
+        check_lanes_match_scalar(&MaxCut::random(64, 0.05, 65), 240, 1);
+        let sg = SpinGlass::random_binary(64, 65).unwrap();
+        check_lanes_match_scalar(&sg, 240, 1);
+    }
+
     #[test]
     fn packed_engine_covers_the_qkp_matrix() {
         use hycim_cop::generator::QkpGenerator;

@@ -1,3 +1,4 @@
+use rand::distr::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -177,7 +178,7 @@ impl<S: Schedule> Annealer<S> {
     /// including `u == 0.0` — the probe is settled and
     /// [`metropolis_decide`] decides on the same `u`.
     pub fn run<T: AnnealState>(&self, state: &mut T, rng: &mut StdRng) -> AnnealTrace {
-        let n = state.dim();
+        let index = Uniform::new(0, state.dim()).expect("empty range in random_range");
         let mut trace = AnnealTrace::with_capacity(
             state.energy(),
             state.assignment().clone(),
@@ -187,14 +188,14 @@ impl<S: Schedule> Annealer<S> {
         for iter in 0..self.iterations {
             let pair = if self.swap_probability > 0.0 && rng.random::<f64>() < self.swap_probability
             {
-                propose_exchange(state.assignment(), rng)
+                propose_exchange(state.assignment(), &index, rng)
             } else {
                 None
             };
             let (outcome, bits) = match pair {
                 Some((i, j)) => (state.probe_pair(i, j, rng), (i, Some(j))),
                 None => {
-                    let i = rng.random_range(0..n);
+                    let i = index.sample(rng);
                     (state.probe_flip(i, rng), (i, None))
                 }
             };
@@ -257,24 +258,31 @@ fn decide_uphill<T: AnnealState>(
 
 /// Picks one selected and one unselected bit for an exchange move;
 /// falls back to `None` (→ single flip) when the configuration is all
-/// zeros or all ones. The degeneracy check reads the O(1) cached
-/// popcount, so proposing costs O(1) expected — no bit scans.
-fn propose_exchange(x: &hycim_qubo::Assignment, rng: &mut StdRng) -> Option<(usize, usize)> {
+/// zeros or all ones, which the O(1) cached popcount tells without a
+/// bit scan.
+///
+/// Both bits are rejection-sampled from `index`, so with a fraction
+/// `p` of the bits selected an exchange takes `1/p + 1/(1 − p)` index
+/// draws in expectation: 4 at `p = ½`, growing without bound as the
+/// configuration empties or fills (about 8.5 at `p ≈ 0.13`).
+fn propose_exchange(
+    x: &hycim_qubo::Assignment,
+    index: &Uniform<usize>,
+    rng: &mut StdRng,
+) -> Option<(usize, usize)> {
     let n = x.len();
     let ones = x.ones();
     if ones == 0 || ones == n {
         return None;
     }
-    // Rejection-sample both sides; expected iterations are small for
-    // any non-degenerate density.
     let i = loop {
-        let c = rng.random_range(0..n);
+        let c = index.sample(rng);
         if x.get(c) {
             break c;
         }
     };
     let j = loop {
-        let c = rng.random_range(0..n);
+        let c = index.sample(rng);
         if !x.get(c) {
             break c;
         }

@@ -1,6 +1,6 @@
 use hycim_anneal::{AnnealState, AnnealTrace, Annealer, GeometricSchedule};
+use rand::distr::{Distribution, Uniform};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::AnnealSettings;
 
@@ -21,11 +21,11 @@ fn calibrate_t0<S: AnnealState>(
 ) -> f64 {
     assert!(fraction > 0.0, "fraction must be positive");
     assert!(samples > 0, "need at least one sample");
-    let n = state.dim();
+    let index = Uniform::new(0, state.dim()).expect("empty range in random_range");
     let mut sum = 0.0;
     let mut count = 0usize;
     for _ in 0..samples {
-        let i = rng.random_range(0..n);
+        let i = index.sample(rng);
         if let Some(delta) = state.probe_flip(i, rng).settled(&mut *state) {
             sum += delta.abs();
             count += 1;

@@ -29,7 +29,9 @@ pub trait Schedule {
 /// square per set bit of `k` instead of running `powi`'s squaring
 /// loop. The product is taken in `powi`'s own order (increasing bit
 /// order, starting from `1.0`), so every result has the same bits as
-/// `T₀ · α.powi(k as i32)`.
+/// `T₀ · α.powi(k as i32)`. The products over the low eight bits are
+/// tabulated too, so a read starts from `low[k & 255]` and multiplies
+/// only the squares of `k`'s higher set bits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeometricSchedule {
     t0: f64,
@@ -37,6 +39,9 @@ pub struct GeometricSchedule {
     /// `squares[j] = α^(2^j)`, built by repeated squaring; covers every
     /// iteration index up to `i32::MAX`.
     squares: [f64; 31],
+    /// `low[b]` = the product, in increasing bit order from `1.0`, of
+    /// `squares[j]` over the set bits `j` of `b`.
+    low: [f64; 256],
 }
 
 impl GeometricSchedule {
@@ -69,7 +74,18 @@ impl GeometricSchedule {
         for j in 1..squares.len() {
             squares[j] = squares[j - 1] * squares[j - 1];
         }
-        Self { t0, alpha, squares }
+        // Adding the highest bit last keeps the increasing bit order.
+        let mut low = [1.0; 256];
+        for b in 1..low.len() {
+            let top = b.ilog2() as usize;
+            low[b] = low[b ^ (1 << top)] * squares[top];
+        }
+        Self {
+            t0,
+            alpha,
+            squares,
+            low,
+        }
     }
 
     /// Initial temperature.
@@ -88,8 +104,8 @@ impl Schedule for GeometricSchedule {
         if iter > i32::MAX as usize {
             return self.t0 * self.alpha.powi(iter as i32);
         }
-        let mut r = 1.0;
-        let mut k = iter;
+        let mut r = self.low[iter & 0xff];
+        let mut k = iter & !0xff;
         while k != 0 {
             r *= self.squares[k.trailing_zeros() as usize];
             k &= k - 1;

@@ -526,6 +526,21 @@ mod tests {
         check_admits_law(&config, 0);
     }
 
+    /// Noisy matchlines beside an ideal comparator, and ideal devices
+    /// beside a noisy comparator: a read draws some of its samples but
+    /// not all, so a miscounted skip shows as a diverged stream.
+    #[test]
+    fn admits_equals_classify_loads_with_mixed_noise_sources() {
+        let noisy_arrays =
+            FilterConfig::paper().with_comparator(crate::filter::ComparatorConfig::ideal());
+        let noisy_comparator =
+            FilterConfig::paper().with_variation(hycim_fefet::VariationModel::none());
+        for seed in 0..3 {
+            check_admits_law(&noisy_arrays, seed);
+            check_admits_law(&noisy_comparator, seed);
+        }
+    }
+
     #[test]
     fn admits_equals_classify_loads_under_heavy_noise() {
         let config = FilterConfig::paper()

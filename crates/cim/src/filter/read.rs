@@ -44,6 +44,10 @@ pub struct FilterRead {
     pub(super) veto_from: u64,
     /// The working array's full load `Σwᵢ`.
     pub(super) max_load: u64,
+    /// The samples a read draws at load 0 and at any nonzero load (the
+    /// working array draws one only at a nonzero load; the other
+    /// sources do not depend on it).
+    certain_draws: [u8; 2],
 }
 
 /// The noise samples of one fast-path read, in draw order — working
@@ -83,7 +87,9 @@ impl FilterRead {
             admit_upto: 0,
             veto_from: max_load + 1,
             max_load,
+            certain_draws: [0; 2],
         };
+        read.certain_draws = [0, 1].map(|l| read.noisy(l).into_iter().filter(|&n| n).count() as u8);
         // `distance` does not increase with the load (the working ML
         // only discharges further) and the largest shift any draws can
         // cause does not decrease (σ_w grows as √load), in exact and in
@@ -165,10 +171,8 @@ impl FilterRead {
     /// [`admits_all`](Self::admits_all)).
     fn read<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> Read {
         if load < self.admit_upto || (self.veto_from..=self.max_load).contains(&load) {
-            for noisy in self.noisy(load) {
-                if noisy {
-                    skip_gaussian(rng);
-                }
+            for _ in 0..self.certain_draws[usize::from(load > 0)] {
+                skip_gaussian(rng);
             }
             return Read::Certain(load < self.admit_upto);
         }

@@ -1,4 +1,4 @@
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// Stochastic non-idealities of the FeFET devices: the spread visible
 /// across the 60 measured devices of paper Fig. 2(b).
@@ -199,9 +199,13 @@ impl GaussianDraw {
 /// callers that can prove the sample cannot matter (see
 /// [`GAUSSIAN_MAX`]) before drawing, but must keep the stream where it
 /// would be.
+///
+/// A uniform `u1` is `(w >> 11)·2⁻⁵³` for the raw word `w`, so it is at
+/// most `f64::MIN_POSITIVE` exactly when `w >> 11 == 0`: the redraw
+/// test reads the word without converting it.
 pub fn skip_gaussian<R: Rng + ?Sized>(rng: &mut R) {
-    while rng.random::<f64>() <= f64::MIN_POSITIVE {}
-    rng.random::<f64>();
+    while rng.next_u64() >> 11 == 0 {}
+    rng.next_u64();
 }
 
 /// An upper bound on `|gaussian(rng)|` for every possible stream.

@@ -45,6 +45,10 @@ fn calibrate_t0<S: AnnealState>(
 /// the geometric decay reaching `t_end_fraction × T₀` after
 /// `sweeps × dim` iterations, and runs the Metropolis loop.
 ///
+/// # Panics
+///
+/// Panics if `sweeps × dim` is zero or overflows `usize`.
+///
 /// The HyCiM, D-QUBO, and software pipelines previously each inlined
 /// this setup; keeping it in one place guarantees their schedules
 /// cannot drift apart.
@@ -74,7 +78,10 @@ pub fn run_annealing<S: AnnealState>(
     settings: &AnnealSettings,
     rng: &mut StdRng,
 ) -> AnnealTrace {
-    let iterations = settings.sweeps * state.dim();
+    let iterations = settings
+        .sweeps
+        .checked_mul(state.dim())
+        .expect("sweeps × dim overflows usize");
     let t0 = calibrate_t0(state, settings.t0_fraction, 64, rng);
     let alpha = settings.t_end_fraction.powf(1.0 / iterations as f64);
     let mut annealer = Annealer::new(GeometricSchedule::new(t0, alpha), iterations)
@@ -152,6 +159,19 @@ mod tests {
         let mut state = SoftwareState::new(&iq, Assignment::zeros(5));
         let mut rng = StdRng::seed_from_u64(3);
         assert!(calibrate_t0(&mut state, 0.001, 32, &mut rng) >= 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweeps × dim overflows")]
+    fn overflowing_budget_panics_instead_of_wrapping() {
+        let mut q = QuboMatrix::zeros(2);
+        q.set(0, 0, -5.0);
+        let iq = InequalityQubo::new(q, LinearConstraint::new(vec![1, 1], 2).unwrap()).unwrap();
+        let mut state = SoftwareState::new(&iq, Assignment::zeros(2));
+        let mut settings = crate::HyCimConfig::default().anneal;
+        // 2⁶³ + 1 sweeps over 2 variables wraps to 2 iterations.
+        settings.sweeps = usize::MAX / 2 + 2;
+        let _ = run_annealing(&mut state, &settings, &mut StdRng::seed_from_u64(1));
     }
 
     #[test]

@@ -17,6 +17,8 @@ pub enum HycimError {
     Cop(CopError),
     /// Error from the CiM circuit models.
     Cim(CimError),
+    /// An engine setting outside its domain (e.g. zero sweeps).
+    Settings(&'static str),
 }
 
 impl fmt::Display for HycimError {
@@ -25,6 +27,7 @@ impl fmt::Display for HycimError {
             HycimError::Qubo(e) => write!(f, "qubo layer: {e}"),
             HycimError::Cop(e) => write!(f, "cop layer: {e}"),
             HycimError::Cim(e) => write!(f, "cim layer: {e}"),
+            HycimError::Settings(why) => write!(f, "engine settings: {why}"),
         }
     }
 }
@@ -35,6 +38,7 @@ impl Error for HycimError {
             HycimError::Qubo(e) => Some(e),
             HycimError::Cop(e) => Some(e),
             HycimError::Cim(e) => Some(e),
+            HycimError::Settings(_) => None,
         }
     }
 }
@@ -70,6 +74,9 @@ mod tests {
         assert!(e.to_string().contains("cop layer"));
         let e: HycimError = CimError::EmptyProblem.into();
         assert!(e.to_string().contains("cim layer"));
+        let e = HycimError::Settings("need at least one sweep");
+        assert!(e.to_string().contains("at least one sweep"));
+        assert!(Error::source(&e).is_none());
     }
 
     #[test]

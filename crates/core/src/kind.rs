@@ -90,14 +90,18 @@ impl EngineKind {
     ///
     /// # Errors
     ///
-    /// Returns [`HycimError`] when the problem cannot be encoded or
-    /// mapped onto this backend (e.g. constraint weights exceeding the
-    /// filter's 64-unit columns).
+    /// Returns [`HycimError::Settings`] for zero sweeps, and another
+    /// [`HycimError`] when the problem cannot be encoded or mapped onto
+    /// this backend (e.g. constraint weights exceeding the filter's
+    /// 64-unit columns).
     pub fn build<P: CopProblem + 'static>(
         self,
         problem: &P,
         settings: &EngineSettings,
     ) -> Result<Box<dyn Engine<P>>, HycimError> {
+        if settings.sweeps == 0 {
+            return Err(HycimError::Settings("need at least one sweep"));
+        }
         let mut config = HyCimConfig::default().with_sweeps(settings.sweeps);
         if settings.record_trace {
             config = config.with_trace();
@@ -176,6 +180,18 @@ mod tests {
         for kind in [EngineKind::Software, EngineKind::Dqubo] {
             let engine = kind.build(&inst, &settings).unwrap();
             assert!(engine.solve(3).trace.energies().is_empty(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn zero_sweeps_is_a_typed_error_for_every_backend() {
+        let settings = EngineSettings::new(0, 1);
+        for kind in EngineKind::ALL {
+            match kind.build(&fig7e(), &settings) {
+                Err(HycimError::Settings(why)) => assert!(why.contains("sweep"), "{kind}: {why}"),
+                Err(e) => panic!("{kind}: unexpected error {e}"),
+                Ok(_) => panic!("{kind}: built with zero sweeps"),
+            }
         }
     }
 

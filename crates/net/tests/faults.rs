@@ -415,6 +415,39 @@ fn exhausted_retries_surface_a_typed_shard_error() {
     handle.stop();
 }
 
+#[test]
+fn zero_sweep_specs_fail_typed_on_the_worker_and_in_the_local_fallback() {
+    // The engine refuses the spec at build: the worker's job reports
+    // it, and the coordinator's local fallback returns the same error
+    // instead of panicking on the coordinator's thread.
+    let handle = spawn_worker(WorkerConfig::new());
+    let mut spec = spec_for(&problem(), Vec::new());
+    spec.sweeps = 0;
+    let (total, jobs) = shard_replica_column(&spec, 4, 1, 0, 2);
+    let err = Coordinator::new(vec![handle.addr().to_string()])
+        .with_max_attempts(2)
+        .expect("nonzero bound")
+        .run(total, &jobs)
+        .unwrap_err();
+    match err {
+        NetError::ShardExhausted { chain, .. } => {
+            let joined = chain.join(" | ");
+            let failures = chain
+                .iter()
+                .filter(|e| e.contains("need at least one sweep"))
+                .count();
+            assert!(failures >= 2, "worker and fallback both refuse: {joined}");
+            assert!(joined.contains("local fallback failed"), "{joined}");
+        }
+        other => panic!("expected ShardExhausted, got {other}"),
+    }
+    // The worker is still serving.
+    let mut client = WorkerClient::connect(handle.addr()).expect("connect");
+    client.stats().expect("stats");
+    assert_drains(&handle);
+    handle.stop();
+}
+
 /// A peer that accepts connections and then never says anything — the
 /// pathological hang the timeout knobs exist for.
 fn hung_listener() -> (SocketAddr, std::net::TcpListener) {

@@ -1,4 +1,4 @@
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Stochastic non-idealities of the FeFET devices: the spread visible
 /// across the 60 measured devices of paper Fig. 2(b).

@@ -45,13 +45,13 @@ fn calibrate_t0<S: AnnealState>(
 /// the geometric decay reaching `t_end_fraction × T₀` after
 /// `sweeps × dim` iterations, and runs the Metropolis loop.
 ///
-/// # Panics
-///
-/// Panics if `sweeps × dim` is zero or overflows `usize`.
-///
 /// The HyCiM, D-QUBO, and software pipelines previously each inlined
 /// this setup; keeping it in one place guarantees their schedules
 /// cannot drift apart.
+///
+/// # Panics
+///
+/// Panics if `sweeps × dim` is zero or overflows `usize`.
 ///
 /// # Example
 ///

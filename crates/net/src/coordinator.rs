@@ -8,9 +8,11 @@
 //! Every worker is in one of three states:
 //!
 //! * **Live** — in the dispatch rotation. A failure (transport death,
-//!   a panicked solve, a refused spec) counts against a per-worker
-//!   consecutive-failure circuit breaker; tripping it moves the
-//!   worker to probation and requeues its in-flight shards.
+//!   a panicked solve, a refused spec, a wrong count of solutions)
+//!   requeues the worker's in-flight shards and counts against a
+//!   per-worker consecutive-failure circuit breaker. Under its
+//!   threshold the worker is reconnected; tripping it moves the worker
+//!   to probation.
 //! * **Probation** — out of the rotation, on a deterministic probe
 //!   schedule measured in dispatch rounds (base penalty, doubling per
 //!   failed probe). An elapsed penalty triggers a cheap health probe
@@ -35,13 +37,13 @@
 //! Both passes are pipelined: the dispatch pass writes every `submit`
 //! before it reads any reply, and the wait pass every `wait`. Replies
 //! are read in write order, which on each connection is the order the
-//! worker answers in. A failure partway through a pass moves the
-//! worker's connection generation on, whether the connection was
-//! replaced or dropped, and no reply is read from a generation other
-//! than the one its request was written to. Such a submit is requeued
-//! as a failed attempt. Such a `wait` is skipped: a suspension has
-//! already requeued its shard, and after a reconnect the shard is
-//! waited on again in the next round.
+//! worker answers in, and one function settles the slot of each. A
+//! failure settles every slot written to the worker's connection,
+//! whether the worker is reconnected or suspended: a submit whose
+//! reply was not read is requeued as a failed attempt, and an accepted
+//! shard is requeued, since the worker disposes of a connection's jobs
+//! when it closes. So every request in flight went out on its worker's
+//! current connection, and a reply is never read from another one.
 //!
 //! Between retry attempts of one shard the coordinator sleeps an
 //! exponentially growing, jittered backoff. The jitter is drawn from
@@ -55,10 +57,9 @@
 //! the remaining shards locally through
 //! [`BatchRunner`](hycim_core::BatchRunner) over the spec's exact
 //! pre-derived seeds, so the merged result is still byte-identical to
-//! an all-local run. [`NetError::ShardExhausted`] — now carrying the
-//! full per-attempt failure chain — is reserved for shards that *no
-//! path* can finish (e.g. a spec every worker and the local host
-//! refuse), or for coordinators that opted out via
+//! an all-local run. [`NetError::ShardExhausted`] is reserved for
+//! shards that *no path* can finish (e.g. a spec every worker and the
+//! local host refuse), or for coordinators that opted out via
 //! [`with_local_fallback(false)`](Coordinator::with_local_fallback).
 //! Because every spec carries its exact seeds, a retried, readmitted,
 //! or locally solved shard recomputes byte-for-byte the same
@@ -73,7 +74,7 @@ use hycim_obs::{Event, ObsRegistry, Snapshot};
 
 use crate::client::{submitted, wait_deadline, wait_request, waited, NetError, WorkerClient};
 use crate::local;
-use crate::proto::{JobSpec, Request, WireSolution};
+use crate::proto::{JobSpec, Request, Response, WireSolution};
 
 /// Role index of the backoff-jitter stream in
 /// [`hycim_core::replica_seed`] — distinct from every
@@ -247,52 +248,35 @@ enum Worker {
     },
 }
 
-/// The workers of one run.
-struct Fleet {
-    workers: Vec<Worker>,
-    /// Per-worker connection generation, bumped whenever a worker's
-    /// connection is replaced or dropped. A reply is read only from
-    /// the generation its request was written to.
-    generations: Vec<u64>,
+/// One shard's progress through a run.
+struct Slot {
+    /// Dispatch attempts begun, the one in flight included.
+    attempts: usize,
+    /// Every failure so far, oldest first.
+    chain: Vec<String>,
+    state: State,
 }
 
-impl Fleet {
-    /// The client and breaker count of `worker`, if it is live on the
-    /// connection `generation` names.
-    fn connection(
-        &mut self,
-        worker: usize,
-        generation: u64,
-    ) -> Option<(&mut WorkerClient, &mut u32)> {
-        match &mut self.workers[worker] {
-            Worker::Live { client, failures } if self.generations[worker] == generation => {
-                Some((client, failures))
-            }
-            _ => None,
-        }
-    }
-}
-
-enum Slot {
+/// Where a shard's current attempt stands.
+enum State {
     /// Waiting for (re-)dispatch.
-    Todo { attempts: usize, chain: Vec<String> },
-    /// Submit written to `worker`'s connection `generation`, reply not
-    /// yet read; `attempts` excludes this one.
-    Submitted {
-        worker: usize,
-        generation: u64,
-        attempts: usize,
-        chain: Vec<String>,
-    },
-    /// Submit accepted; `attempts` includes this one.
-    Pending {
-        worker: usize,
-        job: u64,
-        attempts: usize,
-        chain: Vec<String>,
-    },
+    Todo,
+    /// Submit written to `worker`'s connection, reply not yet read.
+    Submitted { worker: usize },
+    /// Submit accepted as `worker`'s job `job`.
+    Pending { worker: usize, job: u64 },
     /// Fetched.
     Done(Vec<WireSolution>),
+}
+
+impl Slot {
+    /// Puts the shard back in the dispatch queue, with `failure` on
+    /// its chain under the current attempt.
+    fn requeue(&mut self, failure: &str) {
+        self.chain
+            .push(format!("attempt {}: {failure}", self.attempts));
+        self.state = State::Todo;
+    }
 }
 
 impl Coordinator {
@@ -332,8 +316,8 @@ impl Coordinator {
 
     /// Bounds every per-request wait on a worker: a peer that accepts
     /// the connection but goes silent turns into [`NetError::Timeout`]
-    /// — which suspends it and requeues its shards — instead of
-    /// hanging the whole run. The `wait` verb's deadline is half of
+    /// — a failure like any other, which requeues its shards — instead
+    /// of hanging the whole run. The `wait` verb's deadline is half of
     /// it, capped at [`MAX_WAIT`](crate::worker::MAX_WAIT).
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = Some(timeout);
@@ -350,7 +334,9 @@ impl Coordinator {
 
     /// Consecutive failures a live worker absorbs before the circuit
     /// breaker moves it to probation (clamped to at least 1; default
-    /// 1 — the first failure suspends, the conservative policy).
+    /// 1 — the first failure suspends, the conservative policy). A
+    /// failure under the threshold reconnects the worker at once.
+    /// Either way the shards in flight on it are requeued.
     pub fn with_failure_threshold(mut self, failures: u32) -> Self {
         self.failure_threshold = failures.max(1);
         self
@@ -438,35 +424,6 @@ impl Coordinator {
         Ok(client)
     }
 
-    /// Solves one shard on the coordinator host, or folds the local
-    /// failure into the shard's exhaustion error.
-    fn finish_locally_or_fail(
-        &self,
-        job: &ShardJob,
-        attempts: usize,
-        mut chain: Vec<String>,
-    ) -> Result<Vec<WireSolution>, NetError> {
-        if self.local_fallback {
-            match local::solve_spec(&job.spec) {
-                Ok(solutions) => {
-                    self.obs.counter("coord.shards_local").inc();
-                    self.obs.tracer().record(Event::ShardLocalSolve {
-                        start: job.shard.start as u64,
-                        end: job.shard.end as u64,
-                    });
-                    return Ok(solutions);
-                }
-                Err(e) => chain.push(format!("local fallback failed: {e}")),
-            }
-        }
-        Err(NetError::ShardExhausted {
-            start: job.shard.start,
-            end: job.shard.end,
-            attempts,
-            chain,
-        })
-    }
-
     /// Runs a set of shard jobs to completion and merges their
     /// results into flat-grid order. With local fallback enabled (the
     /// default) the run completes whenever the specs are solvable at
@@ -478,39 +435,76 @@ impl Coordinator {
     /// disabled), [`NetError::ShardExhausted`] when a shard runs out
     /// of retries, surviving workers, *and* (if enabled) the local
     /// fallback — carrying the full failure chain — and
-    /// [`NetError::Shard`] if the returned pieces cannot cover the
-    /// grid exactly once (a worker returning the wrong count).
+    /// [`NetError::Shard`] if the jobs do not cover the grid exactly
+    /// once. A worker that returns the wrong count of solutions fails
+    /// that attempt; the shard is retried.
     pub fn run(&self, total: usize, jobs: &[ShardJob]) -> Result<Vec<WireSolution>, NetError> {
-        let mut slots: Vec<Slot> = jobs
+        if self.addrs.is_empty() && !self.local_fallback {
+            return Err(NetError::NoWorkers);
+        }
+        let mut run = Run::new(self, jobs);
+        loop {
+            run.probe();
+            run.dispatch_write()?;
+            run.dispatch_read();
+            let in_flight = run.wait_write();
+            run.wait_read();
+            if run.slots.iter().all(|s| matches!(s.state, State::Done(_))) {
+                break;
+            }
+            run.round += 1;
+            if !in_flight && run.on_probation() {
+                std::thread::sleep(PROBATION_WAIT);
+            }
+        }
+        let parts = jobs
             .iter()
-            .map(|_| Slot::Todo {
-                attempts: 0,
-                chain: Vec::new(),
+            .zip(run.slots)
+            .map(|(job, slot)| match slot.state {
+                State::Done(solutions) => (job.shard, solutions),
+                _ => unreachable!("the loop ends when every slot is done"),
             })
             .collect();
+        merge_shards(total, parts).map_err(NetError::Shard)
+    }
+}
 
-        if self.addrs.is_empty() {
-            if !self.local_fallback {
-                return Err(NetError::NoWorkers);
-            }
-            // Degraded from the start: the whole grid runs here.
-            for (i, job) in jobs.iter().enumerate() {
-                slots[i] = Slot::Done(self.finish_locally_or_fail(job, 0, Vec::new())?);
-            }
-            return Self::merge(total, jobs, slots);
+/// One [`Coordinator::run`]: the shards' slots, the fleet, and the
+/// round-robin and probe clocks, with one method per phase of a loop
+/// round.
+///
+/// Invariant: a `Submitted` or `Pending` slot names a live worker, and
+/// its request went out on that worker's current connection. A failure
+/// settles every slot written to the connection before the worker
+/// reconnects or leaves the rotation.
+struct Run<'a> {
+    coord: &'a Coordinator,
+    jobs: &'a [ShardJob],
+    slots: Vec<Slot>,
+    workers: Vec<Worker>,
+    /// The worker the next dispatch tries first (modulo the fleet).
+    cursor: usize,
+    /// Loop rounds completed: the probe schedule's clock.
+    round: u64,
+}
+
+impl<'a> Run<'a> {
+    fn new(coord: &'a Coordinator, jobs: &'a [ShardJob]) -> Self {
+        // Registered up front, so a clean run reads them as zero.
+        for name in [
+            "coord.shard_attempts",
+            "coord.shard_retries",
+            "coord.shards_done",
+            "coord.probes_sent",
+            "coord.workers_readmitted",
+            "coord.backoff_waits",
+        ] {
+            coord.obs.counter(name);
         }
-
-        let attempts_made = self.obs.counter("coord.shard_attempts");
-        let retries = self.obs.counter("coord.shard_retries");
-        let shards_done = self.obs.counter("coord.shards_done");
-        let probes_sent = self.obs.counter("coord.probes_sent");
-        let readmitted = self.obs.counter("coord.workers_readmitted");
-        let backoff_waits = self.obs.counter("coord.backoff_waits");
-
-        let workers: Vec<Worker> = self
+        let workers = coord
             .addrs
             .iter()
-            .map(|addr| match self.connect(addr) {
+            .map(|addr| match coord.connect(addr) {
                 Ok(client) => Worker::Live {
                     client,
                     failures: 0,
@@ -522,384 +516,337 @@ impl Coordinator {
                 },
             })
             .collect();
-        let mut fleet = Fleet {
-            generations: vec![0; workers.len()],
-            workers,
-        };
-        let mut cursor = 0usize;
-        let mut round = 0u64;
-        let wait_for = wait_deadline(self.read_timeout);
-
-        loop {
-            // Probe pass: contact every probation worker whose
-            // penalty has elapsed; readmit the ones that answer.
-            for (w, state) in fleet.workers.iter_mut().enumerate() {
-                let Worker::Probation {
-                    since,
-                    probes_failed,
-                    ..
-                } = &*state
-                else {
-                    continue;
-                };
-                let penalty = PROBE_BASE_ROUNDS << (*probes_failed).min(16);
-                if round < since.saturating_add(penalty) {
-                    continue;
-                }
-                let probes_failed = *probes_failed;
-                probes_sent.inc();
-                self.obs
-                    .tracer()
-                    .record(Event::WorkerProbed { worker: w as u64 });
-                match self.probe(&self.addrs[w]) {
-                    Ok(client) => {
-                        *state = Worker::Live {
-                            client,
-                            failures: 0,
-                        };
-                        readmitted.inc();
-                        self.obs
-                            .tracer()
-                            .record(Event::WorkerReadmitted { worker: w as u64 });
-                    }
-                    Err(e) => {
-                        let probes_failed = probes_failed + 1;
-                        *state = if probes_failed >= PROBE_LIMIT {
-                            self.obs.counter("coord.workers_dead").inc();
-                            Worker::Dead {
-                                last: e.to_string(),
-                            }
-                        } else {
-                            Worker::Probation {
-                                since: round,
-                                probes_failed,
-                                last: e.to_string(),
-                            }
-                        };
-                    }
-                }
-            }
-
-            // Dispatch, write half: send every waiting shard's submit
-            // to the next live worker — or settle its fate when
-            // neither retries nor workers remain.
-            for i in 0..slots.len() {
-                let Slot::Todo { attempts, chain } = &slots[i] else {
-                    continue;
-                };
-                let (attempts, chain) = (*attempts, chain.clone());
-                if attempts >= self.max_attempts {
-                    slots[i] = Slot::Done(self.finish_locally_or_fail(&jobs[i], attempts, chain)?);
-                    continue;
-                }
-                let Some(worker) = next_live(&fleet.workers, &mut cursor) else {
-                    if on_probation(&fleet.workers) {
-                        // Someone may still be readmitted; wait for
-                        // the probe schedule.
-                        continue;
-                    }
-                    // The whole fleet is dead: degrade (or report,
-                    // with every worker's last failure on the chain).
-                    let mut chain = chain;
-                    chain.push(fleet_obituary(&self.addrs, &fleet.workers));
-                    slots[i] = Slot::Done(self.finish_locally_or_fail(&jobs[i], attempts, chain)?);
-                    continue;
-                };
-                if attempts > 0 {
-                    backoff_waits.inc();
-                    (self.sleep)(self.backoff.delay(attempts));
-                }
-                let generation = fleet.generations[worker];
-                let Worker::Live { client, .. } = &mut fleet.workers[worker] else {
-                    unreachable!("next_live returns live workers");
-                };
-                slots[i] = match client.send(&Request::Submit(jobs[i].spec.clone())) {
-                    Ok(()) => Slot::Submitted {
-                        worker,
-                        generation,
-                        attempts,
-                        chain,
-                    },
-                    Err(e) => {
-                        attempts_made.inc();
-                        let failure = e.to_string();
-                        self.note_failure(&mut fleet, &mut slots, jobs, worker, &failure, round);
-                        requeued(attempts, chain, &failure)
-                    }
-                };
-            }
-
-            // Dispatch, read half: one reply per submit, in write
-            // order, each from the connection its submit went out on.
-            for i in 0..slots.len() {
-                let Slot::Submitted {
-                    worker,
-                    generation,
-                    attempts,
-                    chain,
-                } = &mut slots[i]
-                else {
-                    continue;
-                };
-                let (worker, generation, attempts) = (*worker, *generation, *attempts);
-                let chain = std::mem::take(chain);
-                attempts_made.inc();
-                let Some((client, _)) = fleet.connection(worker, generation) else {
-                    // An earlier failure replaced or dropped that
-                    // connection, and the submit was lost with it.
-                    let failure = format!("worker {worker} connection lost before the reply");
-                    slots[i] = requeued(attempts, chain, &failure);
-                    continue;
-                };
-                slots[i] = match client.recv().and_then(submitted) {
-                    Ok(job) => {
-                        let shard = jobs[i].shard;
-                        if attempts > 0 {
-                            retries.inc();
-                            self.obs.tracer().record(Event::ShardRetried {
-                                start: shard.start as u64,
-                                end: shard.end as u64,
-                            });
-                        }
-                        self.obs.tracer().record(Event::ShardDispatched {
-                            start: shard.start as u64,
-                            end: shard.end as u64,
-                            worker: worker as u64,
-                        });
-                        Slot::Pending {
-                            worker,
-                            job,
-                            attempts: attempts + 1,
-                            chain,
-                        }
-                    }
-                    Err(e) => {
-                        let failure = e.to_string();
-                        self.note_failure(&mut fleet, &mut slots, jobs, worker, &failure, round);
-                        requeued(attempts, chain, &failure)
-                    }
-                };
-            }
-
-            // Wait, write half: a `wait` for every in-flight shard.
-            // The worker answers as soon as the shard finishes, or
-            // with its status at the deadline.
-            let mut in_flight = false;
-            let mut waits = Vec::new();
-            for i in 0..slots.len() {
-                let Slot::Pending { worker, job, .. } = slots[i] else {
-                    continue;
-                };
-                let deadline = if on_probation(&fleet.workers) {
-                    wait_for.min(PROBATION_WAIT)
-                } else {
-                    wait_for
-                };
-                let generation = fleet.generations[worker];
-                let Worker::Live { client, .. } = &mut fleet.workers[worker] else {
-                    // Its worker was suspended this round; the
-                    // suspension already requeued it.
-                    continue;
-                };
-                in_flight = true;
-                match client.send(&wait_request(job, deadline)) {
-                    Ok(()) => waits.push((i, worker, generation)),
-                    Err(e) => {
-                        let failure = e.to_string();
-                        self.note_failure(&mut fleet, &mut slots, jobs, worker, &failure, round);
-                    }
-                }
-            }
-
-            // Wait, read half: the replies in write order. A shard
-            // that finished early has its reply buffered already.
-            for (i, worker, generation) in waits {
-                let Some((client, failures)) = fleet.connection(worker, generation) else {
-                    // The connection this wait went out on was
-                    // dropped, which requeued the shard, or replaced,
-                    // and the next round waits on it again.
-                    continue;
-                };
-                match client.recv().and_then(waited) {
-                    Ok(None) => {}
-                    Ok(Some(solutions)) => {
-                        // A delivered shard closes the breaker's
-                        // consecutive count.
-                        *failures = 0;
-                        shards_done.inc();
-                        slots[i] = Slot::Done(solutions);
-                    }
-                    Err(e @ NetError::Remote { .. }) => {
-                        // A job-level failure (panicked solve, refused
-                        // spec): the worker is suspect, the shard
-                        // retries elsewhere.
-                        let failure = e.to_string();
-                        self.note_failure(&mut fleet, &mut slots, jobs, worker, &failure, round);
-                        if let Slot::Pending {
-                            attempts, chain, ..
-                        } = &mut slots[i]
-                        {
-                            let attempts = *attempts;
-                            let mut chain = std::mem::take(chain);
-                            chain.push(format!("attempt {attempts}: {failure}"));
-                            slots[i] = Slot::Todo { attempts, chain };
-                        }
-                    }
-                    Err(e) => {
-                        let failure = e.to_string();
-                        self.note_failure(&mut fleet, &mut slots, jobs, worker, &failure, round);
-                    }
-                }
-            }
-
-            if slots.iter().all(|s| matches!(s, Slot::Done(_))) {
-                break;
-            }
-            round += 1;
-            if !in_flight && on_probation(&fleet.workers) {
-                std::thread::sleep(PROBATION_WAIT);
-            }
-        }
-
-        Self::merge(total, jobs, slots)
-    }
-
-    fn merge(
-        total: usize,
-        jobs: &[ShardJob],
-        slots: Vec<Slot>,
-    ) -> Result<Vec<WireSolution>, NetError> {
-        let parts: Vec<(Shard, Vec<WireSolution>)> = jobs
+        let slots = jobs
             .iter()
-            .zip(slots)
-            .map(|(job, slot)| match slot {
-                Slot::Done(solutions) => (job.shard, solutions),
-                _ => unreachable!("merge runs only when every slot is done"),
+            .map(|_| Slot {
+                attempts: 0,
+                chain: Vec::new(),
+                state: State::Todo,
             })
             .collect();
-        merge_shards(total, parts).map_err(NetError::Shard)
+        Self {
+            coord,
+            jobs,
+            slots,
+            workers,
+            cursor: 0,
+            round: 0,
+        }
     }
 
-    /// Counts a failure against a worker's circuit breaker. Tripping
-    /// it suspends the worker into probation and requeues every shard
-    /// pending on it (attempt counts preserved — the retry itself
-    /// re-increments on dispatch). A failure under the threshold
-    /// keeps the worker live but replaces its connection, since most
-    /// failures sever the transport. Either way the worker's
-    /// connection generation moves on, so no reply to a request
-    /// written before the failure is read.
-    fn note_failure(
-        &self,
-        fleet: &mut Fleet,
-        slots: &mut [Slot],
-        jobs: &[ShardJob],
-        worker: usize,
-        reason: &str,
-        round: u64,
-    ) {
-        let failures = match &mut fleet.workers[worker] {
-            Worker::Live { failures, .. } => {
-                *failures += 1;
-                *failures
+    fn count(&self, counter: &str) {
+        self.coord.obs.counter(counter).inc();
+    }
+
+    fn record(&self, event: Event) {
+        self.coord.obs.tracer().record(event);
+    }
+
+    /// Probe pass: contacts every probation worker whose penalty has
+    /// elapsed and readmits the ones that answer.
+    fn probe(&mut self) {
+        for w in 0..self.workers.len() {
+            let Worker::Probation {
+                since,
+                probes_failed,
+                ..
+            } = self.workers[w]
+            else {
+                continue;
+            };
+            let penalty = PROBE_BASE_ROUNDS << probes_failed.min(16);
+            if self.round < since.saturating_add(penalty) {
+                continue;
             }
-            // Already suspended (several pendings can fail in one
-            // round, and the first suspension requeues them all).
-            _ => return,
-        };
-        fleet.generations[worker] += 1;
-        if failures < self.failure_threshold {
-            // Under the breaker threshold: stay in rotation on a
-            // fresh connection (the failed one is suspect).
-            match self.connect(&self.addrs[worker]) {
+            self.count("coord.probes_sent");
+            self.record(Event::WorkerProbed { worker: w as u64 });
+            self.workers[w] = match self.coord.probe(&self.coord.addrs[w]) {
                 Ok(client) => {
-                    fleet.workers[worker] = Worker::Live { client, failures };
+                    self.count("coord.workers_readmitted");
+                    self.record(Event::WorkerReadmitted { worker: w as u64 });
+                    Worker::Live {
+                        client,
+                        failures: 0,
+                    }
+                }
+                Err(e) if probes_failed + 1 >= PROBE_LIMIT => {
+                    self.count("coord.workers_dead");
+                    Worker::Dead {
+                        last: e.to_string(),
+                    }
+                }
+                Err(e) => Worker::Probation {
+                    since: self.round,
+                    probes_failed: probes_failed + 1,
+                    last: e.to_string(),
+                },
+            };
+        }
+    }
+
+    /// Dispatch, write half: sends every waiting shard's submit to the
+    /// next live worker — or settles its fate when neither retries nor
+    /// workers remain.
+    fn dispatch_write(&mut self) -> Result<(), NetError> {
+        for i in 0..self.slots.len() {
+            if !matches!(self.slots[i].state, State::Todo) {
+                continue;
+            }
+            let attempts = self.slots[i].attempts;
+            if attempts >= self.coord.max_attempts {
+                self.finish_locally(i)?;
+                continue;
+            }
+            let Some(worker) = self.next_live() else {
+                // With a worker on probation, wait for the probe
+                // schedule. A dead fleet degrades (or reports, with
+                // every worker's last failure on the chain).
+                if !self.on_probation() {
+                    let obituary = self.obituary();
+                    self.slots[i].chain.push(obituary);
+                    self.finish_locally(i)?;
+                }
+                continue;
+            };
+            if attempts > 0 {
+                self.count("coord.backoff_waits");
+                (self.coord.sleep)(self.coord.backoff.delay(attempts));
+            }
+            self.count("coord.shard_attempts");
+            let slot = &mut self.slots[i];
+            slot.attempts += 1;
+            slot.state = State::Submitted { worker };
+            let submit = Request::Submit(self.jobs[i].spec.clone());
+            if let Err(e) = self.client(worker).send(&submit) {
+                let failure = e.to_string();
+                self.slots[i].requeue(&failure);
+                self.fail(worker, &failure);
+            }
+        }
+        Ok(())
+    }
+
+    /// Dispatch, read half: one reply per submit, in write order.
+    fn dispatch_read(&mut self) {
+        for i in 0..self.slots.len() {
+            if let State::Submitted { worker } = self.slots[i].state {
+                let reply = self.client(worker).recv();
+                self.settle(i, worker, reply);
+            }
+        }
+    }
+
+    /// Wait, write half: a `wait` for every in-flight shard. The worker
+    /// answers as soon as the shard finishes, or with its status at the
+    /// deadline. Returns whether any shard was in flight.
+    fn wait_write(&mut self) -> bool {
+        let wait_for = wait_deadline(self.coord.read_timeout);
+        let mut in_flight = false;
+        for i in 0..self.slots.len() {
+            let State::Pending { worker, job } = self.slots[i].state else {
+                continue;
+            };
+            in_flight = true;
+            let deadline = if self.on_probation() {
+                wait_for.min(PROBATION_WAIT)
+            } else {
+                wait_for
+            };
+            if let Err(e) = self.client(worker).send(&wait_request(job, deadline)) {
+                self.fail(worker, &e.to_string());
+            }
+        }
+        in_flight
+    }
+
+    /// Wait, read half: the replies in write order. A shard that
+    /// finished early has its reply buffered already.
+    fn wait_read(&mut self) {
+        for i in 0..self.slots.len() {
+            if let State::Pending { worker, .. } = self.slots[i].state {
+                let reply = self.client(worker).recv();
+                self.settle(i, worker, reply);
+            }
+        }
+    }
+
+    /// Settles slot `i` with the reply `worker` sent for it: an
+    /// accepted submit makes the shard pending, a full set of solutions
+    /// finishes it, and every failure goes to [`fail`](Self::fail).
+    fn settle(&mut self, i: usize, worker: usize, reply: Result<Response, NetError>) {
+        let shard = self.jobs[i].shard;
+        let failure = if let State::Submitted { .. } = self.slots[i].state {
+            match reply.and_then(submitted) {
+                Ok(job) => {
+                    let slot = &mut self.slots[i];
+                    slot.state = State::Pending { worker, job };
+                    if slot.attempts > 1 {
+                        self.count("coord.shard_retries");
+                        self.record(Event::ShardRetried {
+                            start: shard.start as u64,
+                            end: shard.end as u64,
+                        });
+                    }
+                    self.record(Event::ShardDispatched {
+                        start: shard.start as u64,
+                        end: shard.end as u64,
+                        worker: worker as u64,
+                    });
                     return;
                 }
-                Err(_) => {
-                    // Reconnect refused: fall through to suspension.
+                Err(e) => {
+                    // Booked under its own failure, not as a lost reply.
+                    let failure = e.to_string();
+                    self.slots[i].requeue(&failure);
+                    failure
                 }
             }
-        }
-        self.obs.counter("coord.workers_retired").inc();
-        self.obs.tracer().record(Event::WorkerRetired {
-            worker: worker as u64,
-        });
-        fleet.workers[worker] = Worker::Probation {
-            since: round,
-            probes_failed: 0,
-            last: reason.to_string(),
+        } else {
+            let seeds = self.jobs[i].spec.seeds.len();
+            match reply.and_then(waited) {
+                Ok(None) => return,
+                Ok(Some(solutions)) if solutions.len() == seeds => {
+                    // A delivered shard closes the breaker's
+                    // consecutive count.
+                    if let Worker::Live { failures, .. } = &mut self.workers[worker] {
+                        *failures = 0;
+                    }
+                    self.count("coord.shards_done");
+                    self.slots[i].state = State::Done(solutions);
+                    return;
+                }
+                Ok(Some(solutions)) => format!(
+                    "worker {worker} returned {} solutions for {seeds} seeds",
+                    solutions.len()
+                ),
+                Err(e) => e.to_string(),
+            }
         };
-        let requeued = self.obs.counter("coord.shards_requeued");
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if let Slot::Pending {
-                worker: w,
-                attempts,
-                chain,
-                ..
-            } = slot
-            {
-                if *w == worker {
-                    requeued.inc();
-                    self.obs.tracer().record(Event::ShardRequeued {
-                        start: jobs[i].shard.start as u64,
-                        end: jobs[i].shard.end as u64,
-                    });
-                    let mut chain = std::mem::take(chain);
-                    chain.push(format!(
-                        "attempt {attempts}: worker {worker} suspended: {reason}"
-                    ));
-                    *slot = Slot::Todo {
-                        attempts: *attempts,
-                        chain,
-                    };
+        self.fail(worker, &failure);
+    }
+
+    /// Counts a failure against `worker`'s circuit breaker, then
+    /// settles every slot written to its connection, which is gone: a
+    /// failure under the threshold replaces it (the failed one is
+    /// suspect), tripping the breaker (or a refused reconnect) drops it
+    /// and suspends the worker into probation. A submit whose reply was
+    /// not read is requeued as a failed attempt. An accepted shard is
+    /// requeued with its attempt count kept (the retry re-increments on
+    /// dispatch), since the worker disposes of a connection's jobs when
+    /// it closes.
+    fn fail(&mut self, worker: usize, reason: &str) {
+        let Worker::Live { failures, .. } = &mut self.workers[worker] else {
+            unreachable!("only a live worker's connection carries requests");
+        };
+        *failures += 1;
+        let failures = *failures;
+        let coord = self.coord;
+        let fresh = if failures < coord.failure_threshold {
+            coord.connect(&coord.addrs[worker]).ok()
+        } else {
+            None
+        };
+        let fate = if let Some(client) = fresh {
+            self.workers[worker] = Worker::Live { client, failures };
+            "reconnected"
+        } else {
+            self.count("coord.workers_retired");
+            self.record(Event::WorkerRetired {
+                worker: worker as u64,
+            });
+            self.workers[worker] = Worker::Probation {
+                since: self.round,
+                probes_failed: 0,
+                last: reason.to_string(),
+            };
+            "suspended"
+        };
+        for (slot, job) in self.slots.iter_mut().zip(self.jobs) {
+            match slot.state {
+                State::Submitted { worker: w } if w == worker => {
+                    slot.requeue(&format!("worker {worker} connection lost before the reply"));
                 }
+                State::Pending { worker: w, .. } if w == worker => {
+                    coord.obs.counter("coord.shards_requeued").inc();
+                    coord.obs.tracer().record(Event::ShardRequeued {
+                        start: job.shard.start as u64,
+                        end: job.shard.end as u64,
+                    });
+                    slot.requeue(&format!("worker {worker} {fate}: {reason}"));
+                }
+                _ => {}
             }
         }
     }
-}
 
-/// The slot of a failed dispatch attempt: requeued, with the attempt
-/// counted and its failure on the chain.
-fn requeued(attempts: usize, mut chain: Vec<String>, failure: &str) -> Slot {
-    chain.push(format!("attempt {}: {failure}", attempts + 1));
-    Slot::Todo {
-        attempts: attempts + 1,
-        chain,
+    /// Local finish: solves shard `i` on the coordinator host, or fails
+    /// the run with the shard's exhaustion error.
+    fn finish_locally(&mut self, i: usize) -> Result<(), NetError> {
+        let shard = self.jobs[i].shard;
+        let slot = &mut self.slots[i];
+        if self.coord.local_fallback {
+            match local::solve_spec(&self.jobs[i].spec) {
+                Ok(solutions) => {
+                    slot.state = State::Done(solutions);
+                    self.count("coord.shards_local");
+                    self.record(Event::ShardLocalSolve {
+                        start: shard.start as u64,
+                        end: shard.end as u64,
+                    });
+                    return Ok(());
+                }
+                Err(e) => slot.chain.push(format!("local fallback failed: {e}")),
+            }
+        }
+        Err(NetError::ShardExhausted {
+            start: shard.start,
+            end: shard.end,
+            attempts: slot.attempts,
+            chain: std::mem::take(&mut slot.chain),
+        })
     }
-}
 
-/// Whether some worker awaits a probe.
-fn on_probation(workers: &[Worker]) -> bool {
-    workers
-        .iter()
-        .any(|w| matches!(w, Worker::Probation { .. }))
-}
-
-/// Advances the round-robin cursor to the next live worker.
-fn next_live(workers: &[Worker], cursor: &mut usize) -> Option<usize> {
-    for _ in 0..workers.len() {
-        let candidate = *cursor % workers.len();
-        *cursor = candidate + 1;
-        if matches!(workers[candidate], Worker::Live { .. }) {
-            return Some(candidate);
+    /// The connection of `worker`, which the invariant keeps live.
+    fn client(&mut self, worker: usize) -> &mut WorkerClient {
+        match &mut self.workers[worker] {
+            Worker::Live { client, .. } => client,
+            _ => unreachable!("a slot in flight names a live worker"),
         }
     }
-    None
-}
 
-/// One line summarizing why no worker is usable — the chain entry a
-/// shard gets when the whole fleet is gone.
-fn fleet_obituary(addrs: &[String], workers: &[Worker]) -> String {
-    let summary: Vec<String> = workers
-        .iter()
-        .zip(addrs)
-        .map(|(w, addr)| match w {
-            Worker::Dead { last } => format!("{addr}: {last}"),
-            Worker::Probation { last, .. } => format!("{addr}: {last}"),
-            Worker::Live { .. } => format!("{addr}: live"),
-        })
-        .collect();
-    format!("no usable workers ({})", summary.join("; "))
+    /// Whether some worker awaits a probe.
+    fn on_probation(&self) -> bool {
+        self.workers
+            .iter()
+            .any(|w| matches!(w, Worker::Probation { .. }))
+    }
+
+    /// Advances the round-robin cursor to the next live worker.
+    fn next_live(&mut self) -> Option<usize> {
+        for _ in 0..self.workers.len() {
+            let candidate = self.cursor % self.workers.len();
+            self.cursor = candidate + 1;
+            if matches!(self.workers[candidate], Worker::Live { .. }) {
+                return Some(candidate);
+            }
+        }
+        None
+    }
+
+    /// One line summarizing why no worker is usable — the chain entry a
+    /// shard gets when the whole fleet is gone.
+    fn obituary(&self) -> String {
+        let summary: Vec<String> = self
+            .workers
+            .iter()
+            .zip(&self.coord.addrs)
+            .map(|(w, addr)| match w {
+                Worker::Dead { last } | Worker::Probation { last, .. } => format!("{addr}: {last}"),
+                Worker::Live { .. } => format!("{addr}: live"),
+            })
+            .collect();
+        format!("no usable workers ({})", summary.join("; "))
+    }
 }
 
 #[cfg(test)]

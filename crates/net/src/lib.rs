@@ -54,6 +54,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod chaos;
 pub mod client;

@@ -11,17 +11,19 @@
 //! mid-run, and runs with no reachable workers at all.
 
 use std::io::{BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hycim_cop::maxcut::MaxCut;
 use hycim_cop::AnyProblem;
 use hycim_core::{BatchRunner, EngineKind, EngineSettings};
 use hycim_net::{
-    shard_replica_column, Coordinator, ErrorCode, FrameError, JobSpec, MessageReceiver,
-    MessageSender, NetError, Request, Response, WireSolution, WorkerClient, WorkerConfig,
-    WorkerFault, WorkerHandle, WorkerServer,
+    shard_replica_column, ChaosProxy, Coordinator, ErrorCode, FaultPlan, FrameError, JobSpec,
+    MessageReceiver, MessageSender, NetError, Request, Response, WireSolution, WorkerClient,
+    WorkerConfig, WorkerFault, WorkerHandle, WorkerServer,
 };
+use hycim_obs::ObsRegistry;
 
 fn spawn_worker(config: WorkerConfig) -> WorkerHandle {
     WorkerServer::bind("127.0.0.1:0", config)
@@ -304,16 +306,19 @@ fn wait_pass_failure_requeues_every_pipelined_shard_of_the_worker() {
         .map(WireSolution::from_solution)
         .collect();
     // Four shards on two workers: A holds shards 0 and 2, with both
-    // waits written before either reply is read. Shard 0 panics. At
-    // threshold 1 the suspension requeues both; at threshold 2 A gets
-    // a new connection, from which shard 2's reply must not be read
-    // (it would wait out the read timeout).
+    // waits written before either reply is read. Shard 0 panics, and
+    // the failure requeues both. At threshold 1 A is suspended; at
+    // threshold 2 A gets a new connection, on which nothing waits for
+    // the jobs the worker disposed of with the old one (such a wait
+    // would strike A again and reconnect it a second time).
     for threshold in [1, 2] {
         let mut faulty = WorkerConfig::new();
         faulty.fault = Some(WorkerFault::PanicOnSubmit(0));
         let a = spawn_worker(faulty);
+        let proxy = ChaosProxy::spawn(a.addr().to_string(), FaultPlan::clean(threshold.into()))
+            .expect("spawn proxy");
         let b = spawn_worker(WorkerConfig::new());
-        let addrs = vec![a.addr().to_string(), b.addr().to_string()];
+        let addrs = vec![proxy.addr().to_string(), b.addr().to_string()];
 
         let spec = spec_for(&p, Vec::new());
         let (total, jobs) = shard_replica_column(&spec, 8, 45, 0, 4);
@@ -334,13 +339,21 @@ fn wait_pass_failure_requeues_every_pipelined_shard_of_the_worker() {
             merged, reference,
             "threshold {threshold} perturbed the bits"
         );
+        let stats = coordinator.obs().snapshot();
         if threshold == 1 {
-            let stats = coordinator.obs().snapshot();
             assert_eq!(stats.counter("coord.workers_retired"), Some(1), "{stats:?}");
             assert_eq!(stats.counter("coord.shards_requeued"), Some(2), "{stats:?}");
             assert_eq!(stats.counter("coord.shard_retries"), Some(2), "{stats:?}");
+        } else {
+            assert_eq!(proxy.connections(), 2, "A is reconnected once: {stats:?}");
+            assert_eq!(
+                stats.counter("coord.workers_retired").unwrap_or(0),
+                0,
+                "{stats:?}"
+            );
         }
 
+        proxy.stop();
         assert_drains(&a);
         assert_drains(&b);
         a.stop();
@@ -678,4 +691,128 @@ fn unreachable_workers_surface_a_typed_error_not_a_hang() {
     let dead_fleet = Coordinator::new(vec!["127.0.0.1:1".to_string()]);
     let degraded = dead_fleet.run(total, &jobs).expect("degrades to local");
     assert_eq!(degraded, reference);
+}
+
+/// The local single-thread ground truth for `replicas` replicas of
+/// [`problem`] rooted at `root_seed`.
+fn reference(replicas: usize, root_seed: u64) -> Vec<WireSolution> {
+    let engine = EngineKind::Software
+        .build(&problem(), &EngineSettings::new(40, 2))
+        .expect("builds");
+    BatchRunner::serial()
+        .run(&engine, replicas, root_seed)
+        .iter()
+        .map(WireSolution::from_solution)
+        .collect()
+}
+
+/// A scripted peer: a listener thread that serves one connection at a
+/// time, answering each request frame with what `script` returns. At
+/// the first request `script` answers `None`, the peer stops: it drops
+/// its listener, so reconnects are refused, and then the connection.
+fn scripted_peer<F>(mut script: F) -> (SocketAddr, JoinHandle<()>)
+where
+    F: FnMut(Request) -> Option<Response> + Send + 'static,
+{
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = std::thread::spawn(move || {
+        while let Ok((stream, _)) = listener.accept() {
+            let mut receiver =
+                MessageReceiver::new(BufReader::new(stream.try_clone().expect("clone")));
+            while let Ok(Some(frame)) = receiver.recv() {
+                let request = Request::from_value(&frame).expect("the coordinator speaks");
+                let Some(response) = script(request) else {
+                    drop(listener);
+                    return;
+                };
+                if MessageSender::new(&stream)
+                    .send(&response.to_value())
+                    .is_err()
+                {
+                    break;
+                }
+            }
+        }
+    });
+    (addr, peer)
+}
+
+#[test]
+fn short_solutions_replies_fail_the_attempt_and_never_the_merge() {
+    // A peer that accepts every shard and answers each `wait` with one
+    // solution fewer than the shard has seeds. Each such reply is a
+    // failed attempt, so both shards end in the local fallback, and
+    // the merge never sees a short piece.
+    let spec = spec_for(&problem(), Vec::new());
+    let (total, jobs) = shard_replica_column(&spec, 6, 33, 0, 2);
+    let expected = reference(6, 33);
+    let (addr, peer) = scripted_peer({
+        let (jobs, expected) = (jobs.clone(), expected.clone());
+        let mut accepted = Vec::new();
+        move |request| match request {
+            Request::Submit(spec) => {
+                let job = jobs
+                    .iter()
+                    .find(|j| j.spec == spec)
+                    .expect("a planned shard");
+                accepted.push(job.shard);
+                Some(Response::Submitted {
+                    job: accepted.len() as u64 - 1,
+                })
+            }
+            Request::Wait { job, .. } => {
+                let shard = accepted[job as usize];
+                Some(Response::Solutions {
+                    job,
+                    solutions: expected[shard.start..shard.end - 1].to_vec(),
+                })
+            }
+            Request::Stats => Some(Response::Stats {
+                stats: ObsRegistry::new().snapshot(),
+            }),
+            Request::Cancel { .. } => None,
+        }
+    });
+
+    let coordinator = Coordinator::new(vec![addr.to_string()]);
+    let merged = coordinator
+        .run(total, &jobs)
+        .expect("short replies degrade to the local fallback");
+    assert_eq!(merged, expected, "a short reply reached the merge");
+    let stats = coordinator.obs().snapshot();
+    assert_eq!(stats.counter("coord.shards_done"), Some(0), "{stats:?}");
+    assert_eq!(stats.counter("coord.shards_local"), Some(2), "{stats:?}");
+
+    // A cancel is the peer's cue to stop.
+    RawConn::connect(addr).send(&Request::Cancel { job: 0 });
+    peer.join().expect("the peer stops cleanly");
+}
+
+#[test]
+fn refused_reconnect_under_the_threshold_suspends_the_worker() {
+    // The peer accepts one connection and answers the `submit`; at the
+    // `wait` it drops its listener and the connection. Under threshold
+    // 2 the coordinator tries a fresh connection, which is refused, so
+    // the worker is suspended, its probes fail until it is dead, and
+    // the shard finishes locally.
+    let spec = spec_for(&problem(), Vec::new());
+    let (total, jobs) = shard_replica_column(&spec, 4, 8, 0, 1);
+    let (addr, peer) = scripted_peer(|request| match request {
+        Request::Submit(_) => Some(Response::Submitted { job: 0 }),
+        _ => None,
+    });
+
+    let coordinator = Coordinator::new(vec![addr.to_string()])
+        .with_failure_threshold(2)
+        .with_connect_timeout(Duration::from_secs(5));
+    let merged = coordinator
+        .run(total, &jobs)
+        .expect("the local fallback finishes the shard");
+    assert_eq!(merged, reference(4, 8), "the fallback changed bits");
+    let stats = coordinator.obs().snapshot();
+    assert_eq!(stats.counter("coord.workers_retired"), Some(1), "{stats:?}");
+    assert_eq!(stats.counter("coord.workers_dead"), Some(1), "{stats:?}");
+    assert_eq!(stats.counter("coord.shards_local"), Some(1), "{stats:?}");
+    peer.join().expect("the peer stops cleanly");
 }

@@ -1,9 +1,11 @@
 use std::fmt;
 
 use hycim_fefet::{gaussian, VariationModel};
+use hycim_qubo::quant::QuantizedMatrix;
 use hycim_qubo::{Assignment, QuboMatrix};
 use rand::Rng;
 
+use crate::crossbar::mapping::{check_dim, stored_levels};
 use crate::crossbar::{Adc, AdcConfig, CrossbarMapping};
 use crate::{CimError, Fidelity};
 
@@ -118,19 +120,37 @@ impl Crossbar {
         rng: &mut R,
     ) -> Result<Self, CimError> {
         let _ = rng; // array-level D2D effects are folded into read noise
-        let mapping = CrossbarMapping::new(q, config.bits)?;
-        let adc = Adc::new(AdcConfig::new(
-            config.adc_bits,
-            q.dim().max(1),
-            config.adc_noise_lsb,
-        ));
-        let dequantized = mapping.dequantized();
+        let (quant, adc) = quantize(q, config)?;
+        let (dequantized, _, _) = stored_levels(&quant);
         Ok(Self {
-            mapping,
+            mapping: CrossbarMapping::from_quantized(&quant),
             adc,
             config: config.clone(),
             dequantized,
         })
+    }
+
+    /// What a solve reads of the crossbar [`program`](Self::program)
+    /// builds, without its bit planes: the [`stored_matrix`] and the
+    /// [`readout_sigma`] of a typical read, which activates about half
+    /// the programmed cells — what a programmed chip keeps. The same
+    /// checks and the same bits as `program`, which draws nothing from
+    /// its stream, so this takes none.
+    ///
+    /// # Errors
+    ///
+    /// As [`program`](Self::program), and it panics where `program`
+    /// does.
+    ///
+    /// [`stored_matrix`]: Self::stored_matrix
+    /// [`readout_sigma`]: Self::readout_sigma
+    pub fn program_stored(
+        q: &QuboMatrix,
+        config: &CrossbarConfig,
+    ) -> Result<(QuboMatrix, f64), CimError> {
+        let (quant, _) = quantize(q, config)?;
+        let (stored, programmed, scale) = stored_levels(&quant);
+        Ok((stored, readout_sigma(config, programmed / 2, scale)))
     }
 
     /// Matrix dimension `n`.
@@ -242,10 +262,33 @@ impl Crossbar {
     /// readout noise without a full array pass (see
     /// `docs/ARCHITECTURE.md`, "The hot path").
     pub fn readout_sigma(&self, active_cells: usize) -> f64 {
-        self.config.variation.current_sigma_rel()
-            * (active_cells as f64).sqrt()
-            * self.mapping.scale()
+        readout_sigma(&self.config, active_cells, self.mapping.scale())
     }
+}
+
+/// Checks and quantizes `q` for a crossbar of `config`, with the
+/// column ADC it reads through.
+///
+/// # Panics
+///
+/// Panics on an ADC resolution outside `1..=24` bits or a negative ADC
+/// noise ([`AdcConfig::new`]), and on a quantization width outside
+/// `1..=62` bits.
+fn quantize(q: &QuboMatrix, config: &CrossbarConfig) -> Result<(QuantizedMatrix, Adc), CimError> {
+    check_dim(q)?;
+    let quant = QuantizedMatrix::quantize(q, config.bits);
+    let adc = Adc::new(AdcConfig::new(
+        config.adc_bits,
+        q.dim().max(1),
+        config.adc_noise_lsb,
+    ));
+    Ok((quant, adc))
+}
+
+/// Readout noise σ, in energy units, of a read activating
+/// `active_cells` weighted cells at level scale `scale`.
+fn readout_sigma(config: &CrossbarConfig, active_cells: usize, scale: f64) -> f64 {
+    config.variation.current_sigma_rel() * (active_cells as f64).sqrt() * scale
 }
 
 impl fmt::Display for Crossbar {
@@ -263,6 +306,7 @@ impl fmt::Display for Crossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crossbar::mapping::MAX_CROSSBAR_DIM;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -367,5 +411,164 @@ mod tests {
         let xbar = Crossbar::program(&q, &CrossbarConfig::paper(), &mut rng).unwrap();
         assert!(xbar.readout_sigma(100) > xbar.readout_sigma(10));
         assert_eq!(xbar.readout_sigma(0), 0.0);
+    }
+
+    /// The matrix the mapping's bit planes hold, summed plane by plane
+    /// in (sign, bit, column, row) order: the reference the
+    /// fabrication law checks `stored_levels` against.
+    fn planes_matrix(map: &CrossbarMapping) -> QuboMatrix {
+        let mut q = QuboMatrix::zeros(map.dim());
+        for (negative, sign) in [(false, 1.0f64), (true, -1.0)] {
+            for b in 0..map.bits() {
+                for col in 0..map.dim() {
+                    for &row in map.plane_rows(negative, b, col) {
+                        q.add(row as usize, col, sign * ((1u64 << b) as f64) * map.scale());
+                    }
+                }
+            }
+        }
+        q
+    }
+
+    fn assert_same_bits(a: &QuboMatrix, b: &QuboMatrix, case: &str) {
+        assert_eq!(a.dim(), b.dim(), "{case}: dimension");
+        for i in 0..a.dim() {
+            for j in i..a.dim() {
+                let (x, y) = (a.get(i, j), b.get(i, j));
+                assert_eq!(x.to_bits(), y.to_bits(), "{case}: ({i}, {j}) {x} != {y}");
+            }
+        }
+    }
+
+    /// Fabrication law: what the crossbar stores, taken from the
+    /// quantized levels without bit planes, has the bits of the sum of
+    /// the planes `program` lays out, the same programmed cell count
+    /// and scale; [`Crossbar::program_stored`] returns that matrix and
+    /// `program`'s typical readout σ. On an integer QKP matrix at
+    /// 7 bits, a D-QUBO form at its `matrix_bits`, and a real-valued
+    /// matrix at every width from 1 to 10 bits.
+    #[test]
+    fn cell_free_crossbar_stores_what_the_bit_planes_hold() {
+        use hycim_qubo::dqubo::{AuxEncoding, DquboForm, PenaltyWeights};
+        use hycim_qubo::quant::matrix_bits;
+        use hycim_qubo::LinearConstraint;
+
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut qkp = QuboMatrix::zeros(30);
+        for i in 0..30 {
+            for j in i..30 {
+                if rng.random_bool(0.5) {
+                    qkp.set(i, j, -(rng.random_range(1..=100) as f64));
+                }
+            }
+        }
+        let weights: Vec<u64> = (0..10).map(|_| rng.random_range(1..=20)).collect();
+        let constraint = LinearConstraint::new(weights, 40).unwrap();
+        let dqubo = DquboForm::transform(
+            &random_integer_qubo(10, 32, 100),
+            &constraint,
+            PenaltyWeights::PAPER,
+            AuxEncoding::OneHot,
+        )
+        .unwrap();
+        let mut real = QuboMatrix::zeros(12);
+        for i in 0..12 {
+            for j in i..12 {
+                if rng.random_bool(0.7) {
+                    real.set(i, j, rng.random_range(-700.0..700.0));
+                }
+            }
+        }
+        let mut cases = vec![
+            ("qkp".to_string(), qkp, 7),
+            (
+                "dqubo".to_string(),
+                dqubo.matrix().clone(),
+                matrix_bits(dqubo.matrix()),
+            ),
+        ];
+        cases.extend((1..=10).map(|bits| (format!("real, {bits} bits"), real.clone(), bits)));
+        for (case, q, bits) in cases {
+            let config = CrossbarConfig::paper().with_bits(bits);
+            let xbar = Crossbar::program(&q, &config, &mut rng).unwrap();
+            let map = xbar.mapping();
+            let reference = planes_matrix(map);
+            let (stored, programmed, scale) = stored_levels(&QuantizedMatrix::quantize(&q, bits));
+            assert_same_bits(&stored, &reference, &case);
+            assert_same_bits(xbar.stored_matrix(), &reference, &case);
+            assert_eq!(
+                programmed,
+                map.programmed_cells(),
+                "{case}: programmed cells"
+            );
+            assert_eq!(scale.to_bits(), map.scale().to_bits(), "{case}: scale");
+            let (chip, sigma) = Crossbar::program_stored(&q, &config).unwrap();
+            assert_same_bits(&chip, &reference, &case);
+            let typical = xbar.readout_sigma(map.programmed_cells() / 2);
+            assert_eq!(sigma.to_bits(), typical.to_bits(), "{case}: readout sigma");
+        }
+    }
+
+    /// The message of the panic `f` raises.
+    fn panic_message<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).err().expect("a panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("a text payload")
+    }
+
+    /// [`Crossbar::program_stored`] refuses what
+    /// [`Crossbar::program`] refuses, with the same error, and panics
+    /// with the same message on a configuration `program` panics on.
+    #[test]
+    fn cell_free_crossbar_errors_and_panics_as_program() {
+        let config = CrossbarConfig::paper();
+        let cases = [
+            (0, CimError::EmptyProblem),
+            (
+                MAX_CROSSBAR_DIM + 1,
+                CimError::MatrixTooLarge {
+                    dim: MAX_CROSSBAR_DIM + 1,
+                    limit: MAX_CROSSBAR_DIM,
+                },
+            ),
+        ];
+        for (dim, expected) in cases {
+            let q = QuboMatrix::zeros(dim);
+            let mut rng = StdRng::seed_from_u64(1);
+            assert_eq!(
+                Crossbar::program(&q, &config, &mut rng).unwrap_err(),
+                expected
+            );
+            assert_eq!(Crossbar::program_stored(&q, &config).unwrap_err(), expected);
+        }
+        let q = random_integer_qubo(4, 2, 100);
+        let bad = [
+            CrossbarConfig {
+                adc_bits: 0,
+                ..CrossbarConfig::paper()
+            },
+            CrossbarConfig {
+                adc_bits: 25,
+                ..CrossbarConfig::paper()
+            },
+            CrossbarConfig {
+                adc_noise_lsb: -0.1,
+                ..CrossbarConfig::paper()
+            },
+            CrossbarConfig {
+                bits: 0,
+                ..CrossbarConfig::paper()
+            },
+        ];
+        for config in bad {
+            let built = panic_message(|| {
+                Crossbar::program(&q, &config, &mut StdRng::seed_from_u64(1)).map(|_| ())
+            });
+            let free = panic_message(|| Crossbar::program_stored(&q, &config).map(|_| ()));
+            assert_eq!(free, built, "{config:?}");
+        }
     }
 }

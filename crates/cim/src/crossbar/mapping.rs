@@ -43,7 +43,7 @@ pub struct CrossbarMapping {
 /// Hard cap on the mapped dimension; protects against accidentally
 /// programming a D-QUBO-sized matrix (n ≈ 2600, hundreds of millions
 /// of cells) into an explicit cell array.
-const MAX_CROSSBAR_DIM: usize = 4096;
+pub(super) const MAX_CROSSBAR_DIM: usize = 4096;
 
 impl CrossbarMapping {
     /// Quantizes `q` to `bits` magnitude bits and builds the bit-plane
@@ -54,17 +54,13 @@ impl CrossbarMapping {
     /// * [`CimError::EmptyProblem`] for a zero-dimension matrix.
     /// * [`CimError::MatrixTooLarge`] if `q.dim() > MAX_CROSSBAR_DIM`.
     pub fn new(q: &QuboMatrix, bits: u32) -> Result<Self, CimError> {
-        if q.dim() == 0 {
-            return Err(CimError::EmptyProblem);
-        }
-        if q.dim() > MAX_CROSSBAR_DIM {
-            return Err(CimError::MatrixTooLarge {
-                dim: q.dim(),
-                limit: MAX_CROSSBAR_DIM,
-            });
-        }
-        let quant = QuantizedMatrix::quantize(q, bits);
-        let dim = q.dim();
+        check_dim(q)?;
+        Ok(Self::from_quantized(&QuantizedMatrix::quantize(q, bits)))
+    }
+
+    /// The bit-plane layout of an already quantized matrix.
+    pub(super) fn from_quantized(quant: &QuantizedMatrix) -> Self {
+        let (dim, bits) = (quant.dim(), quant.bits());
         let empty_planes = || vec![vec![Vec::new(); dim]; bits as usize];
         let mut planes = [empty_planes(), empty_planes()];
         for &(i, j, level) in quant.levels() {
@@ -79,12 +75,12 @@ impl CrossbarMapping {
                 }
             }
         }
-        Ok(Self {
+        Self {
             dim,
             bits,
             scale: quant.scale(),
             planes,
-        })
+        }
     }
 
     /// Matrix dimension `n`.
@@ -116,22 +112,42 @@ impl CrossbarMapping {
     pub fn programmed_cells(&self) -> usize {
         self.planes.iter().flatten().flatten().map(Vec::len).sum()
     }
+}
 
-    /// Reconstructs the dequantized matrix the crossbar effectively
-    /// stores (coefficients rounded to the quantization grid).
-    pub fn dequantized(&self) -> QuboMatrix {
-        let mut q = QuboMatrix::zeros(self.dim);
-        for (sign_idx, sign) in [(0usize, 1.0f64), (1, -1.0)] {
-            for b in 0..self.bits {
-                for col in 0..self.dim {
-                    for &row in &self.planes[sign_idx][b as usize][col] {
-                        q.add(row as usize, col, sign * ((1u64 << b) as f64) * self.scale);
-                    }
-                }
-            }
-        }
-        q
+/// Checks that `q` can be mapped: a nonzero dimension of at most
+/// `MAX_CROSSBAR_DIM`.
+pub(super) fn check_dim(q: &QuboMatrix) -> Result<(), CimError> {
+    if q.dim() == 0 {
+        return Err(CimError::EmptyProblem);
     }
+    if q.dim() > MAX_CROSSBAR_DIM {
+        return Err(CimError::MatrixTooLarge {
+            dim: q.dim(),
+            limit: MAX_CROSSBAR_DIM,
+        });
+    }
+    Ok(())
+}
+
+/// What a crossbar programmed with `quant` stores, without its bit
+/// planes: the dequantized matrix (coefficients rounded to the
+/// quantization grid), the number of programmed (1-storing) cells, and
+/// the level scale. Each coefficient sums its bit planes' values in
+/// increasing bit order, the order that fixes the rounding of a
+/// coefficient's value.
+pub(super) fn stored_levels(quant: &QuantizedMatrix) -> (QuboMatrix, usize, f64) {
+    let scale = quant.scale();
+    let mut stored = QuboMatrix::zeros(quant.dim());
+    let mut programmed = 0;
+    for &(i, j, level) in quant.levels() {
+        let sign = if level < 0 { -1.0 } else { 1.0 };
+        let mag = level.unsigned_abs();
+        for b in (0..quant.bits()).filter(|b| mag >> b & 1 == 1) {
+            stored.add(i, j, sign * ((1u64 << b) as f64) * scale);
+            programmed += 1;
+        }
+    }
+    (stored, programmed, scale)
 }
 
 impl fmt::Display for CrossbarMapping {
@@ -169,13 +185,18 @@ mod tests {
     #[test]
     fn dequantized_matches_quantizer() {
         let q = random_qubo(10, 1, 100.0);
-        let map = CrossbarMapping::new(&q, 7).unwrap();
-        let direct = QuantizedMatrix::quantize(&q, 7).dequantize();
+        let quant = QuantizedMatrix::quantize(&q, 7);
+        let (stored, programmed, _) = stored_levels(&quant);
+        assert_eq!(
+            programmed,
+            CrossbarMapping::new(&q, 7).unwrap().programmed_cells()
+        );
+        let direct = quant.dequantize();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..20 {
             let x = Assignment::random(10, &mut rng);
             assert!(
-                (map.dequantized().energy(&x) - direct.energy(&x)).abs() < 1e-9,
+                (stored.energy(&x) - direct.energy(&x)).abs() < 1e-9,
                 "mapping disagrees with quantizer"
             );
         }
@@ -190,8 +211,8 @@ mod tests {
         q.set(0, 1, -37.0);
         q.set(2, 3, -1.0);
         q.set(1, 1, 64.0);
-        let map = CrossbarMapping::new(&q, 7).unwrap();
-        let back = map.dequantized();
+        let (back, _, scale) = stored_levels(&QuantizedMatrix::quantize(&q, 7));
+        assert_eq!(scale, 1.0);
         for (i, j, v) in q.iter_nonzero() {
             assert!(
                 (back.get(i, j) - v).abs() < 1e-9,

@@ -1,10 +1,10 @@
 use std::fmt;
 
-use hycim_fefet::{gaussian, MultiLevelSpec, StaircasePulse, VariationModel};
+use hycim_fefet::{gaussian, skip_gaussian, MultiLevelSpec, StaircasePulse, VariationModel};
 use hycim_qubo::Assignment;
 use rand::Rng;
 
-use crate::filter::FilterCell;
+use crate::filter::{FilterCell, FilterConfig};
 use crate::{CimError, Fidelity, Matchline, MatchlineConfig};
 
 /// An `m × n` matchline array of filter cells (paper Fig. 5(a)).
@@ -47,7 +47,9 @@ pub struct FilterArray {
 /// What a fast-path read of a [`FilterArray`] needs, and nothing of its
 /// cells: the aggregate drop and √load-scaled noise of
 /// [`Fidelity::Fast`]. An [`InequalityFilter`]'s [`FilterRead`] carries
-/// one per array, so it outlives the cells.
+/// one per array, so it outlives the cells. It is a function of the
+/// array's parameters alone, so a chip that never builds the cells
+/// realizes its arrays as this (see [`Realize`]).
 ///
 /// [`InequalityFilter`]: crate::filter::InequalityFilter
 /// [`FilterRead`]: crate::filter::FilterRead
@@ -67,6 +69,17 @@ pub(super) struct ArrayRead {
 }
 
 impl ArrayRead {
+    /// The read constants of an array built with `params`.
+    fn new(params: &ArrayParams<'_>) -> Self {
+        let i_on = params.spec.i_on();
+        Self {
+            ml_config: params.ml_config.clone(),
+            effective_unit_fraction: i_on / (i_on + params.ml_config.cell_current),
+            temporal_sigma: params.variation.current_sigma_rel()
+                * FilterArray::TEMPORAL_NOISE_FRACTION,
+        }
+    }
+
     /// Fast-path evaluation from a precomputed load (used by the SA
     /// loop, where the load is tracked incrementally in O(1)). `z` is
     /// the read's standard-normal noise sample, drawn by the caller
@@ -120,16 +133,135 @@ impl ArrayRead {
     pub(super) fn matchline_config(&self) -> &MatchlineConfig {
         &self.ml_config
     }
+
+    /// Every field's bits (see `FilterRead::field_bits`).
+    #[cfg(test)]
+    pub(super) fn field_bits(&self) -> [u64; 6] {
+        let ml = &self.ml_config;
+        [
+            ml.vdd,
+            ml.c_ml,
+            ml.phase_time,
+            ml.cell_current,
+            self.effective_unit_fraction,
+            self.temporal_sigma,
+        ]
+        .map(f64::to_bits)
+    }
 }
 
-/// Shared construction parameters for filter arrays (re-exported from
-/// [`crate::filter`]; see [`crate::filter::FilterConfig`]).
-pub(crate) struct ArrayParams<'a> {
-    pub rows: usize,
-    pub spec: &'a MultiLevelSpec,
-    pub ml_config: &'a MatchlineConfig,
-    pub variation: &'a VariationModel,
-    pub fidelity: Fidelity,
+/// Shared construction parameters for filter arrays, taken from a
+/// [`FilterConfig`].
+pub(super) struct ArrayParams<'a> {
+    rows: usize,
+    spec: &'a MultiLevelSpec,
+    ml_config: &'a MatchlineConfig,
+    variation: &'a VariationModel,
+    fidelity: Fidelity,
+}
+
+impl<'a> ArrayParams<'a> {
+    /// The array parameters of `config`.
+    pub(super) fn of(config: &'a FilterConfig) -> Self {
+        Self {
+            rows: config.rows,
+            spec: &config.spec,
+            ml_config: &config.matchline,
+            variation: &config.variation,
+            fidelity: config.fidelity,
+        }
+    }
+
+    /// Checks that `weights` fit: a non-empty list, no weight above
+    /// `rows × max_level`.
+    fn check(&self, weights: &[u64]) -> Result<(), CimError> {
+        if weights.is_empty() {
+            return Err(CimError::EmptyProblem);
+        }
+        let limit = self.rows as u64 * u64::from(self.spec.max_level());
+        match weights.iter().position(|&w| w > limit) {
+            Some(item) => Err(CimError::WeightTooLarge {
+                item,
+                weight: weights[item],
+                limit,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// How a filter build realizes one of its arrays: as programmed cells
+/// ([`FilterArray`]) or as the draws those cells take from the
+/// fabrication stream ([`ArrayRead`], which builds no cell). Both run
+/// the same weight checks, read the same, and leave the stream at the
+/// same position, so every filter built either way has the same
+/// [`FilterRead`](crate::filter::FilterRead).
+pub(super) trait Realize: Sized {
+    /// Programs an array holding `weights`, one item per column.
+    fn realize<R: Rng + ?Sized>(
+        weights: &[u64],
+        params: &ArrayParams<'_>,
+        rng: &mut R,
+    ) -> Result<Self, CimError>;
+
+    /// The constants of a fast-path read of the array.
+    fn fast_read(&self) -> &ArrayRead;
+}
+
+impl Realize for FilterArray {
+    fn realize<R: Rng + ?Sized>(
+        weights: &[u64],
+        params: &ArrayParams<'_>,
+        rng: &mut R,
+    ) -> Result<Self, CimError> {
+        params.check(weights)?;
+        let max_level = params.spec.max_level();
+        let cells = weights
+            .iter()
+            .map(|&w| {
+                decompose_weight(w, params.rows, max_level)
+                    .into_iter()
+                    .map(|sub| {
+                        let mut cell = FilterCell::sample(params.spec, params.variation, rng);
+                        cell.store(sub);
+                        cell
+                    })
+                    .collect()
+            })
+            .collect();
+        Ok(Self {
+            cells,
+            weights: weights.to_vec(),
+            rows: params.rows,
+            staircase: StaircasePulse::for_spec(params.spec),
+            fidelity: params.fidelity,
+            fast: ArrayRead::new(params),
+        })
+    }
+
+    fn fast_read(&self) -> &ArrayRead {
+        &self.fast
+    }
+}
+
+impl Realize for ArrayRead {
+    /// Skips one standard-normal sample per cell, `rows` per column —
+    /// the device-to-device draw each [`FilterCell::sample`] takes.
+    fn realize<R: Rng + ?Sized>(
+        weights: &[u64],
+        params: &ArrayParams<'_>,
+        rng: &mut R,
+    ) -> Result<Self, CimError> {
+        params.check(weights)?;
+        for _ in 0..weights.len() * params.rows {
+            skip_gaussian(rng);
+        }
+        Ok(Self::new(params))
+    }
+
+    fn fast_read(&self) -> &ArrayRead {
+        self
+    }
 }
 
 impl FilterArray {
@@ -144,63 +276,10 @@ impl FilterArray {
     /// weight list.
     pub fn program<R: Rng + ?Sized>(
         weights: &[u64],
-        config: &crate::filter::FilterConfig,
+        config: &FilterConfig,
         rng: &mut R,
     ) -> Result<Self, CimError> {
-        Self::program_with(
-            weights,
-            &ArrayParams {
-                rows: config.rows,
-                spec: &config.spec,
-                ml_config: &config.matchline,
-                variation: &config.variation,
-                fidelity: config.fidelity,
-            },
-            rng,
-        )
-    }
-
-    pub(crate) fn program_with<R: Rng + ?Sized>(
-        weights: &[u64],
-        params: &ArrayParams<'_>,
-        rng: &mut R,
-    ) -> Result<Self, CimError> {
-        if weights.is_empty() {
-            return Err(CimError::EmptyProblem);
-        }
-        let max_level = u64::from(params.spec.max_level());
-        let limit = params.rows as u64 * max_level;
-        let mut cells = Vec::with_capacity(weights.len());
-        for (item, &w) in weights.iter().enumerate() {
-            if w > limit {
-                return Err(CimError::WeightTooLarge {
-                    item,
-                    weight: w,
-                    limit,
-                });
-            }
-            let mut column = Vec::with_capacity(params.rows);
-            for sub in decompose_weight(w, params.rows, params.spec.max_level()) {
-                let mut cell = FilterCell::sample(params.spec, params.variation, rng);
-                cell.store(sub);
-                column.push(cell);
-            }
-            cells.push(column);
-        }
-        let i_on = params.spec.i_on();
-        Ok(Self {
-            cells,
-            weights: weights.to_vec(),
-            rows: params.rows,
-            staircase: StaircasePulse::for_spec(params.spec),
-            fidelity: params.fidelity,
-            fast: ArrayRead {
-                ml_config: params.ml_config.clone(),
-                effective_unit_fraction: i_on / (i_on + params.ml_config.cell_current),
-                temporal_sigma: params.variation.current_sigma_rel()
-                    * Self::TEMPORAL_NOISE_FRACTION,
-            },
-        })
+        Self::realize(weights, &ArrayParams::of(config), rng)
     }
 
     /// Number of item columns `n`.
@@ -283,11 +362,6 @@ impl FilterArray {
     /// clean even at loads of thousands of units.
     const TEMPORAL_NOISE_FRACTION: f64 = 0.1;
 
-    /// The constants of a fast-path read, which outlive the cells.
-    pub(super) fn fast_read(&self) -> &ArrayRead {
-        &self.fast
-    }
-
     /// The matchline configuration in use.
     pub fn matchline_config(&self) -> &MatchlineConfig {
         self.fast.matchline_config()
@@ -354,7 +428,6 @@ fn decompose_weight(w: u64, rows: usize, max_level: u8) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::FilterConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

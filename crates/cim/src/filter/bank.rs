@@ -3,7 +3,8 @@ use std::fmt;
 use hycim_qubo::{Assignment, LinearConstraint};
 use rand::Rng;
 
-use crate::filter::{FilterConfig, FilterDecision, FilterRead, InequalityFilter};
+use crate::filter::array::{ArrayRead, Realize};
+use crate::filter::{Fabricated, FilterConfig, FilterDecision, FilterRead, InequalityFilter};
 use crate::CimError;
 
 /// A bank of inequality filters evaluating several constraints in
@@ -109,27 +110,11 @@ impl FilterBank {
         config: &FilterConfig,
         rng: &mut R,
     ) -> Result<Self, CimError> {
-        let Some(first) = constraints.first() else {
-            return Err(CimError::EmptyProblem);
-        };
-        let dim = first.dim();
-        let mut filters = Vec::with_capacity(constraints.len());
-        for c in constraints {
-            if c.dim() != dim {
-                return Err(CimError::DimensionMismatch {
-                    expected: dim,
-                    found: c.dim(),
-                });
-            }
-            filters.push(InequalityFilter::build(
-                c.weights(),
-                c.capacity(),
-                config,
-                rng,
-            )?);
-        }
         Ok(Self {
-            filters,
+            filters: Fabricated::build_bank(constraints, config, rng)?
+                .into_iter()
+                .map(InequalityFilter::from_fabricated)
+                .collect(),
             constraints: constraints.to_vec(),
         })
     }
@@ -189,7 +174,7 @@ impl FilterBank {
     }
 
     /// The filters' read models, in constraint order, dropping every
-    /// array's cells — what a programmed chip keeps of the bank, and
+    /// array's cells — what [`FilterRead::build_bank`] fabricates, and
     /// what [`FilterRead::admits_all`] reads for the verdict of
     /// [`classify_loads`](Self::classify_loads).
     pub fn into_read_models(self) -> Vec<FilterRead> {
@@ -197,6 +182,58 @@ impl FilterBank {
             .into_iter()
             .map(InequalityFilter::into_read_model)
             .collect()
+    }
+}
+
+impl FilterRead {
+    /// The read models of the filters [`FilterBank::build`] builds, in
+    /// constraint order, fabricated without a single cell: each array
+    /// is realized as its read constants, its cells' variability draws
+    /// skipped. Bit for bit the bank's
+    /// [`into_read_models`](FilterBank::into_read_models), leaving
+    /// `rng` where that build leaves it — what a programmed chip
+    /// keeps.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of [`FilterBank::build`].
+    pub fn build_bank<R: Rng + ?Sized>(
+        constraints: &[LinearConstraint],
+        config: &FilterConfig,
+        rng: &mut R,
+    ) -> Result<Vec<Self>, CimError> {
+        Ok(
+            Fabricated::<ArrayRead>::build_bank(constraints, config, rng)?
+                .into_iter()
+                .map(|filter| filter.read)
+                .collect(),
+        )
+    }
+}
+
+impl<A: Realize> Fabricated<A> {
+    /// One filter per constraint, in constraint order — the bank's one
+    /// fabrication sequence. Errors as [`FilterBank::build`].
+    fn build_bank<R: Rng + ?Sized>(
+        constraints: &[LinearConstraint],
+        config: &FilterConfig,
+        rng: &mut R,
+    ) -> Result<Vec<Self>, CimError> {
+        let Some(first) = constraints.first() else {
+            return Err(CimError::EmptyProblem);
+        };
+        let dim = first.dim();
+        let mut filters = Vec::with_capacity(constraints.len());
+        for c in constraints {
+            if c.dim() != dim {
+                return Err(CimError::DimensionMismatch {
+                    expected: dim,
+                    found: c.dim(),
+                });
+            }
+            filters.push(Self::build(c.weights(), c.capacity(), config, rng)?);
+        }
+        Ok(filters)
     }
 }
 
@@ -291,6 +328,82 @@ mod tests {
                 decisions.random::<u64>(),
                 "RNG streams diverged after {x}"
             );
+        }
+    }
+
+    /// Fabrication law for banks of 1, 2 and 5 filters:
+    /// [`FilterRead::build_bank`] returns, field for field, the bits of
+    /// the cell-built bank's read models, and leaves the stream at the
+    /// same word.
+    #[test]
+    fn cell_free_bank_reads_as_the_cell_built_one() {
+        let n = 9;
+        let constraint = |k: u64| {
+            let weights = (0..n).map(|i| (i * 7 + k * 13) % 65).collect();
+            LinearConstraint::new(weights, 1 + k * 97 % (64 * n)).unwrap()
+        };
+        for k in [1, 2, 5] {
+            let cs: Vec<LinearConstraint> = (0..k).map(constraint).collect();
+            for (name, config) in crate::filter::tests::law_configs() {
+                for seed in 0..3 {
+                    let mut cells = StdRng::seed_from_u64(seed);
+                    let mut skipped = cells.clone();
+                    let built = FilterBank::build(&cs, &config, &mut cells)
+                        .unwrap()
+                        .into_read_models();
+                    let free = FilterRead::build_bank(&cs, &config, &mut skipped).unwrap();
+                    assert_eq!(free.len(), built.len());
+                    for (f, b) in free.iter().zip(&built) {
+                        assert_eq!(
+                            f.field_bits(),
+                            b.field_bits(),
+                            "k = {k}, {name}, seed {seed}"
+                        );
+                    }
+                    let case = format!("k = {k}, {name}, seed {seed}: stream");
+                    assert_eq!(skipped.next_u64(), cells.next_u64(), "{case}");
+                }
+            }
+        }
+    }
+
+    /// [`FilterRead::build_bank`] refuses exactly the banks
+    /// [`FilterBank::build`] refuses, with the same error.
+    #[test]
+    fn cell_free_bank_errors_as_the_cell_built_one() {
+        let c = |weights: Vec<u64>, capacity| LinearConstraint::new(weights, capacity).unwrap();
+        let cases = [
+            (vec![], CimError::EmptyProblem),
+            (
+                vec![c(vec![1, 2], 3), c(vec![1, 2, 3], 3)],
+                CimError::DimensionMismatch {
+                    expected: 2,
+                    found: 3,
+                },
+            ),
+            (
+                vec![c(vec![1, 2, 3, 4], 3), c(vec![5, 64, 65, 70], 9)],
+                CimError::WeightTooLarge {
+                    item: 2,
+                    weight: 65,
+                    limit: 64,
+                },
+            ),
+            (
+                vec![c(vec![1, 2], 3), c(vec![4, 4], 129)],
+                CimError::CapacityTooLarge {
+                    capacity: 129,
+                    limit: 128,
+                },
+            ),
+        ];
+        let config = FilterConfig::paper();
+        for (cs, expected) in cases {
+            let mut rng = StdRng::seed_from_u64(3);
+            let built = FilterBank::build(&cs, &config, &mut rng).unwrap_err();
+            assert_eq!(built, expected);
+            let free = FilterRead::build_bank(&cs, &config, &mut rng).unwrap_err();
+            assert_eq!(free, expected);
         }
     }
 

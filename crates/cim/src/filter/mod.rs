@@ -28,6 +28,7 @@ pub use comparator::{ComparatorConfig, VoltageComparator};
 pub use read::FilterRead;
 
 use crate::{CimError, Fidelity, MatchlineConfig};
+use array::{ArrayParams, Realize};
 
 /// Construction parameters for an [`InequalityFilter`].
 ///
@@ -125,8 +126,9 @@ impl FilterDecision {
 ///
 /// The arrays keep their cells for the device-accurate
 /// [`classify`](Self::classify), waveforms and the validation figures;
-/// the fast path reads the cell-free [`FilterRead`] it holds, which
-/// [`into_read_model`](Self::into_read_model) keeps alone.
+/// the fast path reads the cell-free [`FilterRead`] it holds. A chip
+/// fabricates that read model alone, without the cells
+/// ([`FilterRead::build_bank`]).
 #[derive(Debug, Clone)]
 pub struct InequalityFilter {
     working: FilterArray,
@@ -153,34 +155,16 @@ impl InequalityFilter {
         config: &FilterConfig,
         rng: &mut R,
     ) -> Result<Self, CimError> {
-        if weights.is_empty() {
-            return Err(CimError::EmptyProblem);
+        Fabricated::build(weights, capacity, config, rng).map(Self::from_fabricated)
+    }
+
+    /// The filter of a cell-built fabrication.
+    fn from_fabricated(filter: Fabricated<FilterArray>) -> Self {
+        Self {
+            working: filter.working,
+            replica: filter.replica,
+            read: filter.read,
         }
-        let n = weights.len();
-        let replica_limit = config.max_item_weight() * n as u64;
-        if capacity > replica_limit {
-            return Err(CimError::CapacityTooLarge {
-                capacity,
-                limit: replica_limit,
-            });
-        }
-        let working = FilterArray::program(weights, config, rng)?;
-        // Spread the capacity across the replica's n columns.
-        let replica_weights = spread_capacity(capacity, n, config.max_item_weight());
-        let replica = FilterArray::program(&replica_weights, config, rng)?;
-        let comparator = VoltageComparator::sample(&config.comparator, rng);
-        let read = FilterRead::new(
-            working.fast_read(),
-            replica.fast_read(),
-            comparator,
-            capacity,
-            weights.iter().sum(),
-        );
-        Ok(Self {
-            working,
-            replica,
-            read,
-        })
     }
 
     /// The encoded capacity `C`.
@@ -203,8 +187,7 @@ impl InequalityFilter {
         self.read.comparator()
     }
 
-    /// The fast-path read model alone, dropping both arrays' cells — a
-    /// programmed chip keeps only this.
+    /// The fast-path read model alone, dropping both arrays' cells.
     pub fn into_read_model(self) -> FilterRead {
         self.read
     }
@@ -233,6 +216,59 @@ impl InequalityFilter {
     /// [`FilterRead::classify_load`].
     pub fn classify_load<R: Rng + ?Sized>(&self, load: u64, rng: &mut R) -> FilterDecision {
         self.read.classify_load(load, rng)
+    }
+}
+
+/// A built filter whose arrays are realized as `A`: programmed cells
+/// for an [`InequalityFilter`], their read constants alone for a
+/// cell-free chip ([`FilterRead::build_bank`]).
+struct Fabricated<A> {
+    working: A,
+    replica: A,
+    read: FilterRead,
+}
+
+impl<A: Realize> Fabricated<A> {
+    /// The one fabrication sequence of a filter for `Σ wᵢxᵢ ≤
+    /// capacity`, whatever realizes its arrays: the checks, the working
+    /// array's draws, the replica array's (its weights sum to
+    /// `capacity` under an all-ones input, paper Eq. 10), then the
+    /// comparator's offset draw. Errors as [`InequalityFilter::build`].
+    fn build<R: Rng + ?Sized>(
+        weights: &[u64],
+        capacity: u64,
+        config: &FilterConfig,
+        rng: &mut R,
+    ) -> Result<Self, CimError> {
+        if weights.is_empty() {
+            return Err(CimError::EmptyProblem);
+        }
+        let n = weights.len();
+        let replica_limit = config.max_item_weight() * n as u64;
+        if capacity > replica_limit {
+            return Err(CimError::CapacityTooLarge {
+                capacity,
+                limit: replica_limit,
+            });
+        }
+        let params = ArrayParams::of(config);
+        let working = A::realize(weights, &params, rng)?;
+        // Spread the capacity across the replica's n columns.
+        let replica_weights = spread_capacity(capacity, n, config.max_item_weight());
+        let replica = A::realize(&replica_weights, &params, rng)?;
+        let comparator = VoltageComparator::sample(&config.comparator, rng);
+        let read = FilterRead::new(
+            working.fast_read(),
+            replica.fast_read(),
+            comparator,
+            capacity,
+            weights.iter().sum(),
+        );
+        Ok(Self {
+            working,
+            replica,
+            read,
+        })
     }
 }
 
@@ -265,6 +301,7 @@ fn spread_capacity(capacity: u64, n: usize, max_per_column: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use array::ArrayRead;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -374,6 +411,97 @@ mod tests {
                 offset_sigma: factor * paper.offset_sigma,
                 noise_sigma: factor * paper.noise_sigma,
             })
+    }
+
+    /// The noise settings the fabrication laws run under: the paper's,
+    /// no cell variability, an ideal comparator, and the paper's noise
+    /// scaled by 0, ½ and 2.
+    pub(super) fn law_configs() -> Vec<(&'static str, FilterConfig)> {
+        vec![
+            ("paper", FilterConfig::paper()),
+            (
+                "no variation",
+                FilterConfig::paper().with_variation(VariationModel::none()),
+            ),
+            (
+                "ideal comparator",
+                FilterConfig::paper().with_comparator(ComparatorConfig::ideal()),
+            ),
+            ("0x noise", scaled_noise(0.0)),
+            ("0.5x noise", scaled_noise(0.5)),
+            ("2x noise", scaled_noise(2.0)),
+        ]
+    }
+
+    /// Fabrication law: a filter whose arrays are realized as skipped
+    /// draws has, field for field, the bits of the read model of the
+    /// filter built cell by cell, and leaves the stream at the same
+    /// word — with weights at 0 and at the 64-unit limit, and
+    /// capacities from 0 to the replica's `n·64`.
+    #[test]
+    fn cell_free_filter_reads_as_the_cell_built_one() {
+        use rand::RngCore;
+        let weight_sets: [&[u64]; 3] = [&[0, 64, 17, 0, 3, 64, 40], &[0; 5], &[64; 5]];
+        for (name, config) in law_configs() {
+            for weights in weight_sets {
+                let full = 64 * weights.len() as u64;
+                for capacity in [0, 1, 100, full - 1, full] {
+                    for seed in 0..3 {
+                        let mut cells = StdRng::seed_from_u64(seed);
+                        let mut skipped = cells.clone();
+                        let built = InequalityFilter::build(weights, capacity, &config, &mut cells)
+                            .unwrap()
+                            .into_read_model();
+                        let free = Fabricated::<ArrayRead>::build(
+                            weights,
+                            capacity,
+                            &config,
+                            &mut skipped,
+                        )
+                        .unwrap()
+                        .read;
+                        let case = format!("{name}, w = {weights:?}, C = {capacity}, seed {seed}");
+                        assert_eq!(free.field_bits(), built.field_bits(), "{case}");
+                        assert_eq!(skipped.next_u64(), cells.next_u64(), "{case}: stream");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both realizations refuse the same filters with the same errors.
+    #[test]
+    fn cell_free_filter_errors_as_the_cell_built_one() {
+        let config = FilterConfig::paper();
+        let cases: [(&[u64], u64, CimError); 3] = [
+            (&[], 0, CimError::EmptyProblem),
+            (
+                &[3, 65, 66],
+                10,
+                CimError::WeightTooLarge {
+                    item: 1,
+                    weight: 65,
+                    limit: 64,
+                },
+            ),
+            (
+                &[3, 4],
+                129,
+                CimError::CapacityTooLarge {
+                    capacity: 129,
+                    limit: 128,
+                },
+            ),
+        ];
+        for (weights, capacity, expected) in cases {
+            let mut rng = StdRng::seed_from_u64(1);
+            let built = InequalityFilter::build(weights, capacity, &config, &mut rng).unwrap_err();
+            assert_eq!(built, expected);
+            let free = Fabricated::<ArrayRead>::build(weights, capacity, &config, &mut rng)
+                .err()
+                .expect("refused");
+            assert_eq!(free, expected);
+        }
     }
 
     /// A filter's read model, both arrays' cells dropped, reads as the

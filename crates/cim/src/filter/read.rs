@@ -9,13 +9,12 @@ use crate::filter::{FilterDecision, VoltageComparator};
 /// thresholds — plain data, no cells.
 ///
 /// This is what the SA hot loop reads. [`InequalityFilter`] delegates
-/// its [`classify_load`] here, and [`into_read_model`] keeps only this
-/// once a chip is programmed, dropping the cells that only the
+/// its [`classify_load`] here; a programmed chip fabricates only this
+/// ([`build_bank`](Self::build_bank)), never the cells that only the
 /// device-accurate paths ([`classify`], waveforms) need.
 ///
 /// [`InequalityFilter`]: crate::filter::InequalityFilter
 /// [`classify_load`]: crate::filter::InequalityFilter::classify_load
-/// [`into_read_model`]: crate::filter::InequalityFilter::into_read_model
 /// [`classify`]: crate::filter::InequalityFilter::classify
 #[derive(Debug, Clone)]
 pub struct FilterRead {
@@ -226,6 +225,34 @@ impl FilterRead {
             + r * self.replica_spread
             + c * self.comparator.noise_sigma()
             + Self::VERDICT_SLACK
+    }
+
+    /// Every field's bits, for the fabrication law tests: two read
+    /// models are the same model exactly when these are equal.
+    #[cfg(test)]
+    pub(super) fn field_bits(&self) -> Vec<u64> {
+        let mut bits = self.working.field_bits().to_vec();
+        bits.extend(self.replica.field_bits());
+        bits.extend(
+            [
+                self.comparator.offset(),
+                self.comparator.noise_sigma(),
+                self.decision_margin,
+                self.replica_threshold,
+                self.working_unit_drop,
+                self.replica_sigma,
+                self.replica_spread,
+            ]
+            .map(f64::to_bits),
+        );
+        bits.extend([
+            self.capacity,
+            self.admit_upto,
+            self.veto_from,
+            self.max_load,
+        ]);
+        bits.extend(self.certain_draws.map(u64::from));
+        bits
     }
 
     /// Margin (V) added to the shifts of [`admits_all`](Self::admits_all)

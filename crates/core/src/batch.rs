@@ -238,6 +238,8 @@ impl BatchRunner {
     /// worker threads: the deterministic fan-out primitive every run
     /// method uses, public so report layers can put per-instance work
     /// (such as re-running a reference heuristic) on the same threads.
+    /// The calling thread is one of the workers, so a one-worker map
+    /// (every [`serial`](Self::serial) runner's) spawns no thread.
     pub fn map_indexed<R, F>(&self, n: usize, job: F) -> Vec<R>
     where
         R: Send,
@@ -249,18 +251,19 @@ impl BatchRunner {
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<&mut Option<R>>> = results.iter_mut().map(Mutex::new).collect();
-        let (next_ref, slots_ref, job_ref) = (&next, &slots, &job);
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n) {
-                scope.spawn(move || loop {
-                    let idx = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let r = job_ref(idx);
-                    **slots_ref[idx].lock().expect("slot lock") = Some(r);
-                });
+        let work = || loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= n {
+                break;
             }
+            let r = job(idx);
+            **slots[idx].lock().expect("slot lock") = Some(r);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..self.threads.min(n) {
+                scope.spawn(work);
+            }
+            work();
         });
         drop(slots);
         results
@@ -418,6 +421,17 @@ mod tests {
         }
         let empty: Vec<u64> = Vec::new();
         assert!(BatchRunner::serial().run_seeds(&engine, &empty).is_empty());
+    }
+
+    #[test]
+    fn serial_runs_every_job_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = BatchRunner::serial().map_indexed(5, |_| std::thread::current().id());
+        assert_eq!(ran_on, vec![caller; 5]);
+        // With the caller as one of three workers, results still land
+        // in index order.
+        let squares = BatchRunner::new().with_threads(3).map_indexed(7, |k| k * k);
+        assert_eq!(squares, (0..7).map(|k| k * k).collect::<Vec<_>>());
     }
 
     #[test]

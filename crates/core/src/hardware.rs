@@ -16,10 +16,18 @@
 //! Fabrication draws only from the hardware seed's stream and a solve
 //! only from its own, so one chip shared by every solve gives the bits
 //! a chip rebuilt for each solve would.
+//!
+//! No chip builds a cell. A [`BankChip`] fabricates its filters' read
+//! models and its crossbar's stored matrix directly
+//! ([`FilterRead::build_bank`], [`Crossbar::program_stored`]), skipping
+//! the cells' variability draws, bit for bit what the cell-built
+//! `FilterBank` and `Crossbar` of `hycim-cim` would hold. Those keep
+//! their cells for the device-accurate paths: the Fig. 5/8 validation
+//! bins and perfbench's hardware rebuild.
 
 use hycim_anneal::{AnnealState, FlipOutcome};
 use hycim_cim::crossbar::{Crossbar, CrossbarConfig};
-use hycim_cim::filter::{FilterBank, FilterConfig, FilterRead};
+use hycim_cim::filter::{FilterConfig, FilterRead};
 use hycim_cim::CimError;
 use hycim_fefet::GaussianDraw;
 use hycim_qubo::dqubo::DquboForm;
@@ -77,7 +85,7 @@ impl Readout {
     }
 }
 
-/// A programmed HyCiM chip: the read models of a [`FilterBank`] (one
+/// A programmed HyCiM chip: the read models of a filter bank (one
 /// inequality filter per constraint) and the CiM crossbar's stored
 /// matrix and readout noise — everything a solve reads and nothing it
 /// writes (paper Fig. 3).
@@ -86,10 +94,13 @@ impl Readout {
 /// it through a [`BankHardwareState`]. Fabrication samples device
 /// variability from `rng` filter by filter in constraint order, then
 /// for the crossbar, so a fixed hardware seed fabricates the same
-/// "chip instance". Each filter keeps only its cell-free
-/// [`FilterRead`]: the per-cell arrays serve the device-accurate
-/// validation paths of `hycim-cim`, not the SA loop, and are dropped
-/// once the chip is programmed.
+/// "chip instance". The chip never builds a cell: each filter is
+/// fabricated as its [`FilterRead`] alone, each cell's variability
+/// draw skipped, and the crossbar as its stored matrix, with no bit
+/// planes. The per-cell arrays of `hycim-cim` (`FilterBank`,
+/// `Crossbar`) serve the device-accurate validation paths, not the SA
+/// loop; they hold the same read models and matrix for the same
+/// stream.
 #[derive(Debug, Clone)]
 pub struct BankChip {
     /// Per-filter fast-path read models, in constraint order.
@@ -109,22 +120,27 @@ impl BankChip {
     /// # Errors
     ///
     /// Propagates [`CimError`] from filter-bank or crossbar
-    /// construction — the hardware mapping check.
+    /// construction — the hardware mapping check, with the errors the
+    /// cell-built blocks return.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a crossbar configuration [`Crossbar::program`] panics
+    /// on (an ADC resolution outside `1..=24` bits, say).
     pub fn build(
         problem: &MultiInequalityQubo,
         filter_config: &FilterConfig,
         crossbar_config: &CrossbarConfig,
         rng: &mut StdRng,
     ) -> Result<Self, CimError> {
-        let filters = FilterBank::build(problem.constraints(), filter_config, rng)?;
-        let crossbar = Crossbar::program(problem.objective(), crossbar_config, rng)?;
-        // Typical readout activates about half the programmed cells.
-        let typical_active = crossbar.mapping().programmed_cells() / 2;
+        let filters = FilterRead::build_bank(problem.constraints(), filter_config, rng)?;
+        let (matrix, readout_sigma) =
+            Crossbar::program_stored(problem.objective(), crossbar_config)?;
         Ok(Self {
-            filters: filters.into_read_models(),
+            filters,
             constraints: problem.constraints().to_vec(),
-            readout_sigma: crossbar.readout_sigma(typical_active),
-            matrix: crossbar.stored_matrix().clone(),
+            matrix,
+            readout_sigma,
         })
     }
 }
@@ -627,6 +643,131 @@ mod tests {
                 assert!(mkp.is_feasible(hw.assignment()), "step {step} violated");
             }
         }
+    }
+
+    /// The chip's parts as the cell-built blocks of `hycim-cim` make
+    /// them: a [`FilterBank`] and a [`Crossbar`], every cell programmed.
+    fn cell_built(
+        problem: &MultiInequalityQubo,
+        filter_config: &FilterConfig,
+        crossbar_config: &CrossbarConfig,
+        rng: &mut StdRng,
+    ) -> Result<(Vec<FilterRead>, QuboMatrix, f64), CimError> {
+        use hycim_cim::filter::FilterBank;
+        let bank = FilterBank::build(problem.constraints(), filter_config, rng)?;
+        let crossbar = Crossbar::program(problem.objective(), crossbar_config, rng)?;
+        let typical = crossbar.readout_sigma(crossbar.mapping().programmed_cells() / 2);
+        Ok((
+            bank.into_read_models(),
+            crossbar.stored_matrix().clone(),
+            typical,
+        ))
+    }
+
+    /// A chip fabricated without cells holds what the cell-built blocks
+    /// hold — the filters' read models (compared through their exact
+    /// `Debug` text; `hycim-cim` checks them field by field), the stored
+    /// matrix's bits and the readout σ — and leaves the hardware stream
+    /// at the same word: on a paper-noise QKP and a 5-constraint MKP.
+    #[test]
+    fn cell_free_chip_holds_what_the_cell_built_blocks_hold() {
+        use hycim_cop::CopProblem;
+        let mkp = hycim_cop::mkp::MkpGenerator::new(20, 5).generate(3);
+        let problems = [
+            qkp_form(40, 0.5, 7),
+            mkp.to_multi_inequality_qubo().unwrap(),
+        ];
+        for (p, mq) in problems.iter().enumerate() {
+            for seed in 0..3 {
+                let (filter, crossbar) = (FilterConfig::default(), CrossbarConfig::paper());
+                let mut free = StdRng::seed_from_u64(seed);
+                let mut cells = free.clone();
+                let chip = BankChip::build(mq, &filter, &crossbar, &mut free).unwrap();
+                let (reads, matrix, sigma) =
+                    cell_built(mq, &filter, &crossbar, &mut cells).unwrap();
+                assert_eq!(
+                    format!("{:?}", chip.filters),
+                    format!("{reads:?}"),
+                    "problem {p}"
+                );
+                let bits = |q: &QuboMatrix| -> Vec<u64> {
+                    (0..q.dim())
+                        .flat_map(|i| (i..q.dim()).map(move |j| (i, j)))
+                        .map(|(i, j)| q.get(i, j).to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&chip.matrix), bits(&matrix), "problem {p}");
+                assert_eq!(chip.readout_sigma.to_bits(), sigma.to_bits(), "problem {p}");
+                assert_eq!(free.random::<u64>(), cells.random::<u64>(), "problem {p}");
+            }
+        }
+    }
+
+    /// The chip refuses what the cell-built blocks refuse, with the same
+    /// error, and panics as [`Crossbar::program`] does on a bad ADC
+    /// configuration. (`EmptyProblem` and `DimensionMismatch` cannot
+    /// reach the chip: a [`MultiInequalityQubo`] refuses them itself;
+    /// `hycim-cim` checks them on `FilterRead::build_bank`.)
+    #[test]
+    fn cell_free_chip_errors_as_the_cell_built_blocks() {
+        let problem = |n: usize, weights: Vec<u64>, capacity| {
+            let constraint = LinearConstraint::new(weights, capacity).unwrap();
+            MultiInequalityQubo::new(QuboMatrix::zeros(n), vec![constraint]).unwrap()
+        };
+        let cases = [
+            (
+                problem(3, vec![1, 70, 2], 5),
+                CimError::WeightTooLarge {
+                    item: 1,
+                    weight: 70,
+                    limit: 64,
+                },
+            ),
+            (
+                problem(2, vec![1, 2], 200),
+                CimError::CapacityTooLarge {
+                    capacity: 200,
+                    limit: 128,
+                },
+            ),
+            (
+                problem(4097, vec![1; 4097], 5),
+                CimError::MatrixTooLarge {
+                    dim: 4097,
+                    limit: 4096,
+                },
+            ),
+        ];
+        let (filter, crossbar) = (FilterConfig::default(), CrossbarConfig::paper());
+        for (mq, expected) in &cases {
+            let mut rng = StdRng::seed_from_u64(1);
+            let built = cell_built(mq, &filter, &crossbar, &mut rng).unwrap_err();
+            assert_eq!(&built, expected);
+            let chip = BankChip::build(mq, &filter, &crossbar, &mut rng).unwrap_err();
+            assert_eq!(&chip, expected);
+        }
+        let mq = qkp_form(8, 0.5, 1);
+        let bad_adc = CrossbarConfig {
+            adc_bits: 0,
+            ..CrossbarConfig::paper()
+        };
+        let message = |built: bool| {
+            let payload = std::panic::catch_unwind(|| {
+                let mut rng = StdRng::seed_from_u64(2);
+                if built {
+                    cell_built(&mq, &filter, &bad_adc, &mut rng).map(|_| ())
+                } else {
+                    BankChip::build(&mq, &filter, &bad_adc, &mut rng).map(|_| ())
+                }
+            })
+            .expect_err("a bad ADC configuration panics");
+            payload.downcast_ref::<&str>().map(|s| s.to_string())
+        };
+        assert_eq!(message(false), message(true));
+        assert_eq!(
+            message(false).as_deref(),
+            Some("adc bits must be in 1..=24")
+        );
     }
 
     /// Passes probes through to `inner`, counting deferred readouts and

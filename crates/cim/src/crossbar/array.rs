@@ -121,12 +121,11 @@ impl Crossbar {
     ) -> Result<Self, CimError> {
         let _ = rng; // array-level D2D effects are folded into read noise
         let (quant, adc) = quantize(q, config)?;
-        let (dequantized, _, _) = stored_levels(&quant);
         Ok(Self {
             mapping: CrossbarMapping::from_quantized(&quant),
             adc,
             config: config.clone(),
-            dequantized,
+            dequantized: quant.dequantize(),
         })
     }
 

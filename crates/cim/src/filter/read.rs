@@ -297,3 +297,20 @@ fn first_failing(end: u64, holds: impl Fn(u64) -> bool) -> u64 {
     }
     lo
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// An empty bank (a chip with no filters) admits every load vector
+    /// and draws nothing: the stream's next word is a fresh stream's.
+    #[test]
+    fn an_empty_bank_admits_without_drawing() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut fresh = rng.clone();
+        assert!(FilterRead::admits_all(&[], &[], &mut rng));
+        assert_eq!(rng.random::<u64>(), fresh.random::<u64>());
+    }
+}

@@ -42,10 +42,7 @@ use hycim_qubo::{Assignment, InequalityQubo, MultiInequalityQubo};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{
-    run_annealing, BankChip, BankHardwareState, DquboChip, DquboConfig, DquboHardwareState,
-    HyCimConfig, HycimError, Solution,
-};
+use crate::{run_annealing, Chip, ChipState, DquboConfig, HyCimConfig, HycimError, Solution};
 
 /// A solver backend over a [`CopProblem`]: construction validates the
 /// encoding eagerly; [`solve`](Engine::solve) is a pure function of
@@ -112,7 +109,7 @@ impl<P: CopProblem, E: Engine<P> + ?Sized> Engine<P> for Box<E> {
 /// over the problem being encoded.
 ///
 /// Both filtered backends are this one type over the
-/// [`BankHardwareState`], differing only in the encoding they program:
+/// [`ChipState`], differing only in the encoding they program:
 ///
 /// * [`HyCimEngine::new`] (`"hycim"`) — the paper's single-constraint
 ///   inequality-QUBO form on a one-filter bank. Multi-constraint COPs
@@ -125,7 +122,7 @@ impl<P: CopProblem, E: Engine<P> + ?Sized> Engine<P> for Box<E> {
 ///   natively. On a single-constraint problem both constructors build
 ///   the same chip and return bit-identical solutions.
 ///
-/// Fabricate once: construction programs one [`BankChip`] from
+/// Fabricate once: construction programs one [`Chip`] from
 /// `hardware_seed` — the bank's filters in constraint order from one
 /// RNG stream, then the crossbar — and every solve anneals against
 /// that chip, which it only reads. The same seed builds the same "chip
@@ -142,7 +139,7 @@ pub struct HyCimEngine<P: CopProblem> {
     config: HyCimConfig,
     /// The programmed hardware (device variability is sampled
     /// per-engine, like a real chip).
-    chip: BankChip,
+    chip: Chip,
 }
 
 impl<P: CopProblem> HyCimEngine<P> {
@@ -185,7 +182,7 @@ impl<P: CopProblem> HyCimEngine<P> {
         // Programming the chip is the mapping check: configuration
         // errors surface at build time, not first solve.
         let mut rng = StdRng::seed_from_u64(hardware_seed);
-        let chip = BankChip::build(encoded, &config.filter, &config.crossbar, &mut rng)?;
+        let chip = Chip::build(encoded, &config.filter, &config.crossbar, &mut rng)?;
         Ok(Self {
             problem: problem.clone(),
             backend,
@@ -208,7 +205,7 @@ impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
         // A Monte-Carlo sampled feasible start (as in the paper); the
         // anneal stream is then seeded afresh from the same seed.
         let initial = self.problem.initial(&mut StdRng::seed_from_u64(seed));
-        let mut state = BankHardwareState::new(&self.chip, initial);
+        let mut state = ChipState::new(&self.chip, initial);
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = run_annealing(&mut state, &self.config.anneal, &mut rng);
         let assignment = trace.best_assignment().clone();
@@ -219,9 +216,11 @@ impl<P: CopProblem> Engine<P> for HyCimEngine<P> {
 /// The D-QUBO baseline engine the paper compares against (Sec 4.3,
 /// Fig. 10), generic over the problem being encoded.
 ///
-/// The penalty form is quantized onto one [`DquboChip`] per engine, at
-/// its first solve; every solve reads that chip, so `solve(seed)` is a
-/// pure function of the seed.
+/// D-QUBO runs on the same hardware model as HyCiM with no filter in
+/// front: the penalty form is quantized onto one filterless [`Chip`]
+/// ([`Chip::dqubo`]) per engine, at its first solve. Every solve
+/// anneals on that chip through a [`ChipState`] and only reads it, so
+/// `solve(seed)` is a pure function of the seed.
 #[derive(Debug, Clone)]
 pub struct DquboEngine<P: CopProblem> {
     problem: P,
@@ -230,7 +229,7 @@ pub struct DquboEngine<P: CopProblem> {
     /// Programmed by the first solve rather than at construction:
     /// quantizing cannot fail, so construction has no mapping to check,
     /// and an engine that is built but never solved skips the cost.
-    chip: OnceLock<DquboChip>,
+    chip: OnceLock<Chip>,
 }
 
 impl<P: CopProblem> DquboEngine<P> {
@@ -274,9 +273,9 @@ impl<P: CopProblem> Engine<P> for DquboEngine<P> {
         let items = Assignment::random_with_density(self.form.num_items(), 0.3, &mut rng);
         let initial = self.form.lift(&items);
         let chip = self.chip.get_or_init(|| {
-            DquboChip::build(&self.form, self.config.bits, self.config.current_sigma_rel)
+            Chip::dqubo(&self.form, self.config.bits, self.config.current_sigma_rel)
         });
-        let mut state = DquboHardwareState::new(chip, initial);
+        let mut state = ChipState::new(chip, initial);
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = run_annealing(&mut state, &self.config.anneal, &mut rng);
         // Decode the best extended configuration back to the problem
@@ -560,7 +559,7 @@ mod tests {
         // Route through the raw-problem impl: a MultiInequalityQubo is
         // not itself a CopProblem, so check via the chip directly.
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(BankChip::build(
+        assert!(Chip::build(
             &mq,
             &HyCimConfig::default().filter,
             &HyCimConfig::default().crossbar,

@@ -1,5 +1,5 @@
-//! Hardware-backed [`AnnealState`] implementations: the glue between
-//! the SA logic and the CiM circuit models (paper Fig. 3 / Fig. 6(b)).
+//! Hardware-backed [`AnnealState`]: the glue between the SA logic and
+//! the CiM circuit models (paper Fig. 3 / Fig. 6(b)).
 //!
 //! The SA hot loop does not re-simulate every cell per iteration (see
 //! `docs/ARCHITECTURE.md`, "The hot path"); it uses the crossbar's
@@ -10,14 +10,16 @@
 //! validate this equivalence in tests and generate the paper's
 //! validation figures.
 //!
-//! Each backend splits into an immutable chip ([`BankChip`],
-//! [`DquboChip`]), programmed once per engine, and a per-solve state
-//! ([`BankHardwareState`], [`DquboHardwareState`]) that borrows it.
-//! Fabrication draws only from the hardware seed's stream and a solve
-//! only from its own, so one chip shared by every solve gives the bits
-//! a chip rebuilt for each solve would.
+//! There is one chip type, [`Chip`], programmed once per engine, and
+//! one per-solve state, [`ChipState`], that borrows it. A HyCiM chip
+//! ([`Chip::build`]) puts one inequality filter per constraint in front
+//! of the crossbar; the D-QUBO baseline ([`Chip::dqubo`]) is a chip
+//! with no filters, whose crossbar stores the penalty form. Fabrication
+//! draws only from the hardware seed's stream and a solve only from its
+//! own, so one chip shared by every solve gives the bits a chip rebuilt
+//! for each solve would.
 //!
-//! No chip builds a cell. A [`BankChip`] fabricates its filters' read
+//! No chip builds a cell. [`Chip::build`] fabricates its filters' read
 //! models and its crossbar's stored matrix directly
 //! ([`FilterRead::build_bank`], [`Crossbar::program_stored`]), skipping
 //! the cells' variability draws, bit for bit what the cell-built
@@ -85,35 +87,35 @@ impl Readout {
     }
 }
 
-/// A programmed HyCiM chip: the read models of a filter bank (one
-/// inequality filter per constraint) and the CiM crossbar's stored
-/// matrix and readout noise — everything a solve reads and nothing it
-/// writes (paper Fig. 3).
+/// A programmed CiM chip: the read models of a filter bank (one
+/// inequality filter per constraint, none on the D-QUBO baseline) and
+/// the crossbar's stored matrix and readout noise — everything a solve
+/// reads and nothing it writes (paper Fig. 3).
 ///
 /// An engine fabricates its chip once, and every solve anneals against
-/// it through a [`BankHardwareState`]. Fabrication samples device
+/// it through a [`ChipState`]. [`Chip::build`] samples device
 /// variability from `rng` filter by filter in constraint order, then
 /// for the crossbar, so a fixed hardware seed fabricates the same
 /// "chip instance". The chip never builds a cell: each filter is
 /// fabricated as its [`FilterRead`] alone, each cell's variability
 /// draw skipped, and the crossbar as its stored matrix, with no bit
-/// planes. The per-cell arrays of `hycim-cim` (`FilterBank`,
-/// `Crossbar`) serve the device-accurate validation paths, not the SA
-/// loop; they hold the same read models and matrix for the same
-/// stream.
+/// planes.
 #[derive(Debug, Clone)]
-pub struct BankChip {
+pub struct Chip {
     /// Per-filter fast-path read models, in constraint order.
     filters: Vec<FilterRead>,
     /// The constraints the filters encode, in the same order.
     constraints: Vec<LinearConstraint>,
     /// The matrix the crossbar actually stores (quantized).
     matrix: QuboMatrix,
+    /// Constant added to the stored matrix's energy: 0 on HyCiM, the
+    /// penalty expansion's constant on D-QUBO.
+    offset: f64,
     /// Per-readout energy noise sigma.
     readout_sigma: f64,
 }
 
-impl BankChip {
+impl Chip {
     /// Programs one filter per constraint of `problem`, then the
     /// crossbar with its objective.
     ///
@@ -140,25 +142,53 @@ impl BankChip {
             filters,
             constraints: problem.constraints().to_vec(),
             matrix,
+            offset: 0.0,
             readout_sigma,
         })
     }
+
+    /// The D-QUBO baseline chip: the penalty-form matrix as a (much
+    /// larger) crossbar stores it, with no filter (paper Sec 2.1,
+    /// Fig. 10). `bits` overrides the quantization width (`None` →
+    /// `⌈log₂(Q_ij)MAX⌉`, the paper's setting, which is lossless for
+    /// integer penalties).
+    ///
+    /// The stored matrix is not materialized as a cell array: at
+    /// n ≈ 2600 and 25 bits that would be hundreds of millions of cells
+    /// (the very overhead Fig. 9(c) charges against D-QUBO).
+    pub fn dqubo(form: &DquboForm, bits: Option<u32>, current_sigma_rel: f64) -> Self {
+        let bits = bits.unwrap_or_else(|| hycim_qubo::quant::matrix_bits(form.matrix()));
+        let quant = QuantizedMatrix::quantize(form.matrix(), bits);
+        let matrix = quant.dequantize();
+        // Same readout model as the HyCiM crossbar: σ grows with the
+        // active cell count, which for the D-QUBO matrix is large.
+        let typical_active = matrix.nonzeros() * bits as usize / 2;
+        Self {
+            filters: Vec::new(),
+            constraints: Vec::new(),
+            readout_sigma: current_sigma_rel * (typical_active as f64).sqrt() * quant.scale(),
+            matrix,
+            offset: form.offset(),
+        }
+    }
 }
 
-/// One solve's state on a [`BankChip`]: the configuration, its
+/// One solve's state on a [`Chip`]: the configuration, its
 /// per-constraint loads and reported energy, the pending crossbar
 /// readout and the local fields — the SA bookkeeping of paper
 /// Fig. 6(b).
 ///
-/// This is the one filtered-hardware state. A single-constraint
-/// problem (the paper's QKP) runs on a one-filter chip, whose filter
-/// was fabricated from the same RNG stream and spends the same classify
-/// draws as a lone filter would. Multi-constraint COPs (bin packing,
-/// the multi-dimensional knapsack) program their *exact*
-/// per-constraint form: every proposed flip is classified by all `k`
-/// filters concurrently (in hardware the bank shares one 4-phase
-/// matchline read, so the latency is that of a single filter) and
-/// reaches the crossbar only when every filter admits it.
+/// A single-constraint problem (the paper's QKP) runs on a one-filter
+/// chip, whose filter was fabricated from the same RNG stream and
+/// spends the same classify draws as a lone filter would.
+/// Multi-constraint COPs (bin packing, the multi-dimensional knapsack)
+/// program their *exact* per-constraint form: every proposed flip is
+/// classified by all `k` filters concurrently (in hardware the bank
+/// shares one 4-phase matchline read, so the latency is that of a
+/// single filter) and reaches the crossbar only when every filter
+/// admits it. On the filterless D-QUBO chip (`k = 0`) every move is
+/// admissible and pays a full crossbar evaluation; an empty bank draws
+/// nothing, so the state takes exactly the crossbar's draws.
 ///
 /// The SA hot loop tracks each constraint's load `Σw⁽ᵏ⁾ᵢxᵢ`
 /// incrementally — O(k) per flip — and reads the filters' fast path
@@ -170,8 +200,8 @@ impl BankChip {
 /// solve is bit-identical to one that evaluates every draw. The chip
 /// is only read, so any number of states can share it.
 #[derive(Debug, Clone)]
-pub struct BankHardwareState<'c> {
-    chip: &'c BankChip,
+pub struct ChipState<'c> {
+    chip: &'c Chip,
     x: Assignment,
     /// Current per-constraint loads, index-aligned with the filters.
     loads: Vec<u64>,
@@ -186,14 +216,14 @@ pub struct BankHardwareState<'c> {
     fields: LocalFieldState,
 }
 
-impl<'c> BankHardwareState<'c> {
+impl<'c> ChipState<'c> {
     /// Starts a solve on `chip` at `initial`.
     ///
     /// # Panics
     ///
     /// Panics if `initial` violates any constraint or has the wrong
     /// length.
-    pub fn new(chip: &'c BankChip, initial: Assignment) -> Self {
+    pub fn new(chip: &'c Chip, initial: Assignment) -> Self {
         assert!(
             chip.constraints.iter().all(|c| c.is_satisfied(&initial)),
             "initial configuration must satisfy every constraint"
@@ -203,7 +233,7 @@ impl<'c> BankHardwareState<'c> {
             chip,
             proposed: vec![0; loads.len()],
             loads,
-            energy: chip.matrix.energy(&initial),
+            energy: chip.matrix.energy(&initial) + chip.offset,
             readout: Readout::new(chip.readout_sigma),
             fields: LocalFieldState::new(&chip.matrix, &initial),
             x: initial,
@@ -215,9 +245,14 @@ impl<'c> BankHardwareState<'c> {
         &self.loads
     }
 
-    /// Fills `self.proposed` with the loads after flipping `bits`
-    /// (distinct indices).
-    fn propose(&mut self, bits: &[usize]) {
+    /// Whether every filter admits the loads after flipping `bits`
+    /// (distinct indices), which it leaves in `self.proposed` (fast
+    /// path: analog matchline + comparator noise per filter, read
+    /// concurrently). A chip with no filters admits every move unread.
+    fn admits_flip(&mut self, bits: &[usize], rng: &mut StdRng) -> bool {
+        if self.chip.filters.is_empty() {
+            return true;
+        }
         for (k, c) in self.chip.constraints.iter().enumerate() {
             let row = c.weights();
             let mut load = self.loads[k] as i64;
@@ -228,6 +263,7 @@ impl<'c> BankHardwareState<'c> {
             debug_assert!(load >= 0, "loads are sums of selected non-negative weights");
             self.proposed[k] = load.max(0) as u64;
         }
+        FilterRead::admits_all(&self.chip.filters, &self.proposed, rng)
     }
 
     /// Applies a committed flip of `bits` to the load caches.
@@ -244,15 +280,9 @@ impl<'c> BankHardwareState<'c> {
             }
         }
     }
-
-    /// Whether every filter admits `loads` (fast path: analog
-    /// matchline + comparator noise per filter, read concurrently).
-    fn admits(&self, loads: &[u64], rng: &mut StdRng) -> bool {
-        FilterRead::admits_all(&self.chip.filters, loads, rng)
-    }
 }
 
-impl AnnealState for BankHardwareState<'_> {
+impl AnnealState for ChipState<'_> {
     fn dim(&self) -> usize {
         self.chip.matrix.dim()
     }
@@ -266,8 +296,7 @@ impl AnnealState for BankHardwareState<'_> {
     }
 
     fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
-        self.propose(&[i]);
-        if !self.admits(&self.proposed, rng) {
+        if !self.admits_flip(&[i], rng) {
             return FlipOutcome::Infeasible;
         }
         let exact = self.fields.flip_delta(&self.x, i);
@@ -286,8 +315,7 @@ impl AnnealState for BankHardwareState<'_> {
 
     fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
         assert_ne!(i, j, "pair flip needs two distinct bits");
-        self.propose(&[i, j]);
-        if !self.admits(&self.proposed, rng) {
+        if !self.admits_flip(&[i, j], rng) {
             return FlipOutcome::Infeasible;
         }
         let exact = self
@@ -308,125 +336,7 @@ impl AnnealState for BankHardwareState<'_> {
         // again. Two extra reads of the whole bank make a rare noisy
         // false-feasible admission on any filter vanishingly unlikely
         // to persist.
-        (0..2).all(|_| self.admits(&self.loads, rng))
-    }
-}
-
-/// The D-QUBO baseline chip: the penalty-form matrix as a (much
-/// larger) crossbar stores it, no filter (paper Sec 2.1, Fig. 10).
-///
-/// The expanded matrix is quantized at
-/// `⌈log₂(Q_ij)MAX⌉` bits (or an explicit override for ablations) but
-/// not materialized as a cell array: at n ≈ 2600 and 25 bits that
-/// would be hundreds of millions of cells (the very overhead Fig. 9(c)
-/// charges against D-QUBO). An engine quantizes once, on its first
-/// solve; every solve reads the chip through a
-/// [`DquboHardwareState`].
-#[derive(Debug, Clone)]
-pub struct DquboChip {
-    /// The stored (quantized, then dequantized) penalty matrix.
-    matrix: QuboMatrix,
-    /// Constant offset of the penalty expansion.
-    offset: f64,
-    /// Per-readout energy noise sigma.
-    readout_sigma: f64,
-}
-
-impl DquboChip {
-    /// Quantizes a D-QUBO form onto the crossbar. `bits` overrides the
-    /// quantization width (`None` → `⌈log₂(Q_ij)MAX⌉`, the paper's
-    /// setting, which is lossless for integer penalties).
-    pub fn build(form: &DquboForm, bits: Option<u32>, current_sigma_rel: f64) -> Self {
-        let bits = bits.unwrap_or_else(|| hycim_qubo::quant::matrix_bits(form.matrix()));
-        let quant = QuantizedMatrix::quantize(form.matrix(), bits);
-        let matrix = quant.dequantize();
-        // Same readout model as the HyCiM crossbar: σ grows with the
-        // active cell count, which for the D-QUBO matrix is large.
-        let typical_active = matrix.nonzeros() * bits as usize / 2;
-        Self {
-            readout_sigma: current_sigma_rel * (typical_active as f64).sqrt() * quant.scale(),
-            matrix,
-            offset: form.offset(),
-        }
-    }
-}
-
-/// One solve's state on a [`DquboChip`]: every move is admissible and
-/// pays a full crossbar evaluation.
-#[derive(Debug, Clone)]
-pub struct DquboHardwareState<'c> {
-    chip: &'c DquboChip,
-    x: Assignment,
-    energy: f64,
-    readout: Readout,
-    /// Maintained local fields over the stored matrix.
-    fields: LocalFieldState,
-}
-
-impl<'c> DquboHardwareState<'c> {
-    /// Starts a solve on `chip` at `initial`, a configuration of the
-    /// extended (items + auxiliaries) space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial.len()` is not the chip's dimension.
-    pub fn new(chip: &'c DquboChip, initial: Assignment) -> Self {
-        assert_eq!(
-            initial.len(),
-            chip.matrix.dim(),
-            "configuration length mismatch"
-        );
-        Self {
-            chip,
-            energy: chip.matrix.energy(&initial) + chip.offset,
-            readout: Readout::new(chip.readout_sigma),
-            fields: LocalFieldState::new(&chip.matrix, &initial),
-            x: initial,
-        }
-    }
-}
-
-impl AnnealState for DquboHardwareState<'_> {
-    fn dim(&self) -> usize {
-        self.chip.matrix.dim()
-    }
-
-    fn assignment(&self) -> &Assignment {
-        &self.x
-    }
-
-    fn energy(&self) -> f64 {
-        self.energy
-    }
-
-    fn probe_flip(&mut self, i: usize, rng: &mut StdRng) -> FlipOutcome {
-        let exact = self.fields.flip_delta(&self.x, i);
-        self.readout.probe(exact, rng)
-    }
-
-    fn settle(&mut self) -> f64 {
-        self.readout.settle()
-    }
-
-    fn commit_flip(&mut self, i: usize, delta: f64) {
-        self.x.flip(i);
-        self.fields.commit_flip(&self.x, i);
-        self.energy += delta;
-    }
-
-    fn probe_pair(&mut self, i: usize, j: usize, rng: &mut StdRng) -> FlipOutcome {
-        assert_ne!(i, j, "pair flip needs two distinct bits");
-        let exact = self
-            .fields
-            .pair_delta(&self.x, i, j, self.chip.matrix.get(i, j));
-        self.readout.probe(exact, rng)
-    }
-
-    fn commit_pair(&mut self, i: usize, j: usize, delta: f64) {
-        self.x.flip(i);
-        self.x.flip(j);
-        self.fields.commit_pair(&self.x, i, j);
-        self.energy += delta;
+        (0..2).all(|_| FilterRead::admits_all(&self.chip.filters, &self.loads, rng))
     }
 }
 
@@ -456,8 +366,8 @@ mod tests {
         let mq = qkp_form(25, 0.5, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let cb_cfg = CrossbarConfig::paper().with_variation(VariationModel::none());
-        let chip = BankChip::build(&mq, &noiseless_filter_config(), &cb_cfg, &mut rng).unwrap();
-        let mut hw = BankHardwareState::new(&chip, Assignment::zeros(25));
+        let chip = Chip::build(&mq, &noiseless_filter_config(), &cb_cfg, &mut rng).unwrap();
+        let mut hw = ChipState::new(&chip, Assignment::zeros(25));
         assert_eq!(chip.filters.len(), 1);
         // Random walk: energies must track the exact objective (7-bit
         // quantization of ≤100 profits is lossless).
@@ -493,14 +403,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let heavy = Assignment::ones_vec(10);
         assert!(!mq.is_feasible(&heavy), "all ten items overload C");
-        let chip = BankChip::build(
+        let chip = Chip::build(
             &mq,
             &noiseless_filter_config(),
             &CrossbarConfig::paper(),
             &mut rng,
         )
         .unwrap();
-        let result = std::panic::catch_unwind(|| BankHardwareState::new(&chip, heavy));
+        let result = std::panic::catch_unwind(|| ChipState::new(&chip, heavy));
         assert!(result.is_err());
     }
 
@@ -508,14 +418,14 @@ mod tests {
     fn noisy_probes_have_spread() {
         let mq = qkp_form(30, 1.0, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let chip = BankChip::build(
+        let chip = Chip::build(
             &mq,
             &FilterConfig::default(),
             &CrossbarConfig::paper(),
             &mut rng,
         )
         .unwrap();
-        let mut hw = BankHardwareState::new(&chip, Assignment::zeros(30));
+        let mut hw = ChipState::new(&chip, Assignment::zeros(30));
         assert!(chip.readout_sigma > 0.0);
         let deltas: Vec<f64> = (0..50)
             .filter_map(|_| hw.probe_flip(0, &mut rng).settled(&mut hw))
@@ -537,8 +447,8 @@ mod tests {
         let (bp, mq) = bank_problem();
         let mut rng = StdRng::seed_from_u64(21);
         let cb_cfg = CrossbarConfig::paper().with_variation(VariationModel::none());
-        let chip = BankChip::build(&mq, &noiseless_filter_config(), &cb_cfg, &mut rng).unwrap();
-        let mut hw = BankHardwareState::new(&chip, Assignment::zeros(mq.dim()));
+        let chip = Chip::build(&mq, &noiseless_filter_config(), &cb_cfg, &mut rng).unwrap();
+        let mut hw = ChipState::new(&chip, Assignment::zeros(mq.dim()));
         assert_eq!(chip.filters.len(), 2);
         // Random walk: energies must track the exact objective and the
         // trajectory must stay inside every bin's capacity.
@@ -576,8 +486,8 @@ mod tests {
         let (_, mq) = bank_problem();
         let mut rng = StdRng::seed_from_u64(22);
         let cb_cfg = CrossbarConfig::paper().with_variation(VariationModel::none());
-        let chip = BankChip::build(&mq, &noiseless_filter_config(), &cb_cfg, &mut rng).unwrap();
-        let mut hw = BankHardwareState::new(&chip, Assignment::zeros(mq.dim()));
+        let chip = Chip::build(&mq, &noiseless_filter_config(), &cb_cfg, &mut rng).unwrap();
+        let mut hw = ChipState::new(&chip, Assignment::zeros(mq.dim()));
         // A pair flip landing inside both bins is admitted with the
         // exact cross-term delta.
         if let Some(delta) = hw.probe_pair(0, 3, &mut rng).settled(&mut hw) {
@@ -610,14 +520,14 @@ mod tests {
             heavy.set(i * 2, true);
         }
         assert!(!mq.is_feasible(&heavy));
-        let chip = BankChip::build(
+        let chip = Chip::build(
             &mq,
             &noiseless_filter_config(),
             &CrossbarConfig::paper(),
             &mut rng,
         )
         .unwrap();
-        let result = std::panic::catch_unwind(|| BankHardwareState::new(&chip, heavy));
+        let result = std::panic::catch_unwind(|| ChipState::new(&chip, heavy));
         assert!(result.is_err());
     }
 
@@ -627,14 +537,14 @@ mod tests {
         let mkp = hycim_cop::mkp::MkpGenerator::new(12, 3).generate(5);
         let mq = mkp.to_multi_inequality_qubo().unwrap();
         let mut rng = StdRng::seed_from_u64(24);
-        let chip = BankChip::build(
+        let chip = Chip::build(
             &mq,
             &noiseless_filter_config(),
             &CrossbarConfig::paper().with_variation(VariationModel::none()),
             &mut rng,
         )
         .unwrap();
-        let mut hw = BankHardwareState::new(&chip, Assignment::zeros(12));
+        let mut hw = ChipState::new(&chip, Assignment::zeros(12));
         assert_eq!(chip.filters.len(), 3);
         for step in 0..300 {
             let i = step % 12;
@@ -682,7 +592,7 @@ mod tests {
                 let (filter, crossbar) = (FilterConfig::default(), CrossbarConfig::paper());
                 let mut free = StdRng::seed_from_u64(seed);
                 let mut cells = free.clone();
-                let chip = BankChip::build(mq, &filter, &crossbar, &mut free).unwrap();
+                let chip = Chip::build(mq, &filter, &crossbar, &mut free).unwrap();
                 let (reads, matrix, sigma) =
                     cell_built(mq, &filter, &crossbar, &mut cells).unwrap();
                 assert_eq!(
@@ -743,7 +653,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(1);
             let built = cell_built(mq, &filter, &crossbar, &mut rng).unwrap_err();
             assert_eq!(&built, expected);
-            let chip = BankChip::build(mq, &filter, &crossbar, &mut rng).unwrap_err();
+            let chip = Chip::build(mq, &filter, &crossbar, &mut rng).unwrap_err();
             assert_eq!(&chip, expected);
         }
         let mq = qkp_form(8, 0.5, 1);
@@ -757,7 +667,7 @@ mod tests {
                 if built {
                     cell_built(&mq, &filter, &bad_adc, &mut rng).map(|_| ())
                 } else {
-                    BankChip::build(&mq, &filter, &bad_adc, &mut rng).map(|_| ())
+                    Chip::build(&mq, &filter, &bad_adc, &mut rng).map(|_| ())
                 }
             })
             .expect_err("a bad ADC configuration panics");
@@ -879,31 +789,25 @@ mod tests {
             .generate(4)
             .to_multi_inequality_qubo()
             .unwrap();
-        for (mq, seed) in [(qkp, 1), (mkp, 2)] {
-            let mut hw_rng = StdRng::seed_from_u64(seed);
-            let chip = BankChip::build(
-                &mq,
-                &FilterConfig::default(),
-                &CrossbarConfig::paper(),
-                &mut hw_rng,
-            )
-            .unwrap();
-            let state = BankHardwareState::new(&chip, Assignment::zeros(mq.dim()));
-            check_deferred_equals_eager(state, 200, seed + 10);
-        }
-    }
-
-    #[test]
-    fn deferred_readouts_equal_eager_ones_on_the_dqubo_state() {
-        let inst = QkpGenerator::new(12, 0.5)
+        let dqubo = QkpGenerator::new(12, 0.5)
             .with_capacity_range(10, 40)
-            .generate(13);
-        let form = inst
+            .generate(13)
             .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
             .unwrap();
-        let chip = DquboChip::build(&form, None, 0.02);
-        let state = DquboHardwareState::new(&chip, Assignment::zeros(form.dim()));
-        check_deferred_equals_eager(state, 200, 5);
+        let fabricate = |mq: &MultiInequalityQubo, seed| {
+            let (filter, crossbar) = (FilterConfig::default(), CrossbarConfig::paper());
+            let mut hw_rng = StdRng::seed_from_u64(seed);
+            Chip::build(mq, &filter, &crossbar, &mut hw_rng).unwrap()
+        };
+        let chips = [
+            (fabricate(&qkp, 1), 11),
+            (fabricate(&mkp, 2), 12),
+            (Chip::dqubo(&dqubo, None, 0.02), 5),
+        ];
+        for (chip, seed) in &chips {
+            let state = ChipState::new(chip, Assignment::zeros(chip.matrix.dim()));
+            check_deferred_equals_eager(state, 200, *seed);
+        }
     }
 
     #[test]
@@ -914,8 +818,8 @@ mod tests {
         let form = inst
             .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::OneHot)
             .unwrap();
-        let chip = DquboChip::build(&form, None, 0.0);
-        let mut state = DquboHardwareState::new(&chip, Assignment::zeros(form.dim()));
+        let chip = Chip::dqubo(&form, None, 0.0);
+        let mut state = ChipState::new(&chip, Assignment::zeros(form.dim()));
         let mut rng = StdRng::seed_from_u64(8);
         for step in 0..200 {
             let i = step % form.dim();
@@ -942,8 +846,8 @@ mod tests {
         let form = inst
             .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
             .unwrap();
-        let chip = DquboChip::build(&form, None, 0.0);
-        let mut state = DquboHardwareState::new(&chip, Assignment::zeros(form.dim()));
+        let chip = Chip::dqubo(&form, None, 0.0);
+        let mut state = ChipState::new(&chip, Assignment::zeros(form.dim()));
         let mut rng = StdRng::seed_from_u64(10);
         let before = state.energy();
         if let Some(delta) = state.probe_pair(0, 3, &mut rng).settled(&mut state) {
@@ -952,5 +856,21 @@ mod tests {
         let expected = form.energy(state.assignment());
         assert!((state.energy() - expected).abs() < 1e-6);
         assert_ne!(state.energy(), before);
+    }
+
+    /// With no filters, `verify_best` reads an empty bank: it admits
+    /// without touching the solve's stream.
+    #[test]
+    fn verify_best_on_the_dqubo_chip_draws_nothing() {
+        let form = QkpGenerator::new(8, 0.5)
+            .generate(3)
+            .to_dqubo(PenaltyWeights::PAPER, AuxEncoding::Binary)
+            .unwrap();
+        let chip = Chip::dqubo(&form, None, 0.02);
+        let mut state = ChipState::new(&chip, Assignment::zeros(form.dim()));
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut fresh = rng.clone();
+        assert!(state.verify_best(&mut rng));
+        assert_eq!(rng.random::<u64>(), fresh.random::<u64>());
     }
 }

@@ -18,14 +18,15 @@
 //! The engine layer is generic over the problem:
 //!
 //! * [`HyCimEngine`] — the filter + crossbar pipeline above: one
-//!   [`BankChip`] programmed per engine, read by every solve through
-//!   the one filtered-hardware state ([`BankHardwareState`]).
+//!   [`Chip`] programmed per engine, read by every solve through
+//!   one [`ChipState`].
 //!   [`HyCimEngine::new`] programs the single-constraint form;
 //!   [`HyCimEngine::bank`] programs a filter *bank* (one filter per
 //!   inequality) gating the crossbar, making bin packing bin-exact and
 //!   multi-dimensional knapsacks native.
 //! * [`DquboEngine`] — the baseline **D-QUBO** pipeline (Fig. 1(b)):
-//!   penalty encoding on a much larger crossbar, no filter.
+//!   penalty encoding on a much larger crossbar: the same [`Chip`]
+//!   with no filters ([`Chip::dqubo`]).
 //! * [`SoftwareEngine`] — a noise-free software reference.
 //! * [`PackedEngine`] — the bit-parallel software engine: 64 replicas
 //!   per solve in `u64` spin bitplanes, each lane bit-identical to a
@@ -82,7 +83,7 @@ pub use calibrate::run_annealing;
 pub use config::{AnnealSettings, DquboConfig, HyCimConfig};
 pub use engine::{DquboEngine, Engine, HyCimEngine, SoftwareEngine};
 pub use error::HycimError;
-pub use hardware::{BankChip, BankHardwareState, DquboChip, DquboHardwareState};
+pub use hardware::{Chip, ChipState};
 pub use kind::{EngineKind, EngineSettings};
 pub use packed_engine::{PackedConfig, PackedEngine};
 pub use shard::{merge_shards, Shard, ShardError, ShardPlan};

@@ -111,11 +111,23 @@ impl QuantizedMatrix {
         &self.levels
     }
 
-    /// Reconstructs the approximate real-valued matrix.
+    /// Reconstructs the approximate real-valued matrix: what a
+    /// crossbar of 1-bit cells stores. Each coefficient sums the values
+    /// `±2ᵇ·scale` of its level's set bit planes in increasing bit
+    /// order `b`, starting from zero; that order fixes the coefficient's
+    /// rounding when the scale is not 1 (at unit scale, integer levels
+    /// are exact in any order).
     pub fn dequantize(&self) -> QuboMatrix {
         let mut q = QuboMatrix::zeros(self.dim);
-        for &(i, j, l) in &self.levels {
-            q.set(i, j, l as f64 * self.scale);
+        for &(i, j, level) in &self.levels {
+            let sign = if level < 0 { -1.0 } else { 1.0 };
+            let (mut planes, mut value) = (level.unsigned_abs(), 0.0);
+            while planes != 0 {
+                let b = planes.trailing_zeros();
+                value += sign * ((1u64 << b) as f64) * self.scale;
+                planes &= planes - 1;
+            }
+            q.set(i, j, value);
         }
         q
     }

@@ -44,7 +44,7 @@ impl FlipOutcome {
 ///
 /// Implementations keep whatever caches they need (current load for
 /// the filter, maintained local fields, current energy) so that
-/// [`probe_flip`] runs in O(1) and [`commit_flip`] in O(deg(i))
+/// [`probe_flip`] runs in O(1) and [`commit_flip`] in O(n)
 /// rather than O(n²) — matching the one-shot evaluation cadence of
 /// the CiM hardware. See
 /// [`hycim_qubo::local_field`] for the field-maintenance scheme and
@@ -212,9 +212,7 @@ impl AnnealState for SoftwareState {
             return FlipOutcome::Infeasible;
         }
         FlipOutcome::Feasible {
-            delta: self
-                .fields
-                .pair_delta(&self.x, i, j, self.problem.objective().get(i, j)),
+            delta: self.fields.pair_delta(&self.x, i, j),
         }
     }
 
@@ -297,9 +295,7 @@ impl AnnealState for PenaltyState {
     fn probe_pair(&mut self, i: usize, j: usize, _rng: &mut StdRng) -> FlipOutcome {
         assert_ne!(i, j, "pair flip needs two distinct bits");
         FlipOutcome::Feasible {
-            delta: self
-                .fields
-                .pair_delta(&self.x, i, j, self.form.matrix().get(i, j)),
+            delta: self.fields.pair_delta(&self.x, i, j),
         }
     }
 

@@ -318,9 +318,7 @@ impl AnnealState for ChipState<'_> {
         if !self.admits_flip(&[i, j], rng) {
             return FlipOutcome::Infeasible;
         }
-        let exact = self
-            .fields
-            .pair_delta(&self.x, i, j, self.chip.matrix.get(i, j));
+        let exact = self.fields.pair_delta(&self.x, i, j);
         self.readout.probe(exact, rng)
     }
 

@@ -371,6 +371,29 @@ fn dqubo_solves_are_pinned() {
 }
 
 #[test]
+fn dqubo_solve_through_a_field_refresh_is_pinned() {
+    // The pins above accept fewer moves than one refresh interval, so
+    // their local fields are never recomputed. This solve accepts more,
+    // so its fields pass through at least one periodic refresh. The
+    // digest was computed by the implementation that kept the fields
+    // over CSR neighbor lists.
+    use hycim_cop::generator::QkpGenerator;
+    use hycim_qubo::local_field::DEFAULT_REFRESH_INTERVAL;
+    let qkp = QkpGenerator::new(30, 0.5).generate(5);
+    let dqubo = DquboEngine::new(&qkp, &DquboConfig::default().with_sweeps(300)).unwrap();
+    let s = dqubo.solve(1);
+    assert!(
+        s.trace.accepted() >= DEFAULT_REFRESH_INTERVAL,
+        "{} accepted moves never reach a refresh",
+        s.trace.accepted()
+    );
+    assert_eq!(
+        (solve_digest(&s), s.objective.to_bits()),
+        (0xc051_41e5_b246_e830, 0.0f64.to_bits())
+    );
+}
+
+#[test]
 fn packed_solves_are_pinned() {
     // The 64-lane packed engine as `EngineKind::Packed` builds it. The
     // lane law compares each lane against its scalar twin; these pins

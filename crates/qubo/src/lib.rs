@@ -6,9 +6,9 @@
 //! * [`QuboMatrix`] — an upper-triangular QUBO matrix `Q` with energy
 //!   `E(x) = xᵀQx` (paper Eq. 2) and O(n) incremental flip deltas.
 //! * [`LocalFieldState`] — maintained local fields
-//!   `h_i = Q_ii + Σ Q_ij·x_j` over CSR neighbor lists: O(1) flip
-//!   probes and O(deg(i)) commits, the hot-path backend of every
-//!   annealing state (see [`local_field`]).
+//!   `h_i = Q_ii + Σ Q_ij·x_j` over dense coupling rows: O(1) flip
+//!   and pair probes and O(n) contiguous commits, the hot-path
+//!   backend of every annealing state (see [`local_field`]).
 //! * [`PackedReplicaState`] — 64 replicas bit-packed into `u64` spin
 //!   bitplanes per variable with per-lane maintained fields, so one
 //!   CSR sweep advances all [`LANES`] replicas word-parallel (see
@@ -72,7 +72,7 @@ pub use constraint::LinearConstraint;
 pub use error::QuboError;
 pub use inequality::InequalityQubo;
 pub use ising::IsingModel;
-pub use local_field::{CsrNeighbors, LocalFieldState};
+pub use local_field::LocalFieldState;
 pub use matrix::QuboMatrix;
 pub use multi::MultiInequalityQubo;
 pub use packed::{PackedReplicaState, LANES};

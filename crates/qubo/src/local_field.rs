@@ -1,19 +1,23 @@
 //! Local-field incremental energy engine.
 //!
 //! The SA loop probes one move per iteration; with a dense
-//! [`QuboMatrix::flip_delta`] every probe pays an O(n) row scan even on
-//! structurally sparse problems (max-cut, spin glass, coloring). The
+//! [`QuboMatrix::flip_delta`] every probe pays an O(n) row scan. The
 //! standard annealer optimization — maintained *local fields* — turns
 //! the probe into an O(1) lookup:
 //!
 //! > `h_i = Q_ii + Σ_{j≠i} Q_ij·x_j`, so the energy change of flipping
 //! > bit `i` is `+h_i` (0→1) or `−h_i` (1→0).
 //!
-//! [`LocalFieldState`] precomputes CSR-style per-variable neighbor
-//! lists from the matrix once, then keeps every `h_i` current with an
-//! O(deg(i)) neighbor update per *committed* flip. Probes (the hot
-//! path — most SA proposals are rejected or vetoed) never touch the
-//! matrix at all.
+//! [`LocalFieldState`] copies the matrix once into dense symmetric
+//! coupling rows, then keeps every `h_i` current with one contiguous
+//! O(n) pass over row `i` per *committed* flip (the loop
+//! auto-vectorizes). Probes (the hot path — most SA proposals are
+//! rejected or vetoed) read one field, and a pair probe also reads
+//! one coupling from the rows; neither touches the matrix.
+//!
+//! The rows cost `n²` f64 per state: half of what neighbor lists take
+//! on a dense matrix (an index and a value per directed entry), and at
+//! most twice the triangular matrix itself on any matrix.
 //!
 //! # Float drift and the periodic refresh
 //!
@@ -22,38 +26,48 @@
 //! accumulated rounding (≈ machine epsilon per commit). To bound the
 //! drift, the state recomputes every field from scratch once per
 //! [`refresh_interval`](LocalFieldState::with_refresh_interval)
-//! commits (an O(nnz) pass, amortized to noise). For matrices whose
+//! commits (an O(n²) pass, amortized to noise). For matrices whose
 //! coefficients and partial sums are exactly representable — every
 //! integer-valued problem family in `hycim-cop` — the incremental
 //! fields are *bit-identical* to the dense row scans of
 //! [`QuboMatrix::flip_delta`] at all times, so a tracked energy equals
 //! the exact `xᵀQx` of the final configuration.
+//!
+//! # Zero couplings add nothing
+//!
+//! A commit adds or subtracts the whole row, structural zeros
+//! included, and a refresh sums every selected column. Each field gets
+//! exactly the float ops a walk over the nonzero couplings alone would
+//! make, in the same ascending column order, because a zero term is a
+//! no-op on any field that is not `−0.0` — and no field ever is: a
+//! zero diagonal is stored as `+0.0`, and an IEEE sum of nonzero terms
+//! that cancels rounds to `+0.0`.
 
 use crate::{Assignment, QuboMatrix};
 
 /// CSR-style symmetric neighbor lists of a QUBO matrix: the diagonal
 /// plus, per row, the off-diagonal structural nonzeros in ascending
-/// column order. Built once from the triangular matrix and shared by
-/// [`LocalFieldState`] (one replica) and
-/// [`PackedReplicaState`](crate::PackedReplicaState) (64 bit-packed
-/// replicas), so both walk *exactly* the same couplings in the same
-/// order — the property the packed-vs-scalar bit-identity laws rest
-/// on.
+/// column order. [`PackedReplicaState`](crate::PackedReplicaState)
+/// walks them for its 64 bit-packed replicas. Its lanes stay
+/// bit-identical to scalar [`LocalFieldState`] replicas, which walk
+/// dense rows instead: per field, both walks add the same nonzero
+/// couplings in the same order, and the zeros the dense walk also adds
+/// are no-ops (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
-pub struct CsrNeighbors {
+pub(crate) struct CsrNeighbors {
     /// Diagonal (linear) coefficients `Q_ii`.
-    pub diag: Vec<f64>,
+    pub(crate) diag: Vec<f64>,
     /// Row offsets into `idx`/`val`; length `n + 1`.
-    pub offsets: Vec<usize>,
+    pub(crate) offsets: Vec<usize>,
     /// Column indices of each row's off-diagonal nonzeros, ascending.
-    pub idx: Vec<usize>,
+    pub(crate) idx: Vec<usize>,
     /// Coupling `Q_ij` for the matching entry of `idx`.
-    pub val: Vec<f64>,
+    pub(crate) val: Vec<f64>,
 }
 
 impl CsrNeighbors {
     /// Builds the neighbor lists from the triangular matrix. O(n + nnz).
-    pub fn build(q: &QuboMatrix) -> Self {
+    pub(crate) fn build(q: &QuboMatrix) -> Self {
         let n = q.dim();
         let mut diag = vec![0.0; n];
         let mut degree = vec![0usize; n];
@@ -101,20 +115,30 @@ impl CsrNeighbors {
     }
 
     /// Number of variables.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.diag.len()
     }
 }
 
 /// Default number of committed flips between full field recomputes.
 ///
-/// Each refresh is O(nnz); at the default interval the amortized cost
+/// Each refresh is O(n²); at the default interval the amortized cost
 /// per commit is negligible while worst-case drift stays below
 /// `interval · ε · max|Q_ij|` (≈ 1e-10 for coefficient scale 100).
 pub const DEFAULT_REFRESH_INTERVAL: usize = 8192;
 
-/// Maintained local fields over a QUBO matrix: O(1) flip deltas, O(1)
-/// pair deltas (given the coupling), O(deg(i)) commits.
+/// Length `n·n` of the dense coupling rows of dimension `n`.
+///
+/// # Panics
+///
+/// Panics, naming the dimension, if `n·n` overflows `usize`.
+fn dense_len(n: usize) -> usize {
+    n.checked_mul(n)
+        .unwrap_or_else(|| panic!("dense coupling rows of dimension {n} overflow usize"))
+}
+
+/// Maintained local fields over a QUBO matrix: O(1) flip and pair
+/// deltas, O(n) contiguous commits.
 ///
 /// The state does not own the configuration; callers pass their
 /// `Assignment` so existing state structs keep their layout. The
@@ -142,22 +166,19 @@ pub const DEFAULT_REFRESH_INTERVAL: usize = 8192;
 ///
 /// assert_eq!(lf.flip_delta(&x, 0), -4.0);     // O(1) probe
 /// x.flip(0);
-/// lf.commit_flip(&x, 0);                      // O(deg(0)) update
+/// lf.commit_flip(&x, 0);                      // O(n) row update
 /// assert_eq!(lf.flip_delta(&x, 2), 6.0);      // feels bit 0 via h₂
 /// assert_eq!(lf.flip_delta(&x, 0), 4.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalFieldState {
     n: usize,
-    /// Diagonal (linear) coefficients `Q_ii`.
+    /// Diagonal (linear) coefficients `Q_ii`, a zero stored as `+0.0`.
     diag: Vec<f64>,
-    /// CSR row offsets into `neighbor_idx`/`neighbor_val`; length `n+1`.
-    offsets: Vec<usize>,
-    /// Column indices of the structural off-diagonal nonzeros of each
-    /// row, ascending.
-    neighbor_idx: Vec<usize>,
-    /// Coupling `Q_ij` for the matching entry of `neighbor_idx`.
-    neighbor_val: Vec<f64>,
+    /// Dense symmetric off-diagonal couplings, row-major:
+    /// `couplings[i·n + j]` holds the bits of [`QuboMatrix::get`]`(i, j)`
+    /// for `i ≠ j`, and `+0.0` on the diagonal.
+    couplings: Vec<f64>,
     /// Maintained fields `h_i = Q_ii + Σ_{j≠i} Q_ij·x_j`.
     fields: Vec<f64>,
     /// Commits since the last full recompute.
@@ -167,8 +188,8 @@ pub struct LocalFieldState {
 }
 
 impl LocalFieldState {
-    /// Builds the neighbor lists and initial fields for configuration
-    /// `x`. O(n + nnz).
+    /// Copies the matrix into dense coupling rows and builds the
+    /// initial fields for configuration `x`. O(n²).
     ///
     /// # Panics
     ///
@@ -182,13 +203,21 @@ impl LocalFieldState {
             q.dim()
         );
         let n = q.dim();
-        let csr = CsrNeighbors::build(q);
+        let mut diag = vec![0.0; n];
+        let mut couplings = vec![0.0; dense_len(n)];
+        for i in 0..n {
+            let (d, upper) = q.upper_row(i).split_first().expect("row i holds Q_ii");
+            // `-0.0 == 0.0`: a negative zero diagonal is stored as `+0.0`.
+            diag[i] = if *d == 0.0 { 0.0 } else { *d };
+            couplings[i * n + i + 1..(i + 1) * n].copy_from_slice(upper);
+            for (j, &v) in (i + 1..n).zip(upper) {
+                couplings[j * n + i] = v;
+            }
+        }
         let mut state = Self {
             n,
-            diag: csr.diag,
-            offsets: csr.offsets,
-            neighbor_idx: csr.idx,
-            neighbor_val: csr.val,
+            diag,
+            couplings,
             fields: vec![0.0; n],
             commits: 0,
             refresh_interval: DEFAULT_REFRESH_INTERVAL,
@@ -214,6 +243,12 @@ impl LocalFieldState {
         self.fields[i]
     }
 
+    /// The coupling `Q_ij` for `i ≠ j`, bit for bit what
+    /// [`QuboMatrix::get`] returns; `+0.0` for `i == j`. O(1).
+    pub fn coupling(&self, i: usize, j: usize) -> f64 {
+        self.couplings[i * self.n..(i + 1) * self.n][j]
+    }
+
     /// Commits since the last full recompute (diagnostic).
     pub fn commits_since_refresh(&self) -> usize {
         self.commits
@@ -230,56 +265,59 @@ impl LocalFieldState {
     }
 
     /// Energy change of flipping bits `i` and `j` together:
-    /// `Δᵢ + Δⱼ + q_ij·dᵢ·dⱼ` with `d = +1` for 0→1 and `−1`
-    /// otherwise. The caller passes the cross coupling `q_ij` from its
-    /// stored matrix ([`QuboMatrix::get`], O(1)).
+    /// `Δᵢ + Δⱼ + Q_ij·dᵢ·dⱼ` with `d = +1` for 0→1 and `−1`
+    /// otherwise. O(1): the cross coupling is read from the rows.
     ///
     /// # Panics
     ///
     /// Panics if `i == j`.
-    pub fn pair_delta(&self, x: &Assignment, i: usize, j: usize, q_ij: f64) -> f64 {
+    pub fn pair_delta(&self, x: &Assignment, i: usize, j: usize) -> f64 {
         assert_ne!(i, j, "pair delta needs two distinct bits");
         let di = if x.get(i) { -1.0 } else { 1.0 };
         let dj = if x.get(j) { -1.0 } else { 1.0 };
-        self.flip_delta(x, i) + self.flip_delta(x, j) + q_ij * di * dj
+        self.flip_delta(x, i) + self.flip_delta(x, j) + self.coupling(i, j) * di * dj
     }
 
     /// Applies a committed flip of bit `i` to the fields. `x` must be
-    /// the configuration *after* the flip. O(deg(i)).
+    /// the configuration *after* the flip. O(n).
     pub fn commit_flip(&mut self, x: &Assignment, i: usize) {
         self.apply(x, i);
         self.note_commit(x);
     }
 
     /// Applies a committed pair flip of bits `i` and `j`. `x` must be
-    /// the configuration *after* both flips. O(deg(i) + deg(j)); the
-    /// cross-coupling cancels because `h` never includes a variable's
-    /// own value.
+    /// the configuration *after* both flips. O(n); the cross-coupling
+    /// cancels because `h` never includes a variable's own value.
     pub fn commit_pair(&mut self, x: &Assignment, i: usize, j: usize) {
         self.apply(x, i);
         self.apply(x, j);
         self.note_commit(x);
     }
 
-    /// Recomputes every field from scratch — O(n + nnz). Called
-    /// automatically every `refresh_interval` commits.
+    /// Recomputes every field from scratch, summing each row's selected
+    /// columns in ascending order — O(n²). Called automatically every
+    /// `refresh_interval` commits.
     fn refresh(&mut self, x: &Assignment) {
-        for i in 0..self.n {
-            let mut h = self.diag[i];
-            for k in self.offsets[i]..self.offsets[i + 1] {
-                if x.get(self.neighbor_idx[k]) {
-                    h += self.neighbor_val[k];
-                }
-            }
-            self.fields[i] = h;
+        let n = self.n;
+        for (i, h) in self.fields.iter_mut().enumerate() {
+            let row = &self.couplings[i * n..(i + 1) * n];
+            *h = (0..n)
+                .filter(|&j| x.get(j))
+                .fold(self.diag[i], |h, j| h + row[j]);
         }
         self.commits = 0;
     }
 
     fn apply(&mut self, x: &Assignment, i: usize) {
-        let sign = if x.get(i) { 1.0 } else { -1.0 };
-        for k in self.offsets[i]..self.offsets[i + 1] {
-            self.fields[self.neighbor_idx[k]] += sign * self.neighbor_val[k];
+        let row = &self.couplings[i * self.n..(i + 1) * self.n];
+        if x.get(i) {
+            for (h, &v) in self.fields.iter_mut().zip(row) {
+                *h += v;
+            }
+        } else {
+            for (h, &v) in self.fields.iter_mut().zip(row) {
+                *h -= v;
+            }
         }
     }
 
@@ -361,7 +399,7 @@ mod tests {
             let j = (i + 1 + rng.random_range(0..11usize)) % 12;
             let mut lf = LocalFieldState::new(&q, &x);
             let before = q.energy(&x);
-            let delta = lf.pair_delta(&x, i, j, q.get(i, j));
+            let delta = lf.pair_delta(&x, i, j);
             x.flip(i);
             x.flip(j);
             lf.commit_pair(&x, i, j);
@@ -398,19 +436,146 @@ mod tests {
         }
     }
 
+    /// The local-field walk as it was over [`CsrNeighbors`]: the fields
+    /// a dense-row state must reproduce bit for bit.
+    struct CsrOracle {
+        csr: CsrNeighbors,
+        fields: Vec<f64>,
+        commits: usize,
+        refresh_interval: usize,
+    }
+
+    impl CsrOracle {
+        fn new(q: &QuboMatrix, x: &Assignment, refresh_interval: usize) -> Self {
+            let csr = CsrNeighbors::build(q);
+            let mut oracle = Self {
+                fields: vec![0.0; csr.dim()],
+                csr,
+                commits: 0,
+                refresh_interval,
+            };
+            oracle.refresh(x);
+            oracle
+        }
+
+        fn refresh(&mut self, x: &Assignment) {
+            let c = &self.csr;
+            for i in 0..c.dim() {
+                let mut h = c.diag[i];
+                for k in c.offsets[i]..c.offsets[i + 1] {
+                    if x.get(c.idx[k]) {
+                        h += c.val[k];
+                    }
+                }
+                self.fields[i] = h;
+            }
+            self.commits = 0;
+        }
+
+        fn commit(&mut self, x: &Assignment, bits: &[usize]) {
+            for &i in bits {
+                let sign = if x.get(i) { 1.0 } else { -1.0 };
+                let c = &self.csr;
+                for k in c.offsets[i]..c.offsets[i + 1] {
+                    self.fields[c.idx[k]] += sign * c.val[k];
+                }
+            }
+            self.commits += 1;
+            if self.commits >= self.refresh_interval {
+                self.refresh(x);
+            }
+        }
+
+        fn flip_delta(&self, x: &Assignment, i: usize) -> f64 {
+            if x.get(i) {
+                -self.fields[i]
+            } else {
+                self.fields[i]
+            }
+        }
+    }
+
+    /// A matrix whose entries are drawn from signed zeros, small
+    /// integers (so sums cancel to exactly zero) and non-integers (so
+    /// sums round).
+    fn signed_zero_qubo(n: usize, rng: &mut StdRng) -> QuboMatrix {
+        let mut q = QuboMatrix::zeros(n);
+        for i in 0..n {
+            for j in i..n {
+                let v = match rng.random_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::from(rng.random_range(-3i32..=3)),
+                    _ => rng.random_range(-10.0..10.0),
+                };
+                q.set(i, j, v);
+            }
+        }
+        // Every case holds both signed zeros on and off the diagonal.
+        q.set(0, 0, -0.0);
+        q.set(n - 1, n - 1, 0.0);
+        q.set(0, n - 1, -0.0);
+        q.set(0, 1, 0.0);
+        q
+    }
+
     #[test]
-    fn degrees_count_structural_neighbors() {
-        let mut q = QuboMatrix::zeros(4);
-        q.set(0, 1, 1.0);
-        q.set(0, 3, 2.0);
-        q.set(2, 2, 5.0); // diagonal only — no neighbors
-        let lf = LocalFieldState::new(&q, &Assignment::zeros(4));
-        // Off-diagonal nonzeros per row: the commit cost.
-        let degree = |i: usize| lf.offsets[i + 1] - lf.offsets[i];
-        assert_eq!(degree(0), 2);
-        assert_eq!(degree(1), 1);
-        assert_eq!(degree(2), 0);
-        assert_eq!(degree(3), 1);
+    fn dense_rows_walk_the_csr_fields_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let bits = |v: &[f64]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+        let mut zero_fields = 0;
+        for case in 0..40 {
+            let n = rng.random_range(2..=12);
+            let q = signed_zero_qubo(n, &mut rng);
+            let mut x = Assignment::random(n, &mut rng);
+            let mut lf = LocalFieldState::new(&q, &x).with_refresh_interval(7);
+            let mut oracle = CsrOracle::new(&q, &x, 7);
+            for i in 0..n {
+                for j in (0..n).filter(|&j| j != i) {
+                    assert_eq!(lf.coupling(i, j).to_bits(), q.get(i, j).to_bits());
+                }
+            }
+            for step in 0..300 {
+                let i = rng.random_range(0..n);
+                if rng.random_bool(0.4) {
+                    let j = (i + 1 + rng.random_range(0..n - 1)) % n;
+                    let di = if x.get(i) { -1.0 } else { 1.0 };
+                    let dj = if x.get(j) { -1.0 } else { 1.0 };
+                    let old =
+                        oracle.flip_delta(&x, i) + oracle.flip_delta(&x, j) + q.get(i, j) * di * dj;
+                    assert_eq!(lf.pair_delta(&x, i, j).to_bits(), old.to_bits());
+                    x.flip(i);
+                    x.flip(j);
+                    lf.commit_pair(&x, i, j);
+                    oracle.commit(&x, &[i, j]);
+                } else {
+                    x.flip(i);
+                    lf.commit_flip(&x, i);
+                    oracle.commit(&x, &[i]);
+                }
+                let fields: Vec<f64> = (0..n).map(|k| lf.field(k)).collect();
+                assert_eq!(
+                    bits(&fields),
+                    bits(&oracle.fields),
+                    "case {case} step {step}"
+                );
+                assert!(
+                    fields.iter().all(|h| h.to_bits() != (-0.0f64).to_bits()),
+                    "case {case} step {step}: a field is -0.0"
+                );
+                zero_fields += fields.iter().filter(|&&h| h == 0.0).count();
+            }
+        }
+        // The walks pass through fields that are exactly zero: the case
+        // in which only `+0.0` keeps the zero couplings no-ops.
+        assert!(zero_fields > 0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "dense coupling rows of dimension 4294967296 overflow usize")]
+    fn dense_rows_refuse_a_size_that_overflows() {
+        let _ = dense_len(1 << 32);
     }
 
     #[test]
@@ -419,6 +584,6 @@ mod tests {
         let q = QuboMatrix::zeros(3);
         let x = Assignment::zeros(3);
         let lf = LocalFieldState::new(&q, &x);
-        let _ = lf.pair_delta(&x, 1, 1, 0.0);
+        let _ = lf.pair_delta(&x, 1, 1);
     }
 }

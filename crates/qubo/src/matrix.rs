@@ -39,10 +39,20 @@ impl QuboMatrix {
     /// let q = QuboMatrix::zeros(4);
     /// assert_eq!(q.dim(), 4);
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the dimension and before allocating, if the
+    /// triangle's size `n·(n+1)/2` overflows `usize`.
     pub fn zeros(n: usize) -> Self {
+        let len = n
+            .checked_add(1)
+            .and_then(|m| n.checked_mul(m))
+            .unwrap_or_else(|| panic!("triangular QUBO matrix of dimension {n} overflows usize"))
+            / 2;
         Self {
             n,
-            coeffs: vec![0.0; n * (n + 1) / 2],
+            coeffs: vec![0.0; len],
         }
     }
 
@@ -111,6 +121,13 @@ impl QuboMatrix {
             self.n
         );
         self.coeffs[self.tri_index(a, b)]
+    }
+
+    /// Row `i` of the upper triangle: the coefficients of `(i, j)` for
+    /// `j` in `i..n`, the diagonal first.
+    pub(crate) fn upper_row(&self, i: usize) -> &[f64] {
+        let start = self.tri_index(i, i);
+        &self.coeffs[start..start + self.n - i]
     }
 
     /// Sets the canonical coefficient of `xᵢxⱼ`, replacing any prior value.
@@ -321,6 +338,21 @@ mod tests {
     fn empty_matrix_energy_is_zero() {
         let q = QuboMatrix::zeros(0);
         assert_eq!(q.energy(&Assignment::zeros(0)), 0.0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "triangular QUBO matrix of dimension 4294967296 overflows usize")]
+    fn zeros_refuses_a_triangle_whose_size_overflows() {
+        // n·(n+1) = 2⁶⁴ + 2³² wraps; the check panics before allocating.
+        let _ = QuboMatrix::zeros(1 << 32);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "triangular QUBO matrix of dimension 18446744073709551615 overflows")]
+    fn zeros_refuses_the_largest_dimension() {
+        let _ = QuboMatrix::zeros(usize::MAX);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! scalar [`LocalFieldState`](crate::LocalFieldState) replica at all
 //! times, because every float op matches one-for-one:
 //!
-//! * both walk the same [`CsrNeighbors`] rows in the same ascending
-//!   order (shared construction);
+//! * per field, both add the same nonzero couplings in the same
+//!   ascending column order: the packed state walks `CsrNeighbors`
+//!   lists, the scalar state its dense coupling rows, whose zero
+//!   entries are no-ops (see [`local_field`](crate::local_field));
 //! * a masked commit applies `+v` to lanes turning on and `-v` to
 //!   lanes turning off — IEEE-identical to the scalar
 //!   `field += sign·v` update;

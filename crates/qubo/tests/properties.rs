@@ -192,7 +192,7 @@ proptest! {
             let i = rng.random_range(0..n);
             if n > 1 && rng.random_bool(0.3) {
                 let j = (i + 1 + rng.random_range(0..n - 1)) % n;
-                let delta = lf.pair_delta(&x, i, j, q.get(i, j));
+                let delta = lf.pair_delta(&x, i, j);
                 let dense = q.flip_delta(&x, i) + q.flip_delta(&x, j)
                     + q.get(i, j)
                         * if x.get(i) { -1.0 } else { 1.0 }
